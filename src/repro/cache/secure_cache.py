@@ -90,6 +90,10 @@ class SecureCache:
         self.max_entries = max(0, capacity_bytes // self._entry_footprint)
         self._entries: dict[NodeKey, CacheEntry] = {}
         self._policy: EvictionPolicy = make_policy(policy)
+        # Hit penalty: the policy's EPC metadata operations (Section IV-E).
+        # Policy and cost model are fixed for the cache's life.
+        self._hit_cost = (self._policy.hit_metadata_ops
+                          * enclave.costs.access_cost(16, in_epc=True))
         self.stats = CacheStats(window=stop_swap_window,
                                 threshold=stop_swap_threshold,
                                 patience=stop_swap_patience)
@@ -367,11 +371,44 @@ class SecureCache:
 
     # -- the counter API used by Aria -----------------------------------------------
 
+    # ``read_counter`` runs once per Get and twice per Put; its hit branch
+    # (and ``write_counter``'s) is therefore written flat: slot arithmetic
+    # with ``MerkleLayout.counter_slot``'s range check inline, and the hit
+    # bookkeeping — stats, ``cache_hit`` event, hit penalty, policy, EPC
+    # touch, in that order — without helper calls.
+
     def read_counter(self, counter_id: int) -> bytes:
         """Return the verified 16-byte counter for ``counter_id``."""
         layout = self._tree.layout
-        leaf_index, offset = layout.counter_slot(counter_id)
-        node = self._leaf_for_access(leaf_index)
+        if not 0 <= counter_id < layout.n_counters:
+            raise IndexError(f"counter id {counter_id} out of range")
+        leaf_index = counter_id // layout.arity
+        offset = counter_id % layout.arity * COUNTER_SIZE
+        enclave = self._enclave
+        if 0 in self._pinned:
+            enclave.epc_touch(COUNTER_SIZE)
+            node = self._pinned[0][leaf_index]
+        else:
+            key = (0, leaf_index)
+            entry = self._entries.get(key)
+            if entry is not None:
+                self.stats.record_hit()
+                meter = enclave.meter
+                if meter.enabled:
+                    meter.events["cache_hit"] += 1
+                    if self._hit_cost:
+                        meter.cycles += self._hit_cost
+                self._policy.on_hit(key)
+                enclave.epc_touch(COUNTER_SIZE)
+                node = entry.data
+            else:
+                self.stats.record_miss()
+                enclave.meter.count("cache_miss")
+                node = self._verified_node_bytes(0, leaf_index)
+                if self.swapping:
+                    self._insert(0, leaf_index, bytearray(node), dirty=False,
+                                 locked=frozenset())
+                self._maybe_stop_swap()
         return bytes(node[offset : offset + COUNTER_SIZE])
 
     def write_counter(self, counter_id: int, value: bytes) -> None:
@@ -379,21 +416,29 @@ class SecureCache:
         if len(value) != COUNTER_SIZE:
             raise ConfigurationError(f"counter must be {COUNTER_SIZE} bytes")
         layout = self._tree.layout
-        leaf_index, offset = layout.counter_slot(counter_id)
+        if not 0 <= counter_id < layout.n_counters:
+            raise IndexError(f"counter id {counter_id} out of range")
+        leaf_index = counter_id // layout.arity
+        offset = counter_id % layout.arity * COUNTER_SIZE
+        enclave = self._enclave
         if 0 in self._pinned:
             node = self._pinned[0][leaf_index]
             node[offset : offset + COUNTER_SIZE] = value
-            self._enclave.epc_touch(COUNTER_SIZE)
+            enclave.epc_touch(COUNTER_SIZE)
             return
-        entry = self._entries.get((0, leaf_index))
+        key = (0, leaf_index)
+        entry = self._entries.get(key)
         if entry is not None:
             self.stats.record_hit()
-            self._enclave.meter.count("cache_hit")
-            self._charge_hit()
-            self._policy.on_hit((0, leaf_index))
+            meter = enclave.meter
+            if meter.enabled:
+                meter.events["cache_hit"] += 1
+                if self._hit_cost:
+                    meter.cycles += self._hit_cost
+            self._policy.on_hit(key)
             entry.data[offset : offset + COUNTER_SIZE] = value
             entry.dirty = True
-            self._enclave.epc_touch(COUNTER_SIZE)
+            enclave.epc_touch(COUNTER_SIZE)
             return
         self.stats.record_miss()
         self._enclave.meter.count("cache_miss")
@@ -425,35 +470,6 @@ class SecureCache:
         new_value = ((current + 1) % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
         self.write_counter(counter_id, new_value)
         return new_value
-
-    def _leaf_for_access(self, leaf_index: int) -> bytes:
-        if 0 in self._pinned:
-            self._enclave.epc_touch(COUNTER_SIZE)
-            return self._pinned[0][leaf_index]
-        entry = self._entries.get((0, leaf_index))
-        if entry is not None:
-            self.stats.record_hit()
-            self._enclave.meter.count("cache_hit")
-            self._charge_hit()
-            self._policy.on_hit((0, leaf_index))
-            self._enclave.epc_touch(COUNTER_SIZE)
-            return entry.data
-        self.stats.record_miss()
-        self._enclave.meter.count("cache_miss")
-        node = self._verified_node_bytes(0, leaf_index)
-        if self.swapping:
-            self._insert(0, leaf_index, bytearray(node), dirty=False,
-                         locked=frozenset())
-        self._maybe_stop_swap()
-        return node
-
-    def _charge_hit(self) -> None:
-        """Hit penalty: the policy's EPC metadata operations (Section IV-E)."""
-        ops = self._policy.hit_metadata_ops
-        if ops:
-            self._enclave.meter.charge(
-                ops * self._enclave.costs.access_cost(16, in_epc=True)
-            )
 
     def flush_to_untrusted(self) -> None:
         """Write every EPC-resident node back so untrusted memory is whole.

@@ -46,24 +46,26 @@ class CacheStats:
     def record_hit(self) -> None:
         self.hits += 1
         self._window_hits += 1
-        self._bump_window()
+        self._window_accesses += 1
+        if self._window_accesses >= self.window:
+            self._close_window()
 
     def record_miss(self) -> None:
         self.misses += 1
-        self._bump_window()
-
-    def _bump_window(self) -> None:
         self._window_accesses += 1
         if self._window_accesses >= self.window:
-            ratio = self._window_hits / self._window_accesses
-            if ratio < self.threshold:
-                self._low_streak += 1
-                if self._low_streak >= self.patience:
-                    self._stop_recommended = True
-            else:
-                self._low_streak = 0
-            self._window_hits = 0
-            self._window_accesses = 0
+            self._close_window()
+
+    def _close_window(self) -> None:
+        ratio = self._window_hits / self._window_accesses
+        if ratio < self.threshold:
+            self._low_streak += 1
+            if self._low_streak >= self.patience:
+                self._stop_recommended = True
+        else:
+            self._low_streak = 0
+        self._window_hits = 0
+        self._window_accesses = 0
 
     def reset_counts(self) -> None:
         """Zero the counters (but keep the stop-swap decision state).

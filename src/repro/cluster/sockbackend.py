@@ -268,11 +268,22 @@ class ShardHost:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
+            # close() alone does not wake an accept() blocked in another
+            # thread on Linux: the serving thread would sit there until the
+            # next connection (or never).  shutdown() does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # never listened, or already shut down
             try:
                 self._listener.close()
             except OSError:  # pragma: no cover
                 pass
         for conn in list(self._conns):
+            try:
+                conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked recv()
+            except OSError:
+                pass  # peer already gone
             try:
                 conn.close()
             except OSError:  # pragma: no cover

@@ -21,13 +21,14 @@ costs through the enclave.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.core.counters import CounterManager
 from repro.errors import IntegrityError
 from repro.sgx.enclave import Enclave
 
 HEADER = struct.Struct("<QHH")  # RedPtr, k_len, v_len
+_HEADER_SIZE = HEADER.size
 MAC_SIZE = 16
 _AD_BYTES = 8
 
@@ -35,8 +36,7 @@ MAX_KEY_LEN = 0xFFFF
 MAX_VALUE_LEN = 0xFFFF
 
 
-@dataclass(frozen=True)
-class OpenedRecord:
+class OpenedRecord(NamedTuple):
     """A record after verification + decryption, plus its RedPtr."""
 
     red_ptr: int
@@ -86,24 +86,21 @@ class RecordCodec:
         Raises :class:`IntegrityError` if the record, its counter binding, or
         its index connection (AdField) was tampered with.
         """
-        red_ptr, k_len, v_len = self.parse_header(blob)
-        expected = record_size(k_len, v_len)
-        if len(blob) < expected:
+        red_ptr, k_len, v_len = HEADER.unpack_from(blob)
+        body_end = _HEADER_SIZE + k_len + v_len
+        if len(blob) < body_end + MAC_SIZE:
             raise IntegrityError("record truncated: untrusted data modified")
-        body_end = HEADER.size + k_len + v_len
-        ciphertext = blob[HEADER.size : body_end]
-        stored_mac = blob[body_end : body_end + MAC_SIZE]
+        ciphertext = blob[_HEADER_SIZE:body_end]
         counter = self._counters.read_counter(red_ptr)
-        message = (
-            blob[: HEADER.size]
-            + counter
-            + ciphertext
-            + ad_field.to_bytes(_AD_BYTES, "little")
+        enclave = self._enclave
+        enclave.require_mac(
+            blob[:_HEADER_SIZE] + counter + ciphertext
+            + ad_field.to_bytes(_AD_BYTES, "little"),
+            blob[body_end : body_end + MAC_SIZE],
+            "KV record",
         )
-        self._enclave.require_mac(message, stored_mac, "KV record")
-        plaintext = self._enclave.decrypt(counter, ciphertext)
-        return OpenedRecord(red_ptr=red_ptr, key=plaintext[:k_len],
-                            value=plaintext[k_len:])
+        plaintext = enclave.decrypt(counter, ciphertext)
+        return OpenedRecord(red_ptr, plaintext[:k_len], plaintext[k_len:])
 
     def reseal_ad_field(self, blob: bytes, old_ad: int, new_ad: int) -> bytes:
         """Re-bind a record to a new pointer-slot address.
@@ -113,18 +110,16 @@ class RecordCodec:
         under the old AdField, then its MAC is recomputed for the new one.
         The ciphertext and counter are untouched.
         """
-        opened_red_ptr, k_len, v_len = self.parse_header(blob)
-        body_end = HEADER.size + k_len + v_len
-        ciphertext = blob[HEADER.size : body_end]
-        stored_mac = blob[body_end : body_end + MAC_SIZE]
-        counter = self._counters.read_counter(opened_red_ptr)
-        old_message = (
-            blob[: HEADER.size] + counter + ciphertext
-            + old_ad.to_bytes(_AD_BYTES, "little")
+        red_ptr, k_len, v_len = HEADER.unpack_from(blob)
+        body_end = _HEADER_SIZE + k_len + v_len
+        counter = self._counters.read_counter(red_ptr)
+        # Everything the MAC covers except the AdField, built once.
+        bound = blob[:_HEADER_SIZE] + counter + blob[_HEADER_SIZE:body_end]
+        enclave = self._enclave
+        enclave.require_mac(
+            bound + old_ad.to_bytes(_AD_BYTES, "little"),
+            blob[body_end : body_end + MAC_SIZE],
+            "KV record (rebind)",
         )
-        self._enclave.require_mac(old_message, stored_mac, "KV record (rebind)")
-        new_mac = self._enclave.mac(
-            blob[: HEADER.size] + counter + ciphertext
-            + new_ad.to_bytes(_AD_BYTES, "little")
-        )
+        new_mac = enclave.mac(bound + new_ad.to_bytes(_AD_BYTES, "little"))
         return blob[:body_end] + new_mac

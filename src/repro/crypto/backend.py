@@ -23,14 +23,18 @@ attack tests rely on.
 
 from __future__ import annotations
 
-import hashlib
 import hmac
+from hashlib import blake2b, blake2s
 
 from repro.crypto import cmac as _cmac
 from repro.crypto import ctr as _ctr
 
 MAC_SIZE = 16
 COUNTER_SIZE = 16
+
+#: The fast backend's keystream comes in blake2b-sized blocks.
+_KEYSTREAM_BLOCK = 64
+_BLOCK_ZERO = (0).to_bytes(8, "little")
 
 
 class CryptoBackend:
@@ -72,29 +76,36 @@ class FastCryptoBackend(CryptoBackend):
     name = "fast"
 
     def _keystream(self, key: bytes, counter: bytes, length: int) -> bytes:
-        blocks = []
-        produced = 0
-        index = 0
-        while produced < length:
-            block = hashlib.blake2b(
-                counter + index.to_bytes(8, "little"), key=key, digest_size=64
-            ).digest()
-            blocks.append(block)
-            produced += len(block)
-            index += 1
-        return b"".join(blocks)[:length]
+        """``length`` bytes: blake2b(counter | block index) blocks, truncated."""
+        return b"".join([
+            blake2b(counter + index.to_bytes(8, "little"), key=key,
+                    digest_size=_KEYSTREAM_BLOCK).digest()
+            for index in range(-(-length // _KEYSTREAM_BLOCK))
+        ])[:length]
 
     def encrypt(self, key: bytes, counter: bytes, plaintext: bytes) -> bytes:
         if len(counter) != COUNTER_SIZE:
             raise ValueError(f"counter must be {COUNTER_SIZE} bytes")
-        keystream = self._keystream(key, counter, len(plaintext))
-        return bytes(a ^ b for a, b in zip(plaintext, keystream))
+        length = len(plaintext)
+        if length <= _KEYSTREAM_BLOCK:
+            # The common case (a KV pair) needs only block 0.
+            keystream = blake2b(counter + _BLOCK_ZERO, key=key,
+                                digest_size=_KEYSTREAM_BLOCK).digest()[:length]
+        else:
+            keystream = self._keystream(key, counter, length)
+        # One big-integer XOR instead of a per-byte generator.
+        return (int.from_bytes(plaintext, "little")
+                ^ int.from_bytes(keystream, "little")).to_bytes(length, "little")
 
-    def decrypt(self, key: bytes, counter: bytes, ciphertext: bytes) -> bytes:
-        return self.encrypt(key, counter, ciphertext)
+    #: A stream cipher: decryption is the same transform.
+    decrypt = encrypt
 
     def mac(self, key: bytes, message: bytes) -> bytes:
-        return hashlib.blake2s(message, key=key, digest_size=MAC_SIZE).digest()
+        return blake2s(message, key=key, digest_size=MAC_SIZE).digest()
+
+    def mac_verify(self, key: bytes, message: bytes, tag: bytes) -> bool:
+        return hmac.compare_digest(
+            blake2s(message, key=key, digest_size=MAC_SIZE).digest(), tag)
 
 
 _BACKENDS = {

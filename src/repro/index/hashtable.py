@@ -26,12 +26,15 @@ import struct
 from typing import Iterator, Optional
 
 from repro.alloc.heap import Allocator
-from repro.core.record import RecordCodec, record_size
+from repro.core.record import HEADER, RecordCodec, record_size
 from repro.errors import DeletionError, KeyNotFoundError
 from repro.index.base import SecureIndex
 from repro.sgx.enclave import Enclave
 
 _ENTRY_PREFIX = struct.Struct("<QI")  # next_ptr, key_hint
+#: Entry prefix + record header, read in one access when walking a chain.
+_ENTRY_HEAD = struct.Struct(_ENTRY_PREFIX.format + HEADER.format.lstrip("<"))
+_EMPTY_RECORD_SIZE = record_size(0, 0)
 _NULL = 0
 #: Bytes of EPC charged per bucket for the entry count (Section V-C).
 _COUNT_BYTES = 1
@@ -106,14 +109,11 @@ class AriaHashIndex(SecureIndex):
 
     def _read_entry(self, entry_addr: int) -> tuple[int, int, bytes]:
         """Read one entry; returns (next_ptr, hint, record blob)."""
-        prefix = self._enclave.read_untrusted(entry_addr, _ENTRY_PREFIX.size + 12)
-        next_ptr, hint = _ENTRY_PREFIX.unpack_from(prefix)
-        red_ptr, k_len, v_len = self._codec.parse_header(
-            prefix[_ENTRY_PREFIX.size :]
+        read = self._enclave.read_untrusted
+        next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
+            read(entry_addr, _ENTRY_HEAD.size)
         )
-        blob = self._enclave.read_untrusted(
-            entry_addr + _ENTRY_PREFIX.size, record_size(k_len, v_len)
-        )
+        blob = read(entry_addr + _ENTRY_PREFIX.size, record_size(k_len, v_len))
         return next_ptr, hint, blob
 
     def _entry_bytes(self, next_ptr: int, hint: int, blob: bytes) -> bytes:
@@ -121,22 +121,11 @@ class AriaHashIndex(SecureIndex):
 
     # -- chain walk ---------------------------------------------------------------------
 
-    def _walk(self, key: bytes):
-        """Yield (slot_addr, entry_addr, next_ptr, hint, blob) along the chain.
+    def _find(self, key: bytes, verify_miss: bool = True):
+        """Locate a key; returns (slot_addr, entry_addr, next_ptr, blob, opened).
 
         ``slot_addr`` is the address of the pointer that references
         ``entry_addr`` — exactly the entry's AdField.
-        """
-        _, slot_addr, _ = self._bucket_slot(key)
-        entry_addr = self._read_ptr(slot_addr)
-        while entry_addr != _NULL:
-            next_ptr, hint, blob = self._read_entry(entry_addr)
-            yield slot_addr, entry_addr, next_ptr, hint, blob
-            slot_addr = entry_addr  # next field sits at offset 0
-            entry_addr = next_ptr
-
-    def _find(self, key: bytes, verify_miss: bool = True):
-        """Locate a key; returns (slot_addr, entry_addr, next_ptr, blob, opened).
 
         On a miss with ``verify_miss`` (the Get/Delete path), the whole
         walked chain is verified before concluding the key is absent: each
@@ -148,16 +137,31 @@ class AriaHashIndex(SecureIndex):
         an insert does not assert absence to a client, and the entry it adds
         is bound to wherever the chain tail really is.
         """
-        bucket, _, want_hint = self._bucket_slot(key)
+        enclave = self._enclave
+        read = enclave.read_untrusted
+        # A lookup is priced at two key hashes (bucket + key hint); one
+        # digest serves both, the second is still charged.
+        digest = enclave.hash_key(key)
+        enclave.hash_key(key)
+        bucket = digest % self._n_buckets
+        want_hint = digest & 0xFFFFFFFF
+        slot_addr = self._bucket_base + bucket * 8
+        entry_addr = int.from_bytes(read(slot_addr, 8), "little")
         walked = []
-        for slot_addr, entry_addr, next_ptr, hint, blob in self._walk(key):
+        while entry_addr != _NULL:
+            next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
+                read(entry_addr, _ENTRY_HEAD.size)
+            )
+            blob = read(entry_addr + _ENTRY_PREFIX.size,
+                        _EMPTY_RECORD_SIZE + k_len + v_len)
             walked.append((slot_addr, blob))
-            if hint != want_hint:
-                continue
-            opened = self._codec.open(blob, ad_field=slot_addr)
-            if self._enclave.compare(opened.key, key):
-                return slot_addr, entry_addr, next_ptr, blob, opened
-        self._enclave.epc_touch(_COUNT_BYTES)
+            if hint == want_hint:
+                opened = self._codec.open(blob, slot_addr)
+                if enclave.compare(opened.key, key):
+                    return slot_addr, entry_addr, next_ptr, blob, opened
+            slot_addr = entry_addr  # next field sits at offset 0
+            entry_addr = next_ptr
+        enclave.epc_touch(_COUNT_BYTES)
         if len(walked) != self._counts[bucket]:
             raise DeletionError(
                 f"bucket {bucket} has {len(walked)} entries but the enclave "
@@ -189,7 +193,8 @@ class AriaHashIndex(SecureIndex):
 
     def get(self, key: bytes) -> bytes:
         value = self._find(key)[4].value
-        self._walk_dummy_buckets()
+        if self._dummy_bucket_reads:
+            self._walk_dummy_buckets()
         return value
 
     def put(self, key: bytes, value: bytes) -> None:

@@ -23,7 +23,7 @@ from typing import Optional
 from repro.crypto.backend import CryptoBackend, get_backend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import IntegrityError
-from repro.sgx.costs import PAGE_SIZE, CostModel, SgxPlatform
+from repro.sgx.costs import CACHELINE, PAGE_SIZE, CostModel, SgxPlatform
 from repro.sgx.epc import EpcBudget
 from repro.sgx.memory import UntrustedMemory
 from repro.sgx.meter import CycleMeter
@@ -55,54 +55,108 @@ class Enclave:
             # The paged heap consumes the whole EPC budget it was given.
             self.epc.reserve("paged_heap", paged_heap_pages * PAGE_SIZE)
 
+    # Every primitive below is a *leaf*: one ``meter.enabled`` test, one
+    # ``meter.cycles += <linear cost>``, one ``meter.events[...] += n``,
+    # then the work — spelled inline rather than through
+    # ``CostModel.access_cost/mac_cost/enc_cost`` and
+    # ``CycleMeter.charge/count/charge_event``, which remain the public
+    # definition (tests pin the two spellings together).  A cached Get fires
+    # ~20 of these, so a primitive that is three Python calls deep makes the
+    # host spend most of its time on plumbing the paper does not model.
+    # ``self.costs`` and ``self.meter`` are bound once in ``__init__`` and
+    # never reassigned.  Each cost is computed whole and added to
+    # ``meter.cycles`` in one step, in program order: the total is a float
+    # and its last ulp depends on the association under scaled cost models.
+
     # -- boundary crossings --------------------------------------------------
 
     def ecall(self) -> None:
         """Enter the enclave (client request dispatch)."""
-        self.meter.charge_event("ecall", self.costs.ecall)
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += self.costs.ecall
+            meter.events["ecall"] += 1
 
     def ocall(self) -> None:
         """Exit the enclave (e.g. an untrusted malloc without Aria's allocator)."""
-        self.meter.charge_event("ocall", self.costs.ocall)
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += self.costs.ocall
+            meter.events["ocall"] += 1
 
     # -- untrusted memory traffic ---------------------------------------------
 
     def read_untrusted(self, addr: int, size: int) -> bytes:
         """Dependent load from untrusted memory into enclave registers/stack."""
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(size, in_epc=False)
-        )
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            cost = costs.untrusted_access
+            if size > CACHELINE:  # bytes past the first line stream
+                cost += (size - CACHELINE) * costs.mem_per_byte
+            meter.cycles += cost
+            meter.events["untrusted_access"] += 1
         return self.untrusted.read(addr, size)
 
     def write_untrusted(self, addr: int, data: bytes) -> None:
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(len(data), in_epc=False)
-        )
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            size = len(data)
+            cost = costs.untrusted_access
+            if size > CACHELINE:  # bytes past the first line stream
+                cost += (size - CACHELINE) * costs.mem_per_byte
+            meter.cycles += cost
+            meter.events["untrusted_access"] += 1
         self.untrusted.write(addr, data)
 
     # -- EPC-resident data traffic ---------------------------------------------
 
     def epc_touch(self, nbytes: int = 8) -> None:
         """One access to software-managed EPC data (Secure Cache, bitmaps...)."""
-        self.meter.charge_event("epc_access", self.costs.access_cost(nbytes, in_epc=True))
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            cost = costs.epc_access
+            if nbytes > CACHELINE:  # bytes past the first line stream
+                cost += (nbytes - CACHELINE) * costs.mem_per_byte
+            meter.cycles += cost
+            meter.events["epc_access"] += 1
 
     def epc_copy_in(self, nbytes: int) -> None:
         """Copy ``nbytes`` from untrusted memory into the EPC (node swap-in)."""
-        self.meter.charge_event(
-            "untrusted_access", self.costs.access_cost(nbytes, in_epc=False)
-        )
-        self.meter.charge_event("epc_access", self.costs.access_cost(nbytes, in_epc=True))
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            stream = (nbytes - CACHELINE) * costs.mem_per_byte \
+                if nbytes > CACHELINE else 0.0
+            meter.cycles += costs.untrusted_access + stream
+            meter.events["untrusted_access"] += 1
+            meter.cycles += costs.epc_access + stream
+            meter.events["epc_access"] += 1
 
     # -- crypto (all executed inside the enclave) -------------------------------
 
     def mac(self, message: bytes) -> bytes:
-        self.meter.charge_event("mac_bytes", self.costs.mac_cost(len(message)), len(message))
-        self.meter.count("mac_ops")
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            size = len(message)
+            meter.cycles += costs.mac_base + size * costs.mac_per_byte
+            events = meter.events
+            events["mac_bytes"] += size
+            events["mac_ops"] += 1
         return self.crypto.mac(self.keys.mac_key, message)
 
     def mac_verify(self, message: bytes, tag: bytes) -> bool:
-        self.meter.charge_event("mac_bytes", self.costs.mac_cost(len(message)), len(message))
-        self.meter.count("mac_ops")
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            size = len(message)
+            meter.cycles += costs.mac_base + size * costs.mac_per_byte
+            events = meter.events
+            events["mac_bytes"] += size
+            events["mac_ops"] += 1
         return self.crypto.mac_verify(self.keys.mac_key, message, tag)
 
     def require_mac(self, message: bytes, tag: bytes, what: str) -> None:
@@ -111,31 +165,45 @@ class Enclave:
             raise IntegrityError(f"MAC mismatch on {what}: untrusted data modified")
 
     def encrypt(self, counter: bytes, plaintext: bytes) -> bytes:
-        self.meter.charge_event(
-            "enc_bytes", self.costs.enc_cost(len(plaintext)), len(plaintext)
-        )
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            size = len(plaintext)
+            meter.cycles += costs.enc_base + size * costs.enc_per_byte
+            meter.events["enc_bytes"] += size
         return self.crypto.encrypt(self.keys.encryption_key, counter, plaintext)
 
     def decrypt(self, counter: bytes, ciphertext: bytes) -> bytes:
-        self.meter.charge_event(
-            "enc_bytes", self.costs.enc_cost(len(ciphertext)), len(ciphertext)
-        )
+        meter = self.meter
+        if meter.enabled:
+            costs = self.costs
+            size = len(ciphertext)
+            meter.cycles += costs.enc_base + size * costs.enc_per_byte
+            meter.events["enc_bytes"] += size
         return self.crypto.decrypt(self.keys.encryption_key, counter, ciphertext)
 
     # -- misc in-enclave work ----------------------------------------------------
 
     def hash_key(self, key: bytes) -> int:
         """Bucket hash / key-hint hash computed inside the enclave."""
-        self.meter.charge(self.costs.hash_compute)
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += self.costs.hash_compute
         return zlib.crc32(key)
 
     def compare(self, a: bytes, b: bytes) -> bool:
-        self.meter.charge(self.costs.compare_per_byte * max(len(a), len(b)))
+        meter = self.meter
+        if meter.enabled:
+            len_a, len_b = len(a), len(b)
+            meter.cycles += self.costs.compare_per_byte * (
+                len_a if len_a > len_b else len_b)
         return a == b
 
     def work(self, cycles: float) -> None:
         """Charge generic in-enclave bookkeeping cycles."""
-        self.meter.charge(cycles)
+        meter = self.meter
+        if meter.enabled:
+            meter.cycles += cycles
 
     # -- reporting ----------------------------------------------------------------
 

@@ -30,6 +30,8 @@ class UntrustedMemory:
     and out-of-range accesses raise, catching address-arithmetic bugs early.
     """
 
+    __slots__ = ("_bases", "_regions", "_next")
+
     def __init__(self) -> None:
         self._bases: list[int] = []
         self._regions: list[bytearray] = []
@@ -49,26 +51,36 @@ class UntrustedMemory:
         self._next = base + size + 64  # guard gap between regions
         return base
 
-    def _locate(self, addr: int, size: int) -> tuple[bytearray, int]:
+    # ``read`` and ``write`` run several times per simulated op, so each
+    # locates its region inline (one bisect, both bounds checks) instead of
+    # through a shared helper: one Python call per access.
+
+    def read(self, addr: int, size: int) -> bytes:
         idx = bisect_right(self._bases, addr) - 1
         if idx < 0:
             raise AriaError(f"invalid untrusted address {addr:#x}")
-        base = self._bases[idx]
         region = self._regions[idx]
-        offset = addr - base
-        if offset + size > len(region):
+        offset = addr - self._bases[idx]
+        end = offset + size
+        if end > len(region):
             raise AriaError(
                 f"untrusted access [{addr:#x}, +{size}) crosses region bounds"
             )
-        return region, offset
-
-    def read(self, addr: int, size: int) -> bytes:
-        region, offset = self._locate(addr, size)
-        return bytes(region[offset : offset + size])
+        return bytes(region[offset:end])
 
     def write(self, addr: int, data: bytes) -> None:
-        region, offset = self._locate(addr, len(data))
-        region[offset : offset + len(data)] = data
+        idx = bisect_right(self._bases, addr) - 1
+        if idx < 0:
+            raise AriaError(f"invalid untrusted address {addr:#x}")
+        region = self._regions[idx]
+        offset = addr - self._bases[idx]
+        end = offset + len(data)
+        if end > len(region):
+            raise AriaError(
+                f"untrusted access [{addr:#x}, +{len(data)}) crosses region "
+                "bounds"
+            )
+        region[offset:end] = data
 
     # -- attacker interface -------------------------------------------------
 

@@ -9,7 +9,8 @@ mirroring the paper's single-thread throughput numbers.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Optional
 
 
 @dataclass
@@ -42,7 +43,6 @@ class MeterSnapshot:
                    events=Counter(payload["events"]))
 
 
-@dataclass
 class CycleMeter:
     """Accumulates simulated cycles plus named event counts.
 
@@ -55,11 +55,22 @@ class CycleMeter:
     - ``cache_hit``, ``cache_miss``, ``cache_evict``, ``cache_writeback`` —
       Secure Cache behaviour
     - ``untrusted_access``, ``epc_access`` — memory traffic
+
+    :meth:`charge`, :meth:`count` and :meth:`charge_event` are the public
+    definition of a charge.  :class:`~repro.sgx.enclave.Enclave`'s
+    primitives spell the same three statements inline (one Python call per
+    simulated primitive instead of three; ARCHITECTURE "Host-time hot
+    path"), which is why ``cycles``, ``events`` and ``enabled`` are plain
+    slots.
     """
 
-    cycles: float = 0.0
-    events: Counter = field(default_factory=Counter)
-    enabled: bool = True
+    __slots__ = ("cycles", "events", "enabled")
+
+    def __init__(self, cycles: float = 0.0,
+                 events: Optional[Counter] = None, enabled: bool = True):
+        self.cycles = cycles
+        self.events = Counter() if events is None else events
+        self.enabled = enabled
 
     def charge(self, cycles: float) -> None:
         if self.enabled:

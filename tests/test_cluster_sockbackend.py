@@ -81,6 +81,7 @@ def thread_host():
     yield host
     host.stop()
     thread.join(5.0)
+    assert not thread.is_alive(), "ShardHost.stop() left its accept thread"
 
 
 class WireInterceptor:
@@ -247,6 +248,54 @@ class TestTopology:
         assert not any(h.alive() for h in hosts)
         assert multiprocessing.active_children() == []
         assert reap_leaked_hosts() == []  # idempotent, nothing left
+
+
+class TestHostStop:
+    """``stop()`` must wake the serving thread, not wait for a timeout.
+
+    Closing a listening socket from another thread does not wake an
+    ``accept()`` blocked on it (Linux); every ``thread_host`` teardown used
+    to burn its whole 5 s join and leak the thread.
+    """
+
+    @staticmethod
+    def _serving(host):
+        host.start()
+        thread = threading.Thread(target=host.serve_forever, daemon=True)
+        thread.start()
+        time.sleep(0.05)  # let it block in accept()
+        return thread
+
+    def test_idle_host_stops_promptly(self):
+        host = ShardHost(seed=29)
+        thread = self._serving(host)
+        started = time.monotonic()
+        host.stop()
+        thread.join(0.5)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 0.5
+
+    def test_host_with_a_live_connection_stops_promptly(self):
+        host = ShardHost(seed=31)
+        thread = self._serving(host)
+        shard = SocketShard(_spec("stop0"), (host.host, host.port))
+        try:
+            shard.store.put(b"k", b"v")
+            workers = [t for t in threading.enumerate()
+                       if getattr(t, "_target", None)
+                       == host._serve_connection]
+            assert workers, "no connection thread is serving the shard"
+            started = time.monotonic()
+            host.stop()
+            thread.join(0.5)
+            assert not thread.is_alive()
+            # The connection's thread was blocked in recv(); it must go too.
+            for worker in workers:
+                worker.join(0.5)
+                assert not worker.is_alive()
+            assert time.monotonic() - started < 0.5
+        finally:
+            shard.close(0.5)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,10 @@
 """Backend-interface tests: both backends satisfy the same contract."""
 
+import hashlib
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.crypto.backend import FastCryptoBackend, RealCryptoBackend, get_backend
 from repro.crypto.keys import KeyMaterial
@@ -62,6 +66,49 @@ def test_get_backend_by_name():
 def test_fast_backend_rejects_bad_counter():
     with pytest.raises(ValueError):
         FastCryptoBackend().encrypt(KEYS.encryption_key, b"bad", b"data")
+
+
+def _reference_fast_encrypt(key: bytes, counter: bytes, plaintext: bytes) -> bytes:
+    """The fast backend's stream cipher, spelled the slow and obvious way:
+    blake2b(counter | block index) keystream blocks, XORed byte by byte."""
+    keystream = b""
+    index = 0
+    while len(keystream) < len(plaintext):
+        keystream += hashlib.blake2b(
+            counter + index.to_bytes(8, "little"), key=key, digest_size=64
+        ).digest()
+        index += 1
+    return bytes(a ^ b for a, b in zip(plaintext, keystream))
+
+
+@given(key=st.binary(min_size=16, max_size=16),
+       counter=st.binary(min_size=16, max_size=16),
+       plaintext=st.binary(min_size=0, max_size=300))
+@settings(max_examples=300, deadline=None)
+def test_fast_encrypt_is_byte_identical_to_the_reference(key, counter, plaintext):
+    backend = FastCryptoBackend()
+    ciphertext = backend.encrypt(key, counter, plaintext)
+    assert type(ciphertext) is bytes
+    assert ciphertext == _reference_fast_encrypt(key, counter, plaintext)
+    assert backend.decrypt(key, counter, ciphertext) == plaintext
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 300])
+def test_fast_encrypt_block_boundaries(length):
+    plaintext = bytes(range(256)) * 2
+    plaintext = plaintext[:length]
+    assert FastCryptoBackend().encrypt(
+        KEYS.encryption_key, COUNTER, plaintext
+    ) == _reference_fast_encrypt(KEYS.encryption_key, COUNTER, plaintext)
+
+
+@pytest.mark.parametrize("bad", [b"", b"x" * 15, b"x" * 17])
+def test_fast_backend_rejects_wrong_length_counters(bad):
+    backend = FastCryptoBackend()
+    with pytest.raises(ValueError):
+        backend.encrypt(KEYS.encryption_key, bad, b"data")
+    with pytest.raises(ValueError):
+        backend.decrypt(KEYS.encryption_key, bad, b"data")
 
 
 def test_key_material_seed_deterministic_and_random_distinct():

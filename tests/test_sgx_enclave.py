@@ -144,3 +144,83 @@ class TestCostModel:
         platform = SgxPlatform(epc_bytes=1024)
         assert platform.scaled(0.5).epc_bytes == 512
         assert platform.scaled(0.5).cpu_hz == platform.cpu_hz
+
+
+# -- one formula, two spellings ------------------------------------------------
+#
+# ``CostModel.access_cost/mac_cost/enc_cost`` + ``CycleMeter.charge_event`` are
+# the public definition of a charge; ``Enclave``'s primitives spell the same
+# arithmetic inline so that one simulated primitive is one Python call.  Under a
+# cost model where nothing is a power of two, "the same" means the same float.
+
+NON_DYADIC = CostModel().scaled(
+    untrusted_access=101.3, epc_access=203.7, mem_per_byte=0.37,
+    mac_base=811.1, mac_per_byte=4.1, enc_base=503.3, enc_per_byte=2.7,
+    hash_compute=31.3, compare_per_byte=0.23, ecall=10_007.9, ocall=9_991.3,
+)
+SIZES = [0, 1, 63, 64, 65, 4096]
+COUNTER = (5).to_bytes(16, "little")
+
+
+def _primitives(enc, size, addr):
+    """name -> (call, expected cycles, expected event deltas)."""
+    costs = enc.costs
+    data = bytes(size)
+    untrusted = costs.access_cost(size, in_epc=False)
+    in_epc = costs.access_cost(size, in_epc=True)
+    return {
+        "read_untrusted": (lambda: enc.read_untrusted(addr, size),
+                           untrusted, {"untrusted_access": 1}),
+        "write_untrusted": (lambda: enc.write_untrusted(addr, data),
+                            untrusted, {"untrusted_access": 1}),
+        "epc_touch": (lambda: enc.epc_touch(size), in_epc, {"epc_access": 1}),
+        "epc_copy_in": (lambda: enc.epc_copy_in(size), [untrusted, in_epc],
+                        {"untrusted_access": 1, "epc_access": 1}),
+        "mac": (lambda: enc.mac(data), costs.mac_cost(size),
+                {"mac_bytes": size, "mac_ops": 1}),
+        "mac_verify": (lambda: enc.mac_verify(data, bytes(16)),
+                       costs.mac_cost(size), {"mac_bytes": size, "mac_ops": 1}),
+        "encrypt": (lambda: enc.encrypt(COUNTER, data), costs.enc_cost(size),
+                    {"enc_bytes": size}),
+        "decrypt": (lambda: enc.decrypt(COUNTER, data), costs.enc_cost(size),
+                    {"enc_bytes": size}),
+        "hash_key": (lambda: enc.hash_key(data), costs.hash_compute, {}),
+        "compare": (lambda: enc.compare(data, b"ab"),
+                    costs.compare_per_byte * max(size, 2), {}),
+        "ecall": (enc.ecall, costs.ecall, {"ecall": 1}),
+        "ocall": (enc.ocall, costs.ocall, {"ocall": 1}),
+        "work": (lambda: enc.work(7.7), 7.7, {}),
+    }
+
+
+PRIMITIVES = sorted(_primitives(small_enclave(), 1, 0))
+
+
+@pytest.mark.parametrize("size", SIZES)
+@pytest.mark.parametrize("name", PRIMITIVES)
+class TestPrimitiveCharges:
+    def _fixture(self, name, size):
+        enc = Enclave(SgxPlatform(epc_bytes=1 << 20, costs=NON_DYADIC))
+        addr = enc.untrusted.alloc(max(size, 1))
+        # Start from a non-trivial total so a mis-associated sum would show.
+        enc.meter.cycles = 12_345.678_9
+        call, cost, events = _primitives(enc, size, addr)[name]
+        return enc, call, cost, events
+
+    def test_charge_equals_the_cost_model_exactly(self, name, size):
+        enc, call, cost, events = self._fixture(name, size)
+        expected = enc.meter.cycles
+        for part in cost if isinstance(cost, list) else [cost]:
+            expected += part          # one addition per charge, in order
+        call()
+        assert enc.meter.cycles == expected
+        assert dict(enc.meter.events) == events
+        assert list(enc.meter.events) == list(events)   # insertion order too
+
+    def test_paused_meter_moves_neither_cycles_nor_events(self, name, size):
+        enc, call, _, _ = self._fixture(name, size)
+        before = enc.meter.cycles
+        with MeterPause(enc.meter):
+            call()
+        assert enc.meter.cycles == before
+        assert not enc.meter.events
