@@ -178,6 +178,23 @@ def _read_exactly(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
+def _wake_and_close(sock: socket.socket) -> None:
+    """``shutdown`` then ``close``.
+
+    ``close()`` alone does not wake another thread blocked in ``accept()``
+    or ``recv()`` on the socket (Linux): it would sit there until the next
+    connection or byte, or for ever.  ``shutdown()`` does.
+    """
+    try:
+        sock.shutdown(socket.SHUT_RDWR)
+    except OSError:
+        pass  # not connected, or the peer is already gone
+    try:
+        sock.close()
+    except OSError:  # pragma: no cover
+        pass
+
+
 # ---------------------------------------------------------------------------
 # The shard-host side
 # ---------------------------------------------------------------------------
@@ -268,26 +285,9 @@ class ShardHost:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
-            # close() alone does not wake an accept() blocked in another
-            # thread on Linux: the serving thread would sit there until the
-            # next connection (or never).  shutdown() does.
-            try:
-                self._listener.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass  # never listened, or already shut down
-            try:
-                self._listener.close()
-            except OSError:  # pragma: no cover
-                pass
+            _wake_and_close(self._listener)
         for conn in list(self._conns):
-            try:
-                conn.shutdown(socket.SHUT_RDWR)  # wakes a blocked recv()
-            except OSError:
-                pass  # peer already gone
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
+            _wake_and_close(conn)
 
     # -- one connection = one enclave's RPC stream --------------------------------
 

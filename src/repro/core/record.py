@@ -28,7 +28,6 @@ from repro.errors import IntegrityError
 from repro.sgx.enclave import Enclave
 
 HEADER = struct.Struct("<QHH")  # RedPtr, k_len, v_len
-_HEADER_SIZE = HEADER.size
 MAC_SIZE = 16
 _AD_BYTES = 8
 
@@ -87,14 +86,14 @@ class RecordCodec:
         its index connection (AdField) was tampered with.
         """
         red_ptr, k_len, v_len = HEADER.unpack_from(blob)
-        body_end = _HEADER_SIZE + k_len + v_len
+        body_end = HEADER.size + k_len + v_len
         if len(blob) < body_end + MAC_SIZE:
             raise IntegrityError("record truncated: untrusted data modified")
-        ciphertext = blob[_HEADER_SIZE:body_end]
+        ciphertext = blob[HEADER.size:body_end]
         counter = self._counters.read_counter(red_ptr)
         enclave = self._enclave
         enclave.require_mac(
-            blob[:_HEADER_SIZE] + counter + ciphertext
+            blob[:HEADER.size] + counter + ciphertext
             + ad_field.to_bytes(_AD_BYTES, "little"),
             blob[body_end : body_end + MAC_SIZE],
             "KV record",
@@ -111,10 +110,10 @@ class RecordCodec:
         The ciphertext and counter are untouched.
         """
         red_ptr, k_len, v_len = HEADER.unpack_from(blob)
-        body_end = _HEADER_SIZE + k_len + v_len
+        body_end = HEADER.size + k_len + v_len
         counter = self._counters.read_counter(red_ptr)
         # Everything the MAC covers except the AdField, built once.
-        bound = blob[:_HEADER_SIZE] + counter + blob[_HEADER_SIZE:body_end]
+        bound = blob[:HEADER.size] + counter + blob[HEADER.size:body_end]
         enclave = self._enclave
         enclave.require_mac(
             bound + old_ad.to_bytes(_AD_BYTES, "little"),

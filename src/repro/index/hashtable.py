@@ -149,6 +149,7 @@ class AriaHashIndex(SecureIndex):
         entry_addr = int.from_bytes(read(slot_addr, 8), "little")
         walked = []
         while entry_addr != _NULL:
+            # ``_read_entry`` inline: no call and no tuple per chain entry.
             next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
                 read(entry_addr, _ENTRY_HEAD.size)
             )
