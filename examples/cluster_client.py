@@ -26,6 +26,7 @@ from repro.bench.report import format_ops
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     HotShardBalancer,
     build_cluster,
 )
@@ -39,8 +40,9 @@ BATCH = 64
 
 
 def main(backend: str = "inline") -> None:
-    coordinator = build_cluster(N_SHARDS, n_keys=N_KEYS, scale=512,
-                                batch_window=32, backend=backend)
+    coordinator = build_cluster(ClusterConfig(
+        n_shards=N_SHARDS, n_keys=N_KEYS, scale=512, batch_window=32,
+        backend=backend))
     coordinator.attach_balancer(
         HotShardBalancer(coordinator, check_every=512)
     )

@@ -788,7 +788,7 @@ def cluster_scaling(scale: int = 2048, n_ops: int = 3000,
     ``total_ops / max(per-shard cycles)``: shards are parallel enclaves,
     the straggler sets wall-clock.
     """
-    from repro.cluster import ClusterStats, build_cluster
+    from repro.cluster import ClusterConfig, ClusterStats, build_cluster
 
     result = ExperimentResult(
         exp_id="Cluster 1",
@@ -804,10 +804,9 @@ def cluster_scaling(scale: int = 2048, n_ops: int = 3000,
                         distribution="uniform", seed=workload.seed + 7919)
     for n_shards in shard_counts:
         for mode in ("cluster", "independent"):
-            coordinator = build_cluster(
-                n_shards, n_keys=n_keys, scale=scale,
-                batch_window=batch_window,
-            )
+            coordinator = build_cluster(ClusterConfig(
+                n_shards=n_shards, n_keys=n_keys, scale=scale,
+                batch_window=batch_window))
             coordinator.load(workload.load_items())
             requests = _as_requests(workload.operations(n_ops))
             warm_requests = _as_requests(warm.operations(warm_ops))
@@ -870,12 +869,7 @@ def cluster_rebalance(scale: int = 2048, n_ops: int = 3000,
     window, so the balancer rows show steady-state payback, not the
     migration bill (which is itself reported in the keys_moved column).
     """
-    from repro.cluster import (
-        ClusterCoordinator,
-        HashRing,
-        HotShardBalancer,
-        build_shards,
-    )
+    from repro.cluster import ClusterConfig, HotShardBalancer
 
     result = ExperimentResult(
         exp_id="Cluster 2",
@@ -898,18 +892,10 @@ def cluster_rebalance(scale: int = 2048, n_ops: int = 3000,
         ("skewed", False),
         ("skewed+balancer", True),
     ):
-        shards = build_shards(
-            n_shards,
-            cluster_epc_bytes=max(4096 * n_shards,
-                                  PAPER_EPC_BYTES // scale),
-            n_keys=n_keys,
-        )
-        ring = HashRing(
-            [s.shard_id for s in shards],
+        coordinator = ClusterConfig(
+            n_shards=n_shards, n_keys=n_keys, scale=scale,
             vnodes=128 if config == "balanced" else skewed_vnodes,
-        )
-        coordinator = ClusterCoordinator(shards, ring=ring,
-                                         batch_window=batch_window)
+            batch_window=batch_window).build()
         balancer = None
         if with_balancer:
             balancer = HotShardBalancer(coordinator, check_every=512,
@@ -960,7 +946,7 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
     the budget, not waved away.
     """
     from repro.attacks.scenarios import corrupt_record_in_place
-    from repro.cluster import build_replicated_cluster
+    from repro.cluster import ClusterConfig, build_replicated_cluster
 
     result = ExperimentResult(
         exp_id="Cluster 3",
@@ -978,10 +964,9 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
                    for replica in group.replicas)
 
     for replication in (1, 2):
-        coordinator = build_replicated_cluster(
-            2, replication=replication, n_keys=n_keys, scale=scale,
-            batch_window=batch_window,
-        )
+        coordinator = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=replication, n_keys=n_keys, scale=scale,
+            batch_window=batch_window))
         writes = YcsbWorkload(n_keys=n_keys, read_ratio=0.0, value_size=16,
                               distribution="uniform")
         reads = YcsbWorkload(n_keys=n_keys, read_ratio=1.0, value_size=16,
@@ -1053,7 +1038,7 @@ def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import build_cluster
+    from repro.cluster import ClusterConfig, build_cluster
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1070,9 +1055,9 @@ def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
     # the workload RNG, and equivalence demands the *same* requests.
     requests = _as_requests(workload.operations(n_ops))
     for backend in ("inline", "process"):
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend)
+        coordinator = build_cluster(ClusterConfig(
+            n_shards=n_shards, n_keys=n_keys, scale=scale,
+            batch_window=batch_window, backend=backend))
         try:
             coordinator.load(workload.load_items())
             stats = coordinator.stats()
@@ -1126,7 +1111,7 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
     import hashlib
     import time
 
-    from repro.cluster import build_cluster
+    from repro.cluster import ClusterConfig, build_cluster
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1142,9 +1127,9 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
     requests = _as_requests(workload.operations(n_ops))
     for backend, workers in (("inline", 1), ("inline", 2), ("inline", 4),
                              ("process", 1), ("process", 4)):
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend, workers=workers)
+        coordinator = build_cluster(ClusterConfig(
+            n_shards=n_shards, n_keys=n_keys, scale=scale,
+            batch_window=batch_window, backend=backend, workers=workers))
         try:
             coordinator.load(workload.load_items())
             stats = coordinator.stats()
@@ -1200,7 +1185,7 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
     backends, so every simulated column must be identical between
     ``inline`` and ``process`` rows — the benchmark suite asserts it.
     """
-    from repro.cluster import build_replicated_cluster
+    from repro.cluster import ClusterConfig, build_replicated_cluster
     from repro.cluster.netserver import BackgroundServer, ClusterClient
 
     result = ExperimentResult(
@@ -1227,10 +1212,9 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
         for replication in (1, 2):
             baseline_shard_cpo = None
             for wire in ("v1", "v2"):
-                coordinator = build_replicated_cluster(
-                    n_shards, replication=replication, n_keys=n_keys,
-                    scale=scale, batch_window=batch_window, backend=backend,
-                )
+                coordinator = build_replicated_cluster(ClusterConfig(
+                    n_shards=n_shards, replication=replication, n_keys=n_keys,
+                    scale=scale, batch_window=batch_window, backend=backend))
                 background = BackgroundServer(
                     coordinator,
                     security="plaintext" if wire == "v1" else "required",
@@ -1309,7 +1293,7 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import SocketBackend, build_cluster
+    from repro.cluster import ClusterConfig, SocketBackend, build_cluster
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1335,9 +1319,9 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     for backend in ("inline", "process", "socket"):
         backend_arg = (SocketBackend(n_hosts=n_hosts, seed=1)
                        if backend == "socket" else backend)
-        coordinator = build_cluster(n_shards, n_keys=n_keys, scale=scale,
-                                    batch_window=batch_window,
-                                    backend=backend_arg)
+        coordinator = build_cluster(ClusterConfig(
+            n_shards=n_shards, n_keys=n_keys, scale=scale,
+            batch_window=batch_window, backend=backend_arg))
         try:
             # Everything the hop spent so far is session setup: the
             # attested handshake plus the sealed spawn RPC, per link.
@@ -1401,7 +1385,11 @@ def cluster_durability(scale: int = 2048, n_ops: int = 2000,
     shard backends, so every simulated column must be identical between
     ``inline`` and ``process`` rows — the benchmark suite asserts it.
     """
-    from repro.cluster import HealthMonitor, build_replicated_cluster
+    from repro.cluster import (
+        ClusterConfig,
+        HealthMonitor,
+        build_replicated_cluster,
+    )
     from repro.persist import MemoryDisk, attach_cluster_durability
     from repro.sgx.monotonic import MonotonicCounterService
 
@@ -1426,10 +1414,9 @@ def cluster_durability(scale: int = 2048, n_ops: int = 2000,
     modes = (("in-memory", None), ("durable e=8", 8), ("durable e=32", 32))
     for backend in ("inline", "process"):
         for mode, epoch_every in modes:
-            coordinator = build_replicated_cluster(
-                n_shards, replication=2, n_keys=n_keys, scale=scale,
-                batch_window=batch_window, backend=backend,
-            )
+            coordinator = build_replicated_cluster(ClusterConfig(
+                n_shards=n_shards, replication=2, n_keys=n_keys, scale=scale,
+                batch_window=batch_window, backend=backend))
             try:
                 sidecars = {}
                 if epoch_every is not None:
@@ -1519,7 +1506,7 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
     import time as _time
 
     from repro.cluster import (
-        FaultPlan,
+        ClusterConfig,
         OverloadConfig,
         build_replicated_cluster,
     )
@@ -1560,12 +1547,11 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
                 for r in responses]
 
     for backend in ("inline", "process", "socket"):
-        # Empty plan: every replica is FaultyShard-wrapped so the stall
-        # can be applied directly at halftime, backend-independently.
-        coordinator = build_replicated_cluster(
-            n_shards, replication=2, n_keys=n_keys, scale=scale,
-            batch_window=batch_window, backend=backend,
-            fault_plan=FaultPlan())
+        # Every replica is FaultyShard-wrapped, so the stall can be
+        # applied directly at halftime, backend-independently.
+        coordinator = build_replicated_cluster(ClusterConfig(
+            n_shards=n_shards, replication=2, n_keys=n_keys, scale=scale,
+            batch_window=batch_window, backend=backend))
         coordinator.enable_overload(OverloadConfig(
             breaker_failures=2, breaker_latency=0.25,
             breaker_recovery=120.0))

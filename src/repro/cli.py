@@ -264,20 +264,24 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if args.durable:
         durability = DurabilityConfig(data_dir=args.data_dir,
                                       epoch_every=args.epoch_every)
-    config = ClusterConfig.from_env(
-        n_shards=args.shards,
-        n_keys=args.keys,
-        scale=args.scale,
-        index=args.index,
-        vnodes=args.vnodes,
-        batch_window=args.batch_window,
-        seed=args.seed,
-        backend=backend,
-        workers=args.shard_workers,
-        replication=args.replication,
-        durability=durability,
-        tenancy=tenancy,
-    )
+    try:
+        config = ClusterConfig.from_env(
+            n_shards=args.shards,
+            n_keys=args.keys,
+            scale=args.scale,
+            index=args.index,
+            vnodes=args.vnodes,
+            batch_window=args.batch_window,
+            seed=args.seed,
+            backend=backend,
+            workers=args.shard_workers,
+            replication=args.replication,
+            durability=durability,
+            tenancy=tenancy,
+        )
+    except ConfigurationError as exc:
+        print(f"bad cluster configuration: {exc}", file=sys.stderr)
+        return 2
     try:
         coordinator = config.build()
     except (HandshakeError, ClusterConnectionError,
@@ -320,11 +324,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def run() -> None:
         host, port = await server.start()
-        from repro.cluster.shard import resolve_workers
-
         print(f"cluster listening on {host}:{port} "
               f"({args.shards} shards, backend {args.backend}, "
-              f"{resolve_workers(args.shard_workers)} worker(s)/shard, "
+              f"{config.workers or 1} worker(s)/shard, "
               f"balancer {'on' if args.balance else 'off'}, wire security "
               f"{security})")
         if args.durable:
@@ -353,9 +355,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             replicas = getattr(shard, "replicas", None)
             if replicas:  # a replica group fronts its enclaves
                 line += f", {len(replicas)} replica(s)"
-            config = getattr(shard.store, "config", None)
-            if config is not None:
-                line += f", {config.n_buckets:,} buckets"
+            store_config = getattr(shard.store, "config", None)
+            if store_config is not None:
+                line += f", {store_config.n_buckets:,} buckets"
             print(line)
         try:
             await server.serve_forever()

@@ -15,8 +15,9 @@ front door:
   the multi-host deployment shape, with network partitions as a
   first-class failure mode distinct from crashes;
 * :mod:`~repro.cluster.ring` — consistent-hash routing (virtual nodes);
-* :mod:`~repro.cluster.shard` — one enclave + Aria store per shard, EPC
-  carved from a cluster-wide budget;
+* :mod:`~repro.cluster.shard` — one enclave + Aria store per shard, and
+  :class:`EnclaveSpec`, the one frozen recipe every backend, restart and
+  elastic add builds an enclave from;
 * :mod:`~repro.cluster.coordinator` — request routing and per-shard batch
   accumulation over the ECALL-amortized path;
 * :mod:`~repro.cluster.balancer` — hot-shard detection and key-range
@@ -40,9 +41,11 @@ front door:
 * :mod:`~repro.cluster.tenancy` — the multi-tenant front door: tenant
   identity bound into the attested handshake, per-principal admission,
   disjoint key namespaces, and Secure-Cache quotas (ARCHITECTURE §16);
-* :mod:`~repro.cluster.config` — :class:`ClusterConfig`, the typed
-  single construction surface over all of the above (plus
-  :func:`serve`), replacing the deprecated factory kwarg sprawl;
+* :mod:`~repro.cluster.config` — :class:`ClusterConfig`, the one typed
+  construction door over all of the above (:func:`build_cluster`,
+  :func:`serve`);
+* :mod:`~repro.cluster.framing` — the length-prefixed framed stream both
+  TCP edges (client ↔ front door, coordinator ↔ shard host) speak;
 * :mod:`~repro.cluster.elastic` — elastic scale-out: the model-checked
   :class:`ReconfigPlanner` (typed constraint rejections) and the
   :class:`ElasticCluster` live migration engine — shard add/remove
@@ -62,12 +65,12 @@ from repro.cluster.balancer import HotShardBalancer, MigrationReport
 from repro.cluster.config import (
     ClusterConfig,
     DurabilityConfig,
+    build_cluster,
     serve,
 )
 from repro.cluster.coordinator import (
     ClusterCoordinator,
     DEFAULT_BATCH_WINDOW,
-    build_cluster,
 )
 from repro.cluster.elastic import (
     CONSTRAINT_MODELS,
@@ -160,7 +163,6 @@ from repro.cluster.session import (
     verify_quote,
 )
 from repro.cluster.replication import (
-    DEFAULT_REPLICATION,
     Replica,
     ReplicaGroup,
     ReplicaState,
@@ -168,7 +170,7 @@ from repro.cluster.replication import (
     build_replicated_cluster,
 )
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, ring_hash
-from repro.cluster.shard import Shard, build_shards
+from repro.cluster.shard import EnclaveSpec, Shard
 from repro.cluster.stats import ClusterStats
 
 __all__ = [
@@ -191,6 +193,7 @@ __all__ = [
     "CONSTRAINT_MODELS",
     "DurabilityConfig",
     "ElasticCluster",
+    "EnclaveSpec",
     "MIGRATION_STAGES",
     "PlanRejectedError",
     "ReconfigPlan",
@@ -205,7 +208,6 @@ __all__ = [
     "DEFAULT_BATCH_WINDOW",
     "DEFAULT_CHECK_EVERY",
     "DEFAULT_CLIENT_TIMEOUT",
-    "DEFAULT_REPLICATION",
     "DEFAULT_RETRY_RATIO",
     "DEFAULT_VNODES",
     "Deadline",
@@ -255,7 +257,6 @@ __all__ = [
     "build_cluster",
     "build_replica_group",
     "build_replicated_cluster",
-    "build_shards",
     "default_backend_name",
     "default_tenant_secret",
     "dur_target",

@@ -5,7 +5,7 @@ Everything above a shard — :class:`~repro.cluster.coordinator
 :class:`~repro.cluster.faults.FaultyShard`, the balancer, health monitor
 and stats — talks to an implicit duck-typed contract (``shard_id``,
 ``store``, ``server.flush_batch``, ``meter``, balancer marks, ``stats``).
-This module makes that contract an explicit factory interface with two
+This module makes that contract an explicit factory interface with three
 interchangeable implementations:
 
 * :class:`InlineBackend` — the original behaviour: the enclave simulation
@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import abc
 import os
-from typing import Optional, Union
+from typing import TYPE_CHECKING, Union
+
+if TYPE_CHECKING:
+    from repro.cluster.shard import EnclaveSpec
 
 #: Environment override consulted when no explicit/default backend is set.
 BACKEND_ENV_VAR = "ARIA_CLUSTER_BACKEND"
@@ -52,24 +55,11 @@ class ShardBackend(abc.ABC):
     name: str = "abstract"
 
     @abc.abstractmethod
-    def create(
-        self,
-        shard_id: str,
-        *,
-        epc_bytes: int,
-        capacity_keys: int,
-        index: str = "hash",
-        seed: int = 0,
-        value_hint: int = 16,
-        workers: int = 1,
-        **config_overrides,
-    ):
-        """Build one shard (enclave + store + server) and return its handle.
+    def create(self, spec: "EnclaveSpec"):
+        """Build the enclave ``spec`` describes and return its handle.
 
-        ``workers`` is the shard's simulated enclave worker count (the
-        intra-shard batch-parallelism knob, see
-        :mod:`repro.server.batchexec`); backends that spawn remote
-        processes must carry it in their specs so the enclave is built
+        Backends that host the enclave elsewhere ship ``spec`` itself to
+        the far side, which calls ``spec.build()`` — the enclave is built
         identically wherever it lives.
         """
 
@@ -85,30 +75,8 @@ class InlineBackend(ShardBackend):
 
     name = "inline"
 
-    def create(
-        self,
-        shard_id: str,
-        *,
-        epc_bytes: int,
-        capacity_keys: int,
-        index: str = "hash",
-        seed: int = 0,
-        value_hint: int = 16,
-        workers: int = 1,
-        **config_overrides,
-    ):
-        from repro.cluster.shard import Shard
-
-        return Shard(
-            shard_id,
-            epc_bytes=epc_bytes,
-            capacity_keys=capacity_keys,
-            index=index,
-            seed=seed,
-            value_hint=value_hint,
-            workers=workers,
-            **config_overrides,
-        )
+    def create(self, spec: "EnclaveSpec"):
+        return spec.build()
 
 
 BackendSpec = Union[None, str, ShardBackend]

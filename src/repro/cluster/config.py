@@ -1,12 +1,8 @@
-"""Typed cluster construction: one config object instead of kwarg sprawl.
+"""Typed cluster construction: the one door every cluster is built through.
 
-The cluster grew factory by factory — ``build_cluster(n_shards, ...)``,
-``build_replicated_cluster(..., replication=...)``, ``enable_overload``,
-``attach_cluster_durability``, ``enable_tenancy`` — each with its own
-keyword surface, plus ``ARIA_CLUSTER_BACKEND``/``ARIA_SHARD_WORKERS``
-environment fallbacks sprinkled through the call sites.
-:class:`ClusterConfig` is the single construction surface over all of it
-(ARCHITECTURE §16):
+:class:`ClusterConfig` is the single construction surface (ARCHITECTURE
+§16): topology, EPC envelope, hosting backend, workers, replication, and
+the nested sub-systems all live in one frozen, validated object.
 
 >>> config = ClusterConfig(n_shards=2, n_keys=5_000, scale=2048,
 ...                        tenancy=TenancyConfig(tenants=(
@@ -20,40 +16,49 @@ Sub-systems nest as typed sub-configs, each ``None`` (disarmed) by
 default: :class:`~repro.cluster.overload.OverloadConfig` for admission/
 degradation, :class:`DurabilityConfig` for the sealed WAL sidecars, and
 :class:`~repro.cluster.tenancy.TenancyConfig` for the multi-tenant front
-door.  A config with every sub-config ``None`` builds a cluster
-bit-identical to the pre-config factories — the typed surface is
-packaging, never semantics.
+door.  The typed surface is packaging, never semantics: a sub-config left
+``None`` adds nothing to the request path.
+
+Every enclave the config implies is described by one
+:class:`~repro.cluster.shard.EnclaveSpec` (:meth:`ClusterConfig
+.enclave_spec`): the EPC carve is :meth:`ClusterConfig
+.per_enclave_epc_bytes`, the capacity is the whole keyspace, and only the
+id and the seed differ per enclave.  :meth:`ClusterConfig.build` assembles
+plain shards itself and hands replica groups (``replication > 1`` or any
+durability) to :func:`~repro.cluster.replication.build_replicated_cluster`.
 
 **Precedence** is explicit argument > config > environment: a value you
 pass always wins; a field left at its default defers to the config; the
 ``ARIA_*`` environment variables are consulted only when the field is
-``None`` (the same fallback the untyped factories always had —
-:meth:`ClusterConfig.from_env` pins the environment's answer into the
-config at construction time so later ``os.environ`` churn cannot change
-what you build).
-
-The legacy keyword factories keep working through
-:meth:`ClusterConfig.from_kwargs`, with a :class:`DeprecationWarning`
-naming the replacement — see the migration guide in the README.
+``None`` — :meth:`ClusterConfig.from_env` pins the environment's answer
+into the config at construction time so later ``os.environ`` churn cannot
+change what you build.
 """
 
 from __future__ import annotations
 
 import os
 import time
-import warnings
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
 from repro.bench.harness import PAPER_EPC_BYTES
-from repro.cluster.backend import BACKEND_ENV_VAR, BackendSpec
+from repro.cluster.backend import (
+    BACKEND_ENV_VAR,
+    BackendSpec,
+    resolve_backend,
+)
 from repro.cluster.overload import OverloadConfig
 from repro.cluster.ring import DEFAULT_VNODES, VnodeSpec
-from repro.cluster.shard import WORKERS_ENV_VAR
+from repro.cluster.shard import (
+    MIN_SHARD_EPC_BYTES,
+    EnclaveSpec,
+    resolve_workers,
+    workers_from_env,
+)
 from repro.cluster.tenancy import TenancyConfig
 from repro.errors import ConfigurationError
 
-#: build_cluster's historical defaults, preserved verbatim.
 DEFAULT_N_SHARDS = 4
 DEFAULT_N_KEYS = 20_000
 DEFAULT_EPOCH_EVERY = 32
@@ -64,8 +69,8 @@ class DurabilityConfig:
     """Sealed-WAL persistence for every partition (ARCHITECTURE §12).
 
     Durability rides replica-group batch boundaries, so a config carrying
-    one requires ``replication >= 1`` groups (``ClusterConfig.build``
-    builds replica groups even at R=1, exactly like ``serve --durable``).
+    one builds replica groups even at ``replication=1`` (what
+    ``serve --durable`` does).
     """
 
     #: Directory for the sealed snapshot/log blobs and the monotonic
@@ -106,7 +111,7 @@ class ClusterConfig:
     #: ``ARIA_SHARD_WORKERS`` (then 1).
     workers: Optional[int] = None
     #: Replicas per partition; > 1 (or any durability) builds replica
-    #: groups via ``build_replicated_cluster``.
+    #: groups.
     replication: int = 1
     overload: Optional[OverloadConfig] = None
     durability: Optional[DurabilityConfig] = None
@@ -117,9 +122,10 @@ class ClusterConfig:
     #: None provisions exactly ``n_shards`` — the envelope is fully
     #: consumed at build and the planner refuses every add.
     max_shards: Optional[int] = None
-    #: Extra AriaConfig field overrides applied to every shard store
-    #: (``value_hint``, ``crypto_backend``, ...), exactly the ``**kwargs``
-    #: tail of the old factories.
+    #: Extra ``build_aria``/AriaConfig overrides applied to every shard
+    #: store (``value_hint``, ``crypto_backend``, ...).  A ``fault_plan``
+    #: entry is not a store field: it wraps the replicas of replica-group
+    #: builds for fault injection.
     shard_overrides: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -158,45 +164,11 @@ class ClusterConfig:
         retroactively alter what gets built.
         """
         if overrides.get("backend") is None:
-            env_backend = os.environ.get(BACKEND_ENV_VAR)
-            if env_backend:
-                overrides["backend"] = env_backend
+            overrides["backend"] = os.environ.get(BACKEND_ENV_VAR) or None
         if overrides.get("workers") is None:
-            env_workers = os.environ.get(WORKERS_ENV_VAR)
-            if env_workers:
-                try:
-                    overrides["workers"] = int(env_workers)
-                except ValueError:
-                    pass  # malformed env is ignored, like resolve_workers
+            # A malformed ARIA_SHARD_WORKERS is refused here, by name.
+            overrides["workers"] = workers_from_env()
         return cls(**overrides)
-
-    #: Legacy factory keywords that map onto ClusterConfig fields;
-    #: anything else in the kwarg tail is a shard override.
-    _FIELD_KWARGS = ("n_keys", "cluster_epc_bytes", "scale", "index",
-                     "vnodes", "batch_window", "seed", "backend", "workers",
-                     "replication")
-
-    @classmethod
-    def from_kwargs(cls, n_shards: int, *, _warn: bool = True,
-                    **kwargs) -> "ClusterConfig":
-        """Adapt the deprecated ``build_cluster(n, key=value, ...)`` sprawl.
-
-        Known factory keywords become config fields; the remainder is the
-        shard-override tail, exactly as the old ``**shard_overrides``
-        behaved.  Emits a :class:`DeprecationWarning` naming the typed
-        replacement (suppressed for internal adapter calls).
-        """
-        if _warn:
-            warnings.warn(
-                "keyword-sprawl cluster factories are deprecated; build a "
-                "repro.cluster.config.ClusterConfig and pass it to "
-                "build_cluster(config) / serve(config)",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        fields = {name: kwargs.pop(name) for name in cls._FIELD_KWARGS
-                  if name in kwargs}
-        return cls(n_shards=n_shards, shard_overrides=kwargs, **fields)
 
     def with_overrides(self, **changes) -> "ClusterConfig":
         """A copy with fields replaced (frozen-dataclass convenience)."""
@@ -222,52 +194,60 @@ class ClusterConfig:
         return overrides
 
     def per_enclave_epc_bytes(self) -> int:
-        """The EPC carve each enclave gets under this config's build path.
+        """The EPC carve every enclave of this cluster gets.
 
-        Mirrors the builders exactly: replica-group builds divide the
-        scaled envelope by ``n_shards * replication``; plain builds clamp
-        the scaled envelope at 4096 bytes/shard first (the legacy
-        ``build_cluster`` formula), then divide by ``n_shards``.
+        The scaled envelope is split across *all* ``n_shards *
+        replication`` enclaves — replication's memory cost is paid inside
+        the same envelope, so R=2 halves each enclave's share rather than
+        conjuring free hardware — and floored at the smallest carve the
+        Merkle pinning math tolerates.
         """
-        from repro.cluster.shard import MIN_SHARD_EPC_BYTES
+        return max(MIN_SHARD_EPC_BYTES,
+                   self.cluster_epc_bytes // self.scale
+                   // (self.n_shards * self.replication))
 
-        if self.replication > 1 or self.durability is not None:
-            return max(MIN_SHARD_EPC_BYTES,
-                       self.cluster_epc_bytes // self.scale
-                       // (self.n_shards * self.replication))
-        scaled = max(MIN_SHARD_EPC_BYTES * self.n_shards,
-                     self.cluster_epc_bytes // self.scale)
-        return scaled // self.n_shards
+    def enclave_spec(self, shard_id: str, seed: int) -> EnclaveSpec:
+        """The recipe for one of this cluster's enclaves.
+
+        ``n_keys`` is the *cluster-wide* keyspace: every enclave gets its
+        share of the EPC but is provisioned (counters, buckets) for the
+        whole keyspace — exactly how the paper's Fig 16a sizes each tenant
+        for its full working set while the EPC is split k ways.  Workers
+        resolve here, in the builder's process, so a restarted or remote
+        enclave keeps the count even if its environment differs.
+        """
+        overrides = self.resolved_shard_overrides()
+        overrides.pop("fault_plan", None)
+        return EnclaveSpec(
+            shard_id,
+            epc_bytes=self.per_enclave_epc_bytes(),
+            capacity_keys=self.n_keys,
+            index=self.index,
+            seed=seed,
+            workers=resolve_workers(self.workers),
+            config_overrides=overrides,
+        )
 
     def elastic_spec(self, *, durability_factory=None):
         """The :class:`~repro.cluster.elastic.ShardSpec` this config implies.
 
-        New shards are provisioned exactly like the built ones (same EPC
-        carve, capacity, index, workers, override tail), and the
+        New shards are provisioned exactly like the built ones (the same
+        enclave recipe; the engine names and seeds each add), and the
         planner's EPC envelope covers ``max_shards`` shards — leave
         ``max_shards`` unset and the envelope is already fully consumed,
         so the ``epc_budget`` model rejects every add.
         """
         from repro.cluster.elastic import ShardSpec
-        from repro.cluster.shard import resolve_workers
 
-        overrides = self.resolved_shard_overrides()
-        fault_plan = overrides.pop("fault_plan", None)
-        value_hint = overrides.pop("value_hint", 16)
-        per_enclave = self.per_enclave_epc_bytes()
+        enclave = self.enclave_spec("", self.seed)
         budget_shards = self.max_shards if self.max_shards is not None \
             else self.n_shards
         return ShardSpec(
-            epc_bytes=per_enclave,
-            capacity_keys=self.n_keys,
-            cluster_epc_bytes=per_enclave * self.replication * budget_shards,
-            index=self.index,
-            seed=self.seed,
-            value_hint=value_hint,
-            workers=resolve_workers(self.workers),
+            enclave=enclave,
+            cluster_epc_bytes=(enclave.epc_bytes * self.replication
+                               * budget_shards),
             replication=self.replication,
-            shard_overrides=overrides,
-            fault_plan=fault_plan,
+            fault_plan=self.shard_overrides.get("fault_plan"),
             durability_factory=durability_factory,
         )
 
@@ -276,38 +256,34 @@ class ClusterConfig:
     def build(self, *, clock: Callable[[], float] = time.monotonic):
         """Build the coordinator this config describes, fully armed.
 
-        Plain shards by default; replica groups when ``replication > 1``
-        or ``durability`` is set (the sealed sidecar commits on the group
-        batch boundary).  ``overload``/``tenancy`` sub-configs arm the
-        matching coordinator layers; ``clock`` feeds both (injectable so
-        bucket/breaker decisions are deterministic in tests and in the T1
-        experiment's cross-backend cycle-identity check).
+        Plain shards (``shard-<i>``, seed ``+i``) by default; replica
+        groups when ``replication > 1`` or ``durability`` is set (the
+        sealed sidecar commits on the group batch boundary).
+        ``overload``/``tenancy`` sub-configs arm the matching coordinator
+        layers; ``clock`` feeds both (injectable so bucket/breaker
+        decisions are deterministic in tests and in the T1 experiment's
+        cross-backend cycle-identity check).  Non-inline clusters should
+        be released with :meth:`ClusterCoordinator.close`, which also
+        shuts down whatever the backend spawned (workers, shard hosts).
         """
-        from repro.cluster.coordinator import build_cluster as _build
+        from repro.cluster.coordinator import ClusterCoordinator
         from repro.cluster.replication import build_replicated_cluster
 
-        overrides = self.resolved_shard_overrides()
-        common = dict(
-            n_keys=self.n_keys,
-            cluster_epc_bytes=self.cluster_epc_bytes,
-            scale=self.scale,
-            index=self.index,
-            vnodes=self.vnodes,
-            batch_window=self.batch_window,
-            seed=self.seed,
-            backend=self.backend,
-            workers=self.workers,
-        )
-        with warnings.catch_warnings():
-            # The typed door funnels through the legacy factory bodies;
-            # only direct keyword-spelling callers hear the deprecation.
-            warnings.simplefilter("ignore", DeprecationWarning)
-            if self.replication > 1 or self.durability is not None:
-                coordinator = build_replicated_cluster(
-                    self.n_shards, replication=self.replication,
-                    **common, **overrides)
-            else:
-                coordinator = _build(self.n_shards, **common, **overrides)
+        if self.replication > 1 or self.durability is not None:
+            coordinator = build_replicated_cluster(self)
+        else:
+            if self.shard_overrides.get("fault_plan") is not None:
+                raise ConfigurationError(
+                    "a fault_plan addresses replicas: build replica groups "
+                    "(replication >= 2, durability, or "
+                    "build_replicated_cluster(config))")
+            factory = resolve_backend(self.backend)
+            coordinator = ClusterCoordinator(
+                [factory.create(self.enclave_spec(f"shard-{i}",
+                                                  self.seed + i))
+                 for i in range(self.n_shards)],
+                vnodes=self.vnodes, batch_window=self.batch_window)
+            coordinator.backend = factory
         try:
             if self.overload is not None:
                 coordinator.enable_overload(self.overload, clock=clock)
@@ -382,12 +358,11 @@ class ClusterConfig:
 
 def build_cluster(config: ClusterConfig, *,
                   clock: Callable[[], float] = time.monotonic):
-    """Build a coordinator from a :class:`ClusterConfig` (the typed door).
-
-    :func:`repro.cluster.coordinator.build_cluster` accepts the same
-    config as its first argument and lands here; this module-level spelling
-    exists so new code never has to touch the legacy keyword surface.
-    """
+    """Build the coordinator ``config`` describes (``config.build()``)."""
+    if not isinstance(config, ClusterConfig):
+        raise TypeError(
+            f"build_cluster takes a ClusterConfig, not "
+            f"{type(config).__name__}")
     return config.build(clock=clock)
 
 

@@ -22,8 +22,6 @@ import json
 import time
 from typing import Callable, Dict, Iterable, List, Optional
 
-from repro.bench.harness import PAPER_EPC_BYTES
-from repro.cluster.backend import BackendSpec
 from repro.cluster.overload import (
     CircuitBreaker,
     Deadline,
@@ -32,7 +30,7 @@ from repro.cluster.overload import (
 )
 from repro.cluster.tenancy import TenancyConfig, TenantRegistry
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, VnodeSpec
-from repro.cluster.shard import Shard, build_shards
+from repro.cluster.shard import Shard
 from repro.cluster.stats import ClusterStats
 from repro.errors import (
     AriaError,
@@ -615,11 +613,8 @@ class ClusterCoordinator:
                     # grace period.  Exceeding it treats the shard as hung
                     # (ShardCrashedError), which the breaker then counts.
                     timeout = deadline.remaining() + over.config.rpc_grace
-                    try:
-                        flushed = flight.server.flush_collect(
-                            flight.ticket, timeout=timeout)
-                    except TypeError:
-                        flushed = flight.server.flush_collect(flight.ticket)
+                    flushed = flight.server.flush_collect(
+                        flight.ticket, timeout=timeout)
                 else:
                     flushed = flight.server.flush_collect(flight.ticket)
             except AriaError as exc:
@@ -846,84 +841,3 @@ class ClusterCoordinator:
                 close(timeout)
         if self.backend is not None:
             self.backend.close(timeout)
-
-
-def build_cluster(
-    n_shards,
-    *,
-    n_keys: Optional[int] = None,
-    cluster_epc_bytes: int = PAPER_EPC_BYTES,
-    scale: int = 1,
-    index: str = "hash",
-    vnodes: VnodeSpec = DEFAULT_VNODES,
-    batch_window: int = DEFAULT_BATCH_WINDOW,
-    seed: int = 0,
-    backend: BackendSpec = None,
-    workers: Optional[int] = None,
-    **shard_overrides,
-) -> ClusterCoordinator:
-    """One-call cluster: N shards splitting one EPC budget, plus a ring.
-
-    The supported calling convention is the typed one — pass a
-    :class:`~repro.cluster.config.ClusterConfig` as the only argument and
-    every nested sub-system (overload, durability, tenancy) is armed from
-    it::
-
-        build_cluster(ClusterConfig(n_shards=4, n_keys=10_000, scale=512))
-
-    The historical keyword spelling ``build_cluster(4, n_keys=..., ...)``
-    keeps working, with a :class:`DeprecationWarning` naming the
-    replacement (see the README migration guide).
-
-    ``scale`` divides the EPC budget like the bench harness's
-    ``scaled_platform`` (the keyspace is the caller's to scale), so
-    ``build_cluster(4, n_keys=10_000, scale=1024)`` is the Fig 16a
-    4-tenant operating point generalized to a routed cluster.
-    ``backend`` selects ``"inline"``, ``"process"`` or ``"socket"`` shard
-    hosting (see :mod:`repro.cluster.backend`); non-inline clusters should
-    be released with :meth:`ClusterCoordinator.close`, which also shuts
-    down whatever the backend spawned (workers, shard hosts).
-    """
-    from repro.cluster.backend import resolve_backend
-
-    if not isinstance(n_shards, int):
-        # The typed door: a ClusterConfig carries everything, so mixing
-        # it with keyword overrides would reintroduce the ambiguity the
-        # config exists to remove.
-        from repro.cluster.config import ClusterConfig
-
-        if not isinstance(n_shards, ClusterConfig):
-            raise TypeError(
-                "build_cluster takes a ClusterConfig or a shard count, "
-                f"not {type(n_shards).__name__}")
-        if n_keys is not None or shard_overrides:
-            raise ValueError(
-                "pass construction options inside the ClusterConfig, not "
-                "as build_cluster keywords")
-        return n_shards.build()
-    if n_keys is None:
-        raise TypeError("the keyword factory requires n_keys")
-    import warnings as _warnings
-
-    _warnings.warn(
-        "build_cluster(n_shards, ...) keyword sprawl is deprecated; "
-        "pass a repro.cluster.config.ClusterConfig instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-
-    factory = resolve_backend(backend)
-    shards = build_shards(
-        n_shards,
-        cluster_epc_bytes=max(4096 * n_shards, cluster_epc_bytes // scale),
-        n_keys=n_keys,
-        index=index,
-        seed=seed,
-        backend=factory,
-        workers=workers,
-        **shard_overrides,
-    )
-    coordinator = ClusterCoordinator(shards, vnodes=vnodes,
-                                     batch_window=batch_window)
-    coordinator.backend = factory
-    return coordinator

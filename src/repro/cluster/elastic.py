@@ -49,13 +49,13 @@ spec's :class:`~repro.cluster.faults.FaultPlan` using
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.cluster.backend import resolve_backend
 from repro.cluster.faults import FaultPlan
 from repro.cluster.replication import build_replica_group
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
+from repro.cluster.shard import EnclaveSpec
 from repro.errors import (
     AriaError,
     DurabilityError,
@@ -170,29 +170,22 @@ class ShardSpec:
     """How to provision a shard this cluster would add.
 
     The engine needs the original build recipe — a new shard must be an
-    enclave of the same shape as its peers (EPC carve, capacity, index,
-    workers, cache quotas), and the planner needs the envelope it must
-    fit into.  :meth:`ClusterConfig.elastic_spec
+    enclave of the same shape as its peers — and the planner needs the
+    envelope it must fit into.  :meth:`ClusterConfig.elastic_spec
     <repro.cluster.config.ClusterConfig.elastic_spec>` derives one from
     the typed construction surface.
     """
 
-    #: Per-enclave EPC carve for a new shard (same as existing shards).
-    epc_bytes: int
-    #: Cluster-wide keyspace every shard is provisioned for.
-    capacity_keys: int
+    #: The recipe every enclave of this cluster was built from (EPC
+    #: carve, capacity, index, workers, overrides).  The engine fills in
+    #: the id and a fresh seed per add, and refreshes ``tenant_quotas``
+    #: from the live tenancy roster.
+    enclave: EnclaveSpec
     #: The cluster's total EPC envelope: the budget all enclaves (shards x
     #: replicas) must fit inside.  The ``epc_budget`` model rejects any
     #: delta whose enclave count would overflow it.
     cluster_epc_bytes: int
-    index: str = "hash"
-    seed: int = 0
-    value_hint: int = 16
-    workers: int = 1
     replication: int = 1
-    #: Extra AriaConfig overrides for new shards (``tenant_quotas`` is
-    #: refreshed from the live tenancy roster at build time).
-    shard_overrides: Mapping[str, object] = field(default_factory=dict)
     #: Chaos addressability: new shards' replicas are wrapped with this
     #: plan, and stage-transition events fire against ``elastic_target``.
     fault_plan: Optional[FaultPlan] = None
@@ -212,7 +205,7 @@ class ShardSpec:
     def projected_cache_entries(self) -> int:
         if self.cache_entries is not None:
             return self.cache_entries
-        return max(1, (self.epc_bytes // 2) // 96)
+        return max(1, (self.enclave.epc_bytes // 2) // 96)
 
 
 # -- the planner ------------------------------------------------------------------
@@ -314,15 +307,16 @@ class ReconfigPlanner:
 
         # -- model 1: per-shard EPC/cache budget --------------------------
         enclaves_after = n_after * replication_after
-        epc_after = enclaves_after * spec.epc_bytes
+        epc_bytes = spec.enclave.epc_bytes
+        epc_after = enclaves_after * epc_bytes
         if epc_after > spec.cluster_epc_bytes:
             raise PlanRejectedError(
-                f"{enclaves_after} enclaves x {spec.epc_bytes} B = "
+                f"{enclaves_after} enclaves x {epc_bytes} B = "
                 f"{epc_after} B exceeds the {spec.cluster_epc_bytes} B EPC "
                 "envelope",
                 constraint="epc_budget")
         constraints["epc_budget"] = (
-            f"{enclaves_after} enclaves x {spec.epc_bytes} B = {epc_after} B "
+            f"{enclaves_after} enclaves x {epc_bytes} B = {epc_after} B "
             f"<= {spec.cluster_epc_bytes} B envelope")
 
         # -- model 2: replication factor >= configured R ------------------
@@ -357,7 +351,7 @@ class ReconfigPlanner:
             if quotas and floors > entries:
                 raise PlanRejectedError(
                     f"{len(quotas)} tenant quota floors need {floors} "
-                    f"protected cache entries but a {spec.epc_bytes} B shard "
+                    f"protected cache entries but a {epc_bytes} B shard "
                     f"projects only {entries}: the new roster cannot honor "
                     "its quota floors",
                     constraint="tenant_quota")
@@ -657,27 +651,21 @@ class ElasticCluster:
         """
         spec = self.spec
         coordinator = self._coordinator
-        factory = resolve_backend(coordinator.backend)
-        overrides = dict(spec.shard_overrides)
+        overrides = dict(spec.enclave.config_overrides)
         tenancy = getattr(coordinator, "tenancy", None)
         if tenancy is not None:
             quotas = tenancy.config.cache_quota_map()
             if quotas:
                 overrides["tenant_quotas"] = quotas
         self._builds += 1
-        seed = spec.seed + 101 * (len(coordinator.shards) + self._builds)
+        seed = spec.enclave.seed \
+            + 101 * (len(coordinator.shards) + self._builds)
         return build_replica_group(
-            shard_id,
+            replace(spec.enclave, shard_id=shard_id, seed=seed,
+                    config_overrides=overrides),
             spec.replication,
-            epc_bytes=spec.epc_bytes,
-            capacity_keys=spec.capacity_keys,
-            index=spec.index,
-            seed=seed,
-            value_hint=spec.value_hint,
             fault_plan=spec.fault_plan,
-            backend=factory,
-            workers=spec.workers,
-            **overrides,
+            backend=coordinator.backend,
         )
 
     def _moving_keys(self, migration: _Migration) -> List[Tuple[str, bytes]]:

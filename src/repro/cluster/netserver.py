@@ -57,10 +57,8 @@ from __future__ import annotations
 import asyncio
 import errno
 import socket
-import struct
 import threading
 import time
-import warnings
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster import netutil
@@ -74,6 +72,13 @@ from repro.cluster.faults import (
     TAMPER,
     WIRE_KINDS,
     FaultPlan,
+)
+from repro.cluster.framing import (
+    FRAME_HEADER,
+    frame,
+    frame_length_ok,
+    read_frame,
+    write_frame,
 )
 from repro.cluster.overload import Deadline, RetryBudget
 from repro.cluster.session import ClientHandshake, SecureSession, SessionManager
@@ -93,8 +98,6 @@ from repro.server import protocol
 from repro.server.protocol import Request, Response
 from repro.sgx.meter import CycleMeter
 
-FRAME_HEADER = struct.Struct("<I")
-
 #: Client-side defaults: a hung server must never block a caller forever.
 DEFAULT_CLIENT_TIMEOUT = 5.0
 DEFAULT_READ_RETRIES = 2
@@ -110,8 +113,6 @@ SECURITY_POLICIES = ("optional", "required", "plaintext")
 
 #: The classic net fault kinds, consumed after a frame is served.
 _CONNECTION_KINDS = frozenset({DELAY, DROP, CLOSE})
-
-_UNSET = object()
 
 
 def _flip_bit(frame: bytes) -> bytes:
@@ -440,7 +441,7 @@ class ClusterNetServer:
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
                 (frame_len,) = FRAME_HEADER.unpack(header)
-                if frame_len == 0 or frame_len > protocol.MAX_FRAME_BYTES:
+                if not frame_length_ok(frame_len):
                     # The length itself is hostile: reject without reading
                     # (or allocating) the claimed payload, then hang up —
                     # the stream cannot be resynchronized.
@@ -723,7 +724,7 @@ class ClusterNetServer:
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, payload: bytes) -> None:
-        writer.write(FRAME_HEADER.pack(len(payload)) + payload)
+        writer.write(frame(payload))
         await writer.drain()
 
 
@@ -773,9 +774,12 @@ class ClusterClient:
       as :class:`~repro.errors.OverloadedError`; a shed *write* comes
       back as the raw OVERLOADED :class:`Response` — never auto-retried.
 
-    Construct via :meth:`connect`; passing socket/retry tuning directly to
-    the constructor is deprecated.  Every error this client raises is part
-    of the :mod:`repro.errors` tree.
+    ``tenant``/``credential`` make the connection act as that principal:
+    a secure client authenticates it inside the attested handshake
+    (``credential`` is the tenant secret; it defaults to the derivable
+    demo secret when omitted), an insecure client merely claims it per
+    frame.  Every error this client raises is part of the
+    :mod:`repro.errors` tree.
     """
 
     def __init__(
@@ -788,35 +792,14 @@ class ClusterClient:
         crypto: str = "fast",
         tenant: Optional[str] = None,
         credential: Optional[bytes] = None,
-        timeout: float = _UNSET,
-        retries: int = _UNSET,
-        backoff: float = _UNSET,
-        backoff_cap: float = _UNSET,
-        sleep: Callable[[float], None] = _UNSET,
-        deadline: Optional[float] = _UNSET,
-        retry_ratio: float = _UNSET,
+        timeout: float = DEFAULT_CLIENT_TIMEOUT,
+        retries: int = DEFAULT_READ_RETRIES,
+        backoff: float = DEFAULT_BACKOFF,
+        backoff_cap: float = DEFAULT_BACKOFF_CAP,
+        sleep: Callable[[float], None] = time.sleep,
+        deadline: Optional[float] = None,
+        retry_ratio: float = DEFAULT_RETRY_RATIO,
     ):
-        tuning = {
-            name: value
-            for name, value in (
-                ("timeout", timeout), ("retries", retries),
-                ("backoff", backoff), ("backoff_cap", backoff_cap),
-                ("sleep", sleep), ("deadline", deadline),
-                ("retry_ratio", retry_ratio),
-            )
-            if value is not _UNSET
-        }
-        if tuning:
-            warnings.warn(
-                "passing socket/retry tuning "
-                f"({', '.join(sorted(tuning))}) to ClusterClient() is "
-                "deprecated; use the ClusterClient.connect() factory",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        timeout = tuning.get("timeout", DEFAULT_CLIENT_TIMEOUT)
-        retries = tuning.get("retries", DEFAULT_READ_RETRIES)
-        deadline = tuning.get("deadline", None)
         if timeout <= 0:
             raise ConfigurationError("timeout must be positive")
         if retries < 0:
@@ -827,14 +810,13 @@ class ClusterClient:
         self._port = port
         self._timeout = timeout
         self._retries = retries
-        self._backoff = tuning.get("backoff", DEFAULT_BACKOFF)
-        self._backoff_cap = tuning.get("backoff_cap", DEFAULT_BACKOFF_CAP)
-        self._sleep = tuning.get("sleep", time.sleep)
+        self._backoff = backoff
+        self._backoff_cap = backoff_cap
+        self._sleep = sleep
         #: Default per-call deadline budget (seconds); None = no envelope.
         self._deadline = deadline
         #: Shared across this client's reads: bounds retry amplification.
-        self.retry_budget = RetryBudget(
-            ratio=tuning.get("retry_ratio", DEFAULT_RETRY_RATIO))
+        self.retry_budget = RetryBudget(ratio=retry_ratio)
         if credential is not None and tenant is None:
             raise ConfigurationError(
                 "credential requires a tenant id")
@@ -859,55 +841,10 @@ class ClusterClient:
         self._sock = self._connect()
 
     @classmethod
-    def connect(
-        cls,
-        host: str,
-        port: int,
-        *,
-        secure: bool = True,
-        expected_measurement: Optional[bytes] = None,
-        crypto: str = "fast",
-        tenant: Optional[str] = None,
-        credential: Optional[bytes] = None,
-        timeout: float = DEFAULT_CLIENT_TIMEOUT,
-        retries: int = DEFAULT_READ_RETRIES,
-        backoff: float = DEFAULT_BACKOFF,
-        backoff_cap: float = DEFAULT_BACKOFF_CAP,
-        sleep: Callable[[float], None] = time.sleep,
-        deadline: Optional[float] = None,
-        retry_ratio: float = DEFAULT_RETRY_RATIO,
-    ) -> "ClusterClient":
-        """The factory: connect (and, unless ``secure=False``, handshake).
-
-        This is the supported home for socket/retry tuning; the
-        constructor accepts the same keywords only for backward
-        compatibility, with a :class:`DeprecationWarning`.
-        ``deadline`` is a default budget (seconds) attached to every
-        frame; ``retry_ratio`` bounds retries as a fraction of fresh
-        requests (see :class:`~repro.cluster.overload.RetryBudget`).
-        ``tenant``/``credential`` make the connection act as that
-        principal: a secure client authenticates it inside the attested
-        handshake (``credential`` is the tenant secret; it defaults to the
-        derivable demo secret when omitted), an insecure client merely
-        claims it per frame.
-        """
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                host, port,
-                secure=secure,
-                expected_measurement=expected_measurement,
-                crypto=crypto,
-                tenant=tenant,
-                credential=credential,
-                timeout=timeout,
-                retries=retries,
-                backoff=backoff,
-                backoff_cap=backoff_cap,
-                sleep=sleep,
-                deadline=deadline,
-                retry_ratio=retry_ratio,
-            )
+    def connect(cls, host: str, port: int, **options) -> "ClusterClient":
+        """Connect (and, unless ``secure=False``, handshake): the spelling
+        the docs and examples use for ``ClusterClient(host, port, ...)``."""
+        return cls(host, port, **options)
 
     # -- connection + handshake ---------------------------------------------------
 
@@ -941,8 +878,8 @@ class ClusterClient:
             tenant=self._tenant,
             credential=self._credential,
         )
-        self._send_raw(sock, handshake.hello())
-        session = handshake.finish(self._recv_raw(sock))
+        write_frame(sock, handshake.hello())
+        session = handshake.finish(read_frame(sock))
         self.handshakes += 1
         self._last_handshake_cycles = self.wire_meter.cycles - before
         return session
@@ -1002,7 +939,7 @@ class ClusterClient:
             payload = protocol.wrap_tenant(payload, self._tenant)
         if self._session is not None:
             payload = self._session.seal(payload)
-        self._send_raw(self._sock, payload)
+        write_frame(self._sock, payload)
 
     def recv_frame(self) -> bytes:
         """Receive one protocol payload, opened when a session is live.
@@ -1012,7 +949,7 @@ class ClusterClient:
         attacker) refusing service, which carries denial but no data.
         Any other plaintext is treated as a forgery.
         """
-        data = self._recv_raw(self._sock)
+        data = read_frame(self._sock)
         if self._session is None:
             return data
         if data.startswith(protocol.V2_MAGIC):
@@ -1022,42 +959,6 @@ class ClusterClient:
         raise TamperedFrameError(
             "plaintext data frame on an encrypted session"
         )
-
-    def _send_raw(self, sock: socket.socket, payload: bytes) -> None:
-        try:
-            sock.sendall(FRAME_HEADER.pack(len(payload)) + payload)
-        except socket.timeout as exc:
-            raise ClusterTimeoutError(
-                f"send timed out after {self._timeout}s") from exc
-        except OSError as exc:
-            raise ClusterConnectionError(
-                f"send failed: connection lost ({exc})") from exc
-
-    def _recv_raw(self, sock: socket.socket) -> bytes:
-        header = self._recv_exactly(sock, FRAME_HEADER.size)
-        (frame_len,) = FRAME_HEADER.unpack(header)
-        if frame_len > protocol.MAX_FRAME_BYTES:
-            raise ProtocolError(f"server frame exceeds "
-                                f"{protocol.MAX_FRAME_BYTES} bytes")
-        return self._recv_exactly(sock, frame_len)
-
-    def _recv_exactly(self, sock: socket.socket, n: int) -> bytes:
-        chunks = []
-        remaining = n
-        while remaining:
-            try:
-                chunk = sock.recv(remaining)
-            except socket.timeout as exc:
-                raise ClusterTimeoutError(
-                    f"no response within {self._timeout}s") from exc
-            except OSError as exc:
-                raise ClusterConnectionError(
-                    f"receive failed: connection lost ({exc})") from exc
-            if not chunk:
-                raise ClusterConnectionError("server closed the connection")
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
 
     # -- request API --------------------------------------------------------------
 

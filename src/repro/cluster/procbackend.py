@@ -62,27 +62,18 @@ from repro.cluster.backend import ShardBackend
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
-    RemoteEnclave,
-    RemoteMeter,
-    RemoteServer,
     RemoteShardHandle,
-    RemoteStore,
-    dispatch_shard_rpc,
+    encode_reply,
+    rpc_reply,
+    spawn_reply,
 )
-from repro.errors import AriaError, ShardCrashedError
+from repro.cluster.shard import EnclaveSpec
+from repro.errors import ShardCrashedError
 
 #: Environment override for the multiprocessing start method.  ``fork``
 #: (where available) keeps worker startup cheap; ``spawn`` re-imports the
 #: world per worker but works everywhere.
 START_METHOD_ENV_VAR = "ARIA_MP_START"
-
-# Backward-compatible aliases: these classes moved to repro.cluster.remote
-# when the socket backend arrived (same proxies, second transport).
-_RemoteServer = RemoteServer
-_RemoteStore = RemoteStore
-_RemoteEnclave = RemoteEnclave
-_RemoteMeter = RemoteMeter
-_dispatch = dispatch_shard_rpc
 
 #: Every live ProcessShard, whatever backend instance built it — the leak
 #: check fixture's view of the world.
@@ -115,11 +106,9 @@ def reap_leaked_workers(timeout: float = DEFAULT_CLOSE_TIMEOUT) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-def _worker_main(conn, spec: dict) -> None:
+def _worker_main(conn, spec: EnclaveSpec) -> None:
     """Build the real Shard and serve RPCs until shutdown (or SIGKILL)."""
     import signal
-
-    from repro.cluster.shard import Shard
 
     # A foreground Ctrl-C delivers SIGINT to the whole process group.
     # Shutdown is the *parent's* call (graceful ``shutdown`` RPC, then
@@ -130,47 +119,18 @@ def _worker_main(conn, spec: dict) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover - exotic platforms
         pass
-    try:
-        shard = Shard(
-            spec["shard_id"],
-            epc_bytes=spec["epc_bytes"],
-            capacity_keys=spec["capacity_keys"],
-            index=spec["index"],
-            seed=spec["seed"],
-            value_hint=spec["value_hint"],
-            workers=spec.get("workers", 1),
-            **spec["config_overrides"],
-        )
-    except BaseException as exc:  # surface build failures to the parent
-        _send(conn, "err", exc, None)
-        conn.close()
-        return
-    enclave = shard.store.enclave
-    info = {
-        "shard_id": shard.shard_id,
-        "epc_bytes": shard.epc_bytes,
-        "pid": os.getpid(),
-        "cpu_hz": enclave.platform.cpu_hz,
-        "encryption_key": enclave.keys.encryption_key,
-        "mac_key": enclave.keys.mac_key,
-        "config": shard.store.config,
-    }
-    _send(conn, "ready", info, shard.meter.snapshot().to_dict())
-    recv = _make_receiver(conn, spec.get("workers", 1))
-    while True:
-        item = recv()
-        if item is None:
-            break  # parent vanished; daemon exit
-        cmd, args = item
-        if cmd == "shutdown":
-            _send(conn, "ok", None, shard.meter.snapshot().to_dict())
-            break
-        try:
-            payload = dispatch_shard_rpc(shard, cmd, args)
-        except BaseException as exc:
-            _send(conn, "err", exc, shard.meter.snapshot().to_dict())
-        else:
-            _send(conn, "ok", payload, shard.meter.snapshot().to_dict())
+    shard, reply = spawn_reply(spec)  # build failures reach the parent
+    _send(conn, reply)
+    if shard is not None:
+        recv = _make_receiver(conn, spec.workers)
+        while True:
+            item = recv()
+            if item is None:
+                break  # parent vanished; daemon exit
+            cmd, args = item
+            _send(conn, rpc_reply(shard, cmd, args))
+            if cmd == "shutdown":
+                break
     conn.close()
 
 
@@ -211,16 +171,11 @@ def _make_receiver(conn, workers: int):
     return inbox.get
 
 
-def _send(conn, tag: str, payload, meter_dict) -> None:
+def _send(conn, reply: tuple) -> None:
     try:
-        conn.send((tag, payload, meter_dict))
+        conn.send_bytes(encode_reply(reply))
     except (BrokenPipeError, OSError):
         pass  # parent is gone; nothing left to tell it
-    except Exception:
-        # Unpicklable payload (an exotic exception, typically): degrade to
-        # a typed, picklable error rather than wedging the pipe.
-        fallback = AriaError(f"unpicklable {tag} payload: {payload!r}")
-        conn.send(("err", fallback, meter_dict))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +186,8 @@ def _send(conn, tag: str, payload, meter_dict) -> None:
 class ProcessShard(RemoteShardHandle):
     """Shard-duck-typed handle for an enclave living in a worker process."""
 
-    def __init__(self, spec: dict, ctx):
-        super().__init__(spec["shard_id"])
+    def __init__(self, spec: EnclaveSpec, ctx):
+        super().__init__(spec.shard_id)
         parent_conn, child_conn = ctx.Pipe()
         self._conn = parent_conn
         self._proc = ctx.Process(
@@ -269,18 +224,13 @@ class ProcessShard(RemoteShardHandle):
                     f"shard {self.shard_id} worker unresponsive "
                     f"after {timeout}s"
                 )
-            tag, payload, meter_dict = self._conn.recv()
+            reply = self._conn.recv()
         except (EOFError, OSError):
             self._mark_crashed()
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (worker process died)"
             )
-        self._absorb_meter(meter_dict)
-        if tag == "err":
-            if isinstance(payload, BaseException):
-                raise payload
-            raise AriaError(str(payload))  # pragma: no cover - degraded path
-        return payload
+        return self._settle(reply)
 
     def _mark_crashed(self) -> None:
         self.crashed = True
@@ -304,15 +254,7 @@ class ProcessShard(RemoteShardHandle):
 
     def kill(self) -> None:
         """SIGKILL the worker: the enclave and its EPC contents are gone."""
-        self.crashed = True
-        self._pending = 0
-        if self._proc.is_alive():
-            self._proc.kill()
-        self._proc.join(DEFAULT_CLOSE_TIMEOUT)
-        try:
-            self._conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._mark_crashed()
 
     def close(self, timeout: float = DEFAULT_CLOSE_TIMEOUT) -> None:
         """Graceful shutdown with a bounded timeout; always reaps the worker.
@@ -368,28 +310,7 @@ class ProcessBackend(ShardBackend):
                                                 or default_start_method())
         self._handles: "weakref.WeakSet[ProcessShard]" = weakref.WeakSet()
 
-    def create(
-        self,
-        shard_id: str,
-        *,
-        epc_bytes: int,
-        capacity_keys: int,
-        index: str = "hash",
-        seed: int = 0,
-        value_hint: int = 16,
-        workers: int = 1,
-        **config_overrides,
-    ) -> ProcessShard:
-        spec = {
-            "shard_id": shard_id,
-            "epc_bytes": epc_bytes,
-            "capacity_keys": capacity_keys,
-            "index": index,
-            "seed": seed,
-            "value_hint": value_hint,
-            "workers": workers,
-            "config_overrides": config_overrides,
-        }
+    def create(self, spec: EnclaveSpec) -> ProcessShard:
         handle = ProcessShard(spec, self._ctx)
         self._handles.add(handle)
         return handle

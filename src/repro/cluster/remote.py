@@ -9,12 +9,17 @@ triples, where every reply piggybacks a full absolute
 :meth:`~repro.sgx.meter.CycleMeter.snapshot` of the remote enclave's
 meter.  This module holds everything both sides share:
 
-* :func:`dispatch_shard_rpc` — the enclave-side command table, run
-  wherever the real :class:`~repro.cluster.shard.Shard` lives;
+* what the far side says about an enclave — :func:`spawn_reply` (an
+  :class:`~repro.cluster.shard.EnclaveSpec` in, the real
+  :class:`~repro.cluster.shard.Shard` plus its ``ready`` info dict out),
+  :func:`rpc_reply` (one command through :func:`dispatch_shard_rpc`, the
+  enclave-side command table) and :func:`encode_reply`, all producing the
+  one reply triple;
 * :class:`RemoteShardHandle` — the parent-side base class implementing
   the Shard duck-type contract (``store``/``server``/``meter``, balancer
   marks, ``stats`` with a post-mortem cache) on top of two abstract
-  transport hooks, ``_send`` and ``_recv``;
+  transport hooks, ``_send`` and ``_recv``, with :meth:`~RemoteShardHandle
+  ._settle` turning a reply triple back into a payload or a raise;
 * the proxies — :class:`RemoteServer` (``flush_batch`` plus the
   pipelined ``flush_submit``/``flush_collect`` split the coordinator
   uses, valid because both transports are FIFO per shard),
@@ -29,10 +34,12 @@ or how cycles are accounted.
 
 from __future__ import annotations
 
+import os
+import pickle
 from collections import Counter
-from typing import Optional
+from typing import Optional, Tuple
 
-from repro.errors import ShardCrashedError
+from repro.errors import AriaError, ShardCrashedError
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.meter import CycleMeter, MeterSnapshot
 
@@ -44,8 +51,70 @@ DEFAULT_CLOSE_TIMEOUT = 5.0
 
 
 # ---------------------------------------------------------------------------
-# The enclave side: one command table for every transport
+# The enclave side: one vocabulary for every transport
 # ---------------------------------------------------------------------------
+
+
+def reply_triple(tag: str, payload, shard=None) -> tuple:
+    """The reply triple; every one piggybacks the enclave's absolute
+    meter snapshot (None only when no enclave exists yet)."""
+    meter = None if shard is None else shard.meter.snapshot().to_dict()
+    return (tag, payload, meter)
+
+
+def ready_reply(shard, **host_info) -> tuple:
+    """The ``ready`` triple: what a handle needs to mirror this enclave."""
+    enclave = shard.store.enclave
+    info = {
+        "shard_id": shard.shard_id,
+        "epc_bytes": shard.epc_bytes,
+        "pid": os.getpid(),
+        "cpu_hz": enclave.platform.cpu_hz,
+        "encryption_key": enclave.keys.encryption_key,
+        "mac_key": enclave.keys.mac_key,
+        "config": shard.store.config,
+    }
+    info.update(host_info)
+    return reply_triple("ready", info, shard)
+
+
+def spawn_reply(spec, **host_info) -> Tuple[Optional[object], tuple]:
+    """Build the enclave ``spec`` describes: ``(shard, ready triple)``.
+
+    A build failure comes back as ``(None, err triple)`` so the transport
+    can surface it to the parent instead of dying silently.
+    """
+    try:
+        shard = spec.build()
+    except BaseException as exc:
+        return None, reply_triple("err", exc)
+    return shard, ready_reply(shard, **host_info)
+
+
+def rpc_reply(shard, cmd: str, args: tuple) -> tuple:
+    """Run one RPC against the real Shard; ``ok``/``err`` triple out.
+
+    ``shutdown`` and ``kill`` are lifecycle, not store commands: they are
+    acknowledged here and acted on by the transport that owns the enclave.
+    """
+    if cmd in ("shutdown", "kill"):
+        return reply_triple("ok", None, shard)
+    try:
+        return reply_triple("ok", dispatch_shard_rpc(shard, cmd, args), shard)
+    except BaseException as exc:
+        return reply_triple("err", exc, shard)
+
+
+def encode_reply(reply: tuple) -> bytes:
+    try:
+        return pickle.dumps(reply)
+    except Exception:
+        # Unpicklable payload (an exotic exception, typically): degrade to
+        # a typed, picklable error rather than wedging the stream.
+        tag, payload, meter_dict = reply
+        return pickle.dumps((
+            "err", AriaError(f"unpicklable {tag} payload: {payload!r}"),
+            meter_dict))
 
 
 def dispatch_shard_rpc(shard, cmd: str, args: tuple):
@@ -94,8 +163,8 @@ class RemoteShardHandle:
     """Shard-duck-typed handle for an enclave reachable only by RPC.
 
     Subclasses own the transport: they implement ``_send(cmd, args)`` and
-    ``_recv(timeout)`` (which must call :meth:`_absorb_meter` on every
-    reply's piggyback and raise :class:`~repro.errors.ShardCrashedError`
+    ``_recv(timeout)`` (which must pass every reply triple through
+    :meth:`_settle` and raise :class:`~repro.errors.ShardCrashedError`
     once the far side is gone), plus lifecycle (``close``, optionally
     ``kill``).  After the transport delivers the remote's ``ready`` info
     dict, they call :meth:`_attach` to wire up the proxies.
@@ -131,6 +200,16 @@ class RemoteShardHandle:
     def _absorb_meter(self, meter_dict) -> None:
         if meter_dict is not None:
             self._meter.absorb(meter_dict)
+
+    def _settle(self, reply: tuple):
+        """Fold a reply triple's meter in; return its payload or raise."""
+        tag, payload, meter_dict = reply
+        self._absorb_meter(meter_dict)
+        if tag == "err":
+            if isinstance(payload, BaseException):
+                raise payload
+            raise AriaError(str(payload))  # pragma: no cover - degraded path
+        return payload
 
     def _call(self, cmd: str, args: tuple = ()):
         if self._pending:

@@ -38,17 +38,15 @@ newcomer — the same trusted path the balancer's migrations use).
 from __future__ import annotations
 
 import enum
+import itertools
+from dataclasses import replace
 from typing import Callable, List, Optional
 
-from repro.bench.harness import PAPER_EPC_BYTES
-from repro.cluster.backend import BackendSpec, resolve_backend
-from repro.cluster.coordinator import (
-    ClusterCoordinator,
-    DEFAULT_BATCH_WINDOW,
-)
+from repro.cluster.backend import BackendSpec, ShardBackend, resolve_backend
+from repro.cluster.config import ClusterConfig
+from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.faults import FaultPlan, FaultyShard
-from repro.cluster.ring import DEFAULT_VNODES, VnodeSpec
-from repro.cluster.shard import MIN_SHARD_EPC_BYTES, resolve_workers
+from repro.cluster.shard import EnclaveSpec
 from repro.errors import (
     IntegrityError,
     KeyNotFoundError,
@@ -63,8 +61,6 @@ from repro.server.protocol import (
     Status,
 )
 from repro.sgx.meter import CycleMeter, MeterSnapshot
-
-DEFAULT_REPLICATION = 2
 
 
 def _down_reason(exc: BaseException) -> str:
@@ -589,117 +585,72 @@ class _GroupMeter:
 
 
 def build_replica_group(
-    group_id: str,
+    spec: EnclaveSpec,
     replication: int,
     *,
-    epc_bytes: int,
-    capacity_keys: int,
-    index: str = "hash",
-    seed: int = 0,
-    value_hint: int = 16,
     fault_plan: Optional[FaultPlan] = None,
     backend: BackendSpec = None,
-    workers: Optional[int] = None,
-    **config_overrides,
 ) -> ReplicaGroup:
-    """R independent enclaves for one partition, each with its own keys.
+    """R independent enclaves for the partition ``spec`` describes.
 
-    Replica ids are ``<group_id>/r<j>`` (the FaultPlan's addressing).
-    Every replica gets a distinct seed, hence distinct
-    :class:`~repro.crypto.keys.KeyMaterial`; a restart mints yet another
-    seed, because a fresh enclave never inherits its predecessor's keys.
-    Both initial construction and restarts go through the shard
-    ``backend``, so a restarted process-backed replica is a genuinely new
-    OS process; the seed policy is backend-independent, keeping key
-    material and metering identical across backends.
+    ``spec.shard_id`` names the group and ``spec.seed`` is its base seed:
+    replica ``j`` is ``replace(spec, shard_id="<group>/r<j>",
+    seed=spec.seed + 17*j + 1)`` (the FaultPlan's addressing), so every
+    replica has distinct :class:`~repro.crypto.keys.KeyMaterial`.  Both
+    initial construction and restarts go through the shard ``backend``,
+    so a restarted process-backed replica is a genuinely new OS process;
+    the seed policy is backend-independent, keeping key material and
+    metering identical across backends.
     """
     if replication < 1:
         raise ValueError("replication factor must be >= 1")
     factory = resolve_backend(backend)
-    # Resolved once, captured by the rebuild closures: a restarted replica
-    # keeps its group's worker count even if the environment changed.
-    workers = resolve_workers(workers)
     shards = []
     for j in range(replication):
-        replica_id = f"{group_id}/r{j}"
-        replica_seed = seed + 17 * j + 1
-
-        def make_rebuild(rid: str, base_seed: int) -> Callable[[], object]:
-            incarnation = {"n": 0}
-
-            def rebuild():
-                incarnation["n"] += 1
-                return factory.create(
-                    rid,
-                    epc_bytes=epc_bytes,
-                    capacity_keys=capacity_keys,
-                    index=index,
-                    seed=base_seed + 7919 * incarnation["n"],
-                    value_hint=value_hint,
-                    workers=workers,
-                    **config_overrides,
-                )
-
-            return rebuild
-
-        rebuild = make_rebuild(replica_id, replica_seed)
-        shard = factory.create(
-            replica_id,
-            epc_bytes=epc_bytes,
-            capacity_keys=capacity_keys,
-            index=index,
-            seed=replica_seed,
-            value_hint=value_hint,
-            workers=workers,
-            **config_overrides,
-        )
-        shards.append(FaultyShard(shard, fault_plan, rebuild=rebuild))
-    return ReplicaGroup(group_id, shards)
+        replica = replace(spec, shard_id=f"{spec.shard_id}/r{j}",
+                          seed=spec.seed + 17 * j + 1)
+        shards.append(FaultyShard(factory.create(replica), fault_plan,
+                                  rebuild=_restarter(factory, replica)))
+    return ReplicaGroup(spec.shard_id, shards)
 
 
-def build_replicated_cluster(
-    n_shards: int,
-    *,
-    replication: int = DEFAULT_REPLICATION,
-    n_keys: int,
-    cluster_epc_bytes: int = PAPER_EPC_BYTES,
-    scale: int = 1,
-    index: str = "hash",
-    vnodes: VnodeSpec = DEFAULT_VNODES,
-    batch_window: int = DEFAULT_BATCH_WINDOW,
-    seed: int = 0,
-    fault_plan: Optional[FaultPlan] = None,
-    backend: BackendSpec = None,
-    workers: Optional[int] = None,
-    **shard_overrides,
-) -> ClusterCoordinator:
-    """A cluster of N partitions × R replica enclaves behind one ring.
+def _restarter(factory: ShardBackend,
+               replica: EnclaveSpec) -> Callable[[], object]:
+    """The rebuild recipe for one replica: same spec, a seed never used
+    before — a fresh enclave never inherits its predecessor's keys."""
+    incarnations = itertools.count(1)
 
-    Like :func:`~repro.cluster.coordinator.build_cluster`, but the EPC
-    budget is carved across *all* ``n_shards * replication`` enclaves —
-    replication's memory cost is paid inside the same envelope, so R=2
-    halves each enclave's share rather than conjuring free hardware.
+    def rebuild():
+        return factory.create(replace(
+            replica, seed=replica.seed + 7919 * next(incarnations)))
+
+    return rebuild
+
+
+def build_replicated_cluster(config: ClusterConfig) -> ClusterCoordinator:
+    """N partitions × R replica enclaves behind one ring, unarmed.
+
+    The replica-group half of :meth:`ClusterConfig.build
+    <repro.cluster.config.ClusterConfig.build>`, which arms the nested
+    sub-systems on top.  Called directly it builds groups at any
+    ``replication >= 1`` — the R=1 groups the fault suites and the
+    durability sidecars ride on.  Group ``i`` is ``shard-<i>`` with base
+    seed ``config.seed + 101*i``; a ``fault_plan`` in
+    ``config.shard_overrides`` wraps every replica.
     """
-    total_enclaves = n_shards * replication
-    per_enclave = max(MIN_SHARD_EPC_BYTES,
-                      cluster_epc_bytes // scale // total_enclaves)
-    factory = resolve_backend(backend)
+    if not isinstance(config, ClusterConfig):
+        raise TypeError(
+            f"build_replicated_cluster takes a ClusterConfig, not "
+            f"{type(config).__name__}")
+    factory = resolve_backend(config.backend)
+    fault_plan = config.shard_overrides.get("fault_plan")
     groups = [
         build_replica_group(
-            f"shard-{i}",
-            replication,
-            epc_bytes=per_enclave,
-            capacity_keys=n_keys,
-            index=index,
-            seed=seed + 101 * i,
-            fault_plan=fault_plan,
-            backend=factory,
-            workers=workers,
-            **shard_overrides,
-        )
-        for i in range(n_shards)
+            config.enclave_spec(f"shard-{i}", config.seed + 101 * i),
+            config.replication, fault_plan=fault_plan, backend=factory)
+        for i in range(config.n_shards)
     ]
-    coordinator = ClusterCoordinator(groups, vnodes=vnodes,
-                                     batch_window=batch_window)
+    coordinator = ClusterCoordinator(groups, vnodes=config.vnodes,
+                                     batch_window=config.batch_window)
     coordinator.backend = factory
     return coordinator

@@ -16,10 +16,11 @@ detection can work on windowed deltas rather than lifetime totals.
 from __future__ import annotations
 
 import os
-from typing import List, Optional
+from dataclasses import dataclass, field
+from typing import Mapping, Optional
 
 from repro.bench.harness import build_aria
-from repro.cluster.backend import BackendSpec, resolve_backend
+from repro.errors import InvalidWorkersError
 from repro.server.server import AriaServer
 from repro.sgx.costs import SgxPlatform
 
@@ -33,56 +34,92 @@ MIN_SHARD_EPC_BYTES = 4096
 WORKERS_ENV_VAR = "ARIA_SHARD_WORKERS"
 
 
+def workers_from_env() -> Optional[int]:
+    """``ARIA_SHARD_WORKERS`` as a validated count; None when unset.
+
+    The one place the variable is read: a value that is not a positive
+    integer is refused here, by name, instead of surfacing later as a bare
+    ``int()`` failure from whichever builder happened to run first.
+    """
+    raw = os.environ.get(WORKERS_ENV_VAR)
+    if not raw:
+        return None
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise InvalidWorkersError(
+            f"{WORKERS_ENV_VAR}={raw!r} is not a positive integer")
+    return workers
+
+
 def resolve_workers(workers: Optional[int] = None) -> int:
     """Explicit argument beats ``ARIA_SHARD_WORKERS`` beats 1.
 
-    Resolution happens in the *builder's* process: backends ship the
-    resolved integer in their spawn specs, so a shard-host started with a
+    Resolution happens in the *builder's* process: the resolved integer
+    travels in the :class:`EnclaveSpec`, so a shard-host started with a
     different environment still builds the shard the coordinator asked
     for.
     """
     if workers is None:
-        raw = os.environ.get(WORKERS_ENV_VAR)
-        workers = int(raw) if raw else 1
+        return workers_from_env() or 1
     if workers < 1:
-        raise ValueError("shard workers must be >= 1")
+        raise InvalidWorkersError("shard workers must be >= 1")
     return workers
+
+
+@dataclass(frozen=True)
+class EnclaveSpec:
+    """The whole recipe for one enclave, spelled once.
+
+    The same frozen object describes a shard to every
+    :class:`~repro.cluster.backend.ShardBackend`, crosses the worker pipe
+    and the attested TCP hop unchanged, and is what restarts and elastic
+    adds derive from (``dataclasses.replace(spec, seed=...)``) — so the
+    enclave is built identically wherever it lives.
+    """
+
+    shard_id: str
+    #: This enclave's carve of the cluster EPC envelope (floored at
+    #: :data:`MIN_SHARD_EPC_BYTES` when built).
+    epc_bytes: int
+    #: Keys to provision for — the worst-case ownership, not the expected
+    #: 1/N share: ring imbalance and balancer migrations can concentrate
+    #: keys on one shard, and a counter-area expansion is not affordable
+    #: once the Secure Cache has claimed "as large as possible" (the
+    #: paper's sizing rule).  Counter capacity is cheap (1 EPC bit per
+    #: counter); the Secure Cache absorbs the rest.
+    capacity_keys: int
+    index: str = "hash"
+    #: Seeds the enclave's key material; every enclave gets its own.
+    seed: int = 0
+    #: Simulated enclave workers (the intra-shard batch-parallelism knob,
+    #: see :mod:`repro.server.batchexec`), already resolved to an integer.
+    workers: int = 1
+    #: ``build_aria``/``AriaConfig`` overrides (``value_hint``,
+    #: ``crypto_backend``, ``tenant_quotas``, ...).
+    config_overrides: Mapping[str, object] = field(default_factory=dict)
+
+    def build(self) -> "Shard":
+        return Shard(self)
 
 
 class Shard:
     """An independent enclave + Aria store serving one ring partition."""
 
-    def __init__(
-        self,
-        shard_id: str,
-        *,
-        epc_bytes: int,
-        capacity_keys: int,
-        index: str = "hash",
-        seed: int = 0,
-        value_hint: int = 16,
-        workers: int = 1,
-        **config_overrides,
-    ):
-        self.shard_id = shard_id
-        self.epc_bytes = max(MIN_SHARD_EPC_BYTES, epc_bytes)
-        platform = SgxPlatform(epc_bytes=self.epc_bytes)
-        # Sized for ``capacity_keys`` — the worst-case ownership, not the
-        # expected 1/N share: ring imbalance and balancer migrations can
-        # concentrate keys on one shard, and a counter-area expansion is
-        # not affordable once the Secure Cache has claimed "as large as
-        # possible" (the paper's sizing rule).  Counter capacity is cheap
-        # (1 EPC bit per counter); the Secure Cache absorbs the rest.
+    def __init__(self, spec: EnclaveSpec):
+        self.shard_id = spec.shard_id
+        self.epc_bytes = max(MIN_SHARD_EPC_BYTES, spec.epc_bytes)
         self.store = build_aria(
-            n_keys=max(64, capacity_keys),
-            platform=platform,
-            index=index,
-            seed=seed,
-            value_hint=value_hint,
-            **config_overrides,
+            n_keys=max(64, spec.capacity_keys),
+            platform=SgxPlatform(epc_bytes=self.epc_bytes),
+            index=spec.index,
+            seed=spec.seed,
+            **spec.config_overrides,
         )
-        self.server = AriaServer(self.store, workers=workers)
-        self.workers = workers
+        self.server = AriaServer(self.store, workers=spec.workers)
+        self.workers = spec.workers
         #: Requests routed here since construction (front-door count; the
         #: enclave's own op_* events count executed operations).
         self.ops_routed = 0
@@ -132,48 +169,3 @@ class Shard:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Shard({self.shard_id!r}, keys={len(self.store)}, "
                 f"epc={self.epc_bytes})")
-
-
-def build_shards(
-    n_shards: int,
-    *,
-    cluster_epc_bytes: int,
-    n_keys: int,
-    index: str = "hash",
-    seed: int = 0,
-    value_hint: int = 16,
-    id_prefix: str = "shard",
-    backend: BackendSpec = None,
-    workers: Optional[int] = None,
-    **config_overrides,
-) -> List:
-    """Carve ``cluster_epc_bytes`` evenly into ``n_shards`` enclaves.
-
-    ``n_keys`` is the *cluster-wide* keyspace.  Every shard gets 1/N of
-    the EPC but is provisioned (counters, buckets) for the whole keyspace
-    — exactly how the paper's Fig 16a sizes each tenant for its full
-    working set while the EPC is split k ways.
-
-    ``backend`` picks who hosts each enclave (see
-    :mod:`repro.cluster.backend`): ``"inline"`` returns plain
-    :class:`Shard` objects; ``"process"`` returns handles to per-shard
-    worker processes satisfying the same contract.
-    """
-    if n_shards < 1:
-        raise ValueError("n_shards must be positive")
-    factory = resolve_backend(backend)
-    workers = resolve_workers(workers)
-    per_shard_epc = cluster_epc_bytes // n_shards
-    return [
-        factory.create(
-            f"{id_prefix}-{i}",
-            epc_bytes=per_shard_epc,
-            capacity_keys=n_keys,
-            index=index,
-            seed=seed + i,
-            value_hint=value_hint,
-            workers=workers,
-            **config_overrides,
-        )
-        for i in range(n_shards)
-    ]

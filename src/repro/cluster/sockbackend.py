@@ -63,7 +63,6 @@ import multiprocessing
 import os
 import pickle
 import socket
-import struct
 import threading
 import time
 import weakref
@@ -71,14 +70,20 @@ from collections import Counter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cluster.backend import ShardBackend
+from repro.cluster.framing import read_frame, wake_and_close, write_frame
 from repro.cluster.netutil import bind_with_retry
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
     RemoteShardHandle,
-    dispatch_shard_rpc,
+    encode_reply,
+    ready_reply,
+    reply_triple,
+    rpc_reply,
+    spawn_reply,
 )
 from repro.cluster.session import ClientHandshake, SessionManager, measurement
+from repro.cluster.shard import EnclaveSpec
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
     AriaError,
@@ -91,7 +96,6 @@ from repro.errors import (
     ShardUnreachableError,
     TamperedFrameError,
 )
-from repro.server import protocol
 from repro.sgx.meter import CycleMeter
 
 #: ``host:port[,host:port...]`` — pre-started shard hosts to use when a
@@ -106,8 +110,6 @@ SHARD_MEASUREMENTS_ENV_VAR = "ARIA_SHARD_MEASUREMENTS"
 DEFAULT_N_HOSTS = 2
 
 DEFAULT_CONNECT_TIMEOUT = 5.0
-
-_FRAME_LEN = struct.Struct("<I")
 
 #: Every live SocketShard handle, whatever backend built it.
 _LIVE_HANDLES: "weakref.WeakSet[SocketShard]" = weakref.WeakSet()
@@ -133,66 +135,6 @@ def reap_leaked_hosts(timeout: float = DEFAULT_CLOSE_TIMEOUT) -> List[str]:
             leaked.append(f"{host.host}:{host.port}")
         host.stop(timeout)
     return sorted(leaked)
-
-
-# ---------------------------------------------------------------------------
-# Stream framing (length-prefixed v2 frames, both directions)
-# ---------------------------------------------------------------------------
-
-
-def _write_frame(sock: socket.socket, payload: bytes) -> None:
-    try:
-        sock.sendall(_FRAME_LEN.pack(len(payload)) + payload)
-    except socket.timeout as exc:
-        raise ClusterTimeoutError("shard-hop send timed out") from exc
-    except OSError as exc:
-        raise ClusterConnectionError(
-            f"shard-hop send failed: {exc}") from exc
-
-
-def _read_frame(sock: socket.socket) -> bytes:
-    header = _read_exactly(sock, _FRAME_LEN.size)
-    (frame_len,) = _FRAME_LEN.unpack(header)
-    if frame_len == 0 or frame_len > protocol.MAX_FRAME_BYTES:
-        raise ProtocolError(
-            f"shard-hop frame of {frame_len} bytes exceeds "
-            f"{protocol.MAX_FRAME_BYTES}")
-    return _read_exactly(sock, frame_len)
-
-
-def _read_exactly(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    remaining = n
-    while remaining:
-        try:
-            chunk = sock.recv(remaining)
-        except socket.timeout as exc:
-            raise ClusterTimeoutError("shard-hop receive timed out") from exc
-        except OSError as exc:
-            raise ClusterConnectionError(
-                f"shard-hop receive failed: {exc}") from exc
-        if not chunk:
-            raise ClusterConnectionError("shard host closed the connection")
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
-
-
-def _wake_and_close(sock: socket.socket) -> None:
-    """``shutdown`` then ``close``.
-
-    ``close()`` alone does not wake another thread blocked in ``accept()``
-    or ``recv()`` on the socket (Linux): it would sit there until the next
-    connection or byte, or for ever.  ``shutdown()`` does.
-    """
-    try:
-        sock.shutdown(socket.SHUT_RDWR)
-    except OSError:
-        pass  # not connected, or the peer is already gone
-    try:
-        sock.close()
-    except OSError:  # pragma: no cover
-        pass
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +227,9 @@ class ShardHost:
     def stop(self) -> None:
         self._stopping.set()
         if self._listener is not None:
-            _wake_and_close(self._listener)
+            wake_and_close(self._listener)
         for conn in list(self._conns):
-            _wake_and_close(conn)
+            wake_and_close(conn)
 
     # -- one connection = one enclave's RPC stream --------------------------------
 
@@ -296,7 +238,7 @@ class ShardHost:
         session = None
         try:
             try:
-                hello = _read_frame(conn)
+                hello = read_frame(conn)
                 with self._crypto_lock:
                     reply, session = self.sessions.accept(hello)
             except (HandshakeError, ProtocolError):
@@ -305,7 +247,7 @@ class ShardHost:
             except (ClusterConnectionError, ClusterTimeoutError, OSError):
                 return
             try:
-                _write_frame(conn, reply)
+                write_frame(conn, reply)
             except (ClusterConnectionError, ClusterTimeoutError):
                 return
             self._serve_session(conn, session)
@@ -321,10 +263,9 @@ class ShardHost:
 
     def _serve_session(self, conn: socket.socket, session) -> None:
         shard = None
-        shard_id = None
         while not self._stopping.is_set():
             try:
-                frame = _read_frame(conn)
+                frame = read_frame(conn)
             except (ClusterConnectionError, ClusterTimeoutError,
                     ProtocolError):
                 return  # link gone: the enclave stays in the registry
@@ -344,93 +285,59 @@ class ShardHost:
                 self.alarms["wire"] += 1
                 return
             if shard is None:
-                shard, shard_id = self._bind_enclave(conn, session, cmd, args)
+                shard = self._bind_enclave(conn, session, cmd, args)
                 continue
+            shard_id = shard.shard_id
             if cmd in ("shutdown", "kill"):
                 # Both remove the enclave; "kill" models the enclave (not
                 # the host) dying, "shutdown" is the graceful release.
                 with self._registry_lock:
                     self._enclaves.pop(shard_id, None)
                     self._shard_locks.pop(shard_id, None)
-                self._reply(conn, session, "ok", None,
-                            shard.meter.snapshot().to_dict())
+                self._reply(conn, session, rpc_reply(shard, cmd, args))
                 return
             lock = self._shard_locks.get(shard_id) or threading.Lock()
-            try:
-                with lock:
-                    result = dispatch_shard_rpc(shard, cmd, args)
-            except BaseException as exc:
-                self._reply(conn, session, "err", exc,
-                            shard.meter.snapshot().to_dict())
-            else:
-                self._reply(conn, session, "ok", result,
-                            shard.meter.snapshot().to_dict())
+            with lock:
+                reply = rpc_reply(shard, cmd, args)
+            self._reply(conn, session, reply)
 
     def _bind_enclave(self, conn, session, cmd: str, args: tuple):
-        """Handle the stream's first command: spawn or attach."""
-        from repro.cluster.shard import Shard
+        """Handle the stream's first command: spawn or attach.
 
+        Returns the enclave this connection now drives, or None (after
+        telling the peer why) when there is none to bind.
+        """
+        host_info = {"host": (self.host, self.port)}
         if cmd == "spawn":
             (spec,) = args
-            try:
-                shard = Shard(
-                    spec["shard_id"],
-                    epc_bytes=spec["epc_bytes"],
-                    capacity_keys=spec["capacity_keys"],
-                    index=spec["index"],
-                    seed=spec["seed"],
-                    value_hint=spec["value_hint"],
-                    workers=spec.get("workers", 1),
-                    **spec["config_overrides"],
-                )
-            except BaseException as exc:
-                self._reply(conn, session, "err", exc, None)
-                return None, None
-            with self._registry_lock:
-                self._enclaves[shard.shard_id] = shard
-                self._shard_locks[shard.shard_id] = threading.Lock()
+            shard, reply = spawn_reply(spec, **host_info)
+            if shard is not None:
+                with self._registry_lock:
+                    self._enclaves[shard.shard_id] = shard
+                    self._shard_locks[shard.shard_id] = threading.Lock()
         elif cmd == "attach":
             (shard_id,) = args
             with self._registry_lock:
                 shard = self._enclaves.get(shard_id)
             if shard is None:
-                self._reply(conn, session, "err", ShardCrashedError(
+                reply = reply_triple("err", ShardCrashedError(
                     f"no enclave {shard_id!r} on this host (it was killed, "
-                    "released, or the host restarted)"), None)
-                return None, None
+                    "released, or the host restarted)"))
+            else:
+                reply = ready_reply(shard, **host_info)
         else:
-            self._reply(conn, session, "err", ProtocolError(
-                f"first shard-host RPC must be spawn/attach, not {cmd!r}"),
-                None)
-            return None, None
-        enclave = shard.store.enclave
-        info = {
-            "shard_id": shard.shard_id,
-            "epc_bytes": shard.epc_bytes,
-            "pid": os.getpid(),
-            "host": (self.host, self.port),
-            "cpu_hz": enclave.platform.cpu_hz,
-            "encryption_key": enclave.keys.encryption_key,
-            "mac_key": enclave.keys.mac_key,
-            "config": shard.store.config,
-        }
-        self._reply(conn, session, "ready", info,
-                    shard.meter.snapshot().to_dict())
-        return shard, shard.shard_id
+            shard = None
+            reply = reply_triple("err", ProtocolError(
+                f"first shard-host RPC must be spawn/attach, not {cmd!r}"))
+        self._reply(conn, session, reply)
+        return shard
 
-    def _reply(self, conn, session, tag, payload, meter_dict) -> None:
-        try:
-            body = pickle.dumps((tag, payload, meter_dict))
-        except Exception:
-            body = pickle.dumps((
-                "err",
-                AriaError(f"unpicklable {tag} payload: {payload!r}"),
-                meter_dict,
-            ))
+    def _reply(self, conn, session, reply: tuple) -> None:
+        body = encode_reply(reply)
         with self._crypto_lock:
             frame = session.seal(body)
         try:
-            _write_frame(conn, frame)
+            write_frame(conn, frame)
         except (ClusterConnectionError, ClusterTimeoutError):
             pass  # peer is gone; nothing left to tell it
 
@@ -570,7 +477,7 @@ class SocketShard(RemoteShardHandle):
 
     def __init__(
         self,
-        spec: dict,
+        spec: EnclaveSpec,
         endpoint: Tuple[str, int],
         *,
         expected_measurements: Optional[Sequence[bytes]] = None,
@@ -578,8 +485,7 @@ class SocketShard(RemoteShardHandle):
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
-        super().__init__(spec["shard_id"])
-        self._spec = spec
+        super().__init__(spec.shard_id)
         self.endpoint = tuple(endpoint)
         self._expected = (tuple(expected_measurements)
                           if expected_measurements else None)
@@ -616,9 +522,9 @@ class SocketShard(RemoteShardHandle):
             sock.settimeout(self._rpc_timeout)
             handshake = ClientHandshake(crypto=self._crypto,
                                         meter=self.wire_meter)
-            _write_frame(sock, handshake.hello())
+            write_frame(sock, handshake.hello())
             try:
-                reply = _read_frame(sock)
+                reply = read_frame(sock)
             except (ClusterConnectionError, ClusterTimeoutError) as exc:
                 raise HandshakeError(
                     f"shard host {host}:{port} refused the handshake: {exc}"
@@ -660,12 +566,15 @@ class SocketShard(RemoteShardHandle):
                 f"shard {self.shard_id} is unreachable "
                 f"(partition: frames black-holed)")
         try:
-            frame = self._session.seal(pickle.dumps((cmd, args)))
-            _write_frame(self._sock, frame)
+            self._transmit(cmd, args)
         except (ClusterConnectionError, ClusterTimeoutError, AttributeError):
             self._mark_crashed()
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection lost)")
+
+    def _transmit(self, cmd: str, args: tuple) -> None:
+        write_frame(self._sock,
+                    self._session.seal(pickle.dumps((cmd, args))))
 
     def _recv(self, timeout: float = DEFAULT_RPC_TIMEOUT):
         if self.partitioned:
@@ -675,7 +584,7 @@ class SocketShard(RemoteShardHandle):
                 f"shard {self.shard_id} is unreachable "
                 f"(partition: frames black-holed)")
         try:
-            frame = _read_frame(self._sock)
+            frame = read_frame(self._sock)
         except ClusterTimeoutError:
             self._mark_crashed()
             raise ShardCrashedError(
@@ -696,13 +605,7 @@ class SocketShard(RemoteShardHandle):
             raise ShardUnreachableError(
                 f"shard {self.shard_id} link compromised "
                 f"({kind}ed frame): {exc}") from exc
-        tag, payload, meter_dict = pickle.loads(payload)
-        self._absorb_meter(meter_dict)
-        if tag == "err":
-            if isinstance(payload, BaseException):
-                raise payload
-            raise AriaError(str(payload))  # pragma: no cover - degraded path
-        return payload
+        return self._settle(pickle.loads(payload))
 
     def _mark_crashed(self) -> None:
         self.crashed = True
@@ -746,7 +649,10 @@ class SocketShard(RemoteShardHandle):
         self._sever()
         try:
             self._dial()
-            info = self._call_over_fresh_link("attach", (self.shard_id,))
+            # Straight onto the fresh link: _send's crashed guard is what
+            # this very call is about to lift.
+            self._transmit("attach", (self.shard_id,))
+            info = self._recv()
         except (ShardCrashedError, ClusterConnectionError,
                 ClusterTimeoutError, HandshakeError, ProtocolError):
             self._mark_crashed()
@@ -756,13 +662,6 @@ class SocketShard(RemoteShardHandle):
         self._pending = 0
         self.reconnects += 1
         return True
-
-    def _call_over_fresh_link(self, cmd: str, args: tuple):
-        """One RPC bypassing the crashed guard (used only while
-        re-establishing the link)."""
-        frame = self._session.seal(pickle.dumps((cmd, args)))
-        _write_frame(self._sock, frame)
-        return self._recv()
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -951,28 +850,7 @@ class SocketBackend(ShardBackend):
 
     # -- the factory --------------------------------------------------------------
 
-    def create(
-        self,
-        shard_id: str,
-        *,
-        epc_bytes: int,
-        capacity_keys: int,
-        index: str = "hash",
-        seed: int = 0,
-        value_hint: int = 16,
-        workers: int = 1,
-        **config_overrides,
-    ) -> SocketShard:
-        spec = {
-            "shard_id": shard_id,
-            "epc_bytes": epc_bytes,
-            "capacity_keys": capacity_keys,
-            "index": index,
-            "seed": seed,
-            "value_hint": value_hint,
-            "workers": workers,
-            "config_overrides": config_overrides,
-        }
+    def create(self, spec: EnclaveSpec) -> SocketShard:
         attempts = max(1, len(self.endpoints()))
         last_error: Optional[Exception] = None
         for _ in range(attempts):
@@ -993,7 +871,7 @@ class SocketBackend(ShardBackend):
             self._handles.add(handle)
             return handle
         raise ClusterConnectionError(
-            f"no shard host reachable for {shard_id!r}: {last_error}")
+            f"no shard host reachable for {spec.shard_id!r}: {last_error}")
 
     def close(self, timeout: float = DEFAULT_CLOSE_TIMEOUT) -> None:
         for handle in list(self._handles):

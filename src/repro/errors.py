@@ -101,6 +101,16 @@ class UnknownBackendError(ConfigurationError, ValueError):
     """
 
 
+class InvalidWorkersError(ConfigurationError, ValueError):
+    """A shard worker count (``workers=`` or ``ARIA_SHARD_WORKERS``) is
+    not a positive integer.
+
+    Inherits ``ValueError`` for the same reason as
+    :class:`UnknownBackendError`: callers that predate the typed tree
+    catch that around the cluster builders.
+    """
+
+
 class EnclaveViolationError(AriaError):
     """Simulator misuse: untrusted code touched trusted state directly."""
 

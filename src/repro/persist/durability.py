@@ -523,8 +523,8 @@ def attach_partition_durability(
     if not hasattr(group, "replicas"):
         raise ValueError(
             "durability attaches to replica groups (the group commit rides "
-            "their batch boundary); build the cluster with "
-            "build_replicated_cluster — replication=1 is fine")
+            "their batch boundary); set ClusterConfig.durability, or build "
+            "with build_replicated_cluster(config) — replication=1 is fine")
     dur = PartitionDurability(
         group.shard_id, disk, counters, seed=seed, epoch_every=epoch_every,
         fault_plan=fault_plan, costs=costs)

@@ -8,10 +8,10 @@ through store contents and cycle meters, never by poking privates.
 import pytest
 
 from repro.cluster import (
+    ClusterConfig,
     ClusterCoordinator,
     HotShardBalancer,
     build_cluster,
-    build_shards,
 )
 from repro.cluster.ring import HashRing
 from repro.errors import KeyNotFoundError
@@ -19,8 +19,15 @@ from repro.server import protocol
 
 
 def small_cluster(n_shards=2, *, n_keys=512, batch_window=8, **kw):
-    return build_cluster(n_shards, n_keys=n_keys, scale=2048,
-                         batch_window=batch_window, **kw)
+    return build_cluster(ClusterConfig(
+        n_shards=n_shards, n_keys=n_keys, scale=2048,
+        batch_window=batch_window, **kw))
+
+
+def build_shards(n_shards, *, cluster_epc_bytes, n_keys):
+    return build_cluster(ClusterConfig(
+        n_shards=n_shards, cluster_epc_bytes=cluster_epc_bytes,
+        n_keys=n_keys)).shard_list()
 
 
 def kv(i):
@@ -178,13 +185,8 @@ class TestClusterStats:
 
 def skewed_cluster():
     """4 shards with shard-0 deliberately owning nearly the whole ring."""
-    from repro.cluster.shard import build_shards as build
-
-    shards = build(4, cluster_epc_bytes=(91 << 20) // 2048, n_keys=512)
-    ring = HashRing([s.shard_id for s in shards],
-                    vnodes={"shard-0": 116, "shard-1": 4,
-                            "shard-2": 4, "shard-3": 4})
-    return ClusterCoordinator(shards, ring=ring, batch_window=8)
+    return small_cluster(4, vnodes={"shard-0": 116, "shard-1": 4,
+                                    "shard-2": 4, "shard-3": 4})
 
 
 class TestHotShardBalancer:

@@ -22,6 +22,7 @@ import pytest
 from repro.cluster import (
     BACKEND_NAMES,
     BackgroundServer,
+    ClusterConfig,
     HealthMonitor,
     InlineBackend,
     ProcessBackend,
@@ -51,8 +52,9 @@ def seeded_workload(n_loaded=64, n_gets=40, n_puts=10):
 
 
 def run_workload(backend):
-    cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=8,
-                            seed=3, backend=backend)
+    cluster = build_cluster(ClusterConfig(
+        n_shards=2, n_keys=256, scale=2048, batch_window=8, seed=3,
+        backend=backend))
     try:
         load, requests = seeded_workload()
         cluster.load(load)
@@ -141,8 +143,9 @@ class TestEquivalence:
     def test_stats_report_matches(self):
         rows = {}
         for name in ("inline", "process"):
-            cluster = build_cluster(2, n_keys=256, scale=2048,
-                                    batch_window=8, seed=3, backend=name)
+            cluster = build_cluster(ClusterConfig(
+                n_shards=2, n_keys=256, scale=2048, batch_window=8, seed=3,
+                backend=name))
             try:
                 load, requests = seeded_workload()
                 cluster.load(load)
@@ -160,8 +163,8 @@ class TestEquivalence:
 @procs
 class TestProcessLifecycle:
     def test_workers_are_real_processes(self):
-        cluster = build_cluster(2, n_keys=128, scale=2048,
-                                backend="process")
+        cluster = build_cluster(ClusterConfig(
+            n_shards=2, n_keys=128, scale=2048, backend="process"))
         try:
             pids = [s.pid for s in cluster.shard_list()]
             assert len(set(pids)) == 2
@@ -172,8 +175,8 @@ class TestProcessLifecycle:
             cluster.close()
 
     def test_close_joins_workers_and_is_idempotent(self):
-        cluster = build_cluster(2, n_keys=128, scale=2048,
-                                backend="process")
+        cluster = build_cluster(ClusterConfig(
+            n_shards=2, n_keys=128, scale=2048, backend="process"))
         pids = [s.pid for s in cluster.shard_list()]
         cluster.close()
         for pid in pids:
@@ -183,8 +186,9 @@ class TestProcessLifecycle:
         cluster.close()  # second close is a no-op, not an error
 
     def test_background_server_close_drains_and_joins(self):
-        cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=8,
-                                backend="process")
+        cluster = build_cluster(ClusterConfig(
+            n_shards=2, n_keys=256, scale=2048, batch_window=8,
+            backend="process"))
         cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(32))
         background = BackgroundServer(cluster)
         background.start()
@@ -199,8 +203,9 @@ class TestProcessLifecycle:
         assert multiprocessing.active_children() == []
 
     def test_crashed_shard_reports_unavailable_not_hang(self):
-        cluster = build_cluster(2, n_keys=256, scale=2048, batch_window=4,
-                                backend="process")
+        cluster = build_cluster(ClusterConfig(
+            n_shards=2, n_keys=256, scale=2048, batch_window=4,
+            backend="process"))
         try:
             cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(32))
             victim = cluster.shard_for(b"k-001")
@@ -218,10 +223,9 @@ class TestProcessLifecycle:
 @pytest.mark.faults
 class TestChaosWithRealKills:
     def test_sigkill_respawn_resync_loses_no_acked_write(self):
-        cluster = build_replicated_cluster(
-            2, replication=2, n_keys=256, scale=2048,
-            batch_window=8, seed=5, backend="process",
-        )
+        cluster = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=256, scale=2048, batch_window=8,
+            seed=5, backend="process"))
         try:
             monitor = HealthMonitor(cluster, check_every=64)
             cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(64))

@@ -1,32 +1,38 @@
-"""The typed construction surface: ClusterConfig precedence, deprecation,
-validation, and the serve() lifecycle.
+"""The typed construction surface: ClusterConfig precedence, validation,
+the one enclave recipe, and the serve() lifecycle.
 
-The contract under test (ARCHITECTURE §16): one config object replaces
-the keyword-sprawl factories; precedence is explicit argument > config >
+The contract under test (ARCHITECTURE §16): one config object is the only
+way to describe a cluster and one :class:`EnclaveSpec` the only way to
+describe an enclave; precedence is explicit argument > config >
 environment, with the environment resolved *once* by ``from_env``; the
-legacy spellings keep working behind a :class:`DeprecationWarning` and
-build the same cluster, bit for bit.
+keyword factories are gone, and what the typed door builds is pinned bit
+for bit (``tests/test_cluster_build_golden.py``).
 """
 
+import hashlib
+import pickle
 import random
-import warnings
+from dataclasses import replace
 
 import pytest
 
 from repro.cluster import (
+    BACKEND_NAMES,
     ClusterClient,
     ClusterConfig,
     DurabilityConfig,
+    EnclaveSpec,
     TenancyConfig,
     TenantConfig,
     build_cluster,
+    build_replicated_cluster,
+    resolve_backend,
     serve,
 )
 from repro.cluster.backend import BACKEND_ENV_VAR
-from repro.cluster.config import build_cluster as build_from_config
 from repro.cluster.shard import WORKERS_ENV_VAR
 from repro.core.tenant import tenant_token
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, InvalidWorkersError
 from repro.server import protocol
 from repro.server.protocol import STATUS_OK
 
@@ -112,8 +118,20 @@ class TestPrecedence:
         assert config.workers is None
 
     def test_malformed_workers_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV_VAR, "lots")
-        assert ClusterConfig.from_env().workers is None
+        """Not ignored any more: refused, typed, where the env is read —
+        it used to surface as a bare ``int()`` failure inside ``build()``."""
+        for raw in ("lots", "0", "-2", "1.5"):
+            monkeypatch.setenv(WORKERS_ENV_VAR, raw)
+            with pytest.raises(InvalidWorkersError,
+                               match=WORKERS_ENV_VAR) as info:
+                ClusterConfig.from_env()
+            assert isinstance(info.value, ConfigurationError)
+            assert isinstance(info.value, ValueError)
+        # An explicit worker count never consults the variable...
+        assert ClusterConfig.from_env(workers=2).workers == 2
+        # ...and a config built without from_env refuses at build time.
+        with pytest.raises(InvalidWorkersError):
+            small().build()
 
     def test_explicit_tenant_quotas_override_beats_tenancy(self):
         tenancy = TenancyConfig(tenants=(
@@ -126,63 +144,132 @@ class TestPrecedence:
         assert pinned.resolved_shard_overrides() == {"tenant_quotas": None}
 
 
-# -- the deprecated spellings keep working ----------------------------------------
+# -- the keyword factories are gone ------------------------------------------------
+
+
+#: sha256 of the responses and the summed enclave cycles ``drive`` produces
+#: on ``small()``, captured from the keyword factory
+#: ``build_cluster(2, n_keys=128, scale=2048, batch_window=8)`` at the last
+#: commit that still had one (PR 14's parent).
+_LEGACY_DRIVE = (
+    "6121d21d2c4a2b0802648e4044d1855c70483f3a7c40e3254a5ba8e2a3b84a81",
+    249042.5,
+)
+
+
+def drive(coord):
+    rng = random.Random(42)
+    digest = hashlib.sha256()
+    for _ in range(4):
+        batch = []
+        for _ in range(16):
+            key = b"key-%04d" % rng.randrange(64)
+            if rng.random() < 0.5:
+                batch.append(protocol.put(
+                    key, b"v-%d" % rng.randrange(100)))
+            else:
+                batch.append(protocol.get(key))
+        for r in coord.execute(batch):
+            digest.update(bytes([int(r.status)]) + bytes(r.value) + b"\0")
+    cycles = sum(s.meter.cycles for s in coord.shard_list())
+    coord.close()
+    return digest.hexdigest(), cycles
 
 
 class TestDeprecatedFactories:
-    def test_from_kwargs_warns_and_splits_the_kwarg_tail(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            config = ClusterConfig.from_kwargs(
-                2, n_keys=128, scale=2048, batch_window=8,
-                value_hint=64)
-        assert config.n_shards == 2
-        assert config.n_keys == 128
-        assert config.shard_overrides == {"value_hint": 64}
+    """Nothing is deprecated any more: only the typed door builds."""
 
-    def test_legacy_build_cluster_warns(self):
-        with pytest.warns(DeprecationWarning, match="ClusterConfig"):
-            coord = build_cluster(2, n_keys=128, scale=2048, batch_window=8)
-        coord.close()
-
-    def test_typed_door_is_silent_and_equivalent(self):
-        """build_cluster(config) emits no warning and builds the same
-        cluster as the keyword spelling — same responses, same cycles."""
-        def drive(coord):
-            rng = random.Random(42)
-            outputs = []
-            for _ in range(4):
-                batch = []
-                for _ in range(16):
-                    key = b"key-%04d" % rng.randrange(64)
-                    if rng.random() < 0.5:
-                        batch.append(protocol.put(
-                            key, b"v-%d" % rng.randrange(100)))
-                    else:
-                        batch.append(protocol.get(key))
-                outputs.extend(coord.execute(batch))
-            cycles = sum(s.meter.cycles for s in coord.shard_list())
-            coord.close()
-            return [(r.status, bytes(r.value)) for r in outputs], cycles
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            typed = drive(build_cluster(small()))
-            module_level = drive(build_from_config(small()))
-        with pytest.warns(DeprecationWarning):
-            legacy = drive(build_cluster(2, n_keys=128, scale=2048,
-                                         batch_window=8))
-        assert typed == legacy
-        assert module_level == legacy
+    def test_typed_door_is_silent_and_equivalent(self, recwarn):
+        """Both typed spellings build the cluster the keyword factory
+        used to — same responses, same cycles — and warn about nothing."""
+        assert drive(build_cluster(small(backend="inline", workers=1))) \
+            == _LEGACY_DRIVE
+        assert drive(small(backend="inline", workers=1).build()) \
+            == _LEGACY_DRIVE
+        assert not recwarn.list
 
     def test_typed_door_rejects_mixed_keywords(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_cluster(small(), n_keys=64)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             build_cluster(small(), value_hint=64)
         with pytest.raises(TypeError):
             build_cluster("four")
         with pytest.raises(TypeError):
-            build_cluster(2)  # the keyword factory requires n_keys
+            build_cluster(3)
+        with pytest.raises(TypeError):
+            build_replicated_cluster(3)
+        with pytest.raises(TypeError):
+            build_replicated_cluster(2, replication=2, n_keys=64)
+
+    def test_fault_plan_needs_replica_groups(self):
+        from repro.cluster import FaultPlan
+        plan = FaultPlan().kill("shard-0/r0", at=10_000)
+        config = small(shard_overrides={"fault_plan": plan})
+        with pytest.raises(ConfigurationError, match="replica"):
+            config.build()
+        coord = build_replicated_cluster(config)  # R=1 groups: fine
+        try:
+            assert coord.shards["shard-0"].replicas[0].shard.plan is plan
+        finally:
+            coord.close()
+
+
+# -- one recipe per enclave ---------------------------------------------------------
+
+
+class TestEnclaveSpec:
+    def test_config_spells_the_recipe_once(self):
+        config = small(n_shards=4, replication=2, workers=3, index="btree",
+                       shard_overrides={"value_hint": 64})
+        spec = config.enclave_spec("shard-1", 7)
+        assert spec == EnclaveSpec(
+            "shard-1", epc_bytes=config.per_enclave_epc_bytes(),
+            capacity_keys=config.n_keys, index="btree", seed=7, workers=3,
+            config_overrides={"value_hint": 64})
+        assert config.elastic_spec().enclave == replace(
+            spec, shard_id="", seed=config.seed)
+        with pytest.raises(AttributeError):  # frozen
+            spec.seed = 8
+
+    def test_per_enclave_epc_is_the_build_path_formula(self):
+        for fields in (dict(n_shards=3), dict(n_shards=2, replication=2),
+                       dict(n_shards=12), dict(n_shards=6, replication=2)):
+            config = small(backend="inline", **fields)
+            coord = config.build()
+            try:
+                carves = set()
+                for shard in coord.shard_list():
+                    replicas = getattr(shard, "replicas", None)
+                    members = [r.shard for r in replicas] if replicas \
+                        else [shard]
+                    carves.update(m.epc_bytes for m in members)
+                assert carves == {config.per_enclave_epc_bytes()}, fields
+            finally:
+                coord.close()
+
+    @pytest.mark.parametrize("name", BACKEND_NAMES)
+    def test_round_trips_through_every_backend(self, name):
+        """The same spec object — through ``create``, the pipe, the
+        attested hop — yields the same enclave as building it here."""
+        spec = EnclaveSpec("rt-0", epc_bytes=64 * 1024, capacity_keys=96,
+                           seed=11, workers=2,
+                           config_overrides={"value_hint": 32})
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        local = spec.build()
+        backend = resolve_backend(name)
+        try:
+            handle = backend.create(spec)
+            assert handle.shard_id == local.shard_id
+            assert handle.epc_bytes == local.epc_bytes
+            assert handle.store.enclave.keys == local.store.enclave.keys
+            assert handle.store.config == local.store.config
+            handle.store.put(b"k", b"v")
+            local.store.put(b"k", b"v")
+            assert handle.meter.cycles == local.meter.cycles
+            handle.close()
+        finally:
+            backend.close()
 
 
 # -- build() arms the nested sub-systems ------------------------------------------

@@ -21,12 +21,13 @@ from repro.cluster import netutil
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
+    EnclaveSpec,
     FaultEvent,
     FaultPlan,
     FaultyShard,
     HealthMonitor,
     ReplicaState,
-    Shard,
     build_replicated_cluster,
 )
 from repro.errors import (
@@ -106,11 +107,14 @@ class TestFaultPlan:
         assert all(b - a >= 200 for a, b in zip(points, points[1:]))
 
 
+def s0():
+    return EnclaveSpec("s0", epc_bytes=256 * 1024, capacity_keys=64).build()
+
+
 class TestFaultyShard:
     def test_kill_at_op_count(self):
         plan = FaultPlan().kill("s0", at=3)
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64), plan)
+        shard = FaultyShard(s0(), plan)
         ok = shard.server.flush_batch([protocol.put(b"a", b"1"),
                                        protocol.put(b"b", b"2")])
         assert [r.status for r in ok] == [STATUS_OK, STATUS_OK]
@@ -121,8 +125,7 @@ class TestFaultyShard:
         assert shard.stats()["crashed"] is True
 
     def test_restart_requires_recipe_and_death(self):
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64))
+        shard = FaultyShard(s0())
         with pytest.raises(ShardCrashedError):
             shard.restart()  # not dead
         shard.kill()
@@ -130,23 +133,20 @@ class TestFaultyShard:
             shard.restart()  # dead, but no rebuild recipe
 
     def test_corrupt_trips_integrity_on_next_touch(self):
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64))
+        shard = FaultyShard(s0())
         shard.server.flush_batch([protocol.put(b"k", b"v")])
         shard.corrupt(b"k")
         [response] = shard.server.flush_batch([protocol.get(b"k")])
         assert response.status == STATUS_INTEGRITY_FAILURE
 
     def test_corrupt_on_empty_store_is_a_noop(self):
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64))
+        shard = FaultyShard(s0())
         shard.corrupt()
         assert shard.corruptions == 0
 
     def test_partition_blackholes_then_reconnects_without_restart(self):
         plan = FaultPlan().partition("s0", at=3)
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64), plan)
+        shard = FaultyShard(s0(), plan)
         shard.server.flush_batch([protocol.put(b"k", b"v")])
         with pytest.raises(ShardUnreachableError):
             shard.server.flush_batch([protocol.get(b"k"),
@@ -164,8 +164,7 @@ class TestFaultyShard:
         assert row["partitions"] == 1 and row["reconnects"] == 1
 
     def test_partition_heal_window_gates_reconnect(self):
-        shard = FaultyShard(
-            Shard("s0", epc_bytes=256 * 1024, capacity_keys=64))
+        shard = FaultyShard(s0())
         shard.partition(60.0)  # far-future heal deadline
         assert shard.reconnect() is False  # still black-holed
         assert shard.partitioned
@@ -178,8 +177,8 @@ class TestTamperAgainstRunningCluster:
     """Satellite: repro.attacks scenarios driven at cluster scope."""
 
     def test_tamper_surfaces_per_request_without_replication(self):
-        coord = build_replicated_cluster(2, replication=1, n_keys=128,
-                                         scale=2048, batch_window=8)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=1, n_keys=128, scale=2048, batch_window=8))
         keys = [b"key-%03d" % i for i in range(32)]
         coord.load((k, b"val") for k in keys)
         victim_key = keys[0]
@@ -195,8 +194,8 @@ class TestTamperAgainstRunningCluster:
         assert set(others) == {STATUS_OK}
 
     def test_tamper_fails_over_with_replication(self):
-        coord = build_replicated_cluster(1, replication=2, n_keys=128,
-                                         scale=2048, batch_window=8)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=128, scale=2048, batch_window=8))
         keys = [b"key-%03d" % i for i in range(16)]
         coord.load((k, b"val") for k in keys)
         group = coord.shards["shard-0"]
@@ -211,8 +210,8 @@ class TestTamperAgainstRunningCluster:
 
     def test_last_live_replica_surfaces_the_alarm(self):
         # With one replica left, going dark would be worse than alarming.
-        coord = build_replicated_cluster(1, replication=2, n_keys=128,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=128, scale=2048))
         coord.load([(b"k", b"v")])
         group = coord.shards["shard-0"]
         group.replicas[1].shard.kill()
@@ -225,8 +224,8 @@ class TestTamperAgainstRunningCluster:
 
 @pytest.fixture()
 def replicated_server():
-    coord = build_replicated_cluster(2, replication=2, n_keys=256,
-                                     scale=2048, batch_window=8)
+    coord = build_replicated_cluster(ClusterConfig(
+        n_shards=2, replication=2, n_keys=256, scale=2048, batch_window=8))
     coord.load((b"key-%03d" % i, b"val-%03d" % i) for i in range(64))
     with BackgroundServer(coord) as background:
         yield background
@@ -240,8 +239,8 @@ class TestNetFaults:
         )
 
     def test_delay_fault_trips_the_client_timeout(self):
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().delay(at=1, seconds=1.0)
         with BackgroundServer(coord, fault_plan=plan) as background:
@@ -254,8 +253,8 @@ class TestNetFaults:
                 client.close()
 
     def test_read_retries_ride_out_a_dropped_frame(self):
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().drop(at=1)
         with BackgroundServer(coord, fault_plan=plan) as background:
@@ -277,8 +276,8 @@ class TestNetFaults:
                 client.close()
 
     def test_close_fault_kills_the_connection_mid_stream(self):
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().close(at=1)
         with BackgroundServer(coord, fault_plan=plan) as background:
@@ -294,8 +293,8 @@ class TestNetFaults:
                 client.close()
 
     def test_writes_are_never_auto_retried(self):
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         plan = FaultPlan().drop(at=1)
         with BackgroundServer(coord, fault_plan=plan) as background:
             host, port = background.server.address
@@ -373,9 +372,9 @@ class TestChaos:
         plan = fault_record(FaultPlan.chaos(targets, horizon=150, n_kills=2,
                                             n_corrupts=2, min_gap=150,
                                             seed=42))
-        coord = build_replicated_cluster(2, replication=2,
-                                         n_keys=self.N_KEYS, scale=2048,
-                                         batch_window=8, fault_plan=plan)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=self.N_KEYS, scale=2048,
+            batch_window=8, shard_overrides={"fault_plan": plan}))
         monitor = HealthMonitor(coord, check_every=64)
         coord.attach_health_monitor(monitor)
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))

@@ -22,6 +22,7 @@ import pytest
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     FaultPlan,
     HealthMonitor,
     OverloadConfig,
@@ -59,9 +60,10 @@ def build_overloaded(n_shards=2, replication=2, *, config=None,
                      n_keys=128, batch_window=8, seed=0):
     """A replicated cluster with the overload layer armed and every
     replica FaultyShard-wrapped (empty plan) for direct ``stall()``."""
-    coord = build_replicated_cluster(
-        n_shards, replication=replication, n_keys=n_keys, scale=2048,
-        batch_window=batch_window, seed=seed, fault_plan=FaultPlan())
+    coord = build_replicated_cluster(ClusterConfig(
+        n_shards=n_shards, replication=replication, n_keys=n_keys, scale=2048,
+        batch_window=batch_window, seed=seed,
+        shard_overrides={"fault_plan": FaultPlan()}))
     coord.enable_overload(config)
     return coord
 
@@ -342,9 +344,9 @@ class TestBrownout:
 class TestUnstressedEquivalence:
     def test_cycles_bit_identical_with_overload_armed(self):
         def drive(armed):
-            coord = build_replicated_cluster(
-                2, replication=1, n_keys=64, scale=2048,
-                batch_window=8, seed=7)
+            coord = build_replicated_cluster(ClusterConfig(
+                n_shards=2, replication=1, n_keys=64, scale=2048,
+                batch_window=8, seed=7))
             if armed:
                 coord.enable_overload()
             preload(coord, 64)
@@ -625,9 +627,9 @@ class TestOverloadGauntlet:
         plan = fault_record(FaultPlan())  # stalls applied directly below
         config = OverloadConfig(breaker_failures=2, breaker_latency=0.01,
                                 breaker_recovery=0.2)
-        coord = build_replicated_cluster(
-            3, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, seed=5, fault_plan=plan)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=3, replication=2, n_keys=self.N_KEYS, scale=2048,
+            batch_window=8, seed=5, shard_overrides={"fault_plan": plan}))
         coord.enable_overload(config)
         monitor = HealthMonitor(coord, check_every=10**9)
         coord.attach_health_monitor(monitor)

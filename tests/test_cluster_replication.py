@@ -13,14 +13,16 @@ import json
 import pytest
 
 from repro.cluster import (
+    ClusterConfig,
     ClusterCoordinator,
+    EnclaveSpec,
     FaultPlan,
     HealthMonitor,
     ReplicaState,
-    Shard,
     build_replica_group,
     build_replicated_cluster,
 )
+from repro.cluster.shard import resolve_workers
 from repro.errors import (
     IntegrityError,
     KeyNotFoundError,
@@ -37,9 +39,9 @@ from repro.server.protocol import (
 
 
 def make_group(replication=2, **kwargs):
-    kwargs.setdefault("epc_bytes", 256 * 1024)
-    kwargs.setdefault("capacity_keys", 256)
-    return build_replica_group("g0", replication, **kwargs)
+    spec = EnclaveSpec("g0", epc_bytes=256 * 1024, capacity_keys=256,
+                       workers=resolve_workers())
+    return build_replica_group(spec, replication, **kwargs)
 
 
 def enclave_of(replica):
@@ -166,8 +168,8 @@ class TestCoordinatorContainment:
     """Satellite: a failing shard costs error responses, not the batch."""
 
     def test_flush_failure_yields_per_request_errors(self):
-        coord = build_replicated_cluster(2, replication=1, n_keys=64,
-                                         scale=2048, batch_window=4)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=1, n_keys=64, scale=2048, batch_window=4))
         keys = [b"k%02d" % i for i in range(32)]
         coord.load((k, b"v") for k in keys)
         # Kill every replica of shard-0: its requests must error, the
@@ -186,11 +188,12 @@ class TestCoordinatorContainment:
         # is the last line of defense.
         plan = FaultPlan().kill("s0", at=1)
         from repro.cluster.faults import FaultyShard
-        shards = [
-            FaultyShard(Shard("s0", epc_bytes=256 * 1024, capacity_keys=64),
-                        plan),
-            FaultyShard(Shard("s1", epc_bytes=256 * 1024, capacity_keys=64)),
-        ]
+
+        def shard(shard_id):
+            return EnclaveSpec(shard_id, epc_bytes=256 * 1024,
+                               capacity_keys=64).build()
+
+        shards = [FaultyShard(shard("s0"), plan), FaultyShard(shard("s1"))]
         coord = ClusterCoordinator(shards, batch_window=4)
         responses = coord.execute(
             [protocol.put(b"k%02d" % i, b"v") for i in range(16)])
@@ -200,8 +203,8 @@ class TestCoordinatorContainment:
         assert coord.flush_failures >= 1
 
     def test_single_request_api_maps_unavailable_to_typed_error(self):
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.shards["shard-0"].replicas[0].shard.kill()
         with pytest.raises(ReplicaUnavailableError):
             coord.get(b"k")
@@ -213,8 +216,8 @@ class TestCoordinatorContainment:
 
 class TestHealthEndpoint:
     def test_health_opcode_served_at_the_front_door(self):
-        coord = build_replicated_cluster(2, replication=2, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=64, scale=2048))
         [response] = coord.execute([protocol.health()])
         assert response.status == STATUS_OK
         summary = json.loads(response.value)
@@ -224,8 +227,8 @@ class TestHealthEndpoint:
         assert set(states.values()) == {"up"}
 
     def test_health_reflects_a_down_replica(self):
-        coord = build_replicated_cluster(1, replication=2, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=64, scale=2048))
         coord.shards["shard-0"].replicas[0].shard.kill()
         # The kill is visible only after the group touches the shard.
         try:
@@ -239,8 +242,8 @@ class TestHealthEndpoint:
 
 class TestHealthMonitor:
     def test_restart_and_resync_through_the_trusted_path(self):
-        coord = build_replicated_cluster(1, replication=2, n_keys=128,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=128, scale=2048))
         pairs = [(b"k%03d" % i, b"v%03d" % i) for i in range(40)]
         coord.load(pairs)
         group = coord.shards["shard-0"]
@@ -268,8 +271,8 @@ class TestHealthMonitor:
             assert victim.shard.store.get(key) == value
 
     def test_monitor_piggybacks_on_the_serving_loop(self):
-        coord = build_replicated_cluster(1, replication=2, n_keys=64,
-                                         scale=2048, batch_window=4)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=64, scale=2048, batch_window=4))
         coord.load([(b"k%02d" % i, b"v") for i in range(8)])
         monitor = HealthMonitor(coord, check_every=8)
         coord.attach_health_monitor(monitor)
@@ -288,8 +291,8 @@ class TestHealthMonitor:
         # unavailable forever rather than rejoin an empty enclave.  The
         # durable path (repro.persist + test_durability_recovery) is the
         # *only* sanctioned way out of this state.
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         group = coord.shards["shard-0"]
         group.replicas[0].shard.kill()
@@ -315,8 +318,9 @@ class TestHealthMonitor:
 
     def test_integrity_quarantine_heals_back_to_up(self):
         plan = FaultPlan().corrupt("shard-0/r0", at=2, key=b"k00")
-        coord = build_replicated_cluster(1, replication=2, n_keys=64,
-                                         scale=2048, fault_plan=plan)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=64, scale=2048,
+            shard_overrides={"fault_plan": plan}))
         coord.load([(b"k%02d" % i, b"v%02d" % i) for i in range(10)])
         group = coord.shards["shard-0"]
         # Trip the corruption, then read: primary alarms, peer serves.
@@ -333,8 +337,8 @@ class TestHealthMonitor:
 
 class TestStatsIntegration:
     def test_cluster_stats_aggregates_replica_groups(self):
-        coord = build_replicated_cluster(2, replication=2, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=64, scale=2048))
         stats = coord.stats()
         coord.execute([protocol.put(b"k%02d" % i, b"v") for i in range(16)])
         report = stats.report()
@@ -347,8 +351,8 @@ class TestStatsIntegration:
         assert set(row["replicas"]) == {"shard-0/r0", "shard-0/r1"}
 
     def test_down_replica_shows_in_stats(self):
-        coord = build_replicated_cluster(1, replication=2, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=64, scale=2048))
         group = coord.shards["shard-0"]
         group.replicas[1].shard.kill()
         coord.put(b"k", b"v")  # fan-out notices the dead secondary
@@ -358,20 +362,20 @@ class TestStatsIntegration:
 
 class TestReplicatedBuild:
     def test_epc_budget_is_split_across_all_enclaves(self):
-        coord = build_replicated_cluster(2, replication=2, n_keys=64,
-                                         cluster_epc_bytes=16 * 1024 * 1024)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=64,
+            cluster_epc_bytes=16 * 1024 * 1024))
         for group in coord.shard_list():
             for replica in group.replicas:
                 assert replica.shard.epc_bytes == 16 * 1024 * 1024 // 4
 
     def test_replication_factor_must_be_positive(self):
         with pytest.raises(ValueError):
-            build_replica_group("g", 0, epc_bytes=256 * 1024,
-                                capacity_keys=16)
+            make_group(replication=0)
 
     def test_r1_degenerates_to_plain_semantics(self):
-        coord = build_replicated_cluster(2, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=1, n_keys=64, scale=2048))
         coord.put(b"k", b"v")
         assert coord.get(b"k") == b"v"
         coord.delete(b"k")

@@ -36,6 +36,7 @@ import time
 import pytest
 
 from repro.cluster import (
+    ClusterConfig,
     FaultPlan,
     HealthMonitor,
     ReplicaState,
@@ -45,7 +46,8 @@ from repro.cluster import (
     build_replicated_cluster,
     reap_leaked_hosts,
 )
-from repro.cluster.sockbackend import _read_exactly, _write_frame
+from repro.cluster.framing import read_exactly, write_frame
+from repro.cluster.shard import EnclaveSpec
 from repro.errors import (
     HandshakeError,
     ShardCrashedError,
@@ -60,15 +62,8 @@ EPC = 256 * 1024
 
 
 def _spec(shard_id="s0", seed=0, capacity=64):
-    return {
-        "shard_id": shard_id,
-        "epc_bytes": EPC,
-        "capacity_keys": capacity,
-        "index": "hash",
-        "seed": seed,
-        "value_hint": 16,
-        "config_overrides": {},
-    }
+    return EnclaveSpec(shard_id, epc_bytes=EPC, capacity_keys=capacity,
+                       seed=seed)
 
 
 @pytest.fixture()
@@ -129,9 +124,9 @@ class WireInterceptor:
         previous = None
         try:
             while True:
-                header = _read_exactly(src, 4)
+                header = read_exactly(src, 4)
                 (n,) = struct.unpack("<I", header)
-                payload = _read_exactly(src, n)
+                payload = read_exactly(src, n)
                 if mutate and previous is not None:
                     if self.tamper_one.is_set():
                         self.tamper_one.clear()
@@ -197,8 +192,7 @@ class TestTopology:
     def test_round_robin_placement_is_host_anti_affine(self):
         backend = SocketBackend(n_hosts=2, seed=11)
         try:
-            shards = [backend.create(f"t{i}", epc_bytes=EPC,
-                                     capacity_keys=64) for i in range(4)]
+            shards = [backend.create(_spec(f"t{i}")) for i in range(4)]
             pids = [s.pid for s in shards]
             # Two real host processes, neither of them this one...
             assert len(set(pids)) == 2
@@ -216,7 +210,7 @@ class TestTopology:
     def test_dead_host_is_respawned_with_the_same_identity(self):
         backend = SocketBackend(n_hosts=2, seed=31)
         try:
-            s0 = backend.create("r0", epc_bytes=EPC, capacity_keys=64)
+            s0 = backend.create(_spec("r0"))
             victim = backend.hosts()[0]
             assert s0.pid == victim.pid
             old_pid, old_measurement = victim.pid, victim.measurement
@@ -226,8 +220,8 @@ class TestTopology:
             assert s0.crashed
             # Advance round-robin past the live host onto the dead slot:
             # create must respawn it (same seed, hence same measurement).
-            backend.create("r1", epc_bytes=EPC, capacity_keys=64)
-            s2 = backend.create("r2", epc_bytes=EPC, capacity_keys=64)
+            backend.create(_spec("r1"))
+            s2 = backend.create(_spec("r2"))
             respawned = backend.hosts()[0]
             assert respawned.alive()
             assert respawned.pid != old_pid
@@ -239,7 +233,7 @@ class TestTopology:
 
     def test_reap_leaked_hosts_sweeps_everything(self):
         backend = SocketBackend(n_hosts=2, seed=61)
-        shard = backend.create("l0", epc_bytes=EPC, capacity_keys=64)
+        shard = backend.create(_spec("l0"))
         hosts = backend.hosts()
         assert all(h.alive() for h in hosts)
         leaked = reap_leaked_hosts()
@@ -328,7 +322,7 @@ class TestAttestation:
                                          thread_host.port), timeout=5.0)
         try:
             conn.settimeout(5.0)
-            _write_frame(conn, b"\x01GET plaintext please")
+            write_frame(conn, b"\x01GET plaintext please")
             assert conn.recv(1) == b""  # hung up without answering
         finally:
             conn.close()
@@ -350,8 +344,8 @@ class TestAttestation:
         def serve():
             conn, _ = listener.accept()
             try:
-                _read_exactly(conn, 4)  # swallow the hello header...
-                _write_frame(conn, b"\x00v1: no encryption here")
+                read_exactly(conn, 4)  # swallow the hello header...
+                write_frame(conn, b"\x00v1: no encryption here")
             except Exception:
                 pass
             finally:
@@ -426,7 +420,7 @@ class TestWireAttacks:
             frame = bytearray(
                 shard._session.seal(pickle.dumps(("stats", ()))))
             frame[len(frame) // 2] ^= 0x04
-            _write_frame(shard._sock, bytes(frame))
+            write_frame(shard._sock, bytes(frame))
             deadline = time.monotonic() + 5.0
             while time.monotonic() < deadline:
                 if thread_host.alarms["wire"] >= 1:
@@ -484,10 +478,9 @@ class TestPartitionVsCrash:
 
     def test_monitor_reconnects_a_partitioned_replica(self):
         backend = SocketBackend(n_hosts=2, seed=71)
-        cluster = build_replicated_cluster(
-            1, replication=2, n_keys=128, scale=2048,
-            batch_window=8, seed=13, backend=backend,
-        )
+        cluster = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=128, scale=2048, batch_window=8,
+            seed=13, backend=backend))
         try:
             monitor = HealthMonitor(cluster, check_every=64)
             cluster.load((b"k-%03d" % i, b"v") for i in range(32))
@@ -518,10 +511,9 @@ class TestPartitionVsCrash:
 
     def test_monitor_restarts_a_crashed_replica_instead(self):
         backend = SocketBackend(n_hosts=2, seed=81)
-        cluster = build_replicated_cluster(
-            1, replication=2, n_keys=128, scale=2048,
-            batch_window=8, seed=17, backend=backend,
-        )
+        cluster = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=128, scale=2048, batch_window=8,
+            seed=17, backend=backend))
         try:
             monitor = HealthMonitor(cluster, check_every=64)
             cluster.load((b"k-%03d" % i, b"v") for i in range(32))
@@ -572,7 +564,7 @@ class TestGauntlet:
                         inner._session.seal(pickle.dumps(("stats", ()))))
                     frame[len(frame) // 2] ^= 0x20
                     try:
-                        _write_frame(inner._sock, bytes(frame))
+                        write_frame(inner._sock, bytes(frame))
                     except Exception:
                         continue
                     return True
@@ -585,10 +577,10 @@ class TestGauntlet:
             targets, horizon=120, n_kills=1, n_corrupts=0, n_partitions=2,
             min_gap=120, seed=9,
         ))
-        cluster = build_replicated_cluster(
-            4, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, seed=29, fault_plan=plan, backend=backend,
-        )
+        cluster = build_replicated_cluster(ClusterConfig(
+            n_shards=4, replication=2, n_keys=self.N_KEYS, scale=2048,
+            batch_window=8, seed=29, backend=backend,
+            shard_overrides={"fault_plan": plan}))
         monitor = HealthMonitor(cluster, check_every=64)
         cluster.attach_health_monitor(monitor)
         try:

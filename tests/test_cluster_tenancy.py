@@ -24,6 +24,7 @@ from repro.cluster import (
     TenantConfig,
     serve,
 )
+from repro.cluster.framing import write_frame
 from repro.errors import HandshakeError
 from repro.server import protocol
 from repro.server.protocol import STATUS_NOT_FOUND, STATUS_OK, STATUS_OVERLOADED
@@ -140,7 +141,7 @@ class TestTenantHandshake:
             sealed = minnow._session.seal(protocol.wrap_tenant(
                 protocol.encode_batch([protocol.put(b"k", b"forged")]),
                 "whale"))
-            minnow._send_raw(minnow._sock, sealed)
+            write_frame(minnow._sock, sealed)
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(minnow.recv_frame()))
         assert tenant_server.server.wire_stats()[

@@ -18,6 +18,7 @@ import pytest
 
 from repro.cluster import (
     CHAOS_DUR_KINDS,
+    ClusterConfig,
     FaultPlan,
     HealthMonitor,
     ReplicaState,
@@ -41,8 +42,9 @@ def make_durable_cluster(n_shards=2, replication=2, *, epoch_every=4,
                          fault_plan=None, **kwargs):
     kwargs.setdefault("n_keys", 128)
     kwargs.setdefault("scale", 2048)
-    coord = build_replicated_cluster(n_shards, replication=replication,
-                                     fault_plan=fault_plan, **kwargs)
+    coord = build_replicated_cluster(ClusterConfig(
+        n_shards=n_shards, replication=replication,
+        shard_overrides={"fault_plan": fault_plan}, **kwargs))
     disk = MemoryDisk()
     counters = MonotonicCounterService()
     sidecars = attach_cluster_durability(
@@ -204,8 +206,8 @@ class TestColdStartRestore:
         data_dir = str(tmp_path / "data")
         counters_path = str(tmp_path / "counters.json")
 
-        coord = build_replicated_cluster(2, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=1, n_keys=64, scale=2048))
         attach_cluster_durability(
             coord, FileDisk(data_dir),
             MonotonicCounterService(path=counters_path), epoch_every=4)
@@ -218,8 +220,8 @@ class TestColdStartRestore:
             group.close()
 
         # "New process": everything rebuilt from scratch over the same dir.
-        coord2 = build_replicated_cluster(2, replication=1, n_keys=64,
-                                          scale=2048)
+        coord2 = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=1, n_keys=64, scale=2048))
         attach_cluster_durability(
             coord2, FileDisk(data_dir),
             MonotonicCounterService(path=counters_path), epoch_every=4)
@@ -240,8 +242,8 @@ class TestColdStartRestore:
         counters_path = str(tmp_path / "counters.json")
         disk = FileDisk(data_dir)
 
-        coord = build_replicated_cluster(1, replication=1, n_keys=64,
-                                         scale=2048)
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         attach_cluster_durability(
             coord, disk, MonotonicCounterService(path=counters_path),
             epoch_every=1)
@@ -253,8 +255,8 @@ class TestColdStartRestore:
             group.close()
 
         disk.restore(stale)
-        coord2 = build_replicated_cluster(1, replication=1, n_keys=64,
-                                          scale=2048)
+        coord2 = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=1, n_keys=64, scale=2048))
         attach_cluster_durability(
             coord2, FileDisk(data_dir),
             MonotonicCounterService(path=counters_path), epoch_every=1)

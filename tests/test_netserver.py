@@ -14,6 +14,7 @@ import pytest
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     FRAME_HEADER,
     build_cluster,
 )
@@ -23,7 +24,8 @@ from repro.server.protocol import BatchRejectedError
 
 @pytest.fixture()
 def cluster():
-    coordinator = build_cluster(2, n_keys=256, scale=2048, batch_window=8)
+    coordinator = build_cluster(ClusterConfig(
+        n_shards=2, n_keys=256, scale=2048, batch_window=8))
     coordinator.load(
         (b"key-%03d" % i, b"val-%03d" % i) for i in range(64)
     )

@@ -416,3 +416,38 @@ class TestDeadlineEnvelope:
             server_session.open(sealed))
         assert budget_ms == 250
         assert payload == batch
+
+
+class TestCollectUnderDeadline:
+    """The coordinator's per-shard RPC deadline, against a stub shard."""
+
+    class _Server:
+        def __init__(self):
+            self.collects = []
+
+        def flush_submit(self, requests):
+            return 1
+
+        def flush_collect(self, ticket, timeout=None):
+            self.collects.append(timeout)
+            raise TypeError("a bug inside the collect, not its signature")
+
+    class _Shard:
+        shard_id = "s0"
+        ops_routed = 0
+
+    def test_a_typeerror_inside_a_collect_is_never_recollected(self):
+        """A second collect would read the *next* reply off a FIFO stream
+        (or block for the RPC timeout): the error must surface once."""
+        from repro.cluster.coordinator import ClusterCoordinator
+
+        shard = self._Shard()
+        shard.server = self._Server()
+        coordinator = ClusterCoordinator([shard])
+        coordinator.enable_overload(OverloadConfig())
+        with pytest.raises(TypeError, match="inside the collect"):
+            coordinator.execute([protocol.put(b"k", b"v")],
+                                deadline=Deadline(5.0, clock=FakeClock()))
+        [timeout] = shard.server.collects
+        assert timeout == pytest.approx(
+            5.0 + coordinator.overload.config.rpc_grace)

@@ -14,11 +14,12 @@ import pytest
 from repro.cluster import (
     BackgroundServer,
     ClusterClient,
+    ClusterConfig,
     FaultPlan,
     build_cluster,
 )
 from repro.cluster import session as wire
-from repro.cluster.netserver import FRAME_HEADER
+from repro.cluster.framing import FRAME_HEADER, read_frame, write_frame
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
@@ -39,7 +40,8 @@ pytestmark = pytest.mark.wire
 
 @pytest.fixture()
 def cluster():
-    coordinator = build_cluster(2, n_keys=256, scale=2048, batch_window=8)
+    coordinator = build_cluster(ClusterConfig(
+        n_shards=2, n_keys=256, scale=2048, batch_window=8))
     coordinator.load(
         (b"key-%03d" % i, b"val-%03d" % i) for i in range(32)
     )
@@ -322,8 +324,8 @@ class TestSecureWire:
         sealed = bytearray(client._session.seal(
             protocol.encode_batch([protocol.get(b"key-001")])))
         sealed[-1] ^= 1
-        client._send_raw(client._sock, bytes(sealed))
-        reply = client._recv_raw(client._sock)
+        write_frame(client._sock, bytes(sealed))
+        reply = read_frame(client._sock)
         assert protocol.is_batch_rejection(
             protocol.decode_batch_responses(reply))
         assert server.server.tamper_alarms == 1
@@ -331,10 +333,10 @@ class TestSecureWire:
     def test_replayed_inbound_frame_alarms_the_server(self, server, client):
         sealed = client._session.seal(
             protocol.encode_batch([protocol.get(b"key-001")]))
-        client._send_raw(client._sock, sealed)
-        client._recv_raw(client._sock)  # the genuine response
-        client._send_raw(client._sock, sealed)  # the recorded copy
-        reply = client._recv_raw(client._sock)
+        write_frame(client._sock, sealed)
+        read_frame(client._sock)  # the genuine response
+        write_frame(client._sock, sealed)  # the recorded copy
+        reply = read_frame(client._sock)
         assert protocol.is_batch_rejection(
             protocol.decode_batch_responses(reply))
         assert server.server.replay_alarms == 1
@@ -344,8 +346,8 @@ class TestSecureWire:
         stale = client._session.seal(
             protocol.encode_batch([protocol.put(b"stale", b"replayed")]))
         with ClusterClient.connect(host, port, secure=False) as attacker:
-            attacker._send_raw(attacker._sock, stale)
-            reply = attacker._recv_raw(attacker._sock)
+            write_frame(attacker._sock, stale)
+            reply = read_frame(attacker._sock)
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(reply))
         assert server.server.stale_session_alarms == 1
@@ -468,10 +470,21 @@ class TestClientApi:
         assert not [w for w in caught
                     if issubclass(w.category, DeprecationWarning)]
 
-    def test_constructor_tuning_kwargs_warn(self, server):
+    def test_constructor_and_connect_are_one_door(self, server):
+        """``connect`` only forwards: same signature, same client."""
         host, port = server.server.address
-        with pytest.warns(DeprecationWarning):
-            ClusterClient(host, port, timeout=2.0).close()
+        tuning = dict(timeout=2.0, retries=1, backoff=0.01, backoff_cap=0.02,
+                      deadline=1.5, retry_ratio=0.25)
+        with ClusterClient(host, port, **tuning) as direct, \
+                ClusterClient.connect(host, port, **tuning) as factory:
+            for name in ("_timeout", "_retries", "_backoff", "_backoff_cap",
+                         "_deadline", "_secure"):
+                assert getattr(direct, name) == getattr(factory, name), name
+            assert direct.retry_budget.ratio == factory.retry_budget.ratio
+            assert direct.get(b"key-001").value == b"val-001"
+            assert factory.get(b"key-001").value == b"val-001"
+            assert direct.session_info()["cipher"] \
+                == factory.session_info()["cipher"]
 
     def test_bad_tuning_is_a_configuration_error(self):
         with pytest.raises(ConfigurationError):
