@@ -12,7 +12,7 @@ Fig 12 materializes).
 from __future__ import annotations
 
 from collections import OrderedDict, deque
-from typing import Hashable, Iterable, Optional
+from typing import AbstractSet, Hashable, Optional
 
 from repro.errors import AriaError
 
@@ -35,8 +35,12 @@ class EvictionPolicy:
     def on_remove(self, key: Key) -> None:
         raise NotImplementedError
 
-    def victim(self, locked: Iterable[Key]) -> Optional[Key]:
-        """Pick an eviction victim not in ``locked`` (None if impossible)."""
+    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
+        """Pick an eviction victim not in ``locked`` (None if impossible).
+
+        ``locked`` is only tested for membership, never copied: the cache
+        builds it once per eviction.
+        """
         raise NotImplementedError
 
     def __len__(self) -> int:
@@ -66,15 +70,14 @@ class FifoPolicy(EvictionPolicy):
         self._members.discard(key)
         # Lazy deletion: stale queue entries are skipped during victim scans.
 
-    def victim(self, locked: Iterable[Key]) -> Optional[Key]:
-        locked_set = set(locked)
+    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
         skipped = []
         chosen = None
         while self._queue:
             key = self._queue.popleft()
             if key not in self._members:
                 continue  # lazily-deleted entry
-            if key in locked_set:
+            if key in locked:
                 skipped.append(key)
                 continue
             chosen = key
@@ -111,10 +114,9 @@ class LruPolicy(EvictionPolicy):
     def on_remove(self, key: Key) -> None:
         self._order.pop(key, None)
 
-    def victim(self, locked: Iterable[Key]) -> Optional[Key]:
-        locked_set = set(locked)
+    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
         for key in self._order:
-            if key not in locked_set:
+            if key not in locked:
                 return key
         return None
 
@@ -151,8 +153,7 @@ class ClockPolicy(EvictionPolicy):
         self._referenced.pop(key, None)
         # Stale ring entries are skipped lazily during victim scans.
 
-    def victim(self, locked: Iterable[Key]) -> Optional[Key]:
-        locked_set = set(locked)
+    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
         # Bound the scan: each live entry is visited at most twice (once to
         # clear its bit, once to claim it).
         for _ in range(2 * len(self._ring) + 1):
@@ -161,7 +162,7 @@ class ClockPolicy(EvictionPolicy):
             key = self._ring.popleft()
             if key not in self._referenced:
                 continue  # lazily removed
-            if key in locked_set:
+            if key in locked:
                 self._ring.append(key)
                 continue
             if self._referenced[key]:

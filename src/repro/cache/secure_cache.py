@@ -33,7 +33,6 @@ dirty node, a pinned node holding its fresh MAC, or the root.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import ConfigurationError, ReplayError
@@ -52,10 +51,14 @@ ENTRY_METADATA_BYTES = 16
 NodeKey = tuple  # (level, index)
 
 
-@dataclass
 class CacheEntry:
-    data: bytearray
-    dirty: bool = False
+    """One cached node: its EPC-resident bytes and the dirty bit."""
+
+    __slots__ = ("data", "dirty")
+
+    def __init__(self, data: bytearray, dirty: bool = False):
+        self.data = data
+        self.dirty = dirty
 
 
 class SecureCache:
@@ -83,6 +86,11 @@ class SecureCache:
         self._enclave = enclave
         self._tree = tree
         layout = tree.layout
+        # Geometry the miss path needs several times per op, read once.
+        self._n_counters = layout.n_counters
+        self._arity = layout.arity
+        self._node_size = layout.node_size
+        self._top_level = layout.top_level
         pin_levels = min(pin_levels, layout.n_levels)
         self._pinned_levels = layout.pinned_level_set(pin_levels)
         self._capacity_bytes = capacity_bytes
@@ -162,22 +170,22 @@ class SecureCache:
         against its (already pinned) parent, so a tampered tree cannot sneak
         into the pinned store.
         """
-        layout = self._tree.layout
+        tree = self._tree
+        arity = self._arity
         for level in sorted(levels, reverse=True):
             nodes: list[bytearray] = []
-            for index in range(layout.nodes_at_level(level)):
-                node = self._tree.read_node(level, index)
-                if level == layout.top_level:
-                    self._tree.check_against_root(node)
+            for index in range(tree.layout.nodes_at_level(level)):
+                node = tree.read_node(level, index)
+                if level == self._top_level:
+                    tree.check_against_root(node)
                 else:
-                    parent_level, parent_index, offset = layout.parent_of(level, index)
-                    parent = self._trusted_node_view(parent_level, parent_index)
+                    parent = self._trusted_node_view(level + 1, index // arity)
                     if parent is None:
                         # Parent level not pinned: fall back to path verify.
                         self._verified_node_bytes(level, index)
                     else:
-                        computed = self._tree.node_mac(node)
-                        if computed != bytes(parent[offset : offset + MAC_SIZE]):
+                        offset = index % arity * MAC_SIZE
+                        if tree.node_mac(node) != parent[offset : offset + MAC_SIZE]:
                             raise ReplayError(
                                 f"pinned node (level {level}, {index}) failed "
                                 "verification during pinning"
@@ -204,50 +212,92 @@ class SecureCache:
 
     # -- transient verification (Section IV-B caching walkthrough) ----------------------
 
+    # Everything from here to ``increment_counter`` is the miss path: a
+    # uniform or write-heavy request runs it about once per op, so it is
+    # written the way the hit path is (ARCHITECTURE "Host-time hot path"):
+    # geometry from the constants bound in ``__init__``, parent arithmetic
+    # and the EPC-residency lookup spelled inline (``_trusted_node_view``
+    # stays the definition), events counted in place.  What the paper
+    # counts is still *called*, one at a time and in program order:
+    # ``MerkleTree.read_node/write_node/node_mac`` and ``Enclave.epc_touch``.
+
     def _verified_node_bytes(self, level: int, index: int) -> bytes:
         """Read a node from untrusted memory, verified up to the first
-        EPC-resident ancestor (cached, pinned, or the root)."""
-        layout = self._tree.layout
-        node = self._tree.read_node(level, index)
-        if level == layout.top_level:
-            self._tree.check_against_root(node)
+        EPC-resident ancestor (cached, pinned, or the root).
+
+        One walk, two phases.  *Up*: read and MAC each node until an
+        EPC-resident ancestor — or the root check — vouches for the chain.
+        *Down*: compare each computed MAC with its parent's slot, topmost
+        first.  That is the order the recursive definition (verify the
+        parent, then compare against it) charges, compares and raises in:
+        when two levels are bad, the error names the upper one.
+        """
+        tree = self._tree
+        top_level = self._top_level
+        node = tree.read_node(level, index)
+        if level == top_level:
+            tree.check_against_root(node)
             return node
-        computed = self._tree.node_mac(node)
-        parent_level, parent_index, offset = layout.parent_of(level, index)
-        parent = self._trusted_node_view(parent_level, parent_index)
-        if parent is None:
-            parent = self._verified_node_bytes(parent_level, parent_index)
-        stored = bytes(parent[offset : offset + MAC_SIZE])
-        if computed != stored:
-            raise ReplayError(
-                f"Merkle node (level {level}, index {index}) failed "
-                "verification: replay or tampering detected"
-            )
+        arity = self._arity
+        pinned = self._pinned
+        unverified = []  # (level, index, computed MAC, bytes), leaf-most first
+        while True:
+            unverified.append((level, index, tree.node_mac(node), node))
+            level += 1
+            index //= arity
+            if level in pinned:
+                self._enclave.epc_touch(MAC_SIZE)
+                parent = pinned[level][index]
+                break
+            entry = self._entries.get((level, index))
+            if entry is not None:
+                self._enclave.epc_touch(MAC_SIZE)
+                parent = entry.data
+                break
+            node = tree.read_node(level, index)
+            if level == top_level:
+                tree.check_against_root(node)
+                parent = node
+                break
+        for level, index, computed, node in reversed(unverified):
+            offset = index % arity * MAC_SIZE
+            if computed != parent[offset : offset + MAC_SIZE]:
+                raise ReplayError(
+                    f"Merkle node (level {level}, index {index}) failed "
+                    "verification: replay or tampering detected"
+                )
+            parent = node
         return node
 
     # -- insertion and eviction -------------------------------------------------------
 
-    def _insert(self, level: int, index: int, data: bytearray, *, dirty: bool,
-                locked: frozenset) -> Optional[CacheEntry]:
+    def _insert(self, key: NodeKey, data: bytearray, dirty: bool,
+                locked: Optional[frozenset] = None) -> Optional[CacheEntry]:
         """Place a verified node into the cache, evicting as needed.
 
-        Returns the entry, or None if no victim could be freed (tiny caches).
+        ``locked`` holds the keys of the evictions this insert is nested in
+        (``None`` at the top of an op).  Returns the entry, or None if no
+        victim could be freed (tiny caches).
         """
-        key = (level, index)
-        while len(self._entries) >= self.max_entries:
-            if not self._evict_one(locked | {key}):
-                return None
-            if key in self._entries:
-                # A nested eviction inserted this very node (e.g. two dirty
-                # leaves sharing a parent).  The nested copy is fresher — it
-                # already absorbed the sibling's MAC — so use it as-is.
-                return self._entries[key]
-        entry = CacheEntry(data=data, dirty=dirty)
-        self._entries[key] = entry
+        entries = self._entries
+        if len(entries) >= self.max_entries:
+            # The locked set exists only when an eviction actually happens.
+            locked = frozenset((key,)) if locked is None else locked | {key}
+            while len(entries) >= self.max_entries:
+                if not self._evict_one(locked):
+                    return None
+                if key in entries:
+                    # A nested eviction inserted this very node (e.g. two
+                    # dirty leaves sharing a parent).  The nested copy is
+                    # fresher — it already absorbed the sibling's MAC — so
+                    # use it as-is.
+                    return entries[key]
+        entry = CacheEntry(data, dirty)
+        entries[key] = entry
         self._policy.on_insert(key)
         if self._partition is not None:
             self._partition.on_insert(key)
-        self._enclave.epc_touch(self._tree.layout.node_size)
+        self._enclave.epc_touch(self._node_size)
         return entry
 
     def _evict_one(self, locked: frozenset, *, partition: bool = True) -> bool:
@@ -261,20 +311,18 @@ class SecureCache:
         ``partition=False`` bypasses protection for whole-cache flushes
         (stop-swap), which are not cross-tenant pressure.
         """
+        meter = self._enclave.meter
         if partition and self._partition is not None:
             protected = self._partition.protected_keys()
-            if protected:
-                victim = self._policy.victim(locked | protected)
-                if victim is None:
-                    self.tenant_denials += 1
-                    self._enclave.meter.count("tenant_evict_denied")
-                    owner = self._partition.current_owner
-                    if owner is not None:
-                        self._enclave.meter.count(
-                            f"tenant_evict_denied:{owner}")
-                    return False
-            else:
-                victim = self._policy.victim(locked)
+            victim = self._policy.victim(
+                locked | protected if protected else locked)
+            if victim is None and protected:
+                self.tenant_denials += 1
+                meter.count("tenant_evict_denied")
+                owner = self._partition.current_owner
+                if owner is not None:
+                    meter.count(f"tenant_evict_denied:{owner}")
+                return False
         else:
             victim = self._policy.victim(locked)
         if victim is None:
@@ -284,106 +332,122 @@ class SecureCache:
         if self._partition is not None:
             self._partition.on_remove(victim)
         self.stats.evictions += 1
-        self._enclave.meter.count("cache_evict")
-        level, index = victim
+        if meter.enabled:
+            meter.events["cache_evict"] += 1
         if entry.dirty:
-            self._writeback(level, index, entry, locked)
+            self._writeback(victim, entry, locked)
         else:
             # Clean discard: no write-back at all.  SGX's EWB cannot do this
             # (Section IV-C); the ablation flag restores EWB-like behaviour.
             self.stats.clean_discards += 1
             if self._writeback_clean:
-                self._write_node_out(level, index, entry.data)
+                self._write_node_out(victim[0], victim[1], bytes(entry.data))
         return True
 
-    def _writeback(self, level: int, index: int, entry: CacheEntry,
+    def _writeback(self, key: NodeKey, entry: CacheEntry,
                    locked: frozenset) -> None:
         """Propagate a dirty victim's MAC to its parent, then write it out."""
-        layout = self._tree.layout
-        new_mac = self._tree.node_mac(bytes(entry.data))
-        if level == layout.top_level:
-            self._tree.set_root(new_mac)
+        level, index = key
+        tree = self._tree
+        enclave = self._enclave
+        body = bytes(entry.data)  # the one copy: MAC input and write-out
+        new_mac = tree.node_mac(body)
+        if level == self._top_level:
+            tree.set_root(new_mac)
         else:
-            parent_level, parent_index, offset = layout.parent_of(level, index)
-            parent = self._trusted_node_view(parent_level, parent_index)
-            if parent is None and self.swapping:
-                # Paper path: swap the parent in, then update the cached copy.
-                verified = bytearray(
-                    self._verified_node_bytes(parent_level, parent_index)
-                )
-                inserted = self._insert(
-                    parent_level, parent_index, verified, dirty=False,
-                    locked=locked | {(level, index)},
-                )
-                parent = inserted.data if inserted is not None else None
+            parent_level = level + 1
+            parent_index = index // self._arity
+            offset = index % self._arity * MAC_SIZE
+            parent = parent_entry = None
+            if parent_level in self._pinned:
+                enclave.epc_touch(MAC_SIZE)
+                parent = self._pinned[parent_level][parent_index]
+            else:
+                parent_key = (parent_level, parent_index)
+                parent_entry = self._entries.get(parent_key)
+                if parent_entry is not None:
+                    enclave.epc_touch(MAC_SIZE)
+                elif self.swapping:
+                    # Paper path: swap the parent in, then update the cached
+                    # copy (None when the cache is too small to host it).
+                    parent_entry = self._insert(
+                        parent_key,
+                        bytearray(self._verified_node_bytes(parent_level,
+                                                            parent_index)),
+                        False, locked | {key})
+                if parent_entry is not None:
+                    parent = parent_entry.data
+                    parent_entry.dirty = True
             if parent is not None:
                 parent[offset : offset + MAC_SIZE] = new_mac
-                parent_entry = self._entries.get((parent_level, parent_index))
-                if parent_entry is not None:
-                    parent_entry.dirty = True
-                self._enclave.epc_touch(MAC_SIZE)
+                enclave.epc_touch(MAC_SIZE)
             else:
-                # Cache too small to host the parent: propagate through
-                # untrusted memory instead (same machinery as stop-swap writes).
+                # Propagate through untrusted memory instead (same machinery
+                # as stop-swap writes).
                 self._propagate_mac_untrusted(parent_level, parent_index,
                                               offset, new_mac)
-        self._write_node_out(level, index, entry.data)
+        self._write_node_out(level, index, body)
         self.stats.writebacks += 1
-        self._enclave.meter.count("cache_writeback")
+        meter = enclave.meter
+        if meter.enabled:
+            meter.events["cache_writeback"] += 1
 
-    def _write_node_out(self, level: int, index: int, data: bytearray) -> None:
+    def _write_node_out(self, level: int, index: int, body: bytes) -> None:
         """Write a node body back to untrusted memory (plaintext by default)."""
         if self._swap_encrypt:
             # Ablation: charge the encryption SGX paging would have forced.
             self._enclave.meter.charge_event(
                 "enc_bytes",
-                self._enclave.costs.enc_cost(len(data)),
-                len(data),
+                self._enclave.costs.enc_cost(len(body)),
+                len(body),
             )
-        self._tree.write_node(level, index, bytes(data))
+        self._tree.write_node(level, index, body)
 
     def _propagate_mac_untrusted(self, level: int, index: int,
                                  slot_offset: int, child_mac: bytes) -> None:
         """Update an *uncached* ancestor chain in untrusted memory.
 
         Verifies each node before modifying it, updates the child-MAC slot,
-        writes it back, and recurses until an EPC-resident node (pinned,
+        writes it back, and climbs until an EPC-resident node (pinned,
         cached, or the root) absorbs the change.
         """
-        layout = self._tree.layout
-        resident = self._trusted_node_view(level, index)
-        if resident is not None:
-            resident[slot_offset : slot_offset + MAC_SIZE] = child_mac
-            entry = self._entries.get((level, index))
-            if entry is not None:
-                entry.dirty = True
-            self._enclave.epc_touch(MAC_SIZE)
-            return
-        node = bytearray(self._verified_node_bytes(level, index))
-        node[slot_offset : slot_offset + MAC_SIZE] = child_mac
-        self._tree.write_node(level, index, bytes(node))
-        new_mac = self._tree.node_mac(bytes(node))
-        if level == layout.top_level:
-            self._tree.set_root(new_mac)
-            return
-        parent_level, parent_index, offset = layout.parent_of(level, index)
-        self._propagate_mac_untrusted(parent_level, parent_index, offset, new_mac)
+        tree = self._tree
+        arity = self._arity
+        while True:
+            resident = self._trusted_node_view(level, index)
+            if resident is not None:
+                resident[slot_offset : slot_offset + MAC_SIZE] = child_mac
+                entry = self._entries.get((level, index))
+                if entry is not None:
+                    entry.dirty = True
+                self._enclave.epc_touch(MAC_SIZE)
+                return
+            node = bytearray(self._verified_node_bytes(level, index))
+            node[slot_offset : slot_offset + MAC_SIZE] = child_mac
+            body = bytes(node)
+            tree.write_node(level, index, body)
+            child_mac = tree.node_mac(body)
+            if level == self._top_level:
+                tree.set_root(child_mac)
+                return
+            slot_offset = index % arity * MAC_SIZE
+            level += 1
+            index //= arity
 
     # -- the counter API used by Aria -----------------------------------------------
 
-    # ``read_counter`` runs once per Get and twice per Put; its hit branch
-    # (and ``write_counter``'s) is therefore written flat: slot arithmetic
-    # with ``MerkleLayout.counter_slot``'s range check inline, and the hit
-    # bookkeeping — stats, ``cache_hit`` event, hit penalty, policy, EPC
-    # touch, in that order — without helper calls.
+    # ``read_counter`` runs once per Get and twice per Put; its branches
+    # (and ``write_counter``'s) are therefore written flat: slot arithmetic
+    # with ``MerkleLayout.counter_slot``'s range check inline, and the
+    # bookkeeping — stats, ``cache_hit``/``cache_miss`` event, hit penalty,
+    # policy, EPC touch, in that order — without helper calls.
 
     def read_counter(self, counter_id: int) -> bytes:
         """Return the verified 16-byte counter for ``counter_id``."""
-        layout = self._tree.layout
-        if not 0 <= counter_id < layout.n_counters:
+        if not 0 <= counter_id < self._n_counters:
             raise IndexError(f"counter id {counter_id} out of range")
-        leaf_index = counter_id // layout.arity
-        offset = counter_id % layout.arity * COUNTER_SIZE
+        leaf_index = counter_id // self._arity
+        offset = counter_id % self._arity * COUNTER_SIZE
         enclave = self._enclave
         if 0 in self._pinned:
             enclave.epc_touch(COUNTER_SIZE)
@@ -391,9 +455,9 @@ class SecureCache:
         else:
             key = (0, leaf_index)
             entry = self._entries.get(key)
+            meter = enclave.meter
             if entry is not None:
                 self.stats.record_hit()
-                meter = enclave.meter
                 if meter.enabled:
                     meter.events["cache_hit"] += 1
                     if self._hit_cost:
@@ -403,11 +467,11 @@ class SecureCache:
                 node = entry.data
             else:
                 self.stats.record_miss()
-                enclave.meter.count("cache_miss")
+                if meter.enabled:
+                    meter.events["cache_miss"] += 1
                 node = self._verified_node_bytes(0, leaf_index)
                 if self.swapping:
-                    self._insert(0, leaf_index, bytearray(node), dirty=False,
-                                 locked=frozenset())
+                    self._insert(key, bytearray(node), False)
                 self._maybe_stop_swap()
         return bytes(node[offset : offset + COUNTER_SIZE])
 
@@ -415,11 +479,10 @@ class SecureCache:
         """Store a new counter value, keeping the MT consistent."""
         if len(value) != COUNTER_SIZE:
             raise ConfigurationError(f"counter must be {COUNTER_SIZE} bytes")
-        layout = self._tree.layout
-        if not 0 <= counter_id < layout.n_counters:
+        if not 0 <= counter_id < self._n_counters:
             raise IndexError(f"counter id {counter_id} out of range")
-        leaf_index = counter_id // layout.arity
-        offset = counter_id % layout.arity * COUNTER_SIZE
+        leaf_index = counter_id // self._arity
+        offset = counter_id % self._arity * COUNTER_SIZE
         enclave = self._enclave
         if 0 in self._pinned:
             node = self._pinned[0][leaf_index]
@@ -428,9 +491,9 @@ class SecureCache:
             return
         key = (0, leaf_index)
         entry = self._entries.get(key)
+        meter = enclave.meter
         if entry is not None:
             self.stats.record_hit()
-            meter = enclave.meter
             if meter.enabled:
                 meter.events["cache_hit"] += 1
                 if self._hit_cost:
@@ -441,34 +504,71 @@ class SecureCache:
             enclave.epc_touch(COUNTER_SIZE)
             return
         self.stats.record_miss()
-        self._enclave.meter.count("cache_miss")
+        if meter.enabled:
+            meter.events["cache_miss"] += 1
         node = bytearray(self._verified_node_bytes(0, leaf_index))
         node[offset : offset + COUNTER_SIZE] = value
         if self.swapping:
-            inserted = self._insert(0, leaf_index, node, dirty=True,
-                                    locked=frozenset())
-            if inserted is not None:
+            if self._insert(key, node, True) is not None:
                 self._maybe_stop_swap()
                 return
         # Not cacheable: write through untrusted memory and propagate the MAC.
-        self._tree.write_node(0, leaf_index, bytes(node))
-        new_mac = self._tree.node_mac(bytes(node))
-        if layout.top_level == 0:
-            self._tree.set_root(new_mac)
+        tree = self._tree
+        body = bytes(node)
+        tree.write_node(0, leaf_index, body)
+        new_mac = tree.node_mac(body)
+        if self._top_level == 0:
+            tree.set_root(new_mac)
         else:
-            parent_level, parent_index, poffset = layout.parent_of(0, leaf_index)
-            self._propagate_mac_untrusted(parent_level, parent_index, poffset,
-                                          new_mac)
+            self._propagate_mac_untrusted(
+                1, leaf_index // self._arity,
+                leaf_index % self._arity * MAC_SIZE, new_mac)
         self._maybe_stop_swap()
 
     def increment_counter(self, counter_id: int) -> bytes:
         """Verify, increment, and store a counter; returns the new value.
 
         This is the pre-encryption step of every Put (Section V-D step 3).
+        By definition it is ``read_counter`` then ``write_counter``.  A Put
+        has just opened the record it overwrites, so the leaf is nearly
+        always cached and both halves hit: that branch does the two hits'
+        bookkeeping in place, in the same order.
         """
-        current = int.from_bytes(self.read_counter(counter_id), "little")
-        new_value = ((current + 1) % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
-        self.write_counter(counter_id, new_value)
+        if not 0 <= counter_id < self._n_counters:
+            raise IndexError(f"counter id {counter_id} out of range")
+        key = (0, counter_id // self._arity)
+        entry = self._entries.get(key)
+        if entry is None:  # leaf level pinned, or a miss
+            current = self.read_counter(counter_id)
+            new_value = ((int.from_bytes(current, "little") + 1)
+                         % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
+            self.write_counter(counter_id, new_value)
+            return new_value
+        offset = counter_id % self._arity * COUNTER_SIZE
+        end = offset + COUNTER_SIZE
+        enclave = self._enclave
+        meter = enclave.meter
+        stats = self.stats
+        policy = self._policy
+        data = entry.data
+        stats.record_hit()  # the read
+        if meter.enabled:
+            meter.events["cache_hit"] += 1
+            if self._hit_cost:
+                meter.cycles += self._hit_cost
+        policy.on_hit(key)
+        enclave.epc_touch(COUNTER_SIZE)
+        new_value = ((int.from_bytes(data[offset:end], "little") + 1)
+                     % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
+        stats.record_hit()  # the write
+        if meter.enabled:
+            meter.events["cache_hit"] += 1
+            if self._hit_cost:
+                meter.cycles += self._hit_cost
+        policy.on_hit(key)
+        data[offset:end] = new_value
+        entry.dirty = True
+        enclave.epc_touch(COUNTER_SIZE)
         return new_value
 
     def flush_to_untrusted(self) -> None:

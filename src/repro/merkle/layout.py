@@ -20,7 +20,7 @@ sweeps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from repro.errors import ConfigurationError
 
@@ -30,10 +30,22 @@ MAC_SIZE = 16
 
 @dataclass(frozen=True)
 class MerkleLayout:
-    """Pure geometry: node counts, sizes and parent/child arithmetic."""
+    """Pure geometry: node counts, sizes and parent/child arithmetic.
+
+    Identity is ``(n_counters, arity)``; everything else is derived from
+    those two once, at construction, because the Secure Cache's miss path
+    asks for it several times per op (ARCHITECTURE "Host-time hot path").
+    """
 
     n_counters: int
     arity: int
+    #: Bytes per node — the MAC input length m of Fig 5.
+    node_size: int = field(init=False, repr=False, compare=False)
+    #: Number of node levels (the top level has exactly one node).
+    n_levels: int = field(init=False, repr=False, compare=False)
+    top_level: int = field(init=False, repr=False, compare=False)
+    #: Nodes per level, leaf first (level 0 = counter blocks).
+    level_counts: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.arity < 2:
@@ -42,41 +54,38 @@ class MerkleLayout:
             raise ConfigurationError(
                 f"need at least one counter, got {self.n_counters}"
             )
+        counts = []
+        count = self.n_counters
+        while True:
+            count = -(-count // self.arity)  # ceil division
+            counts.append(count)
+            if count == 1:
+                break
+        store = object.__setattr__  # the dataclass is frozen
+        store(self, "node_size", self.arity * COUNTER_SIZE)  # MACs are 16 B too
+        store(self, "n_levels", len(counts))
+        store(self, "top_level", len(counts) - 1)
+        store(self, "level_counts", tuple(counts))
 
-    @property
-    def node_size(self) -> int:
-        """Bytes per node — the MAC input length m of Fig 5."""
-        return self.arity * COUNTER_SIZE  # counters and MACs are both 16 B
+    def _check_level(self, level: int) -> None:
+        # A negative level must not wrap around ``level_counts`` to the top.
+        if not 0 <= level < self.n_levels:
+            raise IndexError(
+                f"level {level} out of range [0, {self.n_levels})")
 
     def nodes_at_level(self, level: int) -> int:
         """Number of nodes at ``level`` (level 0 = counter blocks)."""
-        count = self.n_counters
-        for _ in range(level + 1):
-            count = -(-count // self.arity)  # ceil division
-        return count
-
-    @property
-    def n_levels(self) -> int:
-        """Number of node levels (the top level has exactly one node)."""
-        levels = 0
-        count = self.n_counters
-        while True:
-            count = -(-count // self.arity)
-            levels += 1
-            if count == 1:
-                return levels
-
-    @property
-    def top_level(self) -> int:
-        return self.n_levels - 1
+        self._check_level(level)
+        return self.level_counts[level]
 
     def level_bytes(self, level: int) -> int:
         """Total bytes occupied by one level's node array."""
-        return self.nodes_at_level(level) * self.node_size
+        self._check_level(level)
+        return self.level_counts[level] * self.node_size
 
     def level_sizes(self) -> list[int]:
         """Bytes per level, leaf first — Section IV-E's pinning budget table."""
-        return [self.level_bytes(level) for level in range(self.n_levels)]
+        return [count * self.node_size for count in self.level_counts]
 
     def total_bytes(self) -> int:
         """Total untrusted bytes for the whole tree (Section VI-D4 analysis)."""
@@ -93,17 +102,19 @@ class MerkleLayout:
 
     def parent_of(self, level: int, index: int) -> tuple[int, int, int]:
         """Return (parent level, parent index, byte offset of our MAC slot)."""
-        if level >= self.top_level:
+        self._check_level(level)
+        if level == self.top_level:
             raise IndexError(f"level {level} node has no parent node (root above)")
         parent_index, slot = divmod(index, self.arity)
         return level + 1, parent_index, slot * MAC_SIZE
 
     def children_of(self, level: int, index: int) -> range:
         """Child node indices at ``level - 1`` covered by this node."""
+        self._check_level(level)
         if level == 0:
             raise IndexError("level-0 nodes have counters, not child nodes")
         first = index * self.arity
-        last = min(first + self.arity, self.nodes_at_level(level - 1))
+        last = min(first + self.arity, self.level_counts[level - 1])
         return range(first, last)
 
     def pinned_bytes(self, pin_levels: int) -> int:
@@ -112,8 +123,8 @@ class MerkleLayout:
             raise ConfigurationError(
                 f"pin_levels must be in [0, {self.n_levels}], got {pin_levels}"
             )
-        top = self.top_level
-        return sum(self.level_bytes(top - i) for i in range(pin_levels))
+        first = self.n_levels - pin_levels
+        return sum(self.level_counts[first:]) * self.node_size
 
     def pinned_level_set(self, pin_levels: int) -> frozenset:
         """The set of levels covered when pinning the top ``pin_levels``."""

@@ -40,6 +40,9 @@ class MerkleTree:
     ):
         self._enclave = enclave
         self.layout = layout
+        # ``read_node``/``write_node`` run on every Secure Cache miss and
+        # do their own address arithmetic from these two constants.
+        self._node_size = layout.node_size
         if level_bases is not None:
             # Restore path (enclave restart): adopt existing untrusted
             # regions and a sealed root — no re-initialization.  Every
@@ -47,23 +50,23 @@ class MerkleTree:
             # during the downtime is caught.
             if root_mac is None or len(root_mac) != MAC_SIZE:
                 raise ValueError("restoring a tree requires its root MAC")
-            self._level_bases = list(level_bases)
+            self._bases = tuple(level_bases)
             enclave.epc.reserve(self.EPC_CONSUMER, MAC_SIZE)
             self.root_mac = root_mac
             return
         # One continuous region per level; address arithmetic only.
-        self._level_bases = [
-            enclave.untrusted.alloc(layout.level_bytes(level))
-            for level in range(layout.n_levels)
-        ]
+        self._bases = tuple(
+            enclave.untrusted.alloc(count * layout.node_size)
+            for count in layout.level_counts
+        )
         enclave.epc.reserve(self.EPC_CONSUMER, MAC_SIZE)
         self.root_mac = b"\x00" * MAC_SIZE
         self._initialize(rng or random.Random(0))
 
     @property
     def level_bases(self) -> list:
-        """Untrusted base addresses per level (for state capture)."""
-        return list(self._level_bases)
+        """Untrusted base addresses per level (a copy, for state capture)."""
+        return list(self._bases)
 
     def rebuild_above_leaves(self) -> None:
         """Recompute every level above L0 from the untrusted leaf contents.
@@ -75,24 +78,24 @@ class MerkleTree:
         layout = self.layout
         for level in range(1, layout.n_levels):
             for index in range(layout.nodes_at_level(level)):
-                node = bytearray(layout.node_size)
-                for child in layout.children_of(level, index):
-                    child_mac = self.node_mac(self.read_node(level - 1, child))
-                    slot = (child - index * layout.arity) * MAC_SIZE
-                    node[slot : slot + MAC_SIZE] = child_mac
+                node = bytearray(self._node_size)
+                for slot, child in enumerate(layout.children_of(level, index)):
+                    node[slot * MAC_SIZE : (slot + 1) * MAC_SIZE] = (
+                        self.node_mac(self.read_node(level - 1, child)))
                 self.write_node(level, index, bytes(node))
         self.root_mac = self.node_mac(self.read_node(layout.top_level, 0))
 
     # -- raw node access (cycle-charged) ---------------------------------------
 
     def node_addr(self, level: int, index: int) -> int:
-        return self._level_bases[level] + index * self.layout.node_size
+        """Untrusted address of a node: level base + index * node size."""
+        return self._bases[level] + index * self._node_size
 
     def read_node(self, level: int, index: int) -> bytes:
         """Read a node's bytes from untrusted memory (charged)."""
+        node_size = self._node_size
         return self._enclave.read_untrusted(
-            self.node_addr(level, index), self.layout.node_size
-        )
+            self._bases[level] + index * node_size, node_size)
 
     def write_node(self, level: int, index: int, data: bytes) -> None:
         """Write a node back to untrusted memory — in plaintext.
@@ -101,16 +104,21 @@ class MerkleTree:
         plaintext is meaningless to an attacker, integrity alone suffices, so
         Aria skips the encryption SGX paging would force.
         """
-        if len(data) != self.layout.node_size:
+        node_size = self._node_size
+        if len(data) != node_size:
             raise ValueError(
-                f"node write must be {self.layout.node_size} B, got {len(data)}"
+                f"node write must be {node_size} B, got {len(data)}"
             )
-        self._enclave.write_untrusted(self.node_addr(level, index), data)
+        self._enclave.write_untrusted(
+            self._bases[level] + index * node_size, data)
 
     def node_mac(self, node_bytes: bytes) -> bytes:
         """MAC of a node's content, computed inside the enclave."""
-        self._enclave.meter.count("mt_verify")
-        return self._enclave.mac(node_bytes)
+        enclave = self._enclave
+        meter = enclave.meter
+        if meter.enabled:
+            meter.events["mt_verify"] += 1
+        return enclave.mac(node_bytes)
 
     # -- parent-slot helpers -----------------------------------------------------
 
@@ -142,24 +150,13 @@ class MerkleTree:
         :class:`repro.sgx.meter.MeterPause` since the paper excludes setup
         from its throughput numbers.
         """
-        layout = self.layout
+        node_size = self._node_size
         # Level 0: random initial counters (full node granularity writes).
-        n_leaf = layout.nodes_at_level(0)
-        for index in range(n_leaf):
-            node = rng.getrandbits(layout.node_size * 8).to_bytes(
-                layout.node_size, "little"
-            )
+        for index in range(self.layout.nodes_at_level(0)):
+            node = rng.getrandbits(node_size * 8).to_bytes(node_size, "little")
             self.write_node(0, index, node)
         # Upper levels: parent holds the MAC of each child node.
-        for level in range(1, layout.n_levels):
-            for index in range(layout.nodes_at_level(level)):
-                node = bytearray(layout.node_size)
-                for child in layout.children_of(level, index):
-                    child_mac = self.node_mac(self.read_node(level - 1, child))
-                    slot = (child - index * layout.arity) * MAC_SIZE
-                    node[slot : slot + MAC_SIZE] = child_mac
-                self.write_node(level, index, bytes(node))
-        self.root_mac = self.node_mac(self.read_node(layout.top_level, 0))
+        self.rebuild_above_leaves()
 
     # -- uncached verification (used without a Secure Cache) ---------------------
 
