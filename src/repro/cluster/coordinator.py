@@ -40,7 +40,8 @@ from repro.errors import (
 )
 from repro.server import protocol
 from repro.server.protocol import (
-    OpCode,
+    OP_GET,
+    OP_HEALTH,
     Request,
     Response,
     Status,
@@ -484,8 +485,10 @@ class ClusterCoordinator:
         brownout = False
         if over is not None and self._health_monitor is not None:
             brownout = over.update_brownout(self._health_monitor.recovering())
+        route = self.ring.route
+        batch_window = self.batch_window
         for seq, request in enumerate(requests):
-            if request.opcode == OpCode.HEALTH:
+            if request.opcode == OP_HEALTH:
                 # Answered at the front door, never routed to an enclave.
                 responses[seq] = self.health_response()
                 continue
@@ -496,15 +499,15 @@ class ClusterCoordinator:
                     continue
                 request = ten.prefix_request(tenant, request)
                 requests[seq] = request  # dispatch batches read requests[s]
-            if brownout and request.opcode != OpCode.GET:
+            if brownout and request.opcode != OP_GET:
                 over.brownout_shed += 1
                 responses[seq] = over.shed_response(
                     0.0, b"brownout: recovery in progress")
                 continue
-            shard_id = self.ring.route(request.key)
+            shard_id = route(request.key)
             bucket = pending[shard_id]
             bucket.append(seq)
-            if len(bucket) >= self.batch_window:
+            if len(bucket) >= batch_window:
                 inflight.append(
                     self._dispatch(shard_id, bucket, requests, deadline))
                 pending[shard_id] = []
@@ -552,7 +555,7 @@ class ClusterCoordinator:
         started = over.clock() if over is not None else None
         try:
             if submit is None:
-                flushed = list(shard.server.flush_batch(batch))
+                flushed = shard.server.flush_batch(batch)
                 latency = (over.clock() - started
                            if over is not None else None)
                 return _Flight(shard_id, seqs, flushed=flushed,
@@ -582,7 +585,7 @@ class ClusterCoordinator:
         flushed: List[Response] = [shed] * len(seqs)
         fallback = getattr(shard.server, "flush_reads_fallback", None)
         read_pos = [i for i, s in enumerate(seqs)
-                    if requests[s].opcode == OpCode.GET]
+                    if requests[s].opcode == OP_GET]
         if fallback is not None and read_pos:
             try:
                 served = list(fallback(

@@ -41,6 +41,10 @@ def frame_length_ok(frame_len: int) -> bool:
 
 
 def write_frame(sock: socket.socket, payload: bytes) -> None:
+    """A length the peer's reader would refuse is refused here, unsent."""
+    if not frame_length_ok(len(payload)):
+        raise ProtocolError(
+            f"frame of {len(payload)} bytes is outside 1..{MAX_FRAME_BYTES}")
     try:
         sock.sendall(frame(payload))
     except socket.timeout as exc:

@@ -95,7 +95,7 @@ from repro.errors import (
     TamperedFrameError,
 )
 from repro.server import protocol
-from repro.server.protocol import Request, Response
+from repro.server.protocol import BATCH_REJECTION, Request, Response
 from repro.sgx.meter import CycleMeter
 
 #: Client-side defaults: a hung server must never block a caller forever.
@@ -445,28 +445,32 @@ class ClusterNetServer:
                     # The length itself is hostile: reject without reading
                     # (or allocating) the claimed payload, then hang up —
                     # the stream cannot be resynchronized.
-                    await self._send(writer, protocol.encode_batch_rejection())
+                    await self._send(writer, BATCH_REJECTION)
                     break
                 try:
                     payload = await reader.readexactly(frame_len)
                 except (asyncio.IncompleteReadError, ConnectionError):
                     break
-                try:
-                    fheader, _ = protocol.decode_frame(payload)
-                except ProtocolError:
-                    # Carries the v2 magic but is not a well-formed v2
-                    # frame: hostile framing, hang up.
-                    await self._send(writer, protocol.encode_batch_rejection())
-                    break
-                if (fheader.version == protocol.WIRE_V2
-                        and fheader.flags & protocol.FLAG_HANDSHAKE):
-                    session, keep = await self._serve_handshake(
-                        writer, payload, session
-                    )
-                    if not keep:
-                        break
-                    continue
-                if fheader.version == protocol.WIRE_V2:
+                if payload.startswith(protocol.V2_MAGIC):
+                    if session is None or (
+                            len(payload) > 3
+                            and payload[3] & protocol.FLAG_HANDSHAKE):
+                        # A connection's first frame, or the handshake
+                        # bit (byte 3 = flags): checked here.  A session's
+                        # data frame is parsed once, by session.open.
+                        try:
+                            fheader, _ = protocol.decode_frame(payload)
+                        except ProtocolError:
+                            # v2 magic, malformed header: hostile, hang up.
+                            await self._send(writer, BATCH_REJECTION)
+                            break
+                        if fheader.flags & protocol.FLAG_HANDSHAKE:
+                            session, keep = await self._serve_handshake(
+                                writer, payload, session
+                            )
+                            if not keep:
+                                break
+                            continue
                     plain = await self._open_session_frame(
                         writer, payload, session
                     )
@@ -478,9 +482,7 @@ class ClusterNetServer:
                         # Plaintext mid-session is a downgrade attempt;
                         # plaintext on a v2-only front door is policy.
                         self.plaintext_rejections += 1
-                        await self._send(
-                            writer, protocol.encode_batch_rejection()
-                        )
+                        await self._send(writer, BATCH_REJECTION)
                         break
                     plain = payload
                 try:
@@ -489,8 +491,7 @@ class ClusterNetServer:
                     requests = protocol.decode_batch(plain)
                 except ProtocolError:
                     await self._send_in_session(
-                        writer, protocol.encode_batch_rejection(), session
-                    )
+                        writer, BATCH_REJECTION, session)
                     continue
                 if (session is not None and claimed is not None
                         and claimed != session.tenant):
@@ -500,8 +501,7 @@ class ClusterNetServer:
                     # attempt and is refused per-frame.
                     self.tenant_rejections += 1
                     await self._send_in_session(
-                        writer, protocol.encode_batch_rejection(), session
-                    )
+                        writer, BATCH_REJECTION, session)
                     continue
                 # v2: the handshake-authenticated identity is authoritative.
                 # v1 plaintext: the claim rides unauthenticated, like
@@ -521,7 +521,11 @@ class ClusterNetServer:
                 if action == DROP:
                     self.frames_dropped += 1
                     continue  # swallow the response; the client times out
-                reply = protocol.encode_batch_responses(responses)
+                try:
+                    reply = protocol.encode_batch_responses(responses)
+                except ProtocolError:
+                    # Too big for any reader; they ran, so no rejection.
+                    break
                 if session is not None:
                     reply = session.seal(reply)
                     last_reply = await self._play_wire_attacks(
@@ -604,7 +608,7 @@ class ClusterNetServer:
             if downgraded:
                 self.downgrade_injections += 1
             self.hellos_refused += 1
-            await self._send(writer, protocol.encode_batch_rejection())
+            await self._send(writer, BATCH_REJECTION)
             return session, True
         if session is not None:
             # Rekey: a repeated hello on one connection replaces (and
@@ -614,7 +618,7 @@ class ClusterNetServer:
             reply, session = self.sessions.accept(payload)
         except HandshakeError:
             self.handshake_failures += 1
-            await self._send(writer, protocol.encode_batch_rejection())
+            await self._send(writer, BATCH_REJECTION)
             return None, False  # hostile hello: hang up
         await self._send(writer, reply)
         return session, True
@@ -636,7 +640,7 @@ class ClusterNetServer:
             # recorded from an earlier (now rekeyed) session being played
             # into a fresh connection.
             self.stale_session_alarms += 1
-            await self._send(writer, protocol.encode_batch_rejection())
+            await self._send(writer, BATCH_REJECTION)
             return None
         try:
             return session.open(payload)
@@ -646,9 +650,9 @@ class ClusterNetServer:
             self.stale_session_alarms += 1
         except ReplayError:
             self.replay_alarms += 1
-        except ProtocolError:  # pragma: no cover - headers checked above
-            pass
-        await self._send(writer, protocol.encode_batch_rejection())
+        except ProtocolError:
+            pass  # malformed v2 header: hostile framing, no alarm class
+        await self._send(writer, BATCH_REJECTION)
         return None
 
     async def _play_wire_attacks(
@@ -954,7 +958,7 @@ class ClusterClient:
             return data
         if data.startswith(protocol.V2_MAGIC):
             return self._session.open(data)
-        if data == protocol.encode_batch_rejection():
+        if data == BATCH_REJECTION:
             return data
         raise TamperedFrameError(
             "plaintext data frame on an encrypted session"

@@ -82,6 +82,9 @@ from repro.server import protocol
 from repro.server.protocol import (
     FLAG_FROM_SERVER,
     FLAG_HANDSHAKE,
+    KNOWN_FLAGS,
+    V2_HEADER,
+    V2_MAGIC,
     WIRE_V2,
     FrameHeader,
 )
@@ -116,6 +119,8 @@ _SERVER_MAGIC = b"SHLO"
 _CLIENT_HELLO = struct.Struct("<4sB")          # magic, n_versions
 _SERVER_HELLO = struct.Struct("<4sB16sQ")      # magic, version, nonce, sid
 _QUOTE_LEN = struct.Struct("<H")
+_NONCE = struct.Struct("<QQ")
+_HEADER_SIZE = V2_HEADER.size
 
 #: The simulated attestation authority's root key.  Real SGX: the quoting
 #: enclave's fused key / Intel's verification service.  Simulation: a
@@ -216,6 +221,8 @@ class SecureSession:
     advance.  Both charge the owning side's meter through the cost model —
     the gateway enclave on the server, the client's own accounting on the
     client.
+    Both are on the frame path (ARCHITECTURE §18): one header pack or
+    unpack per frame, MAC input = the frame's bytes before the tag.
     """
 
     def __init__(
@@ -247,76 +254,78 @@ class SecureSession:
     def cipher(self) -> str:
         return f"{self._crypto.name}/aes-ctr+cmac"
 
-    @staticmethod
-    def _nonce(session_id: int, seq: int) -> bytes:
-        return struct.pack("<QQ", session_id, seq)
-
     def seal(self, payload: bytes) -> bytes:
         """Encrypt + authenticate one outgoing frame payload."""
-        self._send_seq += 1
-        header = FrameHeader(version=WIRE_V2, flags=self._send_flags,
-                             session_id=self.session_id, seq=self._send_seq)
-        header_bytes = header.encode()
-        ciphertext = self._crypto.encrypt(
-            self._send_keys.encryption_key,
-            self._nonce(self.session_id, self._send_seq),
-            payload,
-        )
-        tag = self._crypto.mac(self._send_keys.mac_key,
-                               header_bytes + ciphertext)
+        seq = self._send_seq = self._send_seq + 1
+        session_id = self.session_id
+        keys = self._send_keys
+        sealed = V2_HEADER.pack(
+            V2_MAGIC, WIRE_V2, self._send_flags, session_id, seq
+        ) + self._crypto.encrypt(
+            keys.encryption_key, _NONCE.pack(session_id, seq), payload)
+        tag = self._crypto.mac(keys.mac_key, sealed)
+        # CostModel.enc_cost / mac_cost in place: same expression, same float.
+        costs = self._costs
         self.meter.charge_event(
-            "wire_enc", self._costs.enc_cost(len(payload)))
+            "wire_enc", costs.enc_base + len(payload) * costs.enc_per_byte)
         self.meter.charge_event(
-            "wire_mac",
-            self._costs.mac_cost(len(header_bytes) + len(ciphertext)))
+            "wire_mac", costs.mac_base + len(sealed) * costs.mac_per_byte)
         self.frames_sealed += 1
-        return header_bytes + ciphertext + tag
+        return sealed + tag
 
     def open(self, frame: bytes) -> bytes:
-        """Verify + decrypt one incoming frame payload; typed errors only."""
-        header, body = protocol.decode_frame(frame)
-        if header.version != WIRE_V2:
+        """Verify + decrypt one incoming frame payload; typed errors only.
+
+        Refusals, first match wins: plaintext, truncated, version, flags,
+        handshake, stale session, short tag, MAC, direction, replay.
+        """
+        if frame[:2] != V2_MAGIC:
             raise TamperedFrameError(
                 "plaintext frame on an encrypted session")
-        if header.flags & FLAG_HANDSHAKE:
+        if len(frame) < _HEADER_SIZE:
+            raise ProtocolError("truncated v2 frame header")
+        _, version, flags, session_id, seq = V2_HEADER.unpack_from(frame)
+        if version != WIRE_V2:
+            raise ProtocolError(f"unsupported wire version {version}")
+        if flags & ~KNOWN_FLAGS:
+            raise ProtocolError(f"unknown frame flags 0x{flags:02x}")
+        if flags & FLAG_HANDSHAKE:
             raise ProtocolError("unexpected handshake frame mid-session")
-        if header.session_id != self.session_id:
+        if session_id != self.session_id:
             raise StaleSessionError(
-                f"frame under session {header.session_id}, but this channel "
+                f"frame under session {session_id}, but this channel "
                 f"is session {self.session_id}"
             )
-        expected_flags = self._send_flags ^ FLAG_FROM_SERVER
-        if len(body) < MAC_SIZE:
+        if len(frame) < _HEADER_SIZE + MAC_SIZE:
             raise TamperedFrameError("frame too short to carry a tag")
-        ciphertext, tag = body[:-MAC_SIZE], body[-MAC_SIZE:]
-        header_bytes = header.encode()
+        # The MAC covers the header as received (= as re-encoded).
+        sealed = frame[:-MAC_SIZE]
+        costs = self._costs
         self.meter.charge_event(
-            "wire_mac",
-            self._costs.mac_cost(len(header_bytes) + len(ciphertext)))
-        if not self._crypto.mac_verify(self._recv_keys.mac_key,
-                                       header_bytes + ciphertext, tag):
+            "wire_mac", costs.mac_base + len(sealed) * costs.mac_per_byte)
+        if not self._crypto.mac_verify(self._recv_keys.mac_key, sealed,
+                                       frame[-MAC_SIZE:]):
             raise TamperedFrameError(
-                f"frame {header.seq} of session {self.session_id} failed "
+                f"frame {seq} of session {self.session_id} failed "
                 "authentication"
             )
         # Only authenticated headers reach the replay / direction checks:
         # a forged seq or flipped direction bit already failed the MAC.
-        if header.flags != expected_flags:
+        if flags != self._send_flags ^ FLAG_FROM_SERVER:
             raise TamperedFrameError("reflected frame (direction bit)")
-        if header.seq <= self._recv_seq:
+        if seq <= self._recv_seq:
             raise ReplayError(
-                f"replayed frame: seq {header.seq} does not advance past "
+                f"replayed frame: seq {seq} does not advance past "
                 f"{self._recv_seq} on session {self.session_id}"
             )
-        self._recv_seq = header.seq
+        self._recv_seq = seq
+        ciphertext = sealed[_HEADER_SIZE:]
         self.meter.charge_event(
-            "wire_enc", self._costs.enc_cost(len(ciphertext)))
+            "wire_enc", costs.enc_base + len(ciphertext) * costs.enc_per_byte)
         self.frames_opened += 1
         return self._crypto.decrypt(
-            self._recv_keys.encryption_key,
-            self._nonce(self.session_id, header.seq),
-            ciphertext,
-        )
+            self._recv_keys.encryption_key, _NONCE.pack(session_id, seq),
+            ciphertext)
 
 
 class ClientHandshake:

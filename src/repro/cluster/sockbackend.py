@@ -338,6 +338,9 @@ class ShardHost:
             frame = session.seal(body)
         try:
             write_frame(conn, frame)
+        except ProtocolError as exc:
+            # Too big for one frame: the waiting parent gets a typed error.
+            self._reply(conn, session, ("err", exc, reply[2]))
         except (ClusterConnectionError, ClusterTimeoutError):
             pass  # peer is gone; nothing left to tell it
 

@@ -16,12 +16,16 @@ malformed frames rather than trusting lengths.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, List
 
 from repro.errors import IntegrityError, KeyNotFoundError
 from repro.server import protocol
 from repro.server.protocol import (
-    OpCode,
+    OP_DELETE,
+    OP_GET,
+    OP_HEALTH,
+    OP_PUT,
+    STATUS_OK,
     ProtocolError,
     Request,
     Response,
@@ -89,7 +93,7 @@ class AriaServer:
             self.engine.note_boundary(boundary)
         return payload
 
-    def flush_batch(self, requests: Iterable[Request]) -> list:
+    def flush_batch(self, requests: List[Request]) -> list:
         """Batch-flush hook for pre-decoded requests (the cluster path).
 
         The cluster coordinator decodes frames once at the front door and
@@ -103,7 +107,6 @@ class AriaServer:
         as a unit with the whole-batch rejection shape, none of its
         requests executed.  Returns ``Response`` objects.
         """
-        requests = list(requests)
         boundary = self._enter(protocol.batch_encoded_size(requests))
         if protocol.batch_violation(requests) is not None:
             responses = [Response(Status.BAD_REQUEST)]
@@ -155,20 +158,22 @@ class AriaServer:
         return self.engine.stats()
 
     def _dispatch(self, request: Request) -> Response:
+        opcode = request.opcode
         try:
-            if request.opcode == OpCode.HEALTH:
+            # Likeliest first; module constants, not ``OpCode.X`` lookups.
+            if opcode == OP_GET:
+                return Response(STATUS_OK, self._store.get(request.key))
+            if opcode == OP_PUT:
+                self._store.put(request.key, request.value)
+                return Response(STATUS_OK)
+            if opcode == OP_DELETE:
+                self._store.delete(request.key)
+                return Response(STATUS_OK)
+            if opcode == OP_HEALTH:
                 # A liveness ping: reaching this line means the enclave is
                 # up.  Never empty-valued BAD_REQUEST, so a one-request
                 # batch can't collide with the whole-batch-rejection shape.
-                return Response(Status.OK, b"ok")
-            if request.opcode == OpCode.GET:
-                return Response(Status.OK, self._store.get(request.key))
-            if request.opcode == OpCode.PUT:
-                self._store.put(request.key, request.value)
-                return Response(Status.OK)
-            if request.opcode == OpCode.DELETE:
-                self._store.delete(request.key)
-                return Response(Status.OK)
+                return Response(STATUS_OK, b"ok")
         except KeyNotFoundError:
             return Response(Status.NOT_FOUND)
         except IntegrityError as exc:

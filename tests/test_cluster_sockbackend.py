@@ -48,8 +48,10 @@ from repro.cluster import (
 )
 from repro.cluster.framing import read_exactly, write_frame
 from repro.cluster.shard import EnclaveSpec
+from repro.cluster.session import ClientHandshake
 from repro.errors import (
     HandshakeError,
+    ProtocolError,
     ShardCrashedError,
     ShardUnreachableError,
 )
@@ -429,6 +431,65 @@ class TestWireAttacks:
             assert thread_host.alarms["wire"] >= 1
         finally:
             shard.close()
+
+
+class TestOutboundFrameCap:
+    """A frame the far reader must refuse is never written (the hop edge).
+
+    ``read_frame`` refuses a length prefix past ``MAX_FRAME_BYTES`` and the
+    stream is lost with it; before ``write_frame`` refused the same
+    lengths, an oversize flush cost the coordinator the whole shard.
+    """
+
+    @staticmethod
+    def _oversize_flush():
+        # Distinct values: pickle would memoize one repeated object.
+        return [protocol.put(b"k%03d" % i, bytes([i]) * protocol.MAX_VALUE_BYTES)
+                for i in range(129)]
+
+    def test_oversize_flush_is_refused_unsent_and_the_shard_lives(
+            self, thread_host):
+        shard = SocketShard(_spec("cap0"), (thread_host.host,
+                                            thread_host.port))
+        try:
+            shard.store.put(b"k", b"v")
+            with pytest.raises(ProtocolError, match="outside"):
+                shard.server.flush_batch(self._oversize_flush())
+            with pytest.raises(ProtocolError, match="outside"):
+                shard.server.flush_submit(self._oversize_flush())
+            # Nothing reached the wire: same link, same enclave, no alarm
+            # on the host, no uncollected ticket on the handle.
+            assert not shard.crashed
+            assert shard.store.get(b"k") == b"v"
+            [response] = shard.server.flush_batch([protocol.get(b"k")])
+            assert response.value == b"v"
+            assert thread_host.alarms["wire"] == 0
+            assert thread_host.connections_served == 1
+        finally:
+            shard.close()
+
+    def test_oversize_reply_comes_back_as_a_typed_error(self):
+        host = ShardHost(seed=23)          # never started: _reply only
+        handshake = ClientHandshake()
+        reply, host_session = host.sessions.accept(handshake.hello())
+        parent_session = handshake.finish(reply)
+        written = []
+
+        class Conn:
+            def sendall(self, data):
+                written.append(bytes(data))
+
+            def gettimeout(self):
+                return None
+
+        meter = {"cycles": 1.0, "events": {}}
+        host._reply(Conn(), host_session,
+                    ("ok", bytes(protocol.MAX_FRAME_BYTES), meter))
+        [framed] = written
+        tag, payload, meter_back = pickle.loads(parent_session.open(framed[4:]))
+        assert tag == "err" and isinstance(payload, ProtocolError)
+        assert "outside" in str(payload)
+        assert meter_back == meter      # the piggybacked snapshot survives
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,95 @@
+"""The pair rule's arithmetic (``tools/pairbench.py``) on canned numbers.
+
+The tool itself only shells out to ``perfbench/run.py`` in two checkouts;
+what must not drift is the verdict: nine tenths of *all* pairs, ties for
+neither side, and a median gap wider than the parent's own quartiles.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SPEC = importlib.util.spec_from_file_location(
+    "pairbench", Path(__file__).resolve().parents[1] / "tools/pairbench.py")
+pairbench = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairbench)
+
+
+def test_quartiles_are_inclusive():
+    assert pairbench.quartiles([1, 2, 3, 4, 5]) == (2, 3, 4)
+    assert pairbench.quartiles([10.0, 20.0]) == (12.5, 15.0, 17.5)
+    assert pairbench.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_pairs_are_positional_and_ties_count_for_neither():
+    a = [10, 10, 10, 10]
+    b = [11, 9, 10, 12]
+    assert pairbench.pairs_won(a, b, "higher") == (2, 1, 1)
+    assert pairbench.pairs_won(a, b, "lower") == (1, 2, 1)
+    with pytest.raises(ValueError):
+        pairbench.pairs_won([1], [1, 2], "higher")
+
+
+def test_a_clear_gain():
+    a = [100, 101, 99, 102, 98, 100, 101, 99, 100, 100]
+    b = [x * 1.15 for x in a]
+    v = pairbench.verdict(a, b, "higher")
+    assert (v["b_wins"], v["a_wins"], v["ties"]) == (10, 0, 0)
+    assert v["ratio"] == pytest.approx(1.15)
+    assert v["gap"] == pytest.approx(15.0) and v["parent_spread"] == 1.5
+    assert v["gain"]
+
+
+def test_nine_of_ten_is_enough_and_eight_is_not():
+    a = [100.0] * 10
+    nine = [110.0] * 9 + [90.0]
+    assert pairbench.verdict(a, nine, "higher")["gain"]
+    eight = [110.0] * 8 + [90.0, 90.0]
+    v = pairbench.verdict(a, eight, "higher")
+    assert not v["enough_pairs"] and v["clears_spread"] and not v["gain"]
+
+
+def test_a_tie_is_not_a_win():
+    a = [100.0] * 10
+    b = [110.0] * 8 + [100.0, 100.0]         # 8 wins, 2 ties: 8/10 of all
+    v = pairbench.verdict(a, b, "higher")
+    assert (v["b_wins"], v["ties"]) == (8, 2) and not v["gain"]
+
+
+def test_winning_every_pair_inside_the_parent_spread_is_not_a_gain():
+    a = [90, 95, 100, 105, 110, 90, 95, 100, 105, 110]
+    b = [x + 1 for x in a]
+    v = pairbench.verdict(a, b, "higher")
+    assert v["b_wins"] == 10 and v["gap"] == 1 and v["parent_spread"] == 10
+    assert v["enough_pairs"] and not v["clears_spread"] and not v["gain"]
+
+
+def test_lower_is_better_metrics_flip_the_sign():
+    a = [40.0, 41.0, 39.0, 40.0, 40.5, 39.5, 40.0, 41.0, 39.0, 40.0]
+    b = [x - 5 for x in a]
+    v = pairbench.verdict(a, b, "lower")
+    assert v["b_wins"] == 10 and v["gap"] == 5 and v["gain"]
+    assert not pairbench.verdict(a, b, "higher")["gain"]
+    # A regression never reads as a gain, however consistent.
+    assert not pairbench.verdict(b, a, "lower")["gain"]
+
+
+def test_the_report_names_the_claimed_metric_and_counts_failures():
+    specs = [{"name": "wall_ops_per_s", "better": "higher"},
+             {"name": "cpu_us_per_op", "better": "lower"}]
+
+    def run(wall, cpu, failed=0):
+        return {"failed": failed,
+                "metrics": {"wall_ops_per_s": {"value": wall},
+                            "cpu_us_per_op": {"value": cpu}}}
+
+    a_runs = [run(100.0 + i % 3, 40.0) for i in range(10)]
+    b_runs = [run(120.0 + i % 3, 35.0) for i in range(10)]
+    table, gain = pairbench.report(specs, a_runs, b_runs, "wall_ops_per_s")
+    assert gain and "-> wall_ops_per_s: GAIN" in table
+    assert "B won 10/10" in table and "failed ops: A 0, B 0" in table
+    # More failed operations than the parent: the gain does not count.
+    b_runs[3] = run(121.0, 35.0, failed=2)
+    _, gain = pairbench.report(specs, a_runs, b_runs, "wall_ops_per_s")
+    assert not gain
