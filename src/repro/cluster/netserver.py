@@ -521,11 +521,7 @@ class ClusterNetServer:
                 if action == DROP:
                     self.frames_dropped += 1
                     continue  # swallow the response; the client times out
-                try:
-                    reply = protocol.encode_batch_responses(responses)
-                except ProtocolError:
-                    # Too big for any reader; they ran, so no rejection.
-                    break
+                reply = protocol.encode_batch_responses(responses)
                 if session is not None:
                     reply = session.seal(reply)
                     last_reply = await self._play_wire_attacks(
@@ -728,7 +724,12 @@ class ClusterNetServer:
 
     @staticmethod
     async def _send(writer: asyncio.StreamWriter, payload: bytes) -> None:
-        writer.write(frame(payload))
+        if frame_length_ok(len(payload)):
+            writer.write(frame(payload))
+        else:
+            # Answers past the cap (the batch ran): the length alone makes
+            # the peer's reader refuse them, typed; the body stays unsent.
+            writer.write(FRAME_HEADER.pack(len(payload)))
         await writer.drain()
 
 

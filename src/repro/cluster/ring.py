@@ -147,9 +147,7 @@ class HashRing:
 
     def route(self, key: bytes) -> str:
         """The shard id serving ``key``."""
-        # ring_hash(key), spelled in place: one call per routed request.
-        index = bisect.bisect_right(self._points, int.from_bytes(
-            hashlib.blake2b(key, digest_size=8).digest(), "big"))
+        index = bisect.bisect_right(self._points, ring_hash(key))
         if index == len(self._points):
             index = 0  # wrap: the first point owns the top arc
         return self._owners[index]

@@ -264,12 +264,10 @@ class SecureSession:
         ) + self._crypto.encrypt(
             keys.encryption_key, _NONCE.pack(session_id, seq), payload)
         tag = self._crypto.mac(keys.mac_key, sealed)
-        # CostModel.enc_cost / mac_cost in place: same expression, same float.
-        costs = self._costs
         self.meter.charge_event(
-            "wire_enc", costs.enc_base + len(payload) * costs.enc_per_byte)
+            "wire_enc", self._costs.enc_cost(len(payload)))
         self.meter.charge_event(
-            "wire_mac", costs.mac_base + len(sealed) * costs.mac_per_byte)
+            "wire_mac", self._costs.mac_cost(len(sealed)))
         self.frames_sealed += 1
         return sealed + tag
 
@@ -300,9 +298,8 @@ class SecureSession:
             raise TamperedFrameError("frame too short to carry a tag")
         # The MAC covers the header as received (= as re-encoded).
         sealed = frame[:-MAC_SIZE]
-        costs = self._costs
         self.meter.charge_event(
-            "wire_mac", costs.mac_base + len(sealed) * costs.mac_per_byte)
+            "wire_mac", self._costs.mac_cost(len(sealed)))
         if not self._crypto.mac_verify(self._recv_keys.mac_key, sealed,
                                        frame[-MAC_SIZE:]):
             raise TamperedFrameError(
@@ -321,7 +318,7 @@ class SecureSession:
         self._recv_seq = seq
         ciphertext = sealed[_HEADER_SIZE:]
         self.meter.charge_event(
-            "wire_enc", costs.enc_base + len(ciphertext) * costs.enc_per_byte)
+            "wire_enc", self._costs.enc_cost(len(ciphertext)))
         self.frames_opened += 1
         return self._crypto.decrypt(
             self._recv_keys.encryption_key, _NONCE.pack(session_id, seq),

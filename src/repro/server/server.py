@@ -16,7 +16,7 @@ malformed frames rather than trusting lengths.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import Iterable
 
 from repro.errors import IntegrityError, KeyNotFoundError
 from repro.server import protocol
@@ -93,7 +93,7 @@ class AriaServer:
             self.engine.note_boundary(boundary)
         return payload
 
-    def flush_batch(self, requests: List[Request]) -> list:
+    def flush_batch(self, requests: Iterable[Request]) -> list:
         """Batch-flush hook for pre-decoded requests (the cluster path).
 
         The cluster coordinator decodes frames once at the front door and
@@ -107,6 +107,8 @@ class AriaServer:
         as a unit with the whole-batch rejection shape, none of its
         requests executed.  Returns ``Response`` objects.
         """
+        if not isinstance(requests, list):
+            requests = list(requests)  # walked twice below; lists as given
         boundary = self._enter(protocol.batch_encoded_size(requests))
         if protocol.batch_violation(requests) is not None:
             responses = [Response(Status.BAD_REQUEST)]

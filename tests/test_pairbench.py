@@ -50,6 +50,15 @@ def test_nine_of_ten_is_enough_and_eight_is_not():
     assert not v["enough_pairs"] and v["clears_spread"] and not v["gain"]
 
 
+def test_fewer_than_ten_pairs_never_show_a_gain():
+    # One pair has no spread and 1/1 >= 0.9; nine clean wins are still nine.
+    for n in (1, 5, 9):
+        v = pairbench.verdict([100.0] * n, [120.0] * n, "higher")
+        assert v["b_wins"] == n and v["enough_pairs"] and v["clears_spread"]
+        assert v["too_few"] and not v["gain"]
+    assert pairbench.verdict([100.0] * 10, [120.0] * 10, "higher")["gain"]
+
+
 def test_a_tie_is_not_a_win():
     a = [100.0] * 10
     b = [110.0] * 8 + [100.0, 100.0]         # 8 wins, 2 ties: 8/10 of all
@@ -86,10 +95,14 @@ def test_the_report_names_the_claimed_metric_and_counts_failures():
 
     a_runs = [run(100.0 + i % 3, 40.0) for i in range(10)]
     b_runs = [run(120.0 + i % 3, 35.0) for i in range(10)]
-    table, gain = pairbench.report(specs, a_runs, b_runs, "wall_ops_per_s")
+    table, gain = pairbench.report(specs, a_runs, b_runs)
     assert gain and "-> wall_ops_per_s: GAIN" in table
+    assert "-> cpu_us_per_op" not in table
     assert "B won 10/10" in table and "failed ops: A 0, B 0" in table
+    # Too few pairs: the table still prints, the verdict says why not.
+    table, gain = pairbench.report(specs, a_runs[:4], b_runs[:4])
+    assert not gain and "too few pairs (needs >= 10)" in table
     # More failed operations than the parent: the gain does not count.
     b_runs[3] = run(121.0, 35.0, failed=2)
-    _, gain = pairbench.report(specs, a_runs, b_runs, "wall_ops_per_s")
+    _, gain = pairbench.report(specs, a_runs, b_runs)
     assert not gain

@@ -10,12 +10,14 @@ only invokes it — alternating which side goes first, so a host that slows
 down mid-session taxes both sides alike.
 
 For every end-to-end metric of ``A_DIR/BENCHMARK.json`` it prints each
-side's median and quartiles and the pairs the change won; for ``--metric``
-(default ``wall_ops_per_s``) it prints the verdict of the rule a claimed
-gain must meet (``perfbench/README.md``): the change wins at least nine
-tenths of all pairs run, ties counting for neither side, *and* the medians
-differ by more than the distance between the parent's own quartiles.
-Exit status: 0 gain shown, 1 not shown, 2 a run failed.
+side's median and quartiles and the pairs the change won; for
+``wall_ops_per_s``, the metric a gain is claimed on, it prints the verdict
+of the rule that claim must meet (``perfbench/README.md``): at least ten
+pairs were run, the change wins at least nine tenths of them, ties counting
+for neither side, *and* the medians differ by more than the distance
+between the parent's own quartiles.
+Exit status: 0 gain shown, 1 not shown (or too few pairs to tell), 2 a run
+failed.
 """
 
 from __future__ import annotations
@@ -28,7 +30,9 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
+CLAIMED_METRIC = "wall_ops_per_s"
 WIN_SHARE = 0.9
+MIN_PAIRS = 10
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -51,21 +55,23 @@ def pairs_won(a: Sequence[float], b: Sequence[float],
 
 
 def verdict(a: Sequence[float], b: Sequence[float], better: str) -> dict:
-    """The pair rule on one metric; ``gain`` is True only when both hold."""
+    """The pair rule on one metric; ``gain`` needs ten pairs and both tests."""
     a_q1, a_median, a_q3 = quartiles(a)
     b_q1, b_median, b_q3 = quartiles(b)
     b_wins, a_wins, ties = pairs_won(a, b, better)
     sign = 1 if better == "higher" else -1
     gap = sign * (b_median - a_median)
     spread = a_q3 - a_q1
+    too_few = len(a) < MIN_PAIRS
     enough_pairs = b_wins >= WIN_SHARE * len(a)
     return {
         "a": (a_q1, a_median, a_q3), "b": (b_q1, b_median, b_q3),
         "b_wins": b_wins, "a_wins": a_wins, "ties": ties, "pairs": len(a),
         "ratio": b_median / a_median if a_median else float("nan"),
         "gap": gap, "parent_spread": spread,
+        "too_few": too_few,
         "enough_pairs": enough_pairs, "clears_spread": gap > spread,
-        "gain": enough_pairs and gap > spread,
+        "gain": not too_few and enough_pairs and gap > spread,
     }
 
 
@@ -87,9 +93,9 @@ def _cell(q: Tuple[float, float, float]) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
 
 
-def report(metric_specs: List[dict], a_runs: List[dict], b_runs: List[dict],
-           claimed: str) -> Tuple[str, bool]:
-    """The table and whether ``claimed`` shows a gain by the pair rule."""
+def report(metric_specs: List[dict], a_runs: List[dict],
+           b_runs: List[dict]) -> Tuple[str, bool]:
+    """The table and whether ``CLAIMED_METRIC`` shows a gain by the pair rule."""
     rows = [f"{'metric':<18} {'A median [q1-q3]':>36} "
             f"{'B median [q1-q3]':>36}   B/A  B won"]
     gain = False
@@ -101,10 +107,13 @@ def report(metric_specs: List[dict], a_runs: List[dict], b_runs: List[dict],
         rows.append(f"{name:<18} {_cell(v['a']):>36} {_cell(v['b']):>36} "
                     f"{v['ratio']:>5.3f}  {v['b_wins']}/{v['pairs']}"
                     + (f" ({v['ties']} tied)" if v["ties"] else ""))
-        if name == claimed:
+        if name == CLAIMED_METRIC:
             gain = v["gain"]
+            word = ("GAIN" if gain else
+                    f"too few pairs (needs >= {MIN_PAIRS})" if v["too_few"]
+                    else "no gain shown")
             rows.append(
-                f"  -> {name}: {'GAIN' if gain else 'no gain shown'}: "
+                f"  -> {name}: {word}: "
                 f"B won {v['b_wins']}/{v['pairs']} "
                 f"(needs >= {WIN_SHARE:.0%}), median gap {v['gap']:.4g} vs "
                 f"parent quartile spread {v['parent_spread']:.4g}")
@@ -121,13 +130,10 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=16)
-    parser.add_argument("--metric", default="wall_ops_per_s")
     args = parser.parse_args(argv)
 
     contract = json.loads((args.a_dir / "BENCHMARK.json").read_text())
     specs = contract["end_to_end"]
-    if args.metric not in {spec["name"] for spec in specs}:
-        parser.error("--metric must be one of BENCHMARK.json's end_to_end")
     runs: Dict[str, List[dict]] = {"A": [], "B": []}
     sides = {"A": args.a_dir, "B": args.b_dir}
     for pair in range(args.pairs):
@@ -139,12 +145,12 @@ def main(argv=None) -> int:
                 print(exc, file=sys.stderr)
                 return 2
             runs[side].append(result)
-            value = result["metrics"][args.metric]["value"]
-            print(f"pair {pair + 1:>2} {side}: {args.metric} {value:.5g}",
+            value = result["metrics"][CLAIMED_METRIC]["value"]
+            print(f"pair {pair + 1:>2} {side}: {CLAIMED_METRIC} {value:.5g}",
                   flush=True)
     print(f"\n{args.workload}  seed {args.seed}  {args.pairs} pairs  "
           f"{args.seconds:g} s  A={args.a_dir}  B={args.b_dir}")
-    table, gain = report(specs, runs["A"], runs["B"], args.metric)
+    table, gain = report(specs, runs["A"], runs["B"])
     print(table)
     return 0 if gain else 1
 
