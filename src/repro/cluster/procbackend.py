@@ -8,9 +8,10 @@ duck-typed contract as an inline :class:`~repro.cluster.shard.Shard`, so
 the coordinator, replica groups, fault injector, balancer, health
 monitor and stats aggregation all work unchanged.
 
-What crosses the pipe (one duplex ``Pipe`` per worker, pickled tuples)
-is the shared remote-shard RPC vocabulary of
-:mod:`repro.cluster.remote`:
+What crosses the pipe (one duplex ``Pipe`` per worker, raw
+``send_bytes``/``recv_bytes`` messages of :mod:`repro.cluster.rpc` — the
+same bytes the socket backend seals into its frames) is the shared
+remote-shard RPC vocabulary of :mod:`repro.cluster.remote`:
 
 * batch requests / responses — ``flush_batch`` ships the whole batch and
   gets the response list back; the coordinator additionally uses the
@@ -22,9 +23,8 @@ is the shared remote-shard RPC vocabulary of
   proxy, so moving a record between enclaves still means a verified read
   on the source and a re-sealed put on the destination, each charged to
   the enclave that did the work;
-* metering — every reply piggybacks a full
-  :meth:`~repro.sgx.meter.CycleMeter.snapshot` (as plain builtins via
-  ``to_dict``), which the parent folds into a local mirror.  Reading
+* metering — every reply piggybacks the enclave meter's full state in
+  its binary form, which the parent loads into a local mirror.  Reading
   ``meter`` issues a sync round-trip while the worker lives and serves
   the last-merged mirror once it is dead — a killed enclave's accounting
   stays readable, exactly like an inline crashed shard's meter.
@@ -58,17 +58,17 @@ import threading
 import weakref
 from typing import List, Optional
 
+from repro.cluster import rpc
 from repro.cluster.backend import ShardBackend
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
     RemoteShardHandle,
-    encode_reply,
     rpc_reply,
     spawn_reply,
 )
 from repro.cluster.shard import EnclaveSpec
-from repro.errors import ShardCrashedError
+from repro.errors import ProtocolError, ShardCrashedError
 
 #: Environment override for the multiprocessing start method.  ``fork``
 #: (where available) keeps worker startup cheap; ``spawn`` re-imports the
@@ -124,11 +124,16 @@ def _worker_main(conn, spec: EnclaveSpec) -> None:
     if shard is not None:
         recv = _make_receiver(conn, spec.workers)
         while True:
-            item = recv()
-            if item is None:
+            message = recv()
+            if message is None:
                 break  # parent vanished; daemon exit
-            cmd, args = item
-            _send(conn, rpc_reply(shard, cmd, args))
+            try:
+                cmd, arg = rpc.decode_call(message)
+            except ProtocolError as exc:
+                # Not something the parent's handle can have written: stop
+                # serving (the parent reads EOF as a crashed shard).
+                raise SystemExit(f"shard worker {spec.shard_id}: {exc}")
+            _send(conn, rpc_reply(shard, cmd, arg))
             if cmd == "shutdown":
                 break
     conn.close()
@@ -137,19 +142,19 @@ def _worker_main(conn, spec: EnclaveSpec) -> None:
 def _make_receiver(conn, workers: int):
     """The worker's RPC intake; a real prefetch thread when ``workers > 1``.
 
-    With one worker the intake is a plain blocking ``recv``.  With N > 1
+    With one worker the intake is a plain blocking ``recv_bytes``.  With N > 1
     the untrusted side gets a genuine OS thread that pulls the next RPCs
     off the pipe (the blocking read releases the GIL) while the main
     thread is still executing the current batch inside the simulated
     enclave — the HotCalls shape: boundary traffic overlaps execution.
     The queue is bounded so a slow enclave backpressures the pipe instead
-    of buffering unbounded pickles.  Returns a callable yielding the next
-    ``(cmd, args)`` tuple or ``None`` once the parent is gone.
+    of buffering unbounded messages.  Returns a callable yielding the next
+    undecoded RPC or ``None`` once the parent is gone.
     """
     if workers <= 1:
         def recv_inline():
             try:
-                return conn.recv()
+                return conn.recv_bytes()
             except (EOFError, OSError):
                 return None
 
@@ -159,7 +164,7 @@ def _make_receiver(conn, workers: int):
     def pump():
         while True:
             try:
-                item = conn.recv()
+                item = conn.recv_bytes()
             except (EOFError, OSError):
                 inbox.put(None)
                 return
@@ -171,9 +176,9 @@ def _make_receiver(conn, workers: int):
     return inbox.get
 
 
-def _send(conn, reply: tuple) -> None:
+def _send(conn, reply: bytes) -> None:
     try:
-        conn.send_bytes(encode_reply(reply))
+        conn.send_bytes(reply)
     except (BrokenPipeError, OSError):
         pass  # parent is gone; nothing left to tell it
 
@@ -203,14 +208,15 @@ class ProcessShard(RemoteShardHandle):
 
     # -- RPC plumbing -------------------------------------------------------------
 
-    def _send(self, cmd: str, args: tuple = ()) -> None:
+    def _send(self, cmd: str, arg=None) -> None:
         if self.crashed or self.closed:
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (worker process dead)"
             )
+        message = rpc.encode_call(cmd, arg)
         try:
-            self._conn.send((cmd, args))
-        except (BrokenPipeError, OSError, ValueError):
+            self._conn.send_bytes(message)
+        except (OSError, ValueError):
             self._mark_crashed()
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (pipe broken)"
@@ -224,7 +230,7 @@ class ProcessShard(RemoteShardHandle):
                     f"shard {self.shard_id} worker unresponsive "
                     f"after {timeout}s"
                 )
-            reply = self._conn.recv()
+            reply = self._conn.recv_bytes()
         except (EOFError, OSError):
             self._mark_crashed()
             raise ShardCrashedError(
@@ -268,13 +274,13 @@ class ProcessShard(RemoteShardHandle):
         self.closed = True
         if not self.crashed and self._proc.is_alive():
             try:
-                self._conn.send(("shutdown", ()))
+                self._conn.send_bytes(rpc.encode_call("shutdown"))
                 for _ in range(self._pending + 1):
                     if not self._conn.poll(timeout):
                         break
-                    _, _, meter_dict = self._conn.recv()
-                    self._absorb_meter(meter_dict)
-            except (BrokenPipeError, EOFError, OSError):
+                    rpc.decode_reply(self._conn.recv_bytes(),
+                                     self._meter.mirror)
+            except (ProtocolError, EOFError, OSError):
                 pass
         self._pending = 0
         self._proc.join(timeout)

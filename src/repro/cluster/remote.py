@@ -3,23 +3,22 @@
 The :class:`~repro.cluster.procbackend.ProcessBackend` (enclave in a
 ``multiprocessing`` worker behind a pipe) and the
 :class:`~repro.cluster.sockbackend.SocketBackend` (enclave in a shard-host
-process behind an attested TCP session) speak the *same* RPC vocabulary:
-pickled ``(cmd, args)`` requests answered by ``(tag, payload, meter_dict)``
-triples, where every reply piggybacks a full absolute
-:meth:`~repro.sgx.meter.CycleMeter.snapshot` of the remote enclave's
-meter.  This module holds everything both sides share:
+process behind an attested TCP session) speak the *same* RPC vocabulary,
+in the same bytes: the closed command table of :mod:`repro.cluster.rpc`,
+every reply piggybacking the remote enclave meter's absolute state in its
+binary form.  This module holds everything both sides share:
 
 * what the far side says about an enclave — :func:`spawn_reply` (an
   :class:`~repro.cluster.shard.EnclaveSpec` in, the real
-  :class:`~repro.cluster.shard.Shard` plus its ``ready`` info dict out),
-  :func:`rpc_reply` (one command through :func:`dispatch_shard_rpc`, the
-  enclave-side command table) and :func:`encode_reply`, all producing the
-  one reply triple;
+  :class:`~repro.cluster.shard.Shard` plus its encoded ``ready`` reply
+  out), :func:`ready_reply` and :func:`rpc_reply` (one command through
+  :func:`dispatch_shard_rpc`, the enclave-side command table), all
+  producing encoded reply bytes;
 * :class:`RemoteShardHandle` — the parent-side base class implementing
   the Shard duck-type contract (``store``/``server``/``meter``, balancer
   marks, ``stats`` with a post-mortem cache) on top of two abstract
   transport hooks, ``_send`` and ``_recv``, with :meth:`~RemoteShardHandle
-  ._settle` turning a reply triple back into a payload or a raise;
+  ._settle` turning reply bytes back into a payload or a raise;
 * the proxies — :class:`RemoteServer` (``flush_batch`` plus the
   pipelined ``flush_submit``/``flush_collect`` split the coordinator
   uses, valid because both transports are FIFO per shard),
@@ -35,11 +34,11 @@ or how cycles are accounted.
 from __future__ import annotations
 
 import os
-import pickle
 from collections import Counter
 from typing import Optional, Tuple
 
-from repro.errors import AriaError, ShardCrashedError
+from repro.cluster import rpc
+from repro.errors import ShardCrashedError
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.meter import CycleMeter, MeterSnapshot
 
@@ -55,17 +54,11 @@ DEFAULT_CLOSE_TIMEOUT = 5.0
 # ---------------------------------------------------------------------------
 
 
-def reply_triple(tag: str, payload, shard=None) -> tuple:
-    """The reply triple; every one piggybacks the enclave's absolute
-    meter snapshot (None only when no enclave exists yet)."""
-    meter = None if shard is None else shard.meter.snapshot().to_dict()
-    return (tag, payload, meter)
-
-
-def ready_reply(shard, **host_info) -> tuple:
-    """The ``ready`` triple: what a handle needs to mirror this enclave."""
+def ready_reply(shard, cmd: str) -> bytes:
+    """The answer to ``spawn``/``attach``: what a handle needs to mirror
+    this enclave."""
     enclave = shard.store.enclave
-    info = {
+    return rpc.encode_reply(cmd, True, {
         "shard_id": shard.shard_id,
         "epc_bytes": shard.epc_bytes,
         "pid": os.getpid(),
@@ -73,85 +66,79 @@ def ready_reply(shard, **host_info) -> tuple:
         "encryption_key": enclave.keys.encryption_key,
         "mac_key": enclave.keys.mac_key,
         "config": shard.store.config,
-    }
-    info.update(host_info)
-    return reply_triple("ready", info, shard)
+    }, shard.meter)
 
 
-def spawn_reply(spec, **host_info) -> Tuple[Optional[object], tuple]:
-    """Build the enclave ``spec`` describes: ``(shard, ready triple)``.
+def spawn_reply(spec) -> Tuple[Optional[object], bytes]:
+    """Build the enclave ``spec`` describes: ``(shard, ready reply)``.
 
-    A build failure comes back as ``(None, err triple)`` so the transport
+    A build failure comes back as ``(None, error reply)`` so the transport
     can surface it to the parent instead of dying silently.
     """
     try:
         shard = spec.build()
-    except BaseException as exc:
-        return None, reply_triple("err", exc)
-    return shard, ready_reply(shard, **host_info)
+    except Exception as exc:
+        return None, rpc.encode_reply("spawn", False, exc)
+    return shard, ready_reply(shard, "spawn")
 
 
-def rpc_reply(shard, cmd: str, args: tuple) -> tuple:
-    """Run one RPC against the real Shard; ``ok``/``err`` triple out.
+def rpc_reply(shard, cmd: str, arg) -> bytes:
+    """Run one RPC against the real Shard; its encoded reply out.
 
+    Whatever the command (or encoding its result) raises is the reply; an
+    exit or an interrupt is not an answer and ends the process instead.
     ``shutdown`` and ``kill`` are lifecycle, not store commands: they are
     acknowledged here and acted on by the transport that owns the enclave.
     """
-    if cmd in ("shutdown", "kill"):
-        return reply_triple("ok", None, shard)
     try:
-        return reply_triple("ok", dispatch_shard_rpc(shard, cmd, args), shard)
-    except BaseException as exc:
-        return reply_triple("err", exc, shard)
+        result = None if cmd in ("shutdown", "kill") \
+            else dispatch_shard_rpc(shard, cmd, arg)
+        return rpc.encode_reply(cmd, True, result, shard.meter)
+    except Exception as exc:
+        return rpc.encode_reply(cmd, False, exc, shard.meter)
 
 
-def encode_reply(reply: tuple) -> bytes:
-    try:
-        return pickle.dumps(reply)
-    except Exception:
-        # Unpicklable payload (an exotic exception, typically): degrade to
-        # a typed, picklable error rather than wedging the stream.
-        tag, payload, meter_dict = reply
-        return pickle.dumps((
-            "err", AriaError(f"unpicklable {tag} payload: {payload!r}"),
-            meter_dict))
+def _put(shard, pairs):
+    for key, value in pairs:
+        shard.store.put(key, value)
 
 
-def dispatch_shard_rpc(shard, cmd: str, args: tuple):
+def _plant_corruption(shard, key):
+    from repro.cluster.faults import plant_corruption
+
+    return plant_corruption(shard.store, key)
+
+
+def _corrupt_in_place(shard, key):
+    from repro.attacks.scenarios import corrupt_record_in_place
+
+    return corrupt_record_in_place(shard.store, key)
+
+
+#: What each command of :data:`repro.cluster.rpc.COMMANDS` does to the
+#: enclave (``shutdown``/``kill`` belong to the transport, not to it).
+_HANDLERS = {
+    "flush": lambda shard, requests: shard.server.flush_batch(requests),
+    "get": lambda shard, key: shard.store.get(key),
+    "put": _put,
+    "delete": lambda shard, key: shard.store.delete(key),
+    "load": lambda shard, pairs: shard.store.load(pairs),
+    "keys": lambda shard, _: shard.store.keys(),
+    "len": lambda shard, _: len(shard.store),
+    "contains": lambda shard, key: key in shard.store,
+    "stats": lambda shard, _: shard.stats(),
+    # the reply's piggybacked meter is the whole point
+    "sync": lambda shard, _: None,
+    "retarget_quotas":
+        lambda shard, quotas: shard.store.retarget_tenant_quotas(quotas),
+    "plant_corruption": _plant_corruption,
+    "corrupt_in_place": _corrupt_in_place,
+}
+
+
+def dispatch_shard_rpc(shard, cmd: str, arg):
     """Execute one RPC against the real Shard, wherever it lives."""
-    store = shard.store
-    if cmd == "flush":
-        (requests,) = args
-        return list(shard.server.flush_batch(requests))
-    if cmd == "get":
-        return store.get(args[0])
-    if cmd == "put":
-        return store.put(args[0], args[1])
-    if cmd == "delete":
-        return store.delete(args[0])
-    if cmd == "load":
-        return store.load(args[0])
-    if cmd == "keys":
-        return list(store.keys())
-    if cmd == "len":
-        return len(store)
-    if cmd == "contains":
-        return args[0] in store
-    if cmd == "stats":
-        return shard.stats()
-    if cmd == "sync":
-        return None  # the reply's piggybacked meter is the whole point
-    if cmd == "retarget_quotas":
-        return store.retarget_tenant_quotas(args[0])
-    if cmd == "plant_corruption":
-        from repro.cluster.faults import plant_corruption
-
-        return plant_corruption(store, args[0])
-    if cmd == "corrupt_in_place":
-        from repro.attacks.scenarios import corrupt_record_in_place
-
-        return corrupt_record_in_place(store, args[0])
-    raise ValueError(f"unknown shard RPC {cmd!r}")
+    return _HANDLERS[cmd](shard, arg)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +149,8 @@ def dispatch_shard_rpc(shard, cmd: str, args: tuple):
 class RemoteShardHandle:
     """Shard-duck-typed handle for an enclave reachable only by RPC.
 
-    Subclasses own the transport: they implement ``_send(cmd, args)`` and
-    ``_recv(timeout)`` (which must pass every reply triple through
+    Subclasses own the transport: they implement ``_send(cmd, arg)`` and
+    ``_recv(timeout)`` (which must pass every reply's bytes through
     :meth:`_settle` and raise :class:`~repro.errors.ShardCrashedError`
     once the far side is gone), plus lifecycle (``close``, optionally
     ``kill``).  After the transport delivers the remote's ``ready`` info
@@ -191,33 +178,26 @@ class RemoteShardHandle:
 
     # -- transport hooks (subclass responsibility) --------------------------------
 
-    def _send(self, cmd: str, args: tuple = ()) -> None:
+    def _send(self, cmd: str, arg=None) -> None:
         raise NotImplementedError
 
     def _recv(self, timeout: float = DEFAULT_RPC_TIMEOUT):
         raise NotImplementedError
 
-    def _absorb_meter(self, meter_dict) -> None:
-        if meter_dict is not None:
-            self._meter.absorb(meter_dict)
-
-    def _settle(self, reply: tuple):
-        """Fold a reply triple's meter in; return its payload or raise."""
-        tag, payload, meter_dict = reply
-        self._absorb_meter(meter_dict)
-        if tag == "err":
-            if isinstance(payload, BaseException):
-                raise payload
-            raise AriaError(str(payload))  # pragma: no cover - degraded path
+    def _settle(self, reply: bytes):
+        """Fold a reply's meter into the mirror; its payload, or raise."""
+        ok, payload = rpc.decode_reply(reply, self._meter.mirror)
+        if not ok:
+            raise payload
         return payload
 
-    def _call(self, cmd: str, args: tuple = ()):
+    def _call(self, cmd: str, arg=None):
         if self._pending:
             raise RuntimeError(
                 f"shard {self.shard_id} has {self._pending} uncollected "
                 f"flushes; collect them before issuing {cmd!r}"
             )
-        self._send(cmd, args)
+        self._send(cmd, arg)
         return self._recv()
 
     # -- Shard duck-typing --------------------------------------------------------
@@ -258,7 +238,7 @@ class RemoteShardHandle:
 
     def plant_corruption(self, key: bytes = b"") -> bool:
         """Run the fault injector's corruption plant beside the enclave."""
-        return self._call("plant_corruption", (key,))
+        return bool(self._call("plant_corruption", key))
 
 
 class RemoteServer:
@@ -268,7 +248,7 @@ class RemoteServer:
         self._handle = handle
 
     def flush_batch(self, requests) -> list:
-        return self._handle._call("flush", (list(requests),))
+        return self._handle._call("flush", requests)
 
     def flush_submit(self, requests) -> int:
         """Ship a batch without waiting; returns a collection ticket.
@@ -278,7 +258,7 @@ class RemoteServer:
         the in-flight depth at submission time.
         """
         handle = self._handle
-        handle._send("flush", (list(requests),))
+        handle._send("flush", requests)
         handle._pending += 1
         return handle._pending
 
@@ -308,16 +288,16 @@ class RemoteStore:
         self._enclave = RemoteEnclave(handle)
 
     def get(self, key: bytes) -> bytes:
-        return self._handle._call("get", (key,))
+        return self._handle._call("get", key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._handle._call("put", (key, value))
+        self._handle._call("put", [(key, value)])
 
     def delete(self, key: bytes) -> None:
-        self._handle._call("delete", (key,))
+        self._handle._call("delete", key)
 
     def load(self, pairs) -> None:
-        self._handle._call("load", (list(pairs),))
+        self._handle._call("load", pairs)
 
     def keys(self):
         return iter(self._handle._call("keys"))
@@ -326,17 +306,17 @@ class RemoteStore:
         return self._handle._call("len")
 
     def __contains__(self, key: bytes) -> bool:
-        return self._handle._call("contains", (key,))
+        return bool(self._handle._call("contains", key))
 
     def corrupt_record_in_place(self, key: bytes) -> None:
         """Attack-surface hook: tamper a record inside the remote host's
         untrusted memory (see ``repro.attacks.scenarios``)."""
-        self._handle._call("corrupt_in_place", (key,))
+        self._handle._call("corrupt_in_place", key)
 
     def retarget_tenant_quotas(self, quotas) -> None:
         """Re-partition the remote enclave's cache quotas live (§16)."""
         self._handle._call("retarget_quotas",
-                           (dict(quotas) if quotas else None,))
+                           dict(quotas) if quotas else None)
 
     @property
     def config(self):
@@ -380,20 +360,17 @@ class RemoteEnclave:
 class RemoteMeter:
     """Parent-side mirror of the remote enclave's :class:`CycleMeter`.
 
-    Every RPC reply carries a full meter snapshot which replaces the
-    local mirror wholesale (absolute state, so no float drift can
-    accumulate over the transport); explicit reads issue a cheap ``sync``
+    Every RPC reply carries the meter's full state, which
+    :func:`repro.cluster.rpc.decode_reply` loads into ``mirror`` wholesale
+    (absolute state, so no float drift can accumulate over the
+    transport); explicit reads issue a cheap ``sync``
     round-trip while the remote is reachable.  After a kill — or behind a
     partition — the mirror serves the last state the remote reported.
     """
 
     def __init__(self, handle: RemoteShardHandle):
         self._handle = handle
-        self._mirror = CycleMeter()
-
-    def absorb(self, meter_dict: dict) -> None:
-        self._mirror.reset()
-        self._mirror.merge(MeterSnapshot.from_dict(meter_dict))
+        self.mirror = CycleMeter()
 
     def _sync(self) -> None:
         handle = self._handle
@@ -408,13 +385,13 @@ class RemoteMeter:
     @property
     def cycles(self) -> float:
         self._sync()
-        return self._mirror.cycles
+        return self.mirror.cycles
 
     @property
     def events(self) -> Counter:
         self._sync()
-        return Counter(self._mirror.events)
+        return Counter(self.mirror.events)
 
     def snapshot(self) -> MeterSnapshot:
         self._sync()
-        return self._mirror.snapshot()
+        return self.mirror.snapshot()

@@ -5,8 +5,9 @@ and the one that makes the cluster actually *distributed*: each shard or
 replica enclave lives inside a **shard-host** process
 (``python -m repro shard-host``) that is reachable only over TCP.  The
 coordinator's handle, :class:`SocketShard`, speaks the same remote-shard
-RPC vocabulary as the process backend (:mod:`repro.cluster.remote`), but
-every byte of it crosses an **attested, encrypted session**:
+RPC vocabulary as the process backend (:mod:`repro.cluster.remote`), in
+the same :mod:`repro.cluster.rpc` bytes, but every one of them crosses an
+**attested, encrypted session**:
 
 * on connect, the handle runs the v2 handshake of
   :mod:`repro.cluster.session` against the host's gateway identity — DH
@@ -61,7 +62,6 @@ from __future__ import annotations
 
 import multiprocessing
 import os
-import pickle
 import socket
 import threading
 import time
@@ -69,6 +69,7 @@ import weakref
 from collections import Counter
 from typing import List, Optional, Sequence, Tuple, Union
 
+from repro.cluster import rpc
 from repro.cluster.backend import ShardBackend
 from repro.cluster.framing import read_frame, wake_and_close, write_frame
 from repro.cluster.netutil import bind_with_retry
@@ -76,9 +77,7 @@ from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
     RemoteShardHandle,
-    encode_reply,
     ready_reply,
-    reply_triple,
     rpc_reply,
     spawn_reply,
 )
@@ -272,20 +271,15 @@ class ShardHost:
             try:
                 with self._crypto_lock:
                     payload = session.open(frame)
-            except (TamperedFrameError, ReplayError):
-                # An on-path attacker touched the hop; alarm and hang up.
-                self.alarms["wire"] += 1
-                return
-            except (ProtocolError, AriaError):
-                self.alarms["wire"] += 1
-                return
-            try:
-                cmd, args = pickle.loads(payload)
-            except Exception:
+                cmd, arg = rpc.decode_call(payload)
+            except AriaError:
+                # Tampered or replayed on the path, or sealed by a key
+                # holder around something that is no command: alarm and
+                # hang up, never feeding it to the enclave.
                 self.alarms["wire"] += 1
                 return
             if shard is None:
-                shard = self._bind_enclave(conn, session, cmd, args)
+                shard = self._bind_enclave(conn, session, cmd, arg)
                 continue
             shard_id = shard.shard_id
             if cmd in ("shutdown", "kill"):
@@ -294,53 +288,51 @@ class ShardHost:
                 with self._registry_lock:
                     self._enclaves.pop(shard_id, None)
                     self._shard_locks.pop(shard_id, None)
-                self._reply(conn, session, rpc_reply(shard, cmd, args))
+                self._reply(conn, session, shard, cmd,
+                            rpc_reply(shard, cmd, arg))
                 return
             lock = self._shard_locks.get(shard_id) or threading.Lock()
             with lock:
-                reply = rpc_reply(shard, cmd, args)
-            self._reply(conn, session, reply)
+                reply = rpc_reply(shard, cmd, arg)
+            self._reply(conn, session, shard, cmd, reply)
 
-    def _bind_enclave(self, conn, session, cmd: str, args: tuple):
+    def _bind_enclave(self, conn, session, cmd: str, arg):
         """Handle the stream's first command: spawn or attach.
 
         Returns the enclave this connection now drives, or None (after
         telling the peer why) when there is none to bind.
         """
-        host_info = {"host": (self.host, self.port)}
         if cmd == "spawn":
-            (spec,) = args
-            shard, reply = spawn_reply(spec, **host_info)
+            shard, reply = spawn_reply(arg)
             if shard is not None:
                 with self._registry_lock:
                     self._enclaves[shard.shard_id] = shard
                     self._shard_locks[shard.shard_id] = threading.Lock()
         elif cmd == "attach":
-            (shard_id,) = args
             with self._registry_lock:
-                shard = self._enclaves.get(shard_id)
+                shard = self._enclaves.get(arg)
             if shard is None:
-                reply = reply_triple("err", ShardCrashedError(
-                    f"no enclave {shard_id!r} on this host (it was killed, "
+                reply = rpc.encode_reply(cmd, False, ShardCrashedError(
+                    f"no enclave {arg!r} on this host (it was killed, "
                     "released, or the host restarted)"))
             else:
-                reply = ready_reply(shard, **host_info)
+                reply = ready_reply(shard, cmd)
         else:
             shard = None
-            reply = reply_triple("err", ProtocolError(
+            reply = rpc.encode_reply(cmd, False, ProtocolError(
                 f"first shard-host RPC must be spawn/attach, not {cmd!r}"))
-        self._reply(conn, session, reply)
+        self._reply(conn, session, shard, cmd, reply)
         return shard
 
-    def _reply(self, conn, session, reply: tuple) -> None:
-        body = encode_reply(reply)
+    def _reply(self, conn, session, shard, cmd: str, reply: bytes) -> None:
         with self._crypto_lock:
-            frame = session.seal(body)
+            frame = session.seal(reply)
         try:
             write_frame(conn, frame)
         except ProtocolError as exc:
             # Too big for one frame: the waiting parent gets a typed error.
-            self._reply(conn, session, ("err", exc, reply[2]))
+            self._reply(conn, session, shard, cmd, rpc.encode_reply(
+                cmd, False, exc, None if shard is None else shard.meter))
         except (ClusterConnectionError, ClusterTimeoutError):
             pass  # peer is gone; nothing left to tell it
 
@@ -387,21 +379,19 @@ def _host_main(pipe, host: str, port: int, seed: int, crypto: str) -> None:
 
     The pipe is a one-shot control channel: it reports the bound
     ephemeral port (or a bind failure) back to the parent and is closed
-    before the first enclave exists.  All shard traffic crosses TCP.
+    before the first enclave exists.  All shard traffic crosses TCP.  The
+    report is text: ``host:port``, or ``!`` and why the bind failed.
     """
     _set_process_name()
     shard_host = ShardHost(host=host, port=port, seed=seed, crypto=crypto)
     try:
-        address = shard_host.start()
-    except BaseException as exc:
-        try:
-            pipe.send(("err", exc))
-        finally:
-            pipe.close()
-        return
-    pipe.send(("ok", address))
+        report = "%s:%d" % shard_host.start()
+    except OSError as exc:
+        report = f"!{exc}"
+    pipe.send_bytes(report.encode())
     pipe.close()
-    shard_host.serve_forever()
+    if not report.startswith("!"):
+        shard_host.serve_forever()
 
 
 class SpawnedHost:
@@ -421,17 +411,18 @@ class SpawnedHost:
         self.process.start()
         child_pipe.close()
         try:
-            tag, payload = parent_pipe.recv()
+            report = parent_pipe.recv_bytes().decode()
         except (EOFError, OSError) as exc:
             self.stop()
             raise ClusterConnectionError(
                 "shard host died before binding") from exc
         finally:
             parent_pipe.close()
-        if tag != "ok":
+        if report.startswith("!"):
             self.stop()
-            raise payload
-        self.host, self.port = payload
+            raise ClusterConnectionError(
+                f"shard host could not bind: {report[1:]}")
+        [(self.host, self.port)] = _parse_hosts(report)
         _LIVE_HOSTS.add(self)
 
     @property
@@ -507,7 +498,7 @@ class SocketShard(RemoteShardHandle):
         self._sock: Optional[socket.socket] = None
         self._session = None
         self._dial()
-        self._attach(self._call("spawn", (spec,)))
+        self._attach(self._call("spawn", spec))
         _LIVE_HANDLES.add(self)
 
     # -- the attested hop ---------------------------------------------------------
@@ -539,7 +530,7 @@ class SocketShard(RemoteShardHandle):
                     f"shard host {host}:{port} attests measurement "
                     f"{attested.hex()}, which is not on the expected-"
                     f"measurement list")
-        except BaseException:
+        except (AriaError, OSError):
             sock.close()
             raise
         self._sock = sock
@@ -560,7 +551,7 @@ class SocketShard(RemoteShardHandle):
 
     # -- RPC plumbing -------------------------------------------------------------
 
-    def _send(self, cmd: str, args: tuple = ()) -> None:
+    def _send(self, cmd: str, arg=None) -> None:
         if self.crashed or self.closed:
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection dead)")
@@ -569,15 +560,15 @@ class SocketShard(RemoteShardHandle):
                 f"shard {self.shard_id} is unreachable "
                 f"(partition: frames black-holed)")
         try:
-            self._transmit(cmd, args)
+            self._transmit(cmd, arg)
         except (ClusterConnectionError, ClusterTimeoutError, AttributeError):
             self._mark_crashed()
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection lost)")
 
-    def _transmit(self, cmd: str, args: tuple) -> None:
+    def _transmit(self, cmd: str, arg=None) -> None:
         write_frame(self._sock,
-                    self._session.seal(pickle.dumps((cmd, args))))
+                    self._session.seal(rpc.encode_call(cmd, arg)))
 
     def _recv(self, timeout: float = DEFAULT_RPC_TIMEOUT):
         if self.partitioned:
@@ -608,7 +599,7 @@ class SocketShard(RemoteShardHandle):
             raise ShardUnreachableError(
                 f"shard {self.shard_id} link compromised "
                 f"({kind}ed frame): {exc}") from exc
-        return self._settle(pickle.loads(payload))
+        return self._settle(payload)
 
     def _mark_crashed(self) -> None:
         self.crashed = True
@@ -654,7 +645,7 @@ class SocketShard(RemoteShardHandle):
             self._dial()
             # Straight onto the fresh link: _send's crashed guard is what
             # this very call is about to lift.
-            self._transmit("attach", (self.shard_id,))
+            self._transmit("attach", self.shard_id)
             info = self._recv()
         except (ShardCrashedError, ClusterConnectionError,
                 ClusterTimeoutError, HandshakeError, ProtocolError):

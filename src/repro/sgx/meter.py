@@ -8,9 +8,49 @@ mirroring the paper's single-thread throughput numbers.
 
 from __future__ import annotations
 
+import struct
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
+
+from repro.errors import ProtocolError
+
+#: The closed, sorted table of event names an enclave meter counts.  A
+#: name's position is its slot in the binary form below, so both ends of a
+#: shard hop read it from here; a name outside it (the per-tenant
+#: ``tenant_evict_denied:<token>``) rides the dynamic tail instead.
+EVENT_TABLE = tuple(sorted((
+    "batchexec_batch", "batchexec_conflict_raw", "batchexec_conflict_war",
+    "batchexec_conflict_waw", "batchexec_deferred",
+    "batchexec_fallback_round", "batchexec_round", "cache_evict",
+    "cache_hit", "cache_miss", "cache_writeback", "ctr_increment",
+    "ctr_read", "ecall", "enc_bytes", "epc_access", "exec_commit",
+    "heap_alloc", "heap_free", "mac_bytes", "mac_ops", "mt_expansion",
+    "mt_verify", "ocall", "op_delete", "op_get", "op_put", "page_swap",
+    "page_writeback", "resv_read", "resv_write", "stop_swap",
+    "tenant_evict_denied", "untrusted_access",
+)))
+_TABLE_NAMES = frozenset(EVENT_TABLE)
+#: cycles (f64) | one i64 per table name | number of dynamic entries (u16)
+_FIXED = struct.Struct(f"<d{len(EVENT_TABLE)}qH")
+#: count (i64) | name length (u16), then the utf-8 name
+_DYNAMIC = struct.Struct("<qH")
+_ZEROS = (0,) * len(EVENT_TABLE)
+_COUNT_OF = itemgetter(1)
+
+
+def _to_bytes(meter) -> bytes:
+    """The binary form of a meter or a snapshot, read off it in place."""
+    events = meter.events
+    dynamic = () if _TABLE_NAMES.issuperset(events) \
+        else sorted(events.keys() - _TABLE_NAMES)
+    parts = [_FIXED.pack(meter.cycles, *map(events.get, EVENT_TABLE, _ZEROS),
+                         len(dynamic))]
+    for name in dynamic:
+        raw = name.encode()
+        parts.append(_DYNAMIC.pack(events[name], len(raw)) + raw)
+    return b"".join(parts)
 
 
 @dataclass
@@ -41,6 +81,15 @@ class MeterSnapshot:
     def from_dict(cls, payload: dict) -> "MeterSnapshot":
         return cls(cycles=float(payload["cycles"]),
                    events=Counter(payload["events"]))
+
+    to_bytes = _to_bytes
+
+    @classmethod
+    def from_bytes(cls, data: bytes) -> "MeterSnapshot":
+        meter = CycleMeter()
+        if meter.load_bytes(data) != len(data):
+            raise ProtocolError("trailing bytes after meter")
+        return cls(cycles=meter.cycles, events=meter.events)
 
 
 class CycleMeter:
@@ -87,6 +136,37 @@ class CycleMeter:
 
     def snapshot(self) -> MeterSnapshot:
         return MeterSnapshot(cycles=self.cycles, events=Counter(self.events))
+
+    to_bytes = _to_bytes
+
+    def load_bytes(self, data: bytes, offset: int = 0,
+                   limit: Optional[int] = None) -> int:
+        """Replace this meter's state with the binary form at ``offset``
+        (which may not pass ``limit``); returns where it ended.  A zero
+        count is an absent name."""
+        if limit is None:
+            limit = len(data)
+        end = offset + _FIXED.size
+        if end > limit:
+            raise ProtocolError("truncated meter")
+        cycles, *counts, n_dynamic = _FIXED.unpack_from(data, offset)
+        events = self.events
+        events.clear()
+        dict.update(events, filter(_COUNT_OF, zip(EVENT_TABLE, counts)))
+        for _ in range(n_dynamic):
+            start = end + _DYNAMIC.size
+            if start > limit:
+                raise ProtocolError("truncated meter event")
+            count, name_len = _DYNAMIC.unpack_from(data, end)
+            end = start + name_len
+            if end > limit:
+                raise ProtocolError("truncated meter event name")
+            try:
+                events[data[start:end].decode()] = count
+            except UnicodeDecodeError:
+                raise ProtocolError("meter event name is not UTF-8") from None
+        self.cycles = cycles
+        return end
 
     def merge(self, other: "CycleMeter | MeterSnapshot") -> "CycleMeter":
         """Fold another meter's accumulated charges into this one.

@@ -26,7 +26,7 @@ What the distributed deployment must prove, roughly bottom-up:
 
 import multiprocessing
 import os
-import pickle
+from collections import Counter
 import random
 import socket
 import struct
@@ -46,6 +46,7 @@ from repro.cluster import (
     build_replicated_cluster,
     reap_leaked_hosts,
 )
+from repro.cluster import rpc
 from repro.cluster.framing import read_exactly, write_frame
 from repro.cluster.shard import EnclaveSpec
 from repro.cluster.session import ClientHandshake
@@ -57,6 +58,7 @@ from repro.errors import (
 )
 from repro.server import protocol
 from repro.server.protocol import STATUS_OK, encode_batch_responses
+from repro.sgx.meter import CycleMeter
 
 pytestmark = pytest.mark.dist
 
@@ -420,7 +422,7 @@ class TestWireAttacks:
             # flip a bit before it leaves.  The host must alarm and hang
             # up, never feeding the garbage to the enclave.
             frame = bytearray(
-                shard._session.seal(pickle.dumps(("stats", ()))))
+                shard._session.seal(rpc.encode_call("stats")))
             frame[len(frame) // 2] ^= 0x04
             write_frame(shard._sock, bytes(frame))
             deadline = time.monotonic() + 5.0
@@ -443,7 +445,6 @@ class TestOutboundFrameCap:
 
     @staticmethod
     def _oversize_flush():
-        # Distinct values: pickle would memoize one repeated object.
         return [protocol.put(b"k%03d" % i, bytes([i]) * protocol.MAX_VALUE_BYTES)
                 for i in range(129)]
 
@@ -482,14 +483,19 @@ class TestOutboundFrameCap:
             def gettimeout(self):
                 return None
 
-        meter = {"cycles": 1.0, "events": {}}
-        host._reply(Conn(), host_session,
-                    ("ok", bytes(protocol.MAX_FRAME_BYTES), meter))
+        class Enclave:
+            meter = CycleMeter(cycles=1.0, events=Counter(ecall=2))
+
+        host._reply(Conn(), host_session, Enclave, "get", rpc.encode_reply(
+            "get", True, bytes(protocol.MAX_FRAME_BYTES), Enclave.meter))
         [framed] = written
-        tag, payload, meter_back = pickle.loads(parent_session.open(framed[4:]))
-        assert tag == "err" and isinstance(payload, ProtocolError)
+        mirror = CycleMeter()
+        ok, payload = rpc.decode_reply(parent_session.open(framed[4:]),
+                                       mirror)
+        assert not ok and isinstance(payload, ProtocolError)
         assert "outside" in str(payload)
-        assert meter_back == meter      # the piggybacked snapshot survives
+        # the piggybacked meter survives
+        assert mirror.snapshot() == Enclave.meter.snapshot()
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +628,7 @@ class TestGauntlet:
                         and not inner.partitioned
                         and inner._session is not None):
                     frame = bytearray(
-                        inner._session.seal(pickle.dumps(("stats", ()))))
+                        inner._session.seal(rpc.encode_call("stats")))
                     frame[len(frame) // 2] ^= 0x20
                     try:
                         write_frame(inner._sock, bytes(frame))
