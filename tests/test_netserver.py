@@ -227,3 +227,110 @@ class TestLifecycle:
                                     OSError)):
                     client.get(b"key-003")
         assert background.server.frames_served == 2
+
+
+# -- the door against its own past ------------------------------------------------
+#
+# Captured at the parent of the commit that took the event loop out of the
+# front door (one blocking reader per connection): the same seeded stream
+# must produce the same responses, simulated cycles and security ledger.
+
+PARENT_STREAM = {
+    "digest":
+        "1f4f6b58fcbd7eb88c73a50614c6f4a822f5fd542c7fb12182db42ea364b0d76",
+    "shard_cycles": [2911753.5, 2529047.75],
+    "gateway_cycles": 15494946.0,
+    "wire_stats": {
+        "security": "optional",
+        "tamper_alarms": 0,
+        "replay_alarms": 0,
+        "stale_session_alarms": 0,
+        "handshake_failures": 0,
+        "hellos_refused": 0,
+        "plaintext_rejections": 0,
+        "tamper_injections": 1,
+        "replay_injections": 1,
+        "downgrade_injections": 0,
+        "overload": {
+            "max_inflight": None,
+            "max_connections": None,
+            "frames_shed": 3,
+            "requests_shed": 15,
+            "deadline_shed_frames": 3,
+            "connections_refused": 0,
+            "max_inflight_seen": 0,
+            "queue_shed": 0,
+            "expired_shed": 0,
+        },
+        "gateway": {
+            "handshakes": 4,
+            "active_sessions": 1,
+            "retired_sessions": 3,
+            "cipher": "fast/aes-ctr+cmac",
+            "cycles": 15494946.0,
+            "events": {"wire_kex": 8, "wire_quote": 4,
+                       "wire_enc": 399, "wire_mac": 399},
+        },
+    },
+}
+
+
+def drive_seeded_stream(n_frames=200, seed=1809):
+    """One secure client, ``n_frames`` frames: mixed batches, undecodable
+    payloads, spent budgets, and a delay/tamper/replay/close fault each."""
+    import hashlib
+    import random
+
+    from repro.cluster import FaultPlan, SessionManager
+    from repro.errors import AriaError
+
+    rng = random.Random(seed)
+    coordinator = build_cluster(ClusterConfig(
+        n_shards=2, n_keys=512, scale=2048, batch_window=8))
+    coordinator.load((b"key-%03d" % i, b"val-%03d" % i) for i in range(256))
+    plan = (FaultPlan().delay(at=30, seconds=0.001).tamper(at=60)
+            .replay(at=120).close(at=150))
+    digest = hashlib.sha256()
+    with BackgroundServer(coordinator, fault_plan=plan,
+                          sessions=SessionManager(seed=7)) as background:
+        host, port = background.server.address
+        client = ClusterClient(host, port, retries=0)
+        try:
+            for i in range(n_frames):
+                batch = []
+                for _ in range(rng.randint(1, 8)):
+                    key = b"key-%03d" % rng.randrange(320)
+                    roll = rng.random()
+                    if roll < 0.7:
+                        batch.append(protocol.get(key))
+                    elif roll < 0.95:
+                        batch.append(protocol.put(key, b"v%05d" % i))
+                    else:
+                        batch.append(protocol.delete(key))
+                payload = protocol.encode_batch(batch)
+                if i % 37 == 36:
+                    payload = b"\xff\xff not a batch %d" % i
+                elif i % 53 == 52:
+                    payload = protocol.wrap_deadline(payload, 0)
+                try:
+                    client.send_frame(payload)
+                    digest.update(client.recv_frame())
+                except AriaError as exc:
+                    digest.update(type(exc).__name__.encode())
+                    client._reconnect()
+            stats = background.server.wire_stats()
+            gateway_cycles = background.server.sessions.meter.cycles
+        finally:
+            client.close()
+    return {
+        "digest": digest.hexdigest(),
+        "shard_cycles": [shard.meter.cycles
+                         for shard in coordinator.shard_list()],
+        "gateway_cycles": gateway_cycles,
+        "wire_stats": stats,
+    }
+
+
+class TestParentEquivalence:
+    def test_seeded_stream_matches_the_parent_commit(self):
+        assert drive_seeded_stream() == PARENT_STREAM
