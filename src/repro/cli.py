@@ -7,7 +7,7 @@ Commands:
 * ``bench``     — regenerate the paper's tables/figures.
 * ``attack``    — stage every threat-model attack and report detection.
 * ``inspect``   — show how a store would be sized at a given scale.
-* ``serve``     — run the sharded cluster's asyncio TCP server.
+* ``serve``     — run the sharded cluster's TCP server.
 * ``shard-host``— run one shard-host process for the socket backend.
 * ``reconfig``  — rehearse a live shard add/remove under zipf traffic.
 """
@@ -203,8 +203,6 @@ def _parse_tenants(spec: str, require_auth: bool):
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    import asyncio
-
     from repro.cluster import (
         ClusterConfig,
         ClusterNetServer,
@@ -322,52 +320,47 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                               max_inflight=args.max_inflight,
                               max_connections=args.max_connections)
 
-    async def run() -> None:
-        host, port = await server.start()
-        print(f"cluster listening on {host}:{port} "
-              f"({args.shards} shards, backend {args.backend}, "
-              f"{config.workers or 1} worker(s)/shard, "
-              f"balancer {'on' if args.balance else 'off'}, wire security "
-              f"{security})")
-        if args.durable:
-            print(f"  durable: data dir {args.data_dir}, replication "
-                  f"{args.replication}, epoch every {args.epoch_every} "
-                  "commits")
-            for shard_id in sorted(restored):
-                state = restored[shard_id]
-                print(f"  {shard_id}: restored {len(state.pairs)} keys "
-                      f"(epoch {state.epoch}, {state.batches_replayed} "
-                      "batches replayed)")
-        if overloaded_door:
-            print("  overload: max in-flight "
-                  f"{args.max_inflight if args.max_inflight else 'unlimited'}"
-                  ", max connections "
-                  f"{args.max_connections if args.max_connections else 'unlimited'}"  # noqa: E501
-                  ", per-shard breakers armed")
-        if server.sessions is not None:
-            print(f"  gateway measurement {server.sessions.measurement.hex()}")
-        if tenancy is not None:
-            roster = ", ".join(t.tenant_id for t in tenancy.tenants)
-            print(f"  tenants: {roster} (auth "
-                  f"{'required' if tenancy.require_auth else 'optional'})")
-        for shard in coordinator.shard_list():
-            line = f"  {shard.shard_id}: EPC {shard.epc_bytes:,} B"
-            replicas = getattr(shard, "replicas", None)
-            if replicas:  # a replica group fronts its enclaves
-                line += f", {len(replicas)} replica(s)"
-            store_config = getattr(shard.store, "config", None)
-            if store_config is not None:
-                line += f", {store_config.n_buckets:,} buckets"
-            print(line)
-        try:
-            await server.serve_forever()
-        except asyncio.CancelledError:  # pragma: no cover - ^C path
-            await server.stop()
-
+    host, port = server.start()
+    print(f"cluster listening on {host}:{port} "
+          f"({args.shards} shards, backend {args.backend}, "
+          f"{config.workers or 1} worker(s)/shard, "
+          f"balancer {'on' if args.balance else 'off'}, wire security "
+          f"{security})")
+    if args.durable:
+        print(f"  durable: data dir {args.data_dir}, replication "
+              f"{args.replication}, epoch every {args.epoch_every} "
+              "commits")
+        for shard_id in sorted(restored):
+            state = restored[shard_id]
+            print(f"  {shard_id}: restored {len(state.pairs)} keys "
+                  f"(epoch {state.epoch}, {state.batches_replayed} "
+                  "batches replayed)")
+    if overloaded_door:
+        print("  overload: max in-flight "
+              f"{args.max_inflight if args.max_inflight else 'unlimited'}"
+              ", max connections "
+              f"{args.max_connections if args.max_connections else 'unlimited'}"  # noqa: E501
+              ", per-shard breakers armed")
+    if server.sessions is not None:
+        print(f"  gateway measurement {server.sessions.measurement.hex()}")
+    if tenancy is not None:
+        roster = ", ".join(t.tenant_id for t in tenancy.tenants)
+        print(f"  tenants: {roster} (auth "
+              f"{'required' if tenancy.require_auth else 'optional'})")
+    for shard in coordinator.shard_list():
+        line = f"  {shard.shard_id}: EPC {shard.epc_bytes:,} B"
+        replicas = getattr(shard, "replicas", None)
+        if replicas:  # a replica group fronts its enclaves
+            line += f", {len(replicas)} replica(s)"
+        store_config = getattr(shard.store, "config", None)
+        if store_config is not None:
+            line += f", {store_config.n_buckets:,} buckets"
+        print(line)
     try:
-        asyncio.run(run())
+        server.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
+    server.stop()
     try:
         report = coordinator.stats().report()["shards"]
         print(f"served {server.requests_served} requests "
@@ -527,8 +520,8 @@ def build_parser() -> argparse.ArgumentParser:
     attack = sub.add_parser("attack", help="stage the threat-model attacks")
     attack.set_defaults(func=_cmd_attack)
 
-    serve = sub.add_parser("serve", help="run the sharded cluster TCP "
-                                         "server (asyncio)")
+    serve = sub.add_parser("serve",
+                           help="run the sharded cluster TCP server")
     serve.add_argument("--shards", type=int, default=4)
     serve.add_argument("--port", type=int, default=7433,
                        help="0 picks an ephemeral port")

@@ -1,12 +1,20 @@
-"""Asyncio TCP front door for the sharded cluster.
+"""The TCP front door for the sharded cluster, and its client.
 
-Speaks ``repro.server.protocol`` frames over a stream with a 4-byte
-little-endian length prefix::
+Speaks ``repro.server.protocol`` frames over the one framed stream of
+:mod:`repro.cluster.framing` (4-byte little-endian length prefix)::
 
     wire frame := frame_len (u32 LE) | payload
     payload    := v1 plaintext batch, or a v2 session frame
                   (see repro.server.protocol / repro.cluster.session)
 
+* **One blocking reader per connection** — the model
+  :class:`~repro.cluster.sockbackend.ShardHost` uses: an accept loop and
+  a daemon thread per connection that reads a frame, serves it, and
+  writes the reply with one ``sendall``.  Everything between the two
+  socket calls runs under one lock (see :class:`ClusterNetServer`), so
+  the simulated state sees one frame at a time; reads, writes and
+  injected delays happen outside it, so a stalled peer holds up only
+  its own connection.
 * **Pipelining** — a client may write any number of request frames without
   waiting; responses come back in frame order (and positionally within a
   frame, per the protocol contract).
@@ -33,29 +41,27 @@ little-endian length prefix::
   are staged here, acting as the deterministic on-path adversary; the
   matching alarms count what the session layer caught.
 * **Bounded admission** — ``max_inflight`` caps how many request frames
-  may be admitted (executing or queued) at once; excess frames wait on a
-  LIFO stack and are shed with ``STATUS_OVERLOADED`` + ``retry_after``
-  when the stack is full or their deadline budget runs out while queued
-  (newest-first service: under overload the freshest work has the most
-  budget left).  ``max_connections`` refuses connections beyond the cap
-  outright.  Clients attach deadline budgets as a wire envelope
+  may be admitted (executing, or holding a slot while they wait for the
+  execution lock) at once; excess frames wait on a LIFO stack and are
+  shed with ``STATUS_OVERLOADED`` + ``retry_after`` when the stack is
+  full or their deadline budget runs out while queued (newest-first
+  service: under overload the freshest work has the most budget left).
+  ``max_connections`` refuses connections beyond the cap outright.
+  Clients attach deadline budgets as a wire envelope
   (:func:`repro.server.protocol.wrap_deadline`); the front door strips
   the envelope, sheds already-expired frames without executing them, and
   hands the remaining budget to the coordinator's overload layer.
 * **Graceful shutdown** — :meth:`ClusterNetServer.stop` stops accepting,
-  lets in-flight frames finish, closes every connection, and wakes
-  :meth:`serve_forever`.
+  lets frames already executing be answered, closes every connection,
+  and ends :meth:`serve_forever`.
 
-:class:`ClusterClient` is the matching synchronous client (plain stdlib
-sockets — examples, tests, and CLI tooling shouldn't need an event loop),
-and :class:`BackgroundServer` runs the whole server on a daemon thread for
-the same audiences.
+:class:`ClusterClient` is the matching synchronous client, and
+:class:`BackgroundServer` runs the accept loop on a daemon thread for
+tests, examples and :func:`repro.cluster.serve`.
 """
 
 from __future__ import annotations
 
-import asyncio
-import errno
 import socket
 import threading
 import time
@@ -78,11 +84,13 @@ from repro.cluster.framing import (
     frame,
     frame_length_ok,
     read_frame,
+    wake_and_close,
     write_frame,
 )
 from repro.cluster.overload import Deadline, RetryBudget
 from repro.cluster.session import ClientHandshake, SecureSession, SessionManager
 from repro.errors import (
+    AriaError,
     ClusterConnectionError,
     ClusterTimeoutError,
     ConfigurationError,
@@ -114,16 +122,33 @@ SECURITY_POLICIES = ("optional", "required", "plaintext")
 #: The classic net fault kinds, consumed after a frame is served.
 _CONNECTION_KINDS = frozenset({DELAY, DROP, CLOSE})
 
+#: The ``_open_frame`` verdict for a hostile frame: answer with the
+#: plaintext batch rejection, then hang up.
+_REJECT_AND_CLOSE = (None, (BATCH_REJECTION,), False)
+
 
 def _flip_bit(frame: bytes) -> bytes:
     """The on-path adversary's tamper: one bit of the last byte (the tag)."""
     return frame[:-1] + bytes([frame[-1] ^ 0x01])
 
 
+class _Waiter:
+    """One frame parked on the gate: woken exactly once, with a verdict."""
+
+    __slots__ = ("deadline", "decided", "admitted")
+
+    def __init__(self, deadline: Optional[Deadline]):
+        self.deadline = deadline
+        self.decided = threading.Event()
+        self.admitted = False
+
+
 class _AdmissionGate:
     """A global in-flight cap with LIFO queueing and deadline shedding.
 
-    A frame holds a slot from admission until its response is written.
+    A frame holds a slot from admission until ``execute`` returns — while
+    it waits for the door's execution lock and while its batch runs, not
+    while its reply is encoded and written (a slow reader holds no slot).
     When every slot is busy, new frames wait on a *stack*: service is
     newest-first, because under sustained overload the freshest frame has
     the most deadline budget left and FIFO would drain the queue in
@@ -134,78 +159,90 @@ class _AdmissionGate:
     expires while queued is shed the moment a slot would reach it, or by
     its wait timeout — whichever comes first.
 
-    Single event loop, no locks: slots hand over directly from
-    :meth:`release` to the newest live waiter, so ``inflight`` can never
+    Threading invariants: one lock guards the counters and the stack; a
+    waiter is on the stack exactly while it is undecided, and whoever
+    pops it (hand-over, shed, or its own timeout) decides it under that
+    lock.  :meth:`release` hands its slot to the newest live waiter
+    without ever decrementing ``inflight``, so the count can never
     overshoot ``capacity`` (``max_seen`` records the high-water mark for
-    the acceptance test's cap assertion).
+    the acceptance test's cap assertion).  The gate's lock is a leaf:
+    nothing is called with it held, so it may be taken under the door's.
     """
 
     def __init__(self, capacity: int):
         self.capacity = capacity
         self.inflight = 0
         self.max_seen = 0
-        self._waiters: List[Tuple[asyncio.Future, Optional[Deadline]]] = []
+        self._lock = threading.Lock()
+        self._waiters: List[_Waiter] = []
         self.shed_queue_full = 0
         self.shed_expired = 0
 
-    def _admit(self) -> None:
-        self.inflight += 1
-        if self.inflight > self.max_seen:
-            self.max_seen = self.inflight
-
-    async def acquire(self, deadline: Optional[Deadline]) -> bool:
+    def acquire(self, deadline: Optional[Deadline]) -> bool:
         """Wait for a slot; False = shed (answer OVERLOADED, don't run)."""
-        if self.inflight < self.capacity:
-            self._admit()
-            return True
-        if deadline is not None and deadline.expired():
-            self.shed_expired += 1
-            return False
-        if len(self._waiters) >= self.capacity:
-            victim, _ = self._waiters.pop(0)
-            if not victim.done():
-                victim.set_result(False)
+        with self._lock:
+            if self.inflight < self.capacity:
+                self.inflight += 1
+                if self.inflight > self.max_seen:
+                    self.max_seen = self.inflight
+                return True
+            if deadline is not None and deadline.expired():
+                self.shed_expired += 1
+                return False
+            if len(self._waiters) >= self.capacity:
+                self._waiters.pop(0).decided.set()  # oldest: shed
                 self.shed_queue_full += 1
-        future = asyncio.get_running_loop().create_future()
-        self._waiters.append((future, deadline))
+            waiter = _Waiter(deadline)
+            self._waiters.append(waiter)
         timeout = deadline.remaining() if deadline is not None else None
-        try:
-            if timeout is None:
-                return bool(await future)
-            return bool(await asyncio.wait_for(future, timeout))
-        except asyncio.TimeoutError:
-            self._waiters = [w for w in self._waiters if w[0] is not future]
-            if future.done() and not future.cancelled() and future.result():
-                return True  # the slot arrived in the same tick: keep it
-            self.shed_expired += 1
-            return False
+        if not waiter.decided.wait(timeout):
+            with self._lock:
+                if not waiter.decided.is_set():
+                    self._waiters.remove(waiter)
+                    self.shed_expired += 1
+                # else: decided between the timeout and the lock; keep it
+        return waiter.admitted
 
     def release(self) -> None:
         """Free a slot — handed to the newest live waiter when one exists."""
-        while self._waiters:
-            future, deadline = self._waiters.pop()  # LIFO: newest first
-            if future.done():
-                continue  # already timed out or shed; stale entry
-            if deadline is not None and deadline.expired():
-                future.set_result(False)
-                self.shed_expired += 1
-                continue
-            future.set_result(True)  # slot transfers; inflight unchanged
-            return
-        self.inflight -= 1
+        with self._lock:
+            while self._waiters:
+                waiter = self._waiters.pop()  # LIFO: newest first
+                if waiter.deadline is not None and waiter.deadline.expired():
+                    self.shed_expired += 1
+                    waiter.decided.set()
+                    continue
+                waiter.admitted = True  # slot transfers; inflight unchanged
+                waiter.decided.set()
+                return
+            self.inflight -= 1
 
-    def stats(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "inflight": self.inflight,
-            "max_inflight_seen": self.max_seen,
-            "shed_queue_full": self.shed_queue_full,
-            "shed_expired": self.shed_expired,
-        }
+
+class _Connection:
+    """What one accepted socket carries from frame to frame."""
+
+    __slots__ = ("sock", "session", "last_reply")
+
+    def __init__(self, sock: socket.socket):
+        self.sock = sock
+        self.session: Optional[SecureSession] = None
+        self.last_reply: Optional[bytes] = None  # REPLAY's recorded frame
 
 
 class ClusterNetServer:
-    """Serves a :class:`~repro.cluster.coordinator.ClusterCoordinator`."""
+    """Serves a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
+
+    Concurrency: the accept loop runs on whichever thread calls
+    :meth:`serve_forever`; each connection gets a daemon thread that
+    blocks in ``recv``.  ``_lock`` serialises everything a frame does
+    between its read and its write — session ``open``/``seal`` (they
+    charge the one gateway :class:`~repro.sgx.meter.CycleMeter`), the
+    coordinator (not thread-safe), the served/shed/alarm counters, the
+    fault plan and the connection table — so simulated cycles, wire
+    bytes and :meth:`wire_stats` are what a single thread would produce.
+    Socket reads and writes, the admission gate's wait and the DELAY
+    fault's sleep happen outside it.
+    """
 
     def __init__(
         self,
@@ -238,9 +275,11 @@ class ClusterNetServer:
         self._coordinator = coordinator
         self._host = host
         self._port = port
-        self._server: Optional[asyncio.AbstractServer] = None
-        self._stop_event: Optional[asyncio.Event] = None
-        self._writers: set = set()
+        self._listener: Optional[socket.socket] = None
+        self._stopping = threading.Event()
+        self._lock = threading.Lock()
+        #: Accepted socket -> the thread serving it.
+        self._conns: dict = {}
         #: Stop after this many request frames (None = serve forever).
         #: Handshake frames are not request frames and never count.
         self.max_requests = max_requests
@@ -294,80 +333,106 @@ class ClusterNetServer:
 
     # -- lifecycle ----------------------------------------------------------------
 
-    #: Bind attempts before giving up on an address already in use.  A
-    #: fixed port raced by a just-closed test server lingers in TIME_WAIT
-    #: briefly; bounded retry with a short backoff deflakes that without
-    #: masking a genuinely occupied port.  Shared with the shard-host
-    #: listener (see :mod:`repro.cluster.netutil`).
+    #: Bind attempts before giving up on an address already in use, and
+    #: the base delay between them (see :func:`repro.cluster.netutil.listen`,
+    #: shared with the shard-host listener).
     BIND_RETRIES = netutil.BIND_RETRIES
     BIND_RETRY_DELAY = netutil.BIND_RETRY_DELAY
 
-    async def start(self) -> Tuple[str, int]:
-        """Bind and start accepting; returns the bound (host, port).
+    def start(self) -> Tuple[str, int]:
+        """Bind and listen; returns the bound (host, port).
 
-        Retries ``EADDRINUSE`` up to :data:`BIND_RETRIES` times (ephemeral
-        port 0 never collides, so in practice this only fires for fixed
-        ports); any other bind error surfaces immediately.
+        Connections queue in the listen backlog until
+        :meth:`serve_forever` accepts them.
         """
-        self._stop_event = asyncio.Event()
-        for attempt in range(self.BIND_RETRIES):
-            try:
-                self._server = await asyncio.start_server(
-                    self._handle_connection, self._host, self._port
-                )
-                break
-            except OSError as exc:
-                if exc.errno != errno.EADDRINUSE \
-                        or attempt == self.BIND_RETRIES - 1:
-                    raise
-                await asyncio.sleep(self.BIND_RETRY_DELAY * (attempt + 1))
-        self._host, self._port = self._server.sockets[0].getsockname()[:2]
+        self._listener = netutil.listen(
+            self._host, self._port, retries=self.BIND_RETRIES,
+            delay=self.BIND_RETRY_DELAY)
+        self._host, self._port = self._listener.getsockname()[:2]
         return self._host, self._port
 
     @property
     def address(self) -> Tuple[str, int]:
         return self._host, self._port
 
-    async def serve_forever(self) -> None:
-        """Run until :meth:`stop` (or the ``max_requests`` limit)."""
-        if self._server is None:
-            await self.start()
+    def serve_forever(self) -> None:
+        """Accept and serve until :meth:`stop` (or the ``max_requests``
+        limit)."""
+        if self._listener is None:
+            self.start()
         if self._limit_reached():
-            await self.stop()
-            return
-        await self._stop_event.wait()
-
-    async def stop(self) -> None:
-        """Graceful shutdown: stop accepting, drain, close connections."""
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-            self._server = None
-        # Request handling is synchronous within a connection task, so by
-        # the time this coroutine runs no frame is mid-execution; closing
-        # the transports ends every connection loop cleanly.
-        for writer in list(self._writers):
-            writer.close()
-        for writer in list(self._writers):
+            self.stop()
+        while not self._stopping.is_set():
             try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-        self._writers.clear()
-        if self._stop_event is not None:
-            self._stop_event.set()
+                sock, _ = self._listener.accept()
+            except OSError:
+                break  # listener closed by stop()
+            # Replies are single small writes, and REPLAY's are two back to
+            # back: Nagle would hold the second for the peer's delayed ACK.
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            with self._lock:
+                if self._stopping.is_set():
+                    admitted = False  # raced stop(): it will not see us
+                elif (self.max_connections is not None
+                        and len(self._conns) >= self.max_connections):
+                    # Over the connection cap: refuse without reply.  Any
+                    # answer (even a rejection frame) would let a connection
+                    # flood buy server work; a silent close costs one accept.
+                    self.connections_refused += 1
+                    admitted = False
+                else:
+                    admitted = True
+                    thread = threading.Thread(
+                        target=self._serve_connection,
+                        args=(_Connection(sock),),
+                        daemon=True, name="aria-door-conn")
+                    # Registered and started in one step, so stop() never
+                    # joins a thread that has not begun.
+                    self._conns[sock] = thread
+                    thread.start()
+            if not admitted:
+                sock.close()
 
-    async def close(self, timeout: float = 5.0) -> None:
+    def _begin_stop(self) -> list:
+        """Stop accepting and wake every idle reader; never blocks.
+
+        Only the *read* side of each connection is shut down: a reader
+        blocked in ``recv`` sees end-of-stream and leaves, while a frame
+        already past its read is still answered before its thread closes
+        the socket.  Returns the connections that were live.
+        """
+        self._stopping.set()
+        if self._listener is not None:
+            wake_and_close(self._listener)
+        with self._lock:
+            conns = list(self._conns.items())
+        for sock, _thread in conns:
+            try:
+                sock.shutdown(socket.SHUT_RD)
+            except OSError:
+                pass  # the peer already hung up
+        return conns
+
+    def stop(self, timeout: float = 5.0) -> None:
+        """Graceful shutdown: stop accepting, drain, close connections."""
+        conns = self._begin_stop()
+        for _sock, thread in conns:
+            thread.join(timeout)
+        for sock, thread in conns:
+            if thread.is_alive():
+                # Stuck writing to a peer that stopped reading: cut it.
+                wake_and_close(sock)
+
+    def close(self, timeout: float = 5.0) -> None:
         """Full shutdown: drain and stop serving, then release the shards.
 
-        :meth:`stop` already guarantees no frame is mid-execution when it
-        returns (request handling is synchronous within a connection
-        task), so by the time the coordinator is closed every in-flight
-        batch has been answered.  Closing the coordinator joins/terminates
-        any process-backed shard workers with ``timeout`` bounding each
-        escalation step — after this, the process tree is clean.
+        :meth:`stop` joins every connection thread, so by the time the
+        coordinator is closed every in-flight batch has been answered.
+        Closing the coordinator joins/terminates any process-backed shard
+        workers with ``timeout`` bounding each escalation step — after
+        this, the process tree is clean.
         """
-        await self.stop()
+        self.stop(timeout)
         close = getattr(self._coordinator, "close", None)
         if close is not None:
             close(timeout)
@@ -417,140 +482,99 @@ class ClusterNetServer:
 
     # -- per-connection loop ------------------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        if (self.max_connections is not None
-                and len(self._writers) >= self.max_connections):
-            # Over the connection cap: refuse without reply.  Any answer
-            # (even a rejection frame) would let a connection flood buy
-            # server work; a silent close costs one accept.
-            self.connections_refused += 1
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
-            return
-        self._writers.add(writer)
-        session: Optional[SecureSession] = None
-        last_reply: Optional[bytes] = None  # REPLAY's recorded frame
+    def _serve_connection(self, conn: _Connection) -> None:
+        sock = conn.sock
         try:
-            while not self._stop_event.is_set():
+            while not self._stopping.is_set():
                 try:
-                    header = await reader.readexactly(FRAME_HEADER.size)
-                except (asyncio.IncompleteReadError, ConnectionError):
-                    break
-                (frame_len,) = FRAME_HEADER.unpack(header)
-                if not frame_length_ok(frame_len):
+                    payload = read_frame(sock)
+                except ProtocolError:
                     # The length itself is hostile: reject without reading
                     # (or allocating) the claimed payload, then hang up —
                     # the stream cannot be resynchronized.
-                    await self._send(writer, BATCH_REJECTION)
+                    self._send(sock, BATCH_REJECTION)
                     break
-                try:
-                    payload = await reader.readexactly(frame_len)
-                except (asyncio.IncompleteReadError, ConnectionError):
+                with self._lock:
+                    batch, replies, keep = self._open_frame(conn, payload)
+                if batch is not None:
+                    replies, keep = self._run_batch(conn, *batch)
+                for reply in replies:
+                    self._send(sock, reply)
+                if not keep:
                     break
-                if payload.startswith(protocol.V2_MAGIC):
-                    if session is None or (
-                            len(payload) > 3
-                            and payload[3] & protocol.FLAG_HANDSHAKE):
-                        # A connection's first frame, or the handshake
-                        # bit (byte 3 = flags): checked here.  A session's
-                        # data frame is parsed once, by session.open.
-                        try:
-                            fheader, _ = protocol.decode_frame(payload)
-                        except ProtocolError:
-                            # v2 magic, malformed header: hostile, hang up.
-                            await self._send(writer, BATCH_REJECTION)
-                            break
-                        if fheader.flags & protocol.FLAG_HANDSHAKE:
-                            session, keep = await self._serve_handshake(
-                                writer, payload, session
-                            )
-                            if not keep:
-                                break
-                            continue
-                    plain = await self._open_session_frame(
-                        writer, payload, session
-                    )
-                    if plain is None:
-                        break  # alarm raised; the stream is under attack
-                else:
-                    # v1 plaintext payload.
-                    if session is not None or self.security == "required":
-                        # Plaintext mid-session is a downgrade attempt;
-                        # plaintext on a v2-only front door is policy.
-                        self.plaintext_rejections += 1
-                        await self._send(writer, BATCH_REJECTION)
-                        break
-                    plain = payload
-                try:
-                    claimed, plain = protocol.split_tenant(plain)
-                    budget_ms, plain = protocol.split_deadline(plain)
-                    requests = protocol.decode_batch(plain)
-                except ProtocolError:
-                    await self._send_in_session(
-                        writer, BATCH_REJECTION, session)
-                    continue
-                if (session is not None and claimed is not None
-                        and claimed != session.tenant):
-                    # A sealed frame may only claim the principal its
-                    # handshake authenticated; anything else (including a
-                    # claim on a tenant-less session) is a confused-deputy
-                    # attempt and is refused per-frame.
-                    self.tenant_rejections += 1
-                    await self._send_in_session(
-                        writer, BATCH_REJECTION, session)
-                    continue
-                # v2: the handshake-authenticated identity is authoritative.
-                # v1 plaintext: the claim rides unauthenticated, like
-                # everything else on the priced baseline.
-                tenant = session.tenant if session is not None else claimed
-                deadline = (Deadline.from_budget_ms(budget_ms)
-                            if budget_ms is not None else None)
-                responses = await self._admit_and_execute(
-                    requests, deadline, tenant
-                )
-                self.frames_served += 1
-                self.requests_served += len(requests)
-                action = await self._apply_net_faults()
-                if action == CLOSE:
-                    self.connections_closed_by_fault += 1
-                    break  # hang up without answering
-                if action == DROP:
-                    self.frames_dropped += 1
-                    continue  # swallow the response; the client times out
-                reply = protocol.encode_batch_responses(responses)
-                if session is not None:
-                    reply = session.seal(reply)
-                    last_reply = await self._play_wire_attacks(
-                        writer, reply, last_reply
-                    )
-                else:
-                    await self._send(writer, reply)
-                if self._limit_reached():
-                    asyncio.get_running_loop().create_task(self.stop())
-                    break
-        except ConnectionError:  # pragma: no cover - peer vanished mid-write
-            pass
+        except OSError:
+            pass  # the peer hung up, or stop() shut the read side
         finally:
-            if session is not None and self.sessions is not None:
-                self.sessions.retire(session)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):  # pragma: no cover
-                pass
+            with self._lock:
+                if conn.session is not None and self.sessions is not None:
+                    self.sessions.retire(conn.session)
+                del self._conns[sock]
+            sock.close()
+            if self._limit_reached():
+                self._begin_stop()
 
-    async def _admit_and_execute(
+    def _open_frame(self, conn: _Connection, payload: bytes) -> tuple:
+        """Handshake, policy, session ``open``, envelopes, decode (lock held).
+
+        Returns ``(batch, replies, keep)``: ``batch`` is the ``(requests,
+        deadline, tenant)`` to run, or None when ``replies`` already
+        answer the frame; ``keep`` False hangs up after sending them.
+        """
+        session = conn.session
+        if payload.startswith(protocol.V2_MAGIC):
+            if session is None or (
+                    len(payload) > 3
+                    and payload[3] & protocol.FLAG_HANDSHAKE):
+                # A connection's first frame, or the handshake bit (byte
+                # 3 = flags): checked here.  A session's data frame is
+                # parsed once, by session.open.
+                try:
+                    fheader, _ = protocol.decode_frame(payload)
+                except ProtocolError:
+                    return _REJECT_AND_CLOSE  # malformed v2 header: hostile
+                if fheader.flags & protocol.FLAG_HANDSHAKE:
+                    return self._serve_handshake(conn, payload)
+            plain = self._open_session_frame(payload, session)
+            if plain is None:
+                return _REJECT_AND_CLOSE  # alarm raised; under attack
+        else:
+            # v1 plaintext payload.
+            if session is not None or self.security == "required":
+                # Plaintext mid-session is a downgrade attempt;
+                # plaintext on a v2-only front door is policy.
+                self.plaintext_rejections += 1
+                return _REJECT_AND_CLOSE
+            plain = payload
+        try:
+            claimed, plain = protocol.split_tenant(plain)
+            budget_ms, plain = protocol.split_deadline(plain)
+            requests = protocol.decode_batch(plain)
+        except ProtocolError:
+            return None, (self._in_session(BATCH_REJECTION, session),), True
+        if (session is not None and claimed is not None
+                and claimed != session.tenant):
+            # A sealed frame may only claim the principal its handshake
+            # authenticated; anything else (including a claim on a
+            # tenant-less session) is a confused-deputy attempt and is
+            # refused per-frame.
+            self.tenant_rejections += 1
+            return None, (self._in_session(BATCH_REJECTION, session),), True
+        # v2: the handshake-authenticated identity is authoritative.
+        # v1 plaintext: the claim rides unauthenticated, like
+        # everything else on the priced baseline.
+        tenant = session.tenant if session is not None else claimed
+        deadline = (Deadline.from_budget_ms(budget_ms)
+                    if budget_ms is not None else None)
+        return (requests, deadline, tenant), (), True
+
+    def _run_batch(
         self,
+        conn: _Connection,
         requests: List[Request],
         deadline: Optional[Deadline],
-        tenant: Optional[str] = None,
-    ) -> List[Response]:
-        """Run one frame through admission control, then the coordinator.
+        tenant: Optional[str],
+    ) -> Tuple[tuple, bool]:
+        """Admit, execute, count, stage faults, encode and seal one frame.
 
         Three shed points, all answered with ``STATUS_OVERLOADED`` +
         ``retry_after`` instead of silence (a shed client must learn to
@@ -562,23 +586,71 @@ class ClusterNetServer:
         token buckets) and key prefixing, so a shed there is charged to —
         and its ``retry_after`` reflects — the offending principal's own
         bucket, not the global gate.
+
+        Returns ``(replies, keep)``.  The gate's wait and an injected
+        delay happen outside the lock.
         """
-        if deadline is not None and deadline.expired():
-            self.deadline_shed_frames += 1
-            return self._shed(len(requests), b"deadline expired on arrival")
-        if self._gate is not None:
-            if not await self._gate.acquire(deadline):
-                return self._shed(len(requests), b"admission queue full")
-        try:
-            kwargs = {}
-            if deadline is not None:
-                kwargs["deadline"] = deadline
-            if tenant is not None:
-                kwargs["tenant"] = tenant
-            return self._coordinator.execute(requests, **kwargs)
-        finally:
-            if self._gate is not None:
-                self._gate.release()
+        expired = deadline is not None and deadline.expired()
+        admitted = not expired and (
+            self._gate is None or self._gate.acquire(deadline))
+        with self._lock:
+            if expired:
+                self.deadline_shed_frames += 1
+                responses = self._shed(
+                    len(requests), b"deadline expired on arrival")
+            elif not admitted:
+                responses = self._shed(
+                    len(requests), b"admission queue full")
+            else:
+                kwargs = {}
+                if deadline is not None:
+                    kwargs["deadline"] = deadline
+                if tenant is not None:
+                    kwargs["tenant"] = tenant
+                try:
+                    responses = self._coordinator.execute(requests, **kwargs)
+                finally:
+                    if self._gate is not None:
+                        self._gate.release()
+            self.frames_served += 1
+            self.requests_served += len(requests)
+            keep = not self._limit_reached()
+            action, delay = self._pop_net_faults()
+            if action == CLOSE:
+                self.connections_closed_by_fault += 1
+                replies, keep = (), False  # hang up without answering
+            elif action == DROP:
+                self.frames_dropped += 1
+                replies = ()  # swallow the response; the client times out
+            else:
+                reply = protocol.encode_batch_responses(responses)
+                if conn.session is None:
+                    replies = (reply,)
+                else:
+                    reply = conn.session.seal(reply)
+                    replies = self._stage_wire_attacks(reply, conn.last_reply)
+                    conn.last_reply = reply
+        if delay:
+            time.sleep(delay)
+        return replies, keep
+
+    def _pop_net_faults(self) -> Tuple[Optional[str], float]:
+        """Consume due connection faults (lock held): CLOSE/DROP to
+        suppress the response (None serves normally), and how long the
+        due delays stall it."""
+        action: Optional[str] = None
+        delay = 0.0
+        if self.fault_plan is not None:
+            for event in self.fault_plan.pop_due(
+                NET_TARGET, self.frames_served, kinds=_CONNECTION_KINDS
+            ):
+                if event.kind == DELAY:
+                    delay += event.seconds
+                elif event.kind == DROP:
+                    action = action or DROP
+                elif event.kind == CLOSE:
+                    action = CLOSE
+        return action, delay
 
     def _shed(self, n: int, reason: bytes) -> List[Response]:
         self.frames_shed += 1
@@ -586,46 +658,41 @@ class ClusterNetServer:
         shed = protocol.overloaded(self.shed_retry_after, reason)
         return [shed] * n
 
-    async def _serve_handshake(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: bytes,
-        session: Optional[SecureSession],
-    ) -> Tuple[Optional[SecureSession], bool]:
-        """Answer a v2 client hello; returns (session, keep-connection).
+    def _serve_handshake(self, conn: _Connection, payload: bytes) -> tuple:
+        """Answer a v2 client hello (lock held); an ``_open_frame`` verdict.
 
         A policy refusal (plaintext-only front door) and an injected
         downgrade both answer in plaintext — exactly what an on-path
         attacker stripping the handshake looks like — and a client that
         wants encryption must treat that reply as fatal.
         """
-        downgraded = self.sessions is not None and self._pop_downgrade()
+        downgraded = (
+            self.sessions is not None and self.fault_plan is not None
+            and bool(self.fault_plan.pop_due(
+                NET_TARGET, self.frames_served, kinds=(DOWNGRADE,))))
         if self.sessions is None or downgraded:
             if downgraded:
                 self.downgrade_injections += 1
             self.hellos_refused += 1
-            await self._send(writer, BATCH_REJECTION)
-            return session, True
-        if session is not None:
+            return None, (BATCH_REJECTION,), True
+        if conn.session is not None:
             # Rekey: a repeated hello on one connection replaces (and
             # retires) the previous session.
-            self.sessions.retire(session)
+            self.sessions.retire(conn.session)
+            conn.session = None
         try:
-            reply, session = self.sessions.accept(payload)
+            reply, conn.session = self.sessions.accept(payload)
         except HandshakeError:
             self.handshake_failures += 1
-            await self._send(writer, BATCH_REJECTION)
-            return None, False  # hostile hello: hang up
-        await self._send(writer, reply)
-        return session, True
+            return _REJECT_AND_CLOSE  # hostile hello: hang up
+        return None, (reply,), True
 
-    async def _open_session_frame(
+    def _open_session_frame(
         self,
-        writer: asyncio.StreamWriter,
         payload: bytes,
         session: Optional[SecureSession],
     ) -> Optional[bytes]:
-        """Authenticate + decrypt an inbound v2 data frame.
+        """Authenticate + decrypt an inbound v2 data frame (lock held).
 
         Returns the plaintext, or None after raising the matching alarm —
         in which case the connection is torn down: a stream that carried a
@@ -636,7 +703,6 @@ class ClusterNetServer:
             # recorded from an earlier (now rekeyed) session being played
             # into a fresh connection.
             self.stale_session_alarms += 1
-            await self._send(writer, BATCH_REJECTION)
             return None
         try:
             return session.open(payload)
@@ -648,21 +714,16 @@ class ClusterNetServer:
             self.replay_alarms += 1
         except ProtocolError:
             pass  # malformed v2 header: hostile framing, no alarm class
-        await self._send(writer, BATCH_REJECTION)
         return None
 
-    async def _play_wire_attacks(
-        self,
-        writer: asyncio.StreamWriter,
-        reply: bytes,
-        last_reply: Optional[bytes],
-    ) -> bytes:
-        """Send a sealed reply, staging any due tamper/replay attack.
+    def _stage_wire_attacks(self, reply: bytes,
+                            last_reply: Optional[bytes]) -> tuple:
+        """The frames to send for a sealed reply, with any due
+        tamper/replay attack staged (lock held).
 
         A replay re-sends the *recorded previous* frame ahead of the real
         reply (the client sees a frame whose sequence number went
         backwards); a tamper flips one bit of the outgoing frame's tag.
-        Returns the clean frame to record for the next replay.
         """
         tamper = replay = False
         if self.fault_plan is not None:
@@ -673,64 +734,31 @@ class ClusterNetServer:
                     tamper = True
                 elif event.kind == REPLAY:
                     replay = True
-        if replay and last_reply is not None:
-            self.replay_injections += 1
-            await self._send(writer, last_reply)
+        outgoing = reply
         if tamper:
             self.tamper_injections += 1
-            await self._send(writer, _flip_bit(reply))
-        else:
-            await self._send(writer, reply)
-        if replay and last_reply is None:
-            # Nothing recorded yet: duplicate the frame just sent — the
-            # duplicate is the replay the client must catch next read.
-            self.replay_injections += 1
-            await self._send(writer, reply)
-        return reply
-
-    def _pop_downgrade(self) -> bool:
-        if self.fault_plan is None:
-            return False
-        return bool(self.fault_plan.pop_due(
-            NET_TARGET, self.frames_served, kinds=(DOWNGRADE,)
-        ))
-
-    async def _apply_net_faults(self) -> Optional[str]:
-        """Fire due connection faults; returns CLOSE/DROP to suppress the
-        response, None to serve normally (delays just stall in place)."""
-        if self.fault_plan is None:
-            return None
-        action: Optional[str] = None
-        for event in self.fault_plan.pop_due(
-            NET_TARGET, self.frames_served, kinds=_CONNECTION_KINDS
-        ):
-            if event.kind == DELAY:
-                await asyncio.sleep(event.seconds)
-            elif event.kind == DROP:
-                action = action or DROP
-            elif event.kind == CLOSE:
-                action = CLOSE
-        return action
-
-    async def _send_in_session(
-        self,
-        writer: asyncio.StreamWriter,
-        payload: bytes,
-        session: Optional[SecureSession],
-    ) -> None:
-        if session is not None:
-            payload = session.seal(payload)
-        await self._send(writer, payload)
+            outgoing = _flip_bit(reply)
+        if not replay:
+            return (outgoing,)
+        self.replay_injections += 1
+        if last_reply is not None:
+            return last_reply, outgoing
+        # Nothing recorded yet: duplicate the frame just sent — the
+        # duplicate is the replay the client must catch next read.
+        return outgoing, reply
 
     @staticmethod
-    async def _send(writer: asyncio.StreamWriter, payload: bytes) -> None:
-        if frame_length_ok(len(payload)):
-            writer.write(frame(payload))
-        else:
-            # Answers past the cap (the batch ran): the length alone makes
-            # the peer's reader refuse them, typed; the body stays unsent.
-            writer.write(FRAME_HEADER.pack(len(payload)))
-        await writer.drain()
+    def _in_session(payload: bytes,
+                    session: Optional[SecureSession]) -> bytes:
+        return session.seal(payload) if session is not None else payload
+
+    @staticmethod
+    def _send(sock: socket.socket, payload: bytes) -> None:
+        # Answers past the cap (the batch ran) go out as their length alone:
+        # it makes the peer's reader refuse them, typed; the body stays
+        # unsent.
+        sock.sendall(frame(payload) if frame_length_ok(len(payload))
+                     else FRAME_HEADER.pack(len(payload)))
 
 
 class ClusterClient:
@@ -869,7 +897,7 @@ class ClusterClient:
         if self._secure:
             try:
                 self._session = self._handshake(sock)
-            except BaseException:
+            except (AriaError, OSError):
                 sock.close()
                 raise
         return sock
@@ -1120,11 +1148,11 @@ class ClusterClient:
 
 
 class BackgroundServer:
-    """Run a :class:`ClusterNetServer` on a daemon thread.
+    """Run a :class:`ClusterNetServer`'s accept loop on a daemon thread.
 
-    For synchronous callers (tests, examples, demos): ``start()`` blocks
-    until the socket is bound and returns the address; ``stop()`` performs
-    the graceful shutdown on the server's own loop and joins the thread.
+    For synchronous callers (tests, examples, demos): ``start()`` binds
+    and returns the address; ``stop()`` performs the graceful shutdown
+    and joins the thread.
     """
 
     def __init__(self, coordinator, *, host: str = "127.0.0.1",
@@ -1142,48 +1170,21 @@ class BackgroundServer:
                                        max_inflight=max_inflight,
                                        max_connections=max_connections)
         self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._ready = threading.Event()
-        self._error: Optional[BaseException] = None
 
-    def start(self, timeout: float = 10.0) -> Tuple[str, int]:
-        self._thread = threading.Thread(target=self._run, daemon=True,
-                                        name="aria-cluster-server")
-        self._thread.start()
-        if not self._ready.wait(timeout):
-            raise TimeoutError("cluster server failed to start")
-        if self._error is not None:
-            raise RuntimeError("cluster server crashed on startup") \
-                from self._error
-        return self.server.address
-
-    def _run(self) -> None:
-        async def main() -> None:
-            self._loop = asyncio.get_running_loop()
-            try:
-                await self.server.start()
-            except BaseException as exc:
-                self._error = exc
-                raise
-            finally:
-                self._ready.set()
-            await self.server.serve_forever()
-
+    def start(self) -> Tuple[str, int]:
         try:
-            asyncio.run(main())
-        except BaseException as exc:  # pragma: no cover - surfaced by start()
-            if self._error is None:
-                self._error = exc
-            self._ready.set()
+            address = self.server.start()
+        except OSError as exc:
+            raise RuntimeError("cluster server crashed on startup") from exc
+        self._thread = threading.Thread(target=self.server.serve_forever,
+                                        daemon=True, name="aria-door")
+        self._thread.start()
+        return address
 
     def stop(self, timeout: float = 10.0) -> None:
-        if self._thread is None or not self._thread.is_alive():
-            return
-        if self._loop is not None:
-            asyncio.run_coroutine_threadsafe(
-                self.server.stop(), self._loop
-            ).result(timeout)
-        self._thread.join(timeout)
+        self.server.stop(timeout)
+        if self._thread is not None:
+            self._thread.join(timeout)
 
     def close(self, timeout: float = 10.0) -> None:
         """Stop serving *and* release the coordinator's shard backends.

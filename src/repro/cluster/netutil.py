@@ -4,11 +4,10 @@ Two things live here so the front door (:mod:`repro.cluster.netserver`)
 and the shard hosts (:mod:`repro.cluster.sockbackend`) behave the same
 way under test churn:
 
-* **Bind retry** — a fixed port raced by a just-closed test server
-  lingers in ``TIME_WAIT`` briefly; bounded retry with a short linear
-  backoff deflakes that without masking a genuinely occupied port.
-  :func:`bind_with_retry` is the synchronous form (the async front door
-  shares the constants and mirrors the loop).
+* **Listen with bind retry** — a fixed port raced by a just-closed test
+  server lingers in ``TIME_WAIT`` briefly; :func:`listen` retries
+  ``EADDRINUSE`` a bounded number of times with a short linear backoff,
+  which deflakes that without masking a genuinely occupied port.
 * **Retry jitter** — a fleet of clients retrying a flaky server with the
   same deterministic backoff all wake at the same instant and stampede
   it again.  :func:`jittered` spreads a base delay by a small random
@@ -20,8 +19,8 @@ from __future__ import annotations
 
 import errno
 import random
+import socket
 import time
-from typing import Callable, TypeVar
 
 #: Bind attempts before giving up on an address already in use.
 BIND_RETRIES = 5
@@ -32,29 +31,29 @@ BIND_RETRY_DELAY = 0.2
 #: ``[0, delay * RETRY_JITTER]``) so concurrent clients desynchronize.
 RETRY_JITTER = 0.25
 
-T = TypeVar("T")
 
-
-def bind_with_retry(
-    bind: Callable[[], T],
+def listen(
+    host: str,
+    port: int,
     *,
+    backlog: int = 128,
     retries: int = BIND_RETRIES,
     delay: float = BIND_RETRY_DELAY,
-    sleep: Callable[[float], None] = time.sleep,
-) -> T:
-    """Call ``bind()`` until it sticks, retrying only ``EADDRINUSE``.
+) -> socket.socket:
+    """A listening TCP socket (``SO_REUSEADDR``) on ``(host, port)``.
 
-    Ephemeral port 0 never collides, so in practice this only fires for
-    fixed ports; any other bind error surfaces immediately, as does an
-    ``EADDRINUSE`` that outlives the retry budget.
+    Retries only ``EADDRINUSE``: ephemeral port 0 never collides, so in
+    practice this only fires for fixed ports; any other bind error
+    surfaces immediately, as does an ``EADDRINUSE`` that outlives the
+    retry budget.
     """
     for attempt in range(retries):
         try:
-            return bind()
+            return socket.create_server((host, port), backlog=backlog)
         except OSError as exc:
             if exc.errno != errno.EADDRINUSE or attempt == retries - 1:
                 raise
-            sleep(delay * (attempt + 1))
+            time.sleep(delay * (attempt + 1))
     raise AssertionError("unreachable")  # pragma: no cover
 
 

@@ -72,7 +72,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.cluster import rpc
 from repro.cluster.backend import ShardBackend
 from repro.cluster.framing import read_frame, wake_and_close, write_frame
-from repro.cluster.netutil import bind_with_retry
+from repro.cluster.netutil import listen
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
@@ -187,20 +187,7 @@ class ShardHost:
 
     def start(self) -> Tuple[str, int]:
         """Bind (with the shared EADDRINUSE retry) and listen."""
-
-        def bind():
-            listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            try:
-                listener.setsockopt(socket.SOL_SOCKET,
-                                    socket.SO_REUSEADDR, 1)
-                listener.bind((self.host, self.port))
-            except OSError:
-                listener.close()
-                raise
-            return listener
-
-        self._listener = bind_with_retry(bind)
-        self._listener.listen(64)
+        self._listener = listen(self.host, self.port, backlog=64)
         self.host, self.port = self._listener.getsockname()[:2]
         return self.host, self.port
 
@@ -589,17 +576,29 @@ class SocketShard(RemoteShardHandle):
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection died)")
         try:
-            payload = self._session.open(frame)
+            reply = self._session.open(frame)
         except (TamperedFrameError, ReplayError) as exc:
-            # The hop is under attack: alarm, sever the link, and let the
-            # health monitor re-handshake — the enclave itself is intact.
             kind = "replay" if isinstance(exc, ReplayError) else "tamper"
-            self.wire_alarms[kind] += 1
-            self._sever()
-            raise ShardUnreachableError(
-                f"shard {self.shard_id} link compromised "
-                f"({kind}ed frame): {exc}") from exc
-        return self._settle(payload)
+            raise self._compromised(kind, f"{kind}ed frame", exc) from exc
+        try:
+            ok, payload = rpc.decode_reply(reply, self._meter.mirror)
+        except ProtocolError as exc:
+            # Authentic, in sequence, and no reply: whatever holds the
+            # session key on the far side is not speaking the RPC.
+            raise self._compromised(
+                "decode", "undecodable reply", exc) from exc
+        if not ok:
+            raise payload
+        return payload
+
+    def _compromised(self, kind: str, what: str,
+                     exc: Exception) -> ShardUnreachableError:
+        """The hop is under attack: alarm, sever the link, and let the
+        health monitor re-handshake — the enclave itself is intact."""
+        self.wire_alarms[kind] += 1
+        self._sever()
+        return ShardUnreachableError(
+            f"shard {self.shard_id} link compromised ({what}): {exc}")
 
     def _mark_crashed(self) -> None:
         self.crashed = True

@@ -11,9 +11,9 @@ workloads come from seeded RNGs, and breaker thresholds are tuned so the
 trip point is a certainty, not a race.
 """
 
-import asyncio
 import json
 import random
+import sys
 import threading
 import time
 
@@ -72,108 +72,154 @@ def preload(coord, n_keys):
     coord.load((b"key-%04d" % i, b"init") for i in range(n_keys))
 
 
-# -- the front door's admission gate (single event loop, direct) ------------------
+# -- the front door's admission gate (threads, direct) -----------------------------
+
+
+def spin_until(condition, timeout=5.0):
+    """Poll an observable state (never a guess at how long a thread needs)."""
+    limit = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < limit, "condition never became true"
+        time.sleep(0)
+
+
+class GateThread(threading.Thread):
+    """One ``acquire`` on its own thread; ``verdict`` once it returns."""
+
+    def __init__(self, gate, deadline=None, then=None):
+        super().__init__(daemon=True)
+        self.gate = gate
+        self.deadline = deadline
+        self.then = then
+        self.verdict = None
+        self.done = threading.Event()
+
+    def run(self):
+        self.verdict = self.gate.acquire(self.deadline)
+        if self.then is not None:
+            self.then(self)
+        self.done.set()
+
+    def parked(self):
+        """Start, and return once this acquire is queued on the stack."""
+        top = self.gate._waiters[-1:]
+        self.start()
+        spin_until(lambda: self.gate._waiters[-1:] not in ([], top)
+                   or self.done.is_set())
+        return self
+
+    def result(self):
+        assert self.done.wait(5.0), "acquire never returned"
+        return self.verdict
 
 
 class TestAdmissionGate:
-    def run(self, coroutine):
-        return asyncio.run(coroutine)
-
     def test_admits_below_capacity_and_tracks_high_water(self):
-        async def scenario():
-            gate = _AdmissionGate(2)
-            assert await gate.acquire(None)
-            assert await gate.acquire(None)
-            assert gate.inflight == 2 and gate.max_seen == 2
-            gate.release()
-            gate.release()
-            assert gate.inflight == 0
-            assert gate.max_seen == 2  # high-water mark survives
-
-        self.run(scenario())
+        gate = _AdmissionGate(2)
+        assert gate.acquire(None)
+        assert gate.acquire(None)
+        assert gate.inflight == 2 and gate.max_seen == 2
+        gate.release()
+        gate.release()
+        assert gate.inflight == 0
+        assert gate.max_seen == 2  # high-water mark survives
 
     def test_service_is_lifo_newest_first(self):
-        async def scenario():
-            # Capacity 2 so the waiter queue (bounded at capacity) can
-            # hold both waiters without shedding the older one.
-            gate = _AdmissionGate(2)
-            assert await gate.acquire(None)
-            assert await gate.acquire(None)
-            order = []
-
-            async def waiter(name):
-                if await gate.acquire(None):
-                    order.append(name)
-                    gate.release()
-
-            first = asyncio.ensure_future(waiter("first"))
-            await asyncio.sleep(0)  # first enqueues...
-            second = asyncio.ensure_future(waiter("second"))
-            await asyncio.sleep(0)  # ...then second, on top of the stack
-            gate.release()
-            await asyncio.gather(first, second)
-            gate.release()  # the test's second held slot
-            assert gate.inflight == 0
-            return order
-
-        assert self.run(scenario()) == ["second", "first"]
+        # Capacity 2 so the waiter queue (bounded at capacity) can hold
+        # both waiters without shedding the older one.
+        gate = _AdmissionGate(2)
+        assert gate.acquire(None)
+        assert gate.acquire(None)
+        order = []
+        first = GateThread(gate, then=lambda t: order.append("first")).parked()
+        second = GateThread(gate,
+                            then=lambda t: order.append("second")).parked()
+        gate.release()  # one slot: it must reach the top of the stack
+        assert second.result() is True
+        assert not first.done.is_set() and order == ["second"]
+        gate.release()
+        assert first.result() is True
+        assert order == ["second", "first"]
+        gate.release()
+        gate.release()
+        assert gate.inflight == 0
 
     def test_full_queue_sheds_the_oldest_waiter(self):
-        async def scenario():
-            gate = _AdmissionGate(1)
-            assert await gate.acquire(None)
-            victim = asyncio.ensure_future(gate.acquire(None))
-            await asyncio.sleep(0)
-            assert len(gate._waiters) == 1  # queue is at its bound
-            fresh = asyncio.ensure_future(gate.acquire(None))
-            await asyncio.sleep(0)
-            # The victim (oldest) was shed to make room for the fresh one.
-            assert await victim is False
-            assert gate.shed_queue_full == 1
-            gate.release()
-            assert await fresh is True
-            gate.release()
-            assert gate.inflight == 0
-
-        self.run(scenario())
+        gate = _AdmissionGate(1)
+        assert gate.acquire(None)
+        victim = GateThread(gate).parked()
+        assert len(gate._waiters) == 1  # queue is at its bound
+        fresh = GateThread(gate).parked()
+        # The victim (oldest) was shed to make room for the fresh one.
+        assert victim.result() is False
+        assert gate.shed_queue_full == 1
+        gate.release()
+        assert fresh.result() is True
+        gate.release()
+        assert gate.inflight == 0
 
     def test_waiter_expired_while_queued_is_shed_at_handoff(self):
-        async def scenario():
-            clock = FakeClock()
-            gate = _AdmissionGate(1)
-            assert await gate.acquire(None)
-            stale = asyncio.ensure_future(
-                gate.acquire(Deadline(10.0, clock=clock)))
-            await asyncio.sleep(0)
-            clock.advance(20.0)  # its budget dies while it queues
-            gate.release()
-            assert await stale is False
-            assert gate.shed_expired == 1
-            assert gate.inflight == 0  # the freed slot was not leaked
+        clock = FakeClock()
+        gate = _AdmissionGate(1)
+        assert gate.acquire(None)
+        stale = GateThread(gate, Deadline(10.0, clock=clock)).parked()
+        clock.advance(20.0)  # its budget dies while it queues
+        gate.release()
+        assert stale.result() is False
+        assert gate.shed_expired == 1
+        assert gate.inflight == 0  # the freed slot was not leaked
 
-        self.run(scenario())
+    def test_waiter_whose_budget_runs_out_leaves_the_queue(self):
+        gate = _AdmissionGate(1)
+        assert gate.acquire(None)
+        waiter = GateThread(gate, Deadline(0.02)).parked()
+        assert waiter.result() is False  # by its own wait timeout
+        assert gate.shed_expired == 1 and gate._waiters == []
+        gate.release()
+        assert gate.inflight == 0
 
     def test_inflight_never_exceeds_capacity_under_load(self):
-        async def scenario():
-            gate = _AdmissionGate(4)
-            admitted = []
+        gate = _AdmissionGate(4)
+        holders = 0
+        overshoots = []
+        admitted = []
+        mutex = threading.Lock()
 
-            async def worker():
-                got = await gate.acquire(None)
-                admitted.append(got)
-                if got:
-                    assert gate.inflight <= gate.capacity
-                    await asyncio.sleep(0)
-                    gate.release()
+        def worker():
+            nonlocal holders
+            for _ in range(50):
+                got = gate.acquire(None)
+                with mutex:
+                    admitted.append(got)
+                if not got:
+                    continue
+                with mutex:
+                    holders += 1
+                    if holders > gate.capacity:
+                        overshoots.append(holders)
+                time.sleep(0)  # hold the slot across a thread switch
+                with mutex:
+                    holders -= 1
+                gate.release()
 
-            await asyncio.gather(*[worker() for _ in range(16)])
-            assert gate.max_seen <= 4
-            assert gate.inflight == 0
-            return admitted
-
-        admitted = self.run(scenario())
-        # Capacity-4 gate with a capacity-bounded queue over 16 rushers:
-        # some are shed, but every decision is a clean True/False.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, daemon=True)
+                       for _ in range(16)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(30.0)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not overshoots
+        assert gate.max_seen <= 4
+        assert gate.inflight == 0 and gate._waiters == []
+        # A capacity-bounded queue over 16 rushers: some are shed, but
+        # every decision is a clean True/False.
+        assert len(admitted) == 16 * 50
         assert all(isinstance(a, bool) for a in admitted)
         assert any(admitted)
 

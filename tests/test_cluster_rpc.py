@@ -43,13 +43,18 @@ from repro.cluster import (
     SocketShard,
     build_cluster,
 )
-from repro.cluster import remote, rpc
+from repro.cluster import remote, rpc, sockbackend
 from repro.cluster.framing import write_frame
 from repro.cluster.procbackend import default_start_method
 from repro.cluster.shard import EnclaveSpec
 from repro.core.config import AriaConfig
 from repro.core.tenant import prefixed_key, tenant_token
-from repro.errors import AriaError, ProtocolError, ShardCrashedError
+from repro.errors import (
+    AriaError,
+    ProtocolError,
+    ShardCrashedError,
+    ShardUnreachableError,
+)
 from repro.server import protocol
 from repro.server.protocol import Request, Response
 from repro.sgx.meter import EVENT_TABLE, CycleMeter, MeterSnapshot
@@ -466,6 +471,27 @@ def test_sealed_pickle_bomb_is_refused_unloaded(thread_host, tmp_path):
             shard.store.get(b"k")
         # ... and the enclave stays in the registry, state intact.
         assert "pb" in thread_host._enclaves
+        assert shard.reconnect() is True
+        assert shard.store.get(b"k") == b"v"
+    finally:
+        shard.close()
+
+
+@dist
+def test_sealed_garbage_reply_is_a_decode_alarm(thread_host, monkeypatch):
+    shard = _socket_shard(thread_host, _spec("gr"))
+    try:
+        shard.store.put(b"k", b"v")
+        # The host seals whatever its dispatcher answers: an authentic,
+        # in-sequence frame around bytes that are no reply.
+        with monkeypatch.context() as patch:
+            patch.setattr(sockbackend, "rpc_reply",
+                          lambda shard, cmd, arg: b"\xff not a reply")
+            with pytest.raises(ShardUnreachableError, match="undecodable"):
+                shard.store.get(b"k")
+        assert shard.wire_alarms == {"decode": 1}
+        assert shard._sock is None  # severed, like a tampered frame
+        # The enclave was never the problem: it re-attaches, state intact.
         assert shard.reconnect() is True
         assert shard.store.get(b"k") == b"v"
     finally:

@@ -1,4 +1,4 @@
-"""The asyncio front door, exercised over real localhost sockets.
+"""The front door, exercised over real localhost sockets.
 
 Every test here talks to the server the way a network client would: a TCP
 connection, length-prefixed wire frames, and nothing else.  The server
@@ -8,6 +8,9 @@ fully real cluster — enclaves, meters, ring and all.
 
 import socket
 import struct
+import sys
+import threading
+import time
 
 import pytest
 
@@ -20,6 +23,18 @@ from repro.cluster import (
 )
 from repro.server import protocol
 from repro.server.protocol import BatchRejectedError
+
+
+def door_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("aria-door")]
+
+
+@pytest.fixture(autouse=True)
+def no_door_thread_outlives_its_test():
+    yield
+    for thread in door_threads():
+        thread.join(2.0)
+    assert door_threads() == []
 
 
 @pytest.fixture()
@@ -95,6 +110,92 @@ class TestPipelining:
             assert b.get(b"shared").value == b"from-a"
 
 
+    def test_a_half_sent_frame_does_not_stall_other_connections(self, server):
+        host, port = server.server.address
+        payload = protocol.encode_batch([protocol.get(b"key-007")])
+        wire = FRAME_HEADER.pack(len(payload)) + payload
+        with socket.create_connection((host, port), timeout=5.0) as slow:
+            slow.sendall(wire[:len(wire) // 2])
+            # The slow connection's reader is parked mid-frame, outside the
+            # execution lock: another connection is served meanwhile.
+            with ClusterClient(host, port) as other:
+                assert other.get(b"key-001").value == b"val-001"
+            slow.sendall(wire[len(wire) // 2:])
+            (length,) = FRAME_HEADER.unpack(slow.recv(4, socket.MSG_WAITALL))
+            [response] = protocol.decode_batch_responses(
+                slow.recv(length, socket.MSG_WAITALL), expected=1)
+            assert response.value == b"val-007"
+
+    def test_concurrent_sessions_lose_no_gateway_charge(self):
+        # Four secure clients race 200 frames each through one door; the
+        # gateway meter (one object, charged by every session) must end
+        # where a one-after-another replay of the same frames ends.
+        from repro.cluster import SessionManager
+        from repro.sgx.meter import CycleMeter
+
+        class RacyMeter(CycleMeter):
+            """Read, yield the processor, write: a second unsynchronised
+            writer loses a charge here for certain, where CPython's plain
+            ``+=`` would only lose one once in a long while."""
+
+            __slots__ = ()
+
+            def charge_event(self, event, cycles, n=1):
+                total, count = self.cycles, self.events[event]
+                time.sleep(0)
+                self.cycles, self.events[event] = total + cycles, count + n
+
+        def stream(lane):
+            for i in range(200):
+                yield [protocol.put(b"lane%d-%02d" % (lane, i % 40),
+                                    b"v%06d" % i),
+                       protocol.get(b"key-%03d" % ((lane * 50 + i) % 64))]
+
+        def drive(host, port, lane, failures):
+            try:
+                with ClusterClient(host, port) as c:
+                    for batch in stream(lane):
+                        assert len(c.request_batch(batch)) == 2
+            except Exception as exc:  # pragma: no cover - diagnostic path
+                failures.append(exc)
+
+        def run(concurrent):
+            coordinator = build_cluster(ClusterConfig(
+                n_shards=2, n_keys=512, scale=2048, batch_window=8))
+            coordinator.load(
+                (b"key-%03d" % i, b"val-%03d" % i) for i in range(64))
+            failures = []
+            sessions = SessionManager(seed=3)
+            sessions.meter = RacyMeter()
+            with BackgroundServer(coordinator,
+                                  sessions=sessions) as background:
+                host, port = background.server.address
+                threads = [threading.Thread(
+                    target=drive, args=(host, port, lane, failures))
+                    for lane in range(4)]
+                for thread in threads:
+                    thread.start()
+                    if not concurrent:
+                        thread.join(60.0)
+                for thread in threads:
+                    thread.join(60.0)
+                    assert not thread.is_alive()
+                assert not failures
+                assert background.server.frames_served == 800
+                meter = background.server.sessions.meter
+                return meter.cycles, dict(meter.events)
+
+        serial = run(concurrent=False)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            raced = run(concurrent=True)
+        finally:
+            sys.setswitchinterval(interval)
+        assert raced == serial
+        assert serial[1]["wire_mac"] == 2 * 800  # one open + one seal a frame
+
+
 class TestMalformedInput:
     def test_undecodable_payload_rejected_connection_survives(self, client):
         client.send_frame(b"\xff\xff garbage that is not a batch")
@@ -162,6 +263,56 @@ class TestLifecycle:
         with pytest.raises((ConnectionError, socket.timeout, OSError)):
             client.get(b"key-002")
         client.close()
+
+    def test_stop_wakes_idle_readers_and_leaves_no_thread(self, cluster):
+        background = BackgroundServer(cluster)
+        host, port = background.start()
+        with ClusterClient(host, port) as client:
+            assert client.get(b"key-001").value == b"val-001"
+            assert len(door_threads()) == 2  # accept loop + one reader
+            # The reader is now blocked in recv(): close() alone would
+            # leave it there; stop() must shut the socket down to wake it.
+            started = time.monotonic()
+            background.stop()
+            assert time.monotonic() - started < 1.0
+            assert door_threads() == []
+            # A clean close: end-of-stream, not a reset or a timeout.
+            assert client._sock.recv(1) == b""
+        # Nothing lingers on the port either: it rebinds at once.
+        again = BackgroundServer(cluster, host=host, port=port)
+        assert again.start() == (host, port)
+        again.stop()
+
+    def test_frame_executing_at_stop_is_still_answered(self, cluster):
+        entered, proceed = threading.Event(), threading.Event()
+        execute = cluster.execute
+
+        def slow_execute(requests, **kwargs):
+            entered.set()
+            assert proceed.wait(5.0)
+            return execute(requests, **kwargs)
+
+        cluster.execute = slow_execute
+        background = BackgroundServer(cluster)
+        host, port = background.start()
+        with ClusterClient(host, port) as client:
+            client.send_frame(protocol.encode_batch(
+                [protocol.get(b"key-004")]))
+            assert entered.wait(5.0)
+            stopper = threading.Thread(target=background.stop)
+            stopper.start()
+            while not background.server._stopping.is_set():
+                time.sleep(0)
+            proceed.set()
+            # The batch began before stop(): its reply arrives, and only
+            # then does the connection close.
+            [response] = protocol.decode_batch_responses(
+                client.recv_frame(), expected=1)
+            assert response.value == b"val-004"
+            with pytest.raises(ConnectionError):
+                client.recv_frame()
+            stopper.join(5.0)
+            assert not stopper.is_alive()
 
     def test_stop_is_idempotent(self, cluster):
         background = BackgroundServer(cluster)
