@@ -3,13 +3,13 @@
 
 The paper's Fig 16a splits one machine's EPC across 2/4 tenant enclaves but
 only measures them in isolation.  `repro.cluster` turns that split into a
-serving layer: an asyncio front door routes live traffic across N
+serving layer: a TCP front door routes live traffic across N
 enclave-backed shards via a consistent-hash ring, batches per shard to
 amortize the ECALL tax, and migrates hot key ranges when one shard
 straggles.
 
 This example boots a 4-shard cluster server on an ephemeral port (real
-asyncio TCP, on a background thread), drives a zipfian workload through
+TCP, accept loop on a background thread), drives a zipfian workload through
 the synchronous wire client — including a deliberately oversized frame the
 server must reject — and prints the per-shard picture.
 

@@ -22,7 +22,8 @@ front door:
   accumulation over the ECALL-amortized path;
 * :mod:`~repro.cluster.balancer` — hot-shard detection and key-range
   migration (re-sealed through the trusted path);
-* :mod:`~repro.cluster.netserver` — the asyncio TCP front door plus a
+* :mod:`~repro.cluster.netserver` — the TCP front door (one blocking
+  reader thread per connection, one execution lock) plus a
   synchronous client with timeouts and read retries;
 * :mod:`~repro.cluster.session` — attested, encrypted v2 wire sessions:
   the gateway enclave's quote-verified handshake and AEAD framing, with

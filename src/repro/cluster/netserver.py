@@ -550,7 +550,7 @@ class ClusterNetServer:
             budget_ms, plain = protocol.split_deadline(plain)
             requests = protocol.decode_batch(plain)
         except ProtocolError:
-            return None, (self._in_session(BATCH_REJECTION, session),), True
+            return self._reject_frame(session)
         if (session is not None and claimed is not None
                 and claimed != session.tenant):
             # A sealed frame may only claim the principal its handshake
@@ -558,7 +558,7 @@ class ClusterNetServer:
             # tenant-less session) is a confused-deputy attempt and is
             # refused per-frame.
             self.tenant_rejections += 1
-            return None, (self._in_session(BATCH_REJECTION, session),), True
+            return self._reject_frame(session)
         # v2: the handshake-authenticated identity is authoritative.
         # v1 plaintext: the claim rides unauthenticated, like
         # everything else on the priced baseline.
@@ -748,9 +748,13 @@ class ClusterNetServer:
         return outgoing, reply
 
     @staticmethod
-    def _in_session(payload: bytes,
-                    session: Optional[SecureSession]) -> bytes:
-        return session.seal(payload) if session is not None else payload
+    def _reject_frame(session: Optional[SecureSession]) -> tuple:
+        """The ``_open_frame`` verdict for a frame refused as a unit on a
+        connection that survives it: the rejection, sealed in-session."""
+        reply = BATCH_REJECTION
+        if session is not None:
+            reply = session.seal(reply)
+        return None, (reply,), True
 
     @staticmethod
     def _send(sock: socket.socket, payload: bytes) -> None:

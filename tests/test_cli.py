@@ -64,7 +64,7 @@ def test_inspect(capsys):
 
 
 def test_serve_binds_and_exits_at_request_limit(capsys):
-    # --max-requests 0: bind the asyncio server, serve nothing, shut down
+    # --max-requests 0: bind the server, serve nothing, shut down
     # gracefully — the full lifecycle without a hanging foreground server.
     code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
                  "--scale", "2048", "--max-requests", "0"])
@@ -84,7 +84,7 @@ def test_serve_banner_names_backend(capsys):
 
 @pytest.mark.procs
 def test_serve_process_backend_full_lifecycle(capsys):
-    # Boot real worker processes behind the asyncio server, serve nothing,
+    # Boot real worker processes behind the server, serve nothing,
     # and shut down cleanly — workers must be joined, not leaked.
     code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
                  "--scale", "2048", "--max-requests", "0",

@@ -109,7 +109,6 @@ class TestPipelining:
             a.put(b"shared", b"from-a")
             assert b.get(b"shared").value == b"from-a"
 
-
     def test_a_half_sent_frame_does_not_stall_other_connections(self, server):
         host, port = server.server.address
         payload = protocol.encode_batch([protocol.get(b"key-007")])
