@@ -22,6 +22,7 @@ actually worked: no stray child processes may survive a test.
 import json
 import multiprocessing
 import os
+import threading
 
 import pytest
 
@@ -97,6 +98,18 @@ def cluster_backend(request):
             f"(reaped handles for shards {leaked}, "
             f"shard-hosts {leaked_hosts})"
         )
+
+
+@pytest.fixture(autouse=True)
+def no_door_thread_outlives_its_test():
+    """Whatever front door a test (or its fixtures) started must be gone:
+    the accept loop and every connection reader, not just the port."""
+    yield
+    doors = [t for t in threading.enumerate()
+             if t.name.startswith("aria-door")]
+    for thread in doors:
+        thread.join(2.0)
+    assert not [t.name for t in doors if t.is_alive()]
 
 
 # -- chaos reproducibility ---------------------------------------------------------

@@ -29,14 +29,6 @@ def door_threads():
     return [t for t in threading.enumerate() if t.name.startswith("aria-door")]
 
 
-@pytest.fixture(autouse=True)
-def no_door_thread_outlives_its_test():
-    yield
-    for thread in door_threads():
-        thread.join(2.0)
-    assert door_threads() == []
-
-
 @pytest.fixture()
 def cluster():
     coordinator = build_cluster(ClusterConfig(
