@@ -1,0 +1,365 @@
+"""The shard contract, observed from above: one seeded stream per handle kind.
+
+Everything above a shard — coordinator, replica groups, fault wrappers,
+health monitor, elastic engine, stats — reads the same members off
+whatever handle it holds.  :func:`observe` drives one seeded stream
+through a cluster of each kind (inline / process / socket handles, bare,
+behind ``FaultyShard`` in R=1 groups, in R=2 groups with a kill, a
+partition and a corruption healed by a ``HealthMonitor``, and one fully
+armed durable + tenant + overload + elastic build) and returns what an
+operator would see: the ``OP_HEALTH`` JSON and ``ClusterStats.report()``.
+
+The constants in :data:`PARENT` were produced at the commit *before* the
+``ShardHandle`` base class existed (PR 19's parent) by running this file as
+a script (``PYTHONPATH=src python tests/test_shard_contract.py``): the
+typed contract must leave every one of them where the capability probes
+left it.  Regenerate them only for a change that *means* to move what the
+health probe or the report says, and say so in the PR.
+"""
+
+import hashlib
+import json
+import random
+import tempfile
+
+import pytest
+
+from repro.cluster import (
+    ClusterConfig,
+    DurabilityConfig,
+    FaultPlan,
+    HealthMonitor,
+    OverloadConfig,
+    SocketBackend,
+    TenancyConfig,
+    TenantConfig,
+    build_replicated_cluster,
+)
+from repro.server import protocol
+
+N_KEYS = 256
+N_FRAMES = 24
+FRAME_OPS = 16
+
+#: Explicit worker count and backend everywhere, so the
+#: ``ARIA_CLUSTER_BACKEND``/``ARIA_SHARD_WORKERS`` CI matrices cannot move
+#: what this file observes.
+_BASE = dict(n_shards=2, n_keys=N_KEYS, scale=2048, batch_window=8, seed=11,
+             workers=1)
+
+BACKENDS = [
+    pytest.param("inline"),
+    pytest.param("process", marks=pytest.mark.procs),
+    pytest.param("socket", marks=pytest.mark.dist),
+]
+
+
+def _backend(name):
+    return SocketBackend(n_hosts=2, seed=3) if name == "socket" else name
+
+
+class _CountingClock:
+    """Every read advances one millisecond: the same decisions on any host."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self) -> float:
+        self.now += 0.001
+        return self.now
+
+
+def _build(kind: str, backend: str, data_dir: str):
+    """One cluster per handle kind, on ``backend``."""
+    factory = _backend(backend)
+    if kind == "plain":
+        return ClusterConfig(backend=factory, **_BASE).build()
+    if kind == "faulty_r1":
+        # R=1 groups: every handle the coordinator's groups hold is a
+        # FaultyShard around a backend handle.  The partition heals by
+        # reconnect (state intact); the corruption surfaces as an alarm.
+        plan = (FaultPlan().partition("shard-0/r0", at=40)
+                .corrupt("shard-1/r0", at=90))
+        coordinator = build_replicated_cluster(ClusterConfig(
+            backend=factory, shard_overrides={"fault_plan": plan}, **_BASE))
+    elif kind == "group_r2":
+        # R=2: a kill (restart + re-sync), a partition (reconnect +
+        # catch-up) and a corruption (quarantine + failover).
+        plan = (FaultPlan().kill("shard-0/r0", at=30)
+                .partition("shard-1/r1", at=50)
+                .corrupt("shard-1/r0", at=120))
+        coordinator = build_replicated_cluster(ClusterConfig(
+            backend=factory, replication=2,
+            shard_overrides={"fault_plan": plan}, **_BASE))
+    else:
+        assert kind == "armed"
+        # The whole build() path: durable R=2 groups, tenancy, overload,
+        # and one live elastic add mid-stream (see observe()).
+        return ClusterConfig(
+            backend=factory, replication=2, max_shards=3,
+            durability=DurabilityConfig(data_dir=data_dir),
+            overload=OverloadConfig(),
+            tenancy=TenancyConfig(tenants=(
+                TenantConfig("whale", rate=400.0, burst=24.0,
+                             cache_quota=0.2),
+                TenantConfig("minnow", cache_quota=0.3))),
+            **_BASE).build(clock=_CountingClock())
+    coordinator.attach_health_monitor(
+        HealthMonitor(coordinator, check_every=32))
+    return coordinator
+
+
+def _drive(coordinator, kind: str) -> str:
+    rng = random.Random(0x5EA1)
+    tenant = "whale" if kind == "armed" else None
+    coordinator.load(((b"key-%04d" % i, b"load-%04d" % i)
+                      for i in range(N_KEYS // 2)), tenant=tenant)
+    digest = hashlib.sha256()
+    for frame in range(N_FRAMES):
+        if kind == "armed" and frame == N_FRAMES // 3:
+            coordinator.elastic.add_shard()
+        batch = []
+        for _ in range(FRAME_OPS):
+            key = b"key-%04d" % rng.randrange(N_KEYS)
+            roll = rng.random()
+            if roll < 0.5:
+                batch.append(protocol.get(key))
+            elif roll < 0.9:
+                batch.append(protocol.put(key, b"v" * rng.randrange(1, 48)))
+            else:
+                batch.append(protocol.delete(key))
+        for response in coordinator.execute(batch, tenant=tenant):
+            value = bytes(response.value)
+            digest.update(bytes([int(response.status)])
+                          + len(value).to_bytes(4, "little") + value)
+    return digest.hexdigest()
+
+
+def _scrub(node):
+    """Drop what is host-dependent by design: OS pids, wall seconds."""
+    if isinstance(node, dict):
+        return {key: _scrub(value) for key, value in node.items()
+                if key not in ("pid", "brownout_seconds")}
+    if isinstance(node, list):
+        return [_scrub(value) for value in node]
+    return node
+
+
+def observe(kind: str, backend: str) -> dict:
+    with tempfile.TemporaryDirectory() as data_dir:
+        coordinator = _build(kind, backend, data_dir)
+        try:
+            stats = coordinator.stats()
+            responses = _drive(coordinator, kind)
+            health = json.loads(coordinator.health_response().value)
+            report = stats.report()
+        finally:
+            coordinator.close()
+    canonical = json.dumps(_scrub(report), sort_keys=True, default=repr)
+    return {
+        "responses": responses,
+        "health": _scrub(health),
+        "report_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
+        "cluster": _scrub(report["cluster"]),
+    }
+
+
+KINDS = ("plain", "faulty_r1", "group_r2", "armed")
+
+PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351e047b1f15592397149',
+           'health': {'elastic': {'active': None,
+                                  'dual_applied': 0,
+                                  'keys_migrated': 0,
+                                  'keys_retired': 0,
+                                  'last_abort_reason': '',
+                                  'migrations_aborted': 0,
+                                  'migrations_completed': 0,
+                                  'migrations_started': 0,
+                                  'plans_approved': 0,
+                                  'plans_rejected': 0,
+                                  'rejections': {}},
+                      'flush_failures': 0,
+                      'n_serving': 2,
+                      'n_shards': 2,
+                      'ops_routed': 384,
+                      'shards': {'shard-0': 'up', 'shard-1': 'up'}},
+           'report_sha256': 'dc168c21fd7774aac50c3c9caa3a3e370e885cebb5d327d89f2987ed3819fdb3',
+           'cluster': {'n_shards': 2,
+                       'keys': 176,
+                       'window_ops': 293,
+                       'cycles_max': 1090235.5,
+                       'cycles_sum': 1808741.0,
+                       'parallel_efficiency': 0.8295184847677406,
+                       'aggregate_throughput': 1128746.9542131035,
+                       'ecalls': 66,
+                       'cache_hit_ratio': 0.0,
+                       'elastic': {'migrations_started': 0,
+                                   'migrations_completed': 0,
+                                   'migrations_aborted': 0,
+                                   'keys_migrated': 0,
+                                   'keys_retired': 0,
+                                   'dual_applied': 0,
+                                   'plans_approved': 0,
+                                   'plans_rejected': 0,
+                                   'rejections': {},
+                                   'last_abort_reason': '',
+                                   'active': None}}},
+ 'faulty_r1': {'responses': 'f073ccc7299883645b6190d9229637758901b38eaef25d89625c3dda0d14e7a7',
+               'health': {'flush_failures': 0,
+                          'n_serving': 1,
+                          'n_shards': 2,
+                          'ops_routed': 384,
+                          'shards': {'shard-0': {'shard-0/r0': 'recovering'},
+                                     'shard-1': {'shard-1/r0': 'up'}}},
+               'report_sha256': '1f61c2349f217beb5a81c2498fd99b68635920c63ccdaa0a467ec16276b9c6a5',
+               'cluster': {'n_shards': 2,
+                           'keys': 158,
+                           'window_ops': 140,
+                           'cycles_max': 718505.5,
+                           'cycles_sum': 917144.0,
+                           'parallel_efficiency': 0.6382303266989605,
+                           'aggregate_throughput': 818365.343062788,
+                           'ecalls': 35,
+                           'cache_hit_ratio': 0.0,
+                           'replicas': 2,
+                           'replicas_down': 1,
+                           'failovers': 1}},
+ 'group_r2': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351e047b1f15592397149',
+              'health': {'flush_failures': 0,
+                         'n_serving': 2,
+                         'n_shards': 2,
+                         'ops_routed': 384,
+                         'shards': {'shard-0': {'shard-0/r0': 'up',
+                                                'shard-0/r1': 'up'},
+                                    'shard-1': {'shard-1/r0': 'up',
+                                                'shard-1/r1': 'up'}}},
+              'report_sha256': 'f015438a7734df72084f350a9e88af02787b4b8563862eb8d06d2a7bce2d77eb',
+              'cluster': {'n_shards': 2,
+                          'keys': 176,
+                          'window_ops': 732,
+                          'cycles_max': 1255393.0,
+                          'cycles_sum': 2250654.5,
+                          'parallel_efficiency': 0.8963943960178207,
+                          'aggregate_throughput': 2448954.231862054,
+                          'ecalls': 118,
+                          'cache_hit_ratio': 0.9715017382043244,
+                          'replicas': 4,
+                          'replicas_down': 0,
+                          'failovers': 1}},
+ 'armed': {'responses': '38e5f6a32bf76240c5d721e2c2e29e4dbcd9654c7e068c7f0e5fee7a89739a97',
+           'health': {'elastic': {'active': None,
+                                  'dual_applied': 3,
+                                  'keys_migrated': 51,
+                                  'keys_retired': 51,
+                                  'last_abort_reason': '',
+                                  'migrations_aborted': 0,
+                                  'migrations_completed': 1,
+                                  'migrations_started': 1,
+                                  'plans_approved': 1,
+                                  'plans_rejected': 0,
+                                  'rejections': {}},
+                      'flush_failures': 0,
+                      'n_serving': 3,
+                      'n_shards': 3,
+                      'ops_routed': 384,
+                      'overload': {'breaker_read_routes': 0,
+                                   'breaker_shed': 0,
+                                   'breaker_trips': 0,
+                                   'breakers': {'shard-0': {'probes': 0,
+                                                            'shed': 0,
+                                                            'state': 'closed',
+                                                            'trips': 0},
+                                                'shard-1': {'probes': 0,
+                                                            'shed': 0,
+                                                            'state': 'closed',
+                                                            'trips': 0},
+                                                'shard-2': {'probes': 0,
+                                                            'shed': 0,
+                                                            'state': 'closed',
+                                                            'trips': 0}},
+                                   'breakers_open': 0,
+                                   'brownout_engagements': 0,
+                                   'brownout_shed': 0,
+                                   'deadline_shed': 0,
+                                   'shed': 0},
+                      'shards': {'shard-0': {'shard-0/r0': 'up',
+                                             'shard-0/r1': 'up'},
+                                 'shard-1': {'shard-1/r0': 'up',
+                                             'shard-1/r1': 'up'},
+                                 'shard-2': {'shard-2/r0': 'up',
+                                             'shard-2/r1': 'up'}},
+                      'tenancy': {'admitted': {'minnow': 0, 'whale': 278},
+                                  'repartitions': 0,
+                                  'shed': {'minnow': 0, 'whale': 106},
+                                  'tenants': ['minnow', 'whale'],
+                                  'unknown_shed': 0}},
+           'report_sha256': 'b8a5b306593e4dedf3886d921646e079079518c2be7ba66bbd1ce7ecbaf059ac',
+           'cluster': {'n_shards': 2,
+                       'keys': 107,
+                       'window_ops': 419,
+                       'cycles_max': 989899.25,
+                       'cycles_sum': 1782835.0,
+                       'parallel_efficiency': 0.9005133603242956,
+                       'aggregate_throughput': 1777756.675742506,
+                       'ecalls': 94,
+                       'cache_hit_ratio': 0.9734666487072039,
+                       'replicas': 4,
+                       'replicas_down': 0,
+                       'failovers': 0,
+                       'overload': {'shed': 0,
+                                    'deadline_shed': 0,
+                                    'breaker_shed': 0,
+                                    'brownout_shed': 0,
+                                    'breaker_read_routes': 0,
+                                    'breaker_trips': 0,
+                                    'breakers_open': 0,
+                                    'brownout_engagements': 0,
+                                    'breakers': {'shard-0': {'state': 'closed',
+                                                             'trips': 0,
+                                                             'probes': 0,
+                                                             'shed': 0},
+                                                 'shard-1': {'state': 'closed',
+                                                             'trips': 0,
+                                                             'probes': 0,
+                                                             'shed': 0},
+                                                 'shard-2': {'state': 'closed',
+                                                             'trips': 0,
+                                                             'probes': 0,
+                                                             'shed': 0}}},
+                       'tenancy': {'tenants': ['minnow', 'whale'],
+                                   'admitted': {'minnow': 0, 'whale': 278},
+                                   'shed': {'minnow': 0, 'whale': 106},
+                                   'unknown_shed': 0,
+                                   'repartitions': 0,
+                                   'window_evict_denied': 0},
+                       'elastic': {'migrations_started': 1,
+                                   'migrations_completed': 1,
+                                   'migrations_aborted': 0,
+                                   'keys_migrated': 51,
+                                   'keys_retired': 51,
+                                   'dual_applied': 3,
+                                   'plans_approved': 1,
+                                   'plans_rejected': 0,
+                                   'rejections': {},
+                                   'last_abort_reason': '',
+                                   'active': None}}}}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", KINDS)
+def test_health_and_report_match_the_parent_commit(kind, backend):
+    """Simulated columns are backend-invariant, so one constant per kind
+    serves all three backends."""
+    assert observe(kind, backend) == PARENT[kind]
+
+
+if __name__ == "__main__":  # regenerate PARENT
+    import pprint
+
+    seen = {}
+    for kind in KINDS:
+        seen[kind] = observe(kind, "inline")
+        for backend in ("process", "socket"):
+            other = observe(kind, backend)
+            assert other == seen[kind], (kind, backend, other, seen[kind])
+    print("PARENT = " + pprint.pformat(seen, width=78, sort_dicts=False))
