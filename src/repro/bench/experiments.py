@@ -1293,7 +1293,12 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import ClusterConfig, SocketBackend, build_cluster
+    from repro.cluster import (
+        ClusterConfig,
+        SocketBackend,
+        SocketShard,
+        build_cluster,
+    )
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(
@@ -1312,9 +1317,9 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     requests = _as_requests(workload.operations(n_ops))
 
     def hop_cycles(coordinator) -> float:
-        return sum(getattr(shard, "wire_meter").cycles
+        return sum(shard.wire_meter.cycles
                    for shard in coordinator.shard_list()
-                   if hasattr(shard, "wire_meter"))
+                   if isinstance(shard, SocketShard))
 
     for backend in ("inline", "process", "socket"):
         backend_arg = (SocketBackend(n_hosts=n_hosts, seed=1)

@@ -289,7 +289,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print(f"refusing to serve: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3
-    restored = getattr(coordinator, "durability_restored", {})
+    restored = coordinator.durability_restored
     if args.balance:
         coordinator.attach_balancer(HotShardBalancer(coordinator))
     overloaded_door = (args.max_inflight is not None
@@ -349,12 +349,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               f"{'required' if tenancy.require_auth else 'optional'})")
     for shard in coordinator.shard_list():
         line = f"  {shard.shard_id}: EPC {shard.epc_bytes:,} B"
-        replicas = getattr(shard, "replicas", None)
-        if replicas:  # a replica group fronts its enclaves
-            line += f", {len(replicas)} replica(s)"
-        store_config = getattr(shard.store, "config", None)
-        if store_config is not None:
-            line += f", {store_config.n_buckets:,} buckets"
+        if shard.replicas is not None:  # a group fronts its enclaves
+            line += f", {len(shard.replicas)} replica(s)"
+        else:
+            line += f", {shard.store.config.n_buckets:,} buckets"
         print(line)
     try:
         server.serve_forever()

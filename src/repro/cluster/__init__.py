@@ -15,9 +15,10 @@ front door:
   the multi-host deployment shape, with network partitions as a
   first-class failure mode distinct from crashes;
 * :mod:`~repro.cluster.ring` — consistent-hash routing (virtual nodes);
-* :mod:`~repro.cluster.shard` — one enclave + Aria store per shard, and
-  :class:`EnclaveSpec`, the one frozen recipe every backend, restart and
-  elastic add builds an enclave from;
+* :mod:`~repro.cluster.shard` — one enclave + Aria store per shard;
+  :class:`ShardHandle`, the typed contract every handle above the seam
+  inherits; and :class:`EnclaveSpec`, the one frozen recipe every
+  backend, restart and elastic add builds an enclave from;
 * :mod:`~repro.cluster.coordinator` — request routing and per-shard batch
   accumulation over the ECALL-amortized path;
 * :mod:`~repro.cluster.balancer` — hot-shard detection and key-range
@@ -171,7 +172,7 @@ from repro.cluster.replication import (
     build_replicated_cluster,
 )
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, ring_hash
-from repro.cluster.shard import EnclaveSpec, Shard
+from repro.cluster.shard import EnclaveSpec, Shard, ShardHandle
 from repro.cluster.stats import ClusterStats
 
 __all__ = [
@@ -245,6 +246,7 @@ __all__ = [
     "SecureSession",
     "SessionManager",
     "Shard",
+    "ShardHandle",
     "TokenBucket",
     "ShardBackend",
     "ShardHost",

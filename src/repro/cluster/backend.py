@@ -3,10 +3,11 @@
 Everything above a shard — :class:`~repro.cluster.coordinator
 .ClusterCoordinator`, :class:`~repro.cluster.replication.ReplicaGroup`,
 :class:`~repro.cluster.faults.FaultyShard`, the balancer, health monitor
-and stats — talks to an implicit duck-typed contract (``shard_id``,
-``store``, ``server.flush_batch``, ``meter``, balancer marks, ``stats``).
-This module makes that contract an explicit factory interface with three
-interchangeable implementations:
+and stats — talks to one typed contract,
+:class:`~repro.cluster.shard.ShardHandle` (``shard_id``, ``store``,
+``server.flush_batch``, ``meter``, balancer marks, ``stats``, and every
+optional member with its declared default).  This module is the factory
+side of that contract, with three interchangeable implementations:
 
 * :class:`InlineBackend` — the original behaviour: the enclave simulation
   lives in the caller's process (zero-copy, deterministic, the default
@@ -41,7 +42,7 @@ import os
 from typing import TYPE_CHECKING, Union
 
 if TYPE_CHECKING:
-    from repro.cluster.shard import EnclaveSpec
+    from repro.cluster.shard import EnclaveSpec, ShardHandle
 
 #: Environment override consulted when no explicit/default backend is set.
 BACKEND_ENV_VAR = "ARIA_CLUSTER_BACKEND"
@@ -50,12 +51,12 @@ BACKEND_NAMES = ("inline", "process", "socket")
 
 
 class ShardBackend(abc.ABC):
-    """Factory for shard handles satisfying the Shard duck-type contract."""
+    """Factory for :class:`~repro.cluster.shard.ShardHandle` instances."""
 
     name: str = "abstract"
 
     @abc.abstractmethod
-    def create(self, spec: "EnclaveSpec"):
+    def create(self, spec: "EnclaveSpec") -> "ShardHandle":
         """Build the enclave ``spec`` describes and return its handle.
 
         Backends that host the enclave elsewhere ship ``spec`` itself to
@@ -75,7 +76,7 @@ class InlineBackend(ShardBackend):
 
     name = "inline"
 
-    def create(self, spec: "EnclaveSpec"):
+    def create(self, spec: "EnclaveSpec") -> "ShardHandle":
         return spec.build()
 
 

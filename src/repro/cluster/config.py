@@ -310,8 +310,7 @@ class ClusterConfig:
         from repro.cluster.elastic import ElasticCluster, ReconfigPlanner
 
         spec = self.elastic_spec(
-            durability_factory=getattr(coordinator, "_durability_factory",
-                                       None))
+            durability_factory=coordinator._durability_factory)
         planner = ReconfigPlanner(coordinator, spec)
         vnodes = self.vnodes if isinstance(self.vnodes, int) \
             else DEFAULT_VNODES
@@ -348,11 +347,9 @@ class ClusterConfig:
                 seed=self.seed, epoch_every=dur.epoch_every)
 
         coordinator._durability_factory = durability_factory
-        restored = {}
         if dur.restore:
-            restored = restore_cluster_from_storage(coordinator)
-        #: What recovery replayed, for operators (the CLI prints it).
-        coordinator.durability_restored = restored
+            coordinator.durability_restored = \
+                restore_cluster_from_storage(coordinator)
         coordinator.attach_health_monitor(HealthMonitor(coordinator))
 
 

@@ -30,7 +30,7 @@ from repro.cluster.overload import (
 )
 from repro.cluster.tenancy import TenancyConfig, TenantRegistry
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, VnodeSpec
-from repro.cluster.shard import Shard
+from repro.cluster.shard import ShardHandle
 from repro.cluster.stats import ClusterStats
 from repro.errors import (
     AriaError,
@@ -256,7 +256,7 @@ class ClusterCoordinator:
 
     def __init__(
         self,
-        shards: List[Shard],
+        shards: List[ShardHandle],
         *,
         ring: Optional[HashRing] = None,
         vnodes: VnodeSpec = DEFAULT_VNODES,
@@ -266,7 +266,8 @@ class ClusterCoordinator:
             raise ValueError("a cluster needs at least one shard")
         if batch_window < 1:
             raise ValueError("batch_window must be >= 1")
-        self.shards: Dict[str, Shard] = {s.shard_id: s for s in shards}
+        self.shards: Dict[str, ShardHandle] = {
+            s.shard_id: s for s in shards}
         if len(self.shards) != len(shards):
             raise ValueError("duplicate shard ids")
         self.ring = ring or HashRing(self.shards, vnodes=vnodes)
@@ -290,6 +291,12 @@ class ClusterCoordinator:
         self._tenancy: Optional[_TenancyState] = None
         #: Elastic reconfiguration engine; None until :meth:`attach_elastic`.
         self._elastic = None
+        #: Set by ``ClusterConfig.build()`` on a durable cluster: mints the
+        #: sealed sidecar for a shard the elastic engine adds later, and
+        #: what cold-start recovery replayed, per partition (the CLI
+        #: prints it).
+        self._durability_factory = None
+        self.durability_restored: dict = {}
 
     # -- wiring -------------------------------------------------------------------
 
@@ -373,7 +380,7 @@ class ClusterCoordinator:
         self.shards[shard.shard_id] = shard
         self.ring = ring
 
-    def retire_shard(self, shard_id: str, *, ring: HashRing) -> Shard:
+    def retire_shard(self, shard_id: str, *, ring: HashRing) -> ShardHandle:
         """Cutover for a remove: unroute and detach the shard atomically.
 
         Returns the detached shard — still open, still holding its copy
@@ -427,7 +434,7 @@ class ClusterCoordinator:
         """
         pushed = 0
         for shard in self.shard_list():
-            replicas = getattr(shard, "replicas", None)
+            replicas = shard.replicas
             targets = ([r.shard for r in replicas]
                        if replicas is not None else [shard])
             for target in targets:
@@ -438,10 +445,10 @@ class ClusterCoordinator:
                     continue
         return pushed
 
-    def shard_for(self, key: bytes) -> Shard:
+    def shard_for(self, key: bytes) -> ShardHandle:
         return self.shards[self.ring.route(key)]
 
-    def shard_list(self) -> List[Shard]:
+    def shard_list(self) -> List[ShardHandle]:
         return [self.shards[shard_id] for shard_id in sorted(self.shards)]
 
     # -- the batched request path -------------------------------------------------
@@ -551,17 +558,17 @@ class ClusterCoordinator:
         shard = self.shards[shard_id]
         shard.ops_routed += len(seqs)
         batch = [requests[s] for s in seqs]
-        submit = getattr(shard.server, "flush_submit", None)
+        server = shard.server
         started = over.clock() if over is not None else None
         try:
-            if submit is None:
-                flushed = shard.server.flush_batch(batch)
+            if not shard.pipelined:
+                flushed = server.flush_batch(batch)
                 latency = (over.clock() - started
                            if over is not None else None)
                 return _Flight(shard_id, seqs, flushed=flushed,
                                latency=latency, sampled=over is not None)
-            return _Flight(shard_id, seqs, ticket=submit(batch),
-                           server=shard.server, started=started,
+            return _Flight(shard_id, seqs, ticket=server.flush_submit(batch),
+                           server=server, started=started,
                            sampled=over is not None)
         except AriaError as exc:
             latency = over.clock() - started if over is not None else None
@@ -573,23 +580,22 @@ class ClusterCoordinator:
                       over: "_OverloadState") -> _Flight:
         """The open-breaker path: reads to a secondary, writes shed.
 
-        A replica group exposes :meth:`~repro.cluster.replication
-        .ReplicaGroup.flush_reads_fallback`; reads go there (a different
-        enclave than the slow primary, so no breaker sample is taken).
-        Everything else — writes always, reads on an unreplicated shard —
+        A replica group overrides :meth:`~repro.cluster.shard.ShardHandle
+        .flush_reads_fallback`; reads go there (a different enclave than
+        the slow primary, so no breaker sample is taken).  Everything else
+        — writes always, reads on a handle with no secondary (``None``) —
         is shed with the breaker's own countdown as the retry_after hint.
         """
         shard = self.shards[shard_id]
         shed = over.shed_response(breaker.retry_after(),
                                   b"breaker open: " + shard_id.encode())
         flushed: List[Response] = [shed] * len(seqs)
-        fallback = getattr(shard.server, "flush_reads_fallback", None)
         read_pos = [i for i, s in enumerate(seqs)
                     if requests[s].opcode == OP_GET]
-        if fallback is not None and read_pos:
+        if read_pos:
             try:
-                served = list(fallback(
-                    [requests[seqs[i]] for i in read_pos]))
+                served = shard.flush_reads_fallback(
+                    [requests[seqs[i]] for i in read_pos])
             except AriaError:
                 served = None
             if served is not None:
@@ -705,13 +711,13 @@ class ClusterCoordinator:
         shards: Dict[str, object] = {}
         up = 0
         for shard in self.shard_list():
-            replicas = getattr(shard, "replicas", None)
+            replicas = shard.replicas
             if replicas is not None:
                 states = {r.replica_id: r.state.value for r in replicas}
                 shards[shard.shard_id] = states
                 up += any(state == "up" for state in states.values())
             else:
-                alive = not getattr(shard, "crashed", False)
+                alive = not shard.crashed
                 shards[shard.shard_id] = "up" if alive else "down"
                 up += alive
         summary = {
@@ -839,8 +845,6 @@ class ClusterCoordinator:
         Idempotent; the coordinator must not be used afterwards.
         """
         for shard in self.shard_list():
-            close = getattr(shard, "close", None)
-            if close is not None:
-                close(timeout)
+            shard.close(timeout)
         if self.backend is not None:
             self.backend.close(timeout)

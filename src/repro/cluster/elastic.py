@@ -52,7 +52,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.cluster.faults import FaultPlan
+from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.replication import build_replica_group
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.shard import EnclaveSpec
@@ -329,7 +329,7 @@ class ReconfigPlanner:
             f"R={replication_after} >= floor {self.min_replication}")
 
         # -- model 3: durability-epoch continuity -------------------------
-        durable = any(getattr(s, "durability", None) is not None
+        durable = any(s.durability is not None
                       for s in coordinator.shards.values())
         if durable and delta.add_shards and spec.durability_factory is None:
             raise PlanRejectedError(
@@ -343,7 +343,7 @@ class ReconfigPlanner:
             "cluster not durable: nothing to carry over")
 
         # -- model 4: tenant quota feasibility ----------------------------
-        tenancy = getattr(coordinator, "tenancy", None)
+        tenancy = coordinator.tenancy
         if tenancy is not None and (delta.add_shards or delta.remove_shards):
             quotas = tenancy.config.cache_quota_map()
             entries = spec.projected_cache_entries()
@@ -636,7 +636,7 @@ class ElasticCluster:
         self._enter_stage(migration, STAGE_SYNC)
 
     def _cluster_durable(self) -> bool:
-        return any(getattr(s, "durability", None) is not None
+        return any(s.durability is not None
                    for s in self._coordinator.shards.values())
 
     def _build_shard(self, shard_id: str):
@@ -652,7 +652,7 @@ class ElasticCluster:
         spec = self.spec
         coordinator = self._coordinator
         overrides = dict(spec.enclave.config_overrides)
-        tenancy = getattr(coordinator, "tenancy", None)
+        tenancy = coordinator.tenancy
         if tenancy is not None:
             quotas = tenancy.config.cache_quota_map()
             if quotas:
@@ -789,9 +789,7 @@ class ElasticCluster:
     def _retire_batch(self, migration: _Migration) -> None:
         if migration.kind == "remove":
             # The leaving shard is out of the ring; release its enclaves.
-            close = getattr(migration.new_shard, "close", None)
-            if close is not None:
-                close()
+            migration.new_shard.close()
             self._finish(migration)
             return
         end = min(migration.retire_cursor + self.batch_keys,
@@ -830,12 +828,10 @@ class ElasticCluster:
         if migration.kind == "add":
             shard = migration.new_shard
             if shard is not None:
-                close = getattr(shard, "close", None)
-                if close is not None:
-                    try:
-                        close()
-                    except AriaError:  # pragma: no cover - best-effort
-                        pass
+                try:
+                    shard.close()
+                except AriaError:  # pragma: no cover - best-effort
+                    pass
         else:
             # Best-effort: scrub the shadow copies off the destinations so
             # a later retry starts clean (unreachable garbage otherwise).
@@ -875,20 +871,18 @@ class ElasticCluster:
                                                  migration.new_shard)
         if shard is None:
             return []
-        replicas = getattr(shard, "replicas", None)
-        if replicas is not None:
-            return [r.shard for r in replicas if hasattr(r.shard, "apply")]
-        return [shard] if hasattr(shard, "apply") else []
+        members = [r.shard for r in shard.replicas] \
+            if shard.replicas is not None else [shard]
+        return [m for m in members if isinstance(m, FaultyShard)]
 
     def _check_subject(self, migration: _Migration) -> None:
         """Abort an add whose joining group just died to a staged fault."""
         if migration.kind != "add" or migration.new_shard is None:
             return
-        replicas = getattr(migration.new_shard, "replicas", None)
+        replicas = migration.new_shard.replicas
         if replicas is None:
             return
-        all_dead = all(getattr(r.shard, "crashed", False)
-                       or getattr(r.shard, "partitioned", False)
+        all_dead = all(r.shard.crashed or r.shard.partitioned
                        for r in replicas)
         if all_dead and migration.stage in (STAGE_SYNC, STAGE_CUTOVER):
             self._abort(migration, f"staged fault killed "

@@ -11,9 +11,9 @@ hanging.  This module stages both kinds on a fixed, replayable schedule:
   reaches ``at``.  Plans are pure data: the same plan against the same
   workload produces the same failure history, which is what makes chaos
   tests assertable.
-* :class:`FaultyShard` — a drop-in :class:`~repro.cluster.shard.Shard`
-  wrapper whose server counts the requests it flushes and consults the
-  plan before every flush: a due ``kill`` raises
+* :class:`FaultyShard` — a :class:`~repro.cluster.shard.ShardHandle`
+  around another one, whose server counts the requests it flushes and
+  consults the plan before every flush: a due ``kill`` raises
   :class:`~repro.errors.ShardCrashedError` (and keeps raising until
   :meth:`FaultyShard.restart`), a due ``corrupt`` flips a ciphertext bit
   in the shard's untrusted memory via ``repro.attacks`` so the *next*
@@ -44,6 +44,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional
 
+from repro.cluster.shard import ShardHandle
 from repro.errors import (
     ShardCrashedError,
     ShardUnreachableError,
@@ -381,8 +382,9 @@ def plant_corruption(store, key: bytes = b"") -> bool:
 
     The whole plant — victim selection (unmetered: it is the attacker's
     work) plus the bit flip — runs against the *real* store, so it must
-    execute wherever the enclave lives: inline shards call it directly,
-    process-backed shards run it inside the worker via the
+    execute wherever the enclave lives: :meth:`ShardHandle.plant_corruption
+    <repro.cluster.shard.ShardHandle.plant_corruption>` calls it directly,
+    remote handles override that to run it beside the enclave via the
     ``plant_corruption`` RPC.  Returns whether a corruption landed (an
     empty store, a vanished key, or a previously-tripped alarm all mean
     there was nothing to tamper with).
@@ -434,12 +436,13 @@ class _FaultyServer:
         return owner.inner.server.flush_batch(requests)
 
 
-class FaultyShard:
-    """A Shard wrapper that injects the plan's faults into its own path.
+class FaultyShard(ShardHandle):
+    """A handle wrapper that injects the plan's faults into its own path.
 
-    Duck-types :class:`~repro.cluster.shard.Shard` (``shard_id``, ``store``,
-    ``server``, ``meter``, balancer marks, ``stats``) so coordinators,
-    replica groups, balancers and stats aggregation all work unchanged.
+    A :class:`~repro.cluster.shard.ShardHandle` around any other (``inner``),
+    so coordinators, replica groups, balancers and stats aggregation all
+    work unchanged; what ``inner`` cannot do for itself — black-hole a
+    link it does not model, stall — the wrapper does in its request path.
     Touching the ``store`` or ``server`` of a crashed shard raises
     :class:`~repro.errors.ShardCrashedError` — dead enclaves don't answer.
     """
@@ -489,9 +492,7 @@ class FaultyShard:
         OS process, not as a flag in the parent.
         """
         self.crashed = True
-        kill = getattr(self.inner, "kill", None)
-        if kill is not None:
-            kill()
+        self.inner.kill()
 
     def corrupt(self, key: bytes = b"") -> None:
         """Flip a ciphertext bit of one record in untrusted memory.
@@ -505,12 +506,7 @@ class FaultyShard:
         """
         if self.crashed:
             return
-        remote = getattr(self.inner, "plant_corruption", None)
-        if remote is not None:
-            planted = remote(key)
-        else:
-            planted = plant_corruption(self.inner.store, key)
-        if planted:
+        if self.inner.plant_corruption(key):
             self.corruptions += 1
 
     def restart(self):
@@ -537,9 +533,7 @@ class FaultyShard:
         self._stall_seconds = 0.0
         self._stall_ops_left = None
         self.restarts += 1
-        close = getattr(old, "close", None)
-        if close is not None:
-            close()  # reap the dead worker's process entry and pipe
+        old.close()  # reap the dead worker's process entry and pipe
         return self.inner
 
     # -- stalls -------------------------------------------------------------------
@@ -583,12 +577,10 @@ class FaultyShard:
         if self.crashed:
             return
         self.partitions += 1
-        inner = getattr(self.inner, "partition", None)
-        if inner is not None:
-            inner(duration)
-            return
-        self._partitioned = True
-        self._heal_at = time.monotonic() + duration
+        self.inner.partition(duration)
+        if not self.inner.partitioned:  # no link of its own to sever
+            self._partitioned = True
+            self._heal_at = time.monotonic() + duration
 
     def heal(self) -> None:
         """Collapse the remaining heal window; the next reconnect succeeds.
@@ -598,9 +590,7 @@ class FaultyShard:
         self._heal_at = 0.0
         self._stall_seconds = 0.0
         self._stall_ops_left = None
-        heal = getattr(self.inner, "heal", None)
-        if heal is not None:
-            heal()
+        self.inner.heal()
 
     def reconnect(self) -> bool:
         """Try to re-establish the link to a partitioned shard.
@@ -613,28 +603,24 @@ class FaultyShard:
         """
         if self.crashed:
             return False
-        inner = getattr(self.inner, "reconnect", None)
-        if inner is not None:
-            ok = bool(inner())
-            if ok:
-                self._partitioned = False
-                self.reconnects += 1
-            elif getattr(self.inner, "crashed", False):
-                self.crashed = True
-            return ok
-        if not self._partitioned:
+        if self._partitioned:  # the wrapper's own black hole
+            if time.monotonic() < self._heal_at:
+                return False
+            self._partitioned = False
+            self.reconnects += 1
             return True
-        if time.monotonic() < self._heal_at:
-            return False
-        self._partitioned = False
-        self.reconnects += 1
-        return True
+        ok = self.inner.reconnect()
+        if ok:
+            self.reconnects += 1
+        elif self.inner.crashed:
+            self.crashed = True
+        return ok
 
     @property
     def partitioned(self) -> bool:
-        return self._partitioned or getattr(self.inner, "partitioned", False)
+        return self._partitioned or self.inner.partitioned
 
-    # -- Shard duck-typing --------------------------------------------------------
+    # -- the ShardHandle members ---------------------------------------------------
 
     @property
     def shard_id(self) -> str:
@@ -688,9 +674,7 @@ class FaultyShard:
         return row
 
     def close(self, timeout: float = 5.0) -> None:
-        close = getattr(self.inner, "close", None)
-        if close is not None:
-            close(timeout)
+        self.inner.close(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "down" if self.crashed else "up"

@@ -41,6 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+from repro.cluster.faults import FaultyShard
 from repro.cluster.replication import Replica, ReplicaGroup, ReplicaState
 from repro.errors import DurabilityError, RecoveryError, ShardCrashedError
 
@@ -117,7 +118,7 @@ class HealthMonitor:
         """
         reports: List[ResyncReport] = []
         for group in self._coordinator.shard_list():
-            replicas = getattr(group, "replicas", None)
+            replicas = group.replicas
             if not replicas:
                 continue  # a plain, unreplicated shard: nothing to heal
             restarted_ids = set()
@@ -133,11 +134,11 @@ class HealthMonitor:
                     if self._reconnect(replica):
                         reconnected_ids.add(id(replica))
                         continue
-                    if not getattr(replica.shard, "crashed", False):
+                    if not replica.shard.crashed:
                         continue  # heal window still open: retry next round
                 if self._restart(replica):
                     restarted_ids.add(id(replica))
-            if getattr(group, "durability", None) is not None \
+            if group.durability is not None \
                     and group._first_live() is None:
                 try:
                     self.recover_from_storage(group)
@@ -165,11 +166,8 @@ class HealthMonitor:
         leaves it DOWN — with ``crashed`` now set if the far side turned
         out to be dead, which routes it to the restart path.
         """
-        reconnect = getattr(replica.shard, "reconnect", None)
-        if reconnect is None:
-            return False
         try:
-            ok = bool(reconnect())
+            ok = replica.shard.reconnect()
         except ShardCrashedError:
             return False
         if ok:
@@ -179,10 +177,10 @@ class HealthMonitor:
     def _restart(self, replica: Replica) -> bool:
         """Swap the dead/quarantined enclave for a fresh, empty one."""
         shard = replica.shard
-        if not hasattr(shard, "restart"):
+        if not isinstance(shard, FaultyShard):
             return False  # not restartable: stays DOWN for an operator
         try:
-            if not getattr(shard, "crashed", False):
+            if not shard.crashed:
                 # Quarantined for integrity, enclave still running: its
                 # untrusted state is rotten, so discard it outright rather
                 # than trusting a partial heal.
@@ -240,7 +238,7 @@ class HealthMonitor:
         state, no candidate replica, or the candidate dies mid-rebuild.
         The replicas stay non-UP in every failure case.
         """
-        durability = getattr(group, "durability", None)
+        durability = group.durability
         if durability is None:
             raise RecoveryError(
                 f"{group.shard_id}: no durability attached; a group with "
@@ -289,7 +287,7 @@ class HealthMonitor:
         fan-out for the same enclaves.
         """
         for group in self._coordinator.shard_list():
-            replicas = getattr(group, "replicas", None)
+            replicas = group.replicas
             if not replicas:
                 continue
             if any(r.state is not ReplicaState.UP for r in replicas):

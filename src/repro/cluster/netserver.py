@@ -433,9 +433,7 @@ class ClusterNetServer:
         this, the process tree is clean.
         """
         self.stop(timeout)
-        close = getattr(self._coordinator, "close", None)
-        if close is not None:
-            close(timeout)
+        self._coordinator.close(timeout)
 
     def _limit_reached(self) -> bool:
         return (self.max_requests is not None
@@ -472,7 +470,7 @@ class ClusterNetServer:
         row["overload"] = overload
         if self.sessions is not None:
             row["gateway"] = self.sessions.stats()
-        tenancy = getattr(self._coordinator, "tenancy", None)
+        tenancy = self._coordinator.tenancy
         if tenancy is not None:
             # Armed front doors only: an unarmed server's ledger keeps its
             # pre-tenancy shape.
@@ -1199,9 +1197,7 @@ class BackgroundServer:
         shard workers so nothing outlives the test or script.
         """
         self.stop(timeout)
-        close = getattr(self.server.coordinator, "close", None)
-        if close is not None:
-            close(min(timeout, 5.0))
+        self.server.coordinator.close(min(timeout, 5.0))
 
     def __enter__(self) -> "BackgroundServer":
         self.start()

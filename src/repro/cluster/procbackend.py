@@ -3,9 +3,9 @@
 The :class:`ProcessBackend` implementation of the
 :class:`~repro.cluster.backend.ShardBackend` seam.  Each shard (or
 replica) enclave is built *inside* a ``multiprocessing`` worker; the
-parent holds a :class:`ProcessShard` handle that satisfies the same
-duck-typed contract as an inline :class:`~repro.cluster.shard.Shard`, so
-the coordinator, replica groups, fault injector, balancer, health
+parent holds a :class:`ProcessShard` handle — the same
+:class:`~repro.cluster.shard.ShardHandle` contract an inline
+:class:`~repro.cluster.shard.Shard` answers — so the coordinator, replica groups, fault injector, balancer, health
 monitor and stats aggregation all work unchanged.
 
 What crosses the pipe (one duplex ``Pipe`` per worker, raw
@@ -189,7 +189,7 @@ def _send(conn, reply: bytes) -> None:
 
 
 class ProcessShard(RemoteShardHandle):
-    """Shard-duck-typed handle for an enclave living in a worker process."""
+    """The handle for an enclave living in a worker process."""
 
     def __init__(self, spec: EnclaveSpec, ctx):
         super().__init__(spec.shard_id)

@@ -14,9 +14,9 @@ binary form.  This module holds everything both sides share:
   out), :func:`ready_reply` and :func:`rpc_reply` (one command through
   :func:`dispatch_shard_rpc`, the enclave-side command table), all
   producing encoded reply bytes;
-* :class:`RemoteShardHandle` — the parent-side base class implementing
-  the Shard duck-type contract (``store``/``server``/``meter``, balancer
-  marks, ``stats`` with a post-mortem cache) on top of two abstract
+* :class:`RemoteShardHandle` — the parent-side
+  :class:`~repro.cluster.shard.ShardHandle` (``store``/``server``/``meter``
+  proxies, ``stats`` with a post-mortem cache) on top of two abstract
   transport hooks, ``_send`` and ``_recv``, with :meth:`~RemoteShardHandle
   ._settle` turning reply bytes back into a payload or a raise;
 * the proxies — :class:`RemoteServer` (``flush_batch`` plus the
@@ -38,6 +38,7 @@ from collections import Counter
 from typing import Optional, Tuple
 
 from repro.cluster import rpc
+from repro.cluster.shard import ShardHandle
 from repro.errors import ShardCrashedError
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.meter import CycleMeter, MeterSnapshot
@@ -146,23 +147,25 @@ def dispatch_shard_rpc(shard, cmd: str, arg):
 # ---------------------------------------------------------------------------
 
 
-class RemoteShardHandle:
-    """Shard-duck-typed handle for an enclave reachable only by RPC.
+class RemoteShardHandle(ShardHandle):
+    """The :class:`ShardHandle` for an enclave reachable only by RPC.
 
     Subclasses own the transport: they implement ``_send(cmd, arg)`` and
     ``_recv(timeout)`` (which must pass every reply's bytes through
     :meth:`_settle` and raise :class:`~repro.errors.ShardCrashedError`
-    once the far side is gone), plus lifecycle (``close``, optionally
-    ``kill``).  After the transport delivers the remote's ``ready`` info
-    dict, they call :meth:`_attach` to wire up the proxies.
+    once the far side is gone), plus the lifecycle overrides (``close``,
+    ``kill``; a transport that models its link, ``partition``/``heal``/
+    ``reconnect``).  After the transport delivers the remote's ``ready``
+    info dict, they call :meth:`_attach` to wire up the proxies.
     """
+
+    pipelined = True  # RemoteServer.flush_submit / flush_collect
 
     def __init__(self, shard_id: str):
         self.shard_id = shard_id
         self.crashed = False
         self.closed = False
         self.ops_routed = 0
-        self._load_mark = 0.0
         self._pending = 0  # pipelined flushes submitted but not collected
         self._stats_cache: Optional[dict] = None
         self._meter = RemoteMeter(self)
@@ -200,7 +203,7 @@ class RemoteShardHandle:
         self._send(cmd, arg)
         return self._recv()
 
-    # -- Shard duck-typing --------------------------------------------------------
+    # -- the ShardHandle members ---------------------------------------------------
 
     @property
     def store(self) -> "RemoteStore":
@@ -214,14 +217,8 @@ class RemoteShardHandle:
     def meter(self) -> "RemoteMeter":
         return self._meter
 
-    def load_since_mark(self) -> float:
-        return self.meter.cycles - self._load_mark
-
-    def mark_load(self) -> None:
-        self._load_mark = self.meter.cycles
-
     def stats(self) -> dict:
-        if self.crashed or self.closed or getattr(self, "partitioned", False):
+        if self.crashed or self.closed or self.partitioned:
             # A dead enclave still has a story to tell: serve the last row
             # the remote reported (the meter mirror keeps cycles current
             # up to its final reply).
@@ -375,7 +372,7 @@ class RemoteMeter:
     def _sync(self) -> None:
         handle = self._handle
         if handle.crashed or handle.closed or handle._pending \
-                or getattr(handle, "partitioned", False):
+                or handle.partitioned:
             return
         try:
             handle._call("sync")

@@ -2,9 +2,9 @@
 
 The ROADMAP's top open item, and the piece that turns a shard crash or a
 tampered record from a lost batch into a served request.  One
-:class:`ReplicaGroup` owns a ring partition and duck-types
-:class:`~repro.cluster.shard.Shard`, so the coordinator, balancer and stats
-layers work unchanged; inside, it holds R replicas, each a *separate*
+:class:`ReplicaGroup` owns a ring partition and is a
+:class:`~repro.cluster.shard.ShardHandle`, so the coordinator, balancer and
+stats layers work unchanged; inside, it holds R replicas, each a *separate*
 :class:`~repro.sgx.enclave.Enclave` with its own key material — enclaves
 share no secrets, so a write is applied to every live replica through the
 trusted path and re-sealed under each replica's own keys, with every cycle
@@ -46,7 +46,7 @@ from repro.cluster.backend import BackendSpec, ShardBackend, resolve_backend
 from repro.cluster.config import ClusterConfig
 from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.faults import FaultPlan, FaultyShard
-from repro.cluster.shard import EnclaveSpec
+from repro.cluster.shard import EnclaveSpec, ShardHandle
 from repro.errors import (
     IntegrityError,
     KeyNotFoundError,
@@ -102,8 +102,8 @@ def _unavailable(group_id: str) -> Response:
                     b"no live replica in " + group_id.encode())
 
 
-class ReplicaGroup:
-    """R replica shards serving one ring partition, Shard-duck-typed."""
+class ReplicaGroup(ShardHandle):
+    """R replica handles serving one ring partition as one handle."""
 
     def __init__(self, group_id: str, shards: List):
         if not shards:
@@ -349,7 +349,7 @@ class ReplicaGroup:
             self.mark_down(replica, "integrity")
             remaining = still_bad
 
-    # -- Shard duck-typing: store facade, meter, balancer marks -------------------
+    # -- the ShardHandle members: store facade, meter, balancer marks -----------
 
     @property
     def store(self) -> "_GroupStore":
@@ -373,9 +373,7 @@ class ReplicaGroup:
     def close(self, timeout: float = 5.0) -> None:
         """Release every replica's backing resources (see Shard.close)."""
         for replica in self.replicas:
-            close = getattr(replica.shard, "close", None)
-            if close is not None:
-                close(timeout)
+            replica.shard.close(timeout)
 
     def _commit_single(self, request: Request) -> None:
         """Durably log one trusted-path write (migration / direct put).
@@ -542,7 +540,9 @@ class _GroupStore:
         if replica is not None:
             return replica.shard.store.enclave
         shard = self._group.replicas[0].shard
-        return getattr(shard, "inner", shard).store.enclave
+        if isinstance(shard, FaultyShard):
+            shard = shard.inner  # a dead wrapper guards its store
+        return shard.store.enclave
 
 
 class _GroupMeter:

@@ -11,6 +11,10 @@ possible" rule the single-store benchmarks use (via
 Shards also keep the small amount of bookkeeping the balancer needs: a
 load mark (cycles consumed since the last balancer inspection) so hot-shard
 detection can work on windowed deltas rather than lifetime totals.
+
+:class:`ShardHandle` is the contract every layer above reads: the base of
+:class:`Shard` and of every other handle the cluster can hold in a shard's
+place, declaring each optional member with its default.
 """
 
 from __future__ import annotations
@@ -105,7 +109,81 @@ class EnclaveSpec:
         return Shard(self)
 
 
-class Shard:
+class ShardHandle:
+    """What everything above a shard may ask of whatever it holds.
+
+    One base for the four kinds of handle — :class:`Shard` (the enclave in
+    this process), :class:`~repro.cluster.remote.RemoteShardHandle` (behind
+    a pipe or an attested TCP session), :class:`~repro.cluster.faults
+    .FaultyShard` (a fault-injecting wrapper around either) and
+    :class:`~repro.cluster.replication.ReplicaGroup` (R of them behind one
+    ring partition).  A handle supplies ``shard_id``, ``store``, ``server``
+    (``flush_batch(requests)``), ``meter``, ``epc_bytes``, ``ops_routed``
+    and ``stats()``; everything else has the default below, which says
+    "one healthy enclave, nothing to release, no link of its own", and is
+    overridden only by a handle for which that is not true.  Callers read
+    these members directly — a member missing here is a member no caller
+    may assume (ARCHITECTURE, "The shard contract", has the table of who
+    overrides and who reads what).
+    """
+
+    shard_id: str
+    #: The enclave is dead (killed, worker gone, host lost): touching it
+    #: raises :class:`~repro.errors.ShardCrashedError`.
+    crashed = False
+    #: Cut off but alive: :class:`~repro.errors.ShardUnreachableError`
+    #: until :meth:`reconnect` succeeds.
+    partitioned = False
+    #: A replica group's ``Replica`` list; ``None`` for a single enclave.
+    replicas = None
+    #: A replica group's sealed-durability sidecar (:mod:`repro.persist`).
+    durability = None
+    #: Requests a replica group re-served on a peer.
+    failovers = 0
+    #: ``server`` also answers ``flush_submit``/``flush_collect`` (the
+    #: enclave is elsewhere), so the coordinator pipelines its dispatches.
+    pipelined = False
+    _load_mark = 0.0
+
+    # -- balancer bookkeeping ----------------------------------------------------
+
+    def load_since_mark(self) -> float:
+        """Cycles consumed since :meth:`mark_load` — the hot-shard signal."""
+        return self.meter.cycles - self._load_mark
+
+    def mark_load(self) -> None:
+        self._load_mark = self.meter.cycles
+
+    # -- lifecycle and link: no-ops for an enclave held in this process -----------
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Release what backs the handle (worker, link, replicas)."""
+
+    def kill(self) -> None:
+        """Destroy the enclave where it lives (a real SIGKILL for a worker)."""
+
+    def partition(self, duration: float = 0.0) -> None:
+        """Sever the handle's own link, if it models one."""
+
+    def heal(self) -> None:
+        """Collapse a partition's remaining heal window."""
+
+    def reconnect(self) -> bool:
+        """Re-establish a severed link; False when there is none to."""
+        return False
+
+    def plant_corruption(self, key: bytes = b"") -> bool:
+        """Run the fault injector's corruption plant beside the enclave."""
+        from repro.cluster.faults import plant_corruption
+
+        return plant_corruption(self.store, key)
+
+    def flush_reads_fallback(self, requests):
+        """Serve reads while avoiding the primary; None without a secondary."""
+        return None
+
+
+class Shard(ShardHandle):
     """An independent enclave + Aria store serving one ring partition."""
 
     def __init__(self, spec: EnclaveSpec):
@@ -123,20 +201,10 @@ class Shard:
         #: Requests routed here since construction (front-door count; the
         #: enclave's own op_* events count executed operations).
         self.ops_routed = 0
-        self._load_mark = 0.0
-
-    # -- balancer bookkeeping ----------------------------------------------------
 
     @property
     def meter(self):
         return self.store.enclave.meter
-
-    def load_since_mark(self) -> float:
-        """Cycles consumed since :meth:`mark_load` — the hot-shard signal."""
-        return self.meter.cycles - self._load_mark
-
-    def mark_load(self) -> None:
-        self._load_mark = self.meter.cycles
 
     # -- reporting ----------------------------------------------------------------
 
@@ -162,9 +230,6 @@ class Shard:
         if exec_stats is not None:
             row["batchexec"] = exec_stats
         return row
-
-    def close(self, timeout: float = 5.0) -> None:
-        """Inline shards hold no external resources; process handles do."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"Shard({self.shard_id!r}, keys={len(self.store)}, "

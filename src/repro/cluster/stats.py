@@ -146,19 +146,19 @@ class ClusterStats:
         )
         total_keys = sum(row.get("keys", 0) for row in per_shard.values())
         # Replica-aware extras: present only when at least one "shard" is a
-        # ReplicaGroup (duck-checked, so plain clusters pay nothing).
+        # ReplicaGroup (``replicas`` is None on every other handle).
         replicas = 0
         replicas_down = 0
         failovers = 0
         for shard in self._shards:
-            group = getattr(shard, "replicas", None)
+            group = shard.replicas
             if group is None:
                 continue
             replicas += len(group)
             replicas_down += sum(
                 1 for r in group if r.state.value != "up"
             )
-            failovers += getattr(shard, "failovers", 0)
+            failovers += shard.failovers
         cluster = {
             "n_shards": len(self._shards),
             "keys": total_keys,

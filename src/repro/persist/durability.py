@@ -520,7 +520,7 @@ def attach_partition_durability(
     :func:`restore_group_from_storage` (or let the
     :class:`~repro.cluster.health.HealthMonitor` recover) before serving.
     """
-    if not hasattr(group, "replicas"):
+    if group.replicas is None:
         raise ValueError(
             "durability attaches to replica groups (the group commit rides "
             "their batch boundary); set ClusterConfig.durability, or build "
@@ -563,7 +563,7 @@ def restore_group_from_storage(group) -> Optional[RecoveredState]:
     restored writes to the very log they came from).  Returns None when the
     partition has no prior durable state.
     """
-    dur = getattr(group, "durability", None)
+    dur = group.durability
     if dur is None:
         raise RecoveryError(
             f"{group.shard_id}: no durability attached; nothing to restore")
@@ -580,7 +580,7 @@ def restore_cluster_from_storage(coordinator) -> Dict[str, RecoveredState]:
     """Cold-start restore for every partition that has prior durable state."""
     restored: Dict[str, RecoveredState] = {}
     for group in coordinator.shard_list():
-        if getattr(group, "durability", None) is None:
+        if group.durability is None:
             continue
         state = restore_group_from_storage(group)
         if state is not None:

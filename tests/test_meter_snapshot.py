@@ -67,9 +67,9 @@ def test_snapshot_of_snapshot_is_itself():
 
 def test_cluster_stats_accepts_snapshots_and_live_meters():
     """Aggregation treats a frozen snapshot exactly like a live meter."""
-    from repro.cluster import ClusterStats
+    from repro.cluster import ClusterStats, ShardHandle
 
-    class FakeShard:
+    class FakeShard(ShardHandle):
         def __init__(self, shard_id, meter):
             self.shard_id = shard_id
             self.meter = meter

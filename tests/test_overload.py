@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ShardHandle
 from repro.cluster.overload import (
     BreakerState,
     CircuitBreaker,
@@ -432,9 +433,10 @@ class TestCollectUnderDeadline:
             self.collects.append(timeout)
             raise TypeError("a bug inside the collect, not its signature")
 
-    class _Shard:
+    class _Shard(ShardHandle):
         shard_id = "s0"
         ops_routed = 0
+        pipelined = True  # _Server answers flush_submit / flush_collect
 
     def test_a_typeerror_inside_a_collect_is_never_recollected(self):
         """A second collect would read the *next* reply off a FIFO stream
