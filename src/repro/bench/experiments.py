@@ -1293,12 +1293,8 @@ def cluster_socket_backend(scale: int = 2048, n_ops: int = 2000,
     import hashlib
     import time
 
-    from repro.cluster import (
-        ClusterConfig,
-        SocketBackend,
-        SocketShard,
-        build_cluster,
-    )
+    from repro.cluster import ClusterConfig, SocketBackend, build_cluster
+    from repro.cluster.sockbackend import SocketShard
     from repro.server.protocol import encode_batch_responses
 
     result = ExperimentResult(

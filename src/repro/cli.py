@@ -473,12 +473,9 @@ def _cmd_reconfig(args: argparse.Namespace) -> int:
 def _cmd_shard_host(args: argparse.Namespace) -> int:
     from repro.cluster import run_shard_host
 
-    if args.max_conns is not None and args.max_conns < 1:
-        print("--max-conns must be at least 1", file=sys.stderr)
-        return 1
     try:
         run_shard_host(host=args.host, port=args.port, seed=args.seed,
-                       crypto=args.crypto, max_conns=args.max_conns)
+                       crypto=args.crypto)
     except KeyboardInterrupt:  # pragma: no cover - interactive shutdown
         pass
     return 0
@@ -630,9 +627,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "the measurement coordinators pin")
     shard_host.add_argument("--crypto", default="fast",
                             choices=["fast", "real"])
-    shard_host.add_argument("--max-conns", type=int, default=None,
-                            help="stop after serving this many connections "
-                                 "(default: serve until interrupted)")
     shard_host.set_defaults(func=_cmd_shard_host)
 
     inspect = sub.add_parser("inspect", help="show store sizing at a scale")

@@ -16,9 +16,8 @@ front door:
   first-class failure mode distinct from crashes;
 * :mod:`~repro.cluster.ring` — consistent-hash routing (virtual nodes);
 * :mod:`~repro.cluster.shard` — one enclave + Aria store per shard;
-  :class:`ShardHandle`, the typed contract every handle above the seam
-  inherits; and :class:`EnclaveSpec`, the one frozen recipe every
-  backend, restart and elastic add builds an enclave from;
+  :class:`ShardHandle`, the typed contract every handle inherits; and
+  :class:`EnclaveSpec`, the recipe every enclave is built from;
 * :mod:`~repro.cluster.coordinator` — request routing and per-shard batch
   accumulation over the ECALL-amortized path;
 * :mod:`~repro.cluster.balancer` — hot-shard detection and key-range

@@ -3,11 +3,10 @@
 Everything above a shard — :class:`~repro.cluster.coordinator
 .ClusterCoordinator`, :class:`~repro.cluster.replication.ReplicaGroup`,
 :class:`~repro.cluster.faults.FaultyShard`, the balancer, health monitor
-and stats — talks to one typed contract,
-:class:`~repro.cluster.shard.ShardHandle` (``shard_id``, ``store``,
-``server.flush_batch``, ``meter``, balancer marks, ``stats``, and every
-optional member with its declared default).  This module is the factory
-side of that contract, with three interchangeable implementations:
+and stats — talks to one typed contract, :class:`~repro.cluster.shard
+.ShardHandle` (``shard_id``, ``store``, ``server.flush_batch``, ``meter``,
+balancer marks, ``stats``, every optional member declared with a default).
+This module is its factory side, with three interchangeable implementations:
 
 * :class:`InlineBackend` — the original behaviour: the enclave simulation
   lives in the caller's process (zero-copy, deterministic, the default

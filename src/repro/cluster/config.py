@@ -267,10 +267,10 @@ class ClusterConfig:
         shuts down whatever the backend spawned (workers, shard hosts).
         """
         from repro.cluster.coordinator import ClusterCoordinator
-        from repro.cluster.replication import build_replicated_cluster
+        from repro.cluster.replication import _build_replica_groups
 
         if self.replication > 1 or self.durability is not None:
-            coordinator = build_replicated_cluster(self)
+            coordinator = _build_replica_groups(self)
         else:
             if self.shard_overrides.get("fault_plan") is not None:
                 raise ConfigurationError(

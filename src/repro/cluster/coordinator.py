@@ -291,10 +291,8 @@ class ClusterCoordinator:
         self._tenancy: Optional[_TenancyState] = None
         #: Elastic reconfiguration engine; None until :meth:`attach_elastic`.
         self._elastic = None
-        #: Set by ``ClusterConfig.build()`` on a durable cluster: mints the
-        #: sealed sidecar for a shard the elastic engine adds later, and
-        #: what cold-start recovery replayed, per partition (the CLI
-        #: prints it).
+        #: Durable clusters (``ClusterConfig.build()``): the sidecar factory
+        #: for elastic adds, and what cold-start recovery replayed.
         self._durability_factory = None
         self.durability_restored: dict = {}
 

@@ -879,11 +879,9 @@ class ElasticCluster:
         """Abort an add whose joining group just died to a staged fault."""
         if migration.kind != "add" or migration.new_shard is None:
             return
-        replicas = migration.new_shard.replicas
-        if replicas is None:
-            return
+        # A joining shard is always a replica group (see _build_shard).
         all_dead = all(r.shard.crashed or r.shard.partitioned
-                       for r in replicas)
+                       for r in migration.new_shard.replicas)
         if all_dead and migration.stage in (STAGE_SYNC, STAGE_CUTOVER):
             self._abort(migration, f"staged fault killed "
                                    f"{migration.subject_id} in "

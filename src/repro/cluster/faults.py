@@ -382,9 +382,8 @@ def plant_corruption(store, key: bytes = b"") -> bool:
 
     The whole plant — victim selection (unmetered: it is the attacker's
     work) plus the bit flip — runs against the *real* store, so it must
-    execute wherever the enclave lives: :meth:`ShardHandle.plant_corruption
-    <repro.cluster.shard.ShardHandle.plant_corruption>` calls it directly,
-    remote handles override that to run it beside the enclave via the
+    execute wherever the enclave lives: ``ShardHandle.plant_corruption``
+    calls it directly, remote handles run it beside the enclave via the
     ``plant_corruption`` RPC.  Returns whether a corruption landed (an
     empty store, a vanished key, or a previously-tripped alarm all mean
     there was nothing to tamper with).
@@ -441,8 +440,7 @@ class FaultyShard(ShardHandle):
 
     A :class:`~repro.cluster.shard.ShardHandle` around any other (``inner``),
     so coordinators, replica groups, balancers and stats aggregation all
-    work unchanged; what ``inner`` cannot do for itself — black-hole a
-    link it does not model, stall — the wrapper does in its request path.
+    work unchanged.
     Touching the ``store`` or ``server`` of a crashed shard raises
     :class:`~repro.errors.ShardCrashedError` — dead enclaves don't answer.
     """
@@ -457,7 +455,6 @@ class FaultyShard(ShardHandle):
         self.inner = shard
         self.plan = plan or FaultPlan()
         self._rebuild = rebuild
-        self.crashed = False
         self.ops_flushed = 0
         self.restarts = 0
         self.corruptions = 0

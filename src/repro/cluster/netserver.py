@@ -256,7 +256,6 @@ class ClusterNetServer:
         sessions: Optional[SessionManager] = None,
         max_inflight: Optional[int] = None,
         max_connections: Optional[int] = None,
-        shed_retry_after: float = DEFAULT_SHED_RETRY_AFTER,
     ):
         if security not in SECURITY_POLICIES:
             raise ConfigurationError(
@@ -269,9 +268,6 @@ class ClusterNetServer:
         if max_connections is not None and max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, not {max_connections}")
-        if shed_retry_after < 0:
-            raise ConfigurationError(
-                f"shed_retry_after must be >= 0, not {shed_retry_after}")
         self._coordinator = coordinator
         self._host = host
         self._port = port
@@ -319,7 +315,6 @@ class ClusterNetServer:
         # connection cap, and the front door's own shedding ledger.
         self.max_inflight = max_inflight
         self.max_connections = max_connections
-        self.shed_retry_after = shed_retry_after
         self._gate = (_AdmissionGate(max_inflight)
                       if max_inflight is not None else None)
         self.frames_shed = 0
@@ -653,7 +648,7 @@ class ClusterNetServer:
     def _shed(self, n: int, reason: bytes) -> List[Response]:
         self.frames_shed += 1
         self.requests_shed += n
-        shed = protocol.overloaded(self.shed_retry_after, reason)
+        shed = protocol.overloaded(DEFAULT_SHED_RETRY_AFTER, reason)
         return [shed] * n
 
     def _serve_handshake(self, conn: _Connection, payload: bytes) -> tuple:

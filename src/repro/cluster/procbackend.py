@@ -3,10 +3,10 @@
 The :class:`ProcessBackend` implementation of the
 :class:`~repro.cluster.backend.ShardBackend` seam.  Each shard (or
 replica) enclave is built *inside* a ``multiprocessing`` worker; the
-parent holds a :class:`ProcessShard` handle — the same
-:class:`~repro.cluster.shard.ShardHandle` contract an inline
-:class:`~repro.cluster.shard.Shard` answers — so the coordinator, replica groups, fault injector, balancer, health
-monitor and stats aggregation all work unchanged.
+parent holds a :class:`ProcessShard`, the same
+:class:`~repro.cluster.shard.ShardHandle` an inline shard is, so the
+coordinator, replica groups, fault injector, balancer, health monitor and
+stats aggregation all work unchanged.
 
 What crosses the pipe (one duplex ``Pipe`` per worker, raw
 ``send_bytes``/``recv_bytes`` messages of :mod:`repro.cluster.rpc` — the

@@ -154,16 +154,14 @@ class RemoteShardHandle(ShardHandle):
     ``_recv(timeout)`` (which must pass every reply's bytes through
     :meth:`_settle` and raise :class:`~repro.errors.ShardCrashedError`
     once the far side is gone), plus the lifecycle overrides (``close``,
-    ``kill``; a transport that models its link, ``partition``/``heal``/
-    ``reconnect``).  After the transport delivers the remote's ``ready``
-    info dict, they call :meth:`_attach` to wire up the proxies.
+    ``kill``; ``partition``/``reconnect`` where the link is modelled).  After
+    the remote's ``ready`` info dict arrives, :meth:`_attach` wires proxies.
     """
 
     pipelined = True  # RemoteServer.flush_submit / flush_collect
 
     def __init__(self, shard_id: str):
         self.shard_id = shard_id
-        self.crashed = False
         self.closed = False
         self.ops_routed = 0
         self._pending = 0  # pipelined flushes submitted but not collected

@@ -48,6 +48,7 @@ from repro.cluster.coordinator import ClusterCoordinator
 from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.shard import EnclaveSpec, ShardHandle
 from repro.errors import (
+    ConfigurationError,
     IntegrityError,
     KeyNotFoundError,
     ReplicaUnavailableError,
@@ -111,12 +112,9 @@ class ReplicaGroup(ShardHandle):
         self.shard_id = group_id
         self.replicas = [Replica(s) for s in shards]
         self.ops_routed = 0
-        self.failovers = 0
         self.unavailable_requests = 0
-        #: Optional sealed-durability sidecar (repro.persist); when set,
-        #: every batch's acked writes are group-committed to it before the
-        #: responses leave this group.
-        self.durability = None
+        #: With a ``durability`` sidecar set (repro.persist), a batch's acked
+        #: writes are group-committed to it before the responses leave.
         self.durability_failures = 0
         self.durability_repairs = 0
         #: Reads served on a secondary while the primary's circuit breaker
@@ -630,18 +628,30 @@ def _restarter(factory: ShardBackend,
 def build_replicated_cluster(config: ClusterConfig) -> ClusterCoordinator:
     """N partitions × R replica enclaves behind one ring, unarmed.
 
-    The replica-group half of :meth:`ClusterConfig.build
-    <repro.cluster.config.ClusterConfig.build>`, which arms the nested
-    sub-systems on top.  Called directly it builds groups at any
-    ``replication >= 1`` — the R=1 groups the fault suites and the
-    durability sidecars ride on.  Group ``i`` is ``shard-<i>`` with base
-    seed ``config.seed + 101*i``; a ``fault_plan`` in
-    ``config.shard_overrides`` wraps every replica.
+    Bare groups at any ``replication >= 1`` (the R=1 groups the fault
+    suites ride on) and nothing else: a config that also asks for a
+    sub-system only ``ClusterConfig.build()`` arms is refused by field
+    name rather than silently built without it.
     """
     if not isinstance(config, ClusterConfig):
         raise TypeError(
             f"build_replicated_cluster takes a ClusterConfig, not "
             f"{type(config).__name__}")
+    for name, value in (("overload", config.overload),
+                        ("tenancy", config.tenancy),
+                        ("durability", config.durability),
+                        ("max_shards", config.max_shards)):
+        if value is not None:
+            raise ConfigurationError(
+                f"build_replicated_cluster builds bare replica groups and "
+                f"would drop config.{name}; use config.build()")
+    return _build_replica_groups(config)
+
+
+def _build_replica_groups(config: ClusterConfig) -> ClusterCoordinator:
+    """The replica-group half of ``ClusterConfig.build()``: group ``i`` is
+    ``shard-<i>``, base seed ``config.seed + 101*i``; a ``fault_plan`` in
+    ``config.shard_overrides`` wraps every replica."""
     factory = resolve_backend(config.backend)
     fault_plan = config.shard_overrides.get("fault_plan")
     groups = [

@@ -12,9 +12,8 @@ Shards also keep the small amount of bookkeeping the balancer needs: a
 load mark (cycles consumed since the last balancer inspection) so hot-shard
 detection can work on windowed deltas rather than lifetime totals.
 
-:class:`ShardHandle` is the contract every layer above reads: the base of
-:class:`Shard` and of every other handle the cluster can hold in a shard's
-place, declaring each optional member with its default.
+:class:`ShardHandle` is the contract the layers above read: the base of
+:class:`Shard` and of every other handle that can stand in a shard's place.
 """
 
 from __future__ import annotations
@@ -110,42 +109,25 @@ class EnclaveSpec:
 
 
 class ShardHandle:
-    """What everything above a shard may ask of whatever it holds.
+    """What every layer above a shard may ask of whatever stands in its place.
 
-    One base for the four kinds of handle — :class:`Shard` (the enclave in
-    this process), :class:`~repro.cluster.remote.RemoteShardHandle` (behind
-    a pipe or an attested TCP session), :class:`~repro.cluster.faults
-    .FaultyShard` (a fault-injecting wrapper around either) and
-    :class:`~repro.cluster.replication.ReplicaGroup` (R of them behind one
-    ring partition).  A handle supplies ``shard_id``, ``store``, ``server``
-    (``flush_batch(requests)``), ``meter``, ``epc_bytes``, ``ops_routed``
-    and ``stats()``; everything else has the default below, which says
-    "one healthy enclave, nothing to release, no link of its own", and is
-    overridden only by a handle for which that is not true.  Callers read
-    these members directly — a member missing here is a member no caller
-    may assume (ARCHITECTURE, "The shard contract", has the table of who
-    overrides and who reads what).
+    The base of :class:`Shard`, :class:`~repro.cluster.remote
+    .RemoteShardHandle`, :class:`~repro.cluster.faults.FaultyShard` and
+    :class:`~repro.cluster.replication.ReplicaGroup`.  A handle supplies
+    ``shard_id``, ``store``, ``server`` (``flush_batch(requests)``),
+    ``meter``, ``epc_bytes``, ``ops_routed`` and ``stats()``; every other
+    member a caller reads is declared here with the default for "one healthy
+    enclave in this process" and overridden only where that is not true
+    (ARCHITECTURE §10 tabulates who overrides and who reads each).
     """
 
-    shard_id: str
-    #: The enclave is dead (killed, worker gone, host lost): touching it
-    #: raises :class:`~repro.errors.ShardCrashedError`.
-    crashed = False
-    #: Cut off but alive: :class:`~repro.errors.ShardUnreachableError`
-    #: until :meth:`reconnect` succeeds.
-    partitioned = False
-    #: A replica group's ``Replica`` list; ``None`` for a single enclave.
-    replicas = None
-    #: A replica group's sealed-durability sidecar (:mod:`repro.persist`).
-    durability = None
-    #: Requests a replica group re-served on a peer.
-    failovers = 0
-    #: ``server`` also answers ``flush_submit``/``flush_collect`` (the
-    #: enclave is elsewhere), so the coordinator pipelines its dispatches.
-    pipelined = False
+    crashed = False      # enclave dead: touching it raises ShardCrashedError
+    partitioned = False  # cut off but alive: ShardUnreachableError
+    replicas = None      # a ReplicaGroup's Replica list
+    durability = None    # a ReplicaGroup's sealed sidecar (repro.persist)
+    failovers = 0        # requests a ReplicaGroup re-served on a peer
+    pipelined = False    # server also answers flush_submit / flush_collect
     _load_mark = 0.0
-
-    # -- balancer bookkeeping ----------------------------------------------------
 
     def load_since_mark(self) -> float:
         """Cycles consumed since :meth:`mark_load` — the hot-shard signal."""
@@ -153,8 +135,6 @@ class ShardHandle:
 
     def mark_load(self) -> None:
         self._load_mark = self.meter.cycles
-
-    # -- lifecycle and link: no-ops for an enclave held in this process -----------
 
     def close(self, timeout: float = 5.0) -> None:
         """Release what backs the handle (worker, link, replicas)."""

@@ -191,19 +191,15 @@ class ShardHost:
         self.host, self.port = self._listener.getsockname()[:2]
         return self.host, self.port
 
-    def serve_forever(self, max_conns: Optional[int] = None) -> None:
-        """Accept and serve until :meth:`stop` (or ``max_conns`` served)."""
+    def serve_forever(self) -> None:
+        """Accept and serve until :meth:`stop`."""
         if self._listener is None:
             self.start()
-        served = 0
         while not self._stopping.is_set():
-            if max_conns is not None and served >= max_conns:
-                break
             try:
                 conn, _addr = self._listener.accept()
             except OSError:
                 break  # listener closed by stop()
-            served += 1
             self.connections_served += 1
             thread = threading.Thread(
                 target=self._serve_connection, args=(conn,), daemon=True
@@ -339,8 +335,7 @@ def _set_process_name() -> None:
 
 
 def run_shard_host(*, host: str = "127.0.0.1", port: int = 0, seed: int = 0,
-                   crypto: str = "fast", max_conns: Optional[int] = None,
-                   announce=print) -> ShardHost:
+                   crypto: str = "fast", announce=print) -> ShardHost:
     """Start a shard host, announce its address + measurement, and serve.
 
     The blocking entrypoint behind ``python -m repro shard-host``.  The
@@ -353,7 +348,7 @@ def run_shard_host(*, host: str = "127.0.0.1", port: int = 0, seed: int = 0,
     announce(f"shard-host listening on {bound_host}:{bound_port}")
     announce(f"measurement: {shard_host.measurement.hex()}")
     try:
-        shard_host.serve_forever(max_conns=max_conns)
+        shard_host.serve_forever()
     except KeyboardInterrupt:  # pragma: no cover - interactive use
         pass
     finally:
@@ -479,7 +474,6 @@ class SocketShard(RemoteShardHandle):
         self.wire_meter = CycleMeter()
         self.wire_alarms: Counter = Counter()
         self.attested_measurement: Optional[bytes] = None
-        self.partitioned = False
         self._heal_at = 0.0
         self.reconnects = 0
         self._sock: Optional[socket.socket] = None

@@ -214,6 +214,34 @@ class TestDeprecatedFactories:
         finally:
             coord.close()
 
+    @pytest.mark.parametrize("field", ["overload", "tenancy", "durability",
+                                       "max_shards"])
+    def test_bare_group_builder_refuses_what_it_would_drop(self, field,
+                                                           tmp_path):
+        """``build_replicated_cluster`` arms nothing: a config asking for a
+        sub-system it would silently leave out is refused by field name,
+        and the same config builds through ``build()``."""
+        from repro.cluster import OverloadConfig
+
+        value = {
+            "overload": OverloadConfig(),
+            "tenancy": TenancyConfig(tenants=(TenantConfig("t"),)),
+            "durability": DurabilityConfig(data_dir=str(tmp_path)),
+            "max_shards": 3,
+        }[field]
+        config = small(backend="inline", **{field: value})
+        with pytest.raises(ConfigurationError,
+                           match=rf"config\.{field}; use config\.build\(\)"):
+            build_replicated_cluster(config)
+        coord = config.build()
+        try:
+            assert (coord.overload is not None) == (field == "overload")
+            assert (coord.tenancy is not None) == (field == "tenancy")
+            assert all((g.durability is not None) == (field == "durability")
+                       for g in coord.shard_list())
+        finally:
+            coord.close()
+
 
 # -- one recipe per enclave ---------------------------------------------------------
 

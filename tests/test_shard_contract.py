@@ -9,6 +9,11 @@ partition and a corruption healed by a ``HealthMonitor``, and one fully
 armed durable + tenant + overload + elastic build) and returns what an
 operator would see: the ``OP_HEALTH`` JSON and ``ClusterStats.report()``.
 
+The second half checks the contract itself: every concrete handle is a
+:class:`~repro.cluster.ShardHandle` and answers every declared member with
+the documented default or its own override — so a new handle kind cannot be
+half-implemented without a test noticing.
+
 The constants in :data:`PARENT` were produced at the commit *before* the
 ``ShardHandle`` base class existed (PR 19's parent) by running this file as
 a script (``PYTHONPATH=src python tests/test_shard_contract.py``): the
@@ -28,14 +33,23 @@ from repro.cluster import (
     ClusterConfig,
     DurabilityConfig,
     FaultPlan,
+    FaultyShard,
     HealthMonitor,
     OverloadConfig,
+    ProcessShard,
+    ReplicaGroup,
+    Shard,
+    ShardHandle,
     SocketBackend,
+    SocketShard,
     TenancyConfig,
     TenantConfig,
     build_replicated_cluster,
+    resolve_backend,
 )
+from repro.errors import ShardCrashedError, ShardUnreachableError
 from repro.server import protocol
+from repro.server.protocol import Status
 
 N_KEYS = 256
 N_FRAMES = 24
@@ -351,6 +365,158 @@ def test_health_and_report_match_the_parent_commit(kind, backend):
     """Simulated columns are backend-invariant, so one constant per kind
     serves all three backends."""
     assert observe(kind, backend) == PARENT[kind]
+
+
+# -- the contract itself ----------------------------------------------------------
+
+#: Every optional member :class:`ShardHandle` declares, with its default.
+DEFAULTS = {"crashed": False, "partitioned": False, "replicas": None,
+            "durability": None, "failovers": 0, "pipelined": False}
+
+#: What each concrete handle overrides at rest (everything else: DEFAULTS).
+CONCRETE = {"inline": (Shard, {}),
+            "process": (ProcessShard, {"pipelined": True}),
+            "socket": (SocketShard, {"pipelined": True})}
+
+_GET = [protocol.get(b"key-0001")]
+
+
+@pytest.fixture()
+def make_handle(request):
+    """``make(backend)`` -> a loaded concrete handle; all released after."""
+    factories = []
+
+    def make(backend: str, shard_id: str = "shard-x"):
+        factory = resolve_backend(
+            SocketBackend(n_hosts=1, seed=3) if backend == "socket"
+            else backend)
+        factories.append(factory)
+        config = ClusterConfig(backend=factory, **_BASE)
+        handle = factory.create(config.enclave_spec(shard_id, seed=11))
+        handle.store.load([(b"key-%04d" % i, b"v%d" % i) for i in range(8)])
+        return handle
+
+    yield make
+    for factory in factories:
+        factory.close()
+
+
+def _assert_answers(handle, overrides):
+    """Every required member is there; every optional one has its default
+    or the override the handle documents."""
+    assert isinstance(handle, ShardHandle)
+    assert isinstance(handle.shard_id, str)
+    assert handle.epc_bytes > 0 and handle.ops_routed == 0
+    assert handle.meter.snapshot().cycles == handle.meter.cycles
+    assert handle.stats()["shard"] == handle.shard_id
+    [response] = handle.server.flush_batch(_GET)
+    assert response.status == Status.OK and handle.store.get(b"key-0002")
+    expected = dict(DEFAULTS, **overrides)
+    for name, value in expected.items():
+        assert getattr(handle, name) == value, name
+    handle.mark_load()
+    assert handle.load_since_mark() == 0.0
+    handle.server.flush_batch(_GET)
+    assert handle.load_since_mark() > 0.0
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_concrete_handle_answers_every_member(backend, make_handle):
+    kind, overrides = CONCRETE[backend]
+    handle = make_handle(backend)
+    assert type(handle) is kind
+    _assert_answers(handle, overrides)
+    # No secondary to read from; a planted corruption trips the next read.
+    assert handle.flush_reads_fallback(_GET) is None
+    assert handle.plant_corruption(b"key-0003") is True
+    [alarm] = handle.server.flush_batch([protocol.get(b"key-0003")])
+    assert alarm.status == Status.INTEGRITY_FAILURE
+    handle.heal()
+    if backend == "socket":
+        # The one handle that models its own link.
+        handle.partition()
+        assert handle.partitioned
+        with pytest.raises(ShardUnreachableError):
+            handle.server.flush_batch(_GET)
+        assert handle.reconnect() is True and not handle.partitioned
+    else:
+        handle.partition()
+        assert not handle.partitioned and handle.reconnect() is False
+    handle.server.flush_batch(_GET)  # still serving either way
+    handle.kill()
+    # An in-process enclave only dies behind a FaultyShard; a worker or a
+    # hosted enclave dies for real.
+    assert handle.crashed == (backend != "inline")
+    handle.close()
+    handle.close()  # idempotent
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_faulty_wrapper_answers_every_member(backend, make_handle):
+    made = iter(range(1, 3))
+    wrapper = FaultyShard(
+        make_handle(backend),
+        rebuild=lambda: make_handle(backend, "shard-x-%d" % next(made)))
+    # The wrapper's server interposes synchronously: never pipelined.
+    _assert_answers(wrapper, {})
+    assert wrapper.flush_reads_fallback(_GET) is None
+    wrapper.partition()
+    assert wrapper.partitioned and wrapper.partitions == 1
+    assert wrapper.inner.partitioned == (backend == "socket")
+    with pytest.raises(ShardUnreachableError):
+        wrapper.server.flush_batch(_GET)
+    assert wrapper.reconnect() is True and not wrapper.partitioned
+    assert wrapper.reconnects == 1
+    wrapper.corrupt(b"key-0003")
+    assert wrapper.corruptions == 1
+    wrapper.kill()
+    assert wrapper.crashed and wrapper.reconnect() is False
+    assert wrapper.inner.crashed == (backend != "inline")
+    with pytest.raises(ShardCrashedError):
+        wrapper.server.flush_batch(_GET)
+    fresh = wrapper.restart()
+    assert fresh is wrapper.inner and not wrapper.crashed
+    assert wrapper.shard_id == "shard-x-1" and wrapper.restarts == 1
+    wrapper.server.flush_batch(_GET)
+    wrapper.close()
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("replication", [1, 2])
+def test_replica_group_answers_every_member(replication, backend,
+                                            make_handle):
+    members = [FaultyShard(make_handle(backend, "shard-x/r%d" % j))
+               for j in range(replication)]
+    group = ReplicaGroup("shard-x", members)
+    assert group.server is group
+    assert [r.shard for r in group.replicas] == members
+    _assert_answers(group, {"replicas": group.replicas})
+    # Reads avoid the primary when there is a secondary to take them.
+    [response] = group.flush_reads_fallback(_GET)
+    assert response.status == Status.OK
+    assert group.read_fallbacks == (1 if replication == 2 else 0)
+    members[0].kill()
+    [response] = group.flush_batch(_GET)
+    if replication == 2:
+        assert response.status == Status.OK and group.failovers == 1
+    else:
+        assert response.status == Status.UNAVAILABLE
+    group.close()
+
+
+def test_no_capability_probing_above_the_seam():
+    """The CI grep gate, runnable locally: callers read declared members.
+    ``rpc.py`` keeps two reads of *declared* error attributes by name."""
+    import pathlib
+    import re
+
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "repro"
+    files = [*(src / "cluster").glob("*.py"), *(src / "persist").glob("*.py"),
+             src / "cli.py"]
+    probes = [f"{path.name}:{n}" for path in files if path.name != "rpc.py"
+              for n, line in enumerate(path.read_text().splitlines(), 1)
+              if re.search(r"\b(getattr|hasattr)\(", line)]
+    assert probes == []
 
 
 if __name__ == "__main__":  # regenerate PARENT
