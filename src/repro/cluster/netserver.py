@@ -364,7 +364,7 @@ class ClusterNetServer:
                 break  # listener closed by stop()
             # Replies are single small writes, and REPLAY's are two back to
             # back: Nagle would hold the second for the peer's delayed ACK.
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            netutil.no_delay(sock)
             with self._lock:
                 if self._stopping.is_set():
                     admitted = False  # raced stop(): it will not see us
@@ -891,6 +891,7 @@ class ClusterClient:
                 f"connect to {self._host}:{self._port} failed: {exc}"
             ) from exc
         sock.settimeout(self._timeout)
+        netutil.no_delay(sock)
         if self._secure:
             try:
                 self._session = self._handshake(sock)

@@ -1,6 +1,6 @@
 """Small shared network plumbing for every TCP endpoint in the cluster.
 
-Two things live here so the front door (:mod:`repro.cluster.netserver`)
+Three things live here so the front door (:mod:`repro.cluster.netserver`)
 and the shard hosts (:mod:`repro.cluster.sockbackend`) behave the same
 way under test churn:
 
@@ -8,6 +8,13 @@ way under test churn:
   server lingers in ``TIME_WAIT`` briefly; :func:`listen` retries
   ``EADDRINUSE`` a bounded number of times with a short linear backoff,
   which deflakes that without masking a genuinely occupied port.
+* **No Nagle** — every frame on every edge is one small write that the
+  peer answers, and both the door (REPLAY's two replies) and the
+  coordinator (a second bucket pipelined to a shard whose first is in
+  flight) write twice without reading in between; :func:`no_delay` sets
+  ``TCP_NODELAY`` so the second write never waits for the first one's
+  (delayed) ACK.  Called on all four socket ends: the door's accepted
+  sockets, ``ClusterClient``, ``SocketShard`` and ``ShardHost``.
 * **Retry jitter** — a fleet of clients retrying a flaky server with the
   same deterministic backoff all wake at the same instant and stampede
   it again.  :func:`jittered` spreads a base delay by a small random
@@ -55,6 +62,11 @@ def listen(
                 raise
             time.sleep(delay * (attempt + 1))
     raise AssertionError("unreachable")  # pragma: no cover
+
+
+def no_delay(sock: socket.socket) -> None:
+    """Turn Nagle's algorithm off on a connected TCP socket."""
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
 
 
 def jittered(delay: float, *, fraction: float = RETRY_JITTER,

@@ -72,7 +72,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 from repro.cluster import rpc
 from repro.cluster.backend import ShardBackend
 from repro.cluster.framing import read_frame, wake_and_close, write_frame
-from repro.cluster.netutil import listen
+from repro.cluster.netutil import listen, no_delay
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
@@ -220,6 +220,7 @@ class ShardHost:
         session = None
         try:
             try:
+                no_delay(conn)
                 hello = read_frame(conn)
                 with self._crypto_lock:
                     reply, session = self.sessions.accept(hello)
@@ -495,6 +496,7 @@ class SocketShard(RemoteShardHandle):
                 f"shard host {host}:{port} unreachable: {exc}") from exc
         try:
             sock.settimeout(self._rpc_timeout)
+            no_delay(sock)
             handshake = ClientHandshake(crypto=self._crypto,
                                         meter=self.wire_meter)
             write_frame(sock, handshake.hello())

@@ -20,6 +20,7 @@ RedPtr encoding: ``area_index * area_capacity_stride + local_counter_id``.
 from __future__ import annotations
 
 import random
+import struct
 from dataclasses import dataclass
 from typing import Optional
 
@@ -116,12 +117,10 @@ class CounterManager:
             bitmap=bitmap,
             n_free=n_counters,
         )
-        # Seed the ring with every local id, in order.
-        for local_id in range(n_counters):
-            self._enclave.untrusted.write(
-                ring_addr + local_id * _ID_BYTES,
-                local_id.to_bytes(_ID_BYTES, "little"),
-            )
+        # Seed the ring with every local id, in order: one write of the
+        # packed little-endian ids, not one per counter.
+        self._enclave.untrusted.write(
+            ring_addr, struct.pack(f"<{n_counters}Q", *range(n_counters)))
         area.tail = 0  # next pop position
         area.head = 0  # next push position (ring full at start)
         self._areas.append(area)

@@ -10,12 +10,23 @@ per-item 16-byte counter, and a 16-byte keyed MAC):
     Used in crypto unit tests and attack demonstrations.
 
 ``FastCryptoBackend``
-    Keyed blake2s for the MAC and a blake2b-derived keystream for encryption.
-    These are genuine keyed cryptographic functions (tampering still fails
-    verification), but run at C speed so the simulator's wall-clock time is
-    not dominated by pure-Python AES.  The *simulated* cycle cost charged by
-    the enclave is identical for both backends — the cost model charges per
-    byte processed, not per wall-clock second.
+    Keyed blake2s for the MAC and a hash-derived keystream for encryption:
+    one keyed blake2b digest for a plaintext of up to 64 bytes (a KV pair),
+    one SHAKE-128 squeeze of ``key | counter`` for anything longer (a
+    128 B / 512 B record, a sealed frame, a WAL record, a snapshot).  Either
+    way the keystream is **one C call** — no per-block loop in Python — so
+    the simulator's wall-clock time is not dominated by pure-Python AES or
+    by the interpreter.  These are genuine keyed cryptographic functions
+    (tampering still fails verification).  The *simulated* cycle cost
+    charged by the enclave is identical for both backends — the cost model
+    charges per byte processed, not per wall-clock second.
+
+    The split at 64 bytes is on plaintext length, which the code observes,
+    and it stays because each side is measured faster on its own inputs:
+    blake2b's fixed 64-byte digest beats the XOF on short plaintexts (SHAKE
+    for every length cost ``store_zipf_rd95``, 32-byte plaintexts, 2.2 %),
+    and the XOF beats any number of blake2b blocks past one
+    (``store_uniform_wr50``, 144-byte plaintexts; ARCHITECTURE §18).
 
 Both backends are deterministic given (key, counter, data), which the replay
 attack tests rely on.
@@ -24,7 +35,7 @@ attack tests rely on.
 from __future__ import annotations
 
 import hmac
-from hashlib import blake2b, blake2s
+from hashlib import blake2b, blake2s, shake_128
 
 from repro.crypto import cmac as _cmac
 from repro.crypto import ctr as _ctr
@@ -32,8 +43,11 @@ from repro.crypto import ctr as _ctr
 MAC_SIZE = 16
 COUNTER_SIZE = 16
 
-#: The fast backend's keystream comes in blake2b-sized blocks.
+#: Longest plaintext the fast backend covers with one blake2b digest; a
+#: longer one takes its whole keystream from one SHAKE-128 squeeze.
 _KEYSTREAM_BLOCK = 64
+#: Suffix of the blake2b input: what a short plaintext's keystream has
+#: always been derived from, so its ciphertext bytes never moved.
 _BLOCK_ZERO = (0).to_bytes(8, "little")
 
 
@@ -71,31 +85,21 @@ class RealCryptoBackend(CryptoBackend):
 
 
 class FastCryptoBackend(CryptoBackend):
-    """blake2-based stream cipher + keyed blake2s MAC (C-speed, still keyed)."""
+    """Hash-keystream stream cipher + keyed blake2s MAC (C-speed, still keyed)."""
 
     name = "fast"
-
-    def _keystream(self, key: bytes, counter: bytes, length: int) -> bytes:
-        """``length`` bytes: blake2b(counter | block index) blocks, truncated.
-        ``key | counter`` is absorbed once, forked per block: same bytes."""
-        prefix = blake2b(counter, key=key, digest_size=_KEYSTREAM_BLOCK)
-        blocks = []
-        for index in range(-(-length // _KEYSTREAM_BLOCK)):
-            block = prefix.copy()
-            block.update(index.to_bytes(8, "little"))
-            blocks.append(block.digest())
-        return b"".join(blocks)[:length]
 
     def encrypt(self, key: bytes, counter: bytes, plaintext: bytes) -> bytes:
         if len(counter) != COUNTER_SIZE:
             raise ValueError(f"counter must be {COUNTER_SIZE} bytes")
         length = len(plaintext)
         if length <= _KEYSTREAM_BLOCK:
-            # The common case (a KV pair) needs only block 0.
+            # The common case (a KV pair): one keyed digest, truncated.
             keystream = blake2b(counter + _BLOCK_ZERO, key=key,
                                 digest_size=_KEYSTREAM_BLOCK).digest()[:length]
         else:
-            keystream = self._keystream(key, counter, length)
+            # Anything longer squeezes its whole keystream out of one XOF.
+            keystream = shake_128(key + counter).digest(length)
         # One big-integer XOR instead of a per-byte generator.
         return (int.from_bytes(plaintext, "little")
                 ^ int.from_bytes(keystream, "little")).to_bytes(length, "little")

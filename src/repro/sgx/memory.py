@@ -30,12 +30,27 @@ class UntrustedMemory:
     and out-of-range accesses raise, catching address-arithmetic bugs early.
     """
 
-    __slots__ = ("_bases", "_regions", "_next")
+    __slots__ = ("_bases", "_regions", "_views", "_next")
 
     def __init__(self) -> None:
         self._bases: list[int] = []
         self._regions: list[bytearray] = []
+        #: One ``memoryview`` per region (regions are never resized): a read
+        #: slices the view and copies once, where slicing the ``bytearray``
+        #: and converting would copy twice.
+        self._views: list[memoryview] = []
         self._next = 64  # small guard gap so that address 0 stays invalid
+
+    # A ``memoryview`` can be neither copied nor pickled, and the views are
+    # derived state: a copy (the rollback attacker's snapshot of all
+    # untrusted memory) carries the regions and rebuilds them.
+
+    def __getstate__(self) -> tuple:
+        return self._bases, self._regions, self._next
+
+    def __setstate__(self, state: tuple) -> None:
+        self._bases, self._regions, self._next = state
+        self._views = [memoryview(region) for region in self._regions]
 
     @property
     def allocated_bytes(self) -> int:
@@ -47,7 +62,9 @@ class UntrustedMemory:
             raise AriaError(f"allocation size must be positive, got {size}")
         base = self._next
         self._bases.append(base)
-        self._regions.append(bytearray(size))
+        region = bytearray(size)
+        self._regions.append(region)
+        self._views.append(memoryview(region))
         self._next = base + size + 64  # guard gap between regions
         return base
 
@@ -59,14 +76,14 @@ class UntrustedMemory:
         idx = bisect_right(self._bases, addr) - 1
         if idx < 0:
             raise AriaError(f"invalid untrusted address {addr:#x}")
-        region = self._regions[idx]
+        view = self._views[idx]
         offset = addr - self._bases[idx]
         end = offset + size
-        if end > len(region):
+        if end > len(view):
             raise AriaError(
                 f"untrusted access [{addr:#x}, +{size}) crosses region bounds"
             )
-        return bytes(region[offset:end])
+        return view[offset:end].tobytes()
 
     def write(self, addr: int, data: bytes) -> None:
         idx = bisect_right(self._bases, addr) - 1

@@ -36,6 +36,8 @@ import time
 import pytest
 
 from repro.cluster import (
+    BackgroundServer,
+    ClusterClient,
     ClusterConfig,
     FaultPlan,
     HealthMonitor,
@@ -193,6 +195,32 @@ class TestEquivalence:
 
 
 class TestTopology:
+    def test_every_tcp_end_disables_nagle(self, thread_host):
+        """``coordinator.execute`` pipelines a second bucket to a shard whose
+        first is in flight, and the door answers REPLAY with two frames back
+        to back: with Nagle on, the second small write waits for the first
+        one's (delayed) ACK.  All four socket ends set ``TCP_NODELAY``."""
+        def nagle_off(sock):
+            return sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY) != 0
+
+        shard = SocketShard(_spec("nd0"),
+                            (thread_host.host, thread_host.port))
+        try:
+            shard.store.put(b"k", b"v")    # the host has accepted by now
+            assert nagle_off(shard._sock), "SocketShard._dial"
+            (accepted,) = thread_host._conns
+            assert nagle_off(accepted), "ShardHost._serve_connection"
+        finally:
+            shard.close()
+
+        coordinator = ClusterConfig(n_shards=1, n_keys=16, scale=2048).build()
+        with BackgroundServer(coordinator) as door:
+            with ClusterClient.connect(*door.server.address) as client:
+                client.put(b"k", b"v")
+                assert nagle_off(client._sock), "ClusterClient"
+                (accepted,) = door.server._conns
+                assert nagle_off(accepted), "the door's accepted socket"
+
     def test_round_robin_placement_is_host_anti_affine(self):
         backend = SocketBackend(n_hosts=2, seed=11)
         try:

@@ -71,6 +71,17 @@ class TestFetchFree:
 
 
 class TestExpansion:
+    def test_fresh_ring_holds_every_id_in_order(self):
+        """The ring is seeded by one packed write; slot ``i`` still holds
+        id ``i``, little-endian, 8 bytes wide — initial area and expansion."""
+        manager, enclave = make_manager(initial=8, expansion_counters=300)
+        for _ in range(9):
+            manager.fetch()  # the ninth builds the expansion area
+        for area in manager.areas:
+            ring = enclave.untrusted.snoop(area.ring_addr, area.capacity * 8)
+            assert ring == b"".join(
+                i.to_bytes(8, "little") for i in range(area.capacity))
+
     def test_exhaustion_builds_new_area(self):
         manager, _ = make_manager(initial=8, expansion_counters=8)
         for _ in range(8):

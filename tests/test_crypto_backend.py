@@ -1,6 +1,7 @@
 """Backend-interface tests: both backends satisfy the same contract."""
 
 import hashlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from repro.crypto.backend import FastCryptoBackend, RealCryptoBackend, get_backend
 from repro.crypto.keys import KeyMaterial
+from repro.server.protocol import MAX_FRAME_BYTES
 
 BACKENDS = [RealCryptoBackend(), FastCryptoBackend()]
 KEYS = KeyMaterial.from_seed(42)
@@ -70,14 +72,14 @@ def test_fast_backend_rejects_bad_counter():
 
 def _reference_fast_encrypt(key: bytes, counter: bytes, plaintext: bytes) -> bytes:
     """The fast backend's stream cipher, spelled the slow and obvious way:
-    blake2b(counter | block index) keystream blocks, XORed byte by byte."""
-    keystream = b""
-    index = 0
-    while len(keystream) < len(plaintext):
-        keystream += hashlib.blake2b(
-            counter + index.to_bytes(8, "little"), key=key, digest_size=64
+    up to 64 bytes the keystream is keyed blake2b(counter | block index 0),
+    beyond that SHAKE-128(key | counter) — XORed byte by byte."""
+    if len(plaintext) <= 64:
+        keystream = hashlib.blake2b(
+            counter + (0).to_bytes(8, "little"), key=key, digest_size=64
         ).digest()
-        index += 1
+    else:
+        keystream = hashlib.shake_128(key + counter).digest(len(plaintext))
     return bytes(a ^ b for a, b in zip(plaintext, keystream))
 
 
@@ -93,13 +95,87 @@ def test_fast_encrypt_is_byte_identical_to_the_reference(key, counter, plaintext
     assert backend.decrypt(key, counter, ciphertext) == plaintext
 
 
-@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 127, 128, 129, 300])
+#: Both sides of the 64-byte split, the old block edges, and the largest
+#: plaintext a sealed frame can carry.
+BOUNDARY_LENGTHS = [0, 1, 63, 64, 65, 127, 128, 129, 300, 4096, MAX_FRAME_BYTES]
+#: The same without the empty plaintext and the 8 MiB one, for the
+#: properties that need a byte to differ and gain nothing from size.
+KEYSTREAM_LENGTHS = BOUNDARY_LENGTHS[1:-1]
+
+
+def _pattern(length: int) -> bytes:
+    return (bytes(range(256)) * (length // 256 + 1))[:length]
+
+
+@pytest.mark.parametrize("length", BOUNDARY_LENGTHS)
 def test_fast_encrypt_block_boundaries(length):
-    plaintext = bytes(range(256)) * 2
-    plaintext = plaintext[:length]
-    assert FastCryptoBackend().encrypt(
-        KEYS.encryption_key, COUNTER, plaintext
-    ) == _reference_fast_encrypt(KEYS.encryption_key, COUNTER, plaintext)
+    plaintext = _pattern(length)
+    backend = FastCryptoBackend()
+    ciphertext = backend.encrypt(KEYS.encryption_key, COUNTER, plaintext)
+    assert ciphertext == _reference_fast_encrypt(
+        KEYS.encryption_key, COUNTER, plaintext)
+    assert backend.decrypt(KEYS.encryption_key, COUNTER, ciphertext) == plaintext
+
+
+@pytest.mark.parametrize("length", KEYSTREAM_LENGTHS)
+def test_fast_keystream_is_distinct_per_key_and_counter(length):
+    """XOR with zeros: ``encrypt`` *is* the keystream.  Another counter or
+    another key gives another one, on both sides of the split."""
+    backend = FastCryptoBackend()
+    zeros = bytes(length)
+    other_key = KeyMaterial.from_seed(43).encryption_key
+    streams = {
+        backend.encrypt(key, counter, zeros)
+        for key in (KEYS.encryption_key, other_key)
+        for counter in (COUNTER, (2).to_bytes(16, "little"),
+                        (1).to_bytes(16, "big"))
+    }
+    assert len(streams) == 6
+
+
+@pytest.mark.parametrize("length", KEYSTREAM_LENGTHS)
+def test_fast_bit_flip_in_a_long_ciphertext_still_fails_mac_verify(length):
+    backend = FastCryptoBackend()
+    ciphertext = backend.encrypt(KEYS.encryption_key, COUNTER, _pattern(length))
+    tag = backend.mac(KEYS.mac_key, COUNTER + ciphertext)
+    assert backend.mac_verify(KEYS.mac_key, COUNTER + ciphertext, tag)
+    for bit in (0, length * 4, length * 8 - 1):
+        flipped = bytearray(ciphertext)
+        flipped[bit >> 3] ^= 1 << (bit & 7)
+        assert not backend.mac_verify(
+            KEYS.mac_key, COUNTER + bytes(flipped), tag)
+
+
+def _calls(thunk) -> int:
+    """Calls ``thunk`` makes, Python-level and into C alike
+    (``sys.setprofile``, no wall clock)."""
+    calls = 0
+
+    def profiler(frame, event, arg):
+        nonlocal calls
+        if event in ("call", "c_call"):
+            calls += 1
+
+    sys.setprofile(profiler)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_fast_encrypt_makes_the_same_calls_at_65_bytes_and_64_kib():
+    """No per-block loop, as a property: a plaintext a thousand blocks
+    longer costs not one more call — not a Python-level one, and not a
+    ``copy``/``update``/``digest`` into C per block either."""
+    backend = FastCryptoBackend()
+
+    def calls(length):
+        plaintext = bytes(length)
+        return _calls(
+            lambda: backend.encrypt(KEYS.encryption_key, COUNTER, plaintext))
+
+    assert calls(65) == calls(64 << 10)
 
 
 @pytest.mark.parametrize("bad", [b"", b"x" * 15, b"x" * 17])

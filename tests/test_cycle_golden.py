@@ -18,7 +18,10 @@ The constants in :data:`GOLDEN` were produced at the commit *before* the
 host-time hot-path rewrite (PR 13's parent) by running this file as a
 script (``PYTHONPATH=src python tests/test_cycle_golden.py``).  Regenerate
 them only for a change that *means* to move the simulated clock, and say so
-in the PR.
+in the PR.  The six ``untrusted`` digests alone were regenerated once since
+(PR 20): the fast cipher's keystream for a plaintext of more than 64 bytes
+became one SHAKE-128 squeeze, so those ciphertext bytes — and nothing else:
+no ``events``, ``cycles`` or ``responses`` line — changed by construction.
 """
 
 import hashlib
@@ -169,7 +172,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                           'stop_swap': 1,
                           'untrusted_access': 84010},
                'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-               'untrusted': 'c06fec18621cd1c332a1c07e22c2b8b304ca6443c7712594e518ba1ff1fb9fcd'},
+               'untrusted': '372efa6b59726c1e5968364b02c13c454f70f7e5954a2f0fb1124923a4dd19e5'},
  'btree': {'cycles': 102436995.0,
            'events': {'cache_evict': 2152,
                       'cache_hit': 22288,
@@ -188,7 +191,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                       'op_put': 859,
                       'untrusted_access': 68537},
            'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-           'untrusted': 'aa75e644b949baff2fda3b56ea9f49112a11574c0dafe009820084b785016f6f'},
+           'untrusted': '913492fdb0d8fe5d525d43bc0557e46909d87a6d812507b18d8afe5074007318'},
  'hash': {'cycles': 46510711.25,
           'events': {'cache_evict': 881,
                      'cache_hit': 4566,
@@ -207,7 +210,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                      'op_put': 859,
                      'untrusted_access': 21463},
           'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-          'untrusted': '9344761e0163f4cf1bd5f3277d2f58d33d86cc561741c79b56771676732440e5'},
+          'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
  'hash_dummy2': {'cycles': 47707911.25,
                  'events': {'cache_evict': 881,
                             'cache_hit': 4566,
@@ -226,7 +229,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                             'op_put': 859,
                             'untrusted_access': 33435},
                  'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-                 'untrusted': '9344761e0163f4cf1bd5f3277d2f58d33d86cc561741c79b56771676732440e5'},
+                 'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
  'hash_non_dyadic': {'cycles': 46772134.19998945,
                      'events': {'cache_evict': 881,
                                 'cache_hit': 4566,
@@ -245,7 +248,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                                 'op_put': 859,
                                 'untrusted_access': 21463},
                      'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-                     'untrusted': '9344761e0163f4cf1bd5f3277d2f58d33d86cc561741c79b56771676732440e5'},
+                     'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
  'hash_tenants': {'cycles': 46748117.5,
                   'events': {'cache_evict': 758,
                              'cache_hit': 4541,
@@ -266,7 +269,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                              'tenant_evict_denied:b233ffabb8a92620': 120,
                              'untrusted_access': 21707},
                   'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-                  'untrusted': 'a379bb7a5ddf950baca060933c5896d9adb5ea55aec7348871e284e163430339'}}
+                  'untrusted': 'e9ceb643f78828d07ec1c46d4b376277aa28300178b10c48b07c077465b74da4'}}
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))

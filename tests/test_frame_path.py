@@ -4,11 +4,12 @@ ARCHITECTURE §18 "The frame path": between the socket and the store a
 request is touched once — the four batch codec functions are single loops
 over the buffer and ``SecureSession.seal``/``open`` pack and unpack the v2
 header directly.  What they replaced is kept *here*, verbatim, as the
-reference: the per-item ``decode_request``/``decode_response`` loop, the
-``FrameHeader`` round trip, the per-block-keyed keystream.  Every section
-is a differential against that reference — same objects or same exception
-type and text, same frame bytes, same exact ``meter.cycles`` under a
-non-dyadic cost model, same events.
+reference: the per-item ``decode_request``/``decode_response`` loop and
+the ``FrameHeader`` round trip; the keystream's definition is spelled out
+the slow way beside them.  Every section is a differential against that
+reference — same objects or same exception type and text, same frame
+bytes, same exact ``meter.cycles`` under a non-dyadic cost model, same
+events.
 
 The last section pins the pipeline's *Python call budget* with
 ``sys.setprofile`` — no wall clock (the pattern of
@@ -20,7 +21,7 @@ import itertools
 import re
 import struct
 import sys
-from hashlib import blake2b
+from hashlib import blake2b, shake_128
 
 import pytest
 from hypothesis import given, settings
@@ -1006,29 +1007,29 @@ class TestOpenRefusals:
 
 
 # ---------------------------------------------------------------------------
-# 5. The fast backend's keystream is the per-block-keyed definition
+# 5. The fast backend's keystream: blake2b up to 64 bytes, SHAKE-128 beyond
 # ---------------------------------------------------------------------------
 
 
 def ref_keystream(key, counter, length):
-    return b"".join([
-        blake2b(counter + index.to_bytes(8, "little"), key=key,
-                digest_size=64).digest()
-        for index in range(-(-length // 64))
-    ])[:length]
+    """The definition, spelled out: one keyed blake2b block for a plaintext
+    of up to 64 bytes (what a KV pair has always had), one SHAKE-128 squeeze
+    of ``key | counter`` for anything longer (every sealed frame)."""
+    if length <= 64:
+        return blake2b(counter + (0).to_bytes(8, "little"), key=key,
+                       digest_size=64).digest()[:length]
+    return shake_128(key + counter).digest(length)
 
 
 class TestKeystream:
     def test_every_length_up_to_1024(self):
         backend = FastCryptoBackend()
         key, counter = b"K" * 16, bytes(range(16))
-        for length in range(1025):
-            expected = ref_keystream(key, counter, length)
-            assert backend._keystream(key, counter, length) == expected
-            plaintext = bytes(length)
-            # XOR with zeros: encrypt *is* the keystream, on both the
-            # single-block fast path and the multi-block one.
-            assert backend.encrypt(key, counter, plaintext) == expected
+        for length in itertools.chain(range(1025), (4096, MAX_FRAME_BYTES)):
+            # XOR with zeros: encrypt *is* the keystream, on both sides of
+            # the 64-byte split.
+            assert backend.encrypt(key, counter, bytes(length)) \
+                == ref_keystream(key, counter, length)
 
     @settings(max_examples=100, deadline=None)
     @given(key=st.binary(min_size=1, max_size=64),

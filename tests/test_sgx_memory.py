@@ -1,5 +1,7 @@
 """Untrusted memory region tests."""
 
+import copy
+
 import pytest
 
 from repro.errors import AriaError
@@ -35,6 +37,46 @@ def test_invalid_address_rejected():
     mem = UntrustedMemory()
     with pytest.raises(AriaError):
         mem.read(NULL, 1)
+
+
+def test_both_bounds_checks_keep_their_messages():
+    mem = UntrustedMemory()
+    addr = mem.alloc(16)
+    with pytest.raises(AriaError, match=r"^invalid untrusted address 0x8$"):
+        mem.read(8, 1)            # below the first region
+    with pytest.raises(
+            AriaError,
+            match=rf"^untrusted access \[{addr + 8:#x}, \+9\) crosses region "
+                  r"bounds$"):
+        mem.read(addr + 8, 9)     # one byte past its end
+    assert mem.read(addr + 8, 8) == bytes(8)
+    assert mem.read(addr + 16, 0) == b""
+
+
+def test_read_returns_an_independent_bytes_copy():
+    """A read is a snapshot: ``bytes``, not a view a later write shows in."""
+    mem = UntrustedMemory()
+    addr = mem.alloc(16)
+    mem.write(addr, b"before..")
+    seen = mem.read(addr, 8)
+    assert type(seen) is bytes
+    mem.write(addr, b"after...")
+    assert seen == b"before.."
+    assert mem.read(addr, 8) == b"after..."
+
+
+def test_deepcopy_is_a_working_independent_snapshot():
+    """What the rollback attacker takes (``test_sealing``): every region,
+    readable and writable, sharing nothing with the original."""
+    mem = UntrustedMemory()
+    addr = mem.alloc(16)
+    mem.write(addr, b"old state")
+    snapshot = copy.deepcopy(mem)
+    mem.write(addr, b"new state")
+    assert snapshot.read(addr, 9) == b"old state"
+    snapshot.write(addr, b"forked!!!")
+    assert mem.read(addr, 9) == b"new state"
+    assert snapshot.alloc(8) == mem.alloc(8)
 
 
 def test_zero_size_alloc_rejected():
