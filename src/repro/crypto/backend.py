@@ -24,9 +24,10 @@ per-item 16-byte counter, and a 16-byte keyed MAC):
     The split at 64 bytes is on plaintext length, which the code observes,
     and it stays because each side is measured faster on its own inputs:
     blake2b's fixed 64-byte digest beats the XOF on short plaintexts (SHAKE
-    for every length cost ``store_zipf_rd95``, 32-byte plaintexts, 2.2 %),
-    and the XOF beats any number of blake2b blocks past one
-    (``store_uniform_wr50``, 144-byte plaintexts; ARCHITECTURE §18).
+    for every length cost ``store_zipf_rd95``, 32-byte plaintexts, 1.4-2.2 %
+    in every pair run), and the XOF beats any number of blake2b blocks past
+    one (``store_uniform_wr50``, 144-byte plaintexts, 1.07x; ARCHITECTURE
+    §18 "The keystream").
 
 Both backends are deterministic given (key, counter, data), which the replay
 attack tests rely on.
