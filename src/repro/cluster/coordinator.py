@@ -60,21 +60,20 @@ class _Flight:
     """
 
     __slots__ = ("shard_id", "seqs", "flushed", "error", "ticket", "server",
-                 "started", "latency", "sampled")
+                 "latency", "sampled")
 
     def __init__(self, shard_id, seqs, *, flushed=None, error=None,
-                 ticket=None, server=None, started=None, latency=None,
-                 sampled=False):
+                 ticket=None, server=None, latency=None, sampled=False):
         self.shard_id = shard_id
         self.seqs = seqs
         self.flushed = flushed
         self.error = error
         self.ticket = ticket
         self.server = server
-        #: Overload bookkeeping: dispatch timestamp, measured flush
-        #: latency, and whether this flight feeds a breaker sample (shed
-        #: and fallback flights never touched the primary, so they don't).
-        self.started = started
+        #: Overload bookkeeping: the laps this shard held the coordinator
+        #: (see :meth:`_OverloadState.lap`), and whether the flight feeds a
+        #: breaker sample (shed and fallback flights never touched the
+        #: primary, so they don't).
         self.latency = latency
         self.sampled = sampled
 
@@ -100,6 +99,22 @@ class _OverloadState:
         self.brownout_engagements = 0
         self._brownout_since: Optional[float] = None
         self._brownout_total = 0.0
+        self._mark = 0.0
+
+    def lap(self) -> float:
+        """Seconds since the running call's previous clock read.
+
+        A breaker sample is the laps during which *that* shard held the
+        coordinator: an inline flush is one lap; a pipelined flight is the
+        lap its submit closes plus the lap its collect closes, and never
+        the time other shards ran between the two.  Every read is a lap
+        boundary, so a flight costs two reads whichever way it runs — the
+        count an injected clock shared with the tenant buckets sees.
+        """
+        now = self.clock()
+        elapsed = now - self._mark
+        self._mark = now
+        return elapsed
 
     def breaker_for(self, shard_id: str) -> CircuitBreaker:
         breaker = self.breakers.get(shard_id)
@@ -111,7 +126,7 @@ class _OverloadState:
     def update_brownout(self, recovering: bool) -> bool:
         """Track brownout engage/disengage; returns whether it is active."""
         active = recovering and self.config.brownout == "auto"
-        now = self.clock()
+        now = self._mark = self.clock()
         if active and self._brownout_since is None:
             self._brownout_since = now
             self.brownout_engagements += 1
@@ -488,8 +503,11 @@ class ClusterCoordinator:
         over = self._overload
         ten = self._tenancy if tenant is not None else None
         brownout = False
-        if over is not None and self._health_monitor is not None:
-            brownout = over.update_brownout(self._health_monitor.recovering())
+        if over is not None:
+            # Also the call's first lap boundary (see _OverloadState.lap).
+            monitor = self._health_monitor
+            brownout = over.update_brownout(
+                monitor is not None and monitor.recovering())
         route = self.ring.route
         batch_window = self.batch_window
         for seq, request in enumerate(requests):
@@ -557,21 +575,27 @@ class ClusterCoordinator:
         shard.ops_routed += len(seqs)
         batch = [requests[s] for s in seqs]
         server = shard.server
-        started = over.clock() if over is not None else None
+        sampled = over is not None
+        pipelined = shard.pipelined
+        if sampled and not pipelined:
+            over.lap()  # an inline flush is timed from here
         try:
-            if not shard.pipelined:
+            if not pipelined:
                 flushed = server.flush_batch(batch)
-                latency = (over.clock() - started
-                           if over is not None else None)
                 return _Flight(shard_id, seqs, flushed=flushed,
-                               latency=latency, sampled=over is not None)
-            return _Flight(shard_id, seqs, ticket=server.flush_submit(batch),
-                           server=server, started=started,
-                           sampled=over is not None)
+                               latency=over.lap() if sampled else None,
+                               sampled=sampled)
+            # Timed from the call's previous read: the submit (for a
+            # durable group, the whole apply + stage) and the routing
+            # since, which is the coordinator's own and small.
+            ticket = server.flush_submit(batch)
+            return _Flight(shard_id, seqs, ticket=ticket, server=server,
+                           latency=over.lap() if sampled else None,
+                           sampled=sampled)
         except AriaError as exc:
-            latency = over.clock() - started if over is not None else None
-            return _Flight(shard_id, seqs, error=exc, latency=latency,
-                           sampled=over is not None)
+            return _Flight(shard_id, seqs, error=exc,
+                           latency=over.lap() if sampled else None,
+                           sampled=sampled)
 
     def _breaker_shed(self, shard_id: str, seqs: List[int],
                       requests: List[Request], breaker: CircuitBreaker,
@@ -626,12 +650,11 @@ class ClusterCoordinator:
                     flushed = flight.server.flush_collect(flight.ticket)
             except AriaError as exc:
                 flight.error = exc
+            if over is not None:
+                flight.latency += over.lap()
         if over is not None and flight.sampled:
-            latency = flight.latency
-            if latency is None:
-                latency = over.clock() - flight.started
             over.breaker_for(flight.shard_id).record(
-                flight.error is None, latency)
+                flight.error is None, flight.latency)
         if flight.error is not None:
             self.flush_failures += 1
             error = Response(

@@ -49,6 +49,7 @@ from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.shard import EnclaveSpec, ShardHandle
 from repro.errors import (
     ConfigurationError,
+    DurabilityError,
     IntegrityError,
     KeyNotFoundError,
     ReplicaUnavailableError,
@@ -114,7 +115,10 @@ class ReplicaGroup(ShardHandle):
         self.ops_routed = 0
         self.unavailable_requests = 0
         #: With a ``durability`` sidecar set (repro.persist), a batch's acked
-        #: writes are group-committed to it before the responses leave.
+        #: writes are group-committed to it before the responses leave, and
+        #: the group answers the pipelined ``flush_submit``/``flush_collect``
+        #: pair: every partition stages its record at dispatch, the first
+        #: collect pays the call's one flush.
         self.durability_failures = 0
         self.durability_repairs = 0
         #: Reads served on a secondary while the primary's circuit breaker
@@ -147,7 +151,34 @@ class ReplicaGroup(ShardHandle):
     def server(self) -> "ReplicaGroup":
         return self  # the group is its own flush_batch endpoint
 
-    def flush_batch(self, requests) -> List[Response]:
+    @property
+    def pipelined(self) -> bool:
+        return self.durability is not None
+
+    def flush_submit(self, requests) -> tuple:
+        """Apply on the replicas and stage the WAL record; no ack yet."""
+        staged: List[int] = []
+        return self.flush_batch(requests, staged), staged
+
+    def flush_collect(self, ticket: tuple,
+                      timeout: Optional[float] = None) -> List[Response]:
+        """The barrier for one submitted batch; its acks may leave after.
+
+        ``timeout`` is the remote handles' RPC bound; the flush is local.
+        """
+        responses, staged = ticket
+        if staged:
+            self._settle(responses, staged)
+        return responses
+
+    def flush_batch(self, requests,
+                    unsettled: Optional[List[int]] = None) -> List[Response]:
+        """One batch through the group; the responses, positionally.
+
+        ``unsettled`` is :meth:`flush_submit`'s half: given a list, the
+        positions whose WAL record is staged land there and the barrier is
+        left to :meth:`flush_collect`; by default it is paid here.
+        """
         requests = list(requests)
         if not requests:
             return []
@@ -214,10 +245,17 @@ class ReplicaGroup(ShardHandle):
             self._failover_reads(alarmed_reads, requests, responses)
 
         # 4. Group commit: exactly the writes about to be positively acked
-        #    are sealed into one durable log record.  A write that cannot
-        #    be made durable is not acked — its slot becomes UNAVAILABLE.
+        #    are sealed into one staged log record, flushed before the acks
+        #    leave (here, or at the collect of a pipelined submit).  A write
+        #    that cannot be made durable is not acked — its slot becomes
+        #    UNAVAILABLE.
         if self.durability is not None:
-            self._commit_durable(requests, write_positions, responses)
+            staged = self._commit_durable(requests, write_positions,
+                                          responses)
+            if unsettled is not None:
+                unsettled.extend(staged)
+            elif staged:
+                self._settle(responses, staged)
         return responses
 
     def flush_reads_fallback(self, requests) -> List[Response]:
@@ -258,8 +296,9 @@ class ReplicaGroup(ShardHandle):
 
     def _commit_durable(self, requests: List[Request],
                         write_positions: List[int],
-                        responses: List[Response]) -> None:
-        """Group-commit the batch's acked writes; un-ack them on failure.
+                        responses: List[Response]) -> List[int]:
+        """Stage the batch's acked writes as one log record; un-ack them on
+        failure.  Returns the positions staged and awaiting the barrier.
 
         Deletes that found no key (NOT_FOUND) changed no state and are not
         logged.  On a :class:`~repro.errors.DurabilityError` the partition
@@ -268,28 +307,46 @@ class ReplicaGroup(ShardHandle):
         that also fails, the affected writes are answered UNAVAILABLE so
         the client never holds an ack the disk doesn't.
         """
-        from repro.errors import DurabilityError
-
         acked = [i for i in write_positions
                  if responses[i].status == Status.OK]
         if not acked:
-            return
+            return acked
         batch = [requests[i] for i in acked]
         try:
             self.durability.commit(batch)
-            return
+            return acked
         except DurabilityError:
             pass
         if self._repair_durability():
             self.durability_repairs += 1
             try:
                 self.durability.commit(batch)
-                return
+                return acked
             except DurabilityError:
                 pass
-        self.durability_failures += len(acked)
-        self.unavailable_requests += len(acked)
-        for i in acked:
+        self._unack(responses, acked)
+        return []
+
+    def _settle(self, responses: List[Response], staged: List[int]) -> None:
+        """The barrier before the acks at ``staged`` leave.
+
+        One flush covers every log written since the last barrier, so in a
+        coordinator call the first group to collect pays it and the others
+        find nothing dirty.  A failed flush un-acks exactly this batch's
+        writes and repairs from live state (which already holds them); the
+        repair snapshot is durable in place.
+        """
+        try:
+            self.durability.sync()
+        except DurabilityError:
+            self._unack(responses, staged)
+            if self._repair_durability():
+                self.durability_repairs += 1
+
+    def _unack(self, responses: List[Response], positions: List[int]) -> None:
+        self.durability_failures += len(positions)
+        self.unavailable_requests += len(positions)
+        for i in positions:
             responses[i] = Response(
                 Status.UNAVAILABLE,
                 b"durability commit failed in " + self.shard_id.encode())
@@ -305,8 +362,6 @@ class ReplicaGroup(ShardHandle):
         chain.  Metered honestly on both sides (reads on the primary,
         sealing on the durability meter).
         """
-        from repro.errors import DurabilityError
-
         primary = self._first_live()
         if primary is None:
             return False
@@ -372,26 +427,30 @@ class ReplicaGroup(ShardHandle):
         """Release every replica's backing resources (see Shard.close)."""
         for replica in self.replicas:
             replica.shard.close(timeout)
+        if self.durability is not None:
+            self.durability.disk.close()
 
     def _commit_single(self, request: Request) -> None:
-        """Durably log one trusted-path write (migration / direct put).
+        """Durably log one trusted-path write (migration / direct put):
+        stage, then the barrier, before the call returns.
 
         Same repair-then-retry policy as the batch hook, but there is no
         response to un-ack here: a persistent failure surfaces as the
         typed :class:`~repro.errors.DurabilityError` to the caller.
         """
-        if self.durability is None:
+        durability = self.durability
+        if durability is None:
             return
-        from repro.errors import DurabilityError
-
         try:
-            self.durability.commit([request])
+            durability.commit([request])
+            durability.sync()
             return
         except DurabilityError:
             pass
         if self._repair_durability():
             self.durability_repairs += 1
-            self.durability.commit([request])
+            durability.commit([request])
+            durability.sync()
             return
         self.durability_failures += 1
         raise DurabilityError(

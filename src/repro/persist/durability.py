@@ -13,11 +13,14 @@ snapshot blob and a sealed, MAC-chained write-ahead log
 (:mod:`repro.persist.disk`).  The :class:`~repro.cluster.replication
 .ReplicaGroup` *group-commits* on its existing batch boundary: after a
 batch executes, exactly the write requests that are about to be positively
-acknowledged are sealed into one log record and appended — the client sees
-an ack only once its write is durable.  A commit that fails (disk error,
-torn write, or the log changing length underneath us — someone else's
-hand on the disk) is not acked: the group converts those responses to
-``UNAVAILABLE``, then repairs durability from its own live state, which is
+acknowledged are sealed into one log record and appended
+(:meth:`PartitionDurability.commit` — *staged*), and the responses leave
+only after :meth:`PartitionDurability.sync`, the one flush a coordinator
+call pays for every log it wrote — the client sees an ack only once its
+write is durable.  A commit or barrier that fails (disk error, torn write,
+or the log changing length underneath us — someone else's hand on the
+disk) is not acked: the group converts those responses to
+``UNAVAILABLE`` and repairs durability from its own live state, which is
 still authoritative while any replica breathes.
 
 **Freshness.**  Sealing alone cannot stop the host replaying yesterday's
@@ -42,8 +45,13 @@ the protocol (snapshot writes are atomic-replace, counter increments are
 durable before they return, and epoch advances are modeled as atomic with
 their counter bump — fault injections land *between* commits, never inside
 one).  A crash mid-append leaves a torn tail; recovery trims it to the
-last complete record.  Nothing is lost: the torn record's batch was never
-acked, because the ack happens only after the append returns.
+last complete record.  Power lost between a staged append and its barrier
+leaves the same thing — a torn tail, or a complete record nobody was told
+about — so recovery needs no new case.  Nothing is lost: that batch was
+never acked, because the ack happens only after the barrier returns.  An
+epoch-closing commit and a snapshot do not ride the barrier: they flush in
+place (record, then counter, then epoch record), so the counter never runs
+ahead of a log that is only staged.
 
 Metering follows the gateway idiom of :class:`~repro.cluster.session
 .SessionManager`: the durability layer owns its *own*
@@ -207,13 +215,16 @@ class PartitionDurability:
     # -- the group-commit path ----------------------------------------------------
 
     def commit(self, requests: List[Request]) -> None:
-        """Seal the acked writes of one batch into a single log record.
+        """Seal the acked writes of one batch into a single staged record.
 
-        Raises a :class:`~repro.errors.DurabilityError` subclass when the
-        batch did **not** become durable — the caller must not acknowledge
-        it.  The log's on-disk length is checked against the expected value
-        first, so truncation, rollback, or a torn previous append is caught
-        at the very next commit while the partition is alive.
+        The record is durable after the next :meth:`sync`; the caller must
+        not acknowledge the batch before that returns, nor at all when
+        this raises a :class:`~repro.errors.DurabilityError` subclass.  The
+        log's on-disk length is checked against the expected value first,
+        so truncation, rollback, or a torn previous append is caught at the
+        very next commit while the partition is alive.  The commit that
+        closes an epoch flushes in place: its record is durable before the
+        counter moves, and the epoch record before this returns.
         """
         requests = list(requests)
         if not requests:
@@ -245,22 +256,31 @@ class PartitionDurability:
         self.meter.count("dur_commit")
         self._batches_since_epoch += 1
         if self._batches_since_epoch >= self.epoch_every:
+            self.sync()
             self._advance_epoch()
+            self.sync()
+
+    def sync(self) -> None:
+        """The barrier: every record staged so far is durable on return."""
+        self.disk.sync()
 
     def commit_load(self, pairs) -> None:
-        """Make a bulk load durable (chunked to the protocol's batch cap)."""
+        """Make a bulk load durable (chunked to the protocol's batch cap):
+        every chunk staged, then one barrier."""
         pairs = list(pairs)
         for start in range(0, len(pairs), MAX_BATCH_COUNT):
             chunk = pairs[start : start + MAX_BATCH_COUNT]
             self.commit([Request(OpCode.PUT, key, value)
                          for key, value in chunk])
+        self.sync()
 
     def snapshot(self, pairs) -> int:
         """Compact: bind a new epoch, write the full state, reset the log.
 
         The counter increment, the atomic snapshot replace, and the log
         reset are modeled as one atomic step (fault injections land between
-        commits, never inside this sequence).  Returns the new epoch.
+        commits, never inside this sequence); each is durable in place, so
+        a snapshot needs no barrier.  Returns the new epoch.
         """
         pairs = list(pairs)
         epoch = self.counters.increment(self._counter_id, meter=self.meter)

@@ -34,6 +34,7 @@ import json
 import os
 from typing import Dict, Optional
 
+from repro.errors import RecoveryError
 from repro.sgx.costs import CostModel, DEFAULT_COSTS
 from repro.sgx.meter import CycleMeter
 
@@ -56,9 +57,15 @@ class MonotonicCounterService:
         self.reads = 0
         self.resets = 0
         if path is not None and os.path.exists(path):
-            with open(path, "r", encoding="utf-8") as fh:
-                self._counters = {k: int(v)
-                                  for k, v in json.load(fh).items()}
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    self._counters = {k: int(v)
+                                      for k, v in json.load(fh).items()}
+            except (OSError, ValueError, TypeError, AttributeError) as exc:
+                raise RecoveryError(
+                    f"counter file {path!r} is unreadable ({exc}): the "
+                    "freshness anchor is gone, refusing to start from "
+                    "zero") from exc
 
     # -- the enclave-facing API ---------------------------------------------------
 
@@ -87,9 +94,9 @@ class MonotonicCounterService:
                   meter: Optional[CycleMeter] = None) -> int:
         """Bump the counter by one and return the new value.
 
-        The increment is durable before it returns — that ordering is what
-        lets recovery treat "counter ahead of recovered epoch" as proof of
-        rollback rather than a crash window.
+        The increment is durable before it returns (see :meth:`_persist`)
+        — that ordering is what lets recovery treat "counter ahead of
+        recovered epoch" as proof of rollback rather than a crash window.
         """
         self.increments += 1
         if meter is not None:
@@ -117,11 +124,18 @@ class MonotonicCounterService:
     # -- plumbing -----------------------------------------------------------------
 
     def _persist(self) -> None:
+        """Atomic, and flushed before the rename: a host crash leaves the
+        old file or the new one, complete — never an empty one.  The rename
+        itself rides the next flush of the data directory or its journal,
+        which on the durability path follows at once (the EPOCH record's,
+        the snapshot's)."""
         if self._path is None:
             return
         tmp = self._path + ".tmp"
         with open(tmp, "w", encoding="utf-8") as fh:
             json.dump(self._counters, fh)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, self._path)
 
     def peek(self, counter_id: str) -> int:

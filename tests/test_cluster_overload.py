@@ -30,17 +30,19 @@ from repro.cluster import (
     build_replicated_cluster,
 )
 from repro.cluster.netserver import _AdmissionGate
-from repro.cluster.overload import Deadline, RetryBudget
+from repro.cluster.overload import CircuitBreaker, Deadline, RetryBudget
 from repro.errors import (
     ClusterTimeoutError,
     DeadlineExceededError,
     OverloadedError,
 )
+from repro.persist import MemoryDisk, attach_cluster_durability
 from repro.server import protocol
 from repro.server.protocol import (
     STATUS_OK,
     STATUS_OVERLOADED,
 )
+from repro.sgx.monotonic import MonotonicCounterService
 
 pytestmark = pytest.mark.overload
 
@@ -341,6 +343,82 @@ class TestBreakerContainment:
         assert write.status == STATUS_OVERLOADED
         assert b"breaker open" in protocol.overload_reason(write)
         group.replicas[0].shard.heal()
+
+
+class TestPipelinedGroupSample:
+    """A durable group is pipelined: its submit applies and stages, other
+    groups run, then its collect is the barrier.  The breaker sample is the
+    time the group itself held the coordinator — on an injected clock that
+    only the disk moves, so the figures are exact."""
+
+    STAGE = 1.0      # the slow group's WAL stage
+    BARRIER = 0.002  # the call's one flush, paid by whoever collects first
+
+    @pytest.mark.parametrize("slow", ["shard-0", "shard-1"])
+    def test_slow_neighbour_does_not_trip_this_groups_breaker(
+            self, slow, monkeypatch):
+        clock = FakeClock()
+        test = self
+
+        class SlowLogDisk(MemoryDisk):
+            dirty = False
+
+            def append(self, name, data):
+                super().append(name, data)
+                self.dirty = True
+                if name == slow + ".log":
+                    clock.advance(test.STAGE)
+
+            def sync(self):
+                if self.dirty:  # a clean barrier is free
+                    clock.advance(test.BARRIER)
+                self.dirty = False
+
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=2, replication=2, n_keys=64, scale=2048,
+            batch_window=8))
+        coord.enable_overload(
+            OverloadConfig(breaker_failures=2, breaker_latency=0.1,
+                           breaker_recovery=60.0), clock=clock)
+        attach_cluster_durability(coord, SlowLogDisk(),
+                                  MonotonicCounterService())
+        assert all(group.pipelined for group in coord.shard_list())
+
+        samples = {"shard-0": [], "shard-1": []}
+        real_record = CircuitBreaker.record
+
+        def record(breaker, ok, latency):
+            [sid] = [sid for sid, b in coord.overload.breakers.items()
+                     if b is breaker]
+            samples[sid].append(latency)
+            real_record(breaker, ok, latency)
+
+        monkeypatch.setattr(CircuitBreaker, "record", record)
+        fast = "shard-1" if slow == "shard-0" else "shard-0"
+        keys = {}
+        for i in range(64):
+            keys.setdefault(coord.ring.route(b"key-%04d" % i),
+                            b"key-%04d" % i)
+        batch = [protocol.put(keys["shard-0"], b"v"),
+                 protocol.put(keys["shard-1"], b"v")]
+        for _ in range(2):
+            assert [r.status for r in coord.execute(batch)] == [STATUS_OK] * 2
+
+        # shard-0 dispatches and collects first, so the barrier is its lap;
+        # the slow stage belongs to the slow group alone, whichever it is.
+        expected = {"shard-0": self.BARRIER, "shard-1": 0.0}
+        expected[slow] += self.STAGE
+        for sid in samples:
+            assert samples[sid] == [pytest.approx(expected[sid])] * 2
+        breakers = coord.overload.stats()["breakers"]
+        assert breakers[slow] == {"state": "open", "trips": 1,
+                                  "probes": 0, "shed": 0}
+        assert breakers[fast]["state"] == "closed"
+        assert breakers[fast]["trips"] == 0
+        by_shard = dict(zip(("shard-0", "shard-1"), coord.execute(batch)))
+        assert by_shard[slow].status == STATUS_OVERLOADED
+        assert by_shard[fast].status == STATUS_OK
+        coord.close()
 
 
 # -- brownout: writes shed while recovery is in flight ----------------------------

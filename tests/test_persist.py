@@ -1,10 +1,14 @@
 """Unit tests for the sealed durability stack: disk, counters, WAL, sidecar.
 
 Everything below runs against :class:`~repro.persist.MemoryDisk` unless the
-test is *about* the file backend — the two share the six-verb contract, and
+test is *about* the file backend — the two share the seven-verb contract, and
 the cluster-level suite (``test_durability_recovery``) re-runs the whole
 recovery story over real files and real processes.
 """
+
+import gc
+import json
+import os
 
 import pytest
 
@@ -86,6 +90,98 @@ class TestDisks:
         assert disk.read_blob("log") == b"records"
         assert disk.read_blob("extra") is None  # post-capture state is gone
 
+    def test_sync_is_idempotent_and_free_when_clean(self, disk, monkeypatch):
+        flushed = []
+        real_fsync = os.fsync
+        monkeypatch.setattr(
+            os, "fsync", lambda fd: (flushed.append(fd), real_fsync(fd)))
+        disk.sync()  # nothing ever appended
+        disk.append("log", b"abc")
+        disk.append("log", b"def")
+        del flushed[:]  # a new file's directory entry is append's business
+        disk.sync()
+        after_first = len(flushed)
+        assert after_first == (1 if isinstance(disk, FileDisk) else 0)
+        disk.sync()
+        disk.sync()
+        assert len(flushed) == after_first
+        assert disk.read_blob("log") == b"abcdef"
+
+    @pytest.mark.parametrize("reset", ["delete", "truncate", "restore",
+                                       "write_blob"])
+    def test_append_after_a_log_reset_lands_in_the_new_file(self, disk, reset):
+        disk.append("log", b"abcdef")
+        if reset == "delete":
+            disk.delete("log")
+            kept = b""
+        elif reset == "truncate":
+            disk.truncate("log", 2)
+            kept = b"ab"
+        elif reset == "restore":
+            token = disk.capture()
+            disk.append("log", b"-later")
+            disk.restore(token)
+            kept = b"abcdef"
+        else:
+            disk.write_blob("log", b"Z")
+            kept = b"Z"
+        disk.append("log", b"xy")  # no stale descriptor: the file on disk
+        assert disk.read_blob("log") == kept + b"xy"
+        assert disk.size("log") == len(kept) + 2
+        disk.sync()
+        assert disk.read_blob("log") == kept + b"xy"
+
+    def test_close_releases_every_descriptor(self, disk):
+        before = len(os.listdir("/proc/self/fd"))
+        for name in ("a.log", "b.log", "c.log"):
+            disk.append(name, b"x")
+        held = len(os.listdir("/proc/self/fd")) - before
+        assert held == (3 if isinstance(disk, FileDisk) else 0)
+        disk.sync()
+        disk.close()
+        assert len(os.listdir("/proc/self/fd")) == before
+        disk.close()  # idempotent
+        disk.append("a.log", b"y")  # and the disk stays usable
+        assert disk.read_blob("a.log") == b"xy"
+        disk.close()
+
+    def test_an_abandoned_file_disk_leaks_no_descriptor(self, tmp_path):
+        # The crash-without-close() path: the coordinator is dropped, a new
+        # one is built over the same directory.
+        before = len(os.listdir("/proc/self/fd"))
+        disk = FileDisk(str(tmp_path / "data"))
+        disk.append("a.log", b"x")
+        disk.append("b.log", b"x")
+        assert len(os.listdir("/proc/self/fd")) == before + 2
+        del disk
+        gc.collect()
+        assert len(os.listdir("/proc/self/fd")) == before
+
+    def test_file_disk_flushes_the_directory_entry_it_changes(
+            self, tmp_path, monkeypatch):
+        root = tmp_path / "data"
+        disk = FileDisk(str(root))
+        flushed = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            path = os.readlink(f"/proc/self/fd/{fd}")
+            flushed.append(os.path.basename(path))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        disk.write_blob("p.snap", b"sealed")  # temp file, then the rename
+        assert flushed == ["p.snap.tmp", "data"]
+        del flushed[:]
+        disk.append("p.log", b"first")  # a new file: its entry, once
+        disk.append("p.log", b"second")
+        assert flushed == ["data"]
+        del flushed[:]
+        disk.delete("p.log")  # the unlink
+        disk.delete("p.log")  # nothing removed, nothing flushed
+        assert flushed == ["data"]
+        disk.close()
+
     def test_slashed_names_stay_inside_the_root(self, tmp_path):
         disk = FileDisk(str(tmp_path / "data"))
         disk.write_blob("shard-0/dur.log", b"x")
@@ -142,6 +238,34 @@ class TestMonotonicCounters:
         svc2 = MonotonicCounterService(path=path)
         assert svc2.peek("c") == 2
         assert svc2.increment("c") == 3
+
+    def test_increment_is_flushed_before_it_returns(self, tmp_path,
+                                                    monkeypatch):
+        path = str(tmp_path / "counters.json")
+        svc = MonotonicCounterService(path=path)
+        svc.create("c")
+        flushed = []
+        real_fsync = os.fsync
+
+        def recording_fsync(fd):
+            # What the flush covers must already be the new value.
+            flushed.append(os.readlink(f"/proc/self/fd/{fd}"))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        assert svc.increment("c") == 1
+        assert flushed == [path + ".tmp"]  # the bytes, before the rename
+        with open(path, encoding="utf-8") as fh:
+            assert json.load(fh) == {"c": 1}
+
+    @pytest.mark.parametrize("content", [b"", b"{\"c\": 1", b"[1, 2]",
+                                         b"{\"c\": \"x\"}"])
+    def test_unreadable_counter_file_is_a_typed_refusal(self, tmp_path,
+                                                        content):
+        path = tmp_path / "counters.json"
+        path.write_bytes(content)
+        with pytest.raises(RecoveryError, match="counter file"):
+            MonotonicCounterService(path=str(path))
 
 
 class TestWal:
