@@ -167,8 +167,7 @@ class ReplicaGroup(ShardHandle):
         ``timeout`` is the remote handles' RPC bound; the flush is local.
         """
         responses, staged = ticket
-        if staged:
-            self._settle(responses, staged)
+        self._settle(responses, staged)
         return responses
 
     def flush_batch(self, requests,
@@ -254,7 +253,7 @@ class ReplicaGroup(ShardHandle):
                                           responses)
             if unsettled is not None:
                 unsettled.extend(staged)
-            elif staged:
+            else:
                 self._settle(responses, staged)
         return responses
 
@@ -334,8 +333,11 @@ class ReplicaGroup(ShardHandle):
         coordinator call the first group to collect pays it and the others
         find nothing dirty.  A failed flush un-acks exactly this batch's
         writes and repairs from live state (which already holds them); the
-        repair snapshot is durable in place.
+        repair snapshot is durable in place.  A batch that staged nothing
+        (reads, refused writes) has nothing to wait for.
         """
+        if not staged:
+            return
         try:
             self.durability.sync()
         except DurabilityError:

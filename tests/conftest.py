@@ -112,6 +112,23 @@ def no_door_thread_outlives_its_test():
     assert not [t.name for t in doors if t.is_alive()]
 
 
+@pytest.fixture()
+def fsync_events(monkeypatch):
+    """Every ``os.fsync`` the process makes, as ``("fsync", file name)`` in
+    order (flush evidence by count and order, never by clock).  Tests may
+    append their own events to the same list."""
+    events = []
+    real_fsync = os.fsync
+
+    def recording_fsync(fd):
+        path = os.readlink(f"/proc/self/fd/{fd}")
+        events.append(("fsync", os.path.basename(path)))
+        real_fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", recording_fsync)
+    return events
+
+
 # -- chaos reproducibility ---------------------------------------------------------
 #
 # Chaos tests register their FaultPlan through ``fault_record``; when such a

@@ -79,18 +79,10 @@ class RecordingFileDisk(FileDisk):
 
 
 @pytest.fixture()
-def events(monkeypatch):
-    """Every ``os.fsync`` in the process lands here as ``("fsync", file)``."""
-    log = []
-    real_fsync = os.fsync
-
-    def recording_fsync(fd):
-        path = os.readlink(f"/proc/self/fd/{fd}")
-        log.append(("fsync", os.path.basename(path)))
-        real_fsync(fd)
-
-    monkeypatch.setattr(os, "fsync", recording_fsync)
-    return log
+def events(fsync_events):
+    """The one ordered record: ``("fsync", file)`` from the process-wide
+    patch, ``("append", log)`` from the recording disk."""
+    return fsync_events
 
 
 @pytest.fixture()

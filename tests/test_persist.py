@@ -90,11 +90,9 @@ class TestDisks:
         assert disk.read_blob("log") == b"records"
         assert disk.read_blob("extra") is None  # post-capture state is gone
 
-    def test_sync_is_idempotent_and_free_when_clean(self, disk, monkeypatch):
-        flushed = []
-        real_fsync = os.fsync
-        monkeypatch.setattr(
-            os, "fsync", lambda fd: (flushed.append(fd), real_fsync(fd)))
+    def test_sync_is_idempotent_and_free_when_clean(self, disk,
+                                                    fsync_events):
+        flushed = fsync_events
         disk.sync()  # nothing ever appended
         disk.append("log", b"abc")
         disk.append("log", b"def")
@@ -158,28 +156,19 @@ class TestDisks:
         assert len(os.listdir("/proc/self/fd")) == before
 
     def test_file_disk_flushes_the_directory_entry_it_changes(
-            self, tmp_path, monkeypatch):
-        root = tmp_path / "data"
-        disk = FileDisk(str(root))
-        flushed = []
-        real_fsync = os.fsync
-
-        def recording_fsync(fd):
-            path = os.readlink(f"/proc/self/fd/{fd}")
-            flushed.append(os.path.basename(path))
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", recording_fsync)
+            self, tmp_path, fsync_events):
+        disk = FileDisk(str(tmp_path / "data"))
+        flushed = fsync_events
         disk.write_blob("p.snap", b"sealed")  # temp file, then the rename
-        assert flushed == ["p.snap.tmp", "data"]
+        assert flushed == [("fsync", "p.snap.tmp"), ("fsync", "data")]
         del flushed[:]
         disk.append("p.log", b"first")  # a new file: its entry, once
         disk.append("p.log", b"second")
-        assert flushed == ["data"]
+        assert flushed == [("fsync", "data")]
         del flushed[:]
         disk.delete("p.log")  # the unlink
         disk.delete("p.log")  # nothing removed, nothing flushed
-        assert flushed == ["data"]
+        assert flushed == [("fsync", "data")]
         disk.close()
 
     def test_slashed_names_stay_inside_the_root(self, tmp_path):
@@ -240,21 +229,14 @@ class TestMonotonicCounters:
         assert svc2.increment("c") == 3
 
     def test_increment_is_flushed_before_it_returns(self, tmp_path,
-                                                    monkeypatch):
+                                                    fsync_events):
         path = str(tmp_path / "counters.json")
         svc = MonotonicCounterService(path=path)
         svc.create("c")
-        flushed = []
-        real_fsync = os.fsync
-
-        def recording_fsync(fd):
-            # What the flush covers must already be the new value.
-            flushed.append(os.readlink(f"/proc/self/fd/{fd}"))
-            real_fsync(fd)
-
-        monkeypatch.setattr(os, "fsync", recording_fsync)
+        del fsync_events[:]
         assert svc.increment("c") == 1
-        assert flushed == [path + ".tmp"]  # the bytes, before the rename
+        # The bytes, while the file still has its temp name: before the rename.
+        assert fsync_events == [("fsync", "counters.json.tmp")]
         with open(path, encoding="utf-8") as fh:
             assert json.load(fh) == {"c": 1}
 
