@@ -637,7 +637,7 @@ class _GroupMeter:
         for snap in snaps:
             merged.merge(snap)
         return MeterSnapshot(cycles=max(s.cycles for s in snaps),
-                             events=merged.events)
+                             events=merged.snapshot().events)
 
 
 # -- construction ---------------------------------------------------------------

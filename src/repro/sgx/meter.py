@@ -53,6 +53,23 @@ def _to_bytes(meter) -> bytes:
     return b"".join(parts)
 
 
+class EventCounts(Counter):
+    """The live event ledger: a ``Counter`` whose stores take ``dict``'s slot.
+
+    ``Counter`` defines ``__delitem__`` in Python, so CPython fills its
+    item-assignment slot with the generic one and every ``events[k] += n``
+    looks ``__setitem__`` up through the MRO; naming ``dict``'s own wrappers
+    for both methods puts the C slot back (ARCHITECTURE "The event ledger").
+    Readers keep ``Counter`` semantics; the one difference is that ``del
+    events[absent]`` raises ``KeyError`` where ``Counter`` swallows it —
+    nothing deletes from a live ledger.
+    """
+
+    __slots__ = ()
+    __setitem__ = dict.__setitem__
+    __delitem__ = dict.__delitem__
+
+
 @dataclass
 class MeterSnapshot:
     """An immutable point-in-time copy of the meter, for before/after diffs."""
@@ -89,7 +106,7 @@ class MeterSnapshot:
         meter = CycleMeter()
         if meter.load_bytes(data) != len(data):
             raise ProtocolError("trailing bytes after meter")
-        return cls(cycles=meter.cycles, events=meter.events)
+        return meter.snapshot()
 
 
 class CycleMeter:
@@ -110,7 +127,8 @@ class CycleMeter:
     primitives spell the same three statements inline (one Python call per
     simulated primitive instead of three; ARCHITECTURE "Host-time hot
     path"), which is why ``cycles``, ``events`` and ``enabled`` are plain
-    slots.
+    slots — and why ``events`` is always an :class:`EventCounts`, built here
+    and only ever mutated in place, never the caller's ``Counter``.
     """
 
     __slots__ = ("cycles", "events", "enabled")
@@ -118,7 +136,7 @@ class CycleMeter:
     def __init__(self, cycles: float = 0.0,
                  events: Optional[Counter] = None, enabled: bool = True):
         self.cycles = cycles
-        self.events = Counter() if events is None else events
+        self.events = EventCounts(events)
         self.enabled = enabled
 
     def charge(self, cycles: float) -> None:
