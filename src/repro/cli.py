@@ -258,6 +258,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (ConfigurationError, ValueError) as exc:
             print(f"bad --tenants spec: {exc}", file=sys.stderr)
             return 2
+        if tenancy.require_auth and args.insecure:
+            print("error: --require-tenant-auth cannot be met on an "
+                  "--insecure door (a plaintext frame has no principal)",
+                  file=sys.stderr)
+            return 2
     durability = None
     if args.durable:
         durability = DurabilityConfig(data_dir=args.data_dir,

@@ -28,7 +28,11 @@ from repro.cluster.overload import (
     OverloadConfig,
     TokenBucket,
 )
-from repro.cluster.tenancy import TenancyConfig, TenantRegistry
+from repro.cluster.tenancy import (
+    TenancyConfig,
+    TenantRegistry,
+    owner_token_of,
+)
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, VnodeSpec
 from repro.cluster.shard import ShardHandle
 from repro.cluster.stats import ClusterStats
@@ -192,6 +196,8 @@ class _TenancyState:
         self.admitted: Dict[str, int] = {t.tenant_id: 0
                                          for t in config.tenants}
         self.shed: Dict[str, int] = {t.tenant_id: 0 for t in config.tenants}
+        #: Requests shed for want of a known principal: an unknown tenant
+        #: id, or no tenant at all on a key inside a tenant's namespace.
         self.unknown_shed = 0
         #: Roster edits applied live through :meth:`repartition`.
         self.repartitions = 0
@@ -244,6 +250,20 @@ class _TenancyState:
                 b"tenant rate limit: " + tenant.encode())
         self.admitted[tenant] += 1
         return None
+
+    def refuse_anonymous(self, key: bytes) -> Optional[Response]:
+        """A shed response if an anonymous request's ``key`` lies in a
+        registered tenant's namespace, else ``None``.
+
+        A principal is only what a handshake authenticated: without one,
+        a raw key spelling ``tenant_prefix(id) + name`` would read and
+        write that tenant's data past its bucket and its fence.
+        """
+        token = owner_token_of(key)
+        if token is None or self.registry.tenant_for_token(token) is None:
+            return None
+        self.unknown_shed += 1
+        return protocol.overloaded(0.0, b"tenant namespace, no principal")
 
     def prefix_request(self, tenant: str, request: Request) -> Request:
         """Relocate a request into its tenant's key namespace."""
@@ -494,14 +514,16 @@ class ClusterCoordinator:
         offending principal — and admitted requests are relocated into the
         tenant's key namespace before the ring routes them.  Anonymous
         requests (``tenant=None``) bypass both, byte-identically to a
-        pre-tenancy cluster.
+        pre-tenancy cluster — except that one whose key lies inside a
+        registered tenant's namespace is shed the same typed way, never
+        routed (:meth:`_TenancyState.refuse_anonymous`).
         """
         requests = list(requests)
         responses: List[Optional[Response]] = [None] * len(requests)
         pending: Dict[str, List[int]] = {sid: [] for sid in self.shards}
         inflight: List[_Flight] = []
         over = self._overload
-        ten = self._tenancy if tenant is not None else None
+        ten = self._tenancy
         brownout = False
         if over is not None:
             # Also the call's first lap boundary (see _OverloadState.lap).
@@ -516,12 +538,16 @@ class ClusterCoordinator:
                 responses[seq] = self.health_response()
                 continue
             if ten is not None:
-                shed = ten.try_admit(tenant)
+                if tenant is None:
+                    shed = ten.refuse_anonymous(request.key)
+                else:
+                    shed = ten.try_admit(tenant)
+                    if shed is None:
+                        request = ten.prefix_request(tenant, request)
+                        requests[seq] = request  # dispatch reads requests[s]
                 if shed is not None:
                     responses[seq] = shed
                     continue
-                request = ten.prefix_request(tenant, request)
-                requests[seq] = request  # dispatch batches read requests[s]
             if brownout and request.opcode != OP_GET:
                 over.brownout_shed += 1
                 responses[seq] = over.shed_response(
@@ -768,10 +794,11 @@ class ClusterCoordinator:
         """Per-shard conflict/abort/fallback counters for ``OP_HEALTH``.
 
         Read off the meters' ``batchexec_*`` events, which piggyback on
-        every RPC reply as absolute snapshots: no extra per-shard stats
-        RPC, and a crashed or partitioned shard serves its last-known
-        mirror instead of failing the health probe.  Empty (and omitted
-        from the summary) when no shard runs the parallel engine.
+        every RPC reply as absolute snapshots: no RPC at all (a remote
+        handle's meter is its local mirror), and a crashed or partitioned
+        shard serves its last-known mirror instead of failing the probe.
+        Empty (and omitted from the summary) when no shard runs the
+        parallel engine.
         """
         counters: Dict[str, dict] = {}
         for shard in self.shard_list():
@@ -796,10 +823,9 @@ class ClusterCoordinator:
 
         Read off the shard meters' ``tenant_evict_denied[:token]`` events,
         which piggyback on every RPC reply as absolute snapshots (the same
-        free ride :meth:`_batchexec_health` uses — no extra per-shard
-        stats RPC).  Owner tokens map back to tenant ids through the
-        registry; an unknown token (a tenant since removed from the
-        roster) reports under its raw token.
+        free ride :meth:`_batchexec_health` uses — no RPC).  Owner tokens
+        map back to tenant ids through the registry; an unknown token (a
+        tenant since removed from the roster) reports under its raw token.
         """
         ten = self._tenancy
         counters: Dict[str, int] = {}

@@ -47,10 +47,15 @@ Speaks ``repro.server.protocol`` frames over the one framed stream of
   full or their deadline budget runs out while queued (newest-first
   service: under overload the freshest work has the most budget left).
   ``max_connections`` refuses connections beyond the cap outright.
-  Clients attach deadline budgets as a wire envelope
-  (:func:`repro.server.protocol.wrap_deadline`); the front door strips
-  the envelope, sheds already-expired frames without executing them, and
-  hands the remaining budget to the coordinator's overload layer.
+  A sealed frame may carry its sender's remaining deadline budget in
+  the v2 header (``protocol.FLAG_DEADLINE``); the front door reads it off
+  the frame ``session.open`` authenticated, sheds already-expired frames
+  without executing them, and hands the remaining budget to the
+  coordinator's overload layer.
+* **Principals** — a frame's principal is its session's
+  handshake-authenticated tenant, and nothing else: a v1 plaintext
+  frame is anonymous, and a door whose tenancy has ``require_auth``
+  refuses plaintext like ``security="required"`` does.
 * **Graceful shutdown** — :meth:`ClusterNetServer.stop` stops accepting,
   lets frames already executing be answered, closes every connection,
   and ends :meth:`serve_forever`.
@@ -268,6 +273,12 @@ class ClusterNetServer:
         if max_connections is not None and max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, not {max_connections}")
+        tenancy = coordinator.tenancy
+        require_auth = tenancy is not None and tenancy.config.require_auth
+        if require_auth and security == "plaintext":
+            raise ConfigurationError(
+                "tenancy require_auth on a plaintext-only front door: a "
+                "plaintext frame has no principal")
         self._coordinator = coordinator
         self._host = host
         self._port = port
@@ -286,6 +297,9 @@ class ClusterNetServer:
         #: ``downgrade`` on the next handshake attempt.
         self.fault_plan = fault_plan
         self.security = security
+        #: v1 data frames are refused: by policy, or because every frame
+        #: must come from an authenticated tenant and plaintext has none.
+        self._plaintext_refused = security == "required" or require_auth
         #: The gateway enclave terminating v2 sessions (None on a
         #: plaintext-only front door).
         self.sessions = (
@@ -304,9 +318,6 @@ class ClusterNetServer:
         # Policy refusals.
         self.hellos_refused = 0
         self.plaintext_rejections = 0
-        # Sealed frames whose tenant envelope named a principal the
-        # handshake did not authenticate (confused-deputy attempts).
-        self.tenant_rejections = 0
         # What the fault plan staged (outbound attacks actually played).
         self.tamper_injections = 0
         self.replay_injections = 0
@@ -469,8 +480,7 @@ class ClusterNetServer:
         if tenancy is not None:
             # Armed front doors only: an unarmed server's ledger keeps its
             # pre-tenancy shape.
-            row["tenancy"] = dict(tenancy.stats())
-            row["tenancy"]["tenant_rejections"] = self.tenant_rejections
+            row["tenancy"] = tenancy.stats()
         return row
 
     # -- per-connection loop ------------------------------------------------------
@@ -507,13 +517,14 @@ class ClusterNetServer:
                 self._begin_stop()
 
     def _open_frame(self, conn: _Connection, payload: bytes) -> tuple:
-        """Handshake, policy, session ``open``, envelopes, decode (lock held).
+        """Handshake, policy, session ``open``, decode (lock held).
 
         Returns ``(batch, replies, keep)``: ``batch`` is the ``(requests,
         deadline, tenant)`` to run, or None when ``replies`` already
         answer the frame; ``keep`` False hangs up after sending them.
         """
         session = conn.session
+        deadline = tenant = None
         if payload.startswith(protocol.V2_MAGIC):
             if session is None or (
                     len(payload) > 3
@@ -530,34 +541,25 @@ class ClusterNetServer:
             plain = self._open_session_frame(payload, session)
             if plain is None:
                 return _REJECT_AND_CLOSE  # alarm raised; under attack
+            # The principal is the one the handshake authenticated; the
+            # budget is the header field open() just verified the MAC over.
+            tenant = session.tenant
+            if payload[3] & protocol.FLAG_DEADLINE:
+                deadline = Deadline.from_budget_ms(
+                    protocol.V2_BUDGET.unpack_from(
+                        payload, protocol.V2_HEADER.size)[0])
         else:
-            # v1 plaintext payload.
-            if session is not None or self.security == "required":
-                # Plaintext mid-session is a downgrade attempt;
-                # plaintext on a v2-only front door is policy.
+            # v1 plaintext payload: anonymous, no budget.
+            if session is not None or self._plaintext_refused:
+                # Plaintext mid-session is a downgrade attempt; plaintext
+                # on a v2-only or tenant-authenticated front door is policy.
                 self.plaintext_rejections += 1
                 return _REJECT_AND_CLOSE
             plain = payload
         try:
-            claimed, plain = protocol.split_tenant(plain)
-            budget_ms, plain = protocol.split_deadline(plain)
             requests = protocol.decode_batch(plain)
         except ProtocolError:
             return self._reject_frame(session)
-        if (session is not None and claimed is not None
-                and claimed != session.tenant):
-            # A sealed frame may only claim the principal its handshake
-            # authenticated; anything else (including a claim on a
-            # tenant-less session) is a confused-deputy attempt and is
-            # refused per-frame.
-            self.tenant_rejections += 1
-            return self._reject_frame(session)
-        # v2: the handshake-authenticated identity is authoritative.
-        # v1 plaintext: the claim rides unauthenticated, like
-        # everything else on the priced baseline.
-        tenant = session.tenant if session is not None else claimed
-        deadline = (Deadline.from_budget_ms(budget_ms)
-                    if budget_ms is not None else None)
         return (requests, deadline, tenant), (), True
 
     def _run_batch(
@@ -789,8 +791,9 @@ class ClusterClient:
     Two overload-era bounds sit on top:
 
     * **Deadlines** — ``deadline`` (a default budget in seconds, or a
-      per-call override on every request method) rides each frame as the
-      wire envelope, caps the socket wait, and caps retry *backoff*: a
+      per-call override on every request method) rides each sealed frame
+      in the v2 header (a v1 client's stays local: plaintext carries no
+      budget), caps the socket wait, and caps retry *backoff*: a
       sleep that would overrun the remaining budget raises
       :class:`~repro.errors.DeadlineExceededError` instead of sleeping
       through it, so total attempt wall-time never exceeds the caller's
@@ -804,11 +807,11 @@ class ClusterClient:
       as :class:`~repro.errors.OverloadedError`; a shed *write* comes
       back as the raw OVERLOADED :class:`Response` — never auto-retried.
 
-    ``tenant``/``credential`` make the connection act as that principal:
-    a secure client authenticates it inside the attested handshake
-    (``credential`` is the tenant secret; it defaults to the derivable
-    demo secret when omitted), an insecure client merely claims it per
-    frame.  Every error this client raises is part of the
+    ``tenant``/``credential`` make the connection act as that principal,
+    authenticated inside the attested handshake (``credential`` is the
+    tenant secret; it defaults to the derivable demo secret when
+    omitted) — so they need ``secure=True``: plaintext states no
+    principal.  Every error this client raises is part of the
     :mod:`repro.errors` tree.
     """
 
@@ -843,20 +846,22 @@ class ClusterClient:
         self._backoff = backoff
         self._backoff_cap = backoff_cap
         self._sleep = sleep
-        #: Default per-call deadline budget (seconds); None = no envelope.
+        #: Default per-call deadline budget (seconds); None = no deadline.
         self._deadline = deadline
         #: Shared across this client's reads: bounds retry amplification.
         self.retry_budget = RetryBudget(ratio=retry_ratio)
         if credential is not None and tenant is None:
             raise ConfigurationError(
                 "credential requires a tenant id")
+        if tenant is not None and not secure:
+            raise ConfigurationError(
+                "a tenant is authenticated by the v2 handshake: "
+                "tenant= requires secure=True")
         self._secure = secure
         self._expected_measurement = expected_measurement
         self._crypto = crypto
-        #: The principal this client acts as.  Secure connections bind it
-        #: (with the credential) into the attested handshake; insecure v1
-        #: connections claim it per-frame via the tenant envelope,
-        #: unauthenticated like the rest of the plaintext baseline.
+        #: The principal this client acts as, bound (with the credential)
+        #: into the attested handshake.
         self._tenant = tenant
         self._credential = credential
         self._session: Optional[SecureSession] = None
@@ -937,10 +942,8 @@ class ClusterClient:
                        else None),
             "session_id": (self._session.session_id
                            if self._session is not None else None),
-            # The authenticated principal on a secure connection; the
-            # (unauthenticated) claimed one on a v1 connection.
             "tenant": (self._session.tenant
-                       if self._session is not None else self._tenant),
+                       if self._session is not None else None),
             "handshakes": self.handshakes,
             "handshake_cycles": self._last_handshake_cycles,
             "wire_cycles": self.wire_meter.cycles,
@@ -956,20 +959,13 @@ class ClusterClient:
                    deadline: Optional[Deadline] = None) -> None:
         """Send one protocol payload, sealed when a session is live.
 
-        With a ``deadline``, the *remaining* budget is prefixed as the
-        deadline envelope before sealing, so it rides inside the AEAD
-        frame (MAC-protected) on an encrypted connection.
+        With a ``deadline``, a sealed frame carries the *remaining* budget
+        in its header's deadline field; a v1 frame carries none (the
+        budget still bounds this client's own waits).
         """
-        if deadline is not None:
-            payload = protocol.wrap_deadline(payload, deadline.budget_ms())
-        if self._tenant is not None:
-            # Outermost envelope, so the server peels tenant, then
-            # deadline.  On a secure connection this is belt-and-braces
-            # (the session already carries the authenticated tenant and
-            # the server enforces the match); on v1 it is the claim.
-            payload = protocol.wrap_tenant(payload, self._tenant)
         if self._session is not None:
-            payload = self._session.seal(payload)
+            payload = self._session.seal(
+                payload, None if deadline is None else deadline.budget_ms())
         write_frame(self._sock, payload)
 
     def recv_frame(self) -> bytes:

@@ -11,7 +11,7 @@ model).
 Four primitives, composed by the layers above:
 
 * :class:`Deadline` — a relative remaining-time budget that travels with a
-  request (clients attach it as a wire envelope, the coordinator derives
+  request (clients attach it in the v2 frame header, the coordinator derives
   per-shard RPC deadlines from what is left).
 * :class:`TokenBucket` — the classic rate limiter: refills at ``rate``
   tokens/second up to ``burst``, admits while a token is available.
@@ -54,7 +54,7 @@ class Deadline:
     Deadlines are *budgets*, never absolute timestamps — client and server
     clocks are not assumed synchronized, so what crosses the wire is the
     remaining budget in milliseconds and each hop restarts its own local
-    countdown (:meth:`repro.server.protocol.wrap_deadline`).  The budget
+    countdown (the v2 header's ``FLAG_DEADLINE`` field).  The budget
     can therefore only shrink as it propagates; a malicious client
     inflating it merely wastes its own time.
     """
@@ -73,7 +73,7 @@ class Deadline:
     def from_budget_ms(cls, budget_ms: int,
                        clock: Callable[[], float] = time.monotonic,
                        ) -> "Deadline":
-        """The receiving side of the wire envelope: restart the countdown."""
+        """The receiving side of the deadline field: restart the countdown."""
         return cls(budget_ms / 1000.0, clock=clock)
 
     def remaining(self) -> float:
@@ -84,7 +84,7 @@ class Deadline:
         return self._clock() >= self._expires_at
 
     def budget_ms(self) -> int:
-        """Remaining budget as whole milliseconds for the wire envelope.
+        """Remaining budget as whole milliseconds for the deadline field.
 
         Floors, so the budget monotonically shrinks across hops; a deadline
         with under 1 ms left encodes as 0 and is shed at the next hop.

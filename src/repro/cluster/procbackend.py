@@ -25,9 +25,9 @@ remote-shard RPC vocabulary of :mod:`repro.cluster.remote`:
   the enclave that did the work;
 * metering — every reply piggybacks the enclave meter's full state in
   its binary form, which the parent loads into a local mirror.  Reading
-  ``meter`` issues a sync round-trip while the worker lives and serves
-  the last-merged mirror once it is dead — a killed enclave's accounting
-  stays readable, exactly like an inline crashed shard's meter.
+  ``meter`` reads that mirror and sends nothing; once the worker is dead
+  it holds the last reply's state — a killed enclave's accounting stays
+  readable, exactly like an inline crashed shard's meter.
 
 What stays in the parent: routing (the ring), batching, replica
 orchestration and failover policy, fault schedules, balancer policy,
@@ -279,7 +279,7 @@ class ProcessShard(RemoteShardHandle):
                     if not self._conn.poll(timeout):
                         break
                     rpc.decode_reply(self._conn.recv_bytes(),
-                                     self._meter.mirror)
+                                     self.meter)
             except (ProtocolError, EOFError, OSError):
                 pass
         self._pending = 0

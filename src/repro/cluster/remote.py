@@ -22,9 +22,11 @@ binary form.  This module holds everything both sides share:
 * the proxies — :class:`RemoteServer` (``flush_batch`` plus the
   pipelined ``flush_submit``/``flush_collect`` split the coordinator
   uses, valid because both transports are FIFO per shard),
-  :class:`RemoteStore` (the trusted path: migrations and re-syncs),
-  :class:`RemoteEnclave` and :class:`RemoteMeter` (the absolute-snapshot
-  mirror that keeps metering backend-invariant to the bit).
+  :class:`RemoteStore` (the trusted path: migrations and re-syncs) and
+  :class:`RemoteEnclave`; the handle's ``meter`` is a plain
+  :class:`~repro.sgx.meter.CycleMeter` that every reply's absolute state
+  is loaded into, which keeps metering backend-invariant to the bit and
+  makes reading it free.
 
 Keeping this in one place is what makes the equivalence tests meaningful:
 a new transport only decides *how bytes move*, never what the RPCs mean
@@ -34,14 +36,12 @@ or how cycles are accounted.
 from __future__ import annotations
 
 import os
-from collections import Counter
 from typing import Optional, Tuple
 
 from repro.cluster import rpc
 from repro.cluster.shard import ShardHandle
-from repro.errors import ShardCrashedError
 from repro.sgx.costs import SgxPlatform
-from repro.sgx.meter import CycleMeter, MeterSnapshot
+from repro.sgx.meter import CycleMeter
 
 #: How long a single RPC may go unanswered before the remote enclave is
 #: presumed hung and treated as crashed (CI job timeouts are the outer net).
@@ -128,8 +128,6 @@ _HANDLERS = {
     "len": lambda shard, _: len(shard.store),
     "contains": lambda shard, key: key in shard.store,
     "stats": lambda shard, _: shard.stats(),
-    # the reply's piggybacked meter is the whole point
-    "sync": lambda shard, _: None,
     "retarget_quotas":
         lambda shard, quotas: shard.store.retarget_tenant_quotas(quotas),
     "plant_corruption": _plant_corruption,
@@ -166,7 +164,13 @@ class RemoteShardHandle(ShardHandle):
         self.ops_routed = 0
         self._pending = 0  # pipelined flushes submitted but not collected
         self._stats_cache: Optional[dict] = None
-        self._meter = RemoteMeter(self)
+        #: Mirror of the remote enclave's meter: every reply carries the
+        #: meter's full state and :meth:`_settle` loads it wholesale
+        #: (absolute, so no float drift accumulates over the transport).
+        #: The enclave works only inside an RPC from this handle, so the
+        #: mirror is current between calls; after a kill or behind a
+        #: partition it is the last state the remote reported.
+        self.meter = CycleMeter()
         self._info: dict = {}
         self.epc_bytes = 0
 
@@ -187,7 +191,7 @@ class RemoteShardHandle(ShardHandle):
 
     def _settle(self, reply: bytes):
         """Fold a reply's meter into the mirror; its payload, or raise."""
-        ok, payload = rpc.decode_reply(reply, self._meter.mirror)
+        ok, payload = rpc.decode_reply(reply, self.meter)
         if not ok:
             raise payload
         return payload
@@ -210,10 +214,6 @@ class RemoteShardHandle(ShardHandle):
     @property
     def server(self) -> "RemoteServer":
         return self._server
-
-    @property
-    def meter(self) -> "RemoteMeter":
-        return self._meter
 
     def stats(self) -> dict:
         if self.crashed or self.closed or self.partitioned:
@@ -348,45 +348,5 @@ class RemoteEnclave:
         )
 
     @property
-    def meter(self) -> "RemoteMeter":
-        return self._handle._meter
-
-
-class RemoteMeter:
-    """Parent-side mirror of the remote enclave's :class:`CycleMeter`.
-
-    Every RPC reply carries the meter's full state, which
-    :func:`repro.cluster.rpc.decode_reply` loads into ``mirror`` wholesale
-    (absolute state, so no float drift can accumulate over the
-    transport); explicit reads issue a cheap ``sync``
-    round-trip while the remote is reachable.  After a kill — or behind a
-    partition — the mirror serves the last state the remote reported.
-    """
-
-    def __init__(self, handle: RemoteShardHandle):
-        self._handle = handle
-        self.mirror = CycleMeter()
-
-    def _sync(self) -> None:
-        handle = self._handle
-        if handle.crashed or handle.closed or handle._pending \
-                or handle.partitioned:
-            return
-        try:
-            handle._call("sync")
-        except ShardCrashedError:
-            pass  # serve the mirror as of the last successful reply
-
-    @property
-    def cycles(self) -> float:
-        self._sync()
-        return self.mirror.cycles
-
-    @property
-    def events(self) -> Counter:
-        self._sync()
-        return Counter(self.mirror.events)
-
-    def snapshot(self) -> MeterSnapshot:
-        self._sync()
-        return self.mirror.snapshot()
+    def meter(self) -> CycleMeter:
+        return self._handle.meter

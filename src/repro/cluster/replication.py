@@ -630,8 +630,8 @@ class _GroupMeter:
         return self.snapshot().events
 
     def snapshot(self) -> MeterSnapshot:
-        # One snapshot per replica (a single RPC each for process-backed
-        # shards), merged via the meter's own serialization-friendly path.
+        # One snapshot per replica (a local read, whatever backs it),
+        # merged via the meter's own serialization-friendly path.
         snaps = [m.snapshot() for m in self._meters()]
         merged = CycleMeter()
         for snap in snaps:

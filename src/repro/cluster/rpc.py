@@ -365,7 +365,6 @@ COMMANDS = {
     "len": (NONE, COUNT),
     "contains": (BLOB, COUNT),
     "stats": (NONE, ROW),
-    "sync": (NONE, NONE),
     "retarget_quotas": (QUOTAS, NONE),
     "plant_corruption": (BLOB, COUNT),
     "corrupt_in_place": (BLOB, NONE),

@@ -56,8 +56,8 @@ connection and replay-proof; and because the transcript hash covers the
 *whole* client hello frame, the quote the server returns attests the
 tenant claim too — a handshake whose tenant block was tampered with
 derives desynchronized keys and fails.  The authenticated tenant id is
-pinned on the resulting :class:`SecureSession` (``session.tenant``), and
-the front door rejects sealed frames whose claimed tenant differs.
+pinned on the resulting :class:`SecureSession` (``session.tenant``) —
+the only place a principal is ever stated: no frame names one.
 """
 
 from __future__ import annotations
@@ -80,9 +80,11 @@ from repro.errors import (
 )
 from repro.server import protocol
 from repro.server.protocol import (
+    FLAG_DEADLINE,
     FLAG_FROM_SERVER,
     FLAG_HANDSHAKE,
     KNOWN_FLAGS,
+    V2_BUDGET,
     V2_HEADER,
     V2_MAGIC,
     WIRE_V2,
@@ -121,6 +123,7 @@ _SERVER_HELLO = struct.Struct("<4sB16sQ")      # magic, version, nonce, sid
 _QUOTE_LEN = struct.Struct("<H")
 _NONCE = struct.Struct("<QQ")
 _HEADER_SIZE = V2_HEADER.size
+_BUDGET_END = _HEADER_SIZE + V2_BUDGET.size
 
 #: The simulated attestation authority's root key.  Real SGX: the quoting
 #: enclave's fused key / Intel's verification service.  Simulation: a
@@ -254,14 +257,24 @@ class SecureSession:
     def cipher(self) -> str:
         return f"{self._crypto.name}/aes-ctr+cmac"
 
-    def seal(self, payload: bytes) -> bytes:
-        """Encrypt + authenticate one outgoing frame payload."""
+    def seal(self, payload: bytes, budget_ms: Optional[int] = None) -> bytes:
+        """Encrypt + authenticate one outgoing frame payload.
+
+        ``budget_ms`` (the sender's remaining deadline, 0 up to
+        :data:`~repro.server.protocol.MAX_DEADLINE_MS`) rides as the
+        header's deadline field, in the clear and under the MAC.
+        """
+        flags = self._send_flags
+        budget = b""
+        if budget_ms is not None:
+            flags |= FLAG_DEADLINE
+            budget = protocol.pack_budget(budget_ms)
         seq = self._send_seq = self._send_seq + 1
         session_id = self.session_id
         keys = self._send_keys
         sealed = V2_HEADER.pack(
-            V2_MAGIC, WIRE_V2, self._send_flags, session_id, seq
-        ) + self._crypto.encrypt(
+            V2_MAGIC, WIRE_V2, flags, session_id, seq
+        ) + budget + self._crypto.encrypt(
             keys.encryption_key, _NONCE.pack(session_id, seq), payload)
         tag = self._crypto.mac(keys.mac_key, sealed)
         self.meter.charge_event(
@@ -275,7 +288,9 @@ class SecureSession:
         """Verify + decrypt one incoming frame payload; typed errors only.
 
         Refusals, first match wins: plaintext, truncated, version, flags,
-        handshake, stale session, short tag, MAC, direction, replay.
+        handshake, stale session, short tag, MAC, direction, replay.  A
+        deadline field is skipped (the receiver that wants it reads it off
+        the frame this call authenticated).
         """
         if frame[:2] != V2_MAGIC:
             raise TamperedFrameError(
@@ -294,7 +309,8 @@ class SecureSession:
                 f"frame under session {session_id}, but this channel "
                 f"is session {self.session_id}"
             )
-        if len(frame) < _HEADER_SIZE + MAC_SIZE:
+        body_at = _BUDGET_END if flags & FLAG_DEADLINE else _HEADER_SIZE
+        if len(frame) < body_at + MAC_SIZE:
             raise TamperedFrameError("frame too short to carry a tag")
         # The MAC covers the header as received (= as re-encoded).
         sealed = frame[:-MAC_SIZE]
@@ -308,7 +324,7 @@ class SecureSession:
             )
         # Only authenticated headers reach the replay / direction checks:
         # a forged seq or flipped direction bit already failed the MAC.
-        if flags != self._send_flags ^ FLAG_FROM_SERVER:
+        if flags & ~FLAG_DEADLINE != self._send_flags ^ FLAG_FROM_SERVER:
             raise TamperedFrameError("reflected frame (direction bit)")
         if seq <= self._recv_seq:
             raise ReplayError(
@@ -316,7 +332,7 @@ class SecureSession:
                 f"{self._recv_seq} on session {self.session_id}"
             )
         self._recv_seq = seq
-        ciphertext = sealed[_HEADER_SIZE:]
+        ciphertext = sealed[body_at:]
         self.meter.charge_event(
             "wire_enc", self._costs.enc_cost(len(ciphertext)))
         self.frames_opened += 1

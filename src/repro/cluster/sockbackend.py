@@ -577,7 +577,7 @@ class SocketShard(RemoteShardHandle):
             kind = "replay" if isinstance(exc, ReplayError) else "tamper"
             raise self._compromised(kind, f"{kind}ed frame", exc) from exc
         try:
-            ok, payload = rpc.decode_reply(reply, self._meter.mirror)
+            ok, payload = rpc.decode_reply(reply, self.meter)
         except ProtocolError as exc:
             # Authentic, in sequence, and no reply: whatever holds the
             # session key on the far side is not speaking the RPC.

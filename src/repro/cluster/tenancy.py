@@ -59,8 +59,8 @@ __all__ = [
     "tenant_token",
 ]
 
-#: Wire bound on a tenant id (hello block and tenant envelope both carry
-#: a 1-byte length, but ids are kept far smaller than 255 on purpose).
+#: Wire bound on a tenant id (the hello block carries a 1-byte length,
+#: but ids are kept far smaller than 255 on purpose).
 MAX_TENANT_ID_BYTES = 64
 #: Credential MAC length (the crypto backend's CMAC).
 CREDENTIAL_BYTES = 16

@@ -365,8 +365,9 @@ class TestServe:
         server = serve(small(tenancy=tenancy), security="plaintext")
         try:
             host, port = server.server.address
-            with ClusterClient.connect(host, port, secure=False,
-                                       tenant="acme") as client:
+            assert server.server.sessions is None
+            # Plaintext states no principal: the client is anonymous.
+            with ClusterClient.connect(host, port, secure=False) as client:
                 assert client.put(b"k", b"v").status == STATUS_OK
         finally:
             server.close()

@@ -495,7 +495,7 @@ class TestUnstressedEquivalence:
         assert armed_cycles == plain_cycles  # bit-identical, not "close"
 
 
-# -- over the wire: envelope, front-door shedding, the in-flight cap --------------
+# -- over the wire: deadline field, front-door shedding, the in-flight cap --------
 
 
 class TestWireOverload:
@@ -510,8 +510,9 @@ class TestWireOverload:
 
     def test_client_deadline_envelope_end_to_end(self, overloaded_server):
         _, host, port = overloaded_server
-        # Secure (v2, envelope inside the AEAD frame) and insecure (v1,
-        # plaintext envelope) clients both make the round trip in budget.
+        # A secure client's budget rides the v2 header; an insecure one's
+        # only bounds its own waits (plaintext carries none).  Both make
+        # the round trip in budget.
         for secure in (True, False):
             with ClusterClient.connect(host, port, secure=secure,
                                        deadline=2.0) as client:
@@ -523,9 +524,9 @@ class TestWireOverload:
     def test_spent_budget_is_shed_at_the_front_door(self, overloaded_server):
         server, host, port = overloaded_server
         with ClusterClient.connect(host, port) as client:
-            raw = protocol.wrap_deadline(
-                protocol.encode_batch([protocol.get(b"key-0001")]), 0)
-            client.send_frame(raw)
+            client.send_frame(
+                protocol.encode_batch([protocol.get(b"key-0001")]),
+                Deadline(0.0))
             [r] = protocol.decode_batch_responses(client.recv_frame(),
                                                   expected=1)
         assert r.status == STATUS_OVERLOADED
@@ -535,6 +536,26 @@ class TestWireOverload:
         assert overload["deadline_shed_frames"] == 1
         assert overload["frames_shed"] == 1
         assert overload["requests_shed"] == 1
+
+    def test_old_envelope_bytes_are_an_over_cap_batch(
+            self, overloaded_server):
+        """What opened a deadline (``F7 FF``) or tenant (``F6 FF``) envelope
+        is, on a v1 connection and inside a sealed frame alike, a batch
+        count past the cap: the whole frame is refused, the connection and
+        its later frames are not, and nothing is shed or executed."""
+        server, host, port = overloaded_server
+        batch = protocol.encode_batch([protocol.put(b"key-0001", b"no")])
+        for secure in (False, True):
+            with ClusterClient.connect(host, port, secure=secure) as client:
+                for lead in (b"\xf7\xff\x00\x00\x00\x00",
+                             b"\xf6\xff\x05whale"):
+                    client.send_frame(lead + batch)
+                    assert protocol.is_batch_rejection(
+                        protocol.decode_batch_responses(client.recv_frame()))
+                assert client.get(b"key-0001").value != b"no"
+        overload = server.server.wire_stats()["overload"]
+        assert overload["frames_shed"] == 0
+        assert overload["deadline_shed_frames"] == 0
 
     def test_inflight_cap_holds_under_concurrent_clients(
             self, overloaded_server):

@@ -147,7 +147,6 @@ VALUES = {
     "len": (st.none(), st.integers(-(1 << 63), (1 << 63) - 1)),
     "contains": (blobs, st.booleans()),
     "stats": (st.none(), rows),
-    "sync": (st.none(), st.none()),
     "retarget_quotas": (quotas, st.none()),
     "plant_corruption": (blobs, st.booleans()),
     "corrupt_in_place": (blobs, st.none()),
@@ -168,7 +167,7 @@ meters = st.builds(
 
 def test_every_command_has_a_round_trip_strategy_and_a_handler():
     assert set(VALUES) == set(rpc.COMMANDS)
-    assert len(rpc.COMMANDS) == 17
+    assert len(rpc.COMMANDS) == 16
     assert set(remote._HANDLERS) | {"spawn", "attach", "shutdown", "kill"} \
         == set(rpc.COMMANDS)
 
@@ -338,7 +337,7 @@ def _sample_messages():
     decode_reply = lambda data: rpc.decode_reply(data, CycleMeter())  # noqa: E731
     messages += [(decode_reply, rpc.encode_reply(*reply, meter))
                  for reply in replies]
-    messages.append((decode_reply, rpc.encode_reply("sync", True, None)))
+    messages.append((decode_reply, rpc.encode_reply("shutdown", True, None)))
     return messages
 
 
@@ -405,8 +404,8 @@ def test_a_count_that_overruns_the_buffer_is_refused():
 
 
 def test_unknown_command_class_index_and_field_are_refused():
-    with pytest.raises(ProtocolError, match="unknown command 17"):
-        rpc.decode_call(_resealed(b"\x11"))
+    with pytest.raises(ProtocolError, match="unknown command 16"):
+        rpc.decode_call(_resealed(b"\x10"))
     with pytest.raises(ProtocolError, match="unknown command"):
         rpc.decode_reply(_resealed(b"\x01\xff\x00"), CycleMeter())
 

@@ -24,6 +24,7 @@ What the distributed deployment must prove, roughly bottom-up:
    wire attack on the hop, with zero acknowledged writes lost.
 """
 
+import json
 import multiprocessing
 import os
 from collections import Counter
@@ -187,6 +188,43 @@ class TestEquivalence:
             assert events.get("wire_mac", 0) == 0
         finally:
             shard.close()
+
+    def test_reading_a_remote_meter_seals_nothing(self):
+        """A meter read is a read: the mirror every reply refreshed, with no
+        round trip — so observing the hop does not move the hop's counters
+        (a ``sync`` RPC per read once did, 484 -> 493 cycles per op)."""
+        coordinator = ClusterConfig(
+            n_shards=2, n_keys=256, scale=2048, workers=2,
+            backend=SocketBackend(n_hosts=2, seed=52)).build()
+        try:
+            coordinator.load((b"key-%03d" % i, b"v") for i in range(64))
+            shards = coordinator.shard_list()
+            stats = coordinator.stats()  # opens its window here
+            batch = [protocol.put(b"key-%03d" % i, b"w") for i in range(16)]
+            assert all(r.status == STATUS_OK
+                       for r in coordinator.execute(batch))
+
+            def sealed():
+                return [shard.wire_meter.events["wire_mac"]
+                        for shard in shards]
+
+            before = sealed()
+            for shard in shards:
+                assert type(shard.meter) is CycleMeter
+                assert shard.meter.cycles > 0
+                assert shard.meter.events["op_put"] > 0
+                assert shard.meter.snapshot().cycles == shard.meter.cycles
+                assert shard.load_since_mark() > 0
+            health = json.loads(coordinator.health_response().value)
+            assert set(health["batchexec"]) == {s.shard_id for s in shards}
+            assert stats.total_ops() == 16 and stats.cycles_max() > 0
+            assert sealed() == before
+            # The report's per-shard rows are real ``stats`` RPCs: one
+            # sealed call and one opened reply a shard, and nothing else.
+            stats.report()
+            assert sealed() == [n + 2 for n in before]
+        finally:
+            coordinator.close()
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,8 @@
 ``test_tenant_partition.py`` proves the primitives below the cluster
 (prefix algebra, cache partition bookkeeping, one partitioned store);
 this module proves the *wired* behaviour on the inline, process, and
-socket shard backends: tenant-authenticated handshakes, per-frame
-envelope enforcement, per-tenant admission with tenant-correct
+socket shard backends: tenant-authenticated handshakes as the only way
+to state a principal, per-tenant admission with tenant-correct
 ``retry_after`` hints, the whale-and-minnows fairness gauntlet (the T1
 acceptance bar), and the two identity checks — armed-but-idle tenancy is
 bit-identical to an unarmed cluster, and simulated cycles are
@@ -14,6 +14,7 @@ on an injected clock and workloads come from seeded RNGs.
 
 import json
 import random
+import socket
 
 import pytest
 
@@ -24,8 +25,14 @@ from repro.cluster import (
     TenantConfig,
     serve,
 )
-from repro.cluster.framing import write_frame
-from repro.errors import HandshakeError
+from repro.cluster.framing import read_frame, write_frame
+from repro.cluster.tenancy import tenant_prefix
+from repro.errors import (
+    BatchRejectedError,
+    ClusterConnectionError,
+    ConfigurationError,
+    HandshakeError,
+)
 from repro.server import protocol
 from repro.server.protocol import STATUS_NOT_FOUND, STATUS_OK, STATUS_OVERLOADED
 
@@ -119,45 +126,142 @@ class TestTenantHandshake:
     def test_forged_claim_on_anonymous_session_is_rejected(
             self, tenant_server):
         host, port = tenant_server.server.address
+        self.seed_whale(host, port)
         with ClusterClient.connect(host, port) as client:
-            # A sealed frame claiming a tenant the handshake never
-            # authenticated is a confused-deputy attempt.
-            client.send_frame(protocol.wrap_tenant(
-                protocol.encode_batch([protocol.put(b"k", b"forged")]),
-                "whale"))
+            # No frame can name a principal: what used to be a tenant
+            # envelope is an over-cap batch count, refused whole.
+            client.send_frame(old_tenant_envelope(
+                "whale", [protocol.put(b"k", b"forged")]))
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(client.recv_frame()))
-            # The refusal is per-frame: the session keeps serving.
+            # The refusal is per-frame: the session keeps serving,
+            # anonymously.
             assert client.get(b"k").status == STATUS_NOT_FOUND
-        stats = tenant_server.server.wire_stats()
-        assert stats["tenancy"]["tenant_rejections"] == 1
+            assert client.session_info()["tenant"] is None
         with ClusterClient.connect(host, port, tenant="whale") as whale:
-            assert whale.get(b"k").status == STATUS_NOT_FOUND
+            assert whale.get(b"k").value == b"whale-data"
 
     def test_cross_tenant_claim_on_authenticated_session_is_rejected(
             self, tenant_server):
         host, port = tenant_server.server.address
+        self.seed_whale(host, port)
         with ClusterClient.connect(host, port, tenant="minnow") as minnow:
-            sealed = minnow._session.seal(protocol.wrap_tenant(
-                protocol.encode_batch([protocol.put(b"k", b"forged")]),
-                "whale"))
+            sealed = minnow._session.seal(old_tenant_envelope(
+                "whale", [protocol.put(b"k", b"forged")]))
             write_frame(minnow._sock, sealed)
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(minnow.recv_frame()))
-        assert tenant_server.server.wire_stats()[
-            "tenancy"]["tenant_rejections"] == 1
+            # Still the minnow, on the same session.
+            assert minnow.get(b"k").status == STATUS_NOT_FOUND
+            assert minnow.session_info()["tenant"] == "minnow"
         with ClusterClient.connect(host, port, tenant="whale") as whale:
-            assert whale.get(b"k").status == STATUS_NOT_FOUND
+            assert whale.get(b"k").value == b"whale-data"
 
-    def test_v1_plaintext_claim_shares_the_namespace(self, tenant_server):
-        # On the (unauthenticated) priced baseline the envelope claim is
-        # honored as-is — same namespace, no proof, like everything v1.
-        host, port = tenant_server.server.address
-        with ClusterClient.connect(host, port, secure=False,
-                                   tenant="minnow") as v1:
-            assert v1.put(b"legacy", b"from-v1").status == STATUS_OK
-        with ClusterClient.connect(host, port, tenant="minnow") as v2:
-            assert v2.get(b"legacy").value == b"from-v1"
+    @staticmethod
+    def seed_whale(host, port):
+        with ClusterClient.connect(host, port, tenant="whale") as whale:
+            assert whale.put(b"k", b"whale-data").status == STATUS_OK
+
+
+def old_tenant_envelope(tenant_id, requests):
+    """The deleted in-payload claim: ``F6 FF | t_len | tenant_id | batch``."""
+    raw = tenant_id.encode()
+    return b"\xf6\xff" + bytes([len(raw)]) + raw \
+        + protocol.encode_batch(requests)
+
+
+# -- a principal is only what a handshake authenticated ---------------------------
+
+
+class TestNoPrincipalWithoutAHandshake:
+    """Three ways a frame could once act as a tenant it never proved to
+    be; each probe was answered ``OK b"whale-data"`` before it was closed."""
+
+    @staticmethod
+    def serving(require_auth):
+        server = serve(base_config(roster(require_auth=require_auth)))
+        try:
+            host, port = server.server.address
+            with ClusterClient.connect(host, port, tenant="whale") as whale:
+                assert whale.put(b"secret", b"whale-data").status == \
+                    STATUS_OK
+            yield server, host, port
+        finally:
+            server.close()
+
+    @pytest.fixture()
+    def door(self, cluster_backend):
+        yield from self.serving(require_auth=False)
+
+    @pytest.fixture()
+    def strict_door(self, cluster_backend):
+        yield from self.serving(require_auth=True)
+
+    def test_a_plaintext_client_cannot_name_a_tenant(self, strict_door):
+        server, host, port = strict_door
+        with pytest.raises(ConfigurationError, match="secure=True"):
+            ClusterClient.connect(host, port, secure=False, tenant="whale")
+        # And the bytes such a client used to send buy nothing.
+        with socket.create_connection((host, port), timeout=5.0) as sock:
+            write_frame(sock, old_tenant_envelope(
+                "whale", [protocol.get(b"secret")]))
+            assert read_frame(sock) == protocol.BATCH_REJECTION
+            assert sock.recv(1) == b""  # refused by policy: hung up
+
+    @pytest.mark.parametrize("secure", [True, False], ids=["v2", "v1"])
+    def test_an_anonymous_key_cannot_spell_a_tenant_prefix(self, door,
+                                                           secure):
+        server, host, port = door
+        coordinator = server.server.coordinator
+        crafted = tenant_prefix("whale") + b"secret"
+        routed = coordinator.ops_routed, [
+            shard.ops_routed for shard in coordinator.shard_list()]
+        with ClusterClient.connect(host, port, secure=secure) as anon:
+            responses = anon.request_batch([
+                protocol.get(crafted), protocol.put(crafted, b"forged"),
+                protocol.delete(crafted), protocol.put(b"mine", b"ok"),
+                # Looks like a prefix, names nobody on the roster.
+                protocol.put(tenant_prefix("stranger") + b"x", b"ok"),
+            ])
+        assert [r.status for r in responses] == \
+            [STATUS_OVERLOADED] * 3 + [STATUS_OK] * 2
+        for shed in responses[:3]:
+            assert protocol.retry_after_hint(shed) == 0.0
+            assert protocol.overload_reason(shed) == \
+                b"tenant namespace, no principal"
+        # Typed, counted, never routed to a shard.
+        assert coordinator.tenancy.stats()["unknown_shed"] == 3
+        assert coordinator.ops_routed == routed[0] + 5
+        assert sum(s.ops_routed for s in coordinator.shard_list()) == \
+            sum(routed[1]) + 2
+        with ClusterClient.connect(host, port, tenant="whale") as whale:
+            assert whale.get(b"secret").value == b"whale-data"
+
+    def test_require_auth_refuses_plaintext_frames(self, strict_door):
+        server, host, port = strict_door
+        batch = [protocol.get(b"anything"), protocol.get(b"at all")]
+        with ClusterClient.connect(host, port, secure=False) as v1:
+            with pytest.raises(BatchRejectedError):
+                v1.request_batch(batch)
+            with pytest.raises((ClusterConnectionError, OSError)):
+                v1.request_batch(batch)  # and the door hung up
+        stats = server.server.wire_stats()
+        assert stats["plaintext_rejections"] == 1
+        assert stats["security"] == "optional"
+
+    def test_require_auth_on_a_plaintext_only_door_is_refused(
+            self, cluster_backend):
+        with pytest.raises(ConfigurationError, match="no principal"):
+            serve(base_config(roster(require_auth=True)),
+                  security="plaintext")
+        # Without require_auth the priced v1 baseline is still on offer.
+        server = serve(base_config(roster()), security="plaintext")
+        try:
+            host, port = server.server.address
+            with ClusterClient.connect(host, port, secure=False) as v1:
+                assert v1.put(b"k", b"v").status == STATUS_OK
+        finally:
+            server.close()
 
 
 # -- per-tenant admission at the coordinator --------------------------------------

@@ -39,7 +39,7 @@ from repro.cluster import (
     TenantConfig,
     serve,
 )
-from repro.cluster.remote import RemoteMeter
+from repro.cluster.remote import RemoteShardHandle
 from repro.cluster.replication import ReplicaState
 from repro.cluster.sockbackend import ShardHost
 from repro.core import restore_store, seal_store
@@ -236,10 +236,10 @@ def _live_meters(coordinator, hosts):
         for replica in group.replicas:
             handle = replica.shard.inner
             label = handle.shard_id
-            if not isinstance(handle.meter, RemoteMeter):
+            if not isinstance(handle, RemoteShardHandle):
                 yield from _shard_meters(label, handle)
                 continue
-            yield f"{label} mirror", handle.meter.mirror
+            yield f"{label} mirror", handle.meter
             if isinstance(handle, SocketShard):
                 yield f"{label} hop wire", handle.wire_meter
                 yield f"{label} hop session", handle._session.meter
@@ -327,11 +327,8 @@ def test_every_live_meter_of_an_armed_cluster_holds_the_ledger(backend):
                     r.shard.meter.snapshot().events["op_put"]
                     for r in group.replicas)
                 for replica in group.replicas:
-                    meter = replica.shard.meter  # live, or a RemoteMeter
+                    meter = replica.shard.meter  # live, or a mirror
                     assert type(meter.snapshot().events) is Counter
-                    if isinstance(meter, RemoteMeter):
-                        assert type(meter.events) is Counter
-                        assert meter.events == meter.mirror.events
                 assert type(stats._delta(group).events) is Counter
             for baseline in stats._baselines.values():
                 assert type(baseline.events) is Counter

@@ -376,12 +376,16 @@ class TestLifecycle:
 # Captured at the parent of the commit that took the event loop out of the
 # front door (one blocking reader per connection): the same seeded stream
 # must produce the same responses, simulated cycles and security ledger.
+# One number was re-recorded since: when the deadline moved from an envelope
+# inside the payload to the v2 header, the stream's three spent-budget
+# frames each shed 6 encrypted and 2 MAC'd bytes, 23 gateway cycles a frame
+# (15,494,946 -> 15,494,877); digest, shard cycles and every counter held.
 
 PARENT_STREAM = {
     "digest":
         "1f4f6b58fcbd7eb88c73a50614c6f4a822f5fd542c7fb12182db42ea364b0d76",
     "shard_cycles": [2911753.5, 2529047.75],
-    "gateway_cycles": 15494946.0,
+    "gateway_cycles": 15494877.0,
     "wire_stats": {
         "security": "optional",
         "tamper_alarms": 0,
@@ -409,7 +413,7 @@ PARENT_STREAM = {
             "active_sessions": 1,
             "retired_sessions": 3,
             "cipher": "fast/aes-ctr+cmac",
-            "cycles": 15494946.0,
+            "cycles": 15494877.0,
             "events": {"wire_kex": 8, "wire_quote": 4,
                        "wire_enc": 399, "wire_mac": 399},
         },
@@ -424,6 +428,7 @@ def drive_seeded_stream(n_frames=200, seed=1809):
     import random
 
     from repro.cluster import FaultPlan, SessionManager
+    from repro.cluster.overload import Deadline
     from repro.errors import AriaError
 
     rng = random.Random(seed)
@@ -450,12 +455,13 @@ def drive_seeded_stream(n_frames=200, seed=1809):
                     else:
                         batch.append(protocol.delete(key))
                 payload = protocol.encode_batch(batch)
+                spent = None
                 if i % 37 == 36:
                     payload = b"\xff\xff not a batch %d" % i
                 elif i % 53 == 52:
-                    payload = protocol.wrap_deadline(payload, 0)
+                    spent = Deadline(0.0)
                 try:
-                    client.send_frame(payload)
+                    client.send_frame(payload, spent)
                     digest.update(client.recv_frame())
                 except AriaError as exc:
                     digest.update(type(exc).__name__.encode())

@@ -5,8 +5,8 @@ and :class:`CircuitBreaker` through their state machines; hypothesis pins
 the token bucket's two admission invariants (never above rate, recovers
 after a burst) and the retry budget's amplification bound.  The protocol
 half round-trips every ``Status``/``OpCode`` — including the new
-``STATUS_OVERLOADED`` with its ``retry_after`` payload — and the deadline
-envelope against both plain and pre-overload peers.
+``STATUS_OVERLOADED`` with its ``retry_after`` payload — and the v2
+header's deadline field.
 """
 
 import pytest
@@ -22,11 +22,15 @@ from repro.cluster.overload import (
     RetryBudget,
     TokenBucket,
 )
+from repro.cluster.session import ClientHandshake, SessionManager
+from repro.crypto.backend import MAC_SIZE
 from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
+    HandshakeError,
     OverloadedError,
     ProtocolError,
+    TamperedFrameError,
 )
 from repro.server import protocol
 from repro.server.protocol import OpCode, Request, Response, Status
@@ -356,67 +360,144 @@ class TestStatusRoundTrips:
             protocol.retry_after_hint(Response(Status.OVERLOADED, b"\x00"))
 
 
+def _session_pair():
+    """A handshaken (client, server) pair of sessions, no sockets."""
+    manager = SessionManager()
+    handshake = ClientHandshake()
+    reply, server = manager.accept(handshake.hello())
+    return handshake.finish(reply), server
+
+
+#: What the deleted in-payload envelopes opened with (deadline, tenant).
+_OLD_SENTINELS = (b"\xf7\xff", b"\xf6\xff")
+
+
 class TestDeadlineEnvelope:
+    """The deadline's wire form: ``FLAG_DEADLINE`` + a ``u32 budget_ms``
+    between the v2 header and the ciphertext, under the frame's MAC.  (It
+    was a sentinel envelope inside the payload; the class and some test
+    names date from then.)"""
+
+    BATCH = protocol.encode_batch([protocol.get(b"k"),
+                                   protocol.put(b"k", b"v")])
+
     def test_round_trip_over_a_batch(self):
-        batch = protocol.encode_batch([protocol.get(b"k"),
-                                       protocol.put(b"k", b"v")])
-        budget_ms, payload = protocol.split_deadline(
-            protocol.wrap_deadline(batch, 1500))
-        assert budget_ms == 1500
-        assert payload == batch
-        assert protocol.decode_batch(payload)[0] == protocol.get(b"k")
+        client, server = _session_pair()
+        frame = client.seal(self.BATCH, budget_ms=1500)
+        header, body = protocol.decode_frame(frame)
+        assert header.flags == protocol.FLAG_DEADLINE
+        assert header.budget_ms == 1500
+        assert header.encode() + body == frame
+        assert len(body) == len(self.BATCH) + MAC_SIZE
+        plain = server.open(frame)
+        assert plain == self.BATCH
+        assert protocol.decode_batch(plain)[0] == protocol.get(b"k")
 
     def test_plain_batch_passes_through_untouched(self):
-        """Pre-overload peers never see the envelope — and never break."""
-        batch = protocol.encode_batch([protocol.get(b"k")])
-        budget_ms, payload = protocol.split_deadline(batch)
-        assert budget_ms is None
-        assert payload is batch
+        """No deadline, no field: the frame every pre-deadline peer sent."""
+        client, server = _session_pair()
+        frame = client.seal(self.BATCH)
+        header, body = protocol.decode_frame(frame)
+        assert header.flags == 0 and header.budget_ms is None
+        assert len(frame) == protocol.V2_HEADER.size + len(self.BATCH) \
+            + MAC_SIZE
+        assert server.open(frame) == self.BATCH
 
     def test_sentinel_cannot_be_a_batch_count(self):
-        assert protocol.DEADLINE_SENTINEL > protocol.MAX_BATCH_COUNT
+        """A v1 payload opening with an old sentinel is nothing but a batch
+        whose count is over the cap: refused whole."""
+        for lead in _OLD_SENTINELS:
+            with pytest.raises(ProtocolError, match="batch count 655"):
+                protocol.decode_batch(lead + b"\x05\x00\x00\x00" + self.BATCH)
 
     def test_sentinel_cannot_be_v2_magic(self):
-        import struct
+        """...and it is a v1 payload: nothing parses a header out of it."""
+        for lead in _OLD_SENTINELS:
+            payload = lead + self.BATCH
+            assert protocol.decode_frame(payload) == \
+                (protocol.FrameHeader(), payload)
 
-        lead = struct.pack("<H", protocol.DEADLINE_SENTINEL)
-        assert not lead.startswith(protocol.V2_MAGIC)
+    @pytest.mark.parametrize("budget_ms", [1, protocol.MAX_DEADLINE_MS])
+    def test_bounds_encode(self, budget_ms):
+        client, server = _session_pair()
+        frame = client.seal(b"x", budget_ms)
+        assert protocol.decode_frame(frame)[0].budget_ms == budget_ms
+        assert server.open(frame) == b"x"
 
     def test_zero_budget_encodes(self):
-        budget_ms, _ = protocol.split_deadline(
-            protocol.wrap_deadline(b"x", 0))
-        assert budget_ms == 0
+        client, _ = _session_pair()
+        frame = client.seal(b"x", 0)
+        assert protocol.decode_frame(frame)[0].budget_ms == 0
+        assert frame[protocol.V2_HEADER.size:][:4] == b"\x00" * 4
 
     def test_negative_budget_clamps_to_zero(self):
-        budget_ms, _ = protocol.split_deadline(
-            protocol.wrap_deadline(b"x", -5))
-        assert budget_ms == 0
+        """An overdue deadline has 0 ms left, never a negative budget."""
+        clock = FakeClock()
+        deadline = Deadline(0.25, clock=clock)
+        clock.advance(5.0)
+        client, _ = _session_pair()
+        frame = client.seal(b"x", deadline.budget_ms())
+        assert protocol.decode_frame(frame)[0].budget_ms == 0
 
     def test_oversized_budget_rejected(self):
+        client, server = _session_pair()
+        for budget_ms in (protocol.MAX_DEADLINE_MS + 1, -1):
+            with pytest.raises(ProtocolError, match="deadline budget"):
+                client.seal(b"x", budget_ms)
+        # A refused seal spent no sequence number.
+        assert protocol.decode_frame(client.seal(b"x"))[0].seq == 1
         with pytest.raises(ProtocolError):
-            protocol.wrap_deadline(b"x", protocol.MAX_DEADLINE_MS + 1)
+            protocol.FrameHeader(
+                version=protocol.WIRE_V2, flags=protocol.FLAG_DEADLINE,
+                budget_ms=protocol.MAX_DEADLINE_MS + 1).encode()
 
     def test_truncated_envelope_rejected(self):
-        import struct
-
-        lead = struct.pack("<H", protocol.DEADLINE_SENTINEL)
-        with pytest.raises(ProtocolError):
-            protocol.split_deadline(lead + b"\x01")
+        """A frame cut inside the field cannot carry a tag."""
+        client, server = _session_pair()
+        frame = client.seal(b"", budget_ms=9)
+        for cut in range(protocol.V2_HEADER.size,
+                         protocol.V2_HEADER.size + 4 + MAC_SIZE):
+            with pytest.raises(TamperedFrameError, match="too short"):
+                server.open(frame[:cut])
+        for cut in range(protocol.V2_HEADER.size,
+                         protocol.V2_HEADER.size + 4):
+            with pytest.raises(ProtocolError, match="truncated"):
+                protocol.decode_frame(frame[:cut])
+        assert server.open(frame) == b""  # nothing above moved the window
 
     def test_composes_inside_v2_seal(self):
-        """The envelope rides inside the AEAD frame, MAC-protected."""
-        from repro.cluster.session import ClientHandshake, SessionManager
+        """The field is MAC-protected: no bit of it, and not the flag that
+        announces it, can change without failing authentication."""
+        client, server = _session_pair()
+        frame = client.seal(self.BATCH, budget_ms=250)
+        flag_bit = 3 * 8 + 2  # byte 3 = flags, FLAG_DEADLINE = 0x04
+        field = range(protocol.V2_HEADER.size * 8,
+                      (protocol.V2_HEADER.size + 4) * 8)
+        for bit in (flag_bit, *field):
+            forged = bytearray(frame)
+            forged[bit >> 3] ^= 1 << (bit & 7)
+            with pytest.raises(TamperedFrameError,
+                               match="failed authentication"):
+                server.open(bytes(forged))
+        assert server.open(frame) == self.BATCH
+        # The same holds for a frame sealed without one.
+        plain = bytearray(client.seal(self.BATCH))
+        plain[3] |= protocol.FLAG_DEADLINE
+        with pytest.raises(TamperedFrameError, match="failed authentic"):
+            server.open(bytes(plain))
 
-        manager = SessionManager()
-        handshake = ClientHandshake()
-        reply, server_session = manager.accept(handshake.hello())
-        client_session = handshake.finish(reply)
-        batch = protocol.encode_batch([protocol.get(b"k")])
-        sealed = client_session.seal(protocol.wrap_deadline(batch, 250))
-        budget_ms, payload = protocol.split_deadline(
-            server_session.open(sealed))
-        assert budget_ms == 250
-        assert payload == batch
+    def test_handshake_frame_with_the_flag_is_refused(self):
+        hello = bytearray(ClientHandshake().hello())
+        hello[3] |= protocol.FLAG_DEADLINE
+        with pytest.raises(ProtocolError, match="handshake frame"):
+            protocol.decode_frame(bytes(hello))
+        with pytest.raises(HandshakeError, match="undecodable hello"):
+            SessionManager().accept(bytes(hello))
+
+    def test_server_frames_may_carry_one_too(self):
+        """The direction check masks the bit; it does not forbid it."""
+        client, server = _session_pair()
+        assert client.open(server.seal(b"pong", budget_ms=7)) == b"pong"
 
 
 class TestCollectUnderDeadline:
