@@ -43,9 +43,7 @@ def main(backend: str = "inline") -> None:
     coordinator = build_cluster(ClusterConfig(
         n_shards=N_SHARDS, n_keys=N_KEYS, scale=512, batch_window=32,
         backend=backend))
-    coordinator.attach_balancer(
-        HotShardBalancer(coordinator, check_every=512)
-    )
+    coordinator.balancer = HotShardBalancer(coordinator, check_every=512)
     workload = YcsbWorkload(n_keys=N_KEYS, read_ratio=0.9, value_size=16,
                             distribution="zipfian")
     coordinator.load(workload.load_items())

@@ -901,7 +901,7 @@ def cluster_rebalance(scale: int = 2048, n_ops: int = 3000,
             balancer = HotShardBalancer(coordinator, check_every=512,
                                         imbalance_threshold=1.3,
                                         min_window_ops=256)
-            coordinator.attach_balancer(balancer)
+            coordinator.balancer = balancer
         coordinator.load(workload.load_items())
         _drive_cluster(coordinator, _as_requests(warm.operations(warm_ops)))
         stats = coordinator.stats()
@@ -1552,10 +1552,9 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
         # applied directly at halftime, backend-independently.
         coordinator = build_replicated_cluster(ClusterConfig(
             n_shards=n_shards, replication=2, n_keys=n_keys, scale=scale,
-            batch_window=batch_window, backend=backend))
-        coordinator.enable_overload(OverloadConfig(
-            breaker_failures=2, breaker_latency=0.25,
-            breaker_recovery=120.0))
+            batch_window=batch_window, backend=backend,
+            overload=OverloadConfig(breaker_failures=2, breaker_latency=0.25,
+                                    breaker_recovery=120.0)))
         try:
             coordinator.load(workload.load_items())
             # zipf rank-1 key = the storm's hot spot; its partition is

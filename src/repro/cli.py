@@ -208,6 +208,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ClusterNetServer,
         DurabilityConfig,
         HotShardBalancer,
+        OverloadConfig,
         SessionManager,
     )
 
@@ -263,6 +264,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   "--insecure door (a plaintext frame has no principal)",
                   file=sys.stderr)
             return 2
+    # A capped front door also arms the coordinator's overload layer
+    # (per-shard breakers, deadline shedding, auto-brownout).
+    overloaded_door = (args.max_inflight is not None
+                       or args.max_connections is not None)
     durability = None
     if args.durable:
         durability = DurabilityConfig(data_dir=args.data_dir,
@@ -279,6 +284,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             backend=backend,
             workers=args.shard_workers,
             replication=args.replication,
+            overload=OverloadConfig() if overloaded_door else None,
             durability=durability,
             tenancy=tenancy,
         )
@@ -296,13 +302,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         return 3
     restored = coordinator.durability_restored
     if args.balance:
-        coordinator.attach_balancer(HotShardBalancer(coordinator))
-    overloaded_door = (args.max_inflight is not None
-                       or args.max_connections is not None)
-    if overloaded_door:
-        # A capped front door also arms the coordinator's overload layer
-        # (per-shard breakers, deadline shedding, auto-brownout).
-        coordinator.enable_overload()
+        # Every move goes through the planner's constraint models.
+        coordinator.balancer = HotShardBalancer(
+            coordinator, planner=coordinator.elastic.planner)
     if args.insecure and args.require_encryption:
         print("error: --insecure and --require-encryption are mutually "
               "exclusive")

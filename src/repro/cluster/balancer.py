@@ -44,14 +44,13 @@ class MigrationReport:
 class HotShardBalancer:
     """Periodically inspects shard loads and migrates hot key ranges.
 
-    With a :class:`~repro.cluster.elastic.ReconfigPlanner` attached
-    (:meth:`attach_planner`, done by ``ClusterConfig.build`` when elastic
-    is armed), the balancer is one cost-aware policy *inside* the
-    planner: every proposed vnode move is submitted as a
-    :class:`~repro.cluster.elastic.TopologyDelta` with the hot shard's
-    excess cycles as the projected straggler savings, and a plan the
-    constraint models reject (most often ``migration_cost``: the move
-    would not pay for itself) becomes a counted no-op instead of a
+    Given a :class:`~repro.cluster.elastic.ReconfigPlanner` (``planner=``;
+    ``serve`` passes ``coordinator.elastic.planner``), the balancer is one
+    cost-aware policy *inside* the planner: every proposed vnode move is
+    submitted as a :class:`~repro.cluster.elastic.TopologyDelta` with the
+    hot shard's excess cycles as the projected straggler savings, and a
+    plan the constraint models reject (most often ``migration_cost``: the
+    move would not pay for itself) becomes a counted no-op instead of a
     migration.
     """
 
@@ -78,10 +77,6 @@ class HotShardBalancer:
         self._window_ops = 0
         for shard in coordinator.shard_list():
             shard.mark_load()
-
-    def attach_planner(self, planner) -> None:
-        """Route every future move proposal through ``planner``."""
-        self.planner = planner
 
     # -- driving ------------------------------------------------------------------
 

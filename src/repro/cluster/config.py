@@ -270,7 +270,7 @@ class ClusterConfig:
         from repro.cluster.replication import _build_replica_groups
 
         if self.replication > 1 or self.durability is not None:
-            coordinator = _build_replica_groups(self)
+            coordinator = _build_replica_groups(self, clock)
         else:
             if self.shard_overrides.get("fault_plan") is not None:
                 raise ConfigurationError(
@@ -282,16 +282,14 @@ class ClusterConfig:
                 [factory.create(self.enclave_spec(f"shard-{i}",
                                                   self.seed + i))
                  for i in range(self.n_shards)],
-                vnodes=self.vnodes, batch_window=self.batch_window)
-            coordinator.backend = factory
+                vnodes=self.vnodes, batch_window=self.batch_window,
+                overload=self.overload, tenancy=self.tenancy, clock=clock,
+                backend=factory)
         try:
-            if self.overload is not None:
-                coordinator.enable_overload(self.overload, clock=clock)
-            if self.tenancy is not None:
-                coordinator.enable_tenancy(self.tenancy, clock=clock)
+            durability_factory = None
             if self.durability is not None:
-                self._attach_durability(coordinator)
-            self._attach_elastic(coordinator)
+                durability_factory = self._arm_durability(coordinator)
+            self._arm_elastic(coordinator, durability_factory)
         except BaseException:
             # Arming failed (e.g. rollback detected on restore): release
             # whatever the backend spawned before surfacing the refusal.
@@ -299,26 +297,27 @@ class ClusterConfig:
             raise
         return coordinator
 
-    def _attach_elastic(self, coordinator) -> None:
+    def _arm_elastic(self, coordinator, durability_factory) -> None:
         """Arm the reconfiguration engine (a no-op until a plan begins).
 
         Idle, the engine adds nothing to the request path — no meter is
         charged, no ring is touched — so an armed-but-unused cluster
         stays bit-identical to a pre-elastic one on every simulated
-        column.
+        column.  ``durability_factory`` mints the sealed sidecar of a
+        shard added later (None on a cluster without durability).
         """
         from repro.cluster.elastic import ElasticCluster, ReconfigPlanner
 
-        spec = self.elastic_spec(
-            durability_factory=coordinator._durability_factory)
+        spec = self.elastic_spec(durability_factory=durability_factory)
         planner = ReconfigPlanner(coordinator, spec)
         vnodes = self.vnodes if isinstance(self.vnodes, int) \
             else DEFAULT_VNODES
-        coordinator.attach_elastic(
-            ElasticCluster(coordinator, spec, planner=planner,
-                           vnodes=vnodes))
+        coordinator.elastic = ElasticCluster(coordinator, spec,
+                                             planner=planner, vnodes=vnodes)
 
-    def _attach_durability(self, coordinator) -> None:
+    def _arm_durability(self, coordinator):
+        """Seal every partition, restore, and return the sidecar factory
+        for the elastic engine's later adds."""
         from repro.cluster.health import HealthMonitor
         from repro.persist import (
             FileDisk,
@@ -346,11 +345,11 @@ class ClusterConfig:
                 group, disk, counters,
                 seed=self.seed, epoch_every=dur.epoch_every)
 
-        coordinator._durability_factory = durability_factory
         if dur.restore:
             coordinator.durability_restored = \
                 restore_cluster_from_storage(coordinator)
-        coordinator.attach_health_monitor(HealthMonitor(coordinator))
+        coordinator.health_monitor = HealthMonitor(coordinator)
+        return durability_factory
 
 
 def build_cluster(config: ClusterConfig, *,

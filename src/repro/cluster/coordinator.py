@@ -38,6 +38,7 @@ from repro.cluster.shard import ShardHandle
 from repro.cluster.stats import ClusterStats
 from repro.errors import (
     AriaError,
+    ConfigurationError,
     IntegrityError,
     KeyNotFoundError,
     ReplicaUnavailableError,
@@ -85,10 +86,10 @@ class _Flight:
 class _OverloadState:
     """The coordinator's overload machinery: breakers, brownout, counters.
 
-    Created by :meth:`ClusterCoordinator.enable_overload`; all decisions
-    are untrusted parent-side work and never charge a shard meter, so a
-    cluster with the layer *enabled but unstressed* stays bit-identical to
-    one without it on every simulated column.
+    Built by :class:`ClusterCoordinator` from its ``overload=`` config;
+    all decisions are untrusted parent-side work and never charge a shard
+    meter, so a cluster with the layer *enabled but unstressed* stays
+    bit-identical to one without it on every simulated column.
     """
 
     def __init__(self, config: OverloadConfig,
@@ -171,7 +172,7 @@ class _OverloadState:
 class _TenancyState:
     """The coordinator's tenancy machinery: per-tenant buckets + namespaces.
 
-    Created by :meth:`ClusterCoordinator.enable_tenancy`.  Like
+    Built by :class:`ClusterCoordinator` from its ``tenancy=`` config.  Like
     :class:`_OverloadState`, every decision here is untrusted parent-side
     work that never charges a shard meter, so an armed-but-idle tenancy
     layer (no tenant traffic) stays bit-identical to an unarmed cluster on
@@ -296,6 +297,10 @@ class ClusterCoordinator:
         ring: Optional[HashRing] = None,
         vnodes: VnodeSpec = DEFAULT_VNODES,
         batch_window: int = DEFAULT_BATCH_WINDOW,
+        overload: Optional[OverloadConfig] = None,
+        tenancy: Optional[TenancyConfig] = None,
+        clock: Callable[[], float] = time.monotonic,
+        backend=None,
     ):
         if not shards:
             raise ValueError("a cluster needs at least one shard")
@@ -309,91 +314,34 @@ class ClusterCoordinator:
         if set(self.ring.shards()) != set(self.shards):
             raise ValueError("ring membership does not match the shard set")
         self.batch_window = batch_window
-        self._balancer = None
-        self._health_monitor = None
+        #: Consulted after every executed batch when set: the hot-shard
+        #: balancer and the replica health monitor (which also drives
+        #: brownout).  Plain attributes; assign one to arm it.
+        self.balancer = None
+        self.health_monitor = None
         #: The ShardBackend that built these shards, when the builder
-        #: passed it along; :meth:`close` releases it (worker processes,
+        #: passes it along; :meth:`close` releases it (worker processes,
         #: spawned shard hosts) after the shards themselves.
-        self.backend = None
+        self.backend = backend
         self.ops_routed = 0
         #: Whole-flush failures converted to per-request error responses.
         self.flush_failures = 0
-        #: Overload layer (breakers, deadline shedding, brownout); None
-        #: until :meth:`enable_overload`.
-        self._overload: Optional[_OverloadState] = None
-        #: Tenancy layer (per-tenant buckets + key namespaces); None until
-        #: :meth:`enable_tenancy`.
-        self._tenancy: Optional[_TenancyState] = None
-        #: Elastic reconfiguration engine; None until :meth:`attach_elastic`.
-        self._elastic = None
-        #: Durable clusters (``ClusterConfig.build()``): the sidecar factory
-        #: for elastic adds, and what cold-start recovery replayed.
-        self._durability_factory = None
+        #: Overload layer (breakers, deadline shedding, brownout) and
+        #: tenancy layer (per-tenant buckets + key namespaces), armed from
+        #: their configs; ``clock`` feeds breakers and buckets alike
+        #: (injectable, so tests and the T1 experiment are deterministic).
+        #: Shard-side cache partitioning is not armed here: quotas travel
+        #: in the shards' AriaConfig (``tenant_quotas``, see
+        #: ``ClusterConfig.build``), because remote backends rebuild their
+        #: stores from the spawn spec.
+        self.overload = _OverloadState(overload, clock) \
+            if overload is not None else None
+        self.tenancy = _TenancyState(tenancy, clock) \
+            if tenancy is not None else None
+        #: Elastic reconfiguration engine (``ClusterConfig.build`` sets it).
+        self.elastic = None
+        #: What cold-start recovery replayed (durable clusters).
         self.durability_restored: dict = {}
-
-    # -- wiring -------------------------------------------------------------------
-
-    def enable_overload(self, config: Optional[OverloadConfig] = None,
-                        *, clock: Callable[[], float] = time.monotonic,
-                        ) -> "_OverloadState":
-        """Arm the overload layer: per-shard breakers, deadline shedding,
-        and (with a health monitor attached) automatic brownout.
-
-        Idempotent-ish: calling again replaces the state wholesale, so a
-        test can re-arm with a different config.  ``clock`` is injectable
-        for deterministic breaker tests.
-        """
-        self._overload = _OverloadState(config or OverloadConfig(), clock)
-        return self._overload
-
-    @property
-    def overload(self) -> Optional[_OverloadState]:
-        return self._overload
-
-    def enable_tenancy(self, config: TenancyConfig,
-                       *, clock: Callable[[], float] = time.monotonic,
-                       ) -> "_TenancyState":
-        """Arm the tenancy layer: per-tenant admission and key namespaces.
-
-        Like :meth:`enable_overload`, re-arming replaces the state
-        wholesale and ``clock`` is injectable — deterministic bucket tests
-        and the T1 experiment feed a counting clock so sheds land on the
-        same requests across the inline/process/socket backends.
-
-        Shard-side cache partitioning is *not* armed here: quotas travel
-        in the shards' :class:`~repro.core.config.AriaConfig`
-        (``tenant_quotas``, see ``ClusterConfig.build``), because remote
-        backends rebuild their stores from the spawn spec.
-        """
-        self._tenancy = _TenancyState(config, clock)
-        return self._tenancy
-
-    @property
-    def tenancy(self) -> Optional[_TenancyState]:
-        return self._tenancy
-
-    def attach_balancer(self, balancer) -> None:
-        """Give the balancer a look after every executed batch."""
-        self._balancer = balancer
-
-    def attach_health_monitor(self, monitor) -> None:
-        """Let a HealthMonitor inspect replicas after every executed batch."""
-        self._health_monitor = monitor
-
-    def attach_elastic(self, elastic) -> None:
-        """Let the reconfiguration engine advance after every batch.
-
-        The engine's :meth:`~repro.cluster.elastic.ElasticCluster
-        .after_execute` hook runs right after responses settle — it
-        dual-applies acked writes landing in moving key ranges and copies
-        one bounded migration batch, so topology changes make progress
-        interleaved with serving.
-        """
-        self._elastic = elastic
-
-    @property
-    def elastic(self):
-        return self._elastic
 
     # -- live topology (driven by the elastic engine at cutover) ------------------
 
@@ -427,8 +375,8 @@ class ClusterCoordinator:
                              "after retirement")
         shard = self.shards.pop(shard_id)
         self.ring = ring
-        if self._overload is not None:
-            self._overload.breakers.pop(shard_id, None)
+        if self.overload is not None:
+            self.overload.breakers.pop(shard_id, None)
         return shard
 
     def on_topology_change(self) -> None:
@@ -438,8 +386,8 @@ class ClusterCoordinator:
         partitions agree across old and new members (§16's follow-on:
         no stale static fractions after topology changes).
         """
-        if self._tenancy is not None:
-            quotas = self._tenancy.config.cache_quota_map()
+        if self.tenancy is not None:
+            quotas = self.tenancy.config.cache_quota_map()
             self._push_tenant_quotas(quotas or None)
 
     def retarget_tenancy(self, config: TenancyConfig) -> "_TenancyState":
@@ -450,13 +398,14 @@ class ClusterCoordinator:
         and the new cache quota map is pushed to every shard enclave
         through the trusted path, replacing the build-time fractions.
         """
-        if self._tenancy is None:
-            state = self.enable_tenancy(config)
-        else:
-            self._tenancy.repartition(config)
-            state = self._tenancy
+        if self.tenancy is None:
+            raise ConfigurationError(
+                "retarget_tenancy needs a coordinator built with tenancy "
+                "armed: the front door reads the roster once, at "
+                "construction")
+        self.tenancy.repartition(config)
         self._push_tenant_quotas(config.cache_quota_map() or None)
-        return state
+        return self.tenancy
 
     def _push_tenant_quotas(self, quotas) -> int:
         """Retarget every live enclave's cache quotas; returns the count.
@@ -499,7 +448,7 @@ class ClusterCoordinator:
         their responses are collected afterwards — either way a shard's
         batches run in dispatch order, preserving per-key ordering.
 
-        With the overload layer armed (:meth:`enable_overload`),
+        With the overload layer armed (``overload=`` at construction),
         ``deadline`` is the request frame's remaining budget: buckets that
         would dispatch after it expires are shed with
         ``Status.OVERLOADED`` instead of queueing dead work, and remote
@@ -507,7 +456,7 @@ class ClusterCoordinator:
         Brownout (health monitor mid-recovery) sheds writes up front, and
         each shard's circuit breaker gates its dispatches.
 
-        With the tenancy layer armed (:meth:`enable_tenancy`) and a
+        With the tenancy layer armed (``tenancy=`` at construction) and a
         ``tenant`` presented, each request first passes that tenant's own
         token bucket — sheds are typed ``Status.OVERLOADED`` with the
         *tenant's* bucket refill time as the hint, charged to the
@@ -522,12 +471,12 @@ class ClusterCoordinator:
         responses: List[Optional[Response]] = [None] * len(requests)
         pending: Dict[str, List[int]] = {sid: [] for sid in self.shards}
         inflight: List[_Flight] = []
-        over = self._overload
-        ten = self._tenancy
+        over = self.overload
+        ten = self.tenancy
         brownout = False
         if over is not None:
             # Also the call's first lap boundary (see _OverloadState.lap).
-            monitor = self._health_monitor
+            monitor = self.health_monitor
             brownout = over.update_brownout(
                 monitor is not None and monitor.recovering())
         route = self.ring.route
@@ -566,15 +515,15 @@ class ClusterCoordinator:
                     self._dispatch(shard_id, bucket, requests, deadline))
         for flight in inflight:
             self._collect(flight, responses, deadline)
-        if self._elastic is not None:
+        if self.elastic is not None:
             # After responses settle: acked writes into moving ranges are
             # dual-applied and one bounded migration batch advances.
-            self._elastic.after_execute(requests, responses)
+            self.elastic.after_execute(requests, responses)
         self.ops_routed += len(requests)
-        if self._balancer is not None:
-            self._balancer.observe(len(requests))
-        if self._health_monitor is not None:
-            self._health_monitor.observe(len(requests))
+        if self.balancer is not None:
+            self.balancer.observe(len(requests))
+        if self.health_monitor is not None:
+            self.health_monitor.observe(len(requests))
         return responses  # type: ignore[return-value]  # all slots filled
 
     def _dispatch(self, shard_id: str, seqs: List[int],
@@ -587,7 +536,7 @@ class ClusterCoordinator:
         can), and an open breaker sheds writes while routing reads to a
         live secondary where the shard is a replica group.
         """
-        over = self._overload
+        over = self.overload
         if over is not None:
             if deadline is not None and deadline.expired():
                 over.deadline_shed += len(seqs)
@@ -661,7 +610,7 @@ class ClusterCoordinator:
         """Settle one flight; a failing shard costs error responses, not
         the batch: every request it owned gets ``Status.UNAVAILABLE`` and
         the other shards' response slots are untouched."""
-        over = self._overload
+        over = self.overload
         flushed = flight.flushed
         if flight.error is None and flushed is None:
             try:
@@ -777,18 +726,26 @@ class ClusterCoordinator:
         batchexec = self._batchexec_health()
         if batchexec:
             summary["batchexec"] = batchexec
-        if self._overload is not None:
-            summary["overload"] = self._overload.stats()
-        if self._tenancy is not None:
-            tenancy = self._tenancy.stats()
+        summary.update(self.layer_stats())
+        return Response(Status.OK,
+                        json.dumps(summary, sort_keys=True).encode())
+
+    def layer_stats(self) -> Dict[str, dict]:
+        """``{"overload"|"tenancy"|"elastic": counters}`` for each armed
+        layer, read now: the one source ``OP_HEALTH`` and
+        :meth:`ClusterStats.report` both show."""
+        layers = {}
+        if self.overload is not None:
+            layers["overload"] = self.overload.stats()
+        if self.tenancy is not None:
+            tenancy = self.tenancy.stats()
             denials = self._tenancy_health()
             if denials:
                 tenancy["cache_evict_denials"] = denials
-            summary["tenancy"] = tenancy
-        if self._elastic is not None:
-            summary["elastic"] = self._elastic.stats()
-        return Response(Status.OK,
-                        json.dumps(summary, sort_keys=True).encode())
+            layers["tenancy"] = tenancy
+        if self.elastic is not None:
+            layers["elastic"] = self.elastic.stats()
+        return layers
 
     def _batchexec_health(self) -> Dict[str, dict]:
         """Per-shard conflict/abort/fallback counters for ``OP_HEALTH``.
@@ -827,7 +784,7 @@ class ClusterCoordinator:
         map back to tenant ids through the registry; an unknown token (a
         tenant since removed from the roster) reports under its raw token.
         """
-        ten = self._tenancy
+        ten = self.tenancy
         counters: Dict[str, int] = {}
         prefix = "tenant_evict_denied:"
         for shard in self.shard_list():
@@ -854,9 +811,9 @@ class ClusterCoordinator:
         :meth:`execute`'s prefixing, so loaded and served keys agree.
         """
         if tenant is not None:
-            if self._tenancy is None or tenant not in self._tenancy.prefixes:
+            if self.tenancy is None or tenant not in self.tenancy.prefixes:
                 raise AriaError(f"unknown tenant {tenant!r} for load")
-            prefix = self._tenancy.prefixes[tenant]
+            prefix = self.tenancy.prefixes[tenant]
             pairs = ((prefix + key, value) for key, value in pairs)
         per_shard: Dict[str, list] = {sid: [] for sid in self.shards}
         for key, value in pairs:
@@ -872,14 +829,7 @@ class ClusterCoordinator:
 
     def stats(self) -> ClusterStats:
         """A fresh delta window over every shard (see ClusterStats)."""
-        overload = self._overload.stats if self._overload is not None \
-            else None
-        tenancy = self._tenancy.stats if self._tenancy is not None \
-            else None
-        elastic = self._elastic.stats if self._elastic is not None \
-            else None
-        return ClusterStats(self.shard_list(), overload=overload,
-                            tenancy=tenancy, elastic=elastic)
+        return ClusterStats(self.shard_list(), layers=self.layer_stats)
 
     # -- lifecycle ----------------------------------------------------------------
 

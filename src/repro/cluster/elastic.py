@@ -462,11 +462,11 @@ class _Migration:
 class ElasticCluster:
     """Live shard add/remove under traffic, bounded-batch interleaved.
 
-    Attach one to a coordinator (``coordinator.attach_elastic``, done by
-    ``ClusterConfig.build``) and drive changes with :meth:`add_shard` /
-    :meth:`remove_shard`; the engine advances one bounded key batch per
-    executed request batch, so migration work is interleaved with serving
-    rather than stopping the world.  Or call :meth:`run_to_completion`
+    ``ClusterConfig.build`` sets one as ``coordinator.elastic``; drive
+    changes with :meth:`add_shard` / :meth:`remove_shard`.  The engine
+    advances one bounded key batch per executed request batch, so
+    migration work is interleaved with serving rather than stopping the
+    world.  Or call :meth:`run_to_completion`
     from an operations script to drain a migration without traffic.
     """
 

@@ -20,7 +20,7 @@ survivable in this reproduction:
   eligible for reads and the write fan-out again.
 
 The monitor piggybacks on the serving loop the same way the balancer does:
-attach it to the coordinator and it inspects the cluster every
+set it as ``coordinator.health_monitor`` and it inspects the cluster every
 ``check_every`` routed requests; or drive :meth:`check` directly from a
 test or operations script.  With no live peer in a group, its dead
 replicas stay DOWN — an empty restarted enclave must never masquerade as

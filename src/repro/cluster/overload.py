@@ -328,7 +328,7 @@ class CircuitBreaker:
 
 @dataclass
 class OverloadConfig:
-    """Knobs for the coordinator's overload layer (see `enable_overload`).
+    """Knobs for the coordinator's overload layer (``overload=``).
 
     Defaults are tuned for the simulated cluster's scale: breakers trip
     after ``breaker_failures`` consecutive bad samples, a sample is bad

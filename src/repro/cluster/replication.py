@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import time
 from dataclasses import replace
 from typing import Callable, List, Optional
 
@@ -686,30 +687,33 @@ def _restarter(factory: ShardBackend,
     return rebuild
 
 
-def build_replicated_cluster(config: ClusterConfig) -> ClusterCoordinator:
-    """N partitions × R replica enclaves behind one ring, unarmed.
+def build_replicated_cluster(config: ClusterConfig, *,
+                             clock: Callable[[], float] = time.monotonic,
+                             ) -> ClusterCoordinator:
+    """N partitions × R replica enclaves behind one ring.
 
-    Bare groups at any ``replication >= 1`` (the R=1 groups the fault
-    suites ride on) and nothing else: a config that also asks for a
-    sub-system only ``ClusterConfig.build()`` arms is refused by field
-    name rather than silently built without it.
+    Groups at any ``replication >= 1`` (the R=1 groups the fault suites
+    ride on), with the coordinator's ``overload``/``tenancy`` layers armed
+    from the config on ``clock``.  A config that also asks for what only
+    ``ClusterConfig.build()`` wires around the groups (``durability``,
+    ``max_shards``) is refused by field name rather than silently built
+    without it.
     """
     if not isinstance(config, ClusterConfig):
         raise TypeError(
             f"build_replicated_cluster takes a ClusterConfig, not "
             f"{type(config).__name__}")
-    for name, value in (("overload", config.overload),
-                        ("tenancy", config.tenancy),
-                        ("durability", config.durability),
+    for name, value in (("durability", config.durability),
                         ("max_shards", config.max_shards)):
         if value is not None:
             raise ConfigurationError(
                 f"build_replicated_cluster builds bare replica groups and "
                 f"would drop config.{name}; use config.build()")
-    return _build_replica_groups(config)
+    return _build_replica_groups(config, clock)
 
 
-def _build_replica_groups(config: ClusterConfig) -> ClusterCoordinator:
+def _build_replica_groups(config: ClusterConfig,
+                          clock: Callable[[], float]) -> ClusterCoordinator:
     """The replica-group half of ``ClusterConfig.build()``: group ``i`` is
     ``shard-<i>``, base seed ``config.seed + 101*i``; a ``fault_plan`` in
     ``config.shard_overrides`` wraps every replica."""
@@ -721,7 +725,7 @@ def _build_replica_groups(config: ClusterConfig) -> ClusterCoordinator:
             config.replication, fault_plan=fault_plan, backend=factory)
         for i in range(config.n_shards)
     ]
-    coordinator = ClusterCoordinator(groups, vnodes=config.vnodes,
-                                     batch_window=config.batch_window)
-    coordinator.backend = factory
-    return coordinator
+    return ClusterCoordinator(
+        groups, vnodes=config.vnodes, batch_window=config.batch_window,
+        overload=config.overload, tenancy=config.tenancy, clock=clock,
+        backend=factory)

@@ -41,26 +41,20 @@ _ZERO_BASELINE = MeterSnapshot(cycles=0.0, events=Counter())
 class ClusterStats:
     """Delta-based aggregation over a fixed set of shards.
 
-    ``overload`` is an optional counters source — a dict, or a zero-arg
-    callable returning one (the coordinator passes its live
-    ``overload_stats`` method so :meth:`report` reads counters at report
-    time, not at window start).  When present, the report's cluster row
-    carries it under ``"overload"`` so operators see shedding, breaker
-    trips and brownout time next to throughput.  ``tenancy`` works the
-    same way for the multi-tenant front door's per-principal
-    admitted/shed counters (``"tenancy"`` row), and ``elastic`` for the
-    reconfiguration engine's migration progress/abort counters
-    (``"elastic"`` row).
+    ``layers`` is an optional zero-arg callable returning the armed
+    coordinator layers' counters (the coordinator passes its
+    :meth:`~repro.cluster.coordinator.ClusterCoordinator.layer_stats`), read
+    at :meth:`report` time, not at window start.  The report's cluster row
+    carries each under its name — ``"overload"`` (shedding, breaker trips,
+    brownout time), ``"tenancy"`` (per-principal admitted/shed) and
+    ``"elastic"`` (migration progress/aborts) — next to throughput.
     """
 
-    def __init__(self, shards: Iterable, *, overload=None, tenancy=None,
-                 elastic=None):
+    def __init__(self, shards: Iterable, *, layers=None):
         self._shards: List = list(shards)
         if not self._shards:
             raise ValueError("no shards to aggregate")
-        self._overload = overload
-        self._tenancy = tenancy
-        self._elastic = elastic
+        self._layers = layers
         self._baselines: Dict[str, MeterSnapshot] = {}
         self.rebaseline()
 
@@ -198,14 +192,9 @@ class ClusterStats:
                 "critical_cycles": critical,
                 "speedup": serial / critical if critical > 0 else 1.0,
             }
-        if self._overload is not None:
-            counters = self._overload() if callable(self._overload) \
-                else self._overload
-            cluster["overload"] = dict(counters)
-        if self._tenancy is not None:
-            counters = self._tenancy() if callable(self._tenancy) \
-                else self._tenancy
-            cluster["tenancy"] = dict(counters)
+        if self._layers is not None:
+            cluster.update(self._layers())
+        if "tenancy" in cluster:
             # Shard-side eviction isolation, off the same window deltas as
             # everything else: how often a tenant's miss was denied an
             # eviction because the victim was another tenant's protected
@@ -213,8 +202,4 @@ class ClusterStats:
             cluster["tenancy"]["window_evict_denied"] = sum(
                 self._delta(s).events["tenant_evict_denied"]
                 for s in self._shards)
-        if self._elastic is not None:
-            counters = self._elastic() if callable(self._elastic) \
-                else self._elastic
-            cluster["elastic"] = dict(counters)
         return {"shards": per_shard, "cluster": cluster}

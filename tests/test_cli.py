@@ -111,6 +111,30 @@ def test_serve_balancer_flag(capsys):
     assert "balancer off" in capsys.readouterr().out
 
 
+def test_serve_balancer_moves_through_the_planner(capsys, monkeypatch):
+    """The default ``serve`` balancer submits every vnode move to the
+    elastic planner, so the ``migration_cost`` gate applies to it."""
+    import repro.cluster
+    from repro.cluster import HotShardBalancer
+
+    built = []
+
+    class Recording(HotShardBalancer):
+        def __init__(self, coordinator, **kwargs):
+            super().__init__(coordinator, **kwargs)
+            built.append(self)
+
+    monkeypatch.setattr(repro.cluster, "HotShardBalancer", Recording)
+    code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
+                 "--scale", "2048", "--max-requests", "0"])
+    assert code == 0
+    assert "balancer on" in capsys.readouterr().out
+    [balancer] = built
+    coordinator = balancer._coordinator
+    assert balancer.planner is coordinator.elastic.planner
+    assert coordinator.balancer is balancer
+
+
 def test_serve_overload_banner_and_summary(capsys):
     code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
                  "--scale", "2048", "--max-requests", "0",

@@ -5,12 +5,19 @@ Everything here drives the public surface — ``build_cluster`` /
 through store contents and cycle meters, never by poking privates.
 """
 
+import json
+import time
+
 import pytest
 
 from repro.cluster import (
     ClusterConfig,
     ClusterCoordinator,
+    ClusterStats,
     HotShardBalancer,
+    OverloadConfig,
+    TenancyConfig,
+    TenantConfig,
     build_cluster,
 )
 from repro.cluster.ring import HashRing
@@ -18,10 +25,11 @@ from repro.errors import KeyNotFoundError
 from repro.server import protocol
 
 
-def small_cluster(n_shards=2, *, n_keys=512, batch_window=8, **kw):
+def small_cluster(n_shards=2, *, n_keys=512, batch_window=8,
+                  clock=time.monotonic, **kw):
     return build_cluster(ClusterConfig(
         n_shards=n_shards, n_keys=n_keys, scale=2048,
-        batch_window=batch_window, **kw))
+        batch_window=batch_window, **kw), clock=clock)
 
 
 def build_shards(n_shards, *, cluster_epc_bytes, n_keys):
@@ -182,6 +190,34 @@ class TestClusterStats:
         shares = stats.ops_share()
         assert sum(shares.values()) == pytest.approx(1.0)
 
+    def test_report_layers_are_what_health_reports(self):
+        """One source for both views: the report's cluster row carries
+        exactly the ``OP_HEALTH`` JSON's overload/tenancy/elastic blocks
+        (the report adds only its windowed eviction-denial count)."""
+        cluster = small_cluster(
+            2, clock=lambda: 0.0,
+            overload=OverloadConfig(),
+            tenancy=TenancyConfig(tenants=(
+                TenantConfig("whale", rate=4.0, burst=2.0, cache_quota=0.2),
+                TenantConfig("minnow"))))
+        try:
+            cluster.load(kv(i) for i in range(32))
+            stats = ClusterStats(cluster.shard_list(),
+                                 layers=cluster.layer_stats)
+            cluster.execute([protocol.put(*kv(i)) for i in range(4)],
+                            tenant="whale")
+            cluster.execute([protocol.get(kv(i)[0]) for i in range(8)])
+            row = stats.report()["cluster"]
+            health = json.loads(cluster.health_response().value)
+            assert set(cluster.layer_stats()) == {
+                "overload", "tenancy", "elastic"}
+            assert row["tenancy"].pop("window_evict_denied") == 0
+            for layer in ("overload", "tenancy", "elastic"):
+                assert json.loads(json.dumps(row[layer])) == health[layer]
+            assert health["tenancy"]["shed"] == {"minnow": 0, "whale": 2}
+        finally:
+            cluster.close()
+
 
 def skewed_cluster():
     """4 shards with shard-0 deliberately owning nearly the whole ring."""
@@ -194,7 +230,7 @@ class TestHotShardBalancer:
         cluster = small_cluster(4)
         balancer = HotShardBalancer(cluster, check_every=64,
                                     min_window_ops=32)
-        cluster.attach_balancer(balancer)
+        cluster.balancer = balancer
         cluster.load(kv(i) for i in range(256))
         cluster.execute([protocol.get(kv(i % 256)[0]) for i in range(512)])
         assert balancer.total_keys_moved() == 0
@@ -206,7 +242,7 @@ class TestHotShardBalancer:
         balancer = HotShardBalancer(cluster, check_every=256,
                                     imbalance_threshold=1.3,
                                     min_window_ops=64)
-        cluster.attach_balancer(balancer)
+        cluster.balancer = balancer
         hot = cluster.shards["shard-0"]
         assert len(hot.store) > 150  # the skew is real
 
@@ -241,7 +277,7 @@ class TestHotShardBalancer:
         balancer = HotShardBalancer(cluster, check_every=256,
                                     imbalance_threshold=1.3,
                                     min_window_ops=64)
-        cluster.attach_balancer(balancer)
+        cluster.balancer = balancer
         for _ in range(8):
             cluster.execute(reads)
         stats = cluster.stats()

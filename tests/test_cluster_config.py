@@ -34,7 +34,7 @@ from repro.cluster.shard import WORKERS_ENV_VAR
 from repro.core.tenant import tenant_token
 from repro.errors import ConfigurationError, InvalidWorkersError
 from repro.server import protocol
-from repro.server.protocol import STATUS_OK
+from repro.server.protocol import STATUS_OK, Status
 
 pytestmark = pytest.mark.tenant
 
@@ -214,18 +214,14 @@ class TestDeprecatedFactories:
         finally:
             coord.close()
 
-    @pytest.mark.parametrize("field", ["overload", "tenancy", "durability",
-                                       "max_shards"])
+    @pytest.mark.parametrize("field", ["durability", "max_shards"])
     def test_bare_group_builder_refuses_what_it_would_drop(self, field,
                                                            tmp_path):
-        """``build_replicated_cluster`` arms nothing: a config asking for a
-        sub-system it would silently leave out is refused by field name,
-        and the same config builds through ``build()``."""
-        from repro.cluster import OverloadConfig
-
+        """``build_replicated_cluster`` wires nothing around the groups: a
+        config asking for a sub-system it would silently leave out is
+        refused by field name, and the same config builds through
+        ``build()``."""
         value = {
-            "overload": OverloadConfig(),
-            "tenancy": TenancyConfig(tenants=(TenantConfig("t"),)),
             "durability": DurabilityConfig(data_dir=str(tmp_path)),
             "max_shards": 3,
         }[field]
@@ -235,12 +231,52 @@ class TestDeprecatedFactories:
             build_replicated_cluster(config)
         coord = config.build()
         try:
-            assert (coord.overload is not None) == (field == "overload")
-            assert (coord.tenancy is not None) == (field == "tenancy")
             assert all((g.durability is not None) == (field == "durability")
                        for g in coord.shard_list())
         finally:
             coord.close()
+
+    @pytest.mark.parametrize("field", ["overload", "tenancy"])
+    def test_group_builder_arms_layers_on_the_injected_clock(self, field):
+        """``build_replicated_cluster`` arms overload and tenancy from the
+        config, on the clock it is handed: a clock that jumps an hour per
+        read makes every flush a slow sample (the breaker trips) and
+        refills every bucket between requests (nothing is rate-shed)."""
+        from repro.cluster import OverloadConfig
+
+        now = [0.0]
+
+        def clock():
+            now[0] += 3600.0
+            return now[0]
+
+        layer = {
+            "overload": OverloadConfig(breaker_failures=1,
+                                       breaker_latency=1.0,
+                                       breaker_recovery=1e9),
+            "tenancy": TenancyConfig(tenants=(
+                TenantConfig("t", rate=1.0, burst=1.0),)),
+        }[field]
+        coord = build_replicated_cluster(
+            small(backend="inline", n_shards=1, **{field: layer}),
+            clock=clock)
+        tenant = "t" if field == "tenancy" else None
+        try:
+            assert (coord.overload is not None) == (field == "overload")
+            assert (coord.tenancy is not None) == (field == "tenancy")
+            statuses = [
+                coord.execute([protocol.put(b"k", b"v")],
+                              tenant=tenant)[0].status
+                for _ in range(3)]
+        finally:
+            coord.close()
+        if field == "overload":
+            assert statuses == [Status.OK, Status.OVERLOADED,
+                                Status.OVERLOADED]
+            assert coord.overload.stats()["breaker_trips"] == 1
+        else:
+            assert statuses == [Status.OK] * 3
+            assert coord.tenancy.stats()["shed"] == {"t": 0}
 
 
 # -- one recipe per enclave ---------------------------------------------------------

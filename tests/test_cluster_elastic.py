@@ -471,7 +471,7 @@ class TestChaosGauntlet:
         coord = small(n_shards=2, max_shards=3, replication=2,
                       shard_overrides={"fault_plan": plan}).build()
         monitor = HealthMonitor(coord, check_every=64)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         try:
             preload(coord)
             engine = coord.elastic
@@ -559,6 +559,19 @@ class TestTenancyRepartition:
                 store = getattr(shard, "store", None)
                 if hasattr(store, "config"):
                     assert store.config.tenant_quotas == expected
+        finally:
+            coord.close()
+
+    def test_roster_retarget_needs_tenancy_armed_at_build(self):
+        """The front door reads the roster once, when it is built, so a
+        layer armed later would skip its checks: an unarmed coordinator
+        refuses the retarget and stays unarmed."""
+        coord = small(n_shards=2).build()
+        try:
+            with pytest.raises(ConfigurationError, match="tenancy armed"):
+                coord.retarget_tenancy(
+                    self._tenancy(TenantConfig("acme", cache_quota=0.2)))
+            assert coord.tenancy is None
         finally:
             coord.close()
 

@@ -376,7 +376,7 @@ class TestChaos:
             n_shards=2, replication=2, n_keys=self.N_KEYS, scale=2048,
             batch_window=8, shard_overrides={"fault_plan": plan}))
         monitor = HealthMonitor(coord, check_every=64)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))
 
         rng = random.Random(42)

@@ -65,8 +65,8 @@ def build_overloaded(n_shards=2, replication=2, *, config=None,
     coord = build_replicated_cluster(ClusterConfig(
         n_shards=n_shards, replication=replication, n_keys=n_keys, scale=2048,
         batch_window=batch_window, seed=seed,
-        shard_overrides={"fault_plan": FaultPlan()}))
-    coord.enable_overload(config)
+        shard_overrides={"fault_plan": FaultPlan()},
+        overload=config or OverloadConfig()))
     return coord
 
 
@@ -376,10 +376,9 @@ class TestPipelinedGroupSample:
 
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=2, replication=2, n_keys=64, scale=2048,
-            batch_window=8))
-        coord.enable_overload(
-            OverloadConfig(breaker_failures=2, breaker_latency=0.1,
-                           breaker_recovery=60.0), clock=clock)
+            batch_window=8,
+            overload=OverloadConfig(breaker_failures=2, breaker_latency=0.1,
+                                    breaker_recovery=60.0)), clock=clock)
         attach_cluster_durability(coord, SlowLogDisk(),
                                   MonotonicCounterService())
         assert all(group.pipelined for group in coord.shard_list())
@@ -432,7 +431,7 @@ class TestBrownout:
         # recovering state is held exactly as long as the test wants.
         monitor = HealthMonitor(coord, check_every=10**9,
                                 auto_restart=False)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         group = coord.shard_list()[0]
         group.mark_down(group.replicas[1], "test: secondary lost")
         assert monitor.recovering()
@@ -470,9 +469,8 @@ class TestUnstressedEquivalence:
         def drive(armed):
             coord = build_replicated_cluster(ClusterConfig(
                 n_shards=2, replication=1, n_keys=64, scale=2048,
-                batch_window=8, seed=7))
-            if armed:
-                coord.enable_overload()
+                batch_window=8, seed=7,
+                overload=OverloadConfig() if armed else None))
             preload(coord, 64)
             rng = random.Random(1234)
             outputs = []
@@ -774,10 +772,10 @@ class TestOverloadGauntlet:
                                 breaker_recovery=0.2)
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=3, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, seed=5, shard_overrides={"fault_plan": plan}))
-        coord.enable_overload(config)
+            batch_window=8, seed=5, shard_overrides={"fault_plan": plan},
+            overload=config))
         monitor = HealthMonitor(coord, check_every=10**9)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         preload(coord, self.N_KEYS)
 
         rng = random.Random(99)

@@ -275,7 +275,7 @@ class TestHealthMonitor:
             n_shards=1, replication=2, n_keys=64, scale=2048, batch_window=4))
         coord.load([(b"k%02d" % i, b"v") for i in range(8)])
         monitor = HealthMonitor(coord, check_every=8)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         group = coord.shards["shard-0"]
         group.replicas[0].shard.kill()
         # Serve past the check window: the monitor must heal in-band.

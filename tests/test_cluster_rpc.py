@@ -706,7 +706,7 @@ def test_process_cluster_never_pickles_through_the_pipe(monkeypatch):
         balancer = HotShardBalancer(cluster, check_every=256,
                                     imbalance_threshold=1.3,
                                     min_window_ops=64)
-        cluster.attach_balancer(balancer)
+        cluster.balancer = balancer
         for _ in range(6):                                         # flush
             responses = cluster.execute([protocol.get(k) for k, _ in pairs])
             assert [r.value for r in responses] == [v for _, v in pairs]

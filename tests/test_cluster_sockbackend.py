@@ -715,7 +715,7 @@ class TestGauntlet:
             batch_window=8, seed=29, backend=backend,
             shard_overrides={"fault_plan": plan}))
         monitor = HealthMonitor(cluster, check_every=64)
-        cluster.attach_health_monitor(monitor)
+        cluster.health_monitor = monitor
         try:
             hosts = backend.hosts()
             assert len(hosts) == 3  # the topology the bar asks for

@@ -291,7 +291,7 @@ class TestDurableChaos:
             n_shards=2, replication=2, epoch_every=4, fault_plan=plan,
             batch_window=8)
         monitor = HealthMonitor(coord, check_every=48)
-        coord.attach_health_monitor(monitor)
+        coord.health_monitor = monitor
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))
 
         rng = random.Random(7)

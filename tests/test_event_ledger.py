@@ -284,7 +284,7 @@ def test_every_live_meter_of_an_armed_cluster_holds_the_ledger(backend):
             victim.shard.kill()
             client.request_batch(_frame(rng))
             assert victim.state is ReplicaState.DOWN
-            coordinator._health_monitor.check()
+            coordinator.health_monitor.check()
             assert victim.state is ReplicaState.UP
             assert victim.shard.restarts == 1
             for _ in range(4):

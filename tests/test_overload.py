@@ -526,8 +526,7 @@ class TestCollectUnderDeadline:
 
         shard = self._Shard()
         shard.server = self._Server()
-        coordinator = ClusterCoordinator([shard])
-        coordinator.enable_overload(OverloadConfig())
+        coordinator = ClusterCoordinator([shard], overload=OverloadConfig())
         with pytest.raises(TypeError, match="inside the collect"):
             coordinator.execute([protocol.put(b"k", b"v")],
                                 deadline=Deadline(5.0, clock=FakeClock()))

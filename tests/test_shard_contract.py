@@ -118,8 +118,7 @@ def _build(kind: str, backend: str, data_dir: str):
                              cache_quota=0.2),
                 TenantConfig("minnow", cache_quota=0.3))),
             **_BASE).build(clock=_CountingClock())
-    coordinator.attach_health_monitor(
-        HealthMonitor(coordinator, check_every=32))
+    coordinator.health_monitor = HealthMonitor(coordinator, check_every=32)
     return coordinator
 
 
