@@ -481,40 +481,52 @@ class ClusterCoordinator:
                 monitor is not None and monitor.recovering())
         route = self.ring.route
         batch_window = self.batch_window
-        for seq, request in enumerate(requests):
-            if request.opcode == OP_HEALTH:
-                # Answered at the front door, never routed to an enclave.
-                responses[seq] = self.health_response()
-                continue
-            if ten is not None:
-                if tenant is None:
-                    shed = ten.refuse_anonymous(request.key)
-                else:
-                    shed = ten.try_admit(tenant)
-                    if shed is None:
-                        request = ten.prefix_request(tenant, request)
-                        requests[seq] = request  # dispatch reads requests[s]
-                if shed is not None:
-                    responses[seq] = shed
+        # Every dispatched flight is settled before an exception leaves:
+        # a pipelined shard's reply left unread would answer the next call.
+        error: Optional[Exception] = None
+        try:
+            for seq, request in enumerate(requests):
+                if request.opcode == OP_HEALTH:
+                    # Answered at the front door, never routed to an enclave.
+                    responses[seq] = self.health_response()
                     continue
-            if brownout and request.opcode != OP_GET:
-                over.brownout_shed += 1
-                responses[seq] = over.shed_response(
-                    0.0, b"brownout: recovery in progress")
-                continue
-            shard_id = route(request.key)
-            bucket = pending[shard_id]
-            bucket.append(seq)
-            if len(bucket) >= batch_window:
-                inflight.append(
-                    self._dispatch(shard_id, bucket, requests, deadline))
-                pending[shard_id] = []
-        for shard_id, bucket in pending.items():
-            if bucket:
-                inflight.append(
-                    self._dispatch(shard_id, bucket, requests, deadline))
+                if ten is not None:
+                    if tenant is None:
+                        shed = ten.refuse_anonymous(request.key)
+                    else:
+                        shed = ten.try_admit(tenant)
+                        if shed is None:
+                            request = ten.prefix_request(tenant, request)
+                            requests[seq] = request  # dispatch reads these
+                    if shed is not None:
+                        responses[seq] = shed
+                        continue
+                if brownout and request.opcode != OP_GET:
+                    over.brownout_shed += 1
+                    responses[seq] = over.shed_response(
+                        0.0, b"brownout: recovery in progress")
+                    continue
+                shard_id = route(request.key)
+                bucket = pending[shard_id]
+                bucket.append(seq)
+                if len(bucket) >= batch_window:
+                    inflight.append(
+                        self._dispatch(shard_id, bucket, requests, deadline))
+                    pending[shard_id] = []
+            for shard_id, bucket in pending.items():
+                if bucket:
+                    inflight.append(
+                        self._dispatch(shard_id, bucket, requests, deadline))
+        except Exception as exc:
+            error = exc
         for flight in inflight:
-            self._collect(flight, responses, deadline)
+            try:
+                self._collect(flight, responses, deadline)
+            except Exception as exc:
+                if error is None:
+                    error = exc
+        if error is not None:
+            raise error
         if self.elastic is not None:
             # After responses settle: acked writes into moving ranges are
             # dual-applied and one bounded migration batch advances.

@@ -147,14 +147,19 @@ class AriaStore:
         if self._tenant_armed:
             self._set_owner_from_key(key)
         self.index.put(key, value)
-        self.enclave.meter.count("op_put")
+        # Counted in place, as every ``Enclave`` primitive counts its events.
+        meter = self.enclave.meter
+        if meter.enabled:
+            meter.events["op_put"] += 1
 
     def get(self, key: bytes) -> bytes:
         """Fetch and verify a KV pair (Section V-D Get walkthrough)."""
         if self._tenant_armed:
             self._set_owner_from_key(key)
         value = self.index.get(key)
-        self.enclave.meter.count("op_get")
+        meter = self.enclave.meter
+        if meter.enabled:
+            meter.events["op_get"] += 1
         return value
 
     def delete(self, key: bytes) -> None:
@@ -162,7 +167,9 @@ class AriaStore:
         if self._tenant_armed:
             self._set_owner_from_key(key)
         self.index.delete(key)
-        self.enclave.meter.count("op_delete")
+        meter = self.enclave.meter
+        if meter.enabled:
+            meter.events["op_delete"] += 1
 
     def __len__(self) -> int:
         return len(self.index)

@@ -203,7 +203,8 @@ def python_calls(thunk) -> int:
     return calls
 
 
-CACHED_GET_CALLS = 26           # whole store.get; 157 before PR 13's hit path
+CACHED_GET_CALLS = 23           # whole store.get; 157 before the flat hit path
+CACHED_PUT_CALLS = 46           # whole store.put overwriting a cached key
 CLEAN_VICTIM_MISS_CALLS = 21    # one SecureCache.read_counter; 34 before PR 15
 DIRTY_VICTIM_MISS_CALLS = 52    # likewise; 99 before PR 15
 
@@ -217,16 +218,31 @@ class TestCallBudget:
     the miss path.  Raise one only for a change that means to add a call to
     the per-op path, and say so; a newer interpreter may come in under."""
 
-    def test_cached_get(self):
+    @staticmethod
+    def _warm_store():
         config = AriaConfig(n_buckets=64, initial_counters=256,
                             secure_cache_bytes=64 * (8 * 16 + 16),
                             pin_levels=1, seed=3)
         store = AriaStore(config, platform=SgxPlatform(epc_bytes=16 << 20))
         store.put(b"key-1", b"value-1")
         assert store.get(b"key-1") == b"value-1"      # warm: leaf is cached
+        return store
+
+    def test_cached_get(self):
+        store = self._warm_store()
         hits = store.counters.cache_stats()["hits"]
         assert python_calls(lambda: store.get(b"key-1")) <= CACHED_GET_CALLS
         assert store.counters.cache_stats()["hits"] == hits + 1
+        assert store.enclave.meter.events["op_get"] == 2
+
+    def test_cached_put(self):
+        store = self._warm_store()
+        hits = store.counters.cache_stats()["hits"]
+        assert python_calls(
+            lambda: store.put(b"key-1", b"value-2")) <= CACHED_PUT_CALLS
+        assert store.counters.cache_stats()["hits"] > hits
+        assert store.enclave.meter.events["op_put"] == 2
+        assert store.get(b"key-1") == b"value-2"
 
     def test_miss_with_clean_victim(self):
         # 512 counters, arity 4: levels 0..4.  Pinning the top four leaves
