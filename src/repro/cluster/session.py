@@ -240,8 +240,12 @@ class SecureSession:
         from_server: bool,
     ):
         self.session_id = session_id
-        self._send_keys = send_keys
-        self._recv_keys = recv_keys
+        # The session owns its four keys for life: their schedules are
+        # absorbed here, once, and go when the session does.
+        self._send_enc_key = crypto.prepare(send_keys.encryption_key)
+        self._send_mac_key = crypto.prepare(send_keys.mac_key)
+        self._recv_enc_key = crypto.prepare(recv_keys.encryption_key)
+        self._recv_mac_key = crypto.prepare(recv_keys.mac_key)
         self._crypto = crypto
         self._costs = costs
         self.meter = meter
@@ -271,12 +275,11 @@ class SecureSession:
             budget = protocol.pack_budget(budget_ms)
         seq = self._send_seq = self._send_seq + 1
         session_id = self.session_id
-        keys = self._send_keys
         sealed = V2_HEADER.pack(
             V2_MAGIC, WIRE_V2, flags, session_id, seq
         ) + budget + self._crypto.encrypt(
-            keys.encryption_key, _NONCE.pack(session_id, seq), payload)
-        tag = self._crypto.mac(keys.mac_key, sealed)
+            self._send_enc_key, _NONCE.pack(session_id, seq), payload)
+        tag = self._crypto.mac(self._send_mac_key, sealed)
         self.meter.charge_event(
             "wire_enc", self._costs.enc_cost(len(payload)))
         self.meter.charge_event(
@@ -316,7 +319,7 @@ class SecureSession:
         sealed = frame[:-MAC_SIZE]
         self.meter.charge_event(
             "wire_mac", self._costs.mac_cost(len(sealed)))
-        if not self._crypto.mac_verify(self._recv_keys.mac_key, sealed,
+        if not self._crypto.mac_verify(self._recv_mac_key, sealed,
                                        frame[-MAC_SIZE:]):
             raise TamperedFrameError(
                 f"frame {seq} of session {self.session_id} failed "
@@ -337,8 +340,7 @@ class SecureSession:
             "wire_enc", self._costs.enc_cost(len(ciphertext)))
         self.frames_opened += 1
         return self._crypto.decrypt(
-            self._recv_keys.encryption_key, _NONCE.pack(session_id, seq),
-            ciphertext)
+            self._recv_enc_key, _NONCE.pack(session_id, seq), ciphertext)
 
 
 class ClientHandshake:

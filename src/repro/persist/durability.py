@@ -166,8 +166,11 @@ class PartitionDurability:
             digest_size=16,
         ).digest()
         self._keys = KeyMaterial.from_seed(int.from_bytes(digest, "little"))
-        self._sealing_key = derive_sealing_key(self._keys)
         self._backend = FastCryptoBackend()
+        # Every log record and snapshot is sealed under this one key:
+        # its schedule is absorbed here, once.
+        self._sealing_key = self._backend.prepare(
+            derive_sealing_key(self._keys))
         self._log = wal.SealedLog(self._backend, self._sealing_key)
 
         self._snap_name = f"{partition_id}.snap"

@@ -29,6 +29,9 @@ from repro.sgx.memory import UntrustedMemory
 from repro.sgx.meter import CycleMeter
 from repro.sgx.paging import PagedEnclaveHeap
 
+#: ``IntegrityError`` text for a failed MAC check, given what it protects.
+MAC_MISMATCH = "MAC mismatch on {}: untrusted data modified"
+
 
 class Enclave:
     """Trusted execution context with cycle-accurate cost accounting."""
@@ -49,6 +52,10 @@ class Enclave:
         self.untrusted = untrusted or UntrustedMemory()
         self.keys = keys or KeyMaterial.from_seed(0)
         self.crypto: CryptoBackend = get_backend(crypto_backend)
+        # The enclave owns its two keys for life: their schedules are
+        # absorbed here, once (``CryptoBackend.prepare``).
+        self._mac_key = self.crypto.prepare(self.keys.mac_key)
+        self._encryption_key = self.crypto.prepare(self.keys.encryption_key)
         self.paged_heap: Optional[PagedEnclaveHeap] = None
         if paged_heap_pages is not None:
             self.paged_heap = PagedEnclaveHeap(paged_heap_pages, self.costs, self.meter)
@@ -146,7 +153,7 @@ class Enclave:
             events = meter.events
             events["mac_bytes"] += size
             events["mac_ops"] += 1
-        return self.crypto.mac(self.keys.mac_key, message)
+        return self.crypto.mac(self._mac_key, message)
 
     def mac_verify(self, message: bytes, tag: bytes) -> bool:
         meter = self.meter
@@ -157,12 +164,12 @@ class Enclave:
             events = meter.events
             events["mac_bytes"] += size
             events["mac_ops"] += 1
-        return self.crypto.mac_verify(self.keys.mac_key, message, tag)
+        return self.crypto.mac_verify(self._mac_key, message, tag)
 
     def require_mac(self, message: bytes, tag: bytes, what: str) -> None:
         """Verify or raise :class:`IntegrityError` naming the protected object."""
         if not self.mac_verify(message, tag):
-            raise IntegrityError(f"MAC mismatch on {what}: untrusted data modified")
+            raise IntegrityError(MAC_MISMATCH.format(what))
 
     def encrypt(self, counter: bytes, plaintext: bytes) -> bytes:
         meter = self.meter
@@ -171,7 +178,7 @@ class Enclave:
             size = len(plaintext)
             meter.cycles += costs.enc_base + size * costs.enc_per_byte
             meter.events["enc_bytes"] += size
-        return self.crypto.encrypt(self.keys.encryption_key, counter, plaintext)
+        return self.crypto.encrypt(self._encryption_key, counter, plaintext)
 
     def decrypt(self, counter: bytes, ciphertext: bytes) -> bytes:
         meter = self.meter
@@ -180,7 +187,7 @@ class Enclave:
             size = len(ciphertext)
             meter.cycles += costs.enc_base + size * costs.enc_per_byte
             meter.events["enc_bytes"] += size
-        return self.crypto.decrypt(self.keys.encryption_key, counter, ciphertext)
+        return self.crypto.decrypt(self._encryption_key, counter, ciphertext)
 
     # -- misc in-enclave work ----------------------------------------------------
 

@@ -12,6 +12,7 @@ from repro.attacks import (
 )
 from repro.core.config import AriaConfig
 from repro.core.store import AriaStore
+from repro.errors import IntegrityError
 from repro.sgx.costs import SgxPlatform
 
 
@@ -32,6 +33,15 @@ def test_record_tampering_detected(store):
     outcome = tamper_record_body(store, b"key-0042")
     assert outcome.detected
     assert "IntegrityError" in outcome.error
+
+
+def test_record_tampering_raises_require_macs_error(store):
+    """``RecordCodec.open`` checks the MAC inline; its error is the one
+    ``Enclave.require_mac`` raises for a KV record."""
+    outcome = tamper_record_body(store, b"key-0042")
+    with pytest.raises(IntegrityError) as expected:
+        store.enclave.require_mac(b"message", bytes(16), "KV record")
+    assert outcome.error == f"IntegrityError: {expected.value}"
 
 
 def test_record_replay_detected(store):
