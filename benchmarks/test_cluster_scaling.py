@@ -175,45 +175,64 @@ def test_shard_worker_speedup(run_experiment):
         assert row["wall_s"] > 0
 
 
+def doorless_shard_cycles_per_op(scale, n_ops, replication, frame_ops=256):
+    """W1's stream in W1's frames, through ``coordinator.execute`` alone."""
+    from repro.bench.experiments import _as_requests, scaled_keys
+    from repro.cluster import ClusterConfig, build_replicated_cluster
+    from repro.workloads.ycsb import YcsbWorkload
+
+    n_keys = scaled_keys(scale)
+    workload = YcsbWorkload(n_keys=n_keys, read_ratio=0.9, value_size=16,
+                            distribution="uniform")
+    requests = _as_requests(workload.operations(n_ops))
+    coordinator = build_replicated_cluster(ClusterConfig(
+        n_shards=2, replication=replication, n_keys=n_keys, scale=scale,
+        batch_window=32, backend="inline"))
+
+    def shard_cycles():
+        return sum(replica.shard.meter.cycles
+                   for group in coordinator.shard_list()
+                   for replica in group.replicas)
+
+    try:
+        coordinator.load(workload.load_items())
+        before = shard_cycles()
+        for start in range(0, n_ops, frame_ops):
+            coordinator.execute(requests[start:start + frame_ops])
+        return round((shard_cycles() - before) / n_ops, 1)
+    finally:
+        coordinator.close()
+
+
 @pytest.mark.wire
 def test_cluster_wire_overhead(run_experiment):
-    result = run_experiment(cluster_wire_overhead, scale=bench_scale(2048),
-                            n_ops=2000)
+    scale, n_ops = bench_scale(2048), 2000
+    result = run_experiment(cluster_wire_overhead, scale=scale, n_ops=n_ops)
 
-    for backend in ("inline", "process"):
-        for replication in (1, 2):
-            (v1,) = result.where(backend=backend, R=replication, wire="v1")
-            (v2,) = result.where(backend=backend, R=replication, wire="v2")
-
-            # (e) Encryption terminates at the gateway: the shards' own
-            # enclave work is byte-for-byte what the plaintext run charged.
-            assert v1["shard_cycles_per_op"] == v2["shard_cycles_per_op"]
-
-            # v1 frames are free on the wire; v2 frames pay AEAD both ways,
-            # and the handshake pays two 2048-bit exponentiations plus a
-            # quote verification up front.
-            assert v1["wire_cycles_per_op"] == 0.0
-            assert v1["handshake_cycles"] == 0.0
-            assert v2["wire_cycles_per_op"] > 0.0
-            assert v2["handshake_cycles"] > 2_000_000  # 2x kex + quote
-
-            # Amortized over 256-request frames, the AEAD toll must stay a
-            # modest fraction of the shard work the frame triggers.
-            assert v2["overhead_pct"] < 50.0, v2["overhead_pct"]
-
-    # The gateway meter lives in the front-door process under both shard
-    # backends, and AEAD charges are pure byte-length functions, so every
-    # simulated column is backend-invariant.
     for replication in (1, 2):
-        for wire in ("v1", "v2"):
-            (inline,) = result.where(backend="inline", R=replication,
-                                     wire=wire)
-            (process,) = result.where(backend="process", R=replication,
-                                      wire=wire)
-            for column in ("shard_cycles_per_op", "wire_cycles_per_op",
-                           "handshake_cycles", "overhead_pct"):
-                assert inline[column] == process[column], (column, wire,
-                                                           replication)
+        (inline,) = result.where(backend="inline", R=replication)
+        (process,) = result.where(backend="process", R=replication)
+
+        # (e) Encryption terminates at the gateway: the shards' own enclave
+        # work is byte-for-byte what the same frames charge with no door.
+        assert inline["shard_cycles_per_op"] == \
+            doorless_shard_cycles_per_op(scale, n_ops, replication)
+
+        # Frames pay AEAD both ways, and the handshake pays two 2048-bit
+        # exponentiations plus a quote verification up front.
+        assert inline["wire_cycles_per_op"] > 0.0
+        assert inline["handshake_cycles"] > 2_000_000  # 2x kex + quote
+
+        # Amortized over 256-request frames, the AEAD toll must stay a
+        # modest fraction of the shard work the frame triggers.
+        assert inline["overhead_pct"] < 50.0, inline["overhead_pct"]
+
+        # The gateway meter lives in the front-door process under both
+        # shard backends, and AEAD charges are pure byte-length functions,
+        # so every simulated column is backend-invariant.
+        for column in ("shard_cycles_per_op", "wire_cycles_per_op",
+                       "handshake_cycles", "overhead_pct"):
+            assert inline[column] == process[column], (column, replication)
 
 
 @pytest.mark.dist

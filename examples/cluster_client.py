@@ -54,7 +54,7 @@ def main(backend: str = "inline") -> None:
         print(f"cluster of {N_SHARDS} enclave shards "
               f"({backend} backend) listening on {host}:{port}\n")
 
-        # connect() performs the attested v2 handshake by default: the
+        # connect() performs the attested v2 handshake: the
         # gateway's quote binds its measurement to the transcript, then
         # every frame below travels AES-CTR encrypted and CMAC'd.
         with ClusterClient.connect(host, port) as client:

@@ -1165,12 +1165,12 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
                           n_shards: int = 2,
                           batch_window: int = 32,
                           frame_ops: int = 256) -> ExperimentResult:
-    """Price of the encrypted front door: v2 sessions vs v1 plaintext.
+    """Price of the attested front door.
 
     Drives the same seeded RD90 stream through a real TCP
-    :class:`~repro.cluster.netserver.BackgroundServer` four ways per
-    backend — wire ∈ (v2 encrypted, v1 plaintext) × replication R ∈ (1, 2)
-    — and accounts three simulated prices separately:
+    :class:`~repro.cluster.netserver.BackgroundServer` per backend and
+    replication R ∈ (1, 2), and accounts three simulated prices
+    separately:
 
     * ``handshake_cycles`` — the client's one-time attested session setup
       (two 2048-bit exponentiations + quote verification);
@@ -1178,7 +1178,8 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
       (seal + open per frame, measured after the handshake, amortized over
       ``frame_ops``-request frames);
     * ``shard_cycles_per_op`` — the enclaves' own work, which encryption on
-      the wire must not change.
+      the wire must not change (the benchmark suite compares it with the
+      same frames run without a door).
 
     The wire columns are pure byte-length functions of the stream, and the
     gateway meter lives in the front-door process under both shard
@@ -1190,9 +1191,9 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
 
     result = ExperimentResult(
         exp_id="Cluster 5",
-        title="Wire security overhead: encrypted v2 sessions vs v1 "
-              "plaintext (uniform RD90, 16B)",
-        columns=["backend", "R", "wire", "shard_cycles_per_op",
+        title="Wire security overhead: attested v2 sessions "
+              "(uniform RD90, 16B)",
+        columns=["backend", "R", "shard_cycles_per_op",
                  "wire_cycles_per_op", "handshake_cycles",
                  "overhead_pct"],
     )
@@ -1210,53 +1211,33 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
 
     for backend in ("inline", "process"):
         for replication in (1, 2):
-            baseline_shard_cpo = None
-            for wire in ("v1", "v2"):
-                coordinator = build_replicated_cluster(ClusterConfig(
-                    n_shards=n_shards, replication=replication, n_keys=n_keys,
-                    scale=scale, batch_window=batch_window, backend=backend))
-                background = BackgroundServer(
-                    coordinator,
-                    security="plaintext" if wire == "v1" else "required",
-                )
-                try:
-                    coordinator.load(workload.load_items())
-                    host, port = background.start()
-                    with ClusterClient.connect(host, port,
-                                               secure=(wire == "v2")) \
-                            as client:
-                        info = client.session_info()
-                        gateway = background.server.sessions
-                        wire_before = (gateway.meter.cycles
-                                       if gateway is not None else 0.0)
-                        shards_before = shard_cycles(coordinator)
-                        for start in range(0, len(requests), frame_ops):
-                            client.request_batch(
-                                requests[start:start + frame_ops])
-                        shard_cpo = (shard_cycles(coordinator)
-                                     - shards_before) / n_ops
-                        wire_cpo = (
-                            (gateway.meter.cycles - wire_before) / n_ops
-                            if gateway is not None else 0.0
-                        )
-                finally:
-                    background.close()
-                if wire == "v1":
-                    baseline_shard_cpo = shard_cpo
-                overhead = 100.0 * wire_cpo / (shard_cpo or 1.0)
-                result.add_row(
-                    backend=backend, R=replication, wire=wire,
-                    shard_cycles_per_op=round(shard_cpo, 1),
-                    wire_cycles_per_op=round(wire_cpo, 1),
-                    handshake_cycles=round(info["handshake_cycles"], 1),
-                    overhead_pct=round(overhead, 2),
-                )
-                # Encryption terminates at the gateway: the shards' own
-                # work must be exactly what the plaintext run charged.
-                if baseline_shard_cpo is not None and \
-                        shard_cpo != baseline_shard_cpo:
-                    result.note(f"WARNING: shard cycles drifted between "
-                                f"wires at backend={backend} R={replication}")
+            coordinator = build_replicated_cluster(ClusterConfig(
+                n_shards=n_shards, replication=replication, n_keys=n_keys,
+                scale=scale, batch_window=batch_window, backend=backend))
+            background = BackgroundServer(coordinator)
+            try:
+                coordinator.load(workload.load_items())
+                host, port = background.start()
+                with ClusterClient.connect(host, port) as client:
+                    info = client.session_info()
+                    gateway = background.server.sessions.meter
+                    wire_before = gateway.cycles
+                    shards_before = shard_cycles(coordinator)
+                    for start in range(0, len(requests), frame_ops):
+                        client.request_batch(
+                            requests[start:start + frame_ops])
+                    shard_cpo = (shard_cycles(coordinator)
+                                 - shards_before) / n_ops
+                    wire_cpo = (gateway.cycles - wire_before) / n_ops
+            finally:
+                background.close()
+            result.add_row(
+                backend=backend, R=replication,
+                shard_cycles_per_op=round(shard_cpo, 1),
+                wire_cycles_per_op=round(wire_cpo, 1),
+                handshake_cycles=round(info["handshake_cycles"], 1),
+                overhead_pct=round(100.0 * wire_cpo / (shard_cpo or 1.0), 2),
+            )
     result.note(f"scale 1/{scale}: {n_keys} keys, {n_shards} groups x R "
                 f"replicas, {frame_ops}-request frames; gateway AEAD is "
                 "charged in the front-door process, so simulated columns "

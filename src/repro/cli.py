@@ -209,7 +209,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         DurabilityConfig,
         HotShardBalancer,
         OverloadConfig,
-        SessionManager,
     )
 
     if args.shards < 1:
@@ -259,11 +258,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         except (ConfigurationError, ValueError) as exc:
             print(f"bad --tenants spec: {exc}", file=sys.stderr)
             return 2
-        if tenancy.require_auth and args.insecure:
-            print("error: --require-tenant-auth cannot be met on an "
-                  "--insecure door (a plaintext frame has no principal)",
-                  file=sys.stderr)
-            return 2
     # A capped front door also arms the coordinator's overload layer
     # (per-shard breakers, deadline shedding, auto-brownout).
     overloaded_door = (args.max_inflight is not None
@@ -305,25 +299,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         # Every move goes through the planner's constraint models.
         coordinator.balancer = HotShardBalancer(
             coordinator, planner=coordinator.elastic.planner)
-    if args.insecure and args.require_encryption:
-        print("error: --insecure and --require-encryption are mutually "
-              "exclusive")
-        return 2
-    if args.insecure:
-        security = "plaintext"
-    elif args.require_encryption:
-        security = "required"
-    else:
-        security = "optional"
-    sessions = None
-    if tenancy is not None and security != "plaintext":
-        # The gateway authenticates tenant claims against the roster.
-        sessions = SessionManager(registry=coordinator.tenancy.registry,
-                                  require_tenant=tenancy.require_auth)
     server = ClusterNetServer(coordinator, host=args.host, port=args.port,
                               max_requests=args.max_requests,
-                              security=security,
-                              sessions=sessions,
                               max_inflight=args.max_inflight,
                               max_connections=args.max_connections)
 
@@ -331,8 +308,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     print(f"cluster listening on {host}:{port} "
           f"({args.shards} shards, backend {args.backend}, "
           f"{config.workers or 1} worker(s)/shard, "
-          f"balancer {'on' if args.balance else 'off'}, wire security "
-          f"{security})")
+          f"balancer {'on' if args.balance else 'off'})")
     if args.durable:
         print(f"  durable: data dir {args.data_dir}, replication "
               f"{args.replication}, epoch every {args.epoch_every} "
@@ -348,8 +324,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
               ", max connections "
               f"{args.max_connections if args.max_connections else 'unlimited'}"  # noqa: E501
               ", per-shard breakers armed")
-    if server.sessions is not None:
-        print(f"  gateway measurement {server.sessions.measurement.hex()}")
+    print(f"  gateway measurement {server.sessions.measurement.hex()}")
     if tenancy is not None:
         roster = ", ".join(t.tenant_id for t in tenancy.tenants)
         print(f"  tenants: {roster} (auth "
@@ -376,11 +351,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                   f"({shed['frames_shed']} frames), peak in-flight "
                   f"{shed['max_inflight_seen']}, "
                   f"{shed['connections_refused']} connections refused")
-        if server.sessions is not None:
-            gateway = server.wire_stats()["gateway"]
-            print(f"  wire: {gateway['handshakes']} handshakes, "
-                  f"{gateway['cycles']:,.0f} gateway cycles "
-                  f"({gateway['cipher']})")
+        gateway = server.wire_stats()["gateway"]
+        print(f"  wire: {gateway['handshakes']} handshakes, "
+              f"{gateway['cycles']:,.0f} gateway cycles "
+              f"({gateway['cipher']})")
         for shard_id in sorted(report):
             row = report[shard_id]
             print(f"  {shard_id}: {row['keys']} keys, "
@@ -570,9 +544,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-connections", type=int, default=None,
                        help="refuse TCP connections beyond this count "
                             "(closed without reply)")
-    serve.add_argument("--insecure", action="store_true",
-                       help="v1 plaintext only: refuse encrypted-session "
-                            "handshakes (prices the unprotected baseline)")
     serve.add_argument("--durable", action="store_true",
                        help="rollback-protected sealed persistence: group-"
                             "commit every acked write to a sealed WAL and "
@@ -588,9 +559,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="group commits between monotonic-counter "
                             "bindings (lower = smaller offline rollback "
                             "window, higher amortized counter cost)")
-    serve.add_argument("--require-encryption", action="store_true",
-                       help="v2 sessions only: reject plaintext frames "
-                            "(default policy accepts both)")
     serve.add_argument("--tenants", default=None,
                        help="arm the multi-tenant front door: comma-"
                             "separated id[:rate[:burst[:cache_quota]]] "

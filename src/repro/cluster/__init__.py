@@ -99,7 +99,6 @@ from repro.cluster.faults import (
     CORRUPT,
     CTR_RESET,
     DELAY,
-    DOWNGRADE,
     DROP,
     DURABILITY_KINDS,
     IO_ERROR,
@@ -144,7 +143,6 @@ from repro.cluster.netserver import (
     DEFAULT_CLIENT_TIMEOUT,
     DEFAULT_RETRY_RATIO,
     FRAME_HEADER,
-    SECURITY_POLICIES,
 )
 from repro.cluster.overload import (
     BreakerState,
@@ -213,7 +211,6 @@ __all__ = [
     "DEFAULT_VNODES",
     "Deadline",
     "DELAY",
-    "DOWNGRADE",
     "DROP",
     "DURABILITY_KINDS",
     "FRAME_HEADER",
@@ -240,7 +237,6 @@ __all__ = [
     "RecoveryReport",
     "ResyncReport",
     "RetryBudget",
-    "SECURITY_POLICIES",
     "SLOW",
     "SecureSession",
     "SessionManager",

@@ -367,7 +367,6 @@ def serve(
     *,
     host: str = "127.0.0.1",
     port: int = 0,
-    security: str = "optional",
     max_requests: Optional[int] = None,
     max_inflight: Optional[int] = None,
     max_connections: Optional[int] = None,
@@ -376,30 +375,17 @@ def serve(
     """Build the cluster *and* its front door; returns a started
     :class:`~repro.cluster.netserver.BackgroundServer`.
 
-    With ``config.tenancy`` armed, the front door's gateway
-    :class:`~repro.cluster.session.SessionManager` is constructed around
-    the tenancy roster, so v2 handshakes authenticate tenant claims
-    (``require_auth`` in the tenancy config makes a tenant block
-    mandatory).  The caller owns shutdown: ``server.close()`` stops the
-    door and releases the shard backends.
+    The caller owns shutdown: ``server.close()`` stops the door and
+    releases the shard backends.
     """
     from repro.cluster.netserver import BackgroundServer
-    from repro.cluster.session import SessionManager
 
     coordinator = config.build(clock=clock)
-    sessions = None
-    if config.tenancy is not None and security != "plaintext":
-        sessions = SessionManager(
-            registry=coordinator.tenancy.registry,
-            require_tenant=config.tenancy.require_auth,
-        )
     server = BackgroundServer(
         coordinator,
         host=host,
         port=port,
         max_requests=max_requests,
-        security=security,
-        sessions=sessions,
         max_inflight=max_inflight,
         max_connections=max_connections,
     )

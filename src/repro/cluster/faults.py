@@ -21,13 +21,11 @@ hanging.  This module stages both kinds on a fixed, replayable schedule:
 * net faults (``delay`` / ``drop`` / ``close``) are consumed by
   :class:`~repro.cluster.netserver.ClusterNetServer`, keyed by its served
   frame count.
-* wire attacks (``tamper`` / ``replay`` / ``downgrade``) are the on-path
-  adversary of the v2 session layer, also played by the front door:
-  tamper flips a ciphertext bit in an outgoing sealed frame, replay
-  resends the previously sent frame, downgrade answers a v2 hello with a
-  plaintext rejection.  All three must surface client-side as typed
-  errors (``TamperedFrameError`` / ``ReplayError`` / ``HandshakeError``),
-  never as decoded garbage.
+* wire attacks (``tamper`` / ``replay``) are the on-path adversary of
+  the v2 session layer, also played by the front door: tamper flips a
+  ciphertext bit in an outgoing sealed frame, replay resends the
+  previously sent frame.  Both must surface client-side as typed errors
+  (``TamperedFrameError`` / ``ReplayError``), never as decoded garbage.
 
 A **kill** models the loss of the enclave, not of the host: EPC contents
 and trust anchors are gone, so :meth:`FaultyShard.restart` brings up a
@@ -70,10 +68,9 @@ DROP = "drop"
 CLOSE = "close"
 # Wire attacks (an on-path adversary, played by the server itself so the
 # schedule stays deterministic): flip a ciphertext bit in the outgoing
-# frame, resend a recorded frame, or answer a v2 hello in plaintext.
+# frame, or resend a recorded frame.
 TAMPER = "tamper"
 REPLAY = "replay"
-DOWNGRADE = "downgrade"
 # Durability faults, consumed by repro.persist.PartitionDurability at its
 # commit boundaries (and, for the attacker-strikes-during-downtime kinds,
 # at recovery start).  ``at`` counts the partition's commit attempts.
@@ -88,10 +85,10 @@ CTR_RESET = "ctr_reset"  # attacker wipes the monotonic counter
 NET_TARGET = "net"
 
 _SHARD_KINDS = {KILL, CORRUPT, PARTITION, SLOW}
-_NET_KINDS = {DELAY, DROP, CLOSE, TAMPER, REPLAY, DOWNGRADE}
+_NET_KINDS = {DELAY, DROP, CLOSE, TAMPER, REPLAY}
 _DUR_KINDS = {TORN, TRUNCATE, IO_ERROR, CAPTURE, ROLLBACK, CTR_RESET}
 
-#: Net kinds that act on an established session's data frames.
+#: Net kinds that act on a sealed reply.
 WIRE_KINDS = frozenset({TAMPER, REPLAY})
 
 #: Kinds the durability layer consumes (see repro.persist.durability).
@@ -205,10 +202,6 @@ class FaultPlan:
         """Resend the previous wire frame after the ``at``-th one."""
         return self._add(FaultEvent(REPLAY, target, at))
 
-    def downgrade(self, at: int, target: str = NET_TARGET) -> "FaultPlan":
-        """Answer the next v2 client hello with a plaintext rejection."""
-        return self._add(FaultEvent(DOWNGRADE, target, at))
-
     def torn(self, target: str, at: int) -> "FaultPlan":
         """Tear the ``at``-th commit's append: half the record, then crash."""
         return self._add(FaultEvent(TORN, target, at))
@@ -243,9 +236,9 @@ class FaultPlan:
         """Events for ``target`` with ``at <= counter`` not yet fired.
 
         ``kinds`` restricts which kinds may fire (and be consumed) at this
-        call site: the front door pops DOWNGRADE only while a handshake is
-        in flight and TAMPER/REPLAY only on established-session frames, so
-        an event never burns itself at a point where it cannot act.
+        call site: the front door pops TAMPER/REPLAY only when it seals a
+        reply, so an event never burns itself at a point where it cannot
+        act.
         """
         wanted = None if kinds is None else set(kinds)
         due = []

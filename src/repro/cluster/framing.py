@@ -3,7 +3,7 @@
 The client edge (:class:`~repro.cluster.netserver.ClusterClient` ↔ front
 door) and the shard hop (:class:`~repro.cluster.sockbackend.SocketShard`
 ↔ shard host) frame identically: a little-endian ``u32`` length, then the
-payload (a v1 batch or a v2 sealed frame — this layer never looks).  The
+payload (a v2 session frame — this layer never looks).  The
 blocking-socket side of that lives here once; failures surface as the
 typed :class:`~repro.errors.ClusterTimeoutError` /
 :class:`~repro.errors.ClusterConnectionError` /

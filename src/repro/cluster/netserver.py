@@ -1,11 +1,11 @@
 """The TCP front door for the sharded cluster, and its client.
 
-Speaks ``repro.server.protocol`` frames over the one framed stream of
-:mod:`repro.cluster.framing` (4-byte little-endian length prefix)::
+Speaks ``repro.server.protocol`` batches inside v2 session frames over
+the one framed stream of :mod:`repro.cluster.framing` (4-byte
+little-endian length prefix)::
 
     wire frame := frame_len (u32 LE) | payload
-    payload    := v1 plaintext batch, or a v2 session frame
-                  (see repro.server.protocol / repro.cluster.session)
+    payload    := v2 session frame (see repro.cluster.session)
 
 * **One blocking reader per connection** — the model
   :class:`~repro.cluster.sockbackend.ShardHost` uses: an accept loop and
@@ -23,23 +23,14 @@ Speaks ``repro.server.protocol`` frames over the one framed stream of
   read; an oversized or zero length gets the canonical batch rejection and
   the connection is closed (there is no way to resynchronize a stream
   whose framing is untrusted).
-* **Encrypted sessions** — a connection may open with a v2 handshake frame
-  (:mod:`repro.cluster.session`): the front door's gateway
-  :class:`~repro.cluster.session.SessionManager` answers with a
-  transcript-bound quote, and every later frame on that connection is
-  AEAD-protected.  The ``security`` policy decides what else is allowed:
-
-  ==============  ====================================================
-  ``"optional"``  (default) v1 plaintext and v2 sessions both served
-  ``"required"``  v1 plaintext data frames are rejected and the
-                  connection closed — encrypted or nothing
-  ``"plaintext"`` v2 hellos are refused (the ``--insecure`` front
-                  door that prices the v1 baseline)
-  ==============  ====================================================
-
-  Wire attacks from the fault plan (``tamper``/``replay``/``downgrade``)
-  are staged here, acting as the deterministic on-path adversary; the
-  matching alarms count what the session layer caught.
+* **Attested sessions** — every connection opens with a v2 handshake:
+  the front door's gateway :class:`~repro.cluster.session.SessionManager`
+  answers with a transcript-bound quote, and every later frame is
+  AEAD-protected.  A payload without the v2 magic gets the plaintext
+  batch rejection and the connection is closed.  Wire attacks from the
+  fault plan (``tamper``/``replay``) are staged here, acting as the
+  deterministic on-path adversary; the matching alarms count what the
+  session layer caught.
 * **Bounded admission** — ``max_inflight`` caps how many request frames
   may be admitted (executing, or holding a slot while they wait for the
   execution lock) at once; excess frames wait on a LIFO stack and are
@@ -53,9 +44,8 @@ Speaks ``repro.server.protocol`` frames over the one framed stream of
   without executing them, and hands the remaining budget to the
   coordinator's overload layer.
 * **Principals** — a frame's principal is its session's
-  handshake-authenticated tenant, and nothing else: a v1 plaintext
-  frame is anonymous, and a door whose tenancy has ``require_auth``
-  refuses plaintext like ``security="required"`` does.
+  handshake-authenticated tenant, and nothing else; a door whose tenancy
+  has ``require_auth`` refuses a hello without a tenant block.
 * **Graceful shutdown** — :meth:`ClusterNetServer.stop` stops accepting,
   lets frames already executing be answered, closes every connection,
   and ends :meth:`serve_forever`.
@@ -76,7 +66,6 @@ from repro.cluster import netutil
 from repro.cluster.faults import (
     CLOSE,
     DELAY,
-    DOWNGRADE,
     DROP,
     NET_TARGET,
     REPLAY,
@@ -121,8 +110,6 @@ DEFAULT_RETRY_RATIO = 0.1
 
 #: retry_after hint (seconds) on frames the front door sheds itself.
 DEFAULT_SHED_RETRY_AFTER = 0.05
-
-SECURITY_POLICIES = ("optional", "required", "plaintext")
 
 #: The classic net fault kinds, consumed after a frame is served.
 _CONNECTION_KINDS = frozenset({DELAY, DROP, CLOSE})
@@ -257,28 +244,16 @@ class ClusterNetServer:
         port: int = 0,
         max_requests: Optional[int] = None,
         fault_plan: Optional[FaultPlan] = None,
-        security: str = "optional",
         sessions: Optional[SessionManager] = None,
         max_inflight: Optional[int] = None,
         max_connections: Optional[int] = None,
     ):
-        if security not in SECURITY_POLICIES:
-            raise ConfigurationError(
-                f"security must be one of {SECURITY_POLICIES}, "
-                f"not {security!r}"
-            )
         if max_inflight is not None and max_inflight < 1:
             raise ConfigurationError(
                 f"max_inflight must be >= 1, not {max_inflight}")
         if max_connections is not None and max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, not {max_connections}")
-        tenancy = coordinator.tenancy
-        require_auth = tenancy is not None and tenancy.config.require_auth
-        if require_auth and security == "plaintext":
-            raise ConfigurationError(
-                "tenancy require_auth on a plaintext-only front door: a "
-                "plaintext frame has no principal")
         self._coordinator = coordinator
         self._host = host
         self._port = port
@@ -293,19 +268,17 @@ class ClusterNetServer:
         #: Deterministic fault injection addressed to ``faults.NET_TARGET``,
         #: keyed by the served-frame counter: connection faults (``delay``/
         #: ``drop``/``close``) fire after a frame is served; wire attacks
-        #: (``tamper``/``replay``) act on outgoing v2 session frames and
-        #: ``downgrade`` on the next handshake attempt.
+        #: (``tamper``/``replay``) act on sealed replies.
         self.fault_plan = fault_plan
-        self.security = security
-        #: v1 data frames are refused: by policy, or because every frame
-        #: must come from an authenticated tenant and plaintext has none.
-        self._plaintext_refused = security == "required" or require_auth
-        #: The gateway enclave terminating v2 sessions (None on a
-        #: plaintext-only front door).
-        self.sessions = (
-            sessions if sessions is not None
-            else (SessionManager() if security != "plaintext" else None)
-        )
+        if sessions is None:
+            # The gateway authenticates tenant claims against the roster.
+            tenancy = coordinator.tenancy
+            sessions = SessionManager(
+                registry=None if tenancy is None else tenancy.registry,
+                require_tenant=(tenancy is not None
+                                and tenancy.config.require_auth))
+        #: The gateway enclave terminating every connection's session.
+        self.sessions = sessions
         self.frames_served = 0
         self.requests_served = 0
         self.frames_dropped = 0
@@ -315,13 +288,10 @@ class ClusterNetServer:
         self.replay_alarms = 0
         self.stale_session_alarms = 0
         self.handshake_failures = 0
-        # Policy refusals.
-        self.hellos_refused = 0
         self.plaintext_rejections = 0
         # What the fault plan staged (outbound attacks actually played).
         self.tamper_injections = 0
         self.replay_injections = 0
-        self.downgrade_injections = 0
         # Overload admission: the in-flight gate (None = unlimited), the
         # connection cap, and the front door's own shedding ledger.
         self.max_inflight = max_inflight
@@ -448,16 +418,13 @@ class ClusterNetServer:
     def wire_stats(self) -> dict:
         """The front door's security ledger: alarms, refusals, injections."""
         row = {
-            "security": self.security,
             "tamper_alarms": self.tamper_alarms,
             "replay_alarms": self.replay_alarms,
             "stale_session_alarms": self.stale_session_alarms,
             "handshake_failures": self.handshake_failures,
-            "hellos_refused": self.hellos_refused,
             "plaintext_rejections": self.plaintext_rejections,
             "tamper_injections": self.tamper_injections,
             "replay_injections": self.replay_injections,
-            "downgrade_injections": self.downgrade_injections,
         }
         overload = {
             "max_inflight": self.max_inflight,
@@ -474,8 +441,7 @@ class ClusterNetServer:
                              if self._gate is not None else 0),
         }
         row["overload"] = overload
-        if self.sessions is not None:
-            row["gateway"] = self.sessions.stats()
+        row["gateway"] = self.sessions.stats()
         tenancy = self._coordinator.tenancy
         if tenancy is not None:
             # Armed front doors only: an unarmed server's ledger keeps its
@@ -509,7 +475,7 @@ class ClusterNetServer:
             pass  # the peer hung up, or stop() shut the read side
         finally:
             with self._lock:
-                if conn.session is not None and self.sessions is not None:
+                if conn.session is not None:
                     self.sessions.retire(conn.session)
                 del self._conns[sock]
             sock.close()
@@ -517,50 +483,43 @@ class ClusterNetServer:
                 self._begin_stop()
 
     def _open_frame(self, conn: _Connection, payload: bytes) -> tuple:
-        """Handshake, policy, session ``open``, decode (lock held).
+        """Handshake, session ``open``, decode (lock held).
 
         Returns ``(batch, replies, keep)``: ``batch`` is the ``(requests,
         deadline, tenant)`` to run, or None when ``replies`` already
         answer the frame; ``keep`` False hangs up after sending them.
         """
+        if not payload.startswith(protocol.V2_MAGIC):
+            self.plaintext_rejections += 1  # not a session frame
+            return _REJECT_AND_CLOSE
         session = conn.session
-        deadline = tenant = None
-        if payload.startswith(protocol.V2_MAGIC):
-            if session is None or (
-                    len(payload) > 3
-                    and payload[3] & protocol.FLAG_HANDSHAKE):
-                # A connection's first frame, or the handshake bit (byte
-                # 3 = flags): checked here.  A session's data frame is
-                # parsed once, by session.open.
-                try:
-                    fheader, _ = protocol.decode_frame(payload)
-                except ProtocolError:
-                    return _REJECT_AND_CLOSE  # malformed v2 header: hostile
-                if fheader.flags & protocol.FLAG_HANDSHAKE:
-                    return self._serve_handshake(conn, payload)
-            plain = self._open_session_frame(payload, session)
-            if plain is None:
-                return _REJECT_AND_CLOSE  # alarm raised; under attack
-            # The principal is the one the handshake authenticated; the
-            # budget is the header field open() just verified the MAC over.
-            tenant = session.tenant
-            if payload[3] & protocol.FLAG_DEADLINE:
-                deadline = Deadline.from_budget_ms(
-                    protocol.V2_BUDGET.unpack_from(
-                        payload, protocol.V2_HEADER.size)[0])
-        else:
-            # v1 plaintext payload: anonymous, no budget.
-            if session is not None or self._plaintext_refused:
-                # Plaintext mid-session is a downgrade attempt; plaintext
-                # on a v2-only or tenant-authenticated front door is policy.
-                self.plaintext_rejections += 1
-                return _REJECT_AND_CLOSE
-            plain = payload
+        if session is None or (len(payload) > 3
+                               and payload[3] & protocol.FLAG_HANDSHAKE):
+            # A connection's first frame, or the handshake bit (byte 3 =
+            # flags): checked here.  A session's data frame is parsed
+            # once, by session.open.
+            try:
+                fheader, _ = protocol.decode_frame(payload)
+            except ProtocolError:
+                return _REJECT_AND_CLOSE  # malformed v2 header: hostile
+            if fheader.flags & protocol.FLAG_HANDSHAKE:
+                return self._serve_handshake(conn, payload)
+        plain = self._open_session_frame(payload, session)
+        if plain is None:
+            return _REJECT_AND_CLOSE  # alarm raised; under attack
+        # The budget is the header field open() just verified the MAC over.
+        deadline = None
+        if payload[3] & protocol.FLAG_DEADLINE:
+            deadline = Deadline.from_budget_ms(
+                protocol.V2_BUDGET.unpack_from(
+                    payload, protocol.V2_HEADER.size)[0])
         try:
             requests = protocol.decode_batch(plain)
         except ProtocolError:
-            return self._reject_frame(session)
-        return (requests, deadline, tenant), (), True
+            # Refused as a unit; the connection survives it.
+            return None, (session.seal(BATCH_REJECTION),), True
+        # The principal is the one the handshake authenticated.
+        return (requests, deadline, session.tenant), (), True
 
     def _run_batch(
         self,
@@ -618,13 +577,10 @@ class ClusterNetServer:
                 self.frames_dropped += 1
                 replies = ()  # swallow the response; the client times out
             else:
-                reply = protocol.encode_batch_responses(responses)
-                if conn.session is None:
-                    replies = (reply,)
-                else:
-                    reply = conn.session.seal(reply)
-                    replies = self._stage_wire_attacks(reply, conn.last_reply)
-                    conn.last_reply = reply
+                reply = conn.session.seal(
+                    protocol.encode_batch_responses(responses))
+                replies = self._stage_wire_attacks(reply, conn.last_reply)
+                conn.last_reply = reply
         if delay:
             time.sleep(delay)
         return replies, keep
@@ -654,22 +610,7 @@ class ClusterNetServer:
         return [shed] * n
 
     def _serve_handshake(self, conn: _Connection, payload: bytes) -> tuple:
-        """Answer a v2 client hello (lock held); an ``_open_frame`` verdict.
-
-        A policy refusal (plaintext-only front door) and an injected
-        downgrade both answer in plaintext — exactly what an on-path
-        attacker stripping the handshake looks like — and a client that
-        wants encryption must treat that reply as fatal.
-        """
-        downgraded = (
-            self.sessions is not None and self.fault_plan is not None
-            and bool(self.fault_plan.pop_due(
-                NET_TARGET, self.frames_served, kinds=(DOWNGRADE,))))
-        if self.sessions is None or downgraded:
-            if downgraded:
-                self.downgrade_injections += 1
-            self.hellos_refused += 1
-            return None, (BATCH_REJECTION,), True
+        """Answer a v2 client hello (lock held); an ``_open_frame`` verdict."""
         if conn.session is not None:
             # Rekey: a repeated hello on one connection replaces (and
             # retires) the previous session.
@@ -743,15 +684,6 @@ class ClusterNetServer:
         return outgoing, reply
 
     @staticmethod
-    def _reject_frame(session: Optional[SecureSession]) -> tuple:
-        """The ``_open_frame`` verdict for a frame refused as a unit on a
-        connection that survives it: the rejection, sealed in-session."""
-        reply = BATCH_REJECTION
-        if session is not None:
-            reply = session.seal(reply)
-        return None, (reply,), True
-
-    @staticmethod
     def _send(sock: socket.socket, payload: bytes) -> None:
         # Answers past the cap (the batch ran) go out as their length alone:
         # it makes the peer's reader refuse them, typed; the body stays
@@ -763,21 +695,18 @@ class ClusterNetServer:
 class ClusterClient:
     """Synchronous wire client: encrypted sessions, typed errors, retries.
 
-    By default (``secure=True``) the client opens every connection with the
-    attested v2 handshake (:mod:`repro.cluster.session`): it verifies the
-    gateway's quote — pinning ``expected_measurement`` when given — and
-    seals/opens every frame thereafter.  A server or on-path attacker that
-    answers the hello in plaintext raises
-    :class:`~repro.errors.HandshakeError`; a secure client **never** falls
-    back to plaintext.  ``secure=False`` speaks the v1 plaintext protocol
-    (the priced baseline; the CLI exposes it as ``--insecure``).
+    The client opens every connection with the attested v2 handshake
+    (:mod:`repro.cluster.session`): it verifies the gateway's quote —
+    pinning ``expected_measurement`` when given — and seals/opens every
+    frame thereafter.  Any answer to the hello but a server hello,
+    plaintext included, raises :class:`~repro.errors.HandshakeError`.
 
     Every socket operation carries ``timeout`` (connect *and* read), so a
     hung or fault-injected server surfaces as
     :class:`~repro.errors.ClusterTimeoutError` instead of blocking the
     caller forever.  A timeout desynchronizes the stream (the response may
-    still be in flight), so recovery always reconnects — and, when secure,
-    re-handshakes under a fresh session — before retrying.
+    still be in flight), so recovery always reconnects and re-handshakes
+    under a fresh session before retrying.
 
     Retries are **reads only**: :meth:`get` (and :meth:`health`) re-issue
     up to ``retries`` times with exponential backoff (``backoff * 2**n``,
@@ -792,8 +721,7 @@ class ClusterClient:
 
     * **Deadlines** — ``deadline`` (a default budget in seconds, or a
       per-call override on every request method) rides each sealed frame
-      in the v2 header (a v1 client's stays local: plaintext carries no
-      budget), caps the socket wait, and caps retry *backoff*: a
+      in the v2 header, caps the socket wait, and caps retry *backoff*: a
       sleep that would overrun the remaining budget raises
       :class:`~repro.errors.DeadlineExceededError` instead of sleeping
       through it, so total attempt wall-time never exceeds the caller's
@@ -810,8 +738,7 @@ class ClusterClient:
     ``tenant``/``credential`` make the connection act as that principal,
     authenticated inside the attested handshake (``credential`` is the
     tenant secret; it defaults to the derivable demo secret when
-    omitted) — so they need ``secure=True``: plaintext states no
-    principal.  Every error this client raises is part of the
+    omitted).  Every error this client raises is part of the
     :mod:`repro.errors` tree.
     """
 
@@ -820,7 +747,6 @@ class ClusterClient:
         host: str,
         port: int,
         *,
-        secure: bool = True,
         expected_measurement: Optional[bytes] = None,
         crypto: str = "fast",
         tenant: Optional[str] = None,
@@ -853,18 +779,12 @@ class ClusterClient:
         if credential is not None and tenant is None:
             raise ConfigurationError(
                 "credential requires a tenant id")
-        if tenant is not None and not secure:
-            raise ConfigurationError(
-                "a tenant is authenticated by the v2 handshake: "
-                "tenant= requires secure=True")
-        self._secure = secure
         self._expected_measurement = expected_measurement
         self._crypto = crypto
         #: The principal this client acts as, bound (with the credential)
         #: into the attested handshake.
         self._tenant = tenant
         self._credential = credential
-        self._session: Optional[SecureSession] = None
         #: Accumulates this client's share of wire crypto (handshakes plus
         #: per-frame AEAD) across the connection's whole life.
         self.wire_meter = CycleMeter()
@@ -873,17 +793,17 @@ class ClusterClient:
         self.reconnects = 0
         self.retried_reads = 0
         self.overload_retries = 0
-        self._sock = self._connect()
+        self._sock, self._session = self._connect()
 
     @classmethod
     def connect(cls, host: str, port: int, **options) -> "ClusterClient":
-        """Connect (and, unless ``secure=False``, handshake): the spelling
-        the docs and examples use for ``ClusterClient(host, port, ...)``."""
+        """Connect and handshake: the spelling the docs and examples use
+        for ``ClusterClient(host, port, ...)``."""
         return cls(host, port, **options)
 
     # -- connection + handshake ---------------------------------------------------
 
-    def _connect(self) -> socket.socket:
+    def _connect(self) -> Tuple[socket.socket, SecureSession]:
         try:
             sock = socket.create_connection((self._host, self._port),
                                             timeout=self._timeout)
@@ -897,13 +817,11 @@ class ClusterClient:
             ) from exc
         sock.settimeout(self._timeout)
         netutil.no_delay(sock)
-        if self._secure:
-            try:
-                self._session = self._handshake(sock)
-            except (AriaError, OSError):
-                sock.close()
-                raise
-        return sock
+        try:
+            return sock, self._handshake(sock)
+        except (AriaError, OSError):
+            sock.close()
+            raise
 
     def _handshake(self, sock: socket.socket) -> SecureSession:
         before = self.wire_meter.cycles
@@ -922,8 +840,7 @@ class ClusterClient:
 
     def _reconnect(self) -> None:
         self.close()
-        self._session = None
-        self._sock = self._connect()
+        self._sock, self._session = self._connect()
         self.reconnects += 1
 
     def session_info(self) -> dict:
@@ -934,51 +851,40 @@ class ClusterClient:
         ``wire_cycles`` accumulates all wire crypto this client has ever
         performed, handshakes and per-frame AEAD alike.
         """
-        info = {
-            "secure": self._session is not None,
-            "version": (protocol.WIRE_V2 if self._session is not None
-                        else protocol.WIRE_V1),
-            "cipher": (self._session.cipher if self._session is not None
-                       else None),
-            "session_id": (self._session.session_id
-                           if self._session is not None else None),
-            "tenant": (self._session.tenant
-                       if self._session is not None else None),
+        session = self._session
+        return {
+            "version": protocol.WIRE_V2,
+            "cipher": session.cipher,
+            "session_id": session.session_id,
+            "tenant": session.tenant,
             "handshakes": self.handshakes,
             "handshake_cycles": self._last_handshake_cycles,
             "wire_cycles": self.wire_meter.cycles,
+            "frames_sealed": session.frames_sealed,
+            "frames_opened": session.frames_opened,
         }
-        if self._session is not None:
-            info["frames_sealed"] = self._session.frames_sealed
-            info["frames_opened"] = self._session.frames_opened
-        return info
 
     # -- framing ------------------------------------------------------------------
 
     def send_frame(self, payload: bytes,
                    deadline: Optional[Deadline] = None) -> None:
-        """Send one protocol payload, sealed when a session is live.
+        """Seal and send one protocol payload.
 
-        With a ``deadline``, a sealed frame carries the *remaining* budget
-        in its header's deadline field; a v1 frame carries none (the
-        budget still bounds this client's own waits).
+        With a ``deadline``, the frame carries the *remaining* budget in
+        its header's deadline field.
         """
-        if self._session is not None:
-            payload = self._session.seal(
-                payload, None if deadline is None else deadline.budget_ms())
-        write_frame(self._sock, payload)
+        write_frame(self._sock, self._session.seal(
+            payload, None if deadline is None else deadline.budget_ms()))
 
     def recv_frame(self) -> bytes:
-        """Receive one protocol payload, opened when a session is live.
+        """Receive and open one protocol payload.
 
-        On an encrypted connection the only plaintext the client accepts
-        is the canonical batch rejection — the server (or an on-path
-        attacker) refusing service, which carries denial but no data.
-        Any other plaintext is treated as a forgery.
+        The only plaintext the client accepts is the canonical batch
+        rejection — the server (or an on-path attacker) refusing service,
+        which carries denial but no data.  Any other plaintext is treated
+        as a forgery.
         """
         data = read_frame(self._sock)
-        if self._session is None:
-            return data
         if data.startswith(protocol.V2_MAGIC):
             return self._session.open(data)
         if data == BATCH_REJECTION:
@@ -1152,14 +1058,12 @@ class BackgroundServer:
     def __init__(self, coordinator, *, host: str = "127.0.0.1",
                  port: int = 0, max_requests: Optional[int] = None,
                  fault_plan: Optional[FaultPlan] = None,
-                 security: str = "optional",
                  sessions: Optional[SessionManager] = None,
                  max_inflight: Optional[int] = None,
                  max_connections: Optional[int] = None):
         self.server = ClusterNetServer(coordinator, host=host, port=port,
                                        max_requests=max_requests,
                                        fault_plan=fault_plan,
-                                       security=security,
                                        sessions=sessions,
                                        max_inflight=max_inflight,
                                        max_connections=max_connections)

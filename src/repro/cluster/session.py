@@ -27,9 +27,8 @@ The fiction, piece by piece:
 * **Key exchange** — finite-field Diffie-Hellman over the RFC 3526
   2048-bit MODP group (pure stdlib ``pow``).  Both hellos, the chosen
   version, the session id, and both public shares enter the transcript
-  hash, so tampering with the offered/chosen versions (a downgrade
-  attempt) desynchronizes the derived keys and the quote check —
-  negotiation is downgrade-free for any client that requires v2.
+  hash, so tampering with the offered/chosen versions desynchronizes the
+  derived keys and the quote check.
 * **Record protection** — :class:`SecureSession` frames carry AES-CTR
   ciphertext + a CMAC tag over header-plus-ciphertext (the
   :mod:`repro.crypto` primitives).  Keys are per-direction (client->server
@@ -113,7 +112,7 @@ _EXPONENT_BYTES = 32  # 256-bit private exponents
 NONCE_SIZE = 16
 SESSION_ID_SIZE = 8
 
-#: Wire versions this session layer can secure (v1 is plaintext, not ours).
+#: The wire versions a hello offers and a gateway accepts.
 SUPPORTED_VERSIONS = (WIRE_V2,)
 
 _CLIENT_MAGIC = b"AHLO"
@@ -366,7 +365,6 @@ class ClientHandshake:
         crypto: str | CryptoBackend = "fast",
         costs: CostModel = DEFAULT_COSTS,
         meter: Optional[CycleMeter] = None,
-        versions: Tuple[int, ...] = SUPPORTED_VERSIONS,
         rng=os.urandom,
         tenant: Optional[str] = None,
         credential: Optional[bytes] = None,
@@ -376,7 +374,6 @@ class ClientHandshake:
                         else get_backend(crypto))
         self._costs = costs
         self.meter = meter if meter is not None else CycleMeter()
-        self._versions = tuple(versions)
         self._rng = rng
         self._secret = _dh_secret(rng)
         self._hello_frame: Optional[bytes] = None
@@ -390,8 +387,8 @@ class ClientHandshake:
         nonce = self._rng(NONCE_SIZE)
         public = _dh_public(self._secret)
         body = (
-            _CLIENT_HELLO.pack(_CLIENT_MAGIC, len(self._versions))
-            + bytes(self._versions)
+            _CLIENT_HELLO.pack(_CLIENT_MAGIC, len(SUPPORTED_VERSIONS))
+            + bytes(SUPPORTED_VERSIONS)
             + nonce
             + public
         )
@@ -416,22 +413,26 @@ class ClientHandshake:
         return self._hello_frame
 
     def finish(self, reply: bytes) -> SecureSession:
-        """Digest the server hello; returns the established session."""
+        """Digest the server hello; returns the established session.
+
+        Any other answer, plaintext or a malformed frame, raises
+        :class:`~repro.errors.HandshakeError`.
+        """
         if self._hello_frame is None:
             raise HandshakeError("finish() before hello()")
-        header, body = protocol.decode_frame(reply)
+        try:
+            header, body = protocol.decode_frame(reply)
+        except ProtocolError as exc:
+            raise HandshakeError(f"undecodable server hello: {exc}") from exc
         if header.version != WIRE_V2 or not header.flags & FLAG_HANDSHAKE:
-            raise HandshakeError(
-                "server did not negotiate an encrypted session "
-                "(downgrade attempt or v1-only server)"
-            )
+            raise HandshakeError("server did not answer with a handshake")
         prefix_len = _SERVER_HELLO.size + DH_BYTES
         if len(body) < prefix_len + _QUOTE_LEN.size:
             raise HandshakeError("truncated server hello")
         magic, version, _nonce, session_id = _SERVER_HELLO.unpack_from(body)
         if magic != _SERVER_MAGIC:
             raise HandshakeError("malformed server hello")
-        if version not in self._versions:
+        if version not in SUPPORTED_VERSIONS:
             raise HandshakeError(
                 f"server chose version {version}, which we never offered"
             )
@@ -481,7 +482,6 @@ class SessionManager:
         seed: Optional[int] = 0,
         crypto: str | CryptoBackend = "fast",
         costs: CostModel = DEFAULT_COSTS,
-        accept_versions: Tuple[int, ...] = SUPPORTED_VERSIONS,
         rng=os.urandom,
         registry=None,
         require_tenant: bool = False,
@@ -503,7 +503,6 @@ class SessionManager:
                         else get_backend(crypto))
         self._costs = costs
         self.meter = CycleMeter()
-        self._accept_versions = tuple(accept_versions)
         self._rng = rng
         # Random id base: ids from a manager's previous life never collide
         # with (and are never mistaken for) the current table's.
@@ -549,11 +548,11 @@ class SessionManager:
                 f"expected at least {expected_len}"
             )
         offered = body[_CLIENT_HELLO.size:_CLIENT_HELLO.size + n_versions]
-        common = set(offered) & set(self._accept_versions)
+        common = set(offered) & set(SUPPORTED_VERSIONS)
         if not common:
             raise HandshakeError(
                 f"no common wire version (offered {sorted(offered)}, "
-                f"accept {sorted(self._accept_versions)})"
+                f"accept {sorted(SUPPORTED_VERSIONS)})"
             )
         version = max(common)
         nonce_off = _CLIENT_HELLO.size + n_versions

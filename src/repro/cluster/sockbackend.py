@@ -14,8 +14,7 @@ the same :mod:`repro.cluster.rpc` bytes, but every one of them crosses an
   key exchange, a quote bound to the handshake transcript, and the
   attested measurement checked against the deployment's
   **expected-measurement list**.  A host that fails attestation, answers
-  in plaintext (downgrade), or is simply not on the list never receives
-  a single RPC;
+  in plaintext, or is simply not on the list never receives a single RPC;
 * established frames are AES-CTR + CMAC per direction with strict
   sequence advance, so an on-path adversary tampering or replaying the
   coordinator↔shard hop trips the same typed alarms as the client edge.

@@ -149,9 +149,8 @@ class TenantConfig:
 class TenancyConfig:
     """The cluster's tenant roster plus global tenancy policy.
 
-    ``require_auth=True`` refuses sessions (and plaintext frames) that
-    present no tenant; the default keeps anonymous traffic working so
-    arming tenancy is not a flag day for existing clients.
+    ``require_auth=True`` refuses a handshake that presents no tenant;
+    the default also serves anonymous sessions.
     """
 
     tenants: Tuple[TenantConfig, ...] = field(default_factory=tuple)

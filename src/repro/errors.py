@@ -197,9 +197,8 @@ class HandshakeError(AriaError):
     Covers every way the v2 handshake can go wrong: truncated or malformed
     hellos, a quote that fails attestation verification, a quote bound to a
     different handshake transcript, an enclave measurement that does not
-    match the client's expectation, and a server (or on-path attacker)
-    answering a v2 hello with a plaintext downgrade.  A client configured
-    for an encrypted session never falls back to plaintext on this error.
+    match the client's expectation, and any answer to a hello that is not
+    a server hello, plaintext included.
     """
 
 

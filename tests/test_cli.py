@@ -162,14 +162,6 @@ def test_serve_rejects_nonpositive_max_inflight(capsys):
     assert "--max-inflight must be at least 1" in capsys.readouterr().err
 
 
-def test_serve_rejects_tenant_auth_on_an_insecure_door(capsys):
-    code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
-                 "--scale", "2048", "--max-requests", "0", "--insecure",
-                 "--tenants", "acme", "--require-tenant-auth"])
-    assert code == 2
-    assert "no principal" in capsys.readouterr().err
-
-
 def test_serve_rejects_nonpositive_max_connections(capsys):
     code = main(["serve", "--shards", "2", "--port", "0", "--keys", "500",
                  "--scale", "2048", "--max-requests", "0",

@@ -395,15 +395,3 @@ class TestServe:
                 assert client.get(b"k").value == b"v"
         finally:
             server.close()
-
-    def test_serve_plaintext_door_skips_the_session_gateway(self):
-        tenancy = TenancyConfig(tenants=(TenantConfig("acme"),))
-        server = serve(small(tenancy=tenancy), security="plaintext")
-        try:
-            host, port = server.server.address
-            assert server.server.sessions is None
-            # Plaintext states no principal: the client is anonymous.
-            with ClusterClient.connect(host, port, secure=False) as client:
-                assert client.put(b"k", b"v").status == STATUS_OK
-        finally:
-            server.close()

@@ -508,16 +508,12 @@ class TestWireOverload:
 
     def test_client_deadline_envelope_end_to_end(self, overloaded_server):
         _, host, port = overloaded_server
-        # A secure client's budget rides the v2 header; an insecure one's
-        # only bounds its own waits (plaintext carries none).  Both make
-        # the round trip in budget.
-        for secure in (True, False):
-            with ClusterClient.connect(host, port, secure=secure,
-                                       deadline=2.0) as client:
-                put = client.put(b"key-0001", b"wire")
-                assert put.status == STATUS_OK
-                get = client.get(b"key-0001")
-                assert get.value == b"wire"
+        # The budget rides the v2 header and makes the round trip in time.
+        with ClusterClient.connect(host, port, deadline=2.0) as client:
+            put = client.put(b"key-0001", b"wire")
+            assert put.status == STATUS_OK
+            get = client.get(b"key-0001")
+            assert get.value == b"wire"
 
     def test_spent_budget_is_shed_at_the_front_door(self, overloaded_server):
         server, host, port = overloaded_server
@@ -538,19 +534,18 @@ class TestWireOverload:
     def test_old_envelope_bytes_are_an_over_cap_batch(
             self, overloaded_server):
         """What opened a deadline (``F7 FF``) or tenant (``F6 FF``) envelope
-        is, on a v1 connection and inside a sealed frame alike, a batch
-        count past the cap: the whole frame is refused, the connection and
-        its later frames are not, and nothing is shed or executed."""
+        is, inside a sealed frame, a batch count past the cap: the whole
+        frame is refused, the connection and its later frames are not, and
+        nothing is shed or executed."""
         server, host, port = overloaded_server
         batch = protocol.encode_batch([protocol.put(b"key-0001", b"no")])
-        for secure in (False, True):
-            with ClusterClient.connect(host, port, secure=secure) as client:
-                for lead in (b"\xf7\xff\x00\x00\x00\x00",
-                             b"\xf6\xff\x05whale"):
-                    client.send_frame(lead + batch)
-                    assert protocol.is_batch_rejection(
-                        protocol.decode_batch_responses(client.recv_frame()))
-                assert client.get(b"key-0001").value != b"no"
+        with ClusterClient.connect(host, port) as client:
+            for lead in (b"\xf7\xff\x00\x00\x00\x00",
+                         b"\xf6\xff\x05whale"):
+                client.send_frame(lead + batch)
+                assert protocol.is_batch_rejection(
+                    protocol.decode_batch_responses(client.recv_frame()))
+            assert client.get(b"key-0001").value != b"no"
         overload = server.server.wire_stats()["overload"]
         assert overload["frames_shed"] == 0
         assert overload["deadline_shed_frames"] == 0
@@ -563,8 +558,7 @@ class TestWireOverload:
 
         def hammer(seed):
             try:
-                with ClusterClient.connect(host, port,
-                                           secure=False) as client:
+                with ClusterClient.connect(host, port) as client:
                     for i in range(10):
                         [r] = client.request_batch(
                             [protocol.get(b"key-%04d" % ((seed + i) % 32))])
@@ -595,13 +589,13 @@ class TestWireOverload:
         server = BackgroundServer(coord, max_connections=1)
         host, port = server.start()
         try:
-            with ClusterClient.connect(host, port, secure=False) as first:
+            with ClusterClient.connect(host, port) as first:
                 [r] = first.request_batch([protocol.get(b"key-0001")])
                 assert r.status == STATUS_OK
                 # The second connection is refused without a reply: the
                 # client sees a clean close, not a hang.
                 with pytest.raises(Exception):
-                    with ClusterClient.connect(host, port, secure=False,
+                    with ClusterClient.connect(host, port,
                                                timeout=1.0) as second:
                         second.request_batch(
                             [protocol.get(b"key-0001")])

@@ -27,12 +27,7 @@ from repro.cluster import (
 )
 from repro.cluster.framing import read_frame, write_frame
 from repro.cluster.tenancy import tenant_prefix
-from repro.errors import (
-    BatchRejectedError,
-    ClusterConnectionError,
-    ConfigurationError,
-    HandshakeError,
-)
+from repro.errors import HandshakeError
 from repro.server import protocol
 from repro.server.protocol import STATUS_NOT_FOUND, STATUS_OK, STATUS_OVERLOADED
 
@@ -199,24 +194,21 @@ class TestNoPrincipalWithoutAHandshake:
 
     def test_a_plaintext_client_cannot_name_a_tenant(self, strict_door):
         server, host, port = strict_door
-        with pytest.raises(ConfigurationError, match="secure=True"):
-            ClusterClient.connect(host, port, secure=False, tenant="whale")
-        # And the bytes such a client used to send buy nothing.
+        # The bytes a plaintext client used to send buy nothing.
         with socket.create_connection((host, port), timeout=5.0) as sock:
             write_frame(sock, old_tenant_envelope(
                 "whale", [protocol.get(b"secret")]))
             assert read_frame(sock) == protocol.BATCH_REJECTION
-            assert sock.recv(1) == b""  # refused by policy: hung up
+            assert sock.recv(1) == b""  # not a session frame: hung up
+        assert server.server.wire_stats()["plaintext_rejections"] == 1
 
-    @pytest.mark.parametrize("secure", [True, False], ids=["v2", "v1"])
-    def test_an_anonymous_key_cannot_spell_a_tenant_prefix(self, door,
-                                                           secure):
+    def test_an_anonymous_key_cannot_spell_a_tenant_prefix(self, door):
         server, host, port = door
         coordinator = server.server.coordinator
         crafted = tenant_prefix("whale") + b"secret"
         routed = coordinator.ops_routed, [
             shard.ops_routed for shard in coordinator.shard_list()]
-        with ClusterClient.connect(host, port, secure=secure) as anon:
+        with ClusterClient.connect(host, port) as anon:
             responses = anon.request_batch([
                 protocol.get(crafted), protocol.put(crafted, b"forged"),
                 protocol.delete(crafted), protocol.put(b"mine", b"ok"),
@@ -236,32 +228,6 @@ class TestNoPrincipalWithoutAHandshake:
             sum(routed[1]) + 2
         with ClusterClient.connect(host, port, tenant="whale") as whale:
             assert whale.get(b"secret").value == b"whale-data"
-
-    def test_require_auth_refuses_plaintext_frames(self, strict_door):
-        server, host, port = strict_door
-        batch = [protocol.get(b"anything"), protocol.get(b"at all")]
-        with ClusterClient.connect(host, port, secure=False) as v1:
-            with pytest.raises(BatchRejectedError):
-                v1.request_batch(batch)
-            with pytest.raises((ClusterConnectionError, OSError)):
-                v1.request_batch(batch)  # and the door hung up
-        stats = server.server.wire_stats()
-        assert stats["plaintext_rejections"] == 1
-        assert stats["security"] == "optional"
-
-    def test_require_auth_on_a_plaintext_only_door_is_refused(
-            self, cluster_backend):
-        with pytest.raises(ConfigurationError, match="no principal"):
-            serve(base_config(roster(require_auth=True)),
-                  security="plaintext")
-        # Without require_auth the priced v1 baseline is still on offer.
-        server = serve(base_config(roster()), security="plaintext")
-        try:
-            host, port = server.server.address
-            with ClusterClient.connect(host, port, secure=False) as v1:
-                assert v1.put(b"k", b"v").status == STATUS_OK
-        finally:
-            server.close()
 
 
 # -- per-tenant admission at the coordinator --------------------------------------

@@ -706,8 +706,7 @@ class TestOutboundFrameCap:
                 assert client.reconnects == 0
             assert background.server.frames_served == 2
 
-    @pytest.mark.parametrize("secure", [True, False])
-    def test_oversize_answers_are_refused_by_the_clients_reader(self, secure):
+    def test_oversize_answers_are_refused_by_the_clients_reader(self):
         """129 GETs of 64 KiB values (less a byte: the largest a record
         holds): a small, legal request whose answers exceed 8 MiB.  The batch runs; the client's frame reader refuses
         the reply's length, typed, exactly as at the parent — and, since
@@ -717,7 +716,7 @@ class TestOutboundFrameCap:
                                     scale=2048).build()
         with BackgroundServer(coordinator) as background:
             host, port = background.server.address
-            with ClusterClient.connect(host, port, secure=secure) as client:
+            with ClusterClient.connect(host, port) as client:
                 keys = [b"key-%03d" % i for i in range(129)]
                 stored = self.BIG[:-1]
                 for start in range(0, 129, 43):

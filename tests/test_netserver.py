@@ -103,18 +103,18 @@ class TestPipelining:
 
     def test_a_half_sent_frame_does_not_stall_other_connections(self, server):
         host, port = server.server.address
-        payload = protocol.encode_batch([protocol.get(b"key-007")])
-        wire = FRAME_HEADER.pack(len(payload)) + payload
-        with socket.create_connection((host, port), timeout=5.0) as slow:
-            slow.sendall(wire[:len(wire) // 2])
+        with ClusterClient(host, port) as slow:
+            sealed = slow._session.seal(
+                protocol.encode_batch([protocol.get(b"key-007")]))
+            wire = FRAME_HEADER.pack(len(sealed)) + sealed
+            slow._sock.sendall(wire[:len(wire) // 2])
             # The slow connection's reader is parked mid-frame, outside the
             # execution lock: another connection is served meanwhile.
             with ClusterClient(host, port) as other:
                 assert other.get(b"key-001").value == b"val-001"
-            slow.sendall(wire[len(wire) // 2:])
-            (length,) = FRAME_HEADER.unpack(slow.recv(4, socket.MSG_WAITALL))
+            slow._sock.sendall(wire[len(wire) // 2:])
             [response] = protocol.decode_batch_responses(
-                slow.recv(length, socket.MSG_WAITALL), expected=1)
+                slow.recv_frame(), expected=1)
             assert response.value == b"val-007"
 
     def test_concurrent_sessions_lose_no_gateway_charge(self):
@@ -380,6 +380,9 @@ class TestLifecycle:
 # inside the payload to the v2 header, the stream's three spent-budget
 # frames each shed 6 encrypted and 2 MAC'd bytes, 23 gateway cycles a frame
 # (15,494,946 -> 15,494,877); digest, shard cycles and every counter held.
+# When the door became v2-only, the ledger lost three keys of the removed
+# wire policy ("security", "hellos_refused", "downgrade_injections");
+# nothing else changed.
 
 PARENT_STREAM = {
     "digest":
@@ -387,16 +390,13 @@ PARENT_STREAM = {
     "shard_cycles": [2911753.5, 2529047.75],
     "gateway_cycles": 15494877.0,
     "wire_stats": {
-        "security": "optional",
         "tamper_alarms": 0,
         "replay_alarms": 0,
         "stale_session_alarms": 0,
         "handshake_failures": 0,
-        "hellos_refused": 0,
         "plaintext_rejections": 0,
         "tamper_injections": 1,
         "replay_injections": 1,
-        "downgrade_injections": 0,
         "overload": {
             "max_inflight": None,
             "max_connections": None,

@@ -145,7 +145,6 @@ def test_oversized_put_at_the_door_leaves_connection_and_session_usable():
     with BackgroundServer(coordinator) as background:
         host, port = background.server.address
         with ClusterClient(host, port, timeout=10.0) as client:
-            assert client.session_info()["secure"]
             assert client.put(b"door-key", b"before").status == Status.OK
             client.send_frame(_raw_put_batch(b"door-key", bytes(OVERSIZE)))
             responses = protocol.decode_batch_responses(client.recv_frame())

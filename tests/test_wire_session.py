@@ -6,7 +6,9 @@ objects directly.  The module is backend-parametrized via conftest, so the
 whole suite runs against inline and process shard backends.
 """
 
+import socket
 import struct
+import threading
 import warnings
 
 import pytest
@@ -23,7 +25,6 @@ from repro.cluster.framing import FRAME_HEADER, read_frame, write_frame
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
-    BatchRejectedError,
     ClusterConnectionError,
     ClusterTimeoutError,
     ConfigurationError,
@@ -76,15 +77,16 @@ def _handshaken_pair():
 
 class TestFrameCodec:
     def test_v1_frames_are_byte_identical_to_legacy(self):
+        # A bare batch cannot be encoded as a frame; it decodes to itself
+        # under the default v1 header, the payload the door refuses.
         batch = protocol.encode_batch([protocol.get(b"k"),
                                        protocol.put(b"k", b"v")])
-        framed = protocol.encode_frame(protocol.FrameHeader(), batch)
-        assert framed == batch  # v1 adds zero header bytes
-        header, body = protocol.decode_frame(framed)
+        with pytest.raises(ProtocolError, match="unsupported wire version"):
+            protocol.encode_frame(protocol.FrameHeader(), batch)
+        header, body = protocol.decode_frame(batch)
         assert header == protocol.FrameHeader()
         assert header.version == protocol.WIRE_V1
         assert body == batch
-        assert protocol.decode_batch(body)[1].value == b"v"
 
     def test_v2_header_round_trips(self):
         header = protocol.FrameHeader(
@@ -193,6 +195,35 @@ class TestHandshake:
         with pytest.raises(HandshakeError):
             handshake.finish(protocol.encode_batch_rejection())
 
+    @pytest.mark.parametrize("reply", [
+        protocol.V2_MAGIC + b"\x02\x01",  # truncated header
+        protocol.V2_MAGIC + b"\x07\x03" + bytes(16),  # version 7
+        protocol.V2_MAGIC + b"\x02\x80" + bytes(16),  # unknown flag
+    ], ids=["truncated", "version", "flags"])
+    def test_a_malformed_server_hello_is_a_handshake_error(self, reply):
+        handshake = wire.ClientHandshake()
+        handshake.hello()
+        with pytest.raises(HandshakeError, match="undecodable server hello"):
+            handshake.finish(reply)
+
+    def test_a_hello_offering_only_an_unknown_version_is_refused(self):
+        hello = bytearray(wire.ClientHandshake().hello())
+        at = protocol.V2_HEADER.size + 5  # "AHLO" | n_versions | versions
+        assert hello[at - 1:at + 1] == b"\x01\x02"
+        hello[at] = 7
+        with pytest.raises(HandshakeError, match="no common wire version"):
+            wire.SessionManager().accept(bytes(hello))
+
+    def test_a_server_hello_naming_an_unoffered_version_is_refused(self):
+        handshake = wire.ClientHandshake()
+        reply, _ = wire.SessionManager().accept(handshake.hello())
+        forged = bytearray(reply)
+        at = protocol.V2_HEADER.size + 4  # "SHLO" | version
+        assert forged[at] == protocol.WIRE_V2
+        forged[at] = 7
+        with pytest.raises(HandshakeError, match="never offered"):
+            handshake.finish(bytes(forged))
+
     def test_degenerate_public_share_rejected(self):
         manager = wire.SessionManager()
         hello = wire.ClientHandshake().hello()
@@ -263,7 +294,6 @@ class TestSecureWire:
         assert client.put(b"wired", b"sealed").status == protocol.Status.OK
         assert client.get(b"wired").value == b"sealed"
         info = client.session_info()
-        assert info["secure"] is True
         assert info["version"] == protocol.WIRE_V2
         assert "aes-ctr+cmac" in info["cipher"]
         assert info["handshake_cycles"] > 1_000_000  # kex x2 + quote
@@ -282,43 +312,25 @@ class TestSecureWire:
             ClusterClient.connect(host, port,
                                   expected_measurement=b"\x00" * 16)
 
-    def test_v1_client_against_v2_only_server(self, cluster):
-        with BackgroundServer(cluster, security="required") as background:
-            host, port = background.server.address
-            with ClusterClient.connect(host, port, secure=False) as c:
-                with pytest.raises(BatchRejectedError):
-                    c.request_batch([protocol.put(b"plaintext", b"refused"),
-                                     protocol.put(b"plain-2", b"refused")])
-            # A lone request sees the same denial as a BAD_REQUEST response
-            # — the rejection shape is itself a valid batch of one.  The
-            # server hangs up after each refusal, hence a fresh connection.
-            with ClusterClient.connect(host, port, secure=False) as c:
-                assert c.put(b"plaintext", b"refused").status == \
-                    protocol.Status.BAD_REQUEST
-            assert background.server.plaintext_rejections == 2
-            # The refused write never reached a shard.
-            with ClusterClient.connect(host, port) as reader:
-                assert reader.get(b"plaintext").status == \
-                    protocol.Status.NOT_FOUND
-
-    def test_secure_client_against_plaintext_only_server(self, cluster):
-        with BackgroundServer(cluster, security="plaintext") as background:
-            host, port = background.server.address
-            with pytest.raises(HandshakeError):
-                ClusterClient.connect(host, port)
-            assert background.server.hellos_refused == 1
-            # The plaintext door still serves v1 clients.
-            with ClusterClient.connect(host, port, secure=False) as c:
-                assert c.get(b"key-003").value == b"val-003"
-
-    def test_v1_client_still_works_on_optional_server(self, server):
+    def test_v1_client_against_v2_only_server(self, server):
         host, port = server.server.address
-        with ClusterClient.connect(host, port, secure=False) as c:
-            assert c.get(b"key-004").value == b"val-004"
-            info = c.session_info()
-            assert info["secure"] is False
-            assert info["version"] == protocol.WIRE_V1
-            assert info["wire_cycles"] == 0
+        # A bare v1 batch, as a first frame or after a handshake, gets the
+        # plaintext rejection and a hang-up.
+        for handshake_first in (False, True):
+            with socket.create_connection((host, port), timeout=5.0) as sock:
+                if handshake_first:
+                    handshake = wire.ClientHandshake()
+                    write_frame(sock, handshake.hello())
+                    handshake.finish(read_frame(sock))
+                write_frame(sock, protocol.encode_batch(
+                    [protocol.put(b"plaintext", b"refused")]))
+                assert read_frame(sock) == protocol.BATCH_REJECTION
+                assert sock.recv(1) == b""
+        assert server.server.plaintext_rejections == 2
+        # The refused write never reached a shard.
+        with ClusterClient.connect(host, port) as reader:
+            assert reader.get(b"plaintext").status == \
+                protocol.Status.NOT_FOUND
 
     def test_tampered_inbound_frame_alarms_the_server(self, server, client):
         sealed = bytearray(client._session.seal(
@@ -341,13 +353,35 @@ class TestSecureWire:
             protocol.decode_batch_responses(reply))
         assert server.server.replay_alarms == 1
 
+    def test_secure_client_against_plaintext_only_server(self):
+        # A "server" that answers the hello in plaintext, as an on-path
+        # attacker stripping the handshake would: connect refuses, typed.
+        listener = socket.create_server(("127.0.0.1", 0))
+        host, port = listener.getsockname()[:2]
+
+        def answer_in_plaintext():
+            conn, _ = listener.accept()
+            with conn:
+                read_frame(conn)
+                write_frame(conn, protocol.BATCH_REJECTION)
+
+        thread = threading.Thread(target=answer_in_plaintext, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(HandshakeError):
+                ClusterClient.connect(host, port, timeout=5.0)
+        finally:
+            thread.join(5.0)
+            listener.close()
+        assert not thread.is_alive()
+
     def test_stale_session_frame_on_a_fresh_connection(self, server, client):
         host, port = server.server.address
         stale = client._session.seal(
             protocol.encode_batch([protocol.put(b"stale", b"replayed")]))
-        with ClusterClient.connect(host, port, secure=False) as attacker:
-            write_frame(attacker._sock, stale)
-            reply = read_frame(attacker._sock)
+        with socket.create_connection((host, port), timeout=5.0) as attacker:
+            write_frame(attacker, stale)
+            reply = read_frame(attacker)
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(reply))
         assert server.server.stale_session_alarms == 1
@@ -367,8 +401,6 @@ class TestSecureWire:
                 assert client.get(b"durable").value == b"acked"
                 assert client.reconnects >= 1
                 assert client.handshakes >= 2
-                info = client.session_info()
-                assert info["secure"] is True
             finally:
                 second.stop()
         finally:
@@ -376,17 +408,6 @@ class TestSecureWire:
 
 
 class TestWireFaults:
-    def test_downgrade_fault_yields_handshake_error(self, cluster):
-        plan = FaultPlan().downgrade(at=0)
-        with BackgroundServer(cluster, fault_plan=plan) as background:
-            host, port = background.server.address
-            with pytest.raises(HandshakeError):
-                ClusterClient.connect(host, port)
-            assert background.server.downgrade_injections == 1
-            # The event is consumed: the next handshake succeeds.
-            with ClusterClient.connect(host, port) as c:
-                assert c.get(b"key-001").value == b"val-001"
-
     def test_tamper_fault_is_caught_and_reads_ride_it_out(self, cluster):
         plan = FaultPlan().tamper(at=1)
         with BackgroundServer(cluster, fault_plan=plan) as background:
@@ -420,7 +441,6 @@ class TestWireFaults:
         plan = fault_record(FaultPlan()
                             .tamper(at=2)
                             .replay(at=4)
-                            .downgrade(at=5)
                             .tamper(at=6))
         with BackgroundServer(cluster, fault_plan=plan) as background:
             host, port = background.server.address
@@ -440,12 +460,7 @@ class TestWireFaults:
                                 ClusterTimeoutError,
                                 ClusterConnectionError) as exc:
                             seen.add(type(exc).__name__)
-                            while True:
-                                try:
-                                    client._reconnect()
-                                    break
-                                except HandshakeError as hs:
-                                    seen.add(type(hs).__name__)
+                            client._reconnect()
                 # Every acknowledged write must be readable afterwards.
                 for key, value in acked.items():
                     assert client.get(key).value == value, (
@@ -455,9 +470,7 @@ class TestWireFaults:
             assert len(acked) == 10, plan.describe()
             assert background.server.tamper_injections == 2
             assert background.server.replay_injections == 1
-            assert background.server.downgrade_injections == 1
-            assert {"TamperedFrameError", "ReplayError",
-                    "HandshakeError"} <= seen
+            assert {"TamperedFrameError", "ReplayError"} <= seen
 
 
 class TestClientApi:
@@ -478,7 +491,7 @@ class TestClientApi:
         with ClusterClient(host, port, **tuning) as direct, \
                 ClusterClient.connect(host, port, **tuning) as factory:
             for name in ("_timeout", "_retries", "_backoff", "_backoff_cap",
-                         "_deadline", "_secure"):
+                         "_deadline"):
                 assert getattr(direct, name) == getattr(factory, name), name
             assert direct.retry_budget.ratio == factory.retry_budget.ratio
             assert direct.get(b"key-001").value == b"val-001"
@@ -497,7 +510,3 @@ class TestClientApi:
         server.stop()
         with pytest.raises(ClusterConnectionError):
             ClusterClient.connect(host, port)
-
-    def test_bad_security_policy_is_a_configuration_error(self, cluster):
-        with pytest.raises(ConfigurationError):
-            BackgroundServer(cluster, security="tls-1.3")
