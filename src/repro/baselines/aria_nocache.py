@@ -23,8 +23,7 @@ from repro.alloc.heap import HeapAllocator
 from repro.core.record import RecordCodec
 from repro.crypto.keys import KeyMaterial
 from repro.errors import CapacityError, CounterReuseError, IntegrityError
-from repro.index.btree import AriaBTreeIndex
-from repro.index.hashtable import AriaHashIndex
+from repro.index import make_index
 from repro.sgx.costs import PAGE_SIZE, SgxPlatform
 from repro.sgx.enclave import Enclave
 from repro.sgx.meter import MeterPause
@@ -87,7 +86,7 @@ class PagedCounterManager:
 
 
 class AriaNoCacheStore:
-    """The Aria-w/o-Cache scheme with a hash or B-tree index."""
+    """The Aria-w/o-Cache scheme over any of the three indexes."""
 
     name = "aria_nocache"
 
@@ -120,21 +119,9 @@ class AriaNoCacheStore:
         chunk = max(4096, min(4 * 1024 * 1024, platform.epc_bytes // 16))
         with MeterPause(self.enclave.meter):
             self.allocator = HeapAllocator(self.enclave, chunk_size=chunk)
-        if index == "hash":
-            self.index = AriaHashIndex(
-                self.enclave, self.codec, self.allocator,
-                n_buckets=n_buckets,
-                fetch_counter=self.counters.fetch,
-                free_counter=self.counters.free,
-            )
-        else:
-            order = btree_order if btree_order % 2 else btree_order - 1
-            self.index = AriaBTreeIndex(
-                self.enclave, self.codec, self.allocator,
-                order=order,
-                fetch_counter=self.counters.fetch,
-                free_counter=self.counters.free,
-            )
+        self.index = make_index(index, self.enclave, self.codec,
+                                self.allocator, self.counters,
+                                n_buckets=n_buckets, order=btree_order)
 
     def put(self, key: bytes, value: bytes) -> None:
         self.index.put(key, value)

@@ -2,7 +2,7 @@
 
 Wires together the enclave simulator, the user-space heap allocator, the
 counter manager (redirection layer + Merkle trees + Secure Caches), the
-record codec, and one of the two index schemes.  The Put/Get walkthroughs of
+record codec, and one of the three index schemes.  The Put/Get walkthroughs of
 Section V-D happen across these components:
 
 Put(key, value):
@@ -27,9 +27,7 @@ from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.core.record import RecordCodec
 from repro.crypto.keys import KeyMaterial
-from repro.index.bplustree import AriaBPlusTreeIndex
-from repro.index.btree import AriaBTreeIndex
-from repro.index.hashtable import AriaHashIndex
+from repro.index import SealedTreeIndex, make_index
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.enclave import Enclave
 from repro.sgx.meter import MeterPause
@@ -86,36 +84,11 @@ class AriaStore:
         return OcallAllocator(self.enclave)
 
     def _make_index(self):
-        if self.config.index == "hash":
-            return AriaHashIndex(
-                self.enclave,
-                self.codec,
-                self.allocator,
-                n_buckets=self.config.n_buckets,
-                fetch_counter=self.counters.fetch,
-                free_counter=self.counters.free,
-                dummy_bucket_reads=self.config.dummy_bucket_reads,
-            )
-        if self.config.index == "bplustree":
-            return AriaBPlusTreeIndex(
-                self.enclave,
-                self.codec,
-                self.allocator,
-                order=self.config.btree_order,
-                fetch_counter=self.counters.fetch,
-                free_counter=self.counters.free,
-            )
-        order = self.config.btree_order
-        if order % 2 == 0:
-            order -= 1  # the CLRS tree wants an odd max-key count
-        return AriaBTreeIndex(
-            self.enclave,
-            self.codec,
-            self.allocator,
-            order=order,
-            fetch_counter=self.counters.fetch,
-            free_counter=self.counters.free,
-        )
+        config = self.config
+        return make_index(config.index, self.enclave, self.codec,
+                          self.allocator, self.counters,
+                          n_buckets=config.n_buckets, order=config.btree_order,
+                          dummy_bucket_reads=config.dummy_bucket_reads)
 
     # -- public KV API ----------------------------------------------------------
 
@@ -188,7 +161,7 @@ class AriaStore:
 
     def range_scan(self, lo: bytes, hi: bytes):
         """Ordered range query — tree indexes only (Section III's motivation)."""
-        if not isinstance(self.index, (AriaBTreeIndex, AriaBPlusTreeIndex)):
+        if not isinstance(self.index, SealedTreeIndex):
             raise TypeError("range_scan requires a tree index (btree or "
                             "bplustree)")
         return self.index.range_scan(lo, hi)

@@ -3,7 +3,8 @@
 Security metadata (counters + Merkle tree + Secure Cache) is built over KV
 pairs only; any index that can store 8-byte record pointers in untrusted
 memory and route operations through the :class:`repro.core.record.RecordCodec`
-plugs in.  Two are provided: chained hashing (Aria-H) and a B-tree (Aria-T).
+plugs in.  Three are provided: chained hashing (Aria-H), a B-tree (Aria-T)
+and a B+-tree, the two trees on one substrate (:mod:`repro.index.tree`).
 """
 
 from __future__ import annotations

@@ -4,7 +4,8 @@
     respectively.  We leave it our future work to incorporate B+-tree into
     Aria."
 
-This module incorporates it.  The difference from Aria-T (:mod:`btree`):
+This module incorporates it on the substrate of :mod:`repro.index.tree`
+(node layout, AdField binding, height check).  The difference from Aria-T:
 
 * **Leaves** hold the sealed KV records; **internal nodes** hold *separator
   records* that seal only a key — so a descent decrypts short separators
@@ -30,147 +31,23 @@ same way.)
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, Optional
 
-from repro.alloc.heap import Allocator
-from repro.core.record import RecordCodec, record_size
-from repro.errors import ConfigurationError, DeletionError, KeyNotFoundError
-from repro.index.base import SecureIndex
-from repro.sgx.enclave import Enclave
-
-_NULL = 0
+from repro.errors import ConfigurationError, DeletionError
+from repro.index.tree import _NULL, SealedTreeIndex, _Node
 
 
-class _Node:
-    __slots__ = ("addr", "is_leaf", "entries", "children", "next_leaf")
-
-    def __init__(self, addr: int, is_leaf: bool, entries: list,
-                 children: list, next_leaf: int = _NULL):
-        self.addr = addr
-        self.is_leaf = is_leaf
-        # Leaves: entries = KV record addrs.  Internal: entries = separator
-        # record addrs; children has len(entries) + 1 node addrs.
-        self.entries = entries
-        self.children = children
-        self.next_leaf = next_leaf
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-class AriaBPlusTreeIndex(SecureIndex):
+class AriaBPlusTreeIndex(SealedTreeIndex):
     """B+-tree over sealed records with sealed separators and leaf links."""
 
     name = "bplustree"
     EPC_CONSUMER = "bplustree_index"
+    HEADER = 16
 
-    def __init__(
-        self,
-        enclave: Enclave,
-        codec: RecordCodec,
-        allocator: Allocator,
-        *,
-        order: int = 16,
-        fetch_counter: callable = None,
-        free_counter: Optional[callable] = None,
-    ):
+    def _max_keys_for(self, order: int) -> int:
         if order < 4:
             raise ConfigurationError(f"b+tree order must be >= 4, got {order}")
-        self._order = order              # max entries per node
-        self._enclave = enclave
-        self._codec = codec
-        self._allocator = allocator
-        self._fetch_counter = fetch_counter
-        self._free_counter = free_counter
-        # Layout: is_leaf(1) n(2) pad(5) next_leaf(8) entries[order]*8
-        #         children[order+1]*8 (internal only; space always reserved)
-        self._node_size = 16 + order * 8 + (order + 1) * 8
-        enclave.epc.reserve(self.EPC_CONSUMER, 8 + 4 + 8)
-        self._root = self._alloc_node(is_leaf=True).addr
-        self._height = 1
-        self._n_entries = 0
-
-    # -- node serialization ------------------------------------------------------
-
-    def _alloc_node(self, *, is_leaf: bool) -> _Node:
-        addr = self._allocator.alloc(self._node_size)
-        node = _Node(addr, is_leaf, [], [])
-        self._write_node(node)
-        return node
-
-    def _read_node(self, addr: int) -> _Node:
-        raw = self._enclave.read_untrusted(addr, self._node_size)
-        is_leaf = bool(raw[0])
-        n = int.from_bytes(raw[1:3], "little")
-        if n > self._order:
-            raise DeletionError(f"b+tree node at {addr:#x} corrupted")
-        next_leaf = int.from_bytes(raw[8:16], "little")
-        base = 16
-        entries = [
-            int.from_bytes(raw[base + 8 * i : base + 8 * i + 8], "little")
-            for i in range(n)
-        ]
-        children = []
-        if not is_leaf:
-            cbase = 16 + self._order * 8
-            children = [
-                int.from_bytes(raw[cbase + 8 * i : cbase + 8 * i + 8],
-                               "little")
-                for i in range(n + 1)
-            ]
-        return _Node(addr, is_leaf, entries, children, next_leaf)
-
-    def _write_node(self, node: _Node) -> None:
-        raw = bytearray(self._node_size)
-        raw[0] = 1 if node.is_leaf else 0
-        raw[1:3] = node.n.to_bytes(2, "little")
-        raw[8:16] = node.next_leaf.to_bytes(8, "little")
-        base = 16
-        for i, ptr in enumerate(node.entries):
-            raw[base + 8 * i : base + 8 * i + 8] = ptr.to_bytes(8, "little")
-        cbase = 16 + self._order * 8
-        for i, ptr in enumerate(node.children):
-            raw[cbase + 8 * i : cbase + 8 * i + 8] = ptr.to_bytes(8, "little")
-        self._enclave.write_untrusted(node.addr, bytes(raw))
-
-    # -- sealed record helpers ------------------------------------------------------
-
-    def _read_record(self, record_addr: int) -> bytes:
-        header = self._enclave.read_untrusted(record_addr, 12)
-        _, k_len, v_len = self._codec.parse_header(header)
-        return self._enclave.read_untrusted(record_addr,
-                                            record_size(k_len, v_len))
-
-    def _open(self, record_addr: int, node_addr: int):
-        return self._codec.open(self._read_record(record_addr),
-                                ad_field=node_addr)
-
-    def _key_of(self, record_addr: int, node_addr: int) -> bytes:
-        return self._open(record_addr, node_addr).key
-
-    def _seal_separator(self, key: bytes, node_addr: int) -> int:
-        """Create a separator record: a sealed key copy with its own counter."""
-        red_ptr = self._fetch_counter()
-        blob = self._codec.seal(key, b"", red_ptr, ad_field=node_addr)
-        addr = self._allocator.alloc(len(blob))
-        self._enclave.write_untrusted(addr, blob)
-        return addr
-
-    def _release(self, record_addr: int) -> None:
-        blob = self._read_record(record_addr)
-        red_ptr, k_len, v_len = self._codec.parse_header(blob)
-        self._allocator.free(record_addr, record_size(k_len, v_len))
-        if self._free_counter is not None:
-            self._free_counter(red_ptr)
-
-    def _move_record(self, record_addr: int, old_node: int,
-                     new_node: int) -> None:
-        blob = self._read_record(record_addr)
-        rebound = self._codec.reseal_ad_field(blob, old_ad=old_node,
-                                              new_ad=new_node)
-        self._enclave.write_untrusted(record_addr, rebound)
+        return order
 
     # -- search -------------------------------------------------------------------------
 
@@ -186,117 +63,56 @@ class AriaBPlusTreeIndex(SecureIndex):
                 lo = mid + 1
         return lo
 
-    def _descend_to_leaf(self, key: bytes) -> tuple[_Node, int]:
-        """Walk to the leaf responsible for ``key``; returns (leaf, depth)."""
-        node = self._read_node(self._root)
-        depth = 1
-        while not node.is_leaf:
-            child = node.children[self._child_index(node, key)]
-            if child == _NULL:
-                raise DeletionError(
-                    "b+tree descent hit a null child pointer: index attacked"
-                )
-            node = self._read_node(child)
-            depth += 1
-        return node, depth
-
-    def _position_in_leaf(self, leaf: _Node, key: bytes) -> tuple[int, bool]:
-        lo, hi = 0, leaf.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self._key_of(leaf.entries[mid], leaf.addr)
-            if probe == key:
-                return mid, True
-            if probe < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo, False
+    def _path_to_leaf(self, key: bytes) -> list:
+        """Nodes from the root to the leaf responsible for ``key``."""
+        path = [self._read_node(self._root)]
+        while not path[-1].is_leaf:
+            path.append(self._child(path[-1],
+                                    self._child_index(path[-1], key)))
+        return path
 
     def get(self, key: bytes) -> bytes:
-        leaf, depth = self._descend_to_leaf(key)
-        index, found = self._position_in_leaf(leaf, key)
+        path = self._path_to_leaf(key)
+        leaf = path[-1]
+        index, found = self._find(leaf, key)
         if not found:
-            self._check_depth(depth)
-            raise KeyNotFoundError(key)
+            self._miss(key, len(path))
         return self._open(leaf.entries[index], leaf.addr).value
-
-    def _check_depth(self, depth: int) -> None:
-        self._enclave.epc_touch(4)
-        if depth != self._height:
-            raise DeletionError(
-                f"descent traversed {depth} nodes but the enclave recorded "
-                f"a height of {self._height}: unauthorized deletion detected"
-            )
 
     # -- insertion ----------------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
         path = self._path_to_leaf(key)
         leaf = path[-1]
-        index, found = self._position_in_leaf(leaf, key)
+        index, found = self._find(leaf, key)
         if found:
             self._update_in_place(leaf, index, key, value)
             return
-        red_ptr = self._fetch_counter()
-        blob = self._codec.seal(key, value, red_ptr, ad_field=leaf.addr)
-        record_addr = self._allocator.alloc(len(blob))
-        self._enclave.write_untrusted(record_addr, blob)
-        leaf.entries.insert(index, record_addr)
-        self._write_node(leaf)
-        self._enclave.epc_touch(8)
-        self._n_entries += 1
-        if leaf.n > self._order:
+        self._insert_entry(leaf, index, key, value)
+        if leaf.n > self._max_keys:
             self._split_up(path)
-
-    def _path_to_leaf(self, key: bytes) -> list:
-        path = [self._read_node(self._root)]
-        while not path[-1].is_leaf:
-            child = path[-1].children[self._child_index(path[-1], key)]
-            if child == _NULL:
-                raise DeletionError("b+tree descent hit a null child pointer")
-            path.append(self._read_node(child))
-        return path
-
-    def _update_in_place(self, leaf: _Node, index: int, key: bytes,
-                         value: bytes) -> None:
-        old_addr = leaf.entries[index]
-        old_blob = self._read_record(old_addr)
-        red_ptr, k_len, v_len = self._codec.parse_header(old_blob)
-        new_blob = self._codec.seal(key, value, red_ptr, ad_field=leaf.addr)
-        if len(new_blob) <= self._allocator.block_size_of(
-                record_size(k_len, v_len)):
-            self._enclave.write_untrusted(old_addr, new_blob)
-            return
-        new_addr = self._allocator.alloc(len(new_blob))
-        self._enclave.write_untrusted(new_addr, new_blob)
-        leaf.entries[index] = new_addr
-        self._write_node(leaf)
-        self._allocator.free(old_addr, record_size(k_len, v_len))
 
     def _split_up(self, path: list) -> None:
         """Split overfull nodes along the insertion path, bottom-up."""
         for level in range(len(path) - 1, -1, -1):
             node = path[level]
-            if node.n <= self._order:
+            if node.n <= self._max_keys:
                 break
             separator_key, new_node = self._split_node(node)
             if level == 0:
                 new_root = self._alloc_node(is_leaf=False)
                 new_root.children = [node.addr, new_node.addr]
                 new_root.entries = [
-                    self._seal_separator(separator_key, new_root.addr)
+                    self._seal_new(separator_key, b"", new_root.addr)
                 ]
                 self._write_node(new_root)
-                self._root = new_root.addr
-                self._enclave.epc_touch(8)
-                self._height += 1
+                self._set_root(new_root.addr, self._height + 1)
             else:
                 parent = path[level - 1]
                 index = parent.children.index(node.addr)
                 parent.children.insert(index + 1, new_node.addr)
                 parent.entries.insert(
-                    index, self._seal_separator(separator_key, parent.addr)
+                    index, self._seal_new(separator_key, b"", parent.addr)
                 )
                 self._write_node(parent)
 
@@ -333,25 +149,18 @@ class AriaBPlusTreeIndex(SecureIndex):
     # -- deletion (leaf-local) -------------------------------------------------------------
 
     def delete(self, key: bytes) -> None:
-        leaf, depth = self._descend_to_leaf(key)
-        index, found = self._position_in_leaf(leaf, key)
+        path = self._path_to_leaf(key)
+        leaf = path[-1]
+        index, found = self._find(leaf, key)
         if not found:
-            self._check_depth(depth)
-            raise KeyNotFoundError(key)
+            self._miss(key, len(path))
         record_addr = leaf.entries.pop(index)
         self._write_node(leaf)
-        self._release(record_addr)
-        self._enclave.epc_touch(8)
-        self._n_entries -= 1
+        self._release_entry(record_addr)
         if self._n_entries == 0 and self._height > 1:
-            self._collapse_empty_tree()
-
-    def _collapse_empty_tree(self) -> None:
-        """Reset the skeleton once every entry is gone."""
-        self._free_subtree(self._read_node(self._root))
-        self._root = self._alloc_node(is_leaf=True).addr
-        self._enclave.epc_touch(8)
-        self._height = 1
+            # Reset the skeleton once every entry is gone.
+            self._free_subtree(self._read_node(self._root))
+            self._set_root(self._alloc_node(is_leaf=True).addr, 1)
 
     def _free_subtree(self, node: _Node) -> None:
         if not node.is_leaf:
@@ -359,7 +168,7 @@ class AriaBPlusTreeIndex(SecureIndex):
                 self._release(sep_addr)
             for child in node.children:
                 self._free_subtree(self._read_node(child))
-        self._allocator.free(node.addr, self._node_size)
+        self._free_node(node)
 
     # -- range scan via the leaf chain -------------------------------------------------------
 
@@ -370,10 +179,9 @@ class AriaBPlusTreeIndex(SecureIndex):
         across the whole walk — a redirected next-leaf pointer either fails
         a MAC or violates the order and raises.
         """
-        leaf, _ = self._descend_to_leaf(lo)
         results: list = []
         previous_key: Optional[bytes] = None
-        addr = leaf.addr
+        addr = self._path_to_leaf(lo)[-1].addr
         while addr != _NULL:
             leaf = self._read_node(addr)
             for record_addr in leaf.entries:
@@ -391,9 +199,6 @@ class AriaBPlusTreeIndex(SecureIndex):
         return results
 
     # -- iteration / audit --------------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return self._n_entries
 
     def keys(self) -> Iterator[bytes]:
         leaf = self._leftmost_leaf()
@@ -429,11 +234,7 @@ class AriaBPlusTreeIndex(SecureIndex):
             leaf = self._read_node(addr)
             total += leaf.n
             keys.extend(self._key_of(r, leaf.addr) for r in leaf.entries)
-        if total != self._n_entries:
-            raise DeletionError(
-                f"tree holds {total} entries but the enclave recorded "
-                f"{self._n_entries}"
-            )
+        self._check_count(total)
         if keys != sorted(keys):
             raise DeletionError("leaf entries out of global order")
 
@@ -450,21 +251,3 @@ class AriaBPlusTreeIndex(SecureIndex):
         for i, child in enumerate(node.children):
             self._audit_node(self._read_node(child), depth + 1,
                              bounds[i], bounds[i + 1], leaves)
-
-    def epc_bytes(self) -> int:
-        return 8 + 4 + 8
-
-    # -- state capture / restore (enclave restart) ----------------------------
-
-    def capture_state(self) -> dict:
-        return {"kind": self.name, "root": self._root,
-                "height": self._height, "n_entries": self._n_entries}
-
-    def restore_state(self, state: dict) -> None:
-        self._root = state["root"]
-        self._height = state["height"]
-        self._n_entries = state["n_entries"]
-
-    @property
-    def height(self) -> int:
-        return self._height

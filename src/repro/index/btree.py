@@ -1,221 +1,46 @@
 """Aria-T: B-tree index over sealed records (paper Section V-C).
 
-The tree lives entirely in untrusted memory; only the root pointer, the tree
-height, and the entry count are EPC state.  Node layout::
-
-    is_leaf (1) | n_keys (2) | pad (5) | entry_ptrs[max_keys] x 8
-                                       | child_ptrs[max_keys + 1] x 8
-
-Entries are pointers to sealed records (:mod:`repro.core.record`), kept in
-plaintext-key order.  Every comparison during a descent must verify and
+Node layout, the containing-node AdField and the height check live in
+:mod:`repro.index.tree`.  Every comparison during a descent must verify and
 *decrypt* a record — the paper's explanation for Aria-T being an order of
 magnitude slower than Aria-H, which skips decryption via key hints.
-
-**Index protection.**  Each record's AdField is the address of the B-tree
-node containing its entry pointer.  Swapping two entry pointers between
-nodes relocates both records under foreign anchors, so both MACs fail (the
-Fig 7 attack for trees).  The paper binds to the parent's child-slot address
-instead; we bind to the node address — a documented substitution (DESIGN.md)
-that detects the same cross-node pointer-swap and forgery attacks without
-resealing entire subtrees whenever a child-slot array shifts.  In-node
-reordering is undetected in both designs.  Record replay is caught by the
-counter freshness the Merkle tree guarantees.
-
-**Unauthorized-deletion detection.**  The enclave records the tree height
-(the paper's "number of tree nodes from the root to each leaf"); a miss
-whose descent did not traverse exactly ``height`` nodes raises
-:class:`DeletionError`.  Deletion uses the full CLRS algorithm (borrow /
-merge) so the tree stays uniformly ``height`` deep at all times.
+Deletion uses the full CLRS algorithm (borrow / merge) so the tree stays
+uniformly ``height`` deep at all times.
 """
 
 from __future__ import annotations
 
-import struct
 from typing import Iterator, Optional
 
-from repro.alloc.heap import Allocator
-from repro.core.record import RecordCodec, record_size
-from repro.errors import ConfigurationError, DeletionError, KeyNotFoundError
-from repro.index.base import SecureIndex
-from repro.sgx.enclave import Enclave
-
-_HEADER = struct.Struct("<B2x5x")  # is_leaf; n_keys packed separately for clarity
-_NULL = 0
+from repro.errors import ConfigurationError, DeletionError
+from repro.index.tree import SealedTreeIndex, _Node
 
 
-class _Node:
-    """A parsed B-tree node; mutated in memory, written back explicitly."""
-
-    __slots__ = ("addr", "is_leaf", "entries", "children")
-
-    def __init__(self, addr: int, is_leaf: bool, entries: list, children: list):
-        self.addr = addr
-        self.is_leaf = is_leaf
-        self.entries = entries      # record addresses, plaintext-key order
-        self.children = children    # child node addresses (len == entries + 1)
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-
-class AriaBTreeIndex(SecureIndex):
+class AriaBTreeIndex(SealedTreeIndex):
     """CLRS B-tree of minimum degree ``t`` over sealed records."""
 
     name = "btree"
     EPC_CONSUMER = "btree_index"
 
-    def __init__(
-        self,
-        enclave: Enclave,
-        codec: RecordCodec,
-        allocator: Allocator,
-        *,
-        order: int = 15,
-        fetch_counter: callable = None,
-        free_counter: Optional[callable] = None,
-    ):
-        if order < 3 or order % 2 == 0:
-            raise ConfigurationError(
-                f"btree order (max keys) must be odd and >= 3, got {order}"
-            )
-        self._t = (order + 1) // 2       # minimum degree
-        self._max_keys = order           # 2t - 1
-        self._enclave = enclave
-        self._codec = codec
-        self._allocator = allocator
-        self._fetch_counter = fetch_counter
-        self._free_counter = free_counter
-        self._node_size = 8 + self._max_keys * 8 + (self._max_keys + 1) * 8
-        # EPC state: root pointer, height, entry count (Section V-C).
-        enclave.epc.reserve(self.EPC_CONSUMER, 8 + 4 + 8)
-        self._root = self._alloc_node(is_leaf=True).addr
-        self._height = 1
-        self._n_entries = 0
+    def _max_keys_for(self, order: int) -> int:
+        if order < 3:
+            raise ConfigurationError(f"btree order must be >= 3, got {order}")
+        self._t = (order + 1) // 2  # minimum degree; an even order rounds down
+        return 2 * self._t - 1      # CLRS wants an odd max-key count
 
-    # -- node serialization -----------------------------------------------------
-
-    def _alloc_node(self, *, is_leaf: bool) -> _Node:
-        addr = self._allocator.alloc(self._node_size)
-        node = _Node(addr, is_leaf, [], [])
-        self._write_node(node)
-        return node
-
-    def _free_node(self, node: _Node) -> None:
-        self._allocator.free(node.addr, self._node_size)
-
-    def _read_node(self, addr: int) -> _Node:
-        raw = self._enclave.read_untrusted(addr, self._node_size)
-        is_leaf = bool(raw[0])
-        n_keys = int.from_bytes(raw[1:3], "little")
-        if n_keys > self._max_keys:
-            raise DeletionError(
-                f"B-tree node at {addr:#x} claims {n_keys} keys: corrupted"
-            )
-        entries = []
-        base = 8
-        for i in range(n_keys):
-            entries.append(int.from_bytes(raw[base + 8 * i : base + 8 * i + 8],
-                                          "little"))
-        children = []
-        cbase = 8 + self._max_keys * 8
-        if not is_leaf:
-            for i in range(n_keys + 1):
-                children.append(
-                    int.from_bytes(raw[cbase + 8 * i : cbase + 8 * i + 8],
-                                   "little")
-                )
-        return _Node(addr, is_leaf, entries, children)
-
-    def _write_node(self, node: _Node) -> None:
-        raw = bytearray(self._node_size)
-        raw[0] = 1 if node.is_leaf else 0
-        raw[1:3] = node.n.to_bytes(2, "little")
-        base = 8
-        for i, ptr in enumerate(node.entries):
-            raw[base + 8 * i : base + 8 * i + 8] = ptr.to_bytes(8, "little")
-        cbase = 8 + self._max_keys * 8
-        for i, ptr in enumerate(node.children):
-            raw[cbase + 8 * i : cbase + 8 * i + 8] = ptr.to_bytes(8, "little")
-        self._enclave.write_untrusted(node.addr, bytes(raw))
-
-    # -- record access ------------------------------------------------------------
-
-    def _read_record(self, record_addr: int) -> bytes:
-        header = self._enclave.read_untrusted(record_addr, 12)
-        _, k_len, v_len = self._codec.parse_header(header)
-        return self._enclave.read_untrusted(record_addr, record_size(k_len, v_len))
-
-    def _record_key(self, record_addr: int, node_addr: int) -> bytes:
-        """Verify + decrypt a record during a descent; returns its key."""
-        blob = self._read_record(record_addr)
-        return self._codec.open(blob, ad_field=node_addr).key
-
-    def _move_record(self, record_addr: int, old_node: int, new_node: int) -> None:
-        """Re-bind a record to a new containing node (split/borrow/merge)."""
-        blob = self._read_record(record_addr)
-        rebound = self._codec.reseal_ad_field(blob, old_ad=old_node,
-                                              new_ad=new_node)
-        self._enclave.write_untrusted(record_addr, rebound)
-
-    # -- search helpers ---------------------------------------------------------------
-
-    def _locate_in_node(self, node: _Node, key: bytes) -> tuple[int, bool]:
-        """Binary search; returns (index, found).
-
-        ``index`` is the position of the key if found, else the child index
-        to descend into.  Each probed entry is verified and decrypted.
-        """
-        lo, hi = 0, node.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            probe = self._record_key(node.entries[mid], node.addr)
-            if probe == key:
-                return mid, True
-            if probe < key:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo, False
-
-    def _release_record(self, record_addr: int) -> None:
-        """Free a record's heap block and return its counter."""
-        blob = self._read_record(record_addr)
-        red_ptr, k_len, v_len = self._codec.parse_header(blob)
-        self._allocator.free(record_addr, record_size(k_len, v_len))
-        if self._free_counter is not None:
-            self._free_counter(red_ptr)
-        self._enclave.epc_touch(8)
-        self._n_entries -= 1
-
-    # -- public operations ---------------------------------------------------------------
+    # -- lookup and insertion ---------------------------------------------------------
 
     def get(self, key: bytes) -> bytes:
         node = self._read_node(self._root)
         depth = 1
         while True:
-            index, found = self._locate_in_node(node, key)
+            index, found = self._find(node, key)
             if found:
-                blob = self._read_record(node.entries[index])
-                return self._codec.open(blob, ad_field=node.addr).value
+                return self._open(node.entries[index], node.addr).value
             if node.is_leaf:
-                self._check_depth(depth)
-                raise KeyNotFoundError(key)
-            child = node.children[index]
-            if child == _NULL:
-                raise DeletionError(
-                    "B-tree descent hit a null child pointer: index attacked"
-                )
-            node = self._read_node(child)
+                self._miss(key, depth)
+            node = self._child(node, index)
             depth += 1
-
-    def _check_depth(self, depth: int) -> None:
-        self._enclave.epc_touch(4)
-        if depth != self._height:
-            raise DeletionError(
-                f"descent traversed {depth} nodes but the enclave recorded a "
-                f"height of {self._height}: unauthorized deletion detected"
-            )
 
     def put(self, key: bytes, value: bytes) -> None:
         root = self._read_node(self._root)
@@ -223,32 +48,23 @@ class AriaBTreeIndex(SecureIndex):
             new_root = self._alloc_node(is_leaf=False)
             new_root.children = [root.addr]
             self._split_child(new_root, 0, root)
-            self._root = new_root.addr
-            self._enclave.epc_touch(8)
-            self._height += 1
+            self._set_root(new_root.addr, self._height + 1)
             root = new_root
         self._insert_nonfull(root, key, value)
 
     def _insert_nonfull(self, node: _Node, key: bytes, value: bytes) -> None:
-        index, found = self._locate_in_node(node, key)
+        index, found = self._find(node, key)
         if found:
             self._update_in_place(node, index, key, value)
             return
         if node.is_leaf:
-            red_ptr = self._fetch_counter()
-            blob = self._codec.seal(key, value, red_ptr, ad_field=node.addr)
-            record_addr = self._allocator.alloc(len(blob))
-            self._enclave.write_untrusted(record_addr, blob)
-            node.entries.insert(index, record_addr)
-            self._write_node(node)
-            self._enclave.epc_touch(8)
-            self._n_entries += 1
+            self._insert_entry(node, index, key, value)
             return
         child = self._read_node(node.children[index])
         if child.n == self._max_keys:
             self._split_child(node, index, child)
             # The promoted median may change which side the key belongs to.
-            median_key = self._record_key(node.entries[index], node.addr)
+            median_key = self._key_of(node.entries[index], node.addr)
             if key == median_key:
                 self._update_in_place(node, index, key, value)
                 return
@@ -256,23 +72,6 @@ class AriaBTreeIndex(SecureIndex):
                 index += 1
             child = self._read_node(node.children[index])
         self._insert_nonfull(child, key, value)
-
-    def _update_in_place(self, node: _Node, index: int, key: bytes,
-                         value: bytes) -> None:
-        """Overwrite an existing key, reusing its counter (Section V-D)."""
-        old_addr = node.entries[index]
-        old_blob = self._read_record(old_addr)
-        red_ptr, k_len, v_len = self._codec.parse_header(old_blob)
-        new_blob = self._codec.seal(key, value, red_ptr, ad_field=node.addr)
-        old_block = self._allocator.block_size_of(record_size(k_len, v_len))
-        if len(new_blob) <= old_block:
-            self._enclave.write_untrusted(old_addr, new_blob)
-            return
-        new_addr = self._allocator.alloc(len(new_blob))
-        self._enclave.write_untrusted(new_addr, new_blob)
-        node.entries[index] = new_addr
-        self._write_node(node)
-        self._allocator.free(old_addr, record_size(k_len, v_len))
 
     def _split_child(self, parent: _Node, index: int, child: _Node) -> None:
         """Split a full child; the median entry rises into the parent."""
@@ -300,13 +99,11 @@ class AriaBTreeIndex(SecureIndex):
     def delete(self, key: bytes) -> None:
         root = self._read_node(self._root)
         removed_addr, _ = self._delete_from(root, key, depth=1)
-        self._release_record(removed_addr)
+        self._release_entry(removed_addr)
         root = self._read_node(self._root)
         if root.n == 0 and not root.is_leaf:
             # Shrink: the root's only child becomes the new root.
-            self._root = root.children[0]
-            self._enclave.epc_touch(8)
-            self._height -= 1
+            self._set_root(root.children[0], self._height - 1)
             self._free_node(root)
 
     def _delete_from(self, node: _Node, key: bytes,
@@ -317,8 +114,7 @@ class AriaBTreeIndex(SecureIndex):
         The caller decides whether to release the record — the pred/succ
         replacement path re-binds it into an internal slot instead.
         """
-        t = self._t
-        index, found = self._locate_in_node(node, key)
+        index, found = self._find(node, key)
         if found:
             if node.is_leaf:
                 record_addr = node.entries.pop(index)
@@ -326,10 +122,9 @@ class AriaBTreeIndex(SecureIndex):
                 return record_addr, node.addr
             return self._delete_internal(node, index, depth)
         if node.is_leaf:
-            self._check_depth(depth)
-            raise KeyNotFoundError(key)
+            self._miss(key, depth)
         child = self._read_node(node.children[index])
-        if child.n < t:
+        if child.n < self._t:
             child, index = self._fortify_child(node, index, child)
         return self._delete_from(child, key, depth + 1)
 
@@ -350,7 +145,7 @@ class AriaBTreeIndex(SecureIndex):
                                                          depth + 1)
             else:
                 # Both neighbours minimal: merge around the key, recurse.
-                victim_key = self._record_key(victim_addr, node.addr)
+                victim_key = self._key_of(victim_addr, node.addr)
                 merged = self._merge_children(node, index, left, right)
                 return self._delete_from(merged, victim_key, depth + 1)
         # Install the replacement in our slot, bound to this node.
@@ -367,7 +162,7 @@ class AriaBTreeIndex(SecureIndex):
             node = self._read_node(child)
         if node.n == 0:
             raise DeletionError("empty leaf on extreme path: index corrupted")
-        return self._record_key(node.entries[-1 if rightmost else 0], node.addr)
+        return self._key_of(node.entries[-1 if rightmost else 0], node.addr)
 
     def _fortify_child(self, parent: _Node, index: int,
                        child: _Node) -> tuple[_Node, int]:
@@ -439,9 +234,6 @@ class AriaBTreeIndex(SecureIndex):
 
     # -- iteration / audit -------------------------------------------------------------
 
-    def __len__(self) -> int:
-        return self._n_entries
-
     def keys(self) -> Iterator[bytes]:
         yield from self._iterate(self._read_node(self._root))
 
@@ -449,7 +241,7 @@ class AriaBTreeIndex(SecureIndex):
         for i, record_addr in enumerate(node.entries):
             if not node.is_leaf:
                 yield from self._iterate(self._read_node(node.children[i]))
-            yield self._record_key(record_addr, node.addr)
+            yield self._key_of(record_addr, node.addr)
         if not node.is_leaf and node.children:
             yield from self._iterate(self._read_node(node.children[-1]))
 
@@ -466,8 +258,7 @@ class AriaBTreeIndex(SecureIndex):
     def _scan_into(self, node: _Node, lo: bytes, hi: bytes,
                    out: list) -> None:
         for i, record_addr in enumerate(node.entries):
-            blob = self._read_record(record_addr)
-            opened = self._codec.open(blob, ad_field=node.addr)
+            opened = self._open(record_addr, node.addr)
             # Child i holds keys smaller than entry i: visit it only if the
             # range can reach below this entry.
             if not node.is_leaf and opened.key > lo:
@@ -481,18 +272,14 @@ class AriaBTreeIndex(SecureIndex):
 
     def audit(self) -> None:
         """Verified full traversal; checks order, depth uniformity, count."""
-        count = self._audit_node(self._read_node(self._root), 1, None, None)
-        if count != self._n_entries:
-            raise DeletionError(
-                f"tree holds {count} entries but the enclave recorded "
-                f"{self._n_entries}"
-            )
+        self._check_count(
+            self._audit_node(self._read_node(self._root), 1, None, None))
 
     def _audit_node(self, node: _Node, depth: int, lo: Optional[bytes],
                     hi: Optional[bytes]) -> int:
         if node.is_leaf and depth != self._height:
             raise DeletionError("leaf at wrong depth: height invariant broken")
-        keys = [self._record_key(addr, node.addr) for addr in node.entries]
+        keys = [self._key_of(addr, node.addr) for addr in node.entries]
         if keys != sorted(keys):
             raise DeletionError("entries out of order inside a node")
         for probe in keys:
@@ -506,21 +293,3 @@ class AriaBTreeIndex(SecureIndex):
                     self._read_node(child), depth + 1, bounds[i], bounds[i + 1]
                 )
         return count
-
-    def epc_bytes(self) -> int:
-        return 8 + 4 + 8
-
-    # -- state capture / restore (enclave restart) ----------------------------
-
-    def capture_state(self) -> dict:
-        return {"kind": self.name, "root": self._root,
-                "height": self._height, "n_entries": self._n_entries}
-
-    def restore_state(self, state: dict) -> None:
-        self._root = state["root"]
-        self._height = state["height"]
-        self._n_entries = state["n_entries"]
-
-    @property
-    def height(self) -> int:
-        return self._height

@@ -89,18 +89,27 @@ def test_scenarios_reject_wrong_index():
         unauthorized_delete(tree_store, b"a")
 
 
+def _tree_store(kind, order, ids):
+    store = AriaStore(
+        AriaConfig(index=kind, btree_order=order, initial_counters=1 << 10,
+                   secure_cache_bytes=1 << 16, pin_levels=1,
+                   stop_swap_enabled=False),
+        platform=SgxPlatform(epc_bytes=16 << 20),
+    )
+    for i in ids:
+        store.put(f"key-{i:04d}".encode(), f"value-{i}".encode())
+    return store
+
+
+TREES = pytest.mark.parametrize("kind, order",
+                                [("btree", 5), ("bplustree", 4)],
+                                ids=["btree", "bplustree"])
+
+
 class TestBTreeAttacks:
     @pytest.fixture
     def tree_store(self):
-        store = AriaStore(
-            AriaConfig(index="btree", btree_order=5, initial_counters=1 << 10,
-                       secure_cache_bytes=1 << 16, pin_levels=1,
-                       stop_swap_enabled=False),
-            platform=SgxPlatform(epc_bytes=16 << 20),
-        )
-        for i in range(60):
-            store.put(f"key-{i:04d}".encode(), f"value-{i}".encode())
-        return store
+        return _tree_store("btree", 5, range(60))
 
     def test_cross_node_entry_swap_detected(self, tree_store):
         # Swap record pointers between the root and a leaf: both records are
@@ -121,15 +130,48 @@ class TestBTreeAttacks:
             for key in tree_store.keys():
                 pass
 
-    def test_truncated_descent_detected(self, tree_store):
+    @TREES
+    def test_truncated_descent_detected(self, kind, order):
         # Null out a child pointer: descents through it must raise.
         from repro.attacks.primitives import UntrustedAttacker
         from repro.errors import DeletionError, IntegrityError
 
+        tree_store = _tree_store(kind, order, range(60))
         index = tree_store.index
         root = index._read_node(index._root)
-        child_slot = root.addr + 8 + index._max_keys * 8  # children[0]
+        child_slot = root.addr + index.HEADER + index._max_keys * 8
         attacker = UntrustedAttacker(tree_store.enclave.untrusted)
         attacker.write(child_slot, (0).to_bytes(8, "little"))
         with pytest.raises((DeletionError, IntegrityError)):
+            tree_store.get(b"key-0000")
+
+    @TREES
+    def test_miss_at_wrong_height_is_a_deletion(self, kind, order):
+        # Skip a level: the root's first child pointer now names its own
+        # grandchild.  Every record there is still bound to its node, so the
+        # descent verifies; only the enclave-held height can tell.
+        from repro.attacks.primitives import UntrustedAttacker
+        from repro.errors import DeletionError
+
+        tree_store = _tree_store(kind, order, range(0, 120, 2))
+        index = tree_store.index
+        assert index.height == 4
+        root = index._read_node(index._root)
+        grandchild = index._read_node(root.children[0]).children[0]
+        child_slot = root.addr + index.HEADER + index._max_keys * 8
+        UntrustedAttacker(tree_store.enclave.untrusted).write(
+            child_slot, grandchild.to_bytes(8, "little"))
+        with pytest.raises(DeletionError, match="traversed 3 nodes"):
+            tree_store.get(b"key-0001")
+
+    @TREES
+    def test_overfull_node_header_detected(self, kind, order):
+        from repro.attacks.primitives import UntrustedAttacker
+        from repro.errors import DeletionError
+
+        tree_store = _tree_store(kind, order, range(60))
+        index = tree_store.index
+        UntrustedAttacker(tree_store.enclave.untrusted).write(
+            index._root + 1, (index._max_keys + 1).to_bytes(2, "little"))
+        with pytest.raises(DeletionError, match="corrupted"):
             tree_store.get(b"key-0000")

@@ -6,7 +6,8 @@ from repro.baselines.aria_nocache import AriaNoCacheStore
 from repro.baselines.enclave_baseline import EnclaveBaselineStore
 from repro.baselines.plain_kv import PlainKvStore
 from repro.baselines.shieldstore import ShieldStore
-from repro.errors import IntegrityError, KeyNotFoundError
+from repro.errors import ConfigurationError, IntegrityError, KeyNotFoundError
+from repro.index import AriaBPlusTreeIndex
 from repro.sgx.costs import PAGE_SIZE, SgxPlatform
 
 PLATFORM = SgxPlatform(epc_bytes=2 << 20)
@@ -149,6 +150,18 @@ class TestAriaNoCacheSpecifics:
         for i in range(100):
             store.put(f"key-{i:04d}".encode(), b"v")
         assert store.get(b"key-0042") == b"v"
+
+    def test_index_name_selects_the_index(self):
+        store = AriaNoCacheStore(initial_counters=512, index="bplustree",
+                                 btree_order=4, platform=PLATFORM)
+        assert isinstance(store.index, AriaBPlusTreeIndex)
+        for i in range(40):
+            store.put(f"key-{i:04d}".encode(), b"v")
+        assert store.index.height > 1
+        assert store.get(b"key-0017") == b"v"
+        with pytest.raises(ConfigurationError, match="hsah"):
+            AriaNoCacheStore(initial_counters=512, index="hsah",
+                             platform=PLATFORM)
 
 
 class TestBaselinePaging:
