@@ -114,7 +114,8 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
                 parent.entries.insert(
                     index, self._seal_new(separator_key, b"", parent.addr)
                 )
-                self._write_node(parent)
+                if parent.n <= self._max_keys:  # else its own split writes it
+                    self._write_node(parent)
 
     def _split_node(self, node: _Node) -> tuple[bytes, _Node]:
         """Split one overfull node; returns (separator key, right sibling)."""

@@ -7,7 +7,10 @@ Layout in untrusted memory::
 
 * The **key hint** is a hash of the plaintext key stored per entry, so chain
   traversal skips non-matching entries without decrypting them (the paper
-  credits this for the ~10x gap between Aria-H and Aria-T).
+  credits this for the ~10x gap between Aria-H and Aria-T).  A walk reads
+  each entry's 24-byte head (next_ptr, key_hint, record header) and reads
+  the sealed record only on a hint match, or when a Get/Delete miss
+  verifies the chain.
 * **Index protection**: each record's AdField is the address of the pointer
   slot that points at its entry — the bucket head slot for the first entry,
   the predecessor's ``next`` field otherwise.  Swapping two slot pointers
@@ -18,6 +21,8 @@ Layout in untrusted memory::
 
 Inserts append at the chain tail so existing entries keep their AdFields;
 deletes splice and re-bind the successor's record to its new pointer slot.
+Every operation walks its chain once and hashes its key twice (bucket + key
+hint): a Put that misses links its entry at the slot the walk ended on.
 """
 
 from __future__ import annotations
@@ -96,7 +101,10 @@ class AriaHashIndex(SecureIndex):
     # -- helpers -------------------------------------------------------------------
 
     def _bucket_slot(self, key: bytes) -> tuple[int, int, int]:
-        """Hash a key; returns (bucket index, head slot address, key hint)."""
+        """Where a key's chain starts: (bucket, head slot address, key hint).
+
+        The attack scenarios aim with it; a lookup derives these in its walk.
+        """
         digest = self._enclave.hash_key(key)
         bucket = digest % self._n_buckets
         return bucket, self._bucket_base + bucket * 8, digest & 0xFFFFFFFF
@@ -121,21 +129,25 @@ class AriaHashIndex(SecureIndex):
 
     # -- chain walk ---------------------------------------------------------------------
 
-    def _find(self, key: bytes, verify_miss: bool = True):
-        """Locate a key; returns (slot_addr, entry_addr, next_ptr, blob, opened).
+    def _walk(self, key: bytes, verify_miss: bool):
+        """Walk the key's chain once.
 
-        ``slot_addr`` is the address of the pointer that references
-        ``entry_addr`` — exactly the entry's AdField.
+        Returns ``(bucket, hint, slot_addr, entry_addr, next_ptr, blob,
+        opened)``.  ``slot_addr`` is the address of the pointer that
+        references ``entry_addr`` — exactly the entry's AdField.  Each walked
+        entry costs one read of its head (``_ENTRY_HEAD``); its sealed record
+        is read only when the key hint matches.
 
         On a miss with ``verify_miss`` (the Get/Delete path), the whole
         walked chain is verified before concluding the key is absent: each
-        entry's MAC binds it to the slot that pointed at it (AdField), so a
-        chain redirected to hide a key — the Fig 7 slot swap — raises
-        :class:`IntegrityError` instead of lying with KeyNotFoundError.  A
-        chain shorter than the enclave-recorded entry count raises
-        :class:`DeletionError`.  Put's lookup skips the miss verification:
-        an insert does not assert absence to a client, and the entry it adds
-        is bound to wherever the chain tail really is.
+        entry's record is read and its MAC binds it to the slot that pointed
+        at it (AdField), so a chain redirected to hide a key — the Fig 7 slot
+        swap — raises :class:`IntegrityError` instead of lying with
+        KeyNotFoundError.  A chain shorter than the enclave-recorded entry
+        count raises :class:`DeletionError`.  Put's miss skips the
+        verification — an insert does not assert absence to a client, and
+        the entry it adds is bound to wherever the chain tail really is — and
+        returns ``entry_addr`` ``_NULL`` with ``slot_addr`` the tail slot.
         """
         enclave = self._enclave
         read = enclave.read_untrusted
@@ -149,17 +161,17 @@ class AriaHashIndex(SecureIndex):
         entry_addr = int.from_bytes(read(slot_addr, 8), "little")
         walked = []
         while entry_addr != _NULL:
-            # ``_read_entry`` inline: no call and no tuple per chain entry.
             next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
                 read(entry_addr, _ENTRY_HEAD.size)
             )
-            blob = read(entry_addr + _ENTRY_PREFIX.size,
-                        _EMPTY_RECORD_SIZE + k_len + v_len)
-            walked.append((slot_addr, blob))
+            size = _EMPTY_RECORD_SIZE + k_len + v_len
+            walked.append((slot_addr, entry_addr, size))
             if hint == want_hint:
+                blob = read(entry_addr + _ENTRY_PREFIX.size, size)
                 opened = self._codec.open(blob, slot_addr)
                 if enclave.compare(opened.key, key):
-                    return slot_addr, entry_addr, next_ptr, blob, opened
+                    return (bucket, want_hint, slot_addr, entry_addr,
+                            next_ptr, blob, opened)
             slot_addr = entry_addr  # next field sits at offset 0
             entry_addr = next_ptr
         enclave.epc_touch(_COUNT_BYTES)
@@ -169,10 +181,17 @@ class AriaHashIndex(SecureIndex):
                 f"recorded {self._counts[bucket]}: unauthorized deletion "
                 "detected"
             )
-        if verify_miss:
-            for slot_addr, blob in walked:
-                self._codec.open(blob, ad_field=slot_addr)
+        if not verify_miss:
+            return bucket, want_hint, slot_addr, _NULL, _NULL, None, None
+        for slot_addr, entry_addr, size in walked:
+            self._codec.open(read(entry_addr + _ENTRY_PREFIX.size, size),
+                             ad_field=slot_addr)
         raise KeyNotFoundError(key)
+
+    def _find(self, key: bytes):
+        """Locate a present key; returns (slot_addr, entry_addr, next_ptr,
+        blob, opened) — the attack scenarios aim with it."""
+        return self._walk(key, True)[2:]
 
     def _walk_dummy_buckets(self) -> None:
         """Read the chains of pseudo-random buckets (frequency blurring)."""
@@ -193,82 +212,65 @@ class AriaHashIndex(SecureIndex):
     # -- public operations -----------------------------------------------------------------
 
     def get(self, key: bytes) -> bytes:
-        value = self._find(key)[4].value
+        value = self._walk(key, True)[6].value
         if self._dummy_bucket_reads:
             self._walk_dummy_buckets()
         return value
 
     def put(self, key: bytes, value: bytes) -> None:
-        try:
-            slot_addr, entry_addr, next_ptr, blob, opened = self._find(
-                key, verify_miss=False
-            )
-        except KeyNotFoundError:
-            self._insert_new(key, value)
+        bucket, hint, slot_addr, entry_addr, next_ptr, blob, opened = (
+            self._walk(key, False))
+        if entry_addr != _NULL:
+            self._update_existing(key, value, hint, slot_addr, entry_addr,
+                                  next_ptr, blob, opened.red_ptr)
             return
-        self._update_existing(key, value, slot_addr, entry_addr, next_ptr,
-                              blob, opened.red_ptr)
+        # The miss ended at the chain's tail slot: the new entry goes there.
+        self._append(slot_addr, key, value, self._fetch_counter(), hint)
+        self._enclave.epc_touch(_COUNT_BYTES)
+        self._counts[bucket] += 1
+        self._n_entries += 1
 
     def delete(self, key: bytes) -> None:
-        slot_addr, entry_addr, next_ptr, blob, opened = self._find(key)
+        bucket, _, slot_addr, entry_addr, next_ptr, blob, opened = (
+            self._walk(key, True))
         self._splice_out(key, slot_addr, entry_addr, next_ptr, blob)
         if self._free_counter is not None:
             self._free_counter(opened.red_ptr)
-        bucket, _, _ = self._bucket_slot(key)
         self._enclave.epc_touch(_COUNT_BYTES)
         self._counts[bucket] -= 1
         self._n_entries -= 1
 
     # -- internals -----------------------------------------------------------------------------
 
-    def _tail_slot(self, key: bytes) -> int:
-        """Address of the last pointer slot in the key's chain."""
-        _, slot_addr, _ = self._bucket_slot(key)
-        entry_addr = self._read_ptr(slot_addr)
-        while entry_addr != _NULL:
-            slot_addr = entry_addr
-            entry_addr = self._read_ptr(entry_addr)
-        return slot_addr
-
-    def _insert_new(self, key: bytes, value: bytes,
-                    red_ptr: Optional[int] = None) -> None:
-        if red_ptr is None:
-            red_ptr = self._fetch_counter()
-        tail_slot = self._tail_slot(key)
+    def _append(self, tail_slot: int, key: bytes, value: bytes, red_ptr: int,
+                hint: int) -> None:
+        """Seal a record bound to ``tail_slot`` and link its entry there."""
         blob = self._codec.seal(key, value, red_ptr, ad_field=tail_slot)
-        _, _, hint = self._bucket_slot(key)
         entry = self._entry_bytes(_NULL, hint, blob)
         entry_addr = self._allocator.alloc(len(entry))
         self._enclave.write_untrusted(entry_addr, entry)
         self._write_ptr(tail_slot, entry_addr)
-        bucket, _, _ = self._bucket_slot(key)
-        self._enclave.epc_touch(_COUNT_BYTES)
-        self._counts[bucket] += 1
-        self._n_entries += 1
 
-    def _update_existing(self, key: bytes, value: bytes, slot_addr: int,
-                         entry_addr: int, next_ptr: int, old_blob: bytes,
-                         red_ptr: int) -> None:
+    def _update_existing(self, key: bytes, value: bytes, hint: int,
+                         slot_addr: int, entry_addr: int, next_ptr: int,
+                         old_blob: bytes, red_ptr: int) -> None:
         """Re-seal an existing key, reusing its counter (Section V-D step 2)."""
         old_block = self._allocator.block_size_of(_ENTRY_PREFIX.size + len(old_blob))
         new_entry_size = _ENTRY_PREFIX.size + record_size(len(key), len(value))
         if new_entry_size <= old_block:
             # Same block: rewrite in place; AdField (slot_addr) is unchanged.
             new_blob = self._codec.seal(key, value, red_ptr, ad_field=slot_addr)
-            _, _, hint = self._bucket_slot(key)
             self._enclave.write_untrusted(
                 entry_addr, self._entry_bytes(next_ptr, hint, new_blob)
             )
             return
-        # Larger value: splice the old entry out, then re-insert at the tail.
+        # Larger value: splice the old entry out, then re-insert at the tail,
+        # walking on from the slot that now points past the old entry.
         self._splice_out(key, slot_addr, entry_addr, next_ptr, old_blob)
-        tail_slot = self._tail_slot(key)
-        resealed = self._codec.seal(key, value, red_ptr, ad_field=tail_slot)
-        _, _, hint = self._bucket_slot(key)
-        entry = self._entry_bytes(_NULL, hint, resealed)
-        new_addr = self._allocator.alloc(len(entry))
-        self._enclave.write_untrusted(new_addr, entry)
-        self._write_ptr(tail_slot, new_addr)
+        tail_slot, entry_addr = slot_addr, next_ptr
+        while entry_addr != _NULL:
+            tail_slot, entry_addr = entry_addr, self._read_ptr(entry_addr)
+        self._append(tail_slot, key, value, red_ptr, hint)
 
     def _splice_out(self, key: bytes, slot_addr: int, entry_addr: int,
                     next_ptr: int, blob: bytes) -> None:
@@ -320,8 +322,3 @@ class AriaHashIndex(SecureIndex):
 
     def epc_bytes(self) -> int:
         return self._n_buckets * _COUNT_BYTES + 8
-
-    def chain_length(self, key: bytes) -> int:
-        """Entries in the key's bucket (tests & ShieldStore comparisons)."""
-        bucket, _, _ = self._bucket_slot(key)
-        return self._counts[bucket]

@@ -108,10 +108,9 @@ class SealedTreeIndex(SecureIndex):
                      int.from_bytes(raw[8:self.HEADER], "little"))
 
     def _write_node(self, node: _Node) -> None:
-        # A B+-tree node one entry past max_keys (written just before its
-        # split) spills: an internal one's last child lands 8 bytes past the
-        # node, in its heap block's slack.  Slice assignment grows ``raw``
-        # exactly as the slot-by-slot writes this replaced did.
+        # A B+-tree leaf one entry past max_keys (written just before its
+        # split) still fits: its last entry lands in the unused child area.
+        # An overfull internal node is never written; its split writes it.
         raw = bytearray(self._node_size)
         raw[0] = node.is_leaf
         raw[1:3] = node.n.to_bytes(2, "little")

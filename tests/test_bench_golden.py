@@ -50,21 +50,21 @@ def rendered(name: str) -> str:
 
 GOLDEN = {
     "cluster_scaling":
-        "90aa7d352ebc7cb8bbed82470ea0d25559312383b6dcb92c8891e175157a0e3c",
+        "be416e7682fe6e332590da37ff4abf29bf802a8046d3c9e0c64eccf7580144e7",
     "cluster_rebalance":
-        "6f241e4cfb15f0d6c0643e732eda6dcdf28ab8f59038a5c912fdc8bc5ffbd7f7",
+        "7198246c3423b3c4d22063e2d03ace3eb34179fb66a7a80146c14e70e2dbcd75",
     "cluster_replication":
-        "de0bf7d4e61ce5711f15957763a1ab676c8245db9db900cf887ecce858a59bf2",
+        "0158a8f096632f9a4e096b54a56e5e7c9932d6ab9202c45eed469238d7f8e427",
     "cluster_process_backend":
-        "11fc8b5706c18dae6acbb940379639c8a6584f4e71da2fc3d5aac0dd75e96e68",
+        "a32472de7239f1ac5beb31baf7a53347132eee48edf9034bd695b6aee487ecb7",
     "cluster_shard_workers":
-        "997c6f651ad2e36dc4add4368d9ea5cbf824437455664f82acae76eeb4a57992",
+        "027850da7037e108de92ffa1d12395a6e1aaa90a7adc788d05a231c04ccf8906",
     "cluster_wire_overhead":
-        "0ad6436b949e044cda46ebe7f40dc9bb4d70ecde29cead7095ba7ef7382a2796",
+        "f778cd390e47ee25f70707bb61b58c0ae9afe9b7b7ec2b650630485037f5b181",
     "cluster_socket_backend":
-        "50ea00a88e785a3dda6314ca6272bd16b270a792f9b3ecf288d5dbcbd07b3246",
+        "f7c9dfb40aec1bb04d453486658ca09b8434d8dadf43398eaa4077218ac22536",
     "cluster_elastic":
-        "c2db475ca60a89a1e549de8ccba6df8eaf0eaa515a343e85b029983d88b8acc8",
+        "8900fee9fb8fd27cc34c8be7fffa64db74446dd2092e3ced5b446f0c6d526552",
 }
 
 

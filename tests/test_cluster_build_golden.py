@@ -178,13 +178,13 @@ GOLDEN = {'dict_vnodes': {'ids': ['shard-0', 'shard-1'],
                  'epc_bytes': [23296, 23296],
                  'mac_keys': ['dad11322610b', '136557dd1920'],
                  'ring': '96a0fc9ccf95692c',
-                 'cycles': 2312950.0,
+                 'cycles': 2270305.0,
                  'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'durable_r1': {'ids': ['shard-0/r0', 'shard-1/r0'],
                 'epc_bytes': [23296, 23296],
                 'mac_keys': ['136557dd1920', '8b7e15528303'],
                 'ring': 'dc3839bac47cebce',
-                'cycles': 2311114.5,
+                'cycles': 2271477.5,
                 'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'floor_plain': {'ids': ['shard-0',
                          'shard-1',
@@ -223,7 +223,7 @@ GOLDEN = {'dict_vnodes': {'ids': ['shard-0', 'shard-1'],
                               '86f8a50b454d',
                               '4122ac063ba5'],
                  'ring': '398fb43b1ee98d2e',
-                 'cycles': 3213042.0,
+                 'cycles': 3185231.0,
                  'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'floor_r2': {'ids': ['shard-0/r0',
                       'shard-0/r1',
@@ -262,19 +262,19 @@ GOLDEN = {'dict_vnodes': {'ids': ['shard-0', 'shard-1'],
                            '94348d2163b1',
                            'cddb143a7784'],
               'ring': '058e08cef73cbb97',
-              'cycles': 4499412.5,
+              'cycles': 4439706.5,
               'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'plain_1': {'ids': ['shard-0'],
              'epc_bytes': [46592],
              'mac_keys': ['dad11322610b'],
              'ring': '10c37c4aa945626b',
-             'cycles': 2343970.0,
+             'cycles': 2290894.0,
              'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'plain_2': {'ids': ['shard-0', 'shard-1'],
              'epc_bytes': [23296, 23296],
              'mac_keys': ['dad11322610b', '136557dd1920'],
              'ring': 'dc3839bac47cebce',
-             'cycles': 2311114.5,
+             'cycles': 2271477.5,
              'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'plain_4': {'ids': ['shard-0', 'shard-1', 'shard-2', 'shard-3'],
              'epc_bytes': [11648, 11648, 11648, 11648],
@@ -283,7 +283,7 @@ GOLDEN = {'dict_vnodes': {'ids': ['shard-0', 'shard-1'],
                           '4904655fa212',
                           '4be567e895a7'],
              'ring': 'f7ea3694bf6b88d2',
-             'cycles': 2401404.5,
+             'cycles': 2366493.0,
              'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'replicated_r2': {'ids': ['shard-0/r0',
                            'shard-0/r1',
@@ -295,19 +295,19 @@ GOLDEN = {'dict_vnodes': {'ids': ['shard-0', 'shard-1'],
                                 '8b7e15528303',
                                 '0762243820fe'],
                    'ring': 'dc3839bac47cebce',
-                   'cycles': 4108549.0,
+                   'cycles': 4031494.5,
                    'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'tenancy': {'ids': ['shard-0', 'shard-1'],
              'epc_bytes': [23296, 23296],
              'mac_keys': ['dad11322610b', '136557dd1920'],
              'ring': 'dc3839bac47cebce',
-             'cycles': 2294893.75,
+             'cycles': 2261929.75,
              'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'},
  'workers_4': {'ids': ['shard-0', 'shard-1'],
                'epc_bytes': [23296, 23296],
                'mac_keys': ['dad11322610b', '136557dd1920'],
                'ring': 'dc3839bac47cebce',
-               'cycles': 2311114.5,
+               'cycles': 2271477.5,
                'responses': '4b88e678184aa9bdcb0d1283b65d9c8fb20dd3b88531496521b8ae941bdcc0a3'}}
 GOLDEN_RESTART = {'ids': ['shard-1/r0', 'shard-1/r0'],
  'epc_bytes': [11648, 11648],

@@ -153,7 +153,7 @@ class TestPrecedence:
 #: commit that still had one (PR 14's parent).
 _LEGACY_DRIVE = (
     "6121d21d2c4a2b0802648e4044d1855c70483f3a7c40e3254a5ba8e2a3b84a81",
-    249042.5,
+    244682.5,
 )
 
 

@@ -153,7 +153,7 @@ def observe(variant: str) -> dict:
     }
 
 
-GOLDEN = {'bplustree': {'cycles': 113789068.5,
+GOLDEN = {'bplustree': {'cycles': 113788408.5,
                'events': {'cache_evict': 1026,
                           'cache_hit': 2159,
                           'cache_miss': 21554,
@@ -170,9 +170,9 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                           'op_get': 1418,
                           'op_put': 859,
                           'stop_swap': 1,
-                          'untrusted_access': 84010},
+                          'untrusted_access': 84005},
                'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
-               'untrusted': '372efa6b59726c1e5968364b02c13c454f70f7e5954a2f0fb1124923a4dd19e5'},
+               'untrusted': '2c997dd1bc38a70da4fe2c785beb5fa830a590320030181b49cefcfe6c45b4f8'},
  'btree': {'cycles': 102436995.0,
            'events': {'cache_evict': 2152,
                       'cache_hit': 22288,
@@ -192,7 +192,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                       'untrusted_access': 68537},
            'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
            'untrusted': '913492fdb0d8fe5d525d43bc0557e46909d87a6d812507b18d8afe5074007318'},
- 'hash': {'cycles': 46510711.25,
+ 'hash': {'cycles': 45992692.75,
           'events': {'cache_evict': 881,
                      'cache_hit': 4566,
                      'cache_miss': 763,
@@ -208,10 +208,10 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                      'op_delete': 288,
                      'op_get': 1418,
                      'op_put': 859,
-                     'untrusted_access': 21463},
+                     'untrusted_access': 17836},
           'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
           'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
- 'hash_dummy2': {'cycles': 47707911.25,
+ 'hash_dummy2': {'cycles': 47189892.75,
                  'events': {'cache_evict': 881,
                             'cache_hit': 4566,
                             'cache_miss': 763,
@@ -227,10 +227,10 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                             'op_delete': 288,
                             'op_get': 1418,
                             'op_put': 859,
-                            'untrusted_access': 33435},
+                            'untrusted_access': 29808},
                  'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
                  'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
- 'hash_non_dyadic': {'cycles': 46772134.19998945,
+ 'hash_non_dyadic': {'cycles': 46272784.609991096,
                      'events': {'cache_evict': 881,
                                 'cache_hit': 4566,
                                 'cache_miss': 763,
@@ -246,10 +246,10 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                                 'op_delete': 288,
                                 'op_get': 1418,
                                 'op_put': 859,
-                                'untrusted_access': 21463},
+                                'untrusted_access': 17836},
                      'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
                      'untrusted': 'a0e494c0663d07e71ae849dfd02bf385de15a278e563da18f60b280b60b7b6aa'},
- 'hash_tenants': {'cycles': 46748117.5,
+ 'hash_tenants': {'cycles': 46196824.5,
                   'events': {'cache_evict': 758,
                              'cache_hit': 4541,
                              'cache_miss': 773,
@@ -267,7 +267,7 @@ GOLDEN = {'bplustree': {'cycles': 113789068.5,
                              'op_put': 859,
                              'tenant_evict_denied': 120,
                              'tenant_evict_denied:b233ffabb8a92620': 120,
-                             'untrusted_access': 21707},
+                             'untrusted_access': 17911},
                   'responses': '5be6fc0e930215ebe5a542949ba0b82310bb993c172dffe5b282c487ad01391d',
                   'untrusted': 'e9ceb643f78828d07ec1c46d4b376277aa28300178b10c48b07c077465b74da4'}}
 

@@ -387,7 +387,7 @@ class TestLifecycle:
 PARENT_STREAM = {
     "digest":
         "1f4f6b58fcbd7eb88c73a50614c6f4a822f5fd542c7fb12182db42ea364b0d76",
-    "shard_cycles": [2911753.5, 2529047.75],
+    "shard_cycles": [2895643.5, 2519317.75],
     "gateway_cycles": 15494877.0,
     "wire_stats": {
         "tamper_alarms": 0,

@@ -196,14 +196,14 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                       'n_shards': 2,
                       'ops_routed': 384,
                       'shards': {'shard-0': 'up', 'shard-1': 'up'}},
-           'report_sha256': 'dc168c21fd7774aac50c3c9caa3a3e370e885cebb5d327d89f2987ed3819fdb3',
+           'report_sha256': 'd757ae494b93ca3b1f2d357683d8fe0f30de271b210e52e1845b74b1374dfd8e',
            'cluster': {'n_shards': 2,
                        'keys': 176,
                        'window_ops': 293,
-                       'cycles_max': 1090235.5,
-                       'cycles_sum': 1808741.0,
-                       'parallel_efficiency': 0.8295184847677406,
-                       'aggregate_throughput': 1128746.9542131035,
+                       'cycles_max': 1071228.5,
+                       'cycles_sum': 1777974.0,
+                       'parallel_efficiency': 0.8298761655426456,
+                       'aggregate_throughput': 1148774.51449434,
                        'ecalls': 66,
                        'cache_hit_ratio': 0.0,
                        'elastic': {'migrations_started': 0,
@@ -224,14 +224,14 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                           'ops_routed': 384,
                           'shards': {'shard-0': {'shard-0/r0': 'recovering'},
                                      'shard-1': {'shard-1/r0': 'up'}}},
-               'report_sha256': '1f61c2349f217beb5a81c2498fd99b68635920c63ccdaa0a467ec16276b9c6a5',
+               'report_sha256': '38d7178ba74b81db02ff66bbcdd69bc80b380209e35245fb96491ab36a95ab09',
                'cluster': {'n_shards': 2,
                            'keys': 158,
                            'window_ops': 140,
-                           'cycles_max': 718505.5,
-                           'cycles_sum': 917144.0,
-                           'parallel_efficiency': 0.6382303266989605,
-                           'aggregate_throughput': 818365.343062788,
+                           'cycles_max': 706745.5,
+                           'cycles_sum': 901764.0,
+                           'parallel_efficiency': 0.6379693963385689,
+                           'aggregate_throughput': 831982.6585383281,
                            'ecalls': 35,
                            'cache_hit_ratio': 0.0,
                            'replicas': 2,
@@ -246,14 +246,14 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                                                 'shard-0/r1': 'up'},
                                     'shard-1': {'shard-1/r0': 'up',
                                                 'shard-1/r1': 'up'}}},
-              'report_sha256': 'f015438a7734df72084f350a9e88af02787b4b8563862eb8d06d2a7bce2d77eb',
+              'report_sha256': '54ca58ac9c98fc123cc9544c000b06e0196896346409940c84ddd2c4ea5ce922',
               'cluster': {'n_shards': 2,
                           'keys': 176,
                           'window_ops': 732,
-                          'cycles_max': 1255393.0,
-                          'cycles_sum': 2250654.5,
-                          'parallel_efficiency': 0.8963943960178207,
-                          'aggregate_throughput': 2448954.231862054,
+                          'cycles_max': 1218896.0,
+                          'cycles_sum': 2201397.5,
+                          'parallel_efficiency': 0.9030292576232919,
+                          'aggregate_throughput': 2522282.458880823,
                           'ecalls': 118,
                           'cache_hit_ratio': 0.9715017382043244,
                           'replicas': 4,
@@ -306,14 +306,14 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                                   'shed': {'minnow': 0, 'whale': 106},
                                   'tenants': ['minnow', 'whale'],
                                   'unknown_shed': 0}},
-           'report_sha256': 'b8a5b306593e4dedf3886d921646e079079518c2be7ba66bbd1ce7ecbaf059ac',
+           'report_sha256': '6df068997486a0ad3bce5a700683ff144c7a12797339255a60904533e8659291',
            'cluster': {'n_shards': 2,
                        'keys': 107,
                        'window_ops': 419,
-                       'cycles_max': 989899.25,
-                       'cycles_sum': 1782835.0,
-                       'parallel_efficiency': 0.9005133603242956,
-                       'aggregate_throughput': 1777756.675742506,
+                       'cycles_max': 980769.25,
+                       'cycles_sum': 1766565.0,
+                       'parallel_efficiency': 0.9006017470470246,
+                       'aggregate_throughput': 1794305.8471704735,
                        'ecalls': 94,
                        'cache_hit_ratio': 0.9734666487072039,
                        'replicas': 4,

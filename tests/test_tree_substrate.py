@@ -74,3 +74,19 @@ def test_node_bytes_match_the_slot_by_slot_layout(cls, order, n):
             assert (back.is_leaf, back.entries, back.children,
                     back.next_leaf) == (is_leaf, node.entries,
                                         node.children, node.next_leaf)
+
+
+@pytest.mark.parametrize("allocator", ["heap", "ocall"])
+@pytest.mark.parametrize("index", ["btree", "bplustree"])
+@pytest.mark.parametrize("order", [4, 5, 8])
+def test_splits_stay_inside_their_node(index, allocator, order):
+    # An OCALL block is exactly the node: nothing past it may be written,
+    # so an overfull node must be split before it is written back.
+    store = AriaStore(AriaConfig(index=index, allocator=allocator,
+                                 btree_order=order, initial_counters=1024,
+                                 secure_cache_bytes=1 << 16, pin_levels=1),
+                      platform=SgxPlatform(epc_bytes=16 << 20))
+    for i in range(400):
+        store.put(b"key-%05d" % i, b"v%d" % i)
+    store.index.audit()
+    assert store.get(b"key-00399") == b"v399"
