@@ -149,6 +149,7 @@ def _encode_requests(requests) -> bytes:
 def _decode_requests(data: bytes, offset: int, end: int):
     count, offset = _count_at(data, offset, end)
     unpack_from, opcode_of = _REQUEST.unpack_from, _OPCODES.get
+    new = tuple.__new__
     requests = []
     for _ in range(count):
         start = offset + _REQUEST.size
@@ -159,8 +160,8 @@ def _decode_requests(data: bytes, offset: int, end: int):
         offset = split + v_len
         if offset > end:
             raise ProtocolError("truncated request body")
-        requests.append(Request(opcode_of(code, code), data[start:split],
-                                data[split:offset]))
+        requests.append(new(Request, (opcode_of(code, code),
+                                      data[start:split], data[split:offset])))
     return requests, offset
 
 
@@ -177,6 +178,7 @@ def _encode_responses(responses) -> bytes:
 def _decode_responses(data: bytes, offset: int, end: int):
     count, offset = _count_at(data, offset, end)
     unpack_from, status_of = _RESPONSE.unpack_from, _STATUSES.get
+    new = tuple.__new__
     responses = []
     for _ in range(count):
         start = offset + _RESPONSE.size
@@ -186,7 +188,8 @@ def _decode_responses(data: bytes, offset: int, end: int):
         offset = start + v_len
         if offset > end:
             raise ProtocolError("truncated response body")
-        responses.append(Response(status_of(code, code), data[start:offset]))
+        responses.append(new(Response, (status_of(code, code),
+                                        data[start:offset])))
     return responses, offset
 
 

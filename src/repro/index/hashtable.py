@@ -140,8 +140,9 @@ class AriaHashIndex(SecureIndex):
 
         On a miss with ``verify_miss`` (the Get/Delete path), the whole
         walked chain is verified before concluding the key is absent: each
-        entry's record is read and its MAC binds it to the slot that pointed
-        at it (AdField), so a chain redirected to hide a key — the Fig 7 slot
+        entry's record is read once (the walk already opened those whose hint
+        matched) and its MAC binds it to the slot that pointed at it
+        (AdField), so a chain redirected to hide a key — the Fig 7 slot
         swap — raises :class:`IntegrityError` instead of lying with
         KeyNotFoundError.  A chain shorter than the enclave-recorded entry
         count raises :class:`DeletionError`.  Put's miss skips the
@@ -159,31 +160,35 @@ class AriaHashIndex(SecureIndex):
         want_hint = digest & 0xFFFFFFFF
         slot_addr = self._bucket_base + bucket * 8
         entry_addr = int.from_bytes(read(slot_addr, 8), "little")
-        walked = []
+        unopened = []
+        hint_matches = 0  # entries already opened against their own slot
         while entry_addr != _NULL:
             next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
                 read(entry_addr, _ENTRY_HEAD.size)
             )
             size = _EMPTY_RECORD_SIZE + k_len + v_len
-            walked.append((slot_addr, entry_addr, size))
             if hint == want_hint:
                 blob = read(entry_addr + _ENTRY_PREFIX.size, size)
                 opened = self._codec.open(blob, slot_addr)
                 if enclave.compare(opened.key, key):
                     return (bucket, want_hint, slot_addr, entry_addr,
                             next_ptr, blob, opened)
+                hint_matches += 1
+            else:
+                unopened.append((slot_addr, entry_addr, size))
             slot_addr = entry_addr  # next field sits at offset 0
             entry_addr = next_ptr
         enclave.epc_touch(_COUNT_BYTES)
-        if len(walked) != self._counts[bucket]:
+        walked = len(unopened) + hint_matches
+        if walked != self._counts[bucket]:
             raise DeletionError(
-                f"bucket {bucket} has {len(walked)} entries but the enclave "
+                f"bucket {bucket} has {walked} entries but the enclave "
                 f"recorded {self._counts[bucket]}: unauthorized deletion "
                 "detected"
             )
         if not verify_miss:
             return bucket, want_hint, slot_addr, _NULL, _NULL, None, None
-        for slot_addr, entry_addr, size in walked:
+        for slot_addr, entry_addr, size in unopened:
             self._codec.open(read(entry_addr + _ENTRY_PREFIX.size, size),
                              ad_field=slot_addr)
         raise KeyNotFoundError(key)

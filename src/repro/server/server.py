@@ -32,6 +32,11 @@ from repro.server.protocol import (
     Status,
 )
 
+_tuple_new = tuple.__new__
+#: Every successful Put and Delete gets this one answer: a tuple record is
+#: immutable, so sharing it is safe.
+_OK = Response(STATUS_OK)
+
 
 class AriaServer:
     """Dispatches decoded requests against an Aria store, inside the enclave.
@@ -164,13 +169,14 @@ class AriaServer:
         try:
             # Likeliest first; module constants, not ``OpCode.X`` lookups.
             if opcode == OP_GET:
-                return Response(STATUS_OK, self._store.get(request.key))
+                return _tuple_new(
+                    Response, (STATUS_OK, self._store.get(request.key)))
             if opcode == OP_PUT:
                 self._store.put(request.key, request.value)
-                return Response(STATUS_OK)
+                return _OK
             if opcode == OP_DELETE:
                 self._store.delete(request.key)
-                return Response(STATUS_OK)
+                return _OK
             if opcode == OP_HEALTH:
                 # A liveness ping: reaching this line means the enclave is
                 # up.  Never empty-valued BAD_REQUEST, so a one-request

@@ -1140,12 +1140,13 @@ def python_calls_outside_store_get(thunk):
 
 
 FRAME_OPS = 8
-#: 14.75 measured (35.75 before the frame path was flattened, 15.0 while
-#: the door still peeled two envelopes off every frame).  Two of them
-#: are definitions kept single on purpose: ``ring_hash`` under
+#: 11.75 measured (35.75 before the frame path was flattened, 15.0 while
+#: the door still peeled two envelopes off every frame, 14.75 while
+#: ``Request``/``Response`` were dataclasses with a Python ``__init__``).
+#: Two of them are definitions kept single on purpose: ``ring_hash`` under
 #: ``HashRing.route`` and ``CostModel.enc_cost``/``mac_cost`` under
 #: ``seal``/``open`` (one call per request each at 8-op frames).
-PIPELINE_CALLS_PER_OP = 15
+PIPELINE_CALLS_PER_OP = 12
 
 
 class TestCallBudget:

@@ -11,6 +11,7 @@ swap and an unauthorized deletion are still detected.
 """
 
 import collections
+import zlib
 
 import pytest
 
@@ -200,3 +201,79 @@ def test_a_dropped_entry_is_a_deletion(chained, op):
                                     chain[depth + 1].to_bytes(8, "little"))
     with pytest.raises(DeletionError):
         getattr(chained, op)(_key(depth))
+
+
+# -- a key-hint collision ------------------------------------------------------
+
+#: Two keys with one crc32 (0x7b382c37), hence one key hint; found by search.
+TWIN, ABSENT_TWIN = b"key-29685295", b"key-32060020"
+TWIN_DEPTH = 3
+
+
+def _twin_key(i: int) -> bytes:
+    """Chain keys as long as ``TWIN``, so every entry has one size."""
+    return TWIN if i == TWIN_DEPTH else b"key-%08d" % i
+
+
+@pytest.fixture
+def twinned():
+    """A one-bucket chain of ``N`` equal-size entries, ``TWIN`` at depth 3."""
+    assert TWIN != ABSENT_TWIN and zlib.crc32(TWIN) == zlib.crc32(ABSENT_TWIN)
+    store = _store(1)
+    for i in range(N):
+        store.put(_twin_key(i), VALUE)
+    return store
+
+
+def test_a_miss_past_a_hint_twin_reads_each_record_once(twinned):
+    # The walk opens the twin's record at its hint match; the miss
+    # verification then opens the other N - 1, not all N again.
+    seen = _count(twinned, lambda: pytest.raises(KeyNotFoundError,
+                                                 twinned.get, ABSENT_TWIN))
+    assert seen == {"slot": 1, "head": N, "record": N}
+    opened = []
+    codec = twinned.index._codec
+    real_open = codec.open
+    codec.open = lambda blob, ad_field: (
+        opened.append(ad_field) or real_open(blob, ad_field))
+    try:
+        for op in (twinned.get, twinned.delete):
+            opened.clear()
+            with pytest.raises(KeyNotFoundError):
+                op(ABSENT_TWIN)
+            # Every record once, each against the slot that points at it.
+            slots = [twinned.index._bucket_base] + _chain(twinned)[:-1]
+            assert sorted(opened) == sorted(slots)
+            assert opened[0] == slots[TWIN_DEPTH]
+    finally:
+        del codec.open
+    assert twinned.get(TWIN) == VALUE
+
+
+@pytest.mark.parametrize("depths", [(TWIN_DEPTH - 1, TWIN_DEPTH), (5, 6)],
+                         ids=["twin-moved", "others-moved"])
+@pytest.mark.parametrize("op", ["get", "delete"])
+def test_records_moved_under_foreign_slots_are_caught_past_a_twin(
+        twinned, depths, op):
+    # The effect of a Fig 7 swap: two records trade places, each now under
+    # a slot its AdField does not name.  Either the hint match opens a
+    # moved twin, or the miss verification opens a moved record.
+    memory = twinned.enclave.untrusted
+    chain = _chain(twinned)
+    size = _ENTRY_PREFIX.size + len(twinned.index._read_entry(chain[0])[2])
+    a, b = (chain[d] + 8 for d in depths)  # keep each entry's next pointer
+    body_a, body_b = memory.read(a, size - 8), memory.read(b, size - 8)
+    memory.write(a, body_b)
+    memory.write(b, body_a)
+    with pytest.raises(IntegrityError):
+        getattr(twinned, op)(ABSENT_TWIN)
+
+
+@pytest.mark.parametrize("depth", [TWIN_DEPTH, 5], ids=["twin", "other"])
+@pytest.mark.parametrize("op", ["get", "delete"])
+def test_a_dropped_entry_past_a_twin_is_a_deletion(twinned, depth, op):
+    chain = _chain(twinned)
+    twinned.enclave.untrusted.write(chain[depth - 1],
+                                    chain[depth + 1].to_bytes(8, "little"))
+    with pytest.raises(DeletionError):
+        getattr(twinned, op)(ABSENT_TWIN)

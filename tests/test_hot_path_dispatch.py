@@ -32,6 +32,7 @@ from repro.core.record import RecordCodec
 from repro.core.store import AriaStore
 from repro.index.hashtable import AriaHashIndex
 from repro.merkle.tree import MerkleTree
+from repro.server.protocol import Request, Response
 from repro.sgx.enclave import Enclave
 from repro.sgx.memory import UntrustedMemory
 from repro.sgx.meter import CycleMeter, EventCounts
@@ -43,7 +44,8 @@ IMPLICIT = ("__getattr__", "__getattribute__", "__setattr__",
 #: Every type an operation's primitives read an attribute of or index into.
 PER_PRIMITIVE = (CycleMeter, Enclave, UntrustedMemory, CacheEntry, CacheStats,
                  FifoPolicy, LruPolicy, ClockPolicy, SecureCache, MerkleTree,
-                 RecordCodec, CounterManager, AriaHashIndex, AriaStore)
+                 RecordCodec, CounterManager, AriaHashIndex, AriaStore,
+                 Request, Response)
 
 #: How a method implemented in C appears in a class ``__dict__``.
 C_LEVEL = (types.WrapperDescriptorType, types.MethodDescriptorType)

@@ -6,6 +6,7 @@ neither side, and a median gap wider than the parent's own quartiles.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -106,3 +107,64 @@ def test_the_report_names_the_claimed_metric_and_counts_failures():
     b_runs[3] = run(121.0, 35.0, failed=2)
     _, gain = pairbench.report(specs, a_runs, b_runs)
     assert not gain
+
+
+def test_the_claimed_metric_can_be_lower_is_better():
+    specs = [{"name": "wall_ops_per_s", "better": "higher"},
+             {"name": "cpu_us_per_op", "better": "lower"}]
+
+    def run(wall, cpu):
+        return {"failed": 0,
+                "metrics": {"wall_ops_per_s": {"value": wall},
+                            "cpu_us_per_op": {"value": cpu}}}
+
+    a_runs = [run(100.0, 40.0 + i % 3 * 0.1) for i in range(10)]
+    faster = [run(100.0, 38.0 + i % 3 * 0.1) for i in range(10)]
+    table, gain = pairbench.report(specs, a_runs, faster, "cpu_us_per_op")
+    assert gain and "-> cpu_us_per_op: GAIN" in table
+    assert "-> wall_ops_per_s" not in table
+    # More CPU per op is a regression on this metric, however consistent.
+    slower = [run(100.0, 42.0 + i % 3 * 0.1) for i in range(10)]
+    table, gain = pairbench.report(specs, a_runs, slower, "cpu_us_per_op")
+    assert not gain and "-> cpu_us_per_op: no gain shown" in table
+    assert "B won 0/10" in table
+
+
+def _checkouts(tmp_path):
+    contract = {"end_to_end": [{"name": "wall_ops_per_s", "better": "higher"},
+                               {"name": "cpu_us_per_op", "better": "lower"}]}
+    for side in ("a", "b"):
+        (tmp_path / side).mkdir()
+        (tmp_path / side / "BENCHMARK.json").write_text(json.dumps(contract))
+    return [str(tmp_path / "a"), str(tmp_path / "b"), "--workload", "w",
+            "--seed", "5", "--pairs", "10", "--seconds", "1"]
+
+
+def test_main_claims_the_named_metric_in_its_direction(tmp_path, monkeypatch,
+                                                       capsys):
+    def run_once(checkout, workload, seed, seconds):
+        cpu = 40.0 if checkout.name == "a" else 38.0
+        return {"failed": 0,
+                "metrics": {"wall_ops_per_s": {"value": 100.0},
+                            "cpu_us_per_op": {"value": cpu}}}
+
+    monkeypatch.setattr(pairbench, "run_once", run_once)
+    argv = _checkouts(tmp_path)
+    assert pairbench.main(argv + ["--metric", "cpu_us_per_op"]) == 0
+    out = capsys.readouterr().out
+    assert "pair  1 A: cpu_us_per_op 40" in out
+    assert "-> cpu_us_per_op: GAIN" in out
+    # The default still claims wall_ops_per_s, tied here: no gain.
+    assert pairbench.main(argv) == 1
+    assert "-> wall_ops_per_s: no gain shown" in capsys.readouterr().out
+
+
+def test_main_refuses_a_metric_the_contract_does_not_name(tmp_path,
+                                                          monkeypatch):
+    def run_once(*args):
+        raise AssertionError("nothing runs before the flag is checked")
+
+    monkeypatch.setattr(pairbench, "run_once", run_once)
+    with pytest.raises(SystemExit) as refused:
+        pairbench.main(_checkouts(tmp_path) + ["--metric", "client.call_p99_us"])
+    assert refused.value.code == 2

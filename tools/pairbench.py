@@ -2,6 +2,7 @@
 """Alternating parent/change benchmark pairs and the pair-rule verdict.
 
     python3 tools/pairbench.py A_DIR B_DIR --workload W --seed S --pairs N
+        [--metric NAME]
 
 A_DIR is a checkout of the parent commit, B_DIR of the change.  Each pair
 runs ``python3 perfbench/run.py --workload W --seed S --seconds 16 --trace
@@ -10,14 +11,15 @@ only invokes it — alternating which side goes first, so a host that slows
 down mid-session taxes both sides alike.
 
 For every end-to-end metric of ``A_DIR/BENCHMARK.json`` it prints each
-side's median and quartiles and the pairs the change won; for
-``wall_ops_per_s``, the metric a gain is claimed on, it prints the verdict
-of the rule that claim must meet (``perfbench/README.md``): at least ten
-pairs were run, the change wins at least nine tenths of them, ties counting
-for neither side, *and* the medians differ by more than the distance
-between the parent's own quartiles.
+side's median and quartiles and the pairs the change won; for the metric a
+gain is claimed on (``--metric``: one of those names, ``wall_ops_per_s`` by
+default, in the direction of its ``better`` field) it prints the verdict of
+the rule that claim must meet (``perfbench/README.md``): at least ten pairs
+were run, the change wins at least nine tenths of them, ties counting for
+neither side, *and* the medians differ by more than the distance between
+the parent's own quartiles.
 Exit status: 0 gain shown, 1 not shown (or too few pairs to tell), 2 a run
-failed.
+failed (or, as for any usage error, ``--metric`` named no such metric).
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import sys
 from pathlib import Path
 from typing import Dict, List, Sequence, Tuple
 
-CLAIMED_METRIC = "wall_ops_per_s"
+DEFAULT_METRIC = "wall_ops_per_s"
 WIN_SHARE = 0.9
 MIN_PAIRS = 10
 
@@ -93,9 +95,9 @@ def _cell(q: Tuple[float, float, float]) -> str:
     return f"{q[1]:.4g} [{q[0]:.4g}-{q[2]:.4g}]"
 
 
-def report(metric_specs: List[dict], a_runs: List[dict],
-           b_runs: List[dict]) -> Tuple[str, bool]:
-    """The table and whether ``CLAIMED_METRIC`` shows a gain by the pair rule."""
+def report(metric_specs: List[dict], a_runs: List[dict], b_runs: List[dict],
+           claimed: str = DEFAULT_METRIC) -> Tuple[str, bool]:
+    """The table and whether ``claimed`` shows a gain by the pair rule."""
     rows = [f"{'metric':<18} {'A median [q1-q3]':>36} "
             f"{'B median [q1-q3]':>36}   B/A  B won"]
     gain = False
@@ -107,7 +109,7 @@ def report(metric_specs: List[dict], a_runs: List[dict],
         rows.append(f"{name:<18} {_cell(v['a']):>36} {_cell(v['b']):>36} "
                     f"{v['ratio']:>5.3f}  {v['b_wins']}/{v['pairs']}"
                     + (f" ({v['ties']} tied)" if v["ties"] else ""))
-        if name == CLAIMED_METRIC:
+        if name == claimed:
             gain = v["gain"]
             word = ("GAIN" if gain else
                     f"too few pairs (needs >= {MIN_PAIRS})" if v["too_few"]
@@ -130,10 +132,16 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, default=16)
+    parser.add_argument("--metric", default=DEFAULT_METRIC,
+                        help="end-to-end metric the gain is claimed on")
     args = parser.parse_args(argv)
 
     contract = json.loads((args.a_dir / "BENCHMARK.json").read_text())
     specs = contract["end_to_end"]
+    names = [spec["name"] for spec in specs]
+    if args.metric not in names:
+        parser.error(f"--metric {args.metric!r} is not an end-to-end metric "
+                     f"of BENCHMARK.json ({', '.join(names)})")
     runs: Dict[str, List[dict]] = {"A": [], "B": []}
     sides = {"A": args.a_dir, "B": args.b_dir}
     for pair in range(args.pairs):
@@ -145,12 +153,12 @@ def main(argv=None) -> int:
                 print(exc, file=sys.stderr)
                 return 2
             runs[side].append(result)
-            value = result["metrics"][CLAIMED_METRIC]["value"]
-            print(f"pair {pair + 1:>2} {side}: {CLAIMED_METRIC} {value:.5g}",
+            value = result["metrics"][args.metric]["value"]
+            print(f"pair {pair + 1:>2} {side}: {args.metric} {value:.5g}",
                   flush=True)
     print(f"\n{args.workload}  seed {args.seed}  {args.pairs} pairs  "
           f"{args.seconds:g} s  A={args.a_dir}  B={args.b_dir}")
-    table, gain = report(specs, runs["A"], runs["B"])
+    table, gain = report(specs, runs["A"], runs["B"], args.metric)
     print(table)
     return 0 if gain else 1
 
