@@ -8,6 +8,7 @@ import random
 
 from repro.bench.harness import build_aria, build_shieldstore, scaled_platform
 from repro.cache.secure_cache import ENTRY_METADATA_BYTES, SecureCache
+from repro.core.config import AriaConfig
 from repro.merkle.layout import MerkleLayout
 from repro.merkle.tree import MerkleTree
 from repro.sgx.costs import SgxPlatform
@@ -48,7 +49,7 @@ def test_secure_cache_hit(benchmark):
         cache = SecureCache(
             enclave, tree,
             capacity_bytes=64 * (layout.node_size + ENTRY_METADATA_BYTES),
-            pin_levels=1, stop_swap_enabled=False,
+            config=AriaConfig(pin_levels=1, stop_swap_enabled=False),
         )
     cache.read_counter(5)
     benchmark(cache.read_counter, 5)
@@ -62,7 +63,7 @@ def test_secure_cache_miss_with_eviction(benchmark):
         cache = SecureCache(
             enclave, tree,
             capacity_bytes=8 * (layout.node_size + ENTRY_METADATA_BYTES),
-            pin_levels=1, stop_swap_enabled=False,
+            config=AriaConfig(pin_levels=1, stop_swap_enabled=False),
         )
     rng = random.Random(1)
     benchmark(lambda: cache.read_counter(rng.randrange(4096)))

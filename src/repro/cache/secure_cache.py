@@ -33,7 +33,7 @@ dirty node, a pinned node holding its fresh MAC, or the root.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError, ReplayError
 from repro.merkle.layout import COUNTER_SIZE, MAC_SIZE
@@ -41,6 +41,9 @@ from repro.merkle.tree import MerkleTree
 from repro.cache.policies import EvictionPolicy, TenantPartition, make_policy
 from repro.cache.stats import CacheStats
 from repro.sgx.enclave import Enclave
+
+if TYPE_CHECKING:
+    from repro.core.config import AriaConfig
 
 #: Modeled per-entry cache metadata resident in EPC: an 8-byte packed
 #: (level, index) key, a FIFO queue slot, and the dirty bit.  Bigger MT
@@ -73,16 +76,10 @@ class SecureCache:
         tree: MerkleTree,
         *,
         capacity_bytes: int,
-        policy: str = "fifo",
-        pin_levels: int = 3,
-        stop_swap_enabled: bool = True,
-        stop_swap_threshold: float = 0.70,
-        stop_swap_window: int = 4096,
-        stop_swap_patience: int = 1,
-        swap_encrypt: bool = False,
-        writeback_clean: bool = False,
-        tenant_quotas: Optional[dict] = None,
+        config: "AriaConfig",
     ):
+        # Every knob is the store's AriaConfig field of the same meaning,
+        # read once here; only ``retarget_quotas`` changes one later.
         self._enclave = enclave
         self._tree = tree
         layout = tree.layout
@@ -91,28 +88,29 @@ class SecureCache:
         self._arity = layout.arity
         self._node_size = layout.node_size
         self._top_level = layout.top_level
-        pin_levels = min(pin_levels, layout.n_levels)
+        pin_levels = min(config.pin_levels, layout.n_levels)
         self._pinned_levels = layout.pinned_level_set(pin_levels)
         self._capacity_bytes = capacity_bytes
         self._entry_footprint = layout.node_size + ENTRY_METADATA_BYTES
         self.max_entries = max(0, capacity_bytes // self._entry_footprint)
         self._entries: dict[NodeKey, CacheEntry] = {}
-        self._policy: EvictionPolicy = make_policy(policy)
+        self._policy: EvictionPolicy = make_policy(config.eviction_policy)
         # Hit penalty: the policy's EPC metadata operations (Section IV-E).
         # Policy and cost model are fixed for the cache's life.
         self._hit_cost = (self._policy.hit_metadata_ops
                           * enclave.costs.access_cost(16, in_epc=True))
-        self.stats = CacheStats(window=stop_swap_window,
-                                threshold=stop_swap_threshold,
-                                patience=stop_swap_patience)
-        self._stop_swap_enabled = stop_swap_enabled
-        self._swap_encrypt = swap_encrypt
-        self._writeback_clean = writeback_clean
+        self.stats = CacheStats(window=config.stop_swap_window,
+                                threshold=config.stop_swap_threshold,
+                                patience=config.stop_swap_patience)
+        self._stop_swap_enabled = config.stop_swap_enabled
+        self._swap_encrypt = config.swap_encrypt
+        self._writeback_clean = config.writeback_clean
         # Multi-tenant partitioning (ARCHITECTURE §16): armed only when the
         # config carries quotas, so single-tenant stores pay nothing — not
         # even a branch on the insert fast path beyond one None check.
-        self._partition = (TenantPartition(tenant_quotas, self.max_entries)
-                           if tenant_quotas else None)
+        quotas = config.tenant_quotas
+        self._partition = (TenantPartition(quotas, self.max_entries)
+                           if quotas else None)
         self.tenant_denials = 0
         self.swapping = self.max_entries > 0
 

@@ -229,7 +229,6 @@ class ReconfigPlanner:
         *,
         min_replication: Optional[int] = None,
         max_migration_cost: Optional[float] = None,
-        cost_benefit_ratio: float = 1.0,
     ):
         self._coordinator = coordinator
         self.spec = spec
@@ -238,8 +237,6 @@ class ReconfigPlanner:
                                 else spec.replication)
         #: Optional hard budget (simulated cycles) on one migration.
         self.max_migration_cost = max_migration_cost
-        #: A balance plan must project savings >= cost / ratio.
-        self.cost_benefit_ratio = cost_benefit_ratio
         self.plans_approved = 0
         self.plans_rejected = 0
         #: Rejections per constraint model (operator visibility).
@@ -254,8 +251,8 @@ class ReconfigPlanner:
         ``projected_savings`` is the proposer's estimate of the straggler
         cycles the change would save per balancing window (the balancer
         computes it from its load deltas); when given, the cost model
-        refuses changes whose projected migration cost exceeds
-        ``cost_benefit_ratio`` times the savings.
+        refuses changes whose projected migration cost exceeds the
+        savings.
         """
         try:
             return self._plan(delta, projected_savings)
@@ -372,13 +369,12 @@ class ReconfigPlanner:
                 f"{self.max_migration_cost:.0f}-cycle budget",
                 constraint="migration_cost")
         if projected_savings is not None \
-                and projected_cost > self.cost_benefit_ratio \
-                * projected_savings:
+                and projected_cost > projected_savings:
             raise PlanRejectedError(
                 f"projected migration cost {projected_cost:.0f} cycles "
-                f"exceeds {self.cost_benefit_ratio:g}x the projected "
-                f"straggler savings ({projected_savings:.0f} cycles): the "
-                "move would not pay for itself",
+                f"exceeds the projected straggler savings "
+                f"({projected_savings:.0f} cycles): the move would not pay "
+                "for itself",
                 constraint="migration_cost")
         constraints["migration_cost"] = (
             f"{projected_keys} keys x {spec.migrate_cost_cycles:.0f} "

@@ -311,9 +311,8 @@ class ProcessBackend(ShardBackend):
 
     name = "process"
 
-    def __init__(self, *, start_method: Optional[str] = None):
-        self._ctx = multiprocessing.get_context(start_method
-                                                or default_start_method())
+    def __init__(self):
+        self._ctx = multiprocessing.get_context(default_start_method())
         self._handles: "weakref.WeakSet[ProcessShard]" = weakref.WeakSet()
 
     def create(self, spec: EnclaveSpec) -> ProcessShard:

@@ -408,7 +408,7 @@ class ClientHandshake:
                 "wire_mac", self._costs.mac_cost(len(raw) + len(cred)))
         self.meter.charge_event("wire_kex", self._costs.kex)
         self._hello_frame = protocol.encode_frame(
-            FrameHeader(version=WIRE_V2, flags=FLAG_HANDSHAKE), body
+            FrameHeader(flags=FLAG_HANDSHAKE), body
         )
         return self._hello_frame
 
@@ -424,7 +424,7 @@ class ClientHandshake:
             header, body = protocol.decode_frame(reply)
         except ProtocolError as exc:
             raise HandshakeError(f"undecodable server hello: {exc}") from exc
-        if header.version != WIRE_V2 or not header.flags & FLAG_HANDSHAKE:
+        if not header.flags & FLAG_HANDSHAKE:
             raise HandshakeError("server did not answer with a handshake")
         prefix_len = _SERVER_HELLO.size + DH_BYTES
         if len(body) < prefix_len + _QUOTE_LEN.size:
@@ -533,7 +533,7 @@ class SessionManager:
             header, body = protocol.decode_frame(hello_frame)
         except ProtocolError as exc:
             raise HandshakeError(f"undecodable hello: {exc}") from exc
-        if header.version != WIRE_V2 or not header.flags & FLAG_HANDSHAKE:
+        if not header.flags & FLAG_HANDSHAKE:
             raise HandshakeError("not a handshake frame")
         if len(body) < _CLIENT_HELLO.size:
             raise HandshakeError("truncated client hello")
@@ -587,8 +587,7 @@ class SessionManager:
         self.sessions[session_id] = session
         self.handshakes += 1
         reply = protocol.encode_frame(
-            FrameHeader(version=WIRE_V2,
-                        flags=FLAG_HANDSHAKE | FLAG_FROM_SERVER,
+            FrameHeader(flags=FLAG_HANDSHAKE | FLAG_FROM_SERVER,
                         session_id=session_id),
             reply_body,
         )

@@ -770,7 +770,6 @@ class SocketBackend(ShardBackend):
         crypto: str = "fast",
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
-        start_method: Optional[str] = None,
     ):
         if hosts is None:
             hosts = os.environ.get(SHARD_HOSTS_ENV_VAR) or None
@@ -792,8 +791,7 @@ class SocketBackend(ShardBackend):
         self._handles: "weakref.WeakSet[SocketShard]" = weakref.WeakSet()
         from repro.cluster.procbackend import default_start_method
 
-        self._ctx = multiprocessing.get_context(
-            start_method or default_start_method())
+        self._ctx = multiprocessing.get_context(default_start_method())
 
     # -- host pool ----------------------------------------------------------------
 

@@ -1,12 +1,6 @@
 """Aria core: configuration, counters, records, and the store facade."""
 
-from repro.core.config import (
-    AriaConfig,
-    aria_base_config,
-    plus_fifo_config,
-    plus_heapalloc_config,
-    plus_pin_config,
-)
+from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.core.persistence import (
     capture_store_state,
@@ -22,11 +16,7 @@ __all__ = [
     "CounterManager",
     "OpenedRecord",
     "RecordCodec",
-    "aria_base_config",
     "capture_store_state",
-    "plus_fifo_config",
-    "plus_heapalloc_config",
-    "plus_pin_config",
     "record_size",
     "restore_store",
     "seal_store",

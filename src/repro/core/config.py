@@ -13,7 +13,7 @@ describes a scheme variant:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
 
@@ -98,35 +98,3 @@ class AriaConfig:
                         "(0, 1]")
             if sum(self.tenant_quotas.values()) > 1.0 + 1e-9:
                 raise ConfigurationError("tenant quotas sum above 1.0")
-
-
-def aria_base_config(**overrides) -> AriaConfig:
-    """AriaBase of Fig 12: no optimizations (OCALL malloc, LRU, no pinning)."""
-    defaults = dict(allocator="ocall", eviction_policy="lru", pin_levels=0,
-                    stop_swap_enabled=False)
-    defaults.update(overrides)
-    return AriaConfig(**defaults)
-
-
-def plus_heapalloc_config(**overrides) -> AriaConfig:
-    """+HeapAlloc of Fig 12: user-space allocator, still LRU, no pinning."""
-    defaults = dict(allocator="heap", eviction_policy="lru", pin_levels=0,
-                    stop_swap_enabled=False)
-    defaults.update(overrides)
-    return AriaConfig(**defaults)
-
-
-def plus_pin_config(**overrides) -> AriaConfig:
-    """+PIN of Fig 12: heap allocator + level pinning (LRU)."""
-    defaults = dict(allocator="heap", eviction_policy="lru", pin_levels=3,
-                    stop_swap_enabled=False)
-    defaults.update(overrides)
-    return AriaConfig(**defaults)
-
-
-def plus_fifo_config(**overrides) -> AriaConfig:
-    """+FIFO of Fig 12: heap allocator + FIFO (no pinning)."""
-    defaults = dict(allocator="heap", eviction_policy="fifo", pin_levels=0,
-                    stop_swap_enabled=False)
-    defaults.update(overrides)
-    return AriaConfig(**defaults)

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from repro.cache.secure_cache import SecureCache
+from repro.core.config import AriaConfig
 from repro.errors import CapacityError, CounterReuseError, IntegrityError
 from repro.merkle.layout import MerkleLayout
 from repro.merkle.tree import MerkleTree
@@ -54,58 +55,54 @@ class CounterManager:
 
     EPC_CONSUMER = "counter_bitmap"
 
-    def __init__(
-        self,
-        enclave: Enclave,
-        *,
-        initial_counters: int,
-        arity: int,
-        cache_bytes: int,
-        policy: str = "fifo",
-        pin_levels: int = 3,
-        stop_swap_enabled: bool = True,
-        stop_swap_threshold: float = 0.70,
-        stop_swap_window: int = 4096,
-        stop_swap_patience: int = 1,
-        swap_encrypt: bool = False,
-        writeback_clean: bool = False,
-        tenant_quotas: Optional[dict] = None,
-        expansion_counters: Optional[int] = None,
-        expansion_cache_bytes: Optional[int] = None,
-        seed: int = 0,
-        create_initial_area: bool = True,
-    ):
+    def __init__(self, enclave: Enclave, config: AriaConfig,
+                 sealed: Optional[dict] = None):
+        """Build the first counter area, or every area ``sealed`` records.
+
+        ``config`` is the store's own object: each area's Secure Cache,
+        expansion areas included, reads its knobs from it when built.
+        """
         self._enclave = enclave
-        self._arity = arity
-        self._cache_kwargs = dict(
-            policy=policy,
-            pin_levels=pin_levels,
-            stop_swap_enabled=stop_swap_enabled,
-            stop_swap_threshold=stop_swap_threshold,
-            stop_swap_window=stop_swap_window,
-            stop_swap_patience=stop_swap_patience,
-            swap_encrypt=swap_encrypt,
-            writeback_clean=writeback_clean,
-            tenant_quotas=tenant_quotas,
-        )
-        self._tenant_armed = tenant_quotas is not None
-        self._expansion_counters = expansion_counters or initial_counters
-        self._expansion_cache_bytes = expansion_cache_bytes or cache_bytes
-        self._rng = random.Random(seed)
+        self._config = config
+        self._rng = random.Random(config.seed)
         self._areas: list[_CounterArea] = []
-        self._initial_cache_bytes = cache_bytes
-        if create_initial_area:
-            self._add_area(initial_counters, cache_bytes)
+        if sealed is None:
+            self._add_area(config.initial_counters, config.secure_cache_bytes)
+            return
+        # Rebuilding the areas re-pins levels, verified against the sealed
+        # roots: downtime tampering is caught right here.
+        for state, cache_bytes in zip(sealed["areas"],
+                                      sealed["area_cache_bytes"]):
+            layout = MerkleLayout(n_counters=state["capacity"],
+                                  arity=state["arity"])
+            tree = MerkleTree(
+                enclave, layout,
+                level_bases=state["level_bases"],
+                root_mac=bytes.fromhex(state["root"]),
+            )
+            self._areas.append(_CounterArea(
+                tree=tree,
+                cache=SecureCache(enclave, tree, capacity_bytes=cache_bytes,
+                                  config=config),
+                capacity=state["capacity"],
+                ring_addr=state["ring_addr"],
+                bitmap=bytearray.fromhex(state["bitmap"]),
+                head=state["head"],
+                tail=state["tail"],
+                n_free=state["n_free"],
+            ))
+            enclave.epc.reserve(self.EPC_CONSUMER,
+                                (state["capacity"] + 7) // 8)
 
     # -- area management ---------------------------------------------------------
 
     def _add_area(self, n_counters: int, cache_bytes: int) -> None:
         """Build a fresh counter area: new MT + Secure Cache + free ring."""
-        layout = MerkleLayout(n_counters=n_counters, arity=self._arity)
+        layout = MerkleLayout(n_counters=n_counters,
+                              arity=self._config.merkle_arity)
         tree = MerkleTree(self._enclave, layout, rng=self._rng)
-        cache = SecureCache(
-            self._enclave, tree, capacity_bytes=cache_bytes, **self._cache_kwargs
-        )
+        cache = SecureCache(self._enclave, tree, capacity_bytes=cache_bytes,
+                            config=self._config)
         ring_addr = self._enclave.untrusted.alloc(n_counters * _ID_BYTES)
         bitmap = bytearray((n_counters + 7) // 8)
         self._enclave.epc.reserve(self.EPC_CONSUMER, len(bitmap))
@@ -154,7 +151,10 @@ class CounterManager:
                 area_index = i
                 break
         if area_index is None:
-            self._add_area(self._expansion_counters, self._expansion_cache_bytes)
+            config = self._config
+            self._add_area(
+                config.expansion_counters or config.initial_counters,
+                config.expansion_cache_bytes or config.secure_cache_bytes)
             area_index = len(self._areas) - 1
         area = self._areas[area_index]
         # Pop from the untrusted ring at the head cursor.
@@ -214,16 +214,14 @@ class CounterManager:
         for area in self._areas:
             area.cache.set_owner(owner)
 
-    def retarget_tenant_quotas(self, quotas: Optional[dict]) -> None:
-        """Re-partition every area's Secure Cache for a new quota map.
+    def retarget_tenant_quotas(self) -> None:
+        """Re-partition every area's Secure Cache for the config's quota map.
 
-        Future areas (counter expansion, restore) inherit the new map too:
-        ``_cache_kwargs`` is what every ``SecureCache`` construction reads.
+        The store updates ``config.tenant_quotas`` first; expansion areas
+        built later read the same field.
         """
-        self._cache_kwargs["tenant_quotas"] = quotas
-        self._tenant_armed = quotas is not None
         for area in self._areas:
-            area.cache.retarget_quotas(quotas)
+            area.cache.retarget_quotas(self._config.tenant_quotas)
 
     def read_counter(self, red_ptr: int) -> bytes:
         # ``_split`` spelled inline (same two checks): every Get passes here.
@@ -295,34 +293,6 @@ class CounterManager:
             }
             for area in self._areas
         ]
-
-    def restore_areas(self, states: list, cache_bytes_per_area: list) -> None:
-        """Rebuild every counter area from sealed state (replaces the fresh
-        area the constructor made)."""
-        self._areas = []
-        for state, cache_bytes in zip(states, cache_bytes_per_area):
-            layout = MerkleLayout(n_counters=state["capacity"],
-                                  arity=state["arity"])
-            tree = MerkleTree(
-                self._enclave, layout,
-                level_bases=state["level_bases"],
-                root_mac=bytes.fromhex(state["root"]),
-            )
-            cache = SecureCache(self._enclave, tree,
-                                capacity_bytes=cache_bytes,
-                                **self._cache_kwargs)
-            self._areas.append(_CounterArea(
-                tree=tree,
-                cache=cache,
-                capacity=state["capacity"],
-                ring_addr=state["ring_addr"],
-                bitmap=bytearray.fromhex(state["bitmap"]),
-                head=state["head"],
-                tail=state["tail"],
-                n_free=state["n_free"],
-            ))
-            self._enclave.epc.reserve(self.EPC_CONSUMER,
-                                      (state["capacity"] + 7) // 8)
 
     def reset_stats(self) -> None:
         """Zero every area's cache counters (between load and run phases)."""

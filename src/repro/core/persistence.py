@@ -32,15 +32,12 @@ from dataclasses import asdict
 from typing import Optional
 
 from repro.core.config import AriaConfig
-from repro.core.counters import CounterManager
-from repro.core.record import RecordCodec
 from repro.core.store import AriaStore
 from repro.crypto.keys import KeyMaterial
 from repro.errors import IntegrityError
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.enclave import Enclave
 from repro.sgx.memory import UntrustedMemory
-from repro.sgx.meter import MeterPause
 from repro.sgx.sealing import derive_sealing_key, seal, unseal
 
 _STATE_VERSION = 1
@@ -102,39 +99,4 @@ def restore_store(
         crypto_backend=config.crypto_backend,
         untrusted=untrusted,
     )
-    store = AriaStore.__new__(AriaStore)
-    store.config = config
-    store.enclave = enclave
-    with MeterPause(enclave.meter):
-        store.counters = CounterManager(
-            enclave,
-            initial_counters=config.initial_counters,
-            arity=config.merkle_arity,
-            cache_bytes=config.secure_cache_bytes,
-            policy=config.eviction_policy,
-            pin_levels=config.pin_levels,
-            stop_swap_enabled=config.stop_swap_enabled,
-            stop_swap_threshold=config.stop_swap_threshold,
-            stop_swap_window=config.stop_swap_window,
-            stop_swap_patience=config.stop_swap_patience,
-            swap_encrypt=config.swap_encrypt,
-            writeback_clean=config.writeback_clean,
-            tenant_quotas=config.tenant_quotas,
-            expansion_counters=config.expansion_counters,
-            expansion_cache_bytes=config.expansion_cache_bytes,
-            seed=config.seed,
-            create_initial_area=False,
-        )
-        # Rebuilding the areas re-pins levels, verified against the sealed
-        # roots: downtime tampering is caught right here.
-        store.counters.restore_areas(state["areas"],
-                                     state["area_cache_bytes"])
-        store.codec = RecordCodec(enclave, store.counters)
-        store.allocator = store._make_allocator()
-        store.allocator.restore_state(state["allocator"])
-        store.index = store._make_index()
-        if state["index"]["kind"] != store.index.name:
-            raise IntegrityError("sealed index kind mismatch")
-        store.index.restore_state(state["index"])
-    store._tenant_armed = config.tenant_quotas is not None
-    return store
+    return AriaStore(config, enclave=enclave, sealed=state)

@@ -22,11 +22,12 @@ from __future__ import annotations
 import random
 from typing import Iterator, Optional
 
-from repro.alloc.heap import Allocator, HeapAllocator, OcallAllocator
+from repro.alloc.heap import HeapAllocator, OcallAllocator
 from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.core.record import RecordCodec
 from repro.crypto.keys import KeyMaterial
+from repro.errors import IntegrityError
 from repro.index import SealedTreeIndex, make_index
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.enclave import Enclave
@@ -42,53 +43,43 @@ class AriaStore:
         *,
         platform: Optional[SgxPlatform] = None,
         enclave: Optional[Enclave] = None,
+        sealed: Optional[dict] = None,
     ):
-        self.config = config or AriaConfig()
+        """Build a fresh store, or restore one from unsealed trusted state.
+
+        ``sealed`` is the dict :func:`repro.core.persistence.restore_store`
+        unseals; ``enclave`` must then wrap the surviving untrusted memory.
+        """
+        config = self.config = config or AriaConfig()
         self.enclave = enclave or Enclave(
             platform or SgxPlatform(),
-            keys=KeyMaterial.from_seed(self.config.seed),
-            crypto_backend=self.config.crypto_backend,
+            keys=KeyMaterial.from_seed(config.seed),
+            crypto_backend=config.crypto_backend,
         )
         # Setup (tree initialization, pinning) is excluded from metering,
         # matching the paper's steady-state measurements.
         with MeterPause(self.enclave.meter):
-            self.counters = CounterManager(
-                self.enclave,
-                initial_counters=self.config.initial_counters,
-                arity=self.config.merkle_arity,
-                cache_bytes=self.config.secure_cache_bytes,
-                policy=self.config.eviction_policy,
-                pin_levels=self.config.pin_levels,
-                stop_swap_enabled=self.config.stop_swap_enabled,
-                stop_swap_threshold=self.config.stop_swap_threshold,
-                stop_swap_window=self.config.stop_swap_window,
-                stop_swap_patience=self.config.stop_swap_patience,
-                swap_encrypt=self.config.swap_encrypt,
-                writeback_clean=self.config.writeback_clean,
-                tenant_quotas=self.config.tenant_quotas,
-                expansion_counters=self.config.expansion_counters,
-                expansion_cache_bytes=self.config.expansion_cache_bytes,
-                seed=self.config.seed,
-            )
+            self.counters = CounterManager(self.enclave, config, sealed)
             self.codec = RecordCodec(self.enclave, self.counters)
-            self.allocator = self._make_allocator()
-            self.index = self._make_index()
+            if config.allocator == "heap":
+                self.allocator = HeapAllocator(
+                    self.enclave, chunk_size=config.heap_chunk_bytes)
+            else:
+                self.allocator = OcallAllocator(self.enclave)
+            if sealed is not None:
+                self.allocator.restore_state(sealed["allocator"])
+            self.index = make_index(
+                config.index, self.enclave, self.codec, self.allocator,
+                self.counters, n_buckets=config.n_buckets,
+                order=config.btree_order,
+                dummy_bucket_reads=config.dummy_bucket_reads)
+            if sealed is not None:
+                if sealed["index"]["kind"] != self.index.name:
+                    raise IntegrityError("sealed index kind mismatch")
+                self.index.restore_state(sealed["index"])
         # Armed only when the config carries cache quotas; the unarmed op
         # path is untouched (no owner parsing, no extra calls).
-        self._tenant_armed = self.config.tenant_quotas is not None
-
-    def _make_allocator(self) -> Allocator:
-        if self.config.allocator == "heap":
-            return HeapAllocator(self.enclave,
-                                 chunk_size=self.config.heap_chunk_bytes)
-        return OcallAllocator(self.enclave)
-
-    def _make_index(self):
-        config = self.config
-        return make_index(config.index, self.enclave, self.codec,
-                          self.allocator, self.counters,
-                          n_buckets=config.n_buckets, order=config.btree_order,
-                          dummy_bucket_reads=config.dummy_bucket_reads)
+        self._tenant_armed = config.tenant_quotas is not None
 
     # -- public KV API ----------------------------------------------------------
 
@@ -112,7 +103,7 @@ class AriaStore:
         ``None`` disarms partitioning entirely.
         """
         self.config.tenant_quotas = dict(quotas) if quotas else None
-        self.counters.retarget_tenant_quotas(self.config.tenant_quotas)
+        self.counters.retarget_tenant_quotas()
         self._tenant_armed = self.config.tenant_quotas is not None
 
     def put(self, key: bytes, value: bytes) -> None:

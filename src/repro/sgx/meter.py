@@ -134,10 +134,10 @@ class CycleMeter:
     __slots__ = ("cycles", "events", "enabled")
 
     def __init__(self, cycles: float = 0.0,
-                 events: Optional[Counter] = None, enabled: bool = True):
+                 events: Optional[Counter] = None):
         self.cycles = cycles
         self.events = EventCounts(events)
-        self.enabled = enabled
+        self.enabled = True
 
     def charge(self, cycles: float) -> None:
         if self.enabled:

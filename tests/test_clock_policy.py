@@ -95,6 +95,7 @@ def test_works_inside_secure_cache():
     import random as rnd
 
     from repro.cache.secure_cache import ENTRY_METADATA_BYTES, SecureCache
+    from repro.core.config import AriaConfig
     from repro.merkle.layout import MerkleLayout
     from repro.merkle.tree import MerkleTree
     from repro.sgx.costs import SgxPlatform
@@ -108,7 +109,8 @@ def test_works_inside_secure_cache():
         cache = SecureCache(
             enclave, tree,
             capacity_bytes=4 * (layout.node_size + ENTRY_METADATA_BYTES),
-            policy="clock", pin_levels=1, stop_swap_enabled=False,
+            config=AriaConfig(eviction_policy="clock", pin_levels=1,
+                              stop_swap_enabled=False),
         )
     values = {}
     rng = rnd.Random(3)

@@ -1,14 +1,8 @@
-"""AriaConfig validation and the Fig 12 configuration helpers."""
+"""AriaConfig validation and defaults."""
 
 import pytest
 
-from repro.core.config import (
-    AriaConfig,
-    aria_base_config,
-    plus_fifo_config,
-    plus_heapalloc_config,
-    plus_pin_config,
-)
+from repro.core.config import AriaConfig
 from repro.errors import ConfigurationError
 
 
@@ -38,37 +32,6 @@ class TestValidation:
     def test_all_indexes_accepted(self):
         for index in ("hash", "btree", "bplustree"):
             assert AriaConfig(index=index).index == index
-
-
-class TestFig12Helpers:
-    def test_aria_base(self):
-        config = aria_base_config()
-        assert config.allocator == "ocall"
-        assert config.eviction_policy == "lru"
-        assert config.pin_levels == 0
-        assert not config.stop_swap_enabled
-
-    def test_plus_heapalloc(self):
-        config = plus_heapalloc_config()
-        assert config.allocator == "heap"
-        assert config.eviction_policy == "lru"
-        assert config.pin_levels == 0
-
-    def test_plus_pin(self):
-        config = plus_pin_config()
-        assert config.allocator == "heap"
-        assert config.pin_levels == 3
-        assert config.eviction_policy == "lru"
-
-    def test_plus_fifo(self):
-        config = plus_fifo_config()
-        assert config.eviction_policy == "fifo"
-        assert config.pin_levels == 0
-
-    def test_helpers_accept_overrides(self):
-        config = aria_base_config(n_buckets=42)
-        assert config.n_buckets == 42
-        assert config.allocator == "ocall"
 
     def test_ablation_flags_default_off(self):
         config = AriaConfig()

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.errors import CounterReuseError
 from repro.sgx.costs import SgxPlatform
@@ -13,13 +14,14 @@ def make_manager(initial=64, **kwargs):
     enclave = Enclave(SgxPlatform(epc_bytes=16 << 20))
     defaults = dict(
         initial_counters=initial,
-        arity=4,
-        cache_bytes=1 << 16,
+        merkle_arity=4,
+        secure_cache_bytes=1 << 16,
+        expansion_cache_bytes=1 << 16,
         stop_swap_enabled=False,
     )
     defaults.update(kwargs)
     with MeterPause(enclave.meter):
-        manager = CounterManager(enclave, **defaults)
+        manager = CounterManager(enclave, AriaConfig(**defaults))
     return manager, enclave
 
 

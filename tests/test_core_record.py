@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.core.record import RecordCodec, record_size
 from repro.errors import IntegrityError
@@ -14,10 +15,10 @@ from repro.sgx.meter import MeterPause
 def codec_env():
     enclave = Enclave(SgxPlatform(epc_bytes=16 << 20))
     with MeterPause(enclave.meter):
-        counters = CounterManager(
-            enclave, initial_counters=64, arity=4, cache_bytes=1 << 16,
+        counters = CounterManager(enclave, AriaConfig(
+            initial_counters=64, merkle_arity=4, secure_cache_bytes=1 << 16,
             stop_swap_enabled=False,
-        )
+        ))
     return RecordCodec(enclave, counters), counters, enclave
 
 

@@ -779,6 +779,9 @@ class ReferenceSession(SecureSession):
         return header_bytes + ciphertext + tag
 
     def open(self, frame):
+        if frame[:2] != protocol.V2_MAGIC:
+            raise TamperedFrameError(
+                "plaintext frame on an encrypted session")
         try:
             header, body = protocol.decode_frame(frame)
         except ProtocolError as refusal:
@@ -793,9 +796,6 @@ class ReferenceSession(SecureSession):
             unflagged = bytearray(frame)
             unflagged[3] &= ~FLAG_DEADLINE
             header, body = protocol.decode_frame(bytes(unflagged))
-        if header.version != WIRE_V2:
-            raise TamperedFrameError(
-                "plaintext frame on an encrypted session")
         if header.flags & FLAG_HANDSHAKE:
             raise ProtocolError("unexpected handshake frame mid-session")
         if header.session_id != self.session_id:

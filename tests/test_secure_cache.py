@@ -6,6 +6,7 @@ import pytest
 
 from repro.cache.policies import FifoPolicy, LruPolicy, make_policy
 from repro.cache.secure_cache import ENTRY_METADATA_BYTES, SecureCache
+from repro.core.config import AriaConfig
 from repro.errors import AriaError, ReplayError
 from repro.merkle.layout import MerkleLayout
 from repro.merkle.tree import MerkleTree
@@ -30,9 +31,8 @@ def make_cache(
             enclave,
             tree,
             capacity_bytes=cache_nodes * (layout.node_size + ENTRY_METADATA_BYTES),
-            policy=policy,
-            pin_levels=pin_levels,
-            **kwargs,
+            config=AriaConfig(eviction_policy=policy, pin_levels=pin_levels,
+                              **kwargs),
         )
     return cache, tree, enclave
 

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.secure_cache import ENTRY_METADATA_BYTES, SecureCache
+from repro.core.config import AriaConfig
 from repro.merkle.layout import MerkleLayout
 from repro.merkle.tree import MerkleTree
 from repro.sgx.costs import SgxPlatform
@@ -30,9 +31,8 @@ def build(arity, cache_nodes, policy, pin_levels, stop_window):
             enclave,
             tree,
             capacity_bytes=cache_nodes * (layout.node_size + ENTRY_METADATA_BYTES),
-            policy=policy,
-            pin_levels=pin_levels,
-            stop_swap_window=stop_window,
+            config=AriaConfig(eviction_policy=policy, pin_levels=pin_levels,
+                              stop_swap_window=stop_window),
         )
     return cache
 

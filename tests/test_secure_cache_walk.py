@@ -69,7 +69,7 @@ def build(n_counters, arity, pin_levels, cache_nodes=64, costs=_NON_DYADIC):
         cache = SecureCache(
             enclave, tree,
             capacity_bytes=cache_nodes * (layout.node_size + ENTRY_METADATA_BYTES),
-            pin_levels=pin_levels, stop_swap_enabled=False,
+            config=AriaConfig(pin_levels=pin_levels, stop_swap_enabled=False),
         )
     return cache, tree, enclave
 

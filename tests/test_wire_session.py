@@ -77,16 +77,14 @@ def _handshaken_pair():
 
 class TestFrameCodec:
     def test_v1_frames_are_byte_identical_to_legacy(self):
-        # A bare batch cannot be encoded as a frame; it decodes to itself
-        # under the default v1 header, the payload the door refuses.
+        # A bare batch (the old v1 payload) is no frame: it cannot be
+        # encoded under version 1 and does not decode.
         batch = protocol.encode_batch([protocol.get(b"k"),
                                        protocol.put(b"k", b"v")])
         with pytest.raises(ProtocolError, match="unsupported wire version"):
-            protocol.encode_frame(protocol.FrameHeader(), batch)
-        header, body = protocol.decode_frame(batch)
-        assert header == protocol.FrameHeader()
-        assert header.version == protocol.WIRE_V1
-        assert body == batch
+            protocol.encode_frame(protocol.FrameHeader(version=1), batch)
+        with pytest.raises(ProtocolError, match="no magic"):
+            protocol.decode_frame(batch)
 
     def test_v2_header_round_trips(self):
         header = protocol.FrameHeader(
@@ -100,7 +98,7 @@ class TestFrameCodec:
 
     def test_v1_header_carries_no_fields(self):
         with pytest.raises(ProtocolError):
-            protocol.FrameHeader(seq=1).encode()
+            protocol.FrameHeader(version=1, seq=1).encode()
 
     def test_truncated_v2_header_rejected(self):
         frame = protocol.FrameHeader(version=protocol.WIRE_V2).encode()
