@@ -90,7 +90,14 @@ class HotShardBalancer:
         return self.maybe_rebalance()
 
     def maybe_rebalance(self) -> Optional[MigrationReport]:
-        """One detection + migration round; None if the cluster is balanced."""
+        """One detection + migration round; None if the cluster is balanced.
+
+        Skipped while the elastic engine migrates: its cutover installs
+        the ring it planned, which would undo a vnode move made meanwhile.
+        """
+        elastic = self._coordinator.elastic
+        if elastic is not None and elastic.active:
+            return None
         shards = self._coordinator.shard_list()
         window_ops, self._window_ops = self._window_ops, 0
         if len(shards) < 2 or window_ops < self.min_window_ops:

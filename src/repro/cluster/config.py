@@ -79,8 +79,6 @@ class DurabilityConfig:
     #: Group commits between monotonic-counter bindings (lower = smaller
     #: offline-rollback window, higher amortized counter cost).
     epoch_every: int = DEFAULT_EPOCH_EVERY
-    #: Restore partitions from existing on-disk state before serving.
-    restore: bool = True
 
     def __post_init__(self):
         if not self.data_dir:
@@ -345,9 +343,8 @@ class ClusterConfig:
                 group, disk, counters,
                 seed=self.seed, epoch_every=dur.epoch_every)
 
-        if dur.restore:
-            coordinator.durability_restored = \
-                restore_cluster_from_storage(coordinator)
+        coordinator.durability_restored = \
+            restore_cluster_from_storage(coordinator)
         coordinator.health_monitor = HealthMonitor(coordinator)
         return durability_factory
 

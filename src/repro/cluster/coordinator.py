@@ -41,6 +41,7 @@ from repro.errors import (
     ConfigurationError,
     IntegrityError,
     KeyNotFoundError,
+    OverloadedError,
     ReplicaUnavailableError,
 )
 from repro.server import protocol
@@ -664,47 +665,35 @@ class ClusterCoordinator:
         for seq, response in zip(flight.seqs, flushed):
             responses[seq] = response
 
-    # -- convenience single-request API (one ECALL each, like AriaClient) --------
+    # -- convenience single-request API (one request through execute) ----------
 
     def get(self, key: bytes) -> bytes:
-        response = self._single(protocol.get(key))
-        if response.status == Status.NOT_FOUND:
-            raise KeyNotFoundError(key)
-        if response.status == Status.INTEGRITY_FAILURE:
-            raise IntegrityError(response.value.decode())
-        if response.status == Status.UNAVAILABLE:
-            raise ReplicaUnavailableError(response.value.decode())
-        return response.value
+        return self._call(protocol.get(key)).value
 
     def put(self, key: bytes, value: bytes) -> None:
-        response = self._single(protocol.put(key, value))
-        if response.status == Status.INTEGRITY_FAILURE:
-            raise IntegrityError(response.value.decode())
-        if response.status == Status.UNAVAILABLE:
-            raise ReplicaUnavailableError(response.value.decode())
+        self._call(protocol.put(key, value))
 
     def delete(self, key: bytes) -> None:
-        response = self._single(protocol.delete(key))
-        if response.status == Status.NOT_FOUND:
-            raise KeyNotFoundError(key)
-        if response.status == Status.INTEGRITY_FAILURE:
-            raise IntegrityError(response.value.decode())
-        if response.status == Status.UNAVAILABLE:
-            raise ReplicaUnavailableError(response.value.decode())
+        self._call(protocol.delete(key))
 
-    def _single(self, request: Request) -> Response:
-        shard = self.shard_for(request.key)
-        shard.ops_routed += 1
-        self.ops_routed += 1
-        try:
-            [response] = shard.server.flush_batch([request])
-        except AriaError as exc:
-            self.flush_failures += 1
-            response = Response(
-                Status.UNAVAILABLE,
-                f"shard {shard.shard_id} failed: "
-                f"{type(exc).__name__}".encode(),
-            )
+    def _call(self, request: Request) -> Response:
+        """Run one request through :meth:`execute`, so admission, breakers,
+        the balancer and health observation, and a migration's dual-apply
+        all see it; a status other than OK raises its typed error."""
+        [response] = self.execute([request])
+        status = response.status
+        if status == Status.NOT_FOUND:
+            raise KeyNotFoundError(request.key)
+        if status == Status.OVERLOADED:
+            raise OverloadedError(
+                protocol.overload_reason(response).decode("utf-8", "replace"),
+                retry_after=protocol.retry_after_hint(response))
+        if status == Status.INTEGRITY_FAILURE:
+            raise IntegrityError(response.value.decode())
+        if status == Status.UNAVAILABLE:
+            raise ReplicaUnavailableError(response.value.decode())
+        if status != Status.OK:
+            raise AriaError(f"request failed with status {int(status)}")
         return response
 
     # -- health -------------------------------------------------------------------
@@ -821,7 +810,14 @@ class ClusterCoordinator:
         With ``tenant`` (and tenancy armed), keys are relocated into the
         tenant's namespace first — the load-phase mirror of
         :meth:`execute`'s prefixing, so loaded and served keys agree.
+        Refused while a migration is in flight: only the elastic engine
+        moves keys then, and a key loaded past its copy batch would be
+        lost at cutover.
         """
+        if self.elastic is not None and self.elastic.active:
+            raise AriaError(
+                f"load refused: a migration is in flight (stage "
+                f"{self.elastic.stage}); finish it first")
         if tenant is not None:
             if self.tenancy is None or tenant not in self.tenancy.prefixes:
                 raise AriaError(f"unknown tenant {tenant!r} for load")

@@ -15,7 +15,8 @@ This module incorporates it on the substrate of :mod:`repro.index.tree`
   walk the leaf level without re-descending.  The chain pointer is
   untrusted; scans defend it by verifying every returned record against its
   containing leaf (AdField) and enforcing ascending key order across hops —
-  a redirected pointer either fails a MAC or breaks the order.
+  a redirected pointer fails a MAC, breaks the order or revisits a leaf,
+  and the audit also stops a chain longer than the tree's leaf level.
 
 Separator records use the same counter + CMAC machinery as KV records (a
 separator owns its own RedPtr), so the Merkle tree/Secure Cache protect them
@@ -67,8 +68,8 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
         """Nodes from the root to the leaf responsible for ``key``."""
         path = [self._read_node(self._root)]
         while not path[-1].is_leaf:
-            path.append(self._child(path[-1],
-                                    self._child_index(path[-1], key)))
+            path.append(self._child(path[-1], self._child_index(path[-1], key),
+                                    len(path)))
         return path
 
     def get(self, key: bytes) -> bytes:
@@ -160,86 +161,89 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
         self._release_entry(record_addr)
         if self._n_entries == 0 and self._height > 1:
             # Reset the skeleton once every entry is gone.
-            self._free_subtree(self._read_node(self._root))
+            self._free_subtree(self._read_node(self._root), 1)
             self._set_root(self._alloc_node(is_leaf=True).addr, 1)
 
-    def _free_subtree(self, node: _Node) -> None:
+    def _free_subtree(self, node: _Node, depth: int) -> None:
         if not node.is_leaf:
             for sep_addr in node.entries:
                 self._release(sep_addr)
-            for child in node.children:
-                self._free_subtree(self._read_node(child))
+            for i in range(len(node.children)):
+                self._free_subtree(self._child(node, i, depth), depth + 1)
         self._free_node(node)
 
-    # -- range scan via the leaf chain -------------------------------------------------------
+    # -- the leaf chain: range scan, iteration, audit ---------------------------------
 
-    def range_scan(self, lo: bytes, hi: bytes) -> list:
-        """All (key, value) with lo <= key < hi, walking the leaf chain.
+    def _chain(self, leaf: _Node, limit: Optional[int] = None
+               ) -> Iterator[_Node]:
+        """Leaves along the next-leaf chain, starting with ``leaf``.
 
-        Every record is verified against its leaf, and keys must ascend
-        across the whole walk — a redirected next-leaf pointer either fails
-        a MAC or violates the order and raises.
+        The chain pointer is untrusted: a hop to a node that is not a leaf,
+        back to a leaf already visited, or past ``limit`` leaves raises.
         """
-        results: list = []
+        seen = set()
+        while True:
+            if not leaf.is_leaf or leaf.addr in seen or len(seen) == limit:
+                raise DeletionError(
+                    "leaf chain loops or leaves the tree: next-leaf pointer "
+                    "attacked")
+            seen.add(leaf.addr)
+            yield leaf
+            if leaf.next_leaf == _NULL:
+                return
+            leaf = self._read_node(leaf.next_leaf)
+
+    def _ascending(self, leaves: Iterator[_Node]) -> Iterator:
+        """Every record of ``leaves``, opened against its leaf; keys must
+        ascend across the whole walk, so a redirected next-leaf pointer
+        either fails a MAC or breaks the order and raises."""
         previous_key: Optional[bytes] = None
-        addr = self._path_to_leaf(lo)[-1].addr
-        while addr != _NULL:
-            leaf = self._read_node(addr)
+        for leaf in leaves:
             for record_addr in leaf.entries:
                 opened = self._open(record_addr, leaf.addr)
                 if previous_key is not None and opened.key <= previous_key:
                     raise DeletionError(
-                        "leaf chain out of order: next-leaf pointer attacked"
-                    )
+                        "leaf chain out of order: next-leaf pointer attacked")
                 previous_key = opened.key
-                if opened.key >= hi:
-                    return results
-                if opened.key >= lo:
-                    results.append((opened.key, opened.value))
-            addr = leaf.next_leaf
+                yield opened
+
+    def range_scan(self, lo: bytes, hi: bytes) -> list:
+        """All (key, value) with lo <= key < hi, in order: the leaf chain
+        from the leaf a descent for ``lo`` reaches, which the scan reads a
+        second time."""
+        results: list = []
+        start = self._read_node(self._path_to_leaf(lo)[-1].addr)
+        for opened in self._ascending(self._chain(start)):
+            if opened.key >= hi:
+                break
+            if opened.key >= lo:
+                results.append((opened.key, opened.value))
         return results
 
-    # -- iteration / audit --------------------------------------------------------------------
-
     def keys(self) -> Iterator[bytes]:
-        leaf = self._leftmost_leaf()
-        while leaf is not None:
-            for record_addr in leaf.entries:
-                yield self._key_of(record_addr, leaf.addr)
-            leaf = (self._read_node(leaf.next_leaf)
-                    if leaf.next_leaf != _NULL else None)
+        for opened in self._ascending(self._chain(self._leftmost_leaf())):
+            yield opened.key
 
     def _leftmost_leaf(self) -> _Node:
-        node = self._read_node(self._root)
+        node, depth = self._read_node(self._root), 1
         while not node.is_leaf:
-            node = self._read_node(node.children[0])
+            node = self._child(node, 0, depth)
+            depth += 1
         return node
 
     def audit(self) -> None:
         """Verified structural audit: depth, order, counts, chain coverage."""
         leaves: list = []
-        self._audit_node(self._read_node(self._root), 1, None, None, leaves)
+        self._audit_node(self._read_node(self._root), 1, leaves)
         # The leaf chain must visit exactly the audited leaves, in order.
-        chained = []
-        leaf = self._leftmost_leaf()
-        while True:
-            chained.append(leaf.addr)
-            if leaf.next_leaf == _NULL:
-                break
-            leaf = self._read_node(leaf.next_leaf)
+        chained = [leaf.addr for leaf in
+                   self._chain(self._leftmost_leaf(), limit=len(leaves))]
         if chained != leaves:
             raise DeletionError("leaf chain does not match the tree structure")
-        total = 0
-        keys: list = []
-        for addr in leaves:
-            leaf = self._read_node(addr)
-            total += leaf.n
-            keys.extend(self._key_of(r, leaf.addr) for r in leaf.entries)
-        self._check_count(total)
-        if keys != sorted(keys):
-            raise DeletionError("leaf entries out of global order")
+        records = self._ascending(self._read_node(addr) for addr in leaves)
+        self._check_count(sum(1 for _ in records))
 
-    def _audit_node(self, node: _Node, depth: int, lo, hi, leaves: list) -> None:
+    def _audit_node(self, node: _Node, depth: int, leaves: list) -> None:
         if node.is_leaf:
             if depth != self._height:
                 raise DeletionError("leaf at wrong depth")
@@ -248,7 +252,5 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
         separators = [self._key_of(s, node.addr) for s in node.entries]
         if separators != sorted(separators):
             raise DeletionError("separators out of order")
-        bounds = [lo] + separators + [hi]
-        for i, child in enumerate(node.children):
-            self._audit_node(self._read_node(child), depth + 1,
-                             bounds[i], bounds[i + 1], leaves)
+        for i in range(len(node.children)):
+            self._audit_node(self._child(node, i, depth), depth + 1, leaves)

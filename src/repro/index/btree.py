@@ -31,15 +31,14 @@ class AriaBTreeIndex(SealedTreeIndex):
     # -- lookup and insertion ---------------------------------------------------------
 
     def get(self, key: bytes) -> bytes:
-        node = self._read_node(self._root)
-        depth = 1
+        node, depth = self._read_node(self._root), 1
         while True:
             index, found = self._find(node, key)
             if found:
                 return self._open(node.entries[index], node.addr).value
             if node.is_leaf:
                 self._miss(key, depth)
-            node = self._child(node, index)
+            node = self._child(node, index, depth)
             depth += 1
 
     def put(self, key: bytes, value: bytes) -> None:
@@ -50,9 +49,10 @@ class AriaBTreeIndex(SealedTreeIndex):
             self._split_child(new_root, 0, root)
             self._set_root(new_root.addr, self._height + 1)
             root = new_root
-        self._insert_nonfull(root, key, value)
+        self._insert_nonfull(root, key, value, 1)
 
-    def _insert_nonfull(self, node: _Node, key: bytes, value: bytes) -> None:
+    def _insert_nonfull(self, node: _Node, key: bytes, value: bytes,
+                        depth: int) -> None:
         index, found = self._find(node, key)
         if found:
             self._update_in_place(node, index, key, value)
@@ -60,7 +60,7 @@ class AriaBTreeIndex(SealedTreeIndex):
         if node.is_leaf:
             self._insert_entry(node, index, key, value)
             return
-        child = self._read_node(node.children[index])
+        child = self._child(node, index, depth)
         if child.n == self._max_keys:
             self._split_child(node, index, child)
             # The promoted median may change which side the key belongs to.
@@ -70,8 +70,8 @@ class AriaBTreeIndex(SealedTreeIndex):
                 return
             if key > median_key:
                 index += 1
-            child = self._read_node(node.children[index])
-        self._insert_nonfull(child, key, value)
+            child = self._child(node, index, depth)
+        self._insert_nonfull(child, key, value, depth + 1)
 
     def _split_child(self, parent: _Node, index: int, child: _Node) -> None:
         """Split a full child; the median entry rises into the parent."""
@@ -123,9 +123,9 @@ class AriaBTreeIndex(SealedTreeIndex):
             return self._delete_internal(node, index, depth)
         if node.is_leaf:
             self._miss(key, depth)
-        child = self._read_node(node.children[index])
+        child = self._child(node, index, depth)
         if child.n < self._t:
-            child, index = self._fortify_child(node, index, child)
+            child, index = self._fortify_child(node, index, child, depth)
         return self._delete_from(child, key, depth + 1)
 
     def _delete_internal(self, node: _Node, index: int,
@@ -133,14 +133,14 @@ class AriaBTreeIndex(SealedTreeIndex):
         """CLRS cases 2a/2b/2c for a key found in an internal node."""
         t = self._t
         victim_addr = node.entries[index]
-        left = self._read_node(node.children[index])
+        left = self._child(node, index, depth)
         if left.n >= t:
-            repl_key = self._extreme_key(left, rightmost=True)
+            repl_key = self._extreme_key(left, depth + 1, rightmost=True)
             repl_addr, repl_node = self._delete_from(left, repl_key, depth + 1)
         else:
-            right = self._read_node(node.children[index + 1])
+            right = self._child(node, index + 1, depth)
             if right.n >= t:
-                repl_key = self._extreme_key(right, rightmost=False)
+                repl_key = self._extreme_key(right, depth + 1, rightmost=False)
                 repl_addr, repl_node = self._delete_from(right, repl_key,
                                                          depth + 1)
             else:
@@ -155,63 +155,53 @@ class AriaBTreeIndex(SealedTreeIndex):
         self._write_node(node)
         return victim_addr, node.addr
 
-    def _extreme_key(self, node: _Node, *, rightmost: bool) -> bytes:
+    def _extreme_key(self, node: _Node, depth: int, *,
+                     rightmost: bool) -> bytes:
         """Plaintext key of a subtree's rightmost/leftmost record."""
         while not node.is_leaf:
-            child = node.children[-1 if rightmost else 0]
-            node = self._read_node(child)
+            node = self._child(node, -1 if rightmost else 0, depth)
+            depth += 1
         if node.n == 0:
             raise DeletionError("empty leaf on extreme path: index corrupted")
         return self._key_of(node.entries[-1 if rightmost else 0], node.addr)
 
-    def _fortify_child(self, parent: _Node, index: int,
-                       child: _Node) -> tuple[_Node, int]:
+    def _fortify_child(self, parent: _Node, index: int, child: _Node,
+                       depth: int) -> tuple[_Node, int]:
         """Ensure ``child`` has >= t keys by borrowing or merging (CLRS)."""
         t = self._t
         if index > 0:
-            left = self._read_node(parent.children[index - 1])
+            left = self._child(parent, index - 1, depth)
             if left.n >= t:
-                self._borrow_from_left(parent, index, child, left)
+                self._borrow(parent, index, child, left, from_left=True)
                 return child, index
         if index < parent.n:
-            right = self._read_node(parent.children[index + 1])
+            right = self._child(parent, index + 1, depth)
             if right.n >= t:
-                self._borrow_from_right(parent, index, child, right)
+                self._borrow(parent, index, child, right, from_left=False)
                 return child, index
         if index > 0:
-            left = self._read_node(parent.children[index - 1])
+            left = self._child(parent, index - 1, depth)
             merged = self._merge_children(parent, index - 1, left, child)
             return merged, index - 1
-        right = self._read_node(parent.children[index + 1])
+        right = self._child(parent, index + 1, depth)
         merged = self._merge_children(parent, index, child, right)
         return merged, index
 
-    def _borrow_from_left(self, parent: _Node, index: int, child: _Node,
-                          left: _Node) -> None:
-        # parent separator drops into child; left's last entry rises.
-        separator = parent.entries[index - 1]
+    def _borrow(self, parent: _Node, index: int, child: _Node,
+                sibling: _Node, *, from_left: bool) -> None:
+        """Rotate one entry: the parent's separator drops into ``child``
+        and the sibling's nearest entry rises to replace it."""
+        slot, near = (index - 1, -1) if from_left else (index, 0)
+        separator = parent.entries[slot]
         self._move_record(separator, parent.addr, child.addr)
-        child.entries.insert(0, separator)
-        rising = left.entries.pop()
-        self._move_record(rising, left.addr, parent.addr)
-        parent.entries[index - 1] = rising
+        child.entries.insert(0 if from_left else child.n, separator)
+        rising = sibling.entries.pop(near)
+        self._move_record(rising, sibling.addr, parent.addr)
+        parent.entries[slot] = rising
         if not child.is_leaf:
-            child.children.insert(0, left.children.pop())
-        self._write_node(left)
-        self._write_node(child)
-        self._write_node(parent)
-
-    def _borrow_from_right(self, parent: _Node, index: int, child: _Node,
-                           right: _Node) -> None:
-        separator = parent.entries[index]
-        self._move_record(separator, parent.addr, child.addr)
-        child.entries.append(separator)
-        rising = right.entries.pop(0)
-        self._move_record(rising, right.addr, parent.addr)
-        parent.entries[index] = rising
-        if not child.is_leaf:
-            child.children.append(right.children.pop(0))
-        self._write_node(right)
+            child.children.insert(0 if from_left else len(child.children),
+                                  sibling.children.pop(near))
+        self._write_node(sibling)
         self._write_node(child)
         self._write_node(parent)
 
@@ -235,15 +225,16 @@ class AriaBTreeIndex(SealedTreeIndex):
     # -- iteration / audit -------------------------------------------------------------
 
     def keys(self) -> Iterator[bytes]:
-        yield from self._iterate(self._read_node(self._root))
+        yield from self._iterate(self._read_node(self._root), 1)
 
-    def _iterate(self, node: _Node) -> Iterator[bytes]:
+    def _iterate(self, node: _Node, depth: int) -> Iterator[bytes]:
         for i, record_addr in enumerate(node.entries):
             if not node.is_leaf:
-                yield from self._iterate(self._read_node(node.children[i]))
+                yield from self._iterate(self._child(node, i, depth),
+                                         depth + 1)
             yield self._key_of(record_addr, node.addr)
-        if not node.is_leaf and node.children:
-            yield from self._iterate(self._read_node(node.children[-1]))
+        if not node.is_leaf:
+            yield from self._iterate(self._child(node, -1, depth), depth + 1)
 
     def range_scan(self, lo: bytes, hi: bytes) -> list[tuple[bytes, bytes]]:
         """All (key, value) pairs with lo <= key < hi, in order.
@@ -252,23 +243,25 @@ class AriaBTreeIndex(SealedTreeIndex):
         index cannot serve them.
         """
         results: list[tuple[bytes, bytes]] = []
-        self._scan_into(self._read_node(self._root), lo, hi, results)
+        self._scan_into(self._read_node(self._root), 1, lo, hi, results)
         return results
 
-    def _scan_into(self, node: _Node, lo: bytes, hi: bytes,
+    def _scan_into(self, node: _Node, depth: int, lo: bytes, hi: bytes,
                    out: list) -> None:
         for i, record_addr in enumerate(node.entries):
             opened = self._open(record_addr, node.addr)
             # Child i holds keys smaller than entry i: visit it only if the
             # range can reach below this entry.
             if not node.is_leaf and opened.key > lo:
-                self._scan_into(self._read_node(node.children[i]), lo, hi, out)
+                self._scan_into(self._child(node, i, depth), depth + 1,
+                                lo, hi, out)
             if lo <= opened.key < hi:
                 out.append((opened.key, opened.value))
             if opened.key >= hi:
                 return  # everything to the right is out of range
-        if not node.is_leaf and node.children:
-            self._scan_into(self._read_node(node.children[-1]), lo, hi, out)
+        if not node.is_leaf:
+            self._scan_into(self._child(node, -1, depth), depth + 1,
+                            lo, hi, out)
 
     def audit(self) -> None:
         """Verified full traversal; checks order, depth uniformity, count."""
@@ -280,16 +273,13 @@ class AriaBTreeIndex(SealedTreeIndex):
         if node.is_leaf and depth != self._height:
             raise DeletionError("leaf at wrong depth: height invariant broken")
         keys = [self._key_of(addr, node.addr) for addr in node.entries]
-        if keys != sorted(keys):
-            raise DeletionError("entries out of order inside a node")
-        for probe in keys:
-            if (lo is not None and probe <= lo) or (hi is not None and probe >= hi):
-                raise DeletionError("entry violates subtree bounds")
+        bounds = [lo] + keys + [hi]
+        known = [k for k in bounds if k is not None]
+        if any(a >= b for a, b in zip(known, known[1:])):
+            raise DeletionError("entries out of order or outside their "
+                                "subtree bounds")
         count = len(keys)
-        if not node.is_leaf:
-            bounds = [lo] + keys + [hi]
-            for i, child in enumerate(node.children):
-                count += self._audit_node(
-                    self._read_node(child), depth + 1, bounds[i], bounds[i + 1]
-                )
+        for i in range(len(node.children)):
+            count += self._audit_node(self._child(node, i, depth), depth + 1,
+                                      bounds[i], bounds[i + 1])
         return count

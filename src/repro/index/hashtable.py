@@ -17,7 +17,9 @@ Layout in untrusted memory::
   (Fig 7) relocates records under foreign AdFields and both MACs fail.
 * **Unauthorized-deletion detection**: the enclave keeps a per-bucket entry
   count; a miss whose traversal saw fewer entries than the count recorded in
-  the EPC raises :class:`DeletionError` instead of KeyNotFoundError.
+  the EPC raises :class:`DeletionError` instead of KeyNotFoundError.  The
+  count also bounds every walk: a chain longer than it (a cyclic or spliced
+  next pointer) raises :class:`DeletionError` after that many hops.
 
 Inserts append at the chain tail so existing entries keep their AdFields;
 deletes splice and re-bind the successor's record to its new pointer slot.
@@ -28,7 +30,7 @@ hint): a Put that misses links its entry at the slot the walk ended on.
 from __future__ import annotations
 
 import struct
-from typing import Iterator, Optional
+from typing import Iterator
 
 from repro.alloc.heap import Allocator
 from repro.core.record import HEADER, RecordCodec, record_size
@@ -59,7 +61,7 @@ class AriaHashIndex(SecureIndex):
         *,
         n_buckets: int,
         fetch_counter: callable,
-        free_counter: Optional[callable] = None,
+        free_counter: callable,
         dummy_bucket_reads: int = 0,
     ):
         self._enclave = enclave
@@ -145,10 +147,12 @@ class AriaHashIndex(SecureIndex):
         (AdField), so a chain redirected to hide a key — the Fig 7 slot
         swap — raises :class:`IntegrityError` instead of lying with
         KeyNotFoundError.  A chain shorter than the enclave-recorded entry
-        count raises :class:`DeletionError`.  Put's miss skips the
-        verification — an insert does not assert absence to a client, and
-        the entry it adds is bound to wherever the chain tail really is — and
-        returns ``entry_addr`` ``_NULL`` with ``slot_addr`` the tail slot.
+        count raises :class:`DeletionError`, and so does a longer one: the
+        walk stops after that many hops, so a cyclic chain cannot hold it.
+        Put's miss skips the verification — an insert does not assert
+        absence to a client, and the entry it adds is bound to wherever the
+        chain tail really is — and returns ``entry_addr`` ``_NULL`` with
+        ``slot_addr`` the tail slot.
         """
         enclave = self._enclave
         read = enclave.read_untrusted
@@ -160,9 +164,12 @@ class AriaHashIndex(SecureIndex):
         want_hint = digest & 0xFFFFFFFF
         slot_addr = self._bucket_base + bucket * 8
         entry_addr = int.from_bytes(read(slot_addr, 8), "little")
+        recorded = self._counts[bucket]
         unopened = []
         hint_matches = 0  # entries already opened against their own slot
-        while entry_addr != _NULL:
+        for _ in range(recorded):
+            if entry_addr == _NULL:
+                break
             next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
                 read(entry_addr, _ENTRY_HEAD.size)
             )
@@ -178,13 +185,14 @@ class AriaHashIndex(SecureIndex):
                 unopened.append((slot_addr, entry_addr, size))
             slot_addr = entry_addr  # next field sits at offset 0
             entry_addr = next_ptr
+        if entry_addr != _NULL:
+            raise self._too_long(bucket)
         enclave.epc_touch(_COUNT_BYTES)
         walked = len(unopened) + hint_matches
-        if walked != self._counts[bucket]:
+        if walked != recorded:
             raise DeletionError(
                 f"bucket {bucket} has {walked} entries but the enclave "
-                f"recorded {self._counts[bucket]}: unauthorized deletion "
-                "detected"
+                f"recorded {recorded}: unauthorized deletion detected"
             )
         if not verify_miss:
             return bucket, want_hint, slot_addr, _NULL, _NULL, None, None
@@ -192,6 +200,13 @@ class AriaHashIndex(SecureIndex):
             self._codec.open(read(entry_addr + _ENTRY_PREFIX.size, size),
                              ad_field=slot_addr)
         raise KeyNotFoundError(key)
+
+    def _too_long(self, bucket: int) -> DeletionError:
+        return DeletionError(
+            f"bucket {bucket}'s chain is longer than the "
+            f"{self._counts[bucket]} entries the enclave recorded: chain "
+            "pointer attacked (cyclic or spliced chain)"
+        )
 
     def _find(self, key: bytes):
         """Locate a present key; returns (slot_addr, entry_addr, next_ptr,
@@ -208,7 +223,9 @@ class AriaHashIndex(SecureIndex):
             self._dummy_state ^= (self._dummy_state << 17) & (2**64 - 1)
             bucket = self._dummy_state % self._n_buckets
             entry_addr = self._read_ptr(self._bucket_base + bucket * 8)
-            while entry_addr != _NULL:
+            for _ in range(self._counts[bucket]):  # a dummy read never raises
+                if entry_addr == _NULL:
+                    break
                 prefix = self._enclave.read_untrusted(
                     entry_addr, _ENTRY_PREFIX.size
                 )
@@ -226,8 +243,8 @@ class AriaHashIndex(SecureIndex):
         bucket, hint, slot_addr, entry_addr, next_ptr, blob, opened = (
             self._walk(key, False))
         if entry_addr != _NULL:
-            self._update_existing(key, value, hint, slot_addr, entry_addr,
-                                  next_ptr, blob, opened.red_ptr)
+            self._update_existing(bucket, key, value, hint, slot_addr,
+                                  entry_addr, next_ptr, blob, opened.red_ptr)
             return
         # The miss ended at the chain's tail slot: the new entry goes there.
         self._append(slot_addr, key, value, self._fetch_counter(), hint)
@@ -239,8 +256,7 @@ class AriaHashIndex(SecureIndex):
         bucket, _, slot_addr, entry_addr, next_ptr, blob, opened = (
             self._walk(key, True))
         self._splice_out(key, slot_addr, entry_addr, next_ptr, blob)
-        if self._free_counter is not None:
-            self._free_counter(opened.red_ptr)
+        self._free_counter(opened.red_ptr)
         self._enclave.epc_touch(_COUNT_BYTES)
         self._counts[bucket] -= 1
         self._n_entries -= 1
@@ -256,9 +272,9 @@ class AriaHashIndex(SecureIndex):
         self._enclave.write_untrusted(entry_addr, entry)
         self._write_ptr(tail_slot, entry_addr)
 
-    def _update_existing(self, key: bytes, value: bytes, hint: int,
-                         slot_addr: int, entry_addr: int, next_ptr: int,
-                         old_blob: bytes, red_ptr: int) -> None:
+    def _update_existing(self, bucket: int, key: bytes, value: bytes,
+                         hint: int, slot_addr: int, entry_addr: int,
+                         next_ptr: int, old_blob: bytes, red_ptr: int) -> None:
         """Re-seal an existing key, reusing its counter (Section V-D step 2)."""
         old_block = self._allocator.block_size_of(_ENTRY_PREFIX.size + len(old_blob))
         new_entry_size = _ENTRY_PREFIX.size + record_size(len(key), len(value))
@@ -273,8 +289,12 @@ class AriaHashIndex(SecureIndex):
         # walking on from the slot that now points past the old entry.
         self._splice_out(key, slot_addr, entry_addr, next_ptr, old_blob)
         tail_slot, entry_addr = slot_addr, next_ptr
-        while entry_addr != _NULL:
+        for _ in range(self._counts[bucket]):
+            if entry_addr == _NULL:
+                break
             tail_slot, entry_addr = entry_addr, self._read_ptr(entry_addr)
+        if entry_addr != _NULL:
+            raise self._too_long(bucket)
         self._append(tail_slot, key, value, red_ptr, hint)
 
     def _splice_out(self, key: bytes, slot_addr: int, entry_addr: int,
@@ -297,33 +317,26 @@ class AriaHashIndex(SecureIndex):
         return self._n_entries
 
     def keys(self) -> Iterator[bytes]:
+        """Every key, each record opened against the slot that points at
+        it; a chain longer or shorter than its recorded count raises."""
         for bucket in range(self._n_buckets):
             slot_addr = self._bucket_base + bucket * 8
             entry_addr = self._read_ptr(slot_addr)
-            while entry_addr != _NULL:
+            for walked in range(self._counts[bucket]):
+                if entry_addr == _NULL:
+                    raise DeletionError(
+                        f"bucket {bucket}: {walked} entries, recorded "
+                        f"{self._counts[bucket]}")
                 next_ptr, _, blob = self._read_entry(entry_addr)
-                opened = self._codec.open(blob, ad_field=slot_addr)
-                yield opened.key
-                slot_addr = entry_addr
-                entry_addr = next_ptr
+                yield self._codec.open(blob, ad_field=slot_addr).key
+                slot_addr, entry_addr = entry_addr, next_ptr
+            if entry_addr != _NULL:
+                raise self._too_long(bucket)
 
     def audit(self) -> None:
         """Full verified scan; checks every bucket count (DeletionError on lie)."""
-        for bucket in range(self._n_buckets):
-            slot_addr = self._bucket_base + bucket * 8
-            entry_addr = self._read_ptr(slot_addr)
-            seen = 0
-            while entry_addr != _NULL:
-                next_ptr, _, blob = self._read_entry(entry_addr)
-                self._codec.open(blob, ad_field=slot_addr)
-                seen += 1
-                slot_addr = entry_addr
-                entry_addr = next_ptr
-            if seen != self._counts[bucket]:
-                raise DeletionError(
-                    f"bucket {bucket}: {seen} entries, recorded "
-                    f"{self._counts[bucket]}"
-                )
+        for _ in self.keys():
+            pass
 
     def epc_bytes(self) -> int:
         return self._n_buckets * _COUNT_BYTES + 8

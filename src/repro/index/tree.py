@@ -23,13 +23,15 @@ replay is caught by the counter freshness the Merkle tree guarantees.
 **Unauthorized-deletion detection.**  The enclave records the height (the
 paper's "number of tree nodes from the root to each leaf"); a miss whose
 descent did not traverse exactly ``height`` nodes raises
-:class:`DeletionError`.  Each tree keeps every leaf at that depth.
+:class:`DeletionError`.  Each tree keeps every leaf at that depth, and
+every parent-to-child step of every walk goes through ``_child``, which
+refuses a step below it: a child pointer aimed back up the tree raises
+instead of looping.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import Optional
 
 from repro.alloc.heap import Allocator
 from repro.core.record import RecordCodec, record_size
@@ -65,7 +67,7 @@ class SealedTreeIndex(SecureIndex):
 
     def __init__(self, enclave: Enclave, codec: RecordCodec,
                  allocator: Allocator, *, order: int, fetch_counter: callable,
-                 free_counter: Optional[callable] = None):
+                 free_counter: callable):
         self._max_keys = max_keys = self._max_keys_for(order)
         self._enclave = enclave
         self._codec = codec
@@ -122,11 +124,22 @@ class SealedTreeIndex(SecureIndex):
             struct.pack(f"<{len(children)}Q", *children))
         self._enclave.write_untrusted(node.addr, bytes(raw))
 
-    def _child(self, node: _Node, index: int) -> _Node:
+    def _child(self, node: _Node, index: int, depth: int) -> _Node:
+        """The one parent-to-child step: ``node`` sits at ``depth``.
+
+        Raises before reading on a null pointer, or on a step below the
+        enclave-held height (a pointer aimed back up the tree).
+        """
         child = node.children[index]
         if child == _NULL:
             raise DeletionError(
                 f"{self.name} descent hit a null child pointer: index attacked"
+            )
+        if depth >= self._height:
+            raise DeletionError(
+                f"{self.name} descent steps below depth {depth} but the "
+                f"enclave recorded a height of {self._height}: child pointer "
+                "attacked"
             )
         return self._read_node(child)
 
@@ -170,8 +183,7 @@ class SealedTreeIndex(SecureIndex):
         blob = self._read_record(record_addr)
         red_ptr, k_len, v_len = self._codec.parse_header(blob)
         self._allocator.free(record_addr, record_size(k_len, v_len))
-        if self._free_counter is not None:
-            self._free_counter(red_ptr)
+        self._free_counter(red_ptr)
 
     # -- entries ----------------------------------------------------------------------
 

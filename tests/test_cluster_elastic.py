@@ -16,6 +16,9 @@ Marked ``elastic`` so CI can run reconfiguration coverage as its own job
 * the balancer's no-surplus round is a no-op (regression: it used to
   move a vnode even with nothing to halve), and with a planner attached
   every move must pay for itself through the ``migration_cost`` model;
+* while a migration is in flight only the engine moves keys: a
+  single-key put is dual-applied like any batch, a bulk load is refused
+  and a balancer round is skipped (regressions: each lost keys);
 * roster and topology changes re-partition tenant admission buckets and
   Secure-Cache quotas live (§16's follow-on).
 
@@ -629,5 +632,85 @@ class TestEngineGuardrails:
             assert "shard-3" in coord.shards
             for i in range(64):
                 assert coord.get(b"key-%04d" % i) == b"init"
+        finally:
+            coord.close()
+
+
+# -- only the engine moves keys while a migration is in flight --------------------
+
+
+def _two_shards(**overrides):
+    fields = dict(n_shards=2, n_keys=512, scale=2048, max_shards=3)
+    fields.update(overrides)
+    coord = ClusterConfig(**fields).build()
+    coord.load((b"key-%04d" % i, b"v0") for i in range(400))
+    return coord
+
+
+class TestMigrationOwnsKeyMovement:
+    def test_single_key_put_during_sync_survives_cutover(self):
+        # Regression: coordinator.put bypassed execute, so a write to a
+        # key whose copy batch had already run was never dual-applied:
+        # acked, then lost at cutover.
+        coord = _two_shards()
+        try:
+            engine = coord.elastic
+            engine.add_shard()
+            coord.execute([protocol.get(b"key-0000")])
+            assert engine.stage == "sync"
+            _, copied = engine._migration.copied[0]
+            coord.put(copied, b"NEW")
+            engine.run_to_completion()
+            assert coord.get(copied) == b"NEW"
+        finally:
+            coord.close()
+
+    def test_load_is_refused_during_a_migration(self):
+        # Regression: a bulk load mid-SYNC wrote to the old owners behind
+        # the copy cursor, and the cutover stranded those keys.
+        coord = _two_shards()
+        try:
+            engine = coord.elastic
+            engine.add_shard()
+            before = coord.total_keys()
+            late = [(b"late-%04d" % i, b"v1") for i in range(200)]
+            with pytest.raises(AriaError, match="migration is in flight"):
+                coord.load(late)
+            assert coord.total_keys() == before
+            engine.run_to_completion()
+            coord.load(late)
+            for key, value in late:
+                assert coord.get(key) == value
+        finally:
+            coord.close()
+
+    def test_balancer_waits_for_the_migration(self):
+        # Regression: the balancer moved vnodes in place mid-migration,
+        # and the engine's cutover then installed the ring it had planned
+        # before the move, stranding the balancer's keys.
+        coord = _two_shards(vnodes={"shard-0": 116, "shard-1": 12})
+        try:
+            engine = coord.elastic
+            engine.batch_keys = 8
+            balancer = HotShardBalancer(coord, check_every=64,
+                                        imbalance_threshold=1.3,
+                                        min_window_ops=64)
+            coord.balancer = balancer
+            engine.add_shard()
+            keys = [b"key-%04d" % i for i in range(400)]
+            rounds = 0
+            while engine.active and rounds < 200:
+                start = (16 * rounds) % len(keys)
+                coord.execute([protocol.get(k)
+                               for k in keys[start:start + 16]])
+                rounds += 1
+            assert not engine.active and balancer.history == []
+            for round_ in range(40):  # drained: the balancer's turn again
+                start = (16 * round_) % len(keys)
+                coord.execute([protocol.get(k)
+                               for k in keys[start:start + 16]])
+            assert balancer.history
+            responses = coord.execute([protocol.get(k) for k in keys])
+            assert all(r.status == STATUS_OK for r in responses)
         finally:
             coord.close()
