@@ -28,7 +28,6 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     HotShardBalancer,
-    build_cluster,
 )
 from repro.server import protocol
 from repro.workloads.ycsb import YcsbWorkload
@@ -40,9 +39,9 @@ BATCH = 64
 
 
 def main(backend: str = "inline") -> None:
-    coordinator = build_cluster(ClusterConfig(
+    coordinator = ClusterConfig(
         n_shards=N_SHARDS, n_keys=N_KEYS, scale=512, batch_window=32,
-        backend=backend))
+        backend=backend).build()
     coordinator.balancer = HotShardBalancer(coordinator, check_every=512)
     workload = YcsbWorkload(n_keys=N_KEYS, read_ratio=0.9, value_size=16,
                             distribution="zipfian")

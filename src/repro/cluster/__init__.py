@@ -43,7 +43,7 @@ front door:
   identity bound into the attested handshake, per-principal admission,
   disjoint key namespaces, and Secure-Cache quotas (ARCHITECTURE §16);
 * :mod:`~repro.cluster.config` — :class:`ClusterConfig`, the one typed
-  construction door over all of the above (:func:`build_cluster`,
+  construction door over all of the above (:meth:`ClusterConfig.build`,
   :func:`serve`);
 * :mod:`~repro.cluster.framing` — the length-prefixed framed stream both
   TCP edges (client ↔ front door, coordinator ↔ shard host) speak;
@@ -66,7 +66,6 @@ from repro.cluster.balancer import HotShardBalancer, MigrationReport
 from repro.cluster.config import (
     ClusterConfig,
     DurabilityConfig,
-    build_cluster,
     serve,
 )
 from repro.cluster.coordinator import (
@@ -252,7 +251,6 @@ __all__ = [
     "TORN",
     "TRUNCATE",
     "WIRE_KINDS",
-    "build_cluster",
     "build_replica_group",
     "build_replicated_cluster",
     "default_backend_name",

@@ -10,7 +10,7 @@ the nested sub-systems all live in one frozen, validated object.
 ...                                         cache_quota=0.4),
 ...                            TenantConfig("blue"),
 ...                        )))
->>> coordinator = build_cluster(config)     # or config.build()
+>>> coordinator = config.build()
 
 Sub-systems nest as typed sub-configs, each ``None`` (disarmed) by
 default: :class:`~repro.cluster.overload.OverloadConfig` for admission/
@@ -347,16 +347,6 @@ class ClusterConfig:
             restore_cluster_from_storage(coordinator)
         coordinator.health_monitor = HealthMonitor(coordinator)
         return durability_factory
-
-
-def build_cluster(config: ClusterConfig, *,
-                  clock: Callable[[], float] = time.monotonic):
-    """Build the coordinator ``config`` describes (``config.build()``)."""
-    if not isinstance(config, ClusterConfig):
-        raise TypeError(
-            f"build_cluster takes a ClusterConfig, not "
-            f"{type(config).__name__}")
-    return config.build(clock=clock)
 
 
 def serve(

@@ -84,19 +84,17 @@ class AriaServer:
         the canonical single-BAD_REQUEST reply (none of its requests
         executed — see the contract in ``protocol``): the server cannot
         trust the claimed ``count`` of a frame it failed to parse, so it
-        never fabricates per-request responses for it.
+        never fabricates per-request responses for it.  Every batch it
+        accepts runs through :meth:`_flush`, the one place the boundary is
+        charged, at its encoded size ``len(batch_bytes)``.
         """
-        boundary = self._enter(len(batch_bytes))
         try:
             requests = protocol.decode_batch(batch_bytes)
         except ProtocolError:
+            self._enter(len(batch_bytes))
             return self._exit(protocol.encode_batch_rejection())
-        responses = self._run(requests)
-        payload = protocol.encode_batch_responses(responses)
-        boundary += self._charge_copy(len(payload))
-        if self.engine is not None:
-            self.engine.note_boundary(boundary)
-        return payload
+        return protocol.encode_batch_responses(
+            self._flush(requests, len(batch_bytes)))
 
     def flush_batch(self, requests: Iterable[Request]) -> list:
         """Batch-flush hook for pre-decoded requests (the cluster path).
@@ -104,9 +102,9 @@ class AriaServer:
         The cluster coordinator decodes frames once at the front door and
         routes ``Request`` objects to shards; re-encoding them per shard
         would be pure Python overhead with no simulated counterpart.  This
-        entry point charges exactly what :meth:`handle_batch` would — one
-        ECALL plus the boundary copy of the encoded batch in and the
-        encoded responses out — and enforces exactly the same caps: a
+        entry point charges what every batch pays — one ECALL plus the
+        boundary copy of the encoded batch in and the encoded responses
+        out — and enforces exactly :meth:`handle_batch`'s caps: a
         batch ``decode_batch`` would reject (oversize count/frame/key/
         value, empty key, value on non-PUT, unknown opcode) is rejected
         as a unit with the whole-batch rejection shape, none of its
@@ -114,20 +112,26 @@ class AriaServer:
         """
         if not isinstance(requests, list):
             requests = list(requests)  # walked twice below; lists as given
-        boundary = self._enter(protocol.batch_encoded_size(requests))
-        if protocol.batch_violation(requests) is not None:
-            responses = [Response(Status.BAD_REQUEST)]
-            self._charge_copy(
-                protocol.batch_responses_encoded_size(responses))
-            return responses
+        nbytes = protocol.batch_encoded_size(requests)
+        if protocol.batch_violation(requests) is None:
+            return self._flush(requests, nbytes)
+        self._enter(nbytes)
+        responses = [Response(Status.BAD_REQUEST)]
+        self._charge_copy(protocol.batch_responses_encoded_size(responses))
+        return responses
+
+    # -- internals ----------------------------------------------------------------------
+
+    def _flush(self, requests: list, nbytes: int) -> list:
+        """Run one valid batch of ``nbytes`` encoded: one ECALL, the copy
+        of the batch in and of its encoded responses out."""
+        boundary = self._enter(nbytes)
         responses = self._run(requests)
         boundary += self._charge_copy(
             protocol.batch_responses_encoded_size(responses))
         if self.engine is not None:
             self.engine.note_boundary(boundary)
         return responses
-
-    # -- internals ----------------------------------------------------------------------
 
     def _run(self, requests: list) -> list:
         """Execute a validated batch: the engine when workers > 1."""
@@ -223,10 +227,7 @@ class AriaClient:
             raw = self._server.handle(request.encode())
             response, _ = protocol.decode_response(raw)
             return response
-        # Batched mode: queue and flush when the batch fills.
         self._pending.append(request)
-        if len(self._pending) >= self._batch_size:
-            self.flush()
         # The caller of a batched client reads results via drain(); for
         # simplicity the blocking API flushes immediately when batching.
         self.flush()

@@ -12,8 +12,8 @@ test bodies are unmodified; only the process-wide default backend changes.
 The ``cluster_backend`` fixture is inserted at the *front* of each test's
 fixture list so it is set up before (and torn down after) the module's own
 ``cluster``/``server`` fixtures — the default backend is already switched
-by the time ``build_cluster`` runs, and worker reaping happens after every
-other fixture has finished.  Existing tests never close their clusters
+by the time ``ClusterConfig.build`` runs, and worker reaping happens after
+every other fixture has finished.  Existing tests never close their clusters
 (inline shards have nothing to release), so the teardown *reaps* leaked
 workers rather than failing on them — and then asserts that reaping
 actually worked: no stray child processes may survive a test.
@@ -31,6 +31,10 @@ from repro.cluster import (
     reap_leaked_workers,
     set_default_backend,
 )
+
+# The shared chaos oracle asserts on the gauntlets' behalf; let pytest
+# explain its failures the way it explains a test module's own asserts.
+pytest.register_assert_rewrite("tests.chaos")
 
 # Modules whose tests exercise the cluster layer through the shard
 # contract.  Only these are parametrized; the single-store suites would

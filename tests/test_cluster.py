@@ -1,6 +1,6 @@
 """Cluster serving layer: shards, coordinator, balancer, stats.
 
-Everything here drives the public surface — ``build_cluster`` /
+Everything here drives the public surface — ``ClusterConfig.build`` /
 ``ClusterCoordinator`` / ``HotShardBalancer`` — and observes effects
 through store contents and cycle meters, never by poking privates.
 """
@@ -18,7 +18,6 @@ from repro.cluster import (
     OverloadConfig,
     TenancyConfig,
     TenantConfig,
-    build_cluster,
 )
 from repro.cluster.ring import HashRing
 from repro.errors import KeyNotFoundError
@@ -27,15 +26,15 @@ from repro.server import protocol
 
 def small_cluster(n_shards=2, *, n_keys=512, batch_window=8,
                   clock=time.monotonic, **kw):
-    return build_cluster(ClusterConfig(
+    return ClusterConfig(
         n_shards=n_shards, n_keys=n_keys, scale=2048,
-        batch_window=batch_window, **kw), clock=clock)
+        batch_window=batch_window, **kw).build(clock=clock)
 
 
 def build_shards(n_shards, *, cluster_epc_bytes, n_keys):
-    return build_cluster(ClusterConfig(
+    return ClusterConfig(
         n_shards=n_shards, cluster_epc_bytes=cluster_epc_bytes,
-        n_keys=n_keys)).shard_list()
+        n_keys=n_keys).build().shard_list()
 
 
 def kv(i):

@@ -24,7 +24,6 @@ from repro.cluster import (
     EnclaveSpec,
     TenancyConfig,
     TenantConfig,
-    build_cluster,
     build_replicated_cluster,
     resolve_backend,
     serve,
@@ -148,8 +147,8 @@ class TestPrecedence:
 
 
 #: sha256 of the responses and the summed enclave cycles ``drive`` produces
-#: on ``small()``, captured from the keyword factory
-#: ``build_cluster(2, n_keys=128, scale=2048, batch_window=8)`` at the last
+#: on ``small()``, captured from the keyword factory build_cluster with two
+#: shards, n_keys=128, scale=2048 and batch_window=8, at the last
 #: commit that still had one (PR 14's parent).
 _LEGACY_DRIVE = (
     "6121d21d2c4a2b0802648e4044d1855c70483f3a7c40e3254a5ba8e2a3b84a81",
@@ -180,23 +179,13 @@ class TestDeprecatedFactories:
     """Nothing is deprecated any more: only the typed door builds."""
 
     def test_typed_door_is_silent_and_equivalent(self, recwarn):
-        """Both typed spellings build the cluster the keyword factory
-        used to — same responses, same cycles — and warn about nothing."""
-        assert drive(build_cluster(small(backend="inline", workers=1))) \
-            == _LEGACY_DRIVE
+        """``config.build()`` builds the cluster the keyword factory used
+        to — same responses, same cycles — and warns about nothing."""
         assert drive(small(backend="inline", workers=1).build()) \
             == _LEGACY_DRIVE
         assert not recwarn.list
 
     def test_typed_door_rejects_mixed_keywords(self):
-        with pytest.raises(TypeError):
-            build_cluster(small(), n_keys=64)
-        with pytest.raises(TypeError):
-            build_cluster(small(), value_hint=64)
-        with pytest.raises(TypeError):
-            build_cluster("four")
-        with pytest.raises(TypeError):
-            build_cluster(3)
         with pytest.raises(TypeError):
             build_replicated_cluster(3)
         with pytest.raises(TypeError):

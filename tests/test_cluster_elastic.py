@@ -53,10 +53,11 @@ from repro.errors import AriaError, ConfigurationError
 from repro.server import protocol
 from repro.server.protocol import STATUS_OK
 
+from tests.chaos import History, ZipfStream
+
 pytestmark = pytest.mark.elastic
 
 N_KEYS = 200
-ZIPF_S = 0.99
 
 
 def small(**overrides):
@@ -70,49 +71,18 @@ def preload(coord, n=N_KEYS):
     coord.load((b"key-%04d" % i, b"init") for i in range(n))
 
 
-def zipf_keys(rng, n_keys, n_ops, s=ZIPF_S):
-    weights = [1.0 / (rank ** s) for rank in range(1, n_keys + 1)]
-    return rng.choices(range(n_keys), weights=weights, k=n_ops)
-
-
-def drive_until_idle(coord, rng, acked, *, n_keys=N_KEYS, per_batch=24,
-                     max_batches=400):
-    """Zipf get/put traffic until the migration drains; returns batches.
+def drive_until_idle(coord, rng, history, *, n_keys=N_KEYS):
+    """Zipf get/put traffic until the migration drains.
 
     Every response must be a served OK — a migration may never surface as
-    a lost or alarmed request — and every OK'd put is recorded in
-    ``acked`` as a write the cluster now owes us.
+    a lost or alarmed request — and every OK'd put lands in ``history`` as
+    a write the cluster now owes us.
     """
     engine = coord.elastic
-    batches = 0
-    version = len(acked)
-    while engine.active and batches < max_batches:
-        batch, expected = [], []
-        for pick in zipf_keys(rng, n_keys, per_batch):
-            key = b"key-%04d" % pick
-            if rng.random() < 0.5:
-                version += 1
-                value = b"val-%08d" % version
-                batch.append(protocol.put(key, value))
-                expected.append((key, value))
-            else:
-                batch.append(protocol.get(key))
-                expected.append((key, None))
-        responses = coord.execute(batch)
-        batches += 1
-        for (key, value), response in zip(expected, responses):
-            assert response is not None
-            assert response.status == STATUS_OK, (
-                f"{key}: status {response.status} {response.value!r}")
-            if value is not None:
-                acked[key] = value
+    history.run(coord.execute,
+                ZipfStream(rng, n_keys, version=len(history.acked)),
+                lambda ops: engine.active and ops < 400 * 24)
     assert not engine.active, "migration did not drain under traffic"
-    return batches
-
-
-def assert_no_acked_loss(coord, acked):
-    for key, value in acked.items():
-        assert coord.get(key) == value, f"lost acked write on {key}"
 
 
 # -- the planner: one typed rejection per constraint model ------------------------
@@ -321,8 +291,8 @@ class TestLiveMigration:
             assert plan.n_shards_after == 4
             assert engine.active and engine.stage == "sync"
             rng = random.Random(7)
-            acked = {}
-            drive_until_idle(coord, rng, acked)
+            history = History()
+            drive_until_idle(coord, rng, history)
             assert "shard-3" in coord.shards
             assert sorted(coord.ring.shards()) == sorted(coord.shards)
             stats = engine.stats()
@@ -331,7 +301,7 @@ class TestLiveMigration:
             assert stats["keys_migrated"] > 0
             assert stats["keys_retired"] > 0
             assert len(coord.shards["shard-3"].store) > 0
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
             # Nothing preloaded went missing either.
             for i in range(N_KEYS):
                 assert coord.get(b"key-%04d" % i) is not None
@@ -352,14 +322,14 @@ class TestLiveMigration:
             moving = len(coord.shards["shard-2"].store)
             engine.remove_shard("shard-2")
             rng = random.Random(11)
-            acked = {}
-            drive_until_idle(coord, rng, acked)
+            history = History()
+            drive_until_idle(coord, rng, history)
             assert "shard-2" not in coord.shards
             assert sorted(coord.ring.shards()) == ["shard-0", "shard-1"]
             stats = engine.stats()
             assert stats["migrations_completed"] == 1
             assert stats["keys_migrated"] >= moving
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
             for i in range(N_KEYS):
                 assert coord.get(b"key-%04d" % i) is not None
         finally:
@@ -375,10 +345,10 @@ class TestLiveMigration:
             engine.batch_keys = 4
             engine.add_shard()
             rng = random.Random(13)
-            acked = {}
-            drive_until_idle(coord, rng, acked)
+            history = History()
+            drive_until_idle(coord, rng, history)
             assert engine.stats()["dual_applied"] > 0
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
         finally:
             coord.close()
 
@@ -398,21 +368,21 @@ class TestLiveMigration:
             shards_before = sorted(coord.shards)
             engine.add_shard("shard-2")
             rng = random.Random(17)
-            acked = {}
-            drive_until_idle(coord, rng, acked)
+            history = History()
+            drive_until_idle(coord, rng, history)
             stats = engine.stats()
             assert stats["migrations_aborted"] == 1
             assert stats["migrations_completed"] == 0
             assert "staged fault" in stats["last_abort_reason"]
             assert sorted(coord.shards) == shards_before
             assert sorted(coord.ring.shards()) == shards_before
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
             # The cluster is immediately reusable: a fresh plan is
             # approved and the retried add completes.
             engine.add_shard("shard-2")
-            drive_until_idle(coord, rng, acked)
+            drive_until_idle(coord, rng, history)
             assert engine.stats()["migrations_completed"] == 1
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
         finally:
             coord.close()
 
@@ -431,8 +401,8 @@ class TestLiveMigration:
             engine = coord.elastic
             engine.add_shard("shard-2")
             rng = random.Random(19)
-            acked = {}
-            drive_until_idle(coord, rng, acked, n_keys=64)
+            history = History()
+            drive_until_idle(coord, rng, history, n_keys=64)
             new_group = coord.shards["shard-2"]
             sidecar = getattr(new_group, "durability", None)
             assert sidecar is not None, \
@@ -443,7 +413,7 @@ class TestLiveMigration:
             [response] = coord.execute([protocol.put(victim, b"post-torn")])
             assert response.status == STATUS_OK
             assert coord.get(victim) == b"post-torn"
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
         finally:
             coord.close()
 
@@ -479,12 +449,12 @@ class TestChaosGauntlet:
             preload(coord)
             engine = coord.elastic
             rng = random.Random(23)
-            acked = {}
+            history = History(plan=plan)
 
             engine.add_shard(join)
-            drive_until_idle(coord, rng, acked)
+            drive_until_idle(coord, rng, history)
             engine.remove_shard(leave)
-            drive_until_idle(coord, rng, acked)
+            drive_until_idle(coord, rng, history)
 
             stats = engine.stats()
             assert stats["migrations_started"] == 2
@@ -492,11 +462,11 @@ class TestChaosGauntlet:
                     + stats["migrations_aborted"]) == 2
             # The whole schedule fired: every stage transition that had a
             # fault scheduled actually took it.
-            assert plan.fired() == len(plan) == 4, plan.describe()
+            history.fired(4)
             # Membership is consistent whatever the outcomes were.
             assert sorted(coord.ring.shards()) == sorted(coord.shards)
             # The bar: no acked write lost, nothing preloaded missing.
-            assert_no_acked_loss(coord, acked)
+            history.readback(coord.get)
             for i in range(N_KEYS):
                 assert coord.get(b"key-%04d" % i) is not None, \
                     plan.describe()
@@ -513,10 +483,10 @@ class TestChaosGauntlet:
                 engine = coord.elastic
                 engine.add_shard("shard-2")
                 rng = random.Random(29)
-                acked = {}
-                drive_until_idle(coord, rng, acked, n_keys=64)
+                history = History()
+                drive_until_idle(coord, rng, history, n_keys=64)
                 engine.remove_shard("shard-0")
-                drive_until_idle(coord, rng, acked, n_keys=64)
+                drive_until_idle(coord, rng, history, n_keys=64)
                 cycles = {sid: coord.shards[sid].meter.cycles
                           for sid in sorted(coord.shards)}
                 return cycles, engine.stats()["keys_migrated"]

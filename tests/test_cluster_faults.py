@@ -12,7 +12,6 @@ through the trusted (metered, re-sealed) path before rejoining.
 """
 
 import random
-import time
 
 import pytest
 
@@ -37,12 +36,9 @@ from repro.errors import (
     ShardUnreachableError,
 )
 from repro.server import protocol
-from repro.server.protocol import (
-    STATUS_INTEGRITY_FAILURE,
-    STATUS_NOT_FOUND,
-    STATUS_OK,
-    STATUS_UNAVAILABLE,
-)
+from repro.server.protocol import STATUS_INTEGRITY_FAILURE, STATUS_OK
+
+from tests.chaos import History, ZipfStream
 
 pytestmark = pytest.mark.faults
 
@@ -233,7 +229,6 @@ def replicated_server():
 
 class TestNetFaults:
     def _serve(self, coordinator, fault_plan=None, **kwargs):
-        from repro.cluster.netserver import ClusterNetServer
         return BackgroundServer(
             coordinator, fault_plan=fault_plan, **kwargs
         )
@@ -356,12 +351,6 @@ class TestChaos:
 
     N_KEYS = 200
     OPS = 1200
-    ZIPF_S = 0.99
-
-    @staticmethod
-    def _zipf_keys(rng, n_keys, n_ops, s):
-        weights = [1.0 / (rank ** s) for rank in range(1, n_keys + 1)]
-        return rng.choices(range(n_keys), weights=weights, k=n_ops)
 
     def test_single_replica_kills_lose_no_acknowledged_write(self, fault_record):
         # Triggers count each *replica's own* flushed ops: a group's
@@ -379,39 +368,13 @@ class TestChaos:
         coord.health_monitor = monitor
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))
 
-        rng = random.Random(42)
-        acked = {}
-        version = 0
-        ops_done = 0
-        while ops_done < self.OPS or (plan.fired() < len(plan)
-                                      and ops_done < 8 * self.OPS):
-            picks = self._zipf_keys(rng, self.N_KEYS, 24, self.ZIPF_S)
-            batch, expected = [], []
-            for pick in picks:
-                key = b"key-%04d" % pick
-                if rng.random() < 0.5:
-                    version += 1
-                    value = b"val-%08d" % version
-                    batch.append(protocol.put(key, value))
-                    expected.append((key, value))
-                else:
-                    batch.append(protocol.get(key))
-                    expected.append((key, None))
-            responses = coord.execute(batch)
-            ops_done += len(batch)
-            for (key, value), response in zip(expected, responses):
-                # No request may be lost or alarmed: every slot filled,
-                # every response a served OK (NOT_FOUND is impossible —
-                # all keys were preloaded).
-                assert response is not None
-                assert response.status == STATUS_OK, (
-                    f"{key}: status {response.status} {response.value!r}\n"
-                    f"{plan.describe()}")
-                if value is not None and response.status == STATUS_OK:
-                    acked[key] = value
+        # No request may be lost or alarmed: every slot a served OK
+        # (NOT_FOUND is impossible — all keys were preloaded).
+        history = History(plan=plan)
+        history.run(coord.execute, ZipfStream(random.Random(42), self.N_KEYS),
+                    history.until_fired(self.OPS, 8 * self.OPS))
 
-        assert plan.fired() == len(plan) == 4, \
-            plan.describe()  # the schedule all fired...
+        history.fired(4)
         downs = sum(r.downs for g in coord.shard_list()
                     for r in g.replicas)
         assert downs >= 1, \
@@ -423,12 +386,7 @@ class TestChaos:
             assert report.keys_copied > 0
             assert report.src_cycles > 0
             assert report.dst_cycles > 0
-        for group in coord.shard_list():
-            for replica in group.replicas:
-                assert replica.state is ReplicaState.UP, (
-                    f"{replica.replica_id} never rejoined\n{plan.describe()}")
+        history.replicas_up(coord)
 
         # The bar: every acknowledged write is still readable.
-        for key, value in acked.items():
-            assert coord.get(key) == value, (
-                f"lost acked write on {key}\n{plan.describe()}")
+        history.readback(coord.get)

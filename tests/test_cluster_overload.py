@@ -44,6 +44,8 @@ from repro.server.protocol import (
 )
 from repro.sgx.monotonic import MonotonicCounterService
 
+from tests.chaos import History, ZipfStream
+
 pytestmark = pytest.mark.overload
 
 
@@ -711,54 +713,14 @@ class TestOverloadGauntlet:
     """zipf(0.99) hot-shard storm with one SLOW shard: degrade, don't die."""
 
     N_KEYS = 200
-    ZIPF_S = 0.99
     OPS_PER_ROUND = 24
     STALL = 0.03
 
-    @staticmethod
-    def _zipf_keys(rng, n_keys, n_ops, s):
-        weights = [1.0 / (rank ** s) for rank in range(1, n_keys + 1)]
-        return rng.choices(range(n_keys), weights=weights, k=n_ops)
-
-    def _drive(self, coord, rng, rounds, *, budget, acked, versions):
+    def _drive(self, coord, history, stream, rounds, budget):
         """Run seeded zipf rounds; returns (ok, offered) goodput terms."""
-        ok = offered = 0
-        for _ in range(rounds):
-            picks = self._zipf_keys(rng, self.N_KEYS,
-                                    self.OPS_PER_ROUND, self.ZIPF_S)
-            batch, expected = [], []
-            for pick in picks:
-                key = b"key-%04d" % pick
-                if rng.random() < 0.5:
-                    versions[0] += 1
-                    value = b"val-%08d" % versions[0]
-                    batch.append(protocol.put(key, value))
-                    expected.append((key, value))
-                else:
-                    batch.append(protocol.get(key))
-                    expected.append((key, None))
-            deadline = Deadline(budget) if budget is not None else None
-            if deadline is None:
-                responses = coord.execute(batch)
-            else:
-                responses = coord.execute(batch, deadline=deadline)
-            offered += len(batch)
-            for (key, value), response in zip(expected, responses):
-                assert response is not None
-                if response.status == STATUS_OK:
-                    ok += 1
-                    if value is not None:
-                        acked[key] = value
-                else:
-                    # Graceful degradation means *typed* refusal: every
-                    # non-OK answer is an OVERLOADED shed carrying a
-                    # positive retry_after hint and a reason.
-                    assert response.status == STATUS_OVERLOADED, (
-                        f"{key}: status {response.status} "
-                        f"{response.value!r}")
-                    assert protocol.retry_after_hint(response) > 0
-                    assert protocol.overload_reason(response) != b""
-        return ok, offered
+        return history.run(
+            lambda batch: coord.execute(batch, deadline=Deadline(budget)),
+            stream, lambda ops: ops < rounds * self.OPS_PER_ROUND)
 
     def test_hot_shard_storm_degrades_gracefully(self, fault_record):
         plan = fault_record(FaultPlan())  # stalls applied directly below
@@ -772,21 +734,24 @@ class TestOverloadGauntlet:
         coord.health_monitor = monitor
         preload(coord, self.N_KEYS)
 
-        rng = random.Random(99)
-        acked, versions = {}, [0]
+        # Graceful degradation means *typed* refusal: every non-OK answer
+        # is an OVERLOADED shed carrying a positive retry_after hint and a
+        # reason.
+        history = History(allowed=(STATUS_OVERLOADED,))
+        stream = ZipfStream(random.Random(99), self.N_KEYS,
+                            per_batch=self.OPS_PER_ROUND)
         # zipf(0.99) rank-1 key: the storm's hot spot and the shard the
         # stall lands on — adversarial skew aimed at one partition.
         hot_group = coord.shards[coord.ring.route(b"key-0000")]
 
-        calm_ok, calm_offered = self._drive(
-            coord, rng, 6, budget=0.5, acked=acked, versions=versions)
+        calm_ok, calm_offered = self._drive(coord, history, stream, 6, 0.5)
         assert calm_ok == calm_offered  # pre-storm goodput is 1.0
 
         # The storm: the hot partition's primary turns slow-but-alive
         # while the skewed workload keeps hammering it.
         hot_group.replicas[0].shard.stall(self.STALL)
         storm_ok, storm_offered = self._drive(
-            coord, rng, 10, budget=0.25, acked=acked, versions=versions)
+            coord, history, stream, 10, 0.25)
         storm_goodput = storm_ok / storm_offered
         calm_goodput = calm_ok / calm_offered
         assert storm_goodput >= 0.6 * calm_goodput, (
@@ -804,12 +769,10 @@ class TestOverloadGauntlet:
         [probe] = coord.execute([protocol.get(b"key-0000")],
                                 deadline=Deadline(1.0))
         assert probe.status == STATUS_OK
-        recov_ok, recov_offered = self._drive(
-            coord, rng, 4, budget=0.5, acked=acked, versions=versions)
+        recov_ok, recov_offered = self._drive(coord, history, stream, 4, 0.5)
         assert recov_ok == recov_offered, "goodput did not recover"
         assert coord.overload.stats()["breakers_open"] == 0
 
         # The bar: zero acknowledged writes lost — shed writes never
         # executed, acked writes all survived the storm.
-        for key, value in acked.items():
-            assert coord.get(key) == value, f"lost acked write on {key}"
+        history.readback(coord.get)

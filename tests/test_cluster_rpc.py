@@ -41,7 +41,6 @@ from repro.cluster import (
     ProcessBackend,
     ShardHost,
     SocketShard,
-    build_cluster,
 )
 from repro.cluster import remote, rpc, sockbackend
 from repro.cluster.framing import write_frame
@@ -697,9 +696,10 @@ def test_process_cluster_never_pickles_through_the_pipe(monkeypatch):
         pytest.skip("spawn-started workers re-import an unpatched module")
     monkeypatch.setattr(multiprocessing.connection.Connection, "send", refuse)
     monkeypatch.setattr(multiprocessing.connection.Connection, "recv", refuse)
-    cluster = build_cluster(ClusterConfig(
+    cluster = ClusterConfig(
         n_shards=4, n_keys=512, scale=2048, batch_window=8, backend="process",
-        vnodes={"shard-0": 116, "shard-1": 4, "shard-2": 4, "shard-3": 4}))
+        vnodes={"shard-0": 116, "shard-1": 4, "shard-2": 4,
+                "shard-3": 4}).build()
     try:
         pairs = [(b"key-%04d" % i, b"val-%04d" % i) for i in range(256)]
         cluster.load(pairs)                                        # load

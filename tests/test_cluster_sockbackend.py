@@ -60,8 +60,10 @@ from repro.errors import (
     ShardUnreachableError,
 )
 from repro.server import protocol
-from repro.server.protocol import STATUS_OK, encode_batch_responses
+from repro.server.protocol import STATUS_OK
 from repro.sgx.meter import CycleMeter
+
+from tests.chaos import History, ZipfStream
 
 pytestmark = pytest.mark.dist
 
@@ -680,11 +682,6 @@ class TestGauntlet:
     N_KEYS = 160
     OPS = 900
 
-    @staticmethod
-    def _zipf_keys(rng, n_keys, n_ops, s=0.99):
-        weights = [1.0 / (rank ** s) for rank in range(1, n_keys + 1)]
-        return rng.choices(range(n_keys), weights=weights, k=n_ops)
-
     def _attack_one_link(self, cluster):
         """Play the on-path adversary against one live shard link."""
         for group in cluster.shard_list():
@@ -724,44 +721,21 @@ class TestGauntlet:
 
             cluster.load((b"key-%04d" % i, b"init")
                          for i in range(self.N_KEYS))
-            rng = random.Random(7)
-            acked = {}
-            version = 0
-            ops_done = 0
-            sigkilled = False
-            attacked = False
-            while ops_done < self.OPS or plan.fired() < len(plan):
-                if ops_done > 8 * self.OPS:  # safety valve, not the bar
-                    break
-                if ops_done >= self.OPS // 3 and not sigkilled:
+            history = History(plan=plan)
+            stream = ZipfStream(random.Random(7), self.N_KEYS)
+            until = history.until_fired(self.OPS, 8 * self.OPS)
+            sigkilled = attacked = False
+            while until(history.offered):
+                if history.offered >= self.OPS // 3 and not sigkilled:
                     backend.hosts()[0].kill()  # a whole host, SIGKILL
                     sigkilled = True
-                if ops_done >= self.OPS // 2 and not attacked:
+                if history.offered >= self.OPS // 2 and not attacked:
                     attacked = self._attack_one_link(cluster)
-                picks = self._zipf_keys(rng, self.N_KEYS, 24)
-                batch, expected = [], []
-                for pick in picks:
-                    key = b"key-%04d" % pick
-                    if rng.random() < 0.5:
-                        version += 1
-                        value = b"val-%08d" % version
-                        batch.append(protocol.put(key, value))
-                        expected.append((key, value))
-                    else:
-                        batch.append(protocol.get(key))
-                        expected.append((key, None))
-                responses = cluster.execute(batch)
-                ops_done += len(batch)
-                for (key, value), response in zip(expected, responses):
-                    assert response is not None
-                    assert response.status == STATUS_OK, (
-                        f"{key}: status {response.status} "
-                        f"{response.value!r}\n{plan.describe()}")
-                    if value is not None:
-                        acked[key] = value
+                batch = stream.batch()
+                history.record(batch, cluster.execute(batch))
 
             assert sigkilled and attacked
-            assert plan.fired() == len(plan), plan.describe()
+            history.fired()
             downs = sum(r.downs for g in cluster.shard_list()
                         for r in g.replicas)
             assert downs >= 1, plan.describe()
@@ -769,18 +743,13 @@ class TestGauntlet:
             # Recovery converges: every replica back UP.
             for _ in range(4):
                 monitor.check()
-            for group in cluster.shard_list():
-                for replica in group.replicas:
-                    assert replica.state is ReplicaState.UP, (
-                        f"{replica.replica_id} never rejoined\n"
-                        f"{plan.describe()}")
+            history.replicas_up(cluster)
 
             # The bar: zero acknowledged writes lost.
-            for key, value in acked.items():
-                assert cluster.get(key) == value, (
-                    f"acked write to {key} lost\n{plan.describe()}")
+            history.readback(cluster.get)
 
             # And the serving state is still byte-equal across replicas.
+            acked = history.acked
             sample = sorted(acked)[:16]
             for group in cluster.shard_list():
                 for replica in group.replicas:

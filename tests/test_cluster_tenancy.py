@@ -31,6 +31,8 @@ from repro.errors import HandshakeError
 from repro.server import protocol
 from repro.server.protocol import STATUS_NOT_FOUND, STATUS_OK, STATUS_OVERLOADED
 
+from tests.chaos import History
+
 pytestmark = pytest.mark.tenant
 
 
@@ -299,40 +301,34 @@ class TestWhaleMinnowGauntlet:
     ROUNDS = 4
     MINNOW_OPS = 3  # put + get + one extra get per round
 
-    def minnow_round(self, client, round_no, acked):
+    @staticmethod
+    def minnow_round(client, round_no, history):
         key = b"minnow-%02d" % round_no
         value = b"m-%02d" % round_no
-        statuses = []
-        put = client.put(key, value)
-        statuses.append(put.status)
-        if put.status == STATUS_OK:
-            acked[key] = value
-        get = client.get(key)
-        statuses.append(get.status)
-        reread = client.get(b"minnow-00")
-        statuses.append(reread.status)
-        return sum(1 for s in statuses if s == STATUS_OK)
+        history.record([protocol.put(key, value)], [client.put(key, value)])
+        history.record([protocol.get(key)], [client.get(key)])
+        history.record([protocol.get(b"minnow-00")],
+                       [client.get(b"minnow-00")])
 
-    def run_minnow_phase(self, host, port, with_whale):
-        acked = {}
-        ok = 0
-        with ClusterClient.connect(host, port, tenant="minnow") as minnow:
-            whale = None
+    def run_minnow_phase(self, host, port, minnow, whale=None):
+        """The minnow's rounds, each behind a whale batch when ``whale``
+        (the whale's History) is given; returns the minnow's OK count."""
+        ok = minnow.ok
+        with ClusterClient.connect(host, port, tenant="minnow") as client:
+            flood = None
             try:
-                if with_whale:
-                    whale = ClusterClient.connect(host, port, tenant="whale")
-                whale_responses = []
-                for round_no in range(self.ROUNDS):
-                    if whale is not None:
-                        whale_responses.extend(whale.request_batch(
-                            [protocol.put(b"w-%02d-%d" % (round_no, i),
-                                          b"W" * 32)
-                             for i in range(8)]))
-                    ok += self.minnow_round(minnow, round_no, acked)
-            finally:
                 if whale is not None:
-                    whale.close()
-        return ok, acked, whale_responses if with_whale else []
+                    flood = ClusterClient.connect(host, port, tenant="whale")
+                for round_no in range(self.ROUNDS):
+                    if flood is not None:
+                        batch = [protocol.put(b"w-%02d-%d" % (round_no, i),
+                                              b"W" * 32) for i in range(8)]
+                        whale.record(batch, flood.request_batch(batch))
+                    self.minnow_round(client, round_no, minnow)
+            finally:
+                if flood is not None:
+                    flood.close()
+        return minnow.ok - ok
 
     def test_minnow_goodput_holds_under_whale_flood(self, cluster_backend):
         clock = FakeClock()
@@ -340,10 +336,10 @@ class TestWhaleMinnowGauntlet:
                        clock=clock)
         try:
             host, port = server.server.address
-            solo_ok, solo_acked, _ = self.run_minnow_phase(
-                host, port, with_whale=False)
-            stormy_ok, acked, whale_responses = self.run_minnow_phase(
-                host, port, with_whale=True)
+            minnow = History(allowed=(STATUS_OVERLOADED,))
+            whale = History(allowed=(STATUS_OVERLOADED,))
+            solo_ok = self.run_minnow_phase(host, port, minnow)
+            stormy_ok = self.run_minnow_phase(host, port, minnow, whale)
 
             # The acceptance bar: minnow goodput >= 0.8 of solo.
             assert solo_ok == self.ROUNDS * self.MINNOW_OPS
@@ -352,9 +348,8 @@ class TestWhaleMinnowGauntlet:
             # The whale was shed — typed, with its own bucket's refill
             # time as the hint (the clock never advances, so every shed
             # prices the same one-token deficit).
-            sheds = [r for r in whale_responses
-                     if r.status == STATUS_OVERLOADED]
-            assert len(sheds) == len(whale_responses) - 5  # burst admits 5
+            sheds = whale.refused
+            assert len(sheds) == whale.offered - 5  # burst admits 5
             for shed in sheds:
                 assert protocol.retry_after_hint(shed) == \
                     pytest.approx(1.0 / 50.0, abs=1e-3)
@@ -363,8 +358,7 @@ class TestWhaleMinnowGauntlet:
 
             # Zero acked-write loss: every OK-acked minnow put reads back.
             with ClusterClient.connect(host, port, tenant="minnow") as m:
-                for key, value in sorted(acked.items()):
-                    assert m.get(key).value == value
+                minnow.readback(lambda key: m.get(key).value)
 
             # The shed ledger charges the offender, visible on OP_HEALTH.
             with ClusterClient.connect(host, port, tenant="minnow") as m:

@@ -17,7 +17,6 @@ import random
 import pytest
 
 from repro.cluster import (
-    CHAOS_DUR_KINDS,
     ClusterConfig,
     FaultPlan,
     HealthMonitor,
@@ -34,6 +33,8 @@ from repro.persist import (
 from repro.server import protocol
 from repro.server.protocol import STATUS_OK, STATUS_UNAVAILABLE
 from repro.sgx.monotonic import MonotonicCounterService
+
+from tests.chaos import History, ZipfStream
 
 pytestmark = pytest.mark.durability
 
@@ -273,12 +274,6 @@ class TestDurableChaos:
     be lost, and the failing seed + schedule must be printable."""
 
     N_KEYS = 96
-    ZIPF_S = 0.99
-
-    @staticmethod
-    def _zipf_keys(rng, n_keys, n_ops, s):
-        weights = [1.0 / (rank ** s) for rank in range(1, n_keys + 1)]
-        return rng.choices(range(n_keys), weights=weights, k=n_ops)
 
     def test_chaos_with_disk_sabotage_loses_no_acked_write(self, fault_record):
         targets = [f"shard-{i}/r{j}" for i in range(2) for j in range(2)]
@@ -294,32 +289,13 @@ class TestDurableChaos:
         coord.health_monitor = monitor
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))
 
-        rng = random.Random(7)
-        acked = {}
-        version = 0
-        ops_done = 0
-        while ops_done < 800 or (plan.fired() < len(plan)
-                                 and ops_done < 6400):
-            picks = self._zipf_keys(rng, self.N_KEYS, 16, self.ZIPF_S)
-            batch, expected = [], []
-            for pick in picks:
-                key = b"key-%04d" % pick
-                if rng.random() < 0.5:
-                    version += 1
-                    value = b"val-%08d" % version
-                    batch.append(protocol.put(key, value))
-                    expected.append((key, value))
-                else:
-                    batch.append(protocol.get(key))
-                    expected.append((key, None))
-            responses = coord.execute(batch)
-            ops_done += len(batch)
-            for (key, value), response in zip(expected, responses):
-                assert response is not None, \
-                    f"missing response for {key}\n{plan.describe()}"
-                if value is not None and response.status == STATUS_OK:
-                    acked[key] = value
-        assert plan.fired() == len(plan), plan.describe()
+        # A write the disk cannot make durable is answered UNAVAILABLE,
+        # never acked.
+        history = History(allowed=(STATUS_UNAVAILABLE,), plan=plan)
+        history.run(coord.execute,
+                    ZipfStream(random.Random(7), self.N_KEYS, per_batch=16),
+                    history.until_fired(800, 6400))
+        history.fired()
 
         # Now the worst case: every replica of every partition dies at once.
         for group in coord.shard_list():
@@ -327,12 +303,7 @@ class TestDurableChaos:
         monitor.check()
         assert monitor.recovery_failures == [], plan.describe()
         assert monitor.total_recoveries() == 2, plan.describe()
-        for group in coord.shard_list():
-            for replica in group.replicas:
-                assert replica.state is ReplicaState.UP, (
-                    f"{replica.replica_id} never rejoined\n{plan.describe()}")
+        history.replicas_up(coord)
 
         # The bar: every acknowledged write survived total partition death.
-        for key, value in acked.items():
-            assert coord.get(key) == value, (
-                f"lost acked write on {key}\n{plan.describe()}")
+        history.readback(coord.get)

@@ -19,7 +19,6 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FRAME_HEADER,
-    build_cluster,
 )
 from repro.server import protocol
 from repro.server.protocol import BatchRejectedError
@@ -31,8 +30,8 @@ def door_threads():
 
 @pytest.fixture()
 def cluster():
-    coordinator = build_cluster(ClusterConfig(
-        n_shards=2, n_keys=256, scale=2048, batch_window=8))
+    coordinator = ClusterConfig(
+        n_shards=2, n_keys=256, scale=2048, batch_window=8).build()
     coordinator.load(
         (b"key-%03d" % i, b"val-%03d" % i) for i in range(64)
     )
@@ -151,8 +150,8 @@ class TestPipelining:
                 failures.append(exc)
 
         def run(concurrent):
-            coordinator = build_cluster(ClusterConfig(
-                n_shards=2, n_keys=512, scale=2048, batch_window=8))
+            coordinator = ClusterConfig(
+                n_shards=2, n_keys=512, scale=2048, batch_window=8).build()
             coordinator.load(
                 (b"key-%03d" % i, b"val-%03d" % i) for i in range(64))
             failures = []
@@ -432,8 +431,8 @@ def drive_seeded_stream(n_frames=200, seed=1809):
     from repro.errors import AriaError
 
     rng = random.Random(seed)
-    coordinator = build_cluster(ClusterConfig(
-        n_shards=2, n_keys=512, scale=2048, batch_window=8))
+    coordinator = ClusterConfig(
+        n_shards=2, n_keys=512, scale=2048, batch_window=8).build()
     coordinator.load((b"key-%03d" % i, b"val-%03d" % i) for i in range(256))
     plan = (FaultPlan().delay(at=30, seconds=0.001).tamper(at=60)
             .replay(at=120).close(at=150))

@@ -18,10 +18,9 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FaultPlan,
-    build_cluster,
 )
 from repro.cluster import session as wire
-from repro.cluster.framing import FRAME_HEADER, read_frame, write_frame
+from repro.cluster.framing import read_frame, write_frame
 from repro.crypto.backend import get_backend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
@@ -36,17 +35,23 @@ from repro.errors import (
 )
 from repro.server import protocol
 
+from tests.chaos import History
+
 pytestmark = pytest.mark.wire
 
 
-@pytest.fixture()
-def cluster():
-    coordinator = build_cluster(ClusterConfig(
-        n_shards=2, n_keys=256, scale=2048, batch_window=8))
+def wire_cluster():
+    coordinator = ClusterConfig(
+        n_shards=2, n_keys=256, scale=2048, batch_window=8).build()
     coordinator.load(
         (b"key-%03d" % i, b"val-%03d" % i) for i in range(32)
     )
     return coordinator
+
+
+@pytest.fixture()
+def cluster():
+    return wire_cluster()
 
 
 @pytest.fixture()
@@ -444,15 +449,14 @@ class TestWireFaults:
             host, port = background.server.address
             client = ClusterClient.connect(host, port, retries=0)
             seen = set()
-            acked = {}
+            history = History(plan=plan)
             try:
                 for i in range(10):
                     key, value = b"g-%02d" % i, b"v-%02d" % i
                     while True:
                         try:
-                            response = client.put(key, value)
-                            assert response.status == protocol.Status.OK
-                            acked[key] = value
+                            history.record([protocol.put(key, value)],
+                                           [client.put(key, value)])
                             break
                         except (TamperedFrameError, ReplayError,
                                 ClusterTimeoutError,
@@ -460,12 +464,11 @@ class TestWireFaults:
                             seen.add(type(exc).__name__)
                             client._reconnect()
                 # Every acknowledged write must be readable afterwards.
-                for key, value in acked.items():
-                    assert client.get(key).value == value, (
-                        f"lost acked write on {key}\n{plan.describe()}")
+                history.readback(lambda key: client.get(key).value)
             finally:
                 client.close()
-            assert len(acked) == 10, plan.describe()
+            assert len(history.acked) == 10, plan.describe()
+            history.fired(3)
             assert background.server.tamper_injections == 2
             assert background.server.replay_injections == 1
             assert {"TamperedFrameError", "ReplayError"} <= seen
