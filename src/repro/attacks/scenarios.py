@@ -76,6 +76,30 @@ def corrupt_record_in_place(store: AriaStore, key: bytes) -> None:
     attacker.flip_bit(entry_addr + 12 + 8)  # inside the ciphertext
 
 
+def plant_corruption(store: AriaStore, key: bytes = b"") -> bool:
+    """Flip a ciphertext bit of one record in ``store``'s untrusted memory.
+
+    The whole plant — victim selection (unmetered: it is the attacker's
+    work) plus the bit flip — runs against the *real* store, so it must
+    execute wherever the enclave lives: ``ShardHandle.plant_corruption``
+    calls it directly, remote handles run it beside the enclave via the
+    ``plant_corruption`` RPC.  Returns whether a corruption landed (an
+    empty store, a vanished key, or a previously-tripped alarm all mean
+    there was nothing to tamper with).
+    """
+    from repro.sgx.meter import MeterPause
+
+    if len(store) == 0:
+        return False
+    try:
+        with MeterPause(store.enclave.meter):
+            victim = key or next(iter(store.keys()))
+        corrupt_record_in_place(store, victim)
+    except AriaError:
+        return False
+    return True
+
+
 def tamper_record_body(store: AriaStore, key: bytes) -> AttackOutcome:
     """Flip one ciphertext bit of a record; the next Get must detect it."""
     entry_addr = _entry_addr(store, key)

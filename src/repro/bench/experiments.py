@@ -1490,6 +1490,7 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
 
     from repro.cluster import (
         ClusterConfig,
+        FaultyBackend,
         OverloadConfig,
         build_replicated_cluster,
     )
@@ -1530,11 +1531,11 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
                 for r in responses]
 
     for backend in ("inline", "process", "socket"):
-        # Every replica is FaultyShard-wrapped, so the stall can be
-        # applied directly at halftime, backend-independently.
+        # Every replica is built wrapped for fault injection, so the
+        # stall can be applied directly at halftime, backend-independently.
         coordinator = build_replicated_cluster(ClusterConfig(
             n_shards=n_shards, replication=2, n_keys=n_keys, scale=scale,
-            batch_window=batch_window, backend=backend,
+            batch_window=batch_window, backend=FaultyBackend(backend),
             overload=OverloadConfig(breaker_failures=2, breaker_latency=0.25,
                                     breaker_recovery=120.0)))
         try:

@@ -31,9 +31,9 @@ front door:
 * :mod:`~repro.cluster.stats` — cluster-wide metrics aggregation;
 * :mod:`~repro.cluster.replication` — per-partition replica groups:
   fan-out writes, preferred-replica reads, automatic failover;
-* :mod:`~repro.cluster.faults` — deterministic fault injection
-  (kill / corrupt / partition / net delay / drop / close) on replayable
-  schedules;
+* :mod:`~repro.cluster.faults` — deterministic fault injection on
+  replayable schedules, played by wrappers at the backend, disk and
+  front-door seams;
 * :mod:`~repro.cluster.health` — replica health tracking, restart, and
   trusted-path re-sync;
 * :mod:`~repro.cluster.overload` — admission control and graceful
@@ -58,7 +58,6 @@ from repro.cluster.backend import (
     BACKEND_NAMES,
     InlineBackend,
     ShardBackend,
-    default_backend_name,
     resolve_backend,
     set_default_backend,
 )
@@ -75,13 +74,11 @@ from repro.cluster.coordinator import (
 from repro.cluster.elastic import (
     CONSTRAINT_MODELS,
     MIGRATION_STAGES,
-    STAGE_ORDINALS,
     ElasticCluster,
     ReconfigPlan,
     ReconfigPlanner,
     ShardSpec,
     TopologyDelta,
-    elastic_target,
 )
 from repro.errors import PlanRejectedError
 from repro.cluster.tenancy import (
@@ -107,14 +104,20 @@ from repro.cluster.faults import (
     REPLAY,
     ROLLBACK,
     SLOW,
+    STAGE_ORDINALS,
     TAMPER,
     TORN,
     TRUNCATE,
     WIRE_KINDS,
     FaultEvent,
     FaultPlan,
+    FaultyBackend,
+    FaultyBackgroundServer,
+    FaultyDisk,
+    FaultyDoor,
     FaultyShard,
     dur_target,
+    elastic_target,
 )
 from repro.cluster.health import (
     DEFAULT_CHECK_EVERY,
@@ -215,6 +218,10 @@ __all__ = [
     "FRAME_HEADER",
     "FaultEvent",
     "FaultPlan",
+    "FaultyBackend",
+    "FaultyBackgroundServer",
+    "FaultyDisk",
+    "FaultyDoor",
     "FaultyShard",
     "HashRing",
     "HealthMonitor",
@@ -253,7 +260,6 @@ __all__ = [
     "WIRE_KINDS",
     "build_replica_group",
     "build_replicated_cluster",
-    "default_backend_name",
     "default_tenant_secret",
     "dur_target",
     "serve",

@@ -2,8 +2,8 @@
 
 Everything above a shard — :class:`~repro.cluster.coordinator
 .ClusterCoordinator`, :class:`~repro.cluster.replication.ReplicaGroup`,
-:class:`~repro.cluster.faults.FaultyShard`, the balancer, health monitor
-and stats — talks to one typed contract, :class:`~repro.cluster.shard
+the balancer, health monitor, elastic engine and stats — talks to one
+typed contract, :class:`~repro.cluster.shard
 .ShardHandle` (``shard_id``, ``store``, ``server.flush_batch``, ``meter``,
 balancer marks, ``stats``, every optional member declared with a default).
 This module is its factory side, with three interchangeable implementations:
@@ -63,6 +63,10 @@ class ShardBackend(abc.ABC):
         identically wherever it lives.
         """
 
+    def enter_stage(self, shard_id: str, subject, stage: str) -> None:
+        """A live migration of ``shard_id`` entered ``stage``; ``subject``
+        is that shard's handle (None before an add has built it)."""
+
     def close(self, timeout: float = 5.0) -> None:
         """Release whatever the backend holds (worker processes, pipes)."""
 
@@ -97,14 +101,6 @@ def set_default_backend(backend: BackendSpec) -> BackendSpec:
         _check_name(backend)
     _default_backend = backend
     return previous
-
-
-def default_backend_name() -> str:
-    """The name the *next* ``resolve_backend(None)`` call would use."""
-    backend = _default_backend
-    if backend is None:
-        backend = os.environ.get(BACKEND_ENV_VAR) or "inline"
-    return backend if isinstance(backend, str) else backend.name
 
 
 def resolve_backend(backend: BackendSpec = None) -> ShardBackend:

@@ -121,9 +121,7 @@ class ClusterConfig:
     #: consumed at build and the planner refuses every add.
     max_shards: Optional[int] = None
     #: Extra ``build_aria``/AriaConfig overrides applied to every shard
-    #: store (``value_hint``, ``crypto_backend``, ...).  A ``fault_plan``
-    #: entry is not a store field: it wraps the replicas of replica-group
-    #: builds for fault injection.
+    #: store (``value_hint``, ``crypto_backend``, ...).
     shard_overrides: Mapping[str, object] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -215,7 +213,6 @@ class ClusterConfig:
         enclave keeps the count even if its environment differs.
         """
         overrides = self.resolved_shard_overrides()
-        overrides.pop("fault_plan", None)
         return EnclaveSpec(
             shard_id,
             epc_bytes=self.per_enclave_epc_bytes(),
@@ -245,7 +242,6 @@ class ClusterConfig:
             cluster_epc_bytes=(enclave.epc_bytes * self.replication
                                * budget_shards),
             replication=self.replication,
-            fault_plan=self.shard_overrides.get("fault_plan"),
             durability_factory=durability_factory,
         )
 
@@ -270,11 +266,6 @@ class ClusterConfig:
         if self.replication > 1 or self.durability is not None:
             coordinator = _build_replica_groups(self, clock)
         else:
-            if self.shard_overrides.get("fault_plan") is not None:
-                raise ConfigurationError(
-                    "a fault_plan addresses replicas: build replica groups "
-                    "(replication >= 2, durability, or "
-                    "build_replicated_cluster(config))")
             factory = resolve_backend(self.backend)
             coordinator = ClusterCoordinator(
                 [factory.create(self.enclave_spec(f"shard-{i}",

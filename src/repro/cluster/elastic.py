@@ -40,11 +40,9 @@ Migration state machine::
                  \\        +--> ABORT (destination lost) -> IDLE
                   +--> ABORT (cannot establish replicas/durability) -> IDLE
 
-Fault injections (KILL / PARTITION / SLOW on shards, torn writes on the
-durability sidecar) are addressable at every stage transition through the
-spec's :class:`~repro.cluster.faults.FaultPlan` using
-:func:`elastic_target` targets, and the chaos gauntlet in
-``tests/test_cluster_elastic.py`` drives them on all three backends.
+Every stage entry is announced to the coordinator's shard backend
+(:meth:`~repro.cluster.backend.ShardBackend.enter_stage`), which is where
+stage-addressed fault injection hooks in (ARCHITECTURE §17).
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.replication import build_replica_group
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
 from repro.cluster.shard import EnclaveSpec
@@ -79,10 +76,6 @@ STAGE_CUTOVER = "cutover"
 STAGE_RETIRE = "retire"
 MIGRATION_STAGES = (STAGE_PREPARE, STAGE_SYNC, STAGE_CUTOVER, STAGE_RETIRE)
 
-#: FaultPlan ordinals for stage-addressed injection: an event scheduled
-#: ``at`` one of these fires when the migration *enters* that stage.
-STAGE_ORDINALS = {name: i + 1 for i, name in enumerate(MIGRATION_STAGES)}
-
 #: The five constraint models (plus "topology" for structurally invalid
 #: deltas), in checking order.
 CONSTRAINT_MODELS = (
@@ -92,17 +85,6 @@ CONSTRAINT_MODELS = (
     "tenant_quota",
     "migration_cost",
 )
-
-
-def elastic_target(shard_id: str) -> str:
-    """The FaultPlan target for stage-addressed migration faults.
-
-    Events scheduled against this target (with ``at`` set to a
-    :data:`STAGE_ORDINALS` value) are applied to the migration's subject
-    shard — the new shard for an add, the leaving shard for a remove —
-    when the migration enters that stage.
-    """
-    return f"{shard_id}/elastic"
 
 
 # -- the proposed change ----------------------------------------------------------
@@ -186,9 +168,6 @@ class ShardSpec:
     #: delta whose enclave count would overflow it.
     cluster_epc_bytes: int
     replication: int = 1
-    #: Chaos addressability: new shards' replicas are wrapped with this
-    #: plan, and stage-transition events fire against ``elastic_target``.
-    fault_plan: Optional[FaultPlan] = None
     #: Mints a durability sidecar for a freshly built group
     #: (``factory(group) -> PartitionDurability``); required by the
     #: ``durability_continuity`` model when the cluster is durable.
@@ -435,8 +414,7 @@ class _Migration:
     """One in-flight topology change (internal engine state)."""
 
     __slots__ = ("plan", "kind", "subject_id", "target_ring", "new_shard",
-                 "pending", "cursor", "copied", "retire_cursor", "stage",
-                 "faults_applied")
+                 "pending", "cursor", "copied", "retire_cursor", "stage")
 
     def __init__(self, plan: ReconfigPlan, kind: str, subject_id: str,
                  target_ring: HashRing, new_shard=None):
@@ -452,7 +430,6 @@ class _Migration:
         self.copied: List[Tuple[str, bytes]] = []
         self.retire_cursor = 0
         self.stage = STAGE_PREPARE
-        self.faults_applied = 0
 
 
 class ElasticCluster:
@@ -640,9 +617,8 @@ class ElasticCluster:
 
         Always a replica group (R >= 1) built through the coordinator's
         own backend factory, so an added shard lands on the same hosting
-        (inline/process/socket) as the rest of the cluster, wrapped for
-        fault injection like every chaos-suite shard.  Cache quotas come
-        from the *live* tenancy roster, not the build-time snapshot —
+        (inline/process/socket) as the rest of the cluster.  Cache quotas
+        come from the *live* tenancy roster, not the build-time snapshot —
         the topology half of the §16 re-partitioning story.
         """
         spec = self.spec
@@ -660,7 +636,6 @@ class ElasticCluster:
             replace(spec.enclave, shard_id=shard_id, seed=seed,
                     config_overrides=overrides),
             spec.replication,
-            fault_plan=spec.fault_plan,
             backend=coordinator.backend,
         )
 
@@ -837,42 +812,26 @@ class ElasticCluster:
                 except (KeyNotFoundError, AriaError):
                     continue
 
-    # -- stage-addressed fault injection -----------------------------------------
+    # -- stage entry ---------------------------------------------------------------
 
     def _enter_stage(self, migration: _Migration, stage: str) -> None:
         migration.stage = stage
-        plan = self.spec.fault_plan
-        if plan is None:
-            return
-        subject = self._subject_faulty_shards(migration)
-        if not subject:
-            return
-        for event in plan.pop_due(elastic_target(migration.subject_id),
-                                  STAGE_ORDINALS[stage]):
-            # Round-robin across the subject's replicas: one event hits
-            # one enclave, so an R>1 subject rides out a staged KILL via
-            # failover while an R=1 subject exercises the abort path.
-            subject[migration.faults_applied % len(subject)].apply(event)
-            migration.faults_applied += 1
+        self._coordinator.backend.enter_stage(
+            migration.subject_id, self._subject(migration), stage)
         self._check_subject(migration)
 
-    def _subject_faulty_shards(self, migration: _Migration) -> List:
-        """The FaultyShard wrappers behind the migration's subject."""
+    def _subject(self, migration: _Migration):
+        """The handle of the shard the migration adds or removes (None
+        while an add has not built it)."""
         if migration.kind == "add":
-            shard = migration.new_shard
-        else:
-            # Until cutover the leaving shard is a cluster member; after
-            # it the detached group is parked on ``new_shard`` for RETIRE.
-            shard = self._coordinator.shards.get(migration.subject_id,
-                                                 migration.new_shard)
-        if shard is None:
-            return []
-        members = [r.shard for r in shard.replicas] \
-            if shard.replicas is not None else [shard]
-        return [m for m in members if isinstance(m, FaultyShard)]
+            return migration.new_shard
+        # Until cutover the leaving shard is a cluster member; after it
+        # the detached group is parked on ``new_shard`` for RETIRE.
+        return self._coordinator.shards.get(migration.subject_id,
+                                            migration.new_shard)
 
     def _check_subject(self, migration: _Migration) -> None:
-        """Abort an add whose joining group just died to a staged fault."""
+        """Abort an add whose joining group died before it joined."""
         if migration.kind != "add" or migration.new_shard is None:
             return
         # A joining shard is always a replica group (see _build_shard).

@@ -1,53 +1,33 @@
-"""Deterministic fault injection for the cluster serving layer.
+"""Deterministic fault injection at the seams the adversary owns.
 
-The paper's threat model (Section II-B) makes the *host* adversarial; a
-production deployment additionally has to survive the mundane versions of
-the same events — enclaves dying, untrusted memory rotting, connections
-hanging.  This module stages both kinds on a fixed, replayable schedule:
-
-* :class:`FaultPlan` — an ordered schedule of :class:`FaultEvent`\\ s, each
-  addressed to a target (a replica's shard id, or ``"net"`` for the TCP
-  front door) and triggered when that target's own operation/frame counter
-  reaches ``at``.  Plans are pure data: the same plan against the same
-  workload produces the same failure history, which is what makes chaos
-  tests assertable.
-* :class:`FaultyShard` — a :class:`~repro.cluster.shard.ShardHandle`
-  around another one, whose server counts the requests it flushes and
-  consults the plan before every flush: a due ``kill`` raises
-  :class:`~repro.errors.ShardCrashedError` (and keeps raising until
-  :meth:`FaultyShard.restart`), a due ``corrupt`` flips a ciphertext bit
-  in the shard's untrusted memory via ``repro.attacks`` so the *next*
-  touch of that record trips an integrity alarm.
-* net faults (``delay`` / ``drop`` / ``close``) are consumed by
-  :class:`~repro.cluster.netserver.ClusterNetServer`, keyed by its served
-  frame count.
-* wire attacks (``tamper`` / ``replay``) are the on-path adversary of
-  the v2 session layer, also played by the front door: tamper flips a
-  ciphertext bit in an outgoing sealed frame, replay resends the
-  previously sent frame.  Both must surface client-side as typed errors
-  (``TamperedFrameError`` / ``ReplayError``), never as decoded garbage.
-
-A **kill** models the loss of the enclave, not of the host: EPC contents
-and trust anchors are gone, so :meth:`FaultyShard.restart` brings up a
-*fresh* enclave (new keys, empty store) that must re-sync from a live
-replica through the trusted path before serving again (see
-``repro.cluster.health``).  Harnik et al. plan for exactly this restart
-path in production SGX storage.
+A :class:`FaultPlan` is a replayable schedule of :class:`FaultEvent`\\ s;
+three wrappers play it where each kind attacks (ARCHITECTURE §9):
+:class:`FaultyBackend` builds :class:`FaultyShard` handles (shard and
+migration-stage kinds), :class:`FaultyDisk` wraps the untrusted disk
+(durability kinds) and :class:`FaultyDoor` is the front door with an
+on-path adversary (net and wire kinds).  No production module consumes a
+plan.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional
+from collections import Counter
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional
 
+from repro.cluster.backend import BackendSpec, ShardBackend, resolve_backend
+from repro.cluster.elastic import MIGRATION_STAGES
+from repro.cluster.netserver import BackgroundServer, ClusterNetServer
 from repro.cluster.shard import ShardHandle
 from repro.errors import (
+    DiskIOError,
     ShardCrashedError,
     ShardUnreachableError,
     UnknownFaultKindError,
 )
+from repro.persist.disk import UntrustedDisk
 
 KILL = "kill"
 CORRUPT = "corrupt"
@@ -71,9 +51,9 @@ CLOSE = "close"
 # frame, or resend a recorded frame.
 TAMPER = "tamper"
 REPLAY = "replay"
-# Durability faults, consumed by repro.persist.PartitionDurability at its
-# commit boundaries (and, for the attacker-strikes-during-downtime kinds,
-# at recovery start).  ``at`` counts the partition's commit attempts.
+# Durability faults, played by FaultyDisk at a partition's commit attempts
+# (and, for the attacker-strikes-during-downtime kinds, at recovery
+# start).  ``at`` counts the partition's commit attempts.
 TORN = "torn"            # append half a record, then "crash" the write
 TRUNCATE = "truncate"    # cut the on-disk log in half
 IO_ERROR = "io_error"    # the commit write fails before any byte lands
@@ -81,7 +61,7 @@ CAPTURE = "capture"      # attacker snapshots the whole untrusted disk
 ROLLBACK = "rollback"    # attacker restores the captured disk state
 CTR_RESET = "ctr_reset"  # attacker wipes the monotonic counter
 
-#: The FaultPlan target consumed by the TCP front door.
+#: The FaultPlan target the front door plays.
 NET_TARGET = "net"
 
 _SHARD_KINDS = {KILL, CORRUPT, PARTITION, SLOW}
@@ -91,7 +71,7 @@ _DUR_KINDS = {TORN, TRUNCATE, IO_ERROR, CAPTURE, ROLLBACK, CTR_RESET}
 #: Net kinds that act on a sealed reply.
 WIRE_KINDS = frozenset({TAMPER, REPLAY})
 
-#: Kinds the durability layer consumes (see repro.persist.durability).
+#: Kinds FaultyDisk plays.
 DURABILITY_KINDS = frozenset(_DUR_KINDS)
 
 #: Durability kinds safe inside a serving-phase chaos schedule: each is
@@ -100,10 +80,28 @@ DURABILITY_KINDS = frozenset(_DUR_KINDS)
 #: belong in downtime scenarios where recovery must *reject* the state.
 CHAOS_DUR_KINDS = (TORN, TRUNCATE, IO_ERROR)
 
+#: Kinds the downtime attacker plays when a recovery starts.
+_DOWNTIME_KINDS = (CAPTURE, ROLLBACK, CTR_RESET, TRUNCATE)
+
+#: Stage ordinals for stage-addressed injection: an event scheduled ``at``
+#: one of these fires when a migration *enters* that stage.
+STAGE_ORDINALS = {name: i + 1 for i, name in enumerate(MIGRATION_STAGES)}
+
 
 def dur_target(group_id: str) -> str:
     """The FaultPlan target addressing a partition's durability sidecar."""
     return f"{group_id}/dur"
+
+
+def elastic_target(shard_id: str) -> str:
+    """The FaultPlan target for stage-addressed migration faults.
+
+    Events scheduled against this target (with ``at`` set to a
+    :data:`STAGE_ORDINALS` value) are applied to the migration's subject
+    shard — the new shard for an add, the leaving shard for a remove —
+    when the migration enters that stage.
+    """
+    return f"{shard_id}/elastic"
 
 
 @dataclass(frozen=True)
@@ -111,8 +109,10 @@ class FaultEvent:
     """One scheduled fault.
 
     ``at`` is a per-target trigger point: for shard faults, the number of
-    requests the target has flushed; for net faults, the number of frames
-    the server has served.  Each event fires exactly once.
+    requests the target has flushed (restarts included); for net faults,
+    the number of frames the door has served; for durability faults, the
+    partition's commit attempts; for stage faults, a
+    :data:`STAGE_ORDINALS` value.  Each event fires exactly once.
     """
 
     kind: str
@@ -370,30 +370,9 @@ class FaultPlan:
         return cls(events, spec=spec)
 
 
-def plant_corruption(store, key: bytes = b"") -> bool:
-    """Flip a ciphertext bit of one record in ``store``'s untrusted memory.
 
-    The whole plant — victim selection (unmetered: it is the attacker's
-    work) plus the bit flip — runs against the *real* store, so it must
-    execute wherever the enclave lives: ``ShardHandle.plant_corruption``
-    calls it directly, remote handles run it beside the enclave via the
-    ``plant_corruption`` RPC.  Returns whether a corruption landed (an
-    empty store, a vanished key, or a previously-tripped alarm all mean
-    there was nothing to tamper with).
-    """
-    from repro.attacks.scenarios import corrupt_record_in_place
-    from repro.errors import AriaError
-    from repro.sgx.meter import MeterPause
 
-    if len(store) == 0:
-        return False
-    try:
-        with MeterPause(store.enclave.meter):
-            victim = key or next(iter(store.keys()))
-        corrupt_record_in_place(store, victim)
-    except AriaError:
-        return False
-    return True
+# -- the backend seam: shard and stage kinds ------------------------------------
 
 
 class _FaultyServer:
@@ -405,16 +384,17 @@ class _FaultyServer:
     def flush_batch(self, requests) -> list:
         requests = list(requests)
         owner = self._owner
-        owner.ops_flushed += len(requests)
-        for event in owner.plan.pop_due(owner.shard_id, owner.ops_flushed):
+        target = owner.shard_id
+        owner.counts["flushed"] += len(requests)
+        for event in owner.plan.pop_due(target, owner.counts["flushed"]):
             owner.apply(event)
         if owner.crashed:
             raise ShardCrashedError(
-                f"shard {owner.shard_id} is down (enclave killed)"
+                f"shard {target} is down (enclave killed)"
             )
         if owner.partitioned:
             raise ShardUnreachableError(
-                f"shard {owner.shard_id} is unreachable (partitioned)"
+                f"shard {target} is unreachable (partitioned)"
             )
         # A SLOW stall happens here, in the parent-side request path, so the
         # failure signature — the flush call takes `seconds` longer, nothing
@@ -438,18 +418,13 @@ class FaultyShard(ShardHandle):
     :class:`~repro.errors.ShardCrashedError` — dead enclaves don't answer.
     """
 
-    def __init__(
-        self,
-        shard,
-        plan: Optional[FaultPlan] = None,
-        *,
-        rebuild: Optional[Callable[[], object]] = None,
-    ):
+    def __init__(self, shard, plan: Optional[FaultPlan] = None):
         self.inner = shard
         self.plan = plan or FaultPlan()
-        self._rebuild = rebuild
-        self.ops_flushed = 0
-        self.restarts = 0
+        #: The target's requests ``flushed`` and handles ``built``.  A
+        #: FaultyBackend shares one per target id across the handles it
+        #: builds, so both survive the restart that replaces this one.
+        self.counts = Counter(built=1)
         self.corruptions = 0
         self.partitions = 0
         self.reconnects = 0
@@ -479,7 +454,8 @@ class FaultyShard(ShardHandle):
 
         On a process-backed shard this is a real ``SIGKILL`` of the
         worker — the enclave, its keys and its EPC contents die with the
-        OS process, not as a flag in the parent.
+        OS process, not as a flag in the parent.  A restart replaces the
+        whole handle (:meth:`~repro.cluster.replication.Replica.restart`).
         """
         self.crashed = True
         self.inner.kill()
@@ -491,40 +467,13 @@ class FaultyShard(ShardHandle):
         deterministic for a given store history.  A corrupt on an empty
         (or crashed) shard is a no-op: there is nothing to tamper with.
         The plant runs wherever the enclave lives (see
-        :func:`plant_corruption`), so inline and process shards meter the
-        attacker's walk identically.
+        :func:`repro.attacks.scenarios.plant_corruption`), so inline and
+        process shards meter the attacker's walk identically.
         """
         if self.crashed:
             return
         if self.inner.plant_corruption(key):
             self.corruptions += 1
-
-    def restart(self):
-        """Replace the dead enclave with a fresh, *empty* one.
-
-        EPC contents (keys, trust anchors, Secure Cache) did not survive,
-        so the replacement shares nothing with its predecessor; the health
-        monitor must re-sync it from a live replica before it serves.
-        Returns the new inner shard.
-        """
-        if not self.crashed:
-            raise ShardCrashedError(
-                f"shard {self.shard_id} is not down; nothing to restart"
-            )
-        if self._rebuild is None:
-            raise ShardCrashedError(
-                f"shard {self.shard_id} has no rebuild recipe"
-            )
-        old = self.inner
-        self.inner = self._rebuild()
-        self.crashed = False
-        self._partitioned = False
-        self._heal_at = 0.0
-        self._stall_seconds = 0.0
-        self._stall_ops_left = None
-        self.restarts += 1
-        old.close()  # reap the dead worker's process entry and pipe
-        return self.inner
 
     # -- stalls -------------------------------------------------------------------
 
@@ -657,7 +606,7 @@ class FaultyShard(ShardHandle):
     def stats(self) -> dict:
         row = self.inner.stats()
         row["crashed"] = self.crashed
-        row["restarts"] = self.restarts
+        row["restarts"] = self.counts["built"] - 1
         row["partitions"] = self.partitions
         row["reconnects"] = self.reconnects
         row["stalls"] = self.stalls
@@ -669,3 +618,204 @@ class FaultyShard(ShardHandle):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "down" if self.crashed else "up"
         return f"FaultyShard({self.shard_id!r}, {state})"
+
+
+class FaultyBackend(ShardBackend):
+    """A :class:`~repro.cluster.backend.ShardBackend` whose every handle is
+    a :class:`FaultyShard` playing ``plan``.
+
+    Pass it wherever a backend instance is accepted
+    (``ClusterConfig.backend``): replica groups, restarts and elastic adds
+    all build through it, so every enclave of the cluster is addressable.
+    Stage-addressed events fire from :meth:`enter_stage`, round-robin
+    across the subject's replicas: one event hits one enclave, so an R>1
+    subject rides out a staged KILL via failover while an R=1 subject
+    exercises the abort path.
+    """
+
+    def __init__(self, inner: BackendSpec = None,
+                 plan: Optional[FaultPlan] = None):
+        self.inner = resolve_backend(inner)
+        self.plan = plan if plan is not None else FaultPlan()
+        self.name = self.inner.name
+        self._counts: Dict[str, Counter] = {}
+        self._stage_hits: Dict[str, int] = {}
+
+    def create(self, spec) -> FaultyShard:
+        shard = FaultyShard(self.inner.create(spec), self.plan)
+        shard.counts = self._counts.setdefault(spec.shard_id, Counter())
+        shard.counts["built"] += 1
+        return shard
+
+    def enter_stage(self, shard_id: str, subject, stage: str) -> None:
+        target = elastic_target(shard_id)
+        if stage == MIGRATION_STAGES[0]:
+            self._stage_hits[target] = 0  # a new migration of this subject
+        if subject is None:
+            return  # an add before PREPARE built the joining group
+        members = [r.shard for r in subject.replicas] \
+            if subject.replicas is not None else [subject]
+        for event in self.plan.pop_due(target, STAGE_ORDINALS[stage]):
+            hits = self._stage_hits.get(target, 0)
+            members[hits % len(members)].apply(event)
+            self._stage_hits[target] = hits + 1
+
+    def close(self, timeout: float = 5.0) -> None:
+        self.inner.close(timeout)
+
+
+# -- the disk seam: durability kinds ---------------------------------------------
+
+
+class FaultyDisk(UntrustedDisk):
+    """An untrusted disk with the host's hand on it.
+
+    Reads the durability protocol off the disk calls
+    :class:`~repro.persist.durability.PartitionDurability` makes for
+    partition ``p``: every commit attempt opens by measuring ``p.log``
+    (the count ``at`` is keyed on, and where an I/O error fails the
+    attempt), the next append to ``p.log`` is the one a TORN event tears,
+    and every recovery opens by reading ``p.snap`` (where the downtime
+    kinds strike).  ``counters`` is the monotonic counter service a
+    CTR_RESET wipes (``p.epoch``).
+    """
+
+    def __init__(self, inner: UntrustedDisk, plan: FaultPlan, counters):
+        self.inner = inner
+        self.plan = plan
+        self.counters = counters
+        self.name = inner.name
+        self._attempts: Dict[str, int] = {}
+        self._torn: set = set()
+        self._captured: Dict[str, object] = {}
+
+    def _fire(self, partition: str, kinds) -> bool:
+        """Apply the due events; True when an I/O error is among them."""
+        io_error = False
+        log = partition + ".log"
+        for event in self.plan.pop_due(dur_target(partition),
+                                       self._attempts.get(log, 0), kinds):
+            if event.kind == CAPTURE:
+                self._captured[partition] = self.inner.capture()
+            elif event.kind == ROLLBACK:
+                if partition in self._captured:
+                    self.inner.restore(self._captured[partition])
+            elif event.kind == CTR_RESET:
+                self.counters.reset(partition + ".epoch")
+            elif event.kind == TRUNCATE:
+                self.inner.truncate(log, self.inner.size(log) // 2)
+            elif event.kind == TORN:
+                self._torn.add(log)
+            else:
+                io_error = True
+        return io_error
+
+    def size(self, name: str) -> int:
+        if name.endswith(".log"):
+            partition = name[:-len(".log")]
+            self._attempts[name] = self._attempts.get(name, 0) + 1
+            if self._fire(partition, DURABILITY_KINDS):
+                raise DiskIOError(
+                    f"{partition}: injected I/O error — commit write failed")
+        return self.inner.size(name)
+
+    def append(self, name: str, data: bytes) -> None:
+        if name in self._torn:
+            self._torn.discard(name)
+            self.inner.append(name, data[: len(data) // 2])
+            raise DiskIOError(
+                f"{name[:-len('.log')]}: torn write — host crashed "
+                "mid-append")
+        self.inner.append(name, data)
+
+    def read_blob(self, name: str) -> Optional[bytes]:
+        if name.endswith(".snap"):
+            self._fire(name[:-len(".snap")], _DOWNTIME_KINDS)
+        return self.inner.read_blob(name)
+
+    def write_blob(self, name: str, data: bytes) -> None:
+        self.inner.write_blob(name, data)
+
+    def sync(self) -> None:
+        self.inner.sync()
+
+    def truncate(self, name: str, length: int) -> None:
+        self.inner.truncate(name, length)
+
+    def delete(self, name: str) -> None:
+        self.inner.delete(name)
+
+    def capture(self) -> object:
+        return self.inner.capture()
+
+    def restore(self, token: object) -> None:
+        self.inner.restore(token)
+
+    def close(self) -> None:
+        self.inner.close()
+
+
+# -- the wire seam: net and wire kinds --------------------------------------------
+
+
+def _flip_bit(frame: bytes) -> bytes:
+    """The on-path adversary's tamper: one bit of the last byte (the tag)."""
+    return frame[:-1] + bytes([frame[-1] ^ 0x01])
+
+
+class FaultyDoor(ClusterNetServer):
+    """The front door with an on-path adversary on its replies.
+
+    Events addressed to :data:`NET_TARGET` fire on the door-wide
+    served-frame count, after the frame is served: DROP swallows the
+    reply, CLOSE hangs up without it, DELAY stalls it (outside the door
+    lock, so only this connection waits), TAMPER flips a bit of the sealed
+    reply's tag and REPLAY re-sends the connection's previous sealed reply
+    ahead of it.  The client must surface the last two as typed errors.
+    """
+
+    def __init__(self, coordinator, plan: FaultPlan, **options):
+        super().__init__(coordinator, **options)
+        self.plan = plan
+        self._last_reply: Dict[object, bytes] = {}
+        self._delay: Dict[object, float] = {}
+
+    def _run_batch(self, conn, *batch):
+        replies, keep = super()._run_batch(conn, *batch)
+        delay = self._delay.pop(conn)
+        if delay:
+            time.sleep(delay)
+        return replies, keep
+
+    def _replies(self, conn, responses):
+        action, delay = None, 0.0
+        for event in self.plan.pop_due(NET_TARGET, self.frames_served,
+                                       (DELAY, DROP, CLOSE)):
+            if event.kind == DELAY:
+                delay += event.seconds
+            elif event.kind == CLOSE or action is None:
+                action = event.kind
+        self._delay[conn] = delay
+        if action == CLOSE:
+            return (), False  # hang up without answering
+        if action == DROP:
+            return (), not self._limit_reached()  # the client times out
+        (reply,), keep = super()._replies(conn, responses)
+        kinds = {e.kind for e in self.plan.pop_due(
+            NET_TARGET, self.frames_served, WIRE_KINDS)}
+        outgoing = _flip_bit(reply) if TAMPER in kinds else reply
+        last = self._last_reply.get(conn)
+        self._last_reply[conn] = reply
+        if REPLAY not in kinds:
+            return (outgoing,), keep
+        # Nothing recorded yet: duplicate the frame just sent — the
+        # duplicate is the replay the client must catch next read.
+        return ((last, outgoing) if last is not None
+                else (outgoing, reply)), keep
+
+
+class FaultyBackgroundServer(BackgroundServer):
+    """:class:`~repro.cluster.netserver.BackgroundServer` around a
+    :class:`FaultyDoor`: ``FaultyBackgroundServer(coordinator, plan=plan)``."""
+
+    door = FaultyDoor

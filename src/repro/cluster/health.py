@@ -41,7 +41,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from repro.cluster.faults import FaultyShard
 from repro.cluster.replication import Replica, ReplicaGroup, ReplicaState
 from repro.errors import DurabilityError, RecoveryError, ShardCrashedError
 
@@ -176,18 +175,17 @@ class HealthMonitor:
 
     def _restart(self, replica: Replica) -> bool:
         """Swap the dead/quarantined enclave for a fresh, empty one."""
-        shard = replica.shard
-        if not isinstance(shard, FaultyShard):
-            return False  # not restartable: stays DOWN for an operator
+        if replica.rebuild is None:
+            return False  # no recipe: stays DOWN for an operator
         try:
-            if not shard.crashed:
+            if not replica.shard.crashed:
                 # Quarantined for integrity, enclave still running: its
                 # untrusted state is rotten, so discard it outright rather
                 # than trusting a partial heal.
-                shard.kill()
-            shard.restart()
+                replica.shard.kill()
+            replica.restart()
         except ShardCrashedError:
-            return False  # no rebuild recipe
+            return False  # the old enclave or its replacement is unreachable
         replica.state = ReplicaState.RECOVERING
         return True
 

@@ -1,58 +1,12 @@
 """The TCP front door for the sharded cluster, and its client.
 
-Speaks ``repro.server.protocol`` batches inside v2 session frames over
-the one framed stream of :mod:`repro.cluster.framing` (4-byte
-little-endian length prefix)::
-
-    wire frame := frame_len (u32 LE) | payload
-    payload    := v2 session frame (see repro.cluster.session)
-
-* **One blocking reader per connection** — the model
-  :class:`~repro.cluster.sockbackend.ShardHost` uses: an accept loop and
-  a daemon thread per connection that reads a frame, serves it, and
-  writes the reply with one ``sendall``.  Everything between the two
-  socket calls runs under one lock (see :class:`ClusterNetServer`), so
-  the simulated state sees one frame at a time; reads, writes and
-  injected delays happen outside it, so a stalled peer holds up only
-  its own connection.
-* **Pipelining** — a client may write any number of request frames without
-  waiting; responses come back in frame order (and positionally within a
-  frame, per the protocol contract).
-* **Bounded allocation** — ``frame_len`` is attacker-supplied, so it is
-  checked against ``protocol.MAX_FRAME_BYTES`` *before* the payload is
-  read; an oversized or zero length gets the canonical batch rejection and
-  the connection is closed (there is no way to resynchronize a stream
-  whose framing is untrusted).
-* **Attested sessions** — every connection opens with a v2 handshake:
-  the front door's gateway :class:`~repro.cluster.session.SessionManager`
-  answers with a transcript-bound quote, and every later frame is
-  AEAD-protected.  A payload without the v2 magic gets the plaintext
-  batch rejection and the connection is closed.  Wire attacks from the
-  fault plan (``tamper``/``replay``) are staged here, acting as the
-  deterministic on-path adversary; the matching alarms count what the
-  session layer caught.
-* **Bounded admission** — ``max_inflight`` caps how many request frames
-  may be admitted (executing, or holding a slot while they wait for the
-  execution lock) at once; excess frames wait on a LIFO stack and are
-  shed with ``STATUS_OVERLOADED`` + ``retry_after`` when the stack is
-  full or their deadline budget runs out while queued (newest-first
-  service: under overload the freshest work has the most budget left).
-  ``max_connections`` refuses connections beyond the cap outright.
-  A sealed frame may carry its sender's remaining deadline budget in
-  the v2 header (``protocol.FLAG_DEADLINE``); the front door reads it off
-  the frame ``session.open`` authenticated, sheds already-expired frames
-  without executing them, and hands the remaining budget to the
-  coordinator's overload layer.
-* **Principals** — a frame's principal is its session's
-  handshake-authenticated tenant, and nothing else; a door whose tenancy
-  has ``require_auth`` refuses a hello without a tenant block.
-* **Graceful shutdown** — :meth:`ClusterNetServer.stop` stops accepting,
-  lets frames already executing be answered, closes every connection,
-  and ends :meth:`serve_forever`.
-
-:class:`ClusterClient` is the matching synchronous client, and
-:class:`BackgroundServer` runs the accept loop on a daemon thread for
-tests, examples and :func:`repro.cluster.serve`.
+:class:`ClusterNetServer` serves a coordinator over attested v2 sessions
+on the framed stream of :mod:`repro.cluster.framing`: one blocking reader
+thread per connection, one lock around everything a frame does between
+its read and its write, bounded admission, and graceful shutdown.
+:class:`ClusterClient` is the matching synchronous client and
+:class:`BackgroundServer` runs the accept loop on a daemon thread.
+ARCHITECTURE §8, §11 and §14 describe the door; §9 its fault injector.
 """
 
 from __future__ import annotations
@@ -63,16 +17,6 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster import netutil
-from repro.cluster.faults import (
-    CLOSE,
-    DELAY,
-    DROP,
-    NET_TARGET,
-    REPLAY,
-    TAMPER,
-    WIRE_KINDS,
-    FaultPlan,
-)
 from repro.cluster.framing import (
     FRAME_HEADER,
     frame,
@@ -111,17 +55,9 @@ DEFAULT_RETRY_RATIO = 0.1
 #: retry_after hint (seconds) on frames the front door sheds itself.
 DEFAULT_SHED_RETRY_AFTER = 0.05
 
-#: The classic net fault kinds, consumed after a frame is served.
-_CONNECTION_KINDS = frozenset({DELAY, DROP, CLOSE})
-
 #: The ``_open_frame`` verdict for a hostile frame: answer with the
 #: plaintext batch rejection, then hang up.
 _REJECT_AND_CLOSE = (None, (BATCH_REJECTION,), False)
-
-
-def _flip_bit(frame: bytes) -> bytes:
-    """The on-path adversary's tamper: one bit of the last byte (the tag)."""
-    return frame[:-1] + bytes([frame[-1] ^ 0x01])
 
 
 class _Waiter:
@@ -213,12 +149,11 @@ class _AdmissionGate:
 class _Connection:
     """What one accepted socket carries from frame to frame."""
 
-    __slots__ = ("sock", "session", "last_reply")
+    __slots__ = ("sock", "session")
 
     def __init__(self, sock: socket.socket):
         self.sock = sock
         self.session: Optional[SecureSession] = None
-        self.last_reply: Optional[bytes] = None  # REPLAY's recorded frame
 
 
 class ClusterNetServer:
@@ -229,11 +164,10 @@ class ClusterNetServer:
     blocks in ``recv``.  ``_lock`` serialises everything a frame does
     between its read and its write — session ``open``/``seal`` (they
     charge the one gateway :class:`~repro.sgx.meter.CycleMeter`), the
-    coordinator (not thread-safe), the served/shed/alarm counters, the
-    fault plan and the connection table — so simulated cycles, wire
-    bytes and :meth:`wire_stats` are what a single thread would produce.
-    Socket reads and writes, the admission gate's wait and the DELAY
-    fault's sleep happen outside it.
+    coordinator (not thread-safe), the served/shed/alarm counters and
+    the connection table — so simulated cycles, wire bytes and
+    :meth:`wire_stats` are what a single thread would produce.  Socket
+    reads and writes and the admission gate's wait happen outside it.
     """
 
     def __init__(
@@ -243,7 +177,6 @@ class ClusterNetServer:
         host: str = "127.0.0.1",
         port: int = 0,
         max_requests: Optional[int] = None,
-        fault_plan: Optional[FaultPlan] = None,
         sessions: Optional[SessionManager] = None,
         max_inflight: Optional[int] = None,
         max_connections: Optional[int] = None,
@@ -265,11 +198,6 @@ class ClusterNetServer:
         #: Stop after this many request frames (None = serve forever).
         #: Handshake frames are not request frames and never count.
         self.max_requests = max_requests
-        #: Deterministic fault injection addressed to ``faults.NET_TARGET``,
-        #: keyed by the served-frame counter: connection faults (``delay``/
-        #: ``drop``/``close``) fire after a frame is served; wire attacks
-        #: (``tamper``/``replay``) act on sealed replies.
-        self.fault_plan = fault_plan
         if sessions is None:
             # The gateway authenticates tenant claims against the roster.
             tenancy = coordinator.tenancy
@@ -281,17 +209,12 @@ class ClusterNetServer:
         self.sessions = sessions
         self.frames_served = 0
         self.requests_served = 0
-        self.frames_dropped = 0
-        self.connections_closed_by_fault = 0
         # What the session layer caught (inbound frames that failed).
         self.tamper_alarms = 0
         self.replay_alarms = 0
         self.stale_session_alarms = 0
         self.handshake_failures = 0
         self.plaintext_rejections = 0
-        # What the fault plan staged (outbound attacks actually played).
-        self.tamper_injections = 0
-        self.replay_injections = 0
         # Overload admission: the in-flight gate (None = unlimited), the
         # connection cap, and the front door's own shedding ledger.
         self.max_inflight = max_inflight
@@ -416,15 +339,13 @@ class ClusterNetServer:
                 and self.frames_served >= self.max_requests)
 
     def wire_stats(self) -> dict:
-        """The front door's security ledger: alarms, refusals, injections."""
+        """The front door's security ledger: alarms and refusals."""
         row = {
             "tamper_alarms": self.tamper_alarms,
             "replay_alarms": self.replay_alarms,
             "stale_session_alarms": self.stale_session_alarms,
             "handshake_failures": self.handshake_failures,
             "plaintext_rejections": self.plaintext_rejections,
-            "tamper_injections": self.tamper_injections,
-            "replay_injections": self.replay_injections,
         }
         overload = {
             "max_inflight": self.max_inflight,
@@ -528,7 +449,7 @@ class ClusterNetServer:
         deadline: Optional[Deadline],
         tenant: Optional[str],
     ) -> Tuple[tuple, bool]:
-        """Admit, execute, count, stage faults, encode and seal one frame.
+        """Admit, execute, count, encode and seal one frame.
 
         Three shed points, all answered with ``STATUS_OVERLOADED`` +
         ``retry_after`` instead of silence (a shed client must learn to
@@ -541,8 +462,8 @@ class ClusterNetServer:
         and its ``retry_after`` reflects — the offending principal's own
         bucket, not the global gate.
 
-        Returns ``(replies, keep)``.  The gate's wait and an injected
-        delay happen outside the lock.
+        Returns ``(replies, keep)``.  The gate's wait happens outside the
+        lock.
         """
         expired = deadline is not None and deadline.expired()
         admitted = not expired and (
@@ -568,40 +489,14 @@ class ClusterNetServer:
                         self._gate.release()
             self.frames_served += 1
             self.requests_served += len(requests)
-            keep = not self._limit_reached()
-            action, delay = self._pop_net_faults()
-            if action == CLOSE:
-                self.connections_closed_by_fault += 1
-                replies, keep = (), False  # hang up without answering
-            elif action == DROP:
-                self.frames_dropped += 1
-                replies = ()  # swallow the response; the client times out
-            else:
-                reply = conn.session.seal(
-                    protocol.encode_batch_responses(responses))
-                replies = self._stage_wire_attacks(reply, conn.last_reply)
-                conn.last_reply = reply
-        if delay:
-            time.sleep(delay)
-        return replies, keep
+            return self._replies(conn, responses)
 
-    def _pop_net_faults(self) -> Tuple[Optional[str], float]:
-        """Consume due connection faults (lock held): CLOSE/DROP to
-        suppress the response (None serves normally), and how long the
-        due delays stall it."""
-        action: Optional[str] = None
-        delay = 0.0
-        if self.fault_plan is not None:
-            for event in self.fault_plan.pop_due(
-                NET_TARGET, self.frames_served, kinds=_CONNECTION_KINDS
-            ):
-                if event.kind == DELAY:
-                    delay += event.seconds
-                elif event.kind == DROP:
-                    action = action or DROP
-                elif event.kind == CLOSE:
-                    action = CLOSE
-        return action, delay
+    def _replies(self, conn: _Connection,
+                 responses: List[Response]) -> Tuple[tuple, bool]:
+        """A served batch as its outgoing frames, and whether the
+        connection stays open (lock held)."""
+        reply = conn.session.seal(protocol.encode_batch_responses(responses))
+        return (reply,), not self._limit_reached()
 
     def _shed(self, n: int, reason: bytes) -> List[Response]:
         self.frames_shed += 1
@@ -651,37 +546,6 @@ class ClusterNetServer:
         except ProtocolError:
             pass  # malformed v2 header: hostile framing, no alarm class
         return None
-
-    def _stage_wire_attacks(self, reply: bytes,
-                            last_reply: Optional[bytes]) -> tuple:
-        """The frames to send for a sealed reply, with any due
-        tamper/replay attack staged (lock held).
-
-        A replay re-sends the *recorded previous* frame ahead of the real
-        reply (the client sees a frame whose sequence number went
-        backwards); a tamper flips one bit of the outgoing frame's tag.
-        """
-        tamper = replay = False
-        if self.fault_plan is not None:
-            for event in self.fault_plan.pop_due(
-                NET_TARGET, self.frames_served, kinds=WIRE_KINDS
-            ):
-                if event.kind == TAMPER:
-                    tamper = True
-                elif event.kind == REPLAY:
-                    replay = True
-        outgoing = reply
-        if tamper:
-            self.tamper_injections += 1
-            outgoing = _flip_bit(reply)
-        if not replay:
-            return (outgoing,)
-        self.replay_injections += 1
-        if last_reply is not None:
-            return last_reply, outgoing
-        # Nothing recorded yet: duplicate the frame just sent — the
-        # duplicate is the replay the client must catch next read.
-        return outgoing, reply
 
     @staticmethod
     def _send(sock: socket.socket, payload: bytes) -> None:
@@ -1055,18 +919,11 @@ class BackgroundServer:
     and joins the thread.
     """
 
-    def __init__(self, coordinator, *, host: str = "127.0.0.1",
-                 port: int = 0, max_requests: Optional[int] = None,
-                 fault_plan: Optional[FaultPlan] = None,
-                 sessions: Optional[SessionManager] = None,
-                 max_inflight: Optional[int] = None,
-                 max_connections: Optional[int] = None):
-        self.server = ClusterNetServer(coordinator, host=host, port=port,
-                                       max_requests=max_requests,
-                                       fault_plan=fault_plan,
-                                       sessions=sessions,
-                                       max_inflight=max_inflight,
-                                       max_connections=max_connections)
+    #: The door the thread runs; built as ``door(coordinator, **options)``.
+    door = ClusterNetServer
+
+    def __init__(self, coordinator, **options):
+        self.server = self.door(coordinator, **options)
         self._thread: Optional[threading.Thread] = None
 
     def start(self) -> Tuple[str, int]:

@@ -105,7 +105,7 @@ def _put(shard, pairs):
 
 
 def _plant_corruption(shard, key):
-    from repro.cluster.faults import plant_corruption
+    from repro.attacks.scenarios import plant_corruption
 
     return plant_corruption(shard.store, key)
 

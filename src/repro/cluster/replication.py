@@ -46,7 +46,6 @@ from typing import Callable, List, Optional
 from repro.cluster.backend import BackendSpec, ShardBackend, resolve_backend
 from repro.cluster.config import ClusterConfig
 from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.faults import FaultPlan, FaultyShard
 from repro.cluster.shard import EnclaveSpec, ShardHandle
 from repro.errors import (
     ConfigurationError,
@@ -86,15 +85,32 @@ class ReplicaState(enum.Enum):
 class Replica:
     """One copy of a partition: a shard plus its health bookkeeping."""
 
+    #: Builds this replica's next enclave (set by
+    #: :func:`build_replica_group`); None stays DOWN for an operator.
+    rebuild: Optional[Callable[[], ShardHandle]] = None
+
     def __init__(self, shard):
         self.shard = shard
         self.state = ReplicaState.UP
         self.downs = 0
+        self.restarts = 0
         self.last_reason = ""
 
     @property
     def replica_id(self) -> str:
         return self.shard.shard_id
+
+    def restart(self) -> None:
+        """Replace the dead enclave's handle with a fresh, *empty* one.
+
+        EPC contents (keys, trust anchors, Secure Cache) did not survive,
+        so the replacement shares nothing with its predecessor; the health
+        monitor must re-sync it from a live replica before it serves.
+        """
+        old = self.shard
+        self.shard = self.rebuild()
+        self.restarts += 1
+        old.close()  # reap the dead worker's process entry and pipe
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Replica({self.replica_id!r}, {self.state.value})"
@@ -595,14 +611,16 @@ class _GroupStore:
 
     @property
     def enclave(self):
-        """Any replica's enclave (for platform constants in stats)."""
-        replica = self._group._first_live()
-        if replica is not None:
-            return replica.shard.store.enclave
-        shard = self._group.replicas[0].shard
-        if isinstance(shard, FaultyShard):
-            shard = shard.inner  # a dead wrapper guards its store
-        return shard.store.enclave
+        """Any replica's enclave (for platform constants in stats): the
+        primary's, else the first one whose store still answers."""
+        group = self._group
+        for replica in group.live_replicas() + group.replicas:
+            try:
+                return replica.shard.store.enclave
+            except ShardCrashedError:
+                continue  # a dead enclave does not answer
+        raise ReplicaUnavailableError(
+            f"no replica of {group.shard_id} answers")
 
 
 class _GroupMeter:
@@ -648,34 +666,34 @@ def build_replica_group(
     spec: EnclaveSpec,
     replication: int,
     *,
-    fault_plan: Optional[FaultPlan] = None,
     backend: BackendSpec = None,
 ) -> ReplicaGroup:
     """R independent enclaves for the partition ``spec`` describes.
 
     ``spec.shard_id`` names the group and ``spec.seed`` is its base seed:
     replica ``j`` is ``replace(spec, shard_id="<group>/r<j>",
-    seed=spec.seed + 17*j + 1)`` (the FaultPlan's addressing), so every
-    replica has distinct :class:`~repro.crypto.keys.KeyMaterial`.  Both
-    initial construction and restarts go through the shard ``backend``,
-    so a restarted process-backed replica is a genuinely new OS process;
-    the seed policy is backend-independent, keeping key material and
-    metering identical across backends.
+    seed=spec.seed + 17*j + 1)``, so every replica has distinct
+    :class:`~repro.crypto.keys.KeyMaterial`.  Both initial construction
+    and restarts (:attr:`Replica.rebuild`) go through the shard
+    ``backend``, so a restarted process-backed replica is a genuinely new
+    OS process; the seed policy is backend-independent, keeping key
+    material and metering identical across backends.
     """
     if replication < 1:
         raise ValueError("replication factor must be >= 1")
     factory = resolve_backend(backend)
-    shards = []
-    for j in range(replication):
-        replica = replace(spec, shard_id=f"{spec.shard_id}/r{j}",
-                          seed=spec.seed + 17 * j + 1)
-        shards.append(FaultyShard(factory.create(replica), fault_plan,
-                                  rebuild=_restarter(factory, replica)))
-    return ReplicaGroup(spec.shard_id, shards)
+    specs = [replace(spec, shard_id=f"{spec.shard_id}/r{j}",
+                     seed=spec.seed + 17 * j + 1)
+             for j in range(replication)]
+    group = ReplicaGroup(spec.shard_id,
+                         [factory.create(replica) for replica in specs])
+    for replica, replica_spec in zip(group.replicas, specs):
+        replica.rebuild = _restarter(factory, replica_spec)
+    return group
 
 
 def _restarter(factory: ShardBackend,
-               replica: EnclaveSpec) -> Callable[[], object]:
+               replica: EnclaveSpec) -> Callable[[], ShardHandle]:
     """The rebuild recipe for one replica: same spec, a seed never used
     before — a fresh enclave never inherits its predecessor's keys."""
     incarnations = itertools.count(1)
@@ -715,14 +733,12 @@ def build_replicated_cluster(config: ClusterConfig, *,
 def _build_replica_groups(config: ClusterConfig,
                           clock: Callable[[], float]) -> ClusterCoordinator:
     """The replica-group half of ``ClusterConfig.build()``: group ``i`` is
-    ``shard-<i>``, base seed ``config.seed + 101*i``; a ``fault_plan`` in
-    ``config.shard_overrides`` wraps every replica."""
+    ``shard-<i>``, base seed ``config.seed + 101*i``."""
     factory = resolve_backend(config.backend)
-    fault_plan = config.shard_overrides.get("fault_plan")
     groups = [
         build_replica_group(
             config.enclave_spec(f"shard-{i}", config.seed + 101 * i),
-            config.replication, fault_plan=fault_plan, backend=factory)
+            config.replication, backend=factory)
         for i in range(config.n_shards)
     ]
     return ClusterCoordinator(

@@ -112,8 +112,8 @@ class ShardHandle:
     """What every layer above a shard may ask of whatever stands in its place.
 
     The base of :class:`Shard`, :class:`~repro.cluster.remote
-    .RemoteShardHandle`, :class:`~repro.cluster.faults.FaultyShard` and
-    :class:`~repro.cluster.replication.ReplicaGroup`.  A handle supplies
+    .RemoteShardHandle`, :class:`~repro.cluster.replication.ReplicaGroup`
+    and the fault injector's wrapper.  A handle supplies
     ``shard_id``, ``store``, ``server`` (``flush_batch(requests)``),
     ``meter``, ``epc_bytes``, ``ops_routed`` and ``stats()``; every other
     member a caller reads is declared here with the default for "one healthy
@@ -153,8 +153,8 @@ class ShardHandle:
         return False
 
     def plant_corruption(self, key: bytes = b"") -> bool:
-        """Run the fault injector's corruption plant beside the enclave."""
-        from repro.cluster.faults import plant_corruption
+        """Run the corruption plant beside the enclave."""
+        from repro.attacks.scenarios import plant_corruption
 
         return plant_corruption(self.store, key)
 

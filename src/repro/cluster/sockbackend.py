@@ -41,7 +41,7 @@ Failure semantics, sharpened by the transport:
 * **crash** — the host process (or its enclave) is gone; RPCs fail with
   :class:`~repro.errors.ShardCrashedError`, and recovery means a fresh
   enclave (``spawn`` on a live host) plus a trusted-path re-sync;
-* **partition** (:data:`repro.cluster.faults.PARTITION`) — the host is
+* **partition** — the host is
   alive but unreachable: the handle black-holes frames (and connect
   attempts time out) until the partition heals, raising
   :class:`~repro.errors.ShardUnreachableError` meanwhile.  On heal,

@@ -7,7 +7,7 @@ from repro.crypto.backend import (
     RealCryptoBackend,
     get_backend,
 )
-from repro.crypto.cmac import cmac, cmac_verify
+from repro.crypto.cmac import cmac
 from repro.crypto.ctr import ctr_transform
 from repro.crypto.keys import KeyMaterial
 
@@ -18,7 +18,6 @@ __all__ = [
     "RealCryptoBackend",
     "KeyMaterial",
     "cmac",
-    "cmac_verify",
     "ctr_transform",
     "get_backend",
 ]

@@ -58,12 +58,3 @@ def cmac(key: bytes, message: bytes) -> bytes:
         block = message[i * BLOCK_SIZE : (i + 1) * BLOCK_SIZE]
         state = cipher.encrypt_block(_xor_block(state, block))
     return cipher.encrypt_block(_xor_block(state, last))
-
-
-def cmac_verify(key: bytes, message: bytes, tag: bytes) -> bool:
-    """Constant-time-ish comparison of a stored tag with the computed CMAC."""
-    computed = cmac(key, message)
-    result = 0
-    for x, y in zip(computed, tag):
-        result |= x ^ y
-    return result == 0 and len(tag) == MAC_SIZE

@@ -66,7 +66,7 @@ class ConfigurationError(AriaError):
 
 
 class UnknownFaultKindError(ConfigurationError, ValueError):
-    """A FaultPlan/FaultEvent named a fault kind that does not exist.
+    """A scheduled fault event named a fault kind that does not exist.
 
     A typo'd kind used to build an event that silently never fires; it is
     rejected at construction instead.  Inherits ``ValueError`` for callers

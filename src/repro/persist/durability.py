@@ -1,89 +1,27 @@
 """Rollback-protected sealed durability for one partition (replica group).
 
-The missing piece of the fault-tolerance story: PRs 2-4 made a partition
-survive anything short of *every* replica dying — this module makes acked
-writes survive even that, against the paper's adversarial host.  Harnik et
-al. establish sealed data-at-rest as how production enclaves survive
-restarts; Tang et al. fold freshness of recovered state into the integrity
-contract.  Both are implemented here:
-
-**Commit protocol.**  One :class:`PartitionDurability` owns a sealed
-snapshot blob and a sealed, MAC-chained write-ahead log
-(:mod:`repro.persist.wal`) on an untrusted disk
-(:mod:`repro.persist.disk`).  The :class:`~repro.cluster.replication
-.ReplicaGroup` *group-commits* on its existing batch boundary: after a
-batch executes, exactly the write requests that are about to be positively
-acknowledged are sealed into one log record and appended
-(:meth:`PartitionDurability.commit` — *staged*), and the responses leave
-only after :meth:`PartitionDurability.sync`, the one flush a coordinator
-call pays for every log it wrote — the client sees an ack only once its
-write is durable.  A commit or barrier that fails (disk error, torn write,
-or the log changing length underneath us — someone else's hand on the
-disk) is not acked: the group converts those responses to
-``UNAVAILABLE`` and repairs durability from its own live state, which is
-still authoritative while any replica breathes.
-
-**Freshness.**  Sealing alone cannot stop the host replaying yesterday's
-perfectly-sealed state.  Every ``epoch_every`` commits (and at every
-snapshot) the partition increments its non-volatile monotonic counter
-(:mod:`repro.sgx.monotonic`) and writes an epoch record into the chain.
-Recovery reads the counter and replays the log: a recovered epoch *behind*
-the counter means stale state — a rolled-back snapshot/log pair, or a log
-cut across an epoch boundary; a recovered epoch *ahead* of the counter
-means the counter itself was rewound.  Both fail with
-:class:`~repro.errors.RollbackDetectedError`.  Counter operations cost
-millions of cycles (see :mod:`repro.sgx.costs`), which is exactly why they
-are bound at epoch boundaries and not per write; the window this buys the
-attacker — silently truncating *complete, acked* records of the current
-epoch while every replica is down — shrinks with ``epoch_every`` and is
-priced by the benchmark.  (While the partition is alive there is no window
-at all: the group tracks the log's expected length and detects any
-interference at the next commit.)
-
-**Crash atomicity.**  A record append is the only non-atomic disk write in
-the protocol (snapshot writes are atomic-replace, counter increments are
-durable before they return, and epoch advances are modeled as atomic with
-their counter bump — fault injections land *between* commits, never inside
-one).  A crash mid-append leaves a torn tail; recovery trims it to the
-last complete record.  Power lost between a staged append and its barrier
-leaves the same thing — a torn tail, or a complete record nobody was told
-about — so recovery needs no new case.  Nothing is lost: that batch was
-never acked, because the ack happens only after the barrier returns.  An
-epoch-closing commit and a snapshot do not ride the barrier: they flush in
-place (record, then counter, then epoch record), so the counter never runs
-ahead of a log that is only staged.
-
-Metering follows the gateway idiom of :class:`~repro.cluster.session
-.SessionManager`: the durability layer owns its *own*
-:class:`~repro.sgx.meter.CycleMeter` and charges every seal/unseal, OCALL,
-byte streamed, and counter operation there.  It runs in the coordinator
-process for both shard backends, so durable-mode cycle accounting is
-backend-invariant by construction.
+:class:`PartitionDurability` owns a sealed snapshot and a sealed,
+MAC-chained write-ahead log (:mod:`repro.persist.wal`) on an untrusted
+disk (:mod:`repro.persist.disk`), bound to a monotonic counter
+(:mod:`repro.sgx.monotonic`) every ``epoch_every`` commits.  A replica
+group commits the writes it is about to ack, and acks them only after
+:meth:`PartitionDurability.sync`; recovery verifies counter, snapshot and
+log and rejects stale or rewound state with
+:class:`~repro.errors.RollbackDetectedError`.  ARCHITECTURE §12 has the
+commit protocol, the freshness argument and the recovery state machine;
+§9 the disk faults that exercise them.
 """
 
 from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.cluster.faults import (
-    CAPTURE,
-    CTR_RESET,
-    DURABILITY_KINDS,
-    IO_ERROR,
-    ROLLBACK,
-    TORN,
-    TRUNCATE,
-    FaultEvent,
-    FaultPlan,
-    dur_target,
-)
 from repro.crypto.backend import FastCryptoBackend
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
-    DiskIOError,
     DurabilityError,
     RecoveryError,
     RollbackDetectedError,
@@ -147,7 +85,6 @@ class PartitionDurability:
         *,
         seed: int = 0,
         epoch_every: int = DEFAULT_EPOCH_EVERY,
-        fault_plan: Optional[FaultPlan] = None,
         costs: CostModel = DEFAULT_COSTS,
     ):
         if epoch_every < 1:
@@ -156,7 +93,6 @@ class PartitionDurability:
         self.disk = disk
         self.counters = counters
         self.epoch_every = epoch_every
-        self.plan = fault_plan or FaultPlan()
         self.costs = costs
         self.meter = CycleMeter()
 
@@ -176,15 +112,11 @@ class PartitionDurability:
         self._snap_name = f"{partition_id}.snap"
         self._log_name = f"{partition_id}.log"
         self._counter_id = f"{partition_id}.epoch"
-        self.fault_target = dur_target(partition_id)
 
         self.epoch = 0
         self._expected_log_bytes = 0
         self._batches_since_epoch = 0
         self._ready = False
-        self._captured: Optional[object] = None
-        self._pending_torn = False
-        self._pending_io_error = False
 
         self.commit_attempts = 0
         self.commits = 0
@@ -204,9 +136,11 @@ class PartitionDurability:
         and is immediately ready.
         """
         self.counters.create(self._counter_id)
+        # Probes only: a commit attempt opens with the log's size and a
+        # recovery with the snapshot's read (what a faulty disk keys on).
         existing = (
-            self.disk.read_blob(self._snap_name) is not None
-            or self.disk.size(self._log_name) > 0
+            self.disk.size(self._snap_name) > 0
+            or bool(self.disk.read_blob(self._log_name))
             or self.counters.peek(self._counter_id) > 0
         )
         if existing:
@@ -227,17 +161,18 @@ class PartitionDurability:
         so truncation, rollback, or a torn previous append is caught at the
         very next commit while the partition is alive.  The commit that
         closes an epoch flushes in place: its record is durable before the
-        counter moves, and the epoch record before this returns.
+        counter moves, and the epoch record before this returns.  Every
+        attempt counts, and opens by measuring the log.
         """
         requests = list(requests)
         if not requests:
             return
-        self._fire_commit_faults()
+        self.commit_attempts += 1
+        actual = self.disk.size(self._log_name)
         if not self._ready:
             raise RecoveryError(
                 f"{self.partition_id}: durability has prior state; "
                 "recover() before committing")
-        actual = self.disk.size(self._log_name)
         if actual != self._expected_log_bytes:
             raise DurabilityError(
                 f"{self.partition_id}: log is {actual} B on disk, expected "
@@ -245,11 +180,6 @@ class PartitionDurability:
                 "modified underneath the partition")
         body = encode_batch(requests)
         framed = self._log.encode_record(wal.RECORD_BATCH, self.epoch, body)
-        if self._pending_torn:
-            self._pending_torn = False
-            self.disk.append(self._log_name, framed[: len(framed) // 2])
-            raise DiskIOError(
-                f"{self.partition_id}: torn write — host crashed mid-append")
         self.disk.append(self._log_name, framed)
         self._log.advance(framed)
         self._expected_log_bytes += len(framed)
@@ -328,12 +258,12 @@ class PartitionDurability:
 
         The full freshness check described in the module docstring; on
         success the writer chain resumes where the log ends (after trimming
-        a torn tail on disk), so commits can continue immediately.
+        a torn tail on disk), so commits can continue immediately.  It
+        opens by reading the snapshot.
         """
-        self._fire_downtime_faults()
-        counter = self.counters.read(self._counter_id, meter=self.meter)
         snap_blob = self.disk.read_blob(self._snap_name)
         log_blob = self.disk.read_blob(self._log_name) or b""
+        counter = self.counters.read(self._counter_id, meter=self.meter)
         if snap_blob is None:
             if counter == 0 and not log_blob:
                 raise RecoveryError(
@@ -417,62 +347,6 @@ class PartitionDurability:
             offset += k_len + v_len
         return epoch, pairs
 
-    # -- fault injection ----------------------------------------------------------
-
-    def _fire_commit_faults(self) -> None:
-        self.commit_attempts += 1
-        for event in self.plan.pop_due(self.fault_target,
-                                       self.commit_attempts,
-                                       kinds=DURABILITY_KINDS):
-            self.apply_fault(event)
-        if self._pending_io_error:
-            self._pending_io_error = False
-            raise DiskIOError(
-                f"{self.partition_id}: injected I/O error — commit write "
-                "failed")
-
-    def _fire_downtime_faults(self) -> None:
-        """The attacker's move while the partition is down: due CAPTURE /
-        ROLLBACK / CTR_RESET / TRUNCATE events fire at recovery start."""
-        for event in self.plan.pop_due(
-                self.fault_target, self.commit_attempts,
-                kinds=(CAPTURE, ROLLBACK, CTR_RESET, TRUNCATE)):
-            self.apply_fault(event)
-
-    def apply_fault(self, event: FaultEvent) -> None:
-        """Apply one durability fault (also callable directly from tests)."""
-        if event.kind == CAPTURE:
-            self._captured = self.disk.capture()
-        elif event.kind == ROLLBACK:
-            if self._captured is not None:
-                self.disk.restore(self._captured)
-        elif event.kind == CTR_RESET:
-            self.counters.reset(self._counter_id)
-        elif event.kind == TRUNCATE:
-            size = self.disk.size(self._log_name)
-            self.disk.truncate(self._log_name, size // 2)
-        elif event.kind == IO_ERROR:
-            self._pending_io_error = True
-        elif event.kind == TORN:
-            self._pending_torn = True
-        else:
-            raise ValueError(
-                f"durability cannot apply fault {event.kind!r}")
-
-    # -- attack-surface helpers (tests drive these directly too) -------------------
-
-    def capture_state(self) -> object:
-        """Attacker snapshot of the whole untrusted disk."""
-        self._captured = self.disk.capture()
-        return self._captured
-
-    def restore_state(self, token: Optional[object] = None) -> None:
-        """Attacker rollback: restore a captured disk state wholesale."""
-        state = token if token is not None else self._captured
-        if state is None:
-            raise ValueError("nothing captured to restore")
-        self.disk.restore(state)
-
     # -- metering -----------------------------------------------------------------
 
     def _charge_seal(self, payload_bytes: int, framed_bytes: int) -> None:
@@ -533,7 +407,6 @@ def attach_partition_durability(
     *,
     seed: int = 0,
     epoch_every: int = DEFAULT_EPOCH_EVERY,
-    fault_plan: Optional[FaultPlan] = None,
     costs: CostModel = DEFAULT_COSTS,
 ) -> PartitionDurability:
     """Give one replica group a durability sidecar; returns it.
@@ -550,7 +423,7 @@ def attach_partition_durability(
             "with build_replicated_cluster(config) — replication=1 is fine")
     dur = PartitionDurability(
         group.shard_id, disk, counters, seed=seed, epoch_every=epoch_every,
-        fault_plan=fault_plan, costs=costs)
+        costs=costs)
     dur.initialize()
     group.durability = dur
     return dur
@@ -563,7 +436,6 @@ def attach_cluster_durability(
     *,
     seed: int = 0,
     epoch_every: int = DEFAULT_EPOCH_EVERY,
-    fault_plan: Optional[FaultPlan] = None,
     costs: CostModel = DEFAULT_COSTS,
 ) -> Dict[str, PartitionDurability]:
     """Attach a durability sidecar to every partition of a cluster."""
@@ -573,7 +445,7 @@ def attach_cluster_durability(
     for group in coordinator.shard_list():
         sidecars[group.shard_id] = attach_partition_durability(
             group, disk, counters, seed=seed, epoch_every=epoch_every,
-            fault_plan=fault_plan, costs=costs)
+            costs=costs)
     return sidecars
 
 

@@ -8,7 +8,7 @@ Three claims, in increasing order of violence:
    byte-identical wire responses and identical simulated cycle totals.
    Metering crosses the pipe as absolute snapshots, so there is no float
    drift to hide behind: the numbers must match exactly.
-3. Crash realism — ``FaultyShard.kill()`` on a process-backed replica is a
+3. Crash realism — ``kill()`` on a process-backed replica is a
    real ``SIGKILL``; the worker PID is dead to the OS, the health monitor
    respawns a fresh process, re-syncs it over the trusted path, and no
    acknowledged write is lost.
@@ -29,7 +29,6 @@ from repro.cluster import (
     ReplicaState,
     SocketBackend,
     build_replicated_cluster,
-    default_backend_name,
     resolve_backend,
     set_default_backend,
 )
@@ -67,7 +66,6 @@ def run_workload(backend):
 
 class TestResolution:
     def test_default_is_inline(self):
-        assert default_backend_name() == "inline"
         assert resolve_backend(None).name == "inline"
 
     def test_names_resolve_to_instances(self):
@@ -100,11 +98,10 @@ class TestResolution:
     def test_full_precedence_chain(self, monkeypatch):
         # explicit arg > set_default_backend > env var > inline.
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
-        assert default_backend_name() == "process"  # env fills the gap
+        assert resolve_backend(None).name == "process"  # env fills the gap
         previous = set_default_backend("socket")
         try:
-            assert default_backend_name() == "socket"  # default beats env
-            assert resolve_backend(None).name == "socket"
+            assert resolve_backend(None).name == "socket"  # default beats env
             # An explicit name or instance beats the default.
             assert resolve_backend("inline").name == "inline"
             explicit = InlineBackend()
@@ -112,18 +109,18 @@ class TestResolution:
         finally:
             set_default_backend(previous)
         monkeypatch.delenv(BACKEND_ENV_VAR)
-        assert default_backend_name() == "inline"  # nothing set: inline
+        assert resolve_backend(None).name == "inline"  # nothing set: inline
 
     def test_set_default_returns_previous(self):
         previous = set_default_backend("inline")
         try:
-            assert default_backend_name() == "inline"
+            assert resolve_backend(None).name == "inline"
         finally:
             set_default_backend(previous)
 
     def test_env_var_supplies_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "inline")
-        assert default_backend_name() == "inline"
+        assert resolve_backend(None).name == "inline"
         monkeypatch.setenv(BACKEND_ENV_VAR, "bogus")
         with pytest.raises(ValueError, match="backend"):
             resolve_backend(None)
@@ -230,7 +227,7 @@ class TestChaosWithRealKills:
             cluster.load((b"k-%03d" % i, b"v-%03d" % i) for i in range(64))
 
             victim = cluster.shards["shard-0"].replicas[1]
-            old_pid = victim.shard.inner.pid
+            old_pid = victim.shard.pid
             victim.shard.kill()
             with pytest.raises(ProcessLookupError):
                 os.kill(old_pid, 0)  # really dead, to the OS
@@ -249,7 +246,7 @@ class TestChaosWithRealKills:
             victim.state = ReplicaState.DOWN
             reports = monitor.check()
             assert any(r.restarted for r in reports)
-            new_pid = victim.shard.inner.pid
+            new_pid = victim.shard.pid
             assert new_pid != old_pid
             os.kill(new_pid, 0)
             assert victim.state is ReplicaState.UP

@@ -145,11 +145,12 @@ def observe_restart() -> dict:
     """Kill and restart ``shard-1/r0`` twice: the ``+7919`` rule."""
     coordinator = ClusterConfig(n_shards=2, replication=2, **_BASE).build()
     try:
-        faulty = coordinator.shards["shard-1"].replicas[0].shard
+        replica = coordinator.shards["shard-1"].replicas[0]
         incarnations = []
         for _ in range(2):
-            faulty.kill()
-            incarnations.append(faulty.restart())
+            replica.shard.kill()
+            replica.restart()
+            incarnations.append(replica.shard)
         return _describe(incarnations)
     finally:
         coordinator.close()

@@ -191,17 +191,21 @@ class TestDeprecatedFactories:
         with pytest.raises(TypeError):
             build_replicated_cluster(2, replication=2, n_keys=64)
 
-    def test_fault_plan_needs_replica_groups(self):
-        from repro.cluster import FaultPlan
+    def test_fault_plan_rides_the_backend(self):
+        from repro.cluster import FaultPlan, FaultyBackend
         plan = FaultPlan().kill("shard-0/r0", at=10_000)
-        config = small(shard_overrides={"fault_plan": plan})
-        with pytest.raises(ConfigurationError, match="replica"):
-            config.build()
-        coord = build_replicated_cluster(config)  # R=1 groups: fine
-        try:
-            assert coord.shards["shard-0"].replicas[0].shard.plan is plan
-        finally:
-            coord.close()
+        config = small(backend=FaultyBackend(plan=plan))
+        for coord, handle in (
+                (config.build(), lambda c: c.shards["shard-0"]),
+                (build_replicated_cluster(config),
+                 lambda c: c.shards["shard-0"].replicas[0].shard)):
+            try:  # plain shards and replica groups alike
+                assert handle(coord).plan is plan
+            finally:
+                coord.close()
+        # No longer a store override: the store refuses the keyword.
+        with pytest.raises(TypeError, match="fault_plan"):
+            small(shard_overrides={"fault_plan": plan}).build()
 
     @pytest.mark.parametrize("field", ["durability", "max_shards"])
     def test_bare_group_builder_refuses_what_it_would_drop(self, field,

@@ -38,6 +38,7 @@ from repro.cluster import (
     ClusterConfig,
     DurabilityConfig,
     FaultPlan,
+    FaultyBackend,
     HealthMonitor,
     HotShardBalancer,
     PlanRejectedError,
@@ -361,7 +362,7 @@ class TestLiveMigration:
             .kill(elastic_target("shard-2"), at=STAGE_ORDINALS["sync"])
             .kill(elastic_target("shard-2"), at=STAGE_ORDINALS["sync"]))
         coord = small(n_shards=2, max_shards=3, replication=2,
-                      shard_overrides={"fault_plan": plan}).build()
+                      backend=FaultyBackend(plan=plan)).build()
         try:
             preload(coord)
             engine = coord.elastic
@@ -391,7 +392,7 @@ class TestLiveMigration:
         # durability sidecar (minted in PREPARE) tears its first commit
         # after cutover; the group repairs durability from live state and
         # the write still lands — zero acked loss.
-        from repro.cluster.faults import dur_target
+        from repro.cluster.faults import FaultyDisk, dur_target
 
         coord = small(n_shards=2, max_shards=3,
                       durability=DurabilityConfig(
@@ -407,8 +408,12 @@ class TestLiveMigration:
             sidecar = getattr(new_group, "durability", None)
             assert sidecar is not None, \
                 "joining shard took reads without a durability sidecar"
-            sidecar.plan = FaultPlan().torn(
-                dur_target("shard-2"), at=sidecar.commit_attempts + 1)
+            # The host's hand on the sidecar's disk from here on: its
+            # first commit attempt from now is torn.
+            sidecar.disk = FaultyDisk(
+                sidecar.disk,
+                FaultPlan().torn(dur_target("shard-2"), at=1),
+                sidecar.counters)
             victim = next(iter(new_group.store.keys()))
             [response] = coord.execute([protocol.put(victim, b"post-torn")])
             assert response.status == STATUS_OK
@@ -442,7 +447,7 @@ class TestChaosGauntlet:
             .slow(elastic_target(leave), at=STAGE_ORDINALS["retire"],
                   seconds=0.001, ops=2))
         coord = small(n_shards=2, max_shards=3, replication=2,
-                      shard_overrides={"fault_plan": plan}).build()
+                      backend=FaultyBackend(plan=plan)).build()
         monitor = HealthMonitor(coord, check_every=64)
         coord.health_monitor = monitor
         try:

@@ -21,11 +21,15 @@ from repro.cluster import (
     BackgroundServer,
     ClusterClient,
     ClusterConfig,
+    ClusterCoordinator,
     EnclaveSpec,
     FaultEvent,
     FaultPlan,
+    FaultyBackend,
+    FaultyBackgroundServer,
     FaultyShard,
     HealthMonitor,
+    ReplicaGroup,
     ReplicaState,
     build_replicated_cluster,
 )
@@ -121,12 +125,17 @@ class TestFaultyShard:
         assert shard.stats()["crashed"] is True
 
     def test_restart_requires_recipe_and_death(self):
-        shard = FaultyShard(s0())
-        with pytest.raises(ShardCrashedError):
-            shard.restart()  # not dead
-        shard.kill()
-        with pytest.raises(ShardCrashedError):
-            shard.restart()  # dead, but no rebuild recipe
+        group = ReplicaGroup("g", [FaultyShard(s0())])
+        replica = group.replicas[0]
+        monitor = HealthMonitor(ClusterCoordinator([group]))
+        monitor.check()
+        assert replica.restarts == 0  # not dead
+        replica.shard.kill()
+        group.mark_down(replica, "crash")
+        monitor.check()
+        # Dead, but a hand-built group has no rebuild recipe.
+        assert replica.restarts == 0
+        assert replica.state is ReplicaState.DOWN
 
     def test_corrupt_trips_integrity_on_next_touch(self):
         shard = FaultyShard(s0())
@@ -143,6 +152,7 @@ class TestFaultyShard:
     def test_partition_blackholes_then_reconnects_without_restart(self):
         plan = FaultPlan().partition("s0", at=3)
         shard = FaultyShard(s0(), plan)
+        inner = shard.inner
         shard.server.flush_batch([protocol.put(b"k", b"v")])
         with pytest.raises(ShardUnreachableError):
             shard.server.flush_batch([protocol.get(b"k"),
@@ -154,7 +164,7 @@ class TestFaultyShard:
         assert not shard.partitioned
         # ...but unlike a kill, the state was never lost: no restart.
         assert shard.store.get(b"k") == b"v"
-        assert shard.restarts == 0
+        assert shard.inner is inner
         assert shard.reconnects == 1
         row = shard.stats()
         assert row["partitions"] == 1 and row["reconnects"] == 1
@@ -207,7 +217,8 @@ class TestTamperAgainstRunningCluster:
     def test_last_live_replica_surfaces_the_alarm(self):
         # With one replica left, going dark would be worse than alarming.
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=2, n_keys=128, scale=2048))
+            n_shards=1, replication=2, n_keys=128, scale=2048,
+            backend=FaultyBackend()))
         coord.load([(b"k", b"v")])
         group = coord.shards["shard-0"]
         group.replicas[1].shard.kill()
@@ -228,17 +239,12 @@ def replicated_server():
 
 
 class TestNetFaults:
-    def _serve(self, coordinator, fault_plan=None, **kwargs):
-        return BackgroundServer(
-            coordinator, fault_plan=fault_plan, **kwargs
-        )
-
     def test_delay_fault_trips_the_client_timeout(self):
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().delay(at=1, seconds=1.0)
-        with BackgroundServer(coord, fault_plan=plan) as background:
+        with FaultyBackgroundServer(coord, plan=plan) as background:
             host, port = background.server.address
             client = ClusterClient.connect(host, port, timeout=0.2, retries=0)
             try:
@@ -252,7 +258,7 @@ class TestNetFaults:
             n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().drop(at=1)
-        with BackgroundServer(coord, fault_plan=plan) as background:
+        with FaultyBackgroundServer(coord, plan=plan) as background:
             host, port = background.server.address
             naps = []
             client = ClusterClient.connect(host, port, timeout=0.3, retries=2,
@@ -266,7 +272,7 @@ class TestNetFaults:
                 # the jitter slice (see repro.cluster.netutil.jittered).
                 assert len(naps) == 1
                 assert 0.01 <= naps[0] <= 0.01 * (1 + netutil.RETRY_JITTER)
-                assert background.server.frames_dropped == 1
+                assert plan.fired() == 1
             finally:
                 client.close()
 
@@ -275,7 +281,7 @@ class TestNetFaults:
             n_shards=1, replication=1, n_keys=64, scale=2048))
         coord.load([(b"k", b"v")])
         plan = FaultPlan().close(at=1)
-        with BackgroundServer(coord, fault_plan=plan) as background:
+        with FaultyBackgroundServer(coord, plan=plan) as background:
             host, port = background.server.address
             client = ClusterClient.connect(host, port, timeout=0.5, retries=1,
                                    backoff=0.01, sleep=lambda _: None)
@@ -283,7 +289,7 @@ class TestNetFaults:
                 # First frame is eaten by the close; the retry reconnects
                 # and succeeds because the fault has already fired.
                 assert client.get(b"k").value == b"v"
-                assert background.server.connections_closed_by_fault == 1
+                assert plan.fired() == 1
             finally:
                 client.close()
 
@@ -291,7 +297,7 @@ class TestNetFaults:
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=1, replication=1, n_keys=64, scale=2048))
         plan = FaultPlan().drop(at=1)
-        with BackgroundServer(coord, fault_plan=plan) as background:
+        with FaultyBackgroundServer(coord, plan=plan) as background:
             host, port = background.server.address
             client = ClusterClient.connect(host, port, timeout=0.2, retries=3,
                                    backoff=0.01, sleep=lambda _: None)
@@ -363,7 +369,7 @@ class TestChaos:
                                             seed=42))
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=2, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, shard_overrides={"fault_plan": plan}))
+            batch_window=8, backend=FaultyBackend(plan=plan)))
         monitor = HealthMonitor(coord, check_every=64)
         coord.health_monitor = monitor
         coord.load((b"key-%04d" % i, b"init") for i in range(self.N_KEYS))

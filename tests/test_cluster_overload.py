@@ -24,6 +24,7 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FaultPlan,
+    FaultyBackend,
     HealthMonitor,
     OverloadConfig,
     ReplicaState,
@@ -63,11 +64,10 @@ class FakeClock:
 def build_overloaded(n_shards=2, replication=2, *, config=None,
                      n_keys=128, batch_window=8, seed=0):
     """A replicated cluster with the overload layer armed and every
-    replica FaultyShard-wrapped (empty plan) for direct ``stall()``."""
+    replica built by a FaultyBackend (empty plan) for direct ``stall()``."""
     coord = build_replicated_cluster(ClusterConfig(
         n_shards=n_shards, replication=replication, n_keys=n_keys, scale=2048,
-        batch_window=batch_window, seed=seed,
-        shard_overrides={"fault_plan": FaultPlan()},
+        batch_window=batch_window, seed=seed, backend=FaultyBackend(),
         overload=config or OverloadConfig()))
     return coord
 
@@ -728,7 +728,7 @@ class TestOverloadGauntlet:
                                 breaker_recovery=0.2)
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=3, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, seed=5, shard_overrides={"fault_plan": plan},
+            batch_window=8, seed=5, backend=FaultyBackend(plan=plan),
             overload=config))
         monitor = HealthMonitor(coord, check_every=10**9)
         coord.health_monitor = monitor

@@ -17,6 +17,7 @@ from repro.cluster import (
     ClusterCoordinator,
     EnclaveSpec,
     FaultPlan,
+    FaultyBackend,
     HealthMonitor,
     ReplicaState,
     build_replica_group,
@@ -38,10 +39,10 @@ from repro.server.protocol import (
 )
 
 
-def make_group(replication=2, **kwargs):
+def make_group(replication=2):
     spec = EnclaveSpec("g0", epc_bytes=256 * 1024, capacity_keys=256,
                        workers=resolve_workers())
-    return build_replica_group(spec, replication, **kwargs)
+    return build_replica_group(spec, replication, backend=FaultyBackend())
 
 
 def enclave_of(replica):
@@ -62,7 +63,7 @@ class TestReplicaIndependence:
         replica = group.replicas[0]
         old_key = enclave_of(replica).keys.encryption_key
         replica.shard.kill()
-        replica.shard.restart()
+        replica.restart()
         assert enclave_of(replica).keys.encryption_key != old_key
 
     def test_write_is_metered_on_every_replica(self):
@@ -169,7 +170,8 @@ class TestCoordinatorContainment:
 
     def test_flush_failure_yields_per_request_errors(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=2, replication=1, n_keys=64, scale=2048, batch_window=4))
+            n_shards=2, replication=1, n_keys=64, scale=2048, batch_window=4,
+            backend=FaultyBackend()))
         keys = [b"k%02d" % i for i in range(32)]
         coord.load((k, b"v") for k in keys)
         # Kill every replica of shard-0: its requests must error, the
@@ -204,7 +206,8 @@ class TestCoordinatorContainment:
 
     def test_single_request_api_maps_unavailable_to_typed_error(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=1, n_keys=64, scale=2048))
+            n_shards=1, replication=1, n_keys=64, scale=2048,
+            backend=FaultyBackend()))
         coord.shards["shard-0"].replicas[0].shard.kill()
         with pytest.raises(ReplicaUnavailableError):
             coord.get(b"k")
@@ -228,7 +231,8 @@ class TestHealthEndpoint:
 
     def test_health_reflects_a_down_replica(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=2, n_keys=64, scale=2048))
+            n_shards=1, replication=2, n_keys=64, scale=2048,
+            backend=FaultyBackend()))
         coord.shards["shard-0"].replicas[0].shard.kill()
         # The kill is visible only after the group touches the shard.
         try:
@@ -243,7 +247,8 @@ class TestHealthEndpoint:
 class TestHealthMonitor:
     def test_restart_and_resync_through_the_trusted_path(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=2, n_keys=128, scale=2048))
+            n_shards=1, replication=2, n_keys=128, scale=2048,
+            backend=FaultyBackend()))
         pairs = [(b"k%03d" % i, b"v%03d" % i) for i in range(40)]
         coord.load(pairs)
         group = coord.shards["shard-0"]
@@ -272,7 +277,8 @@ class TestHealthMonitor:
 
     def test_monitor_piggybacks_on_the_serving_loop(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=2, n_keys=64, scale=2048, batch_window=4))
+            n_shards=1, replication=2, n_keys=64, scale=2048, batch_window=4,
+            backend=FaultyBackend()))
         coord.load([(b"k%02d" % i, b"v") for i in range(8)])
         monitor = HealthMonitor(coord, check_every=8)
         coord.health_monitor = monitor
@@ -292,7 +298,8 @@ class TestHealthMonitor:
         # durable path (repro.persist + test_durability_recovery) is the
         # *only* sanctioned way out of this state.
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=1, n_keys=64, scale=2048))
+            n_shards=1, replication=1, n_keys=64, scale=2048,
+            backend=FaultyBackend()))
         coord.load([(b"k", b"v")])
         group = coord.shards["shard-0"]
         group.replicas[0].shard.kill()
@@ -320,7 +327,7 @@ class TestHealthMonitor:
         plan = FaultPlan().corrupt("shard-0/r0", at=2, key=b"k00")
         coord = build_replicated_cluster(ClusterConfig(
             n_shards=1, replication=2, n_keys=64, scale=2048,
-            shard_overrides={"fault_plan": plan}))
+            backend=FaultyBackend(plan=plan)))
         coord.load([(b"k%02d" % i, b"v%02d" % i) for i in range(10)])
         group = coord.shards["shard-0"]
         # Trip the corruption, then read: primary alarms, peer serves.
@@ -352,7 +359,8 @@ class TestStatsIntegration:
 
     def test_down_replica_shows_in_stats(self):
         coord = build_replicated_cluster(ClusterConfig(
-            n_shards=1, replication=2, n_keys=64, scale=2048))
+            n_shards=1, replication=2, n_keys=64, scale=2048,
+            backend=FaultyBackend()))
         group = coord.shards["shard-0"]
         group.replicas[1].shard.kill()
         coord.put(b"k", b"v")  # fan-out notices the dead secondary

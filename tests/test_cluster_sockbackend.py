@@ -41,6 +41,7 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FaultPlan,
+    FaultyBackend,
     HealthMonitor,
     ReplicaState,
     ShardHost,
@@ -621,23 +622,23 @@ class TestPartitionVsCrash:
             cluster.load((b"k-%03d" % i, b"v") for i in range(32))
             group = cluster.shards["shard-0"]
             victim = group.replicas[1]
-            victim.shard.inner.partition()
+            victim.shard.partition()
             # The next write fan-out trips on the partition...
             responses = cluster.execute(
                 [protocol.put(b"k-%03d" % i, b"w") for i in range(8)])
             assert all(r.status == STATUS_OK for r in responses)
             assert victim.state is ReplicaState.DOWN
             assert victim.last_reason == "unreachable"
-            inner = victim.shard.inner
+            handle = victim.shard
             # ...and the monitor reconnects (no restart: same enclave,
             # same host process) and re-syncs the missed writes.
             reports = monitor.check()
             assert victim.state is ReplicaState.UP
             assert any(r.reconnected and not r.restarted for r in reports)
             assert monitor.total_reconnects() == 1
-            assert victim.shard.inner is inner  # the handle survived
-            assert victim.shard.restarts == 0
-            assert victim.shard.inner.reconnects == 1
+            assert victim.shard is handle  # the handle survived
+            assert victim.restarts == 0
+            assert victim.shard.reconnects == 1
             # The reconnected replica caught up on the fan-out it missed.
             assert victim.shard.store.get(b"k-003") == b"w"
         finally:
@@ -654,14 +655,14 @@ class TestPartitionVsCrash:
             cluster.load((b"k-%03d" % i, b"v") for i in range(32))
             group = cluster.shards["shard-0"]
             victim = group.replicas[1]
-            old_inner = victim.shard.inner
+            old = victim.shard
             victim.shard.kill()
             victim.state = ReplicaState.DOWN
             victim.last_reason = "crash"
             reports = monitor.check()
             assert victim.state is ReplicaState.UP
             assert any(r.restarted and not r.reconnected for r in reports)
-            assert victim.shard.inner is not old_inner  # fresh enclave
+            assert victim.shard is not old  # fresh enclave
             assert victim.shard.store.get(b"k-001") == b"v"  # re-synced
         finally:
             cluster.close()
@@ -709,8 +710,7 @@ class TestGauntlet:
         ))
         cluster = build_replicated_cluster(ClusterConfig(
             n_shards=4, replication=2, n_keys=self.N_KEYS, scale=2048,
-            batch_window=8, seed=29, backend=backend,
-            shard_overrides={"fault_plan": plan}))
+            batch_window=8, seed=29, backend=FaultyBackend(backend, plan)))
         monitor = HealthMonitor(cluster, check_every=64)
         cluster.health_monitor = monitor
         try:

@@ -19,6 +19,8 @@ import pytest
 from repro.cluster import (
     ClusterConfig,
     FaultPlan,
+    FaultyBackend,
+    FaultyDisk,
     HealthMonitor,
     ReplicaState,
     build_replicated_cluster,
@@ -41,16 +43,19 @@ pytestmark = pytest.mark.durability
 
 def make_durable_cluster(n_shards=2, replication=2, *, epoch_every=4,
                          fault_plan=None, **kwargs):
+    """A durable cluster whose replicas and disk play ``fault_plan``; the
+    returned ``disk`` is the bare one under the sidecars' FaultyDisk."""
+    plan = fault_plan if fault_plan is not None else FaultPlan()
     kwargs.setdefault("n_keys", 128)
     kwargs.setdefault("scale", 2048)
     coord = build_replicated_cluster(ClusterConfig(
         n_shards=n_shards, replication=replication,
-        shard_overrides={"fault_plan": fault_plan}, **kwargs))
+        backend=FaultyBackend(plan=plan), **kwargs))
     disk = MemoryDisk()
     counters = MonotonicCounterService()
     sidecars = attach_cluster_durability(
-        coord, disk, counters, epoch_every=epoch_every,
-        fault_plan=fault_plan)
+        coord, FaultyDisk(disk, plan, counters), counters,
+        epoch_every=epoch_every)
     return coord, disk, counters, sidecars
 
 
@@ -116,12 +121,12 @@ class TestWholePartitionRecovery:
         assert sidecars2["shard-0"].meter.cycles == dur.meter.cycles
 
     def test_torn_tail_recovers_to_last_committed_batch(self):
+        plan = FaultPlan()
         coord, disk, counters, sidecars = make_durable_cluster(
-            n_shards=1, replication=2)
+            n_shards=1, replication=2, fault_plan=plan)
         coord.load([(b"base", b"v")])
         dur = sidecars["shard-0"]
-        dur.plan = FaultPlan().torn(dur_target("shard-0"),
-                                    at=dur.commit_attempts + 2)
+        plan.torn(dur_target("shard-0"), at=dur.commit_attempts + 2)
         r1 = coord.execute([protocol.put(b"acked", b"yes")])
         assert r1[0].status == STATUS_OK
         # The torn commit: the group repairs durability from live state and
@@ -144,7 +149,7 @@ class TestWholePartitionRecovery:
             n_shards=1, replication=2, epoch_every=2)
         coord.load([(b"k%02d" % i, b"old") for i in range(8)])
         dur = sidecars["shard-0"]
-        token = dur.capture_state()
+        token = disk.capture()
         responses = coord.execute(
             [protocol.put(b"k%02d" % i, b"new") for i in range(8)])
         assert all(r.status == STATUS_OK for r in responses)
@@ -152,7 +157,7 @@ class TestWholePartitionRecovery:
 
         group = coord.shards["shard-0"]
         kill_group(group)
-        dur.restore_state(token)  # the host replays yesterday's disk
+        disk.restore(token)  # the host replays yesterday's disk
 
         monitor = HealthMonitor(coord, check_every=1)
         monitor.check()

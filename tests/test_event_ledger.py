@@ -32,6 +32,7 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     DurabilityConfig,
+    FaultyBackend,
     OverloadConfig,
     SocketBackend,
     SocketShard,
@@ -264,7 +265,7 @@ def test_every_live_meter_of_an_armed_cluster_holds_the_ledger(backend):
             _backend(backend) as (factory, hosts):
         door = serve(ClusterConfig(
             n_shards=2, n_keys=256, scale=2048, batch_window=8, seed=11,
-            workers=2, backend=factory, replication=2,
+            workers=2, backend=FaultyBackend(factory), replication=2,
             durability=DurabilityConfig(data_dir=data_dir),
             overload=OverloadConfig(),
             tenancy=TenancyConfig(tenants=(
@@ -286,7 +287,7 @@ def test_every_live_meter_of_an_armed_cluster_holds_the_ledger(backend):
             assert victim.state is ReplicaState.DOWN
             coordinator.health_monitor.check()
             assert victim.state is ReplicaState.UP
-            assert victim.shard.restarts == 1
+            assert victim.restarts == 1
             for _ in range(4):
                 client.request_batch(_frame(rng))
 

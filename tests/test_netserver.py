@@ -381,21 +381,23 @@ class TestLifecycle:
 # (15,494,946 -> 15,494,877); digest, shard cycles and every counter held.
 # When the door became v2-only, the ledger lost three keys of the removed
 # wire policy ("security", "hellos_refused", "downgrade_injections");
-# nothing else changed.
+# nothing else changed.  When the fault plan moved out of the door into a
+# FaultyDoor subclass, the ledger lost "tamper_injections" and
+# "replay_injections" (1 each); the plan's own fired count (all 4 events)
+# stands in for them.
 
 PARENT_STREAM = {
     "digest":
         "1f4f6b58fcbd7eb88c73a50614c6f4a822f5fd542c7fb12182db42ea364b0d76",
     "shard_cycles": [2895643.5, 2519317.75],
     "gateway_cycles": 15494877.0,
+    "faults_fired": 4,
     "wire_stats": {
         "tamper_alarms": 0,
         "replay_alarms": 0,
         "stale_session_alarms": 0,
         "handshake_failures": 0,
         "plaintext_rejections": 0,
-        "tamper_injections": 1,
-        "replay_injections": 1,
         "overload": {
             "max_inflight": None,
             "max_connections": None,
@@ -426,7 +428,7 @@ def drive_seeded_stream(n_frames=200, seed=1809):
     import hashlib
     import random
 
-    from repro.cluster import FaultPlan, SessionManager
+    from repro.cluster import FaultPlan, FaultyBackgroundServer, SessionManager
     from repro.cluster.overload import Deadline
     from repro.errors import AriaError
 
@@ -437,8 +439,8 @@ def drive_seeded_stream(n_frames=200, seed=1809):
     plan = (FaultPlan().delay(at=30, seconds=0.001).tamper(at=60)
             .replay(at=120).close(at=150))
     digest = hashlib.sha256()
-    with BackgroundServer(coordinator, fault_plan=plan,
-                          sessions=SessionManager(seed=7)) as background:
+    with FaultyBackgroundServer(coordinator, plan=plan,
+                                sessions=SessionManager(seed=7)) as background:
         host, port = background.server.address
         client = ClusterClient(host, port, retries=0)
         try:
@@ -474,6 +476,7 @@ def drive_seeded_stream(n_frames=200, seed=1809):
         "shard_cycles": [shard.meter.cycles
                          for shard in coordinator.shard_list()],
         "gateway_cycles": gateway_cycles,
+        "faults_fired": plan.fired(),
         "wire_stats": stats,
     }
 

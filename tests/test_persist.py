@@ -30,7 +30,7 @@ from repro.persist import (
     replay,
     wal,
 )
-from repro.cluster.faults import FaultPlan, dur_target
+from repro.cluster.faults import FaultPlan, FaultyDisk, dur_target
 from repro.server.protocol import OpCode, Request
 from repro.sgx.monotonic import MonotonicCounterService
 from repro.sgx.meter import CycleMeter
@@ -379,10 +379,10 @@ class TestPartitionDurability:
     def test_stale_state_rollback_is_detected(self):
         dur, disk, counters = make_dur(epoch_every=2)
         dur.commit(puts((b"k", b"v1")))
-        token = dur.capture_state()
+        token = disk.capture()
         for i in range(4):  # crosses ≥1 epoch boundary → counter moves on
             dur.commit(puts((b"k", b"v%d" % (2 + i))))
-        dur.restore_state(token)
+        disk.restore(token)
         fresh = PartitionDurability("part-0", disk, counters, epoch_every=2)
         fresh.initialize()
         with pytest.raises(RollbackDetectedError, match="stale"):
@@ -419,10 +419,12 @@ class TestPartitionDurability:
             fresh.recover()
 
     def test_torn_tail_recovers_to_last_committed_batch(self):
-        dur, disk, counters = make_dur()
+        plan = FaultPlan()
+        counters = MonotonicCounterService()
+        dur, disk, counters = make_dur(
+            FaultyDisk(MemoryDisk(), plan, counters), counters)
         dur.commit(puts((b"a", b"1")))
-        plan = FaultPlan().torn(dur_target("part-0"), at=dur.commit_attempts + 1)
-        dur.plan = plan
+        plan.torn(dur_target("part-0"), at=dur.commit_attempts + 1)
         with pytest.raises(DiskIOError, match="torn"):
             dur.commit(puts((b"b", b"2")))  # never acked
         fresh = PartitionDurability("part-0", disk, counters)
@@ -438,7 +440,9 @@ class TestPartitionDurability:
 
     def test_io_error_fault_fails_the_commit_cleanly(self):
         plan = FaultPlan().io_error(dur_target("part-0"), at=2)
-        dur, disk, counters = make_dur(fault_plan=plan)
+        counters = MonotonicCounterService()
+        dur, disk, counters = make_dur(
+            FaultyDisk(MemoryDisk(), plan, counters), counters)
         dur.commit(puts((b"a", b"1")))
         with pytest.raises(DiskIOError, match="I/O"):
             dur.commit(puts((b"b", b"2")))

@@ -19,7 +19,12 @@ The constants in :data:`PARENT` were produced at the commit *before* the
 a script (``PYTHONPATH=src python tests/test_shard_contract.py``): the
 typed contract must leave every one of them where the capability probes
 left it.  Regenerate them only for a change that *means* to move what the
-health probe or the report says, and say so in the PR.
+health probe or the report says, and say so in the PR.  One was: when fault
+injection moved into a backend wrapper, the ``armed`` cluster's replicas
+became bare handles, so its report rows lost the wrapper's ``crashed``,
+``restarts``, ``partitions``, ``reconnects`` and ``stalls`` keys (every one
+0/False there); ``armed``'s ``report_sha256`` is re-recorded for that,
+nothing else moved.
 """
 
 import hashlib
@@ -33,10 +38,12 @@ from repro.cluster import (
     ClusterConfig,
     DurabilityConfig,
     FaultPlan,
+    FaultyBackend,
     FaultyShard,
     HealthMonitor,
     OverloadConfig,
     ProcessShard,
+    Replica,
     ReplicaGroup,
     Shard,
     ShardHandle,
@@ -95,7 +102,7 @@ def _build(kind: str, backend: str, data_dir: str):
         plan = (FaultPlan().partition("shard-0/r0", at=40)
                 .corrupt("shard-1/r0", at=90))
         coordinator = build_replicated_cluster(ClusterConfig(
-            backend=factory, shard_overrides={"fault_plan": plan}, **_BASE))
+            backend=FaultyBackend(factory, plan), **_BASE))
     elif kind == "group_r2":
         # R=2: a kill (restart + re-sync), a partition (reconnect +
         # catch-up) and a corruption (quarantine + failover).
@@ -103,8 +110,7 @@ def _build(kind: str, backend: str, data_dir: str):
                 .partition("shard-1/r1", at=50)
                 .corrupt("shard-1/r0", at=120))
         coordinator = build_replicated_cluster(ClusterConfig(
-            backend=factory, replication=2,
-            shard_overrides={"fault_plan": plan}, **_BASE))
+            backend=FaultyBackend(factory, plan), replication=2, **_BASE))
     else:
         assert kind == "armed"
         # The whole build() path: durable R=2 groups, tenancy, overload,
@@ -306,7 +312,7 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                                   'shed': {'minnow': 0, 'whale': 106},
                                   'tenants': ['minnow', 'whale'],
                                   'unknown_shed': 0}},
-           'report_sha256': '6df068997486a0ad3bce5a700683ff144c7a12797339255a60904533e8659291',
+           'report_sha256': '70c5c6d3fa698a51662f1e26b69449918f787545d0e4b3352aa83af78a15d10a',
            'cluster': {'n_shards': 2,
                        'keys': 107,
                        'window_ops': 419,
@@ -452,9 +458,7 @@ def test_concrete_handle_answers_every_member(backend, make_handle):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_faulty_wrapper_answers_every_member(backend, make_handle):
-    wrapper = FaultyShard(
-        make_handle(backend),
-        rebuild=lambda: make_handle(backend, "shard-x-1"))
+    wrapper = FaultyShard(make_handle(backend))
     # The wrapper's server interposes synchronously: never pipelined.
     _assert_answers(wrapper, {})
     assert wrapper.flush_reads_fallback(_GET) is None
@@ -472,11 +476,15 @@ def test_faulty_wrapper_answers_every_member(backend, make_handle):
     assert wrapper.inner.crashed == (backend != "inline")
     with pytest.raises(ShardCrashedError):
         wrapper.server.flush_batch(_GET)
-    fresh = wrapper.restart()
-    assert fresh is wrapper.inner and not wrapper.crashed
-    assert wrapper.shard_id == "shard-x-1" and wrapper.restarts == 1
-    wrapper.server.flush_batch(_GET)
-    wrapper.close()
+    # A restart replaces the whole handle, through the replica's recipe.
+    replica = Replica(wrapper)
+    replica.rebuild = lambda: FaultyShard(make_handle(backend, "shard-x-1"))
+    replica.restart()
+    fresh = replica.shard
+    assert fresh is not wrapper and not fresh.crashed
+    assert fresh.shard_id == "shard-x-1" and replica.restarts == 1
+    fresh.server.flush_batch(_GET)
+    fresh.close()
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

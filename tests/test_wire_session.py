@@ -18,6 +18,7 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FaultPlan,
+    FaultyBackgroundServer,
 )
 from repro.cluster import session as wire
 from repro.cluster.framing import read_frame, write_frame
@@ -413,26 +414,26 @@ class TestSecureWire:
 class TestWireFaults:
     def test_tamper_fault_is_caught_and_reads_ride_it_out(self, cluster):
         plan = FaultPlan().tamper(at=1)
-        with BackgroundServer(cluster, fault_plan=plan) as background:
+        with FaultyBackgroundServer(cluster, plan=plan) as background:
             host, port = background.server.address
             with ClusterClient.connect(host, port, backoff=0.01) as c:
                 assert c.get(b"key-005").value == b"val-005"
                 assert c.retried_reads >= 1  # first reply was forged
-            assert background.server.tamper_injections == 1
+            assert plan.fired() == 1
 
     def test_replay_fault_is_caught_and_reads_ride_it_out(self, cluster):
         plan = FaultPlan().replay(at=2)
-        with BackgroundServer(cluster, fault_plan=plan) as background:
+        with FaultyBackgroundServer(cluster, plan=plan) as background:
             host, port = background.server.address
             with ClusterClient.connect(host, port, backoff=0.01) as c:
                 assert c.get(b"key-006").value == b"val-006"
                 assert c.get(b"key-007").value == b"val-007"
                 assert c.retried_reads >= 1
-            assert background.server.replay_injections == 1
+            assert plan.fired() == 1
 
     def test_writes_surface_wire_attacks_instead_of_retrying(self, cluster):
         plan = FaultPlan().tamper(at=1)
-        with BackgroundServer(cluster, fault_plan=plan) as background:
+        with FaultyBackgroundServer(cluster, plan=plan) as background:
             host, port = background.server.address
             with ClusterClient.connect(host, port) as c:
                 with pytest.raises(TamperedFrameError):
@@ -445,7 +446,7 @@ class TestWireFaults:
                             .tamper(at=2)
                             .replay(at=4)
                             .tamper(at=6))
-        with BackgroundServer(cluster, fault_plan=plan) as background:
+        with FaultyBackgroundServer(cluster, plan=plan) as background:
             host, port = background.server.address
             client = ClusterClient.connect(host, port, retries=0)
             seen = set()
@@ -469,8 +470,6 @@ class TestWireFaults:
                 client.close()
             assert len(history.acked) == 10, plan.describe()
             history.fired(3)
-            assert background.server.tamper_injections == 2
-            assert background.server.replay_injections == 1
             assert {"TamperedFrameError", "ReplayError"} <= seen
 
 
