@@ -761,6 +761,13 @@ def _as_requests(operations):
     ]
 
 
+def _replica_cycles(coordinator) -> float:
+    """Simulated cycles of every replica enclave in every replica group."""
+    return sum(replica.shard.meter.cycles
+               for group in coordinator.shard_list()
+               for replica in group.replicas)
+
+
 def _drive_cluster(coordinator, requests, frame_ops: int = 256) -> None:
     """Feed requests through the coordinator in frame-sized deliveries.
 
@@ -958,11 +965,6 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
     )
     n_keys = scaled_keys(scale)
 
-    def total_cycles(coordinator) -> float:
-        return sum(replica.shard.meter.cycles
-                   for group in coordinator.shard_list()
-                   for replica in group.replicas)
-
     for replication in (1, 2):
         coordinator = build_replicated_cluster(ClusterConfig(
             n_shards=2, replication=replication, n_keys=n_keys, scale=scale,
@@ -977,13 +979,13 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
         _drive_cluster(coordinator,
                        _as_requests(mixed.operations(n_ops // 2)))  # warm
 
-        before = total_cycles(coordinator)
+        before = _replica_cycles(coordinator)
         _drive_cluster(coordinator, _as_requests(writes.operations(n_ops)))
-        write_cycles = (total_cycles(coordinator) - before) / n_ops
+        write_cycles = (_replica_cycles(coordinator) - before) / n_ops
 
-        before = total_cycles(coordinator)
+        before = _replica_cycles(coordinator)
         _drive_cluster(coordinator, _as_requests(reads.operations(n_ops)))
-        read_cycles = (total_cycles(coordinator) - before) / n_ops
+        read_cycles = (_replica_cycles(coordinator) - before) / n_ops
 
         stats = coordinator.stats()
         _drive_cluster(coordinator, _as_requests(mixed.operations(n_ops)))
@@ -996,15 +998,15 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
         group = coordinator.shards["shard-0"]
         victim = next(k for k, _ in writes.load_items()
                       if coordinator.ring.route(k) == "shard-0")
-        before = total_cycles(coordinator)
+        before = _replica_cycles(coordinator)
         coordinator.get(victim)
-        clean_read = total_cycles(coordinator) - before
+        clean_read = _replica_cycles(coordinator) - before
         failover_read = 0.0
         if replication >= 2:
             corrupt_record_in_place(group.replicas[0].shard.store, victim)
-            before = total_cycles(coordinator)
+            before = _replica_cycles(coordinator)
             coordinator.get(victim)
-            failover_read = total_cycles(coordinator) - before
+            failover_read = _replica_cycles(coordinator) - before
 
         result.add_row(
             replication=replication,
@@ -1205,11 +1207,6 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
     # demands the same requests everywhere.
     requests = _as_requests(workload.operations(n_ops))
 
-    def shard_cycles(coordinator) -> float:
-        return sum(replica.shard.meter.cycles
-                   for group in coordinator.shard_list()
-                   for replica in group.replicas)
-
     for backend in ("inline", "process"):
         for replication in (1, 2):
             coordinator = build_replicated_cluster(ClusterConfig(
@@ -1223,11 +1220,11 @@ def cluster_wire_overhead(scale: int = 2048, n_ops: int = 2000,
                     info = client.session_info()
                     gateway = background.server.sessions.meter
                     wire_before = gateway.cycles
-                    shards_before = shard_cycles(coordinator)
+                    shards_before = _replica_cycles(coordinator)
                     for start in range(0, len(requests), frame_ops):
                         client.request_batch(
                             requests[start:start + frame_ops])
-                    shard_cpo = (shard_cycles(coordinator)
+                    shard_cpo = (_replica_cycles(coordinator)
                                  - shards_before) / n_ops
                     wire_cpo = (gateway.cycles - wire_before) / n_ops
             finally:
@@ -1389,11 +1386,6 @@ def cluster_durability(scale: int = 2048, n_ops: int = 2000,
                             distribution="uniform")
     requests = _as_requests(workload.operations(n_ops))
 
-    def shard_cycles(coordinator) -> float:
-        return sum(replica.shard.meter.cycles
-                   for group in coordinator.shard_list()
-                   for replica in group.replicas)
-
     modes = (("in-memory", None), ("durable e=8", 8), ("durable e=32", 32))
     for backend in ("inline", "process"):
         for mode, epoch_every in modes:
@@ -1410,9 +1402,9 @@ def cluster_durability(scale: int = 2048, n_ops: int = 2000,
                 coordinator.load(workload.load_items())
                 dur_before = sum(d.meter.cycles for d in sidecars.values())
                 log_before = sum(d.bytes_appended for d in sidecars.values())
-                shards_before = shard_cycles(coordinator)
+                shards_before = _replica_cycles(coordinator)
                 _drive_cluster(coordinator, requests)
-                shard_cpo = (shard_cycles(coordinator)
+                shard_cpo = (_replica_cycles(coordinator)
                              - shards_before) / n_ops
                 dur_cpo = (sum(d.meter.cycles for d in sidecars.values())
                            - dur_before) / n_ops
@@ -1515,11 +1507,6 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
     half = len(requests) // 2
     stall_seconds = 0.6
 
-    def shard_cycles(coordinator) -> float:
-        return sum(replica.shard.meter.cycles
-                   for group in coordinator.shard_list()
-                   for replica in group.replicas)
-
     def canonical(responses):
         # A shed response's retry_after hint is the breaker's remaining
         # wall-clock countdown — host time, advisory by contract.  Strip
@@ -1549,7 +1536,7 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
                 if phase == "storm":
                     hot_group.replicas[0].shard.stall(stall_seconds)
                 shed_before = coordinator.overload.stats()["shed"]
-                cycles_before = shard_cycles(coordinator)
+                cycles_before = _replica_cycles(coordinator)
                 digest = hashlib.sha256()
                 ok = 0
                 started = _time.perf_counter()
@@ -1568,7 +1555,7 @@ def cluster_overload(scale: int = 2048, n_ops: int = 2000,
                     shed=stats["shed"] - shed_before,
                     breaker_trips=stats["breaker_trips"],
                     cycles_sum=round(
-                        shard_cycles(coordinator) - cycles_before, 1),
+                        _replica_cycles(coordinator) - cycles_before, 1),
                     responses_sha256=digest.hexdigest()[:16],
                     wall_s=round(wall, 3),
                 )
@@ -1745,8 +1732,8 @@ def cluster_elastic(scale: int = 2048, n_ops: int = 2000,
     Copy/retire re-seals are charged to the shard meters, so the
     ``during-*`` rows' throughput dip *is* the migration bill as a
     client would observe it — and the same bill is priced explicitly in
-    ``migration_cycles`` (keys moved × the spec's per-key
-    ``migrate_cost_cycles``).
+    ``migration_cycles`` (keys moved × the cost model's per-key
+    ``MIGRATE_COST_CYCLES``).
 
     The acceptance bar (benchmarks/test_cluster_scaling.py): both
     ``during-*`` windows keep >= 0.7 of the preceding steady window's
@@ -1756,6 +1743,7 @@ def cluster_elastic(scale: int = 2048, n_ops: int = 2000,
     priced cost is non-zero and consistent with the engine counters.
     """
     from repro.cluster import ClusterConfig
+    from repro.cluster.elastic import MIGRATE_COST_CYCLES
     from repro.server import protocol
     from repro.server.protocol import Status
 
@@ -1810,7 +1798,7 @@ def cluster_elastic(scale: int = 2048, n_ops: int = 2000,
                 keys_moved=keys_moved,
                 dual_applied=after["dual_applied"] - base["dual_applied"],
                 migration_cycles=round(
-                    keys_moved * engine.spec.migrate_cost_cycles, 1),
+                    keys_moved * MIGRATE_COST_CYCLES, 1),
             )
 
         window("steady-4")
@@ -1831,7 +1819,7 @@ def cluster_elastic(scale: int = 2048, n_ops: int = 2000,
                 f"{engine.batch_keys} keys/frame; during-* windows span "
                 "exactly one live migration (planner-approved, "
                 "interleaved via after_execute); migration_cycles = keys "
-                f"x {engine.spec.migrate_cost_cycles:.0f} "
+                f"x {MIGRATE_COST_CYCLES:.0f} "
                 "migrate_cost_cycles")
     return result
 

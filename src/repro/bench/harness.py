@@ -61,6 +61,17 @@ def aria_buckets(n_keys: int, platform: SgxPlatform) -> int:
     return max(16, min(n_keys // ARIA_LOAD_FACTOR, platform.epc_bytes // 8))
 
 
+def aria_counters(n_keys: int, index: str = "hash",
+                  order: int = AriaConfig.btree_order) -> int:
+    """Counters Aria preallocates: one per sealed record, plus 5 %.
+
+    A B+-tree also seals a separator for every leaf but the first, and a
+    split leaves each leaf at least half of ``order + 1`` entries.
+    """
+    separators = n_keys // ((order + 1) // 2) if index == "bplustree" else 0
+    return int((n_keys + separators) * 1.05) + 8
+
+
 def scaled_platform(scale: int = DEFAULT_SCALE,
                     epc_bytes: int = PAPER_EPC_BYTES) -> SgxPlatform:
     return SgxPlatform(epc_bytes=max(4096, epc_bytes // scale))
@@ -98,6 +109,7 @@ def aria_cache_budget(
     n_buckets: Optional[int] = None,
     est_record_bytes: int = 80,
     margin: float = 0.05,
+    n_counters: Optional[int] = None,
 ) -> int:
     """EPC left for the Secure Cache after every other trusted structure.
 
@@ -105,7 +117,8 @@ def aria_cache_budget(
     levels, the index's per-bucket counts, and an estimate of the heap
     allocator's chunk bitmaps (roughly 1 bit per 8 block bytes).
     """
-    n_counters = int(n_keys * 1.05) + 8
+    if n_counters is None:
+        n_counters = aria_counters(n_keys)
     layout = MerkleLayout(n_counters=n_counters, arity=arity)
     pin_levels = min(pin_levels, layout.n_levels)
     buckets = n_buckets if n_buckets is not None \
@@ -145,12 +158,15 @@ def build_aria(
     EPC — every level except L0 at the paper's 10 M-key operating point.
     """
     n_buckets = aria_buckets(n_keys, platform)
+    n_counters = aria_counters(n_keys, index, config_overrides.get(
+        "btree_order", AriaConfig.btree_order))
     if pin_levels == "auto":
-        layout = MerkleLayout(n_counters=int(n_keys * 1.05) + 8, arity=arity)
+        layout = MerkleLayout(n_counters=n_counters, arity=arity)
         pin_levels = auto_pin_levels(layout, platform.epc_bytes)
     budget = aria_cache_budget(
         platform, n_keys=n_keys, arity=arity, pin_levels=pin_levels,
         n_buckets=n_buckets, est_record_bytes=48 + value_hint,
+        n_counters=n_counters,
     )
     # The paper trips stop-swap below a 70 % hit ratio at 10 M keys, where
     # the zipf(0.99) head is thin; scaled-down zipf tails are fatter, so the
@@ -166,7 +182,7 @@ def build_aria(
         eviction_policy=policy,
         pin_levels=pin_levels,
         stop_swap_enabled=stop_swap_enabled,
-        initial_counters=int(n_keys * 1.05) + 8,
+        initial_counters=n_counters,
         allocator=allocator,
         heap_chunk_bytes=max(4096, (4 * 1024 * 1024) // DEFAULT_SCALE),
         seed=seed,
@@ -187,7 +203,7 @@ def build_shieldstore(*, n_keys: int, platform: SgxPlatform,
 def build_aria_nocache(*, n_keys: int, platform: SgxPlatform,
                        index: str = "hash", seed: int = 0) -> AriaNoCacheStore:
     return AriaNoCacheStore(
-        initial_counters=int(n_keys * 1.05) + 8,
+        initial_counters=aria_counters(n_keys, index),
         index=index,
         n_buckets=max(16, n_keys // ARIA_LOAD_FACTOR),
         platform=platform,

@@ -150,13 +150,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     from repro.bench.harness import (
         aria_buckets,
         aria_cache_budget,
+        aria_counters,
         auto_pin_levels,
         scaled_platform,
     )
     from repro.merkle.layout import MerkleLayout
 
     platform = scaled_platform(args.scale)
-    n_counters = int(args.keys * 1.05) + 8
+    n_counters = aria_counters(args.keys)
     layout = MerkleLayout(n_counters=n_counters, arity=args.arity)
     pin = auto_pin_levels(layout, platform.epc_bytes)
     buckets = aria_buckets(args.keys, platform)

@@ -144,8 +144,8 @@ from repro.cluster.netserver import (
     ClusterNetServer,
     DEFAULT_CLIENT_TIMEOUT,
     DEFAULT_RETRY_RATIO,
-    FRAME_HEADER,
 )
+from repro.cluster.framing import FRAME_HEADER
 from repro.cluster.overload import (
     BreakerState,
     CircuitBreaker,

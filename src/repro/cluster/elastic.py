@@ -76,6 +76,10 @@ STAGE_CUTOVER = "cutover"
 STAGE_RETIRE = "retire"
 MIGRATION_STAGES = (STAGE_PREPARE, STAGE_SYNC, STAGE_CUTOVER, STAGE_RETIRE)
 
+#: The cost model's per-key price of a trusted-path move (verified read +
+#: re-sealed put + source delete), in simulated cycles.
+MIGRATE_COST_CYCLES = 3500.0
+
 #: The five constraint models (plus "topology" for structurally invalid
 #: deltas), in checking order.
 CONSTRAINT_MODELS = (
@@ -172,9 +176,6 @@ class ShardSpec:
     #: (``factory(group) -> PartitionDurability``); required by the
     #: ``durability_continuity`` model when the cluster is durable.
     durability_factory: Optional[Callable] = None
-    #: The cost model's per-key price of a trusted-path move (verified
-    #: read + re-sealed put + source delete), in simulated cycles.
-    migrate_cost_cycles: float = 3500.0
     #: Projected Secure-Cache entry count per shard, for the
     #: ``tenant_quota`` feasibility model; None estimates from the EPC
     #: carve (half the EPC at ~96 bytes/entry, the cache's "as large as
@@ -339,7 +340,7 @@ class ReconfigPlanner:
 
         # -- model 5: migration cost vs. straggler savings ----------------
         projected_keys = self._projected_keys(delta, n_before)
-        projected_cost = projected_keys * spec.migrate_cost_cycles
+        projected_cost = projected_keys * MIGRATE_COST_CYCLES
         if self.max_migration_cost is not None \
                 and projected_cost > self.max_migration_cost:
             raise PlanRejectedError(
@@ -356,7 +357,7 @@ class ReconfigPlanner:
                 "for itself",
                 constraint="migration_cost")
         constraints["migration_cost"] = (
-            f"{projected_keys} keys x {spec.migrate_cost_cycles:.0f} "
+            f"{projected_keys} keys x {MIGRATE_COST_CYCLES:.0f} "
             f"cycles/key = {projected_cost:.0f} cycles"
             + (f" vs savings {projected_savings:.0f}"
                if projected_savings is not None else ""))

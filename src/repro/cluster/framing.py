@@ -4,8 +4,9 @@ The client edge (:class:`~repro.cluster.netserver.ClusterClient` ↔ front
 door) and the shard hop (:class:`~repro.cluster.sockbackend.SocketShard`
 ↔ shard host) frame identically: a little-endian ``u32`` length, then the
 payload (a v2 session frame — this layer never looks).  The
-blocking-socket side of that lives here once; failures surface as the
-typed :class:`~repro.errors.ClusterTimeoutError` /
+blocking-socket side of that lives here once, under the one session
+server and the one ``dial`` of :mod:`repro.cluster.netutil`; failures
+surface as the typed :class:`~repro.errors.ClusterTimeoutError` /
 :class:`~repro.errors.ClusterConnectionError` /
 :class:`~repro.errors.ProtocolError`, never as a bare ``OSError``.
 """

@@ -1,10 +1,10 @@
 """The TCP front door for the sharded cluster, and its client.
 
-:class:`ClusterNetServer` serves a coordinator over attested v2 sessions
-on the framed stream of :mod:`repro.cluster.framing`: one blocking reader
-thread per connection, one lock around everything a frame does between
-its read and its write, bounded admission, and graceful shutdown.
-:class:`ClusterClient` is the matching synchronous client and
+:class:`ClusterNetServer` is the :class:`~repro.cluster.netutil
+.SessionServer` that serves a coordinator: one lock around everything a
+frame does between its read and its write, bounded admission, and the
+plaintext rejection.  :class:`ClusterClient` is the matching synchronous
+client (it connects through :func:`~repro.cluster.netutil.dial`) and
 :class:`BackgroundServer` runs the accept loop on a daemon thread.
 ARCHITECTURE §8, §11 and §14 describe the door; §9 its fault injector.
 """
@@ -17,27 +17,17 @@ import time
 from typing import Callable, List, Optional, Tuple
 
 from repro.cluster import netutil
-from repro.cluster.framing import (
-    FRAME_HEADER,
-    frame,
-    frame_length_ok,
-    read_frame,
-    wake_and_close,
-    write_frame,
-)
+from repro.cluster.framing import read_frame, write_frame
+from repro.cluster.netutil import Connection
 from repro.cluster.overload import Deadline, RetryBudget
-from repro.cluster.session import ClientHandshake, SecureSession, SessionManager
+from repro.cluster.session import SecureSession, SessionManager
 from repro.errors import (
-    AriaError,
-    ClusterConnectionError,
     ClusterTimeoutError,
     ConfigurationError,
     DeadlineExceededError,
-    HandshakeError,
     OverloadedError,
     ProtocolError,
     ReplayError,
-    StaleSessionError,
     TamperedFrameError,
 )
 from repro.server import protocol
@@ -146,29 +136,18 @@ class _AdmissionGate:
             self.inflight -= 1
 
 
-class _Connection:
-    """What one accepted socket carries from frame to frame."""
-
-    __slots__ = ("sock", "session")
-
-    def __init__(self, sock: socket.socket):
-        self.sock = sock
-        self.session: Optional[SecureSession] = None
-
-
-class ClusterNetServer:
+class ClusterNetServer(netutil.SessionServer):
     """Serves a :class:`~repro.cluster.coordinator.ClusterCoordinator`.
 
-    Concurrency: the accept loop runs on whichever thread calls
-    :meth:`serve_forever`; each connection gets a daemon thread that
-    blocks in ``recv``.  ``_lock`` serialises everything a frame does
-    between its read and its write — session ``open``/``seal`` (they
-    charge the one gateway :class:`~repro.sgx.meter.CycleMeter`), the
-    coordinator (not thread-safe), the served/shed/alarm counters and
-    the connection table — so simulated cycles, wire bytes and
+    A :class:`~repro.cluster.netutil.SessionServer` whose ``_lock`` is
+    also held around the coordinator (not thread-safe) and the
+    served/shed counters, so simulated cycles, wire bytes and
     :meth:`wire_stats` are what a single thread would produce.  Socket
     reads and writes and the admission gate's wait happen outside it.
     """
+
+    conn_thread_name = "aria-door-conn"
+    REFUSAL = (BATCH_REJECTION,)
 
     def __init__(
         self,
@@ -187,17 +166,6 @@ class ClusterNetServer:
         if max_connections is not None and max_connections < 1:
             raise ConfigurationError(
                 f"max_connections must be >= 1, not {max_connections}")
-        self._coordinator = coordinator
-        self._host = host
-        self._port = port
-        self._listener: Optional[socket.socket] = None
-        self._stopping = threading.Event()
-        self._lock = threading.Lock()
-        #: Accepted socket -> the thread serving it.
-        self._conns: dict = {}
-        #: Stop after this many request frames (None = serve forever).
-        #: Handshake frames are not request frames and never count.
-        self.max_requests = max_requests
         if sessions is None:
             # The gateway authenticates tenant claims against the roster.
             tenancy = coordinator.tenancy
@@ -205,16 +173,13 @@ class ClusterNetServer:
                 registry=None if tenancy is None else tenancy.registry,
                 require_tenant=(tenancy is not None
                                 and tenancy.config.require_auth))
-        #: The gateway enclave terminating every connection's session.
-        self.sessions = sessions
+        super().__init__(sessions, host=host, port=port)
+        self.coordinator = coordinator
+        #: Stop after this many request frames (None = serve forever).
+        #: Handshake frames are not request frames and never count.
+        self.max_requests = max_requests
         self.frames_served = 0
         self.requests_served = 0
-        # What the session layer caught (inbound frames that failed).
-        self.tamper_alarms = 0
-        self.replay_alarms = 0
-        self.stale_session_alarms = 0
-        self.handshake_failures = 0
-        self.plaintext_rejections = 0
         # Overload admission: the in-flight gate (None = unlimited), the
         # connection cap, and the front door's own shedding ledger.
         self.max_inflight = max_inflight
@@ -226,33 +191,7 @@ class ClusterNetServer:
         self.deadline_shed_frames = 0
         self.connections_refused = 0
 
-    @property
-    def coordinator(self):
-        return self._coordinator
-
     # -- lifecycle ----------------------------------------------------------------
-
-    #: Bind attempts before giving up on an address already in use, and
-    #: the base delay between them (see :func:`repro.cluster.netutil.listen`,
-    #: shared with the shard-host listener).
-    BIND_RETRIES = netutil.BIND_RETRIES
-    BIND_RETRY_DELAY = netutil.BIND_RETRY_DELAY
-
-    def start(self) -> Tuple[str, int]:
-        """Bind and listen; returns the bound (host, port).
-
-        Connections queue in the listen backlog until
-        :meth:`serve_forever` accepts them.
-        """
-        self._listener = netutil.listen(
-            self._host, self._port, retries=self.BIND_RETRIES,
-            delay=self.BIND_RETRY_DELAY)
-        self._host, self._port = self._listener.getsockname()[:2]
-        return self._host, self._port
-
-    @property
-    def address(self) -> Tuple[str, int]:
-        return self._host, self._port
 
     def serve_forever(self) -> None:
         """Accept and serve until :meth:`stop` (or the ``max_requests``
@@ -261,66 +200,17 @@ class ClusterNetServer:
             self.start()
         if self._limit_reached():
             self.stop()
-        while not self._stopping.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            # Replies are single small writes, and REPLAY's are two back to
-            # back: Nagle would hold the second for the peer's delayed ACK.
-            netutil.no_delay(sock)
-            with self._lock:
-                if self._stopping.is_set():
-                    admitted = False  # raced stop(): it will not see us
-                elif (self.max_connections is not None
-                        and len(self._conns) >= self.max_connections):
-                    # Over the connection cap: refuse without reply.  Any
-                    # answer (even a rejection frame) would let a connection
-                    # flood buy server work; a silent close costs one accept.
-                    self.connections_refused += 1
-                    admitted = False
-                else:
-                    admitted = True
-                    thread = threading.Thread(
-                        target=self._serve_connection,
-                        args=(_Connection(sock),),
-                        daemon=True, name="aria-door-conn")
-                    # Registered and started in one step, so stop() never
-                    # joins a thread that has not begun.
-                    self._conns[sock] = thread
-                    thread.start()
-            if not admitted:
-                sock.close()
+        super().serve_forever()
 
-    def _begin_stop(self) -> list:
-        """Stop accepting and wake every idle reader; never blocks.
-
-        Only the *read* side of each connection is shut down: a reader
-        blocked in ``recv`` sees end-of-stream and leaves, while a frame
-        already past its read is still answered before its thread closes
-        the socket.  Returns the connections that were live.
-        """
-        self._stopping.set()
-        if self._listener is not None:
-            wake_and_close(self._listener)
-        with self._lock:
-            conns = list(self._conns.items())
-        for sock, _thread in conns:
-            try:
-                sock.shutdown(socket.SHUT_RD)
-            except OSError:
-                pass  # the peer already hung up
-        return conns
-
-    def stop(self, timeout: float = 5.0) -> None:
-        """Graceful shutdown: stop accepting, drain, close connections."""
-        conns = self._begin_stop()
-        for _sock, thread in conns:
-            thread.join(timeout)
-        for sock, thread in conns:
-            if thread.is_alive():
-                # Stuck writing to a peer that stopped reading: cut it.
-                wake_and_close(sock)
+    def _admit(self) -> bool:
+        if (self.max_connections is not None
+                and len(self._conns) >= self.max_connections):
+            # Over the connection cap: refuse without reply.  Any answer
+            # (even a rejection frame) would let a connection flood buy
+            # server work; a silent close costs one accept.
+            self.connections_refused += 1
+            return False
+        return True
 
     def close(self, timeout: float = 5.0) -> None:
         """Full shutdown: drain and stop serving, then release the shards.
@@ -332,7 +222,7 @@ class ClusterNetServer:
         this, the process tree is clean.
         """
         self.stop(timeout)
-        self._coordinator.close(timeout)
+        self.coordinator.close(timeout)
 
     def _limit_reached(self) -> bool:
         return (self.max_requests is not None
@@ -340,12 +230,13 @@ class ClusterNetServer:
 
     def wire_stats(self) -> dict:
         """The front door's security ledger: alarms and refusals."""
+        alarms = self.alarms
         row = {
-            "tamper_alarms": self.tamper_alarms,
-            "replay_alarms": self.replay_alarms,
-            "stale_session_alarms": self.stale_session_alarms,
-            "handshake_failures": self.handshake_failures,
-            "plaintext_rejections": self.plaintext_rejections,
+            "tamper_alarms": alarms["tamper"],
+            "replay_alarms": alarms["replay"],
+            "stale_session_alarms": alarms["stale"],
+            "handshake_failures": alarms["handshake"],
+            "plaintext_rejections": alarms["plaintext"],
         }
         overload = {
             "max_inflight": self.max_inflight,
@@ -363,7 +254,7 @@ class ClusterNetServer:
         }
         row["overload"] = overload
         row["gateway"] = self.sessions.stats()
-        tenancy = self._coordinator.tenancy
+        tenancy = self.coordinator.tenancy
         if tenancy is not None:
             # Armed front doors only: an unarmed server's ledger keeps its
             # pre-tenancy shape.
@@ -372,38 +263,19 @@ class ClusterNetServer:
 
     # -- per-connection loop ------------------------------------------------------
 
-    def _serve_connection(self, conn: _Connection) -> None:
-        sock = conn.sock
-        try:
-            while not self._stopping.is_set():
-                try:
-                    payload = read_frame(sock)
-                except ProtocolError:
-                    # The length itself is hostile: reject without reading
-                    # (or allocating) the claimed payload, then hang up —
-                    # the stream cannot be resynchronized.
-                    self._send(sock, BATCH_REJECTION)
-                    break
-                with self._lock:
-                    batch, replies, keep = self._open_frame(conn, payload)
-                if batch is not None:
-                    replies, keep = self._run_batch(conn, *batch)
-                for reply in replies:
-                    self._send(sock, reply)
-                if not keep:
-                    break
-        except OSError:
-            pass  # the peer hung up, or stop() shut the read side
-        finally:
-            with self._lock:
-                if conn.session is not None:
-                    self.sessions.retire(conn.session)
-                del self._conns[sock]
-            sock.close()
-            if self._limit_reached():
-                self._begin_stop()
+    def _serve_connection(self, sock) -> None:
+        super()._serve_connection(sock)
+        if self._limit_reached():
+            self._begin_stop()
 
-    def _open_frame(self, conn: _Connection, payload: bytes) -> tuple:
+    def _serve_frame(self, conn: Connection, payload: bytes) -> tuple:
+        with self._lock:
+            batch, replies, keep = self._open_frame(conn, payload)
+        if batch is not None:
+            replies, keep = self._run_batch(conn, *batch)
+        return replies, keep
+
+    def _open_frame(self, conn: Connection, payload: bytes) -> tuple:
         """Handshake, session ``open``, decode (lock held).
 
         Returns ``(batch, replies, keep)``: ``batch`` is the ``(requests,
@@ -411,7 +283,7 @@ class ClusterNetServer:
         answer the frame; ``keep`` False hangs up after sending them.
         """
         if not payload.startswith(protocol.V2_MAGIC):
-            self.plaintext_rejections += 1  # not a session frame
+            self.alarms["plaintext"] += 1  # not a session frame
             return _REJECT_AND_CLOSE
         session = conn.session
         if session is None or (len(payload) > 3
@@ -424,8 +296,11 @@ class ClusterNetServer:
             except ProtocolError:
                 return _REJECT_AND_CLOSE  # malformed v2 header: hostile
             if fheader.flags & protocol.FLAG_HANDSHAKE:
-                return self._serve_handshake(conn, payload)
-        plain = self._open_session_frame(payload, session)
+                reply = self._hello(conn, payload)
+                if reply is None:
+                    return _REJECT_AND_CLOSE  # hostile hello: hang up
+                return None, (reply,), True
+        plain = self._open_data(conn, payload)
         if plain is None:
             return _REJECT_AND_CLOSE  # alarm raised; under attack
         # The budget is the header field open() just verified the MAC over.
@@ -438,13 +313,13 @@ class ClusterNetServer:
             requests = protocol.decode_batch(plain)
         except ProtocolError:
             # Refused as a unit; the connection survives it.
-            return None, (session.seal(BATCH_REJECTION),), True
+            return None, (conn.session.seal(BATCH_REJECTION),), True
         # The principal is the one the handshake authenticated.
-        return (requests, deadline, session.tenant), (), True
+        return (requests, deadline, conn.session.tenant), (), True
 
     def _run_batch(
         self,
-        conn: _Connection,
+        conn: Connection,
         requests: List[Request],
         deadline: Optional[Deadline],
         tenant: Optional[str],
@@ -483,7 +358,7 @@ class ClusterNetServer:
                 if tenant is not None:
                     kwargs["tenant"] = tenant
                 try:
-                    responses = self._coordinator.execute(requests, **kwargs)
+                    responses = self.coordinator.execute(requests, **kwargs)
                 finally:
                     if self._gate is not None:
                         self._gate.release()
@@ -491,7 +366,7 @@ class ClusterNetServer:
             self.requests_served += len(requests)
             return self._replies(conn, responses)
 
-    def _replies(self, conn: _Connection,
+    def _replies(self, conn: Connection,
                  responses: List[Response]) -> Tuple[tuple, bool]:
         """A served batch as its outgoing frames, and whether the
         connection stays open (lock held)."""
@@ -503,57 +378,6 @@ class ClusterNetServer:
         self.requests_shed += n
         shed = protocol.overloaded(DEFAULT_SHED_RETRY_AFTER, reason)
         return [shed] * n
-
-    def _serve_handshake(self, conn: _Connection, payload: bytes) -> tuple:
-        """Answer a v2 client hello (lock held); an ``_open_frame`` verdict."""
-        if conn.session is not None:
-            # Rekey: a repeated hello on one connection replaces (and
-            # retires) the previous session.
-            self.sessions.retire(conn.session)
-            conn.session = None
-        try:
-            reply, conn.session = self.sessions.accept(payload)
-        except HandshakeError:
-            self.handshake_failures += 1
-            return _REJECT_AND_CLOSE  # hostile hello: hang up
-        return None, (reply,), True
-
-    def _open_session_frame(
-        self,
-        payload: bytes,
-        session: Optional[SecureSession],
-    ) -> Optional[bytes]:
-        """Authenticate + decrypt an inbound v2 data frame (lock held).
-
-        Returns the plaintext, or None after raising the matching alarm —
-        in which case the connection is torn down: a stream that carried a
-        forged, replayed, or stale frame is not resynchronizable.
-        """
-        if session is None:
-            # A data frame with no handshake on this connection: a frame
-            # recorded from an earlier (now rekeyed) session being played
-            # into a fresh connection.
-            self.stale_session_alarms += 1
-            return None
-        try:
-            return session.open(payload)
-        except TamperedFrameError:
-            self.tamper_alarms += 1
-        except StaleSessionError:
-            self.stale_session_alarms += 1
-        except ReplayError:
-            self.replay_alarms += 1
-        except ProtocolError:
-            pass  # malformed v2 header: hostile framing, no alarm class
-        return None
-
-    @staticmethod
-    def _send(sock: socket.socket, payload: bytes) -> None:
-        # Answers past the cap (the batch ran) go out as their length alone:
-        # it makes the peer's reader refuse them, typed; the body stays
-        # unsent.
-        sock.sendall(frame(payload) if frame_length_ok(len(payload))
-                     else FRAME_HEADER.pack(len(payload)))
 
 
 class ClusterClient:
@@ -643,15 +467,14 @@ class ClusterClient:
         if credential is not None and tenant is None:
             raise ConfigurationError(
                 "credential requires a tenant id")
-        self._expected_measurement = expected_measurement
-        self._crypto = crypto
-        #: The principal this client acts as, bound (with the credential)
-        #: into the attested handshake.
-        self._tenant = tenant
-        self._credential = credential
         #: Accumulates this client's share of wire crypto (handshakes plus
         #: per-frame AEAD) across the connection's whole life.
         self.wire_meter = CycleMeter()
+        #: The principal this client acts as is bound (with the credential)
+        #: into every connection's attested handshake.
+        self._handshake = dict(
+            expected_measurement=expected_measurement, crypto=crypto,
+            meter=self.wire_meter, tenant=tenant, credential=credential)
         self.handshakes = 0
         self._last_handshake_cycles = 0.0
         self.reconnects = 0
@@ -668,39 +491,13 @@ class ClusterClient:
     # -- connection + handshake ---------------------------------------------------
 
     def _connect(self) -> Tuple[socket.socket, SecureSession]:
-        try:
-            sock = socket.create_connection((self._host, self._port),
-                                            timeout=self._timeout)
-        except socket.timeout as exc:
-            raise ClusterTimeoutError(
-                f"connect to {self._host}:{self._port} timed out after "
-                f"{self._timeout}s") from exc
-        except OSError as exc:
-            raise ClusterConnectionError(
-                f"connect to {self._host}:{self._port} failed: {exc}"
-            ) from exc
-        sock.settimeout(self._timeout)
-        netutil.no_delay(sock)
-        try:
-            return sock, self._handshake(sock)
-        except (AriaError, OSError):
-            sock.close()
-            raise
-
-    def _handshake(self, sock: socket.socket) -> SecureSession:
         before = self.wire_meter.cycles
-        handshake = ClientHandshake(
-            expected_measurement=self._expected_measurement,
-            crypto=self._crypto,
-            meter=self.wire_meter,
-            tenant=self._tenant,
-            credential=self._credential,
-        )
-        write_frame(sock, handshake.hello())
-        session = handshake.finish(read_frame(sock))
+        connection = netutil.dial(self._host, self._port,
+                                  timeout=self._timeout,
+                                  handshake=self._handshake)
         self.handshakes += 1
         self._last_handshake_cycles = self.wire_meter.cycles - before
-        return session
+        return connection
 
     def _reconnect(self) -> None:
         self.close()

@@ -65,7 +65,7 @@ import hashlib
 import itertools
 import os
 import struct
-from typing import Dict, Optional, Tuple
+from typing import Collection, Dict, Optional, Tuple
 
 from repro.crypto.backend import CryptoBackend, MAC_SIZE, get_backend
 from repro.crypto.keys import KeyMaterial
@@ -153,13 +153,14 @@ def verify_quote(
     backend: CryptoBackend,
     quote: bytes,
     report_data: bytes,
-    expected_measurement: Optional[bytes] = None,
+    expected_measurements: Optional[Collection[bytes]] = None,
 ) -> bytes:
     """Check a quote; returns the attested measurement.
 
     Raises :class:`~repro.errors.HandshakeError` if the quote fails
     authentication, binds a different handshake transcript, or (when the
-    caller pins one) attests a different enclave measurement.
+    caller pins some) attests a measurement not among
+    ``expected_measurements``.
     """
     try:
         body = unseal(backend, ATTESTATION_ROOT, quote)
@@ -170,10 +171,12 @@ def verify_quote(
     attested, bound = body[:16], body[16:]
     if bound != report_data:
         raise HandshakeError("quote does not bind this handshake transcript")
-    if expected_measurement is not None and attested != expected_measurement:
+    if expected_measurements is not None \
+            and attested not in expected_measurements:
+        expected = " or ".join(m.hex() for m in expected_measurements)
         raise HandshakeError(
-            "enclave measurement mismatch: expected "
-            f"{expected_measurement.hex()}, got {attested.hex()}"
+            f"enclave measurement mismatch: expected {expected}, "
+            f"got {attested.hex()}"
         )
     return attested
 
@@ -255,6 +258,8 @@ class SecureSession:
         self.frames_opened = 0
         #: Tenant id authenticated at handshake time (``None`` = anonymous).
         self.tenant: Optional[str] = None
+        #: The client side: what the gateway's quote attested.
+        self.attested_measurement: Optional[bytes] = None
 
     @property
     def cipher(self) -> str:
@@ -346,7 +351,8 @@ class ClientHandshake:
     """The client half: emit a hello, verify the quote, derive the session.
 
     One-shot: build, :meth:`hello`, :meth:`finish`.  ``expected_measurement``
-    pins the gateway identity (the deployment's known-good MRENCLAVE); when
+    pins the gateway identity: the deployment's known-good MRENCLAVE, or a
+    collection of them (a shard hop's expected-measurement list).  When
     ``None`` the quote is still verified against the attestation root and
     the transcript, but any genuine enclave is accepted (trust on first
     use).
@@ -361,7 +367,7 @@ class ClientHandshake:
     def __init__(
         self,
         *,
-        expected_measurement: Optional[bytes] = None,
+        expected_measurement: Optional[bytes | Collection[bytes]] = None,
         crypto: str | CryptoBackend = "fast",
         costs: CostModel = DEFAULT_COSTS,
         meter: Optional[CycleMeter] = None,
@@ -369,7 +375,9 @@ class ClientHandshake:
         tenant: Optional[str] = None,
         credential: Optional[bytes] = None,
     ):
-        self._expected = expected_measurement
+        self._expected = ((expected_measurement,)
+                          if isinstance(expected_measurement, bytes)
+                          else expected_measurement)
         self._crypto = (crypto if isinstance(crypto, CryptoBackend)
                         else get_backend(crypto))
         self._costs = costs
@@ -443,7 +451,7 @@ class ClientHandshake:
             raise HandshakeError("truncated server hello (quote)")
         transcript = _transcript(self._hello_frame, body[:prefix_len])
         self.meter.charge_event("wire_quote", self._costs.quote_attest)
-        self.attested_measurement = verify_quote(
+        attested = verify_quote(
             self._crypto, quote, transcript, self._expected
         )
         self.meter.charge_event("wire_kex", self._costs.kex)
@@ -461,6 +469,7 @@ class ClientHandshake:
         # The server accepted a hello carrying our tenant block (else it
         # would have rejected the handshake), so the claim is established.
         session.tenant = self.tenant
+        session.attested_measurement = attested
         return session
 
 

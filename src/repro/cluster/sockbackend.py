@@ -9,10 +9,12 @@ RPC vocabulary as the process backend (:mod:`repro.cluster.remote`), in
 the same :mod:`repro.cluster.rpc` bytes, but every one of them crosses an
 **attested, encrypted session**:
 
-* on connect, the handle runs the v2 handshake of
-  :mod:`repro.cluster.session` against the host's gateway identity — DH
-  key exchange, a quote bound to the handshake transcript, and the
-  attested measurement checked against the deployment's
+* the host is the front door's kind of endpoint, a
+  :class:`~repro.cluster.netutil.SessionServer`, and the handle connects
+  through the same :func:`~repro.cluster.netutil.dial`: it runs the v2
+  handshake of :mod:`repro.cluster.session` against the host's gateway
+  identity — DH key exchange, a quote bound to the handshake transcript,
+  and the attested measurement checked against the deployment's
   **expected-measurement list**.  A host that fails attestation, answers
   in plaintext, or is simply not on the list never receives a single RPC;
 * established frames are AES-CTR + CMAC per direction with strict
@@ -70,8 +72,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from repro.cluster import rpc
 from repro.cluster.backend import ShardBackend
-from repro.cluster.framing import read_frame, wake_and_close, write_frame
-from repro.cluster.netutil import listen, no_delay
+from repro.cluster.framing import read_frame, write_frame
+from repro.cluster.netutil import Connection, SessionServer, dial
 from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
@@ -80,7 +82,7 @@ from repro.cluster.remote import (
     rpc_reply,
     spawn_reply,
 )
-from repro.cluster.session import ClientHandshake, SessionManager, measurement
+from repro.cluster.session import SessionManager, measurement
 from repro.cluster.shard import EnclaveSpec
 from repro.crypto.keys import KeyMaterial
 from repro.errors import (
@@ -94,6 +96,7 @@ from repro.errors import (
     ShardUnreachableError,
     TamperedFrameError,
 )
+from repro.server.protocol import FLAG_HANDSHAKE
 from repro.sgx.meter import CycleMeter
 
 #: ``host:port[,host:port...]`` — pre-started shard hosts to use when a
@@ -140,159 +143,96 @@ def reap_leaked_hosts(timeout: float = DEFAULT_CLOSE_TIMEOUT) -> List[str]:
 # ---------------------------------------------------------------------------
 
 
-class ShardHost:
+class ShardHost(SessionServer):
     """One shard-host process: a registry of enclaves behind a gateway.
 
-    Accepts TCP connections, runs the v2 attested handshake for each
-    (the host's :class:`~repro.cluster.session.SessionManager` *is* its
-    gateway-enclave identity, derived from ``seed`` so deployments can
-    pin the measurement), then serves sealed RPC frames.  Each
-    connection drives exactly one enclave, named by its first command:
+    A :class:`~repro.cluster.netutil.SessionServer` whose session manager
+    *is* the host's gateway-enclave identity, derived from ``seed`` so
+    deployments can pin the measurement.  A connection's first frame must
+    be a hello (anything else counts in ``alarms["handshake"]``); then it
+    drives exactly one enclave, named by its first command:
 
     * ``spawn``  — build a fresh :class:`~repro.cluster.shard.Shard`
       from a spec (replacing any previous enclave of that id);
     * ``attach`` — re-bind to an enclave that survived a severed
       connection (the partition-heal path; state intact).
 
-    A connection dying *without* a ``shutdown``/``kill`` command leaves
-    its enclave in the registry: losing the link must not lose the
-    data — that asymmetry is what distinguishes a partition from a
-    crash.  ``kill`` and ``shutdown`` remove the enclave.
+    Every data frame the host hangs up on also counts in
+    ``alarms["wire"]``: the session layer's refusals, and sealed payloads
+    that are no command.  A connection dying *without* a
+    ``shutdown``/``kill`` command leaves its enclave in the registry:
+    losing the link must not lose the data — that asymmetry is what
+    distinguishes a partition from a crash.  ``kill`` and ``shutdown``
+    remove the enclave.  Enclave work runs outside ``_lock``; a per-shard
+    lock serialises it.
     """
+
+    conn_thread_name = "aria-host-conn"
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0,
                  seed: int = 0, crypto: str = "fast"):
-        self.host = host
-        self.port = port
         self.seed = seed
         self.keys = KeyMaterial.from_seed(seed)
-        self.sessions = SessionManager(keys=self.keys, crypto=crypto)
-        self.alarms: Counter = Counter()
-        self.connections_served = 0
+        super().__init__(SessionManager(keys=self.keys, crypto=crypto),
+                         host=host, port=port)
         self._enclaves: dict = {}
-        self._registry_lock = threading.Lock()
-        self._crypto_lock = threading.Lock()
         self._shard_locks: dict = {}
-        self._listener: Optional[socket.socket] = None
-        self._conns: set = set()
-        self._stopping = threading.Event()
 
     @property
     def measurement(self) -> bytes:
         """What an honest quote for this host's gateway attests."""
         return measurement(self.keys)
 
-    # -- lifecycle ----------------------------------------------------------------
-
-    def start(self) -> Tuple[str, int]:
-        """Bind (with the shared EADDRINUSE retry) and listen."""
-        self._listener = listen(self.host, self.port, backlog=64)
-        self.host, self.port = self._listener.getsockname()[:2]
-        return self.host, self.port
-
-    def serve_forever(self) -> None:
-        """Accept and serve until :meth:`stop`."""
-        if self._listener is None:
-            self.start()
-        while not self._stopping.is_set():
-            try:
-                conn, _addr = self._listener.accept()
-            except OSError:
-                break  # listener closed by stop()
-            self.connections_served += 1
-            thread = threading.Thread(
-                target=self._serve_connection, args=(conn,), daemon=True
-            )
-            thread.start()
-
-    def stop(self) -> None:
-        self._stopping.set()
-        if self._listener is not None:
-            wake_and_close(self._listener)
-        for conn in list(self._conns):
-            wake_and_close(conn)
-
     # -- one connection = one enclave's RPC stream --------------------------------
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        self._conns.add(conn)
-        session = None
-        try:
+    def _serve_frame(self, conn: Connection, payload: bytes) -> tuple:
+        with self._lock:
+            if conn.session is None or (
+                    len(payload) > 3 and payload[3] & FLAG_HANDSHAKE):
+                reply = self._hello(conn, payload)
+                # Nothing about a bad hello is ever trusted: hang up.
+                return ((), False) if reply is None else ((reply,), True)
+            plain = self._open_data(conn, payload)
+        if plain is not None:
             try:
-                no_delay(conn)
-                hello = read_frame(conn)
-                with self._crypto_lock:
-                    reply, session = self.sessions.accept(hello)
-            except (HandshakeError, ProtocolError):
-                self.alarms["handshake"] += 1
-                return  # nothing about a bad hello is ever trusted
-            except (ClusterConnectionError, ClusterTimeoutError, OSError):
-                return
-            try:
-                write_frame(conn, reply)
-            except (ClusterConnectionError, ClusterTimeoutError):
-                return
-            self._serve_session(conn, session)
-        finally:
-            if session is not None:
-                with self._crypto_lock:
-                    self.sessions.retire(session)
-            self._conns.discard(conn)
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-
-    def _serve_session(self, conn: socket.socket, session) -> None:
-        shard = None
-        while not self._stopping.is_set():
-            try:
-                frame = read_frame(conn)
-            except (ClusterConnectionError, ClusterTimeoutError,
-                    ProtocolError):
-                return  # link gone: the enclave stays in the registry
-            try:
-                with self._crypto_lock:
-                    payload = session.open(frame)
-                cmd, arg = rpc.decode_call(payload)
+                cmd, arg = rpc.decode_call(plain)
             except AriaError:
-                # Tampered or replayed on the path, or sealed by a key
-                # holder around something that is no command: alarm and
-                # hang up, never feeding it to the enclave.
+                plain = None
+        if plain is None:
+            # Tampered or replayed on the path, or sealed by a key holder
+            # around something that is no command: alarm and hang up,
+            # never feeding it to the enclave.
+            with self._lock:
                 self.alarms["wire"] += 1
-                return
-            if shard is None:
-                shard = self._bind_enclave(conn, session, cmd, arg)
-                continue
-            shard_id = shard.shard_id
-            if cmd in ("shutdown", "kill"):
-                # Both remove the enclave; "kill" models the enclave (not
-                # the host) dying, "shutdown" is the graceful release.
-                with self._registry_lock:
-                    self._enclaves.pop(shard_id, None)
-                    self._shard_locks.pop(shard_id, None)
-                self._reply(conn, session, shard, cmd,
-                            rpc_reply(shard, cmd, arg))
-                return
-            lock = self._shard_locks.get(shard_id) or threading.Lock()
-            with lock:
+            return (), False
+        shard = conn.bound
+        if shard is None:
+            conn.bound, reply = self._bind_enclave(cmd, arg)
+        elif cmd in ("shutdown", "kill"):
+            # Both remove the enclave; "kill" models the enclave (not the
+            # host) dying, "shutdown" is the graceful release.
+            with self._lock:
+                self._enclaves.pop(shard.shard_id, None)
+                self._shard_locks.pop(shard.shard_id, None)
+            reply = rpc_reply(shard, cmd, arg)
+        else:
+            with self._shard_locks.get(shard.shard_id) or threading.Lock():
                 reply = rpc_reply(shard, cmd, arg)
-            self._reply(conn, session, shard, cmd, reply)
+        self._reply(conn.sock, conn.session, conn.bound, cmd, reply)
+        return (), shard is None or cmd not in ("shutdown", "kill")
 
-    def _bind_enclave(self, conn, session, cmd: str, arg):
-        """Handle the stream's first command: spawn or attach.
-
-        Returns the enclave this connection now drives, or None (after
-        telling the peer why) when there is none to bind.
-        """
+    def _bind_enclave(self, cmd: str, arg) -> tuple:
+        """The stream's first command, spawn or attach: ``(enclave,
+        reply)``, the enclave None (and the reply saying why) when there
+        is none to bind."""
         if cmd == "spawn":
             shard, reply = spawn_reply(arg)
             if shard is not None:
-                with self._registry_lock:
+                with self._lock:
                     self._enclaves[shard.shard_id] = shard
                     self._shard_locks[shard.shard_id] = threading.Lock()
         elif cmd == "attach":
-            with self._registry_lock:
+            with self._lock:
                 shard = self._enclaves.get(arg)
             if shard is None:
                 reply = rpc.encode_reply(cmd, False, ShardCrashedError(
@@ -304,17 +244,16 @@ class ShardHost:
             shard = None
             reply = rpc.encode_reply(cmd, False, ProtocolError(
                 f"first shard-host RPC must be spawn/attach, not {cmd!r}"))
-        self._reply(conn, session, shard, cmd, reply)
-        return shard
+        return shard, reply
 
-    def _reply(self, conn, session, shard, cmd: str, reply: bytes) -> None:
-        with self._crypto_lock:
+    def _reply(self, sock, session, shard, cmd: str, reply: bytes) -> None:
+        with self._lock:
             frame = session.seal(reply)
         try:
-            write_frame(conn, frame)
+            write_frame(sock, frame)
         except ProtocolError as exc:
             # Too big for one frame: the waiting parent gets a typed error.
-            self._reply(conn, session, shard, cmd, rpc.encode_reply(
+            self._reply(sock, session, shard, cmd, rpc.encode_reply(
                 cmd, False, exc, None if shard is None else shard.meter))
         except (ClusterConnectionError, ClusterTimeoutError):
             pass  # peer is gone; nothing left to tell it
@@ -463,8 +402,7 @@ class SocketShard(RemoteShardHandle):
     ):
         super().__init__(spec.shard_id)
         self.endpoint = tuple(endpoint)
-        self._expected = (tuple(expected_measurements)
-                          if expected_measurements else None)
+        self._expected = expected_measurements or None
         self._crypto = crypto
         self._rpc_timeout = rpc_timeout
         self._connect_timeout = connect_timeout
@@ -485,39 +423,13 @@ class SocketShard(RemoteShardHandle):
     # -- the attested hop ---------------------------------------------------------
 
     def _dial(self) -> None:
-        """Connect and run the handshake; pins the measurement list."""
-        host, port = self.endpoint
-        try:
-            sock = socket.create_connection((host, port),
-                                            timeout=self._connect_timeout)
-        except OSError as exc:
-            raise ClusterConnectionError(
-                f"shard host {host}:{port} unreachable: {exc}") from exc
-        try:
-            sock.settimeout(self._rpc_timeout)
-            no_delay(sock)
-            handshake = ClientHandshake(crypto=self._crypto,
-                                        meter=self.wire_meter)
-            write_frame(sock, handshake.hello())
-            try:
-                reply = read_frame(sock)
-            except (ClusterConnectionError, ClusterTimeoutError) as exc:
-                raise HandshakeError(
-                    f"shard host {host}:{port} refused the handshake: {exc}"
-                ) from exc
-            session = handshake.finish(reply)
-            attested = handshake.attested_measurement
-            if self._expected is not None and attested not in self._expected:
-                raise HandshakeError(
-                    f"shard host {host}:{port} attests measurement "
-                    f"{attested.hex()}, which is not on the expected-"
-                    f"measurement list")
-        except (AriaError, OSError):
-            sock.close()
-            raise
-        self._sock = sock
-        self._session = session
-        self.attested_measurement = attested
+        """Connect and run the handshake, pinned to the measurement list."""
+        self._sock, self._session = dial(
+            *self.endpoint, timeout=self._connect_timeout,
+            handshake=dict(expected_measurement=self._expected,
+                           crypto=self._crypto, meter=self.wire_meter))
+        self._sock.settimeout(self._rpc_timeout)
+        self.attested_measurement = self._session.attested_measurement
 
     def _sever(self) -> None:
         """Drop the link (and its session), leaving the enclave's fate

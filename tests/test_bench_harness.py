@@ -68,6 +68,25 @@ class TestSizing:
         # A tiny EPC pins only the single-node top level.
         assert auto_pin_levels(layout, 256) == 1
 
+    @pytest.mark.parametrize("index", ["hash", "btree", "bplustree"])
+    def test_every_index_loads_the_full_keyspace(self, index):
+        # The B+-tree seals a separator per leaf besides its records: a
+        # counter pool sized for records alone runs dry mid-load and the
+        # expansion area it then asks for does not fit the EPC.
+        n_keys = scaled_keys(4096)
+        store = build_aria(n_keys=n_keys, platform=scaled_platform(4096),
+                           index=index)
+        workload = YcsbWorkload(n_keys=n_keys, read_ratio=1.0, seed=3)
+        store.load(workload.load_items())
+        assert len(list(store.index.keys())) == n_keys
+
+    def test_counter_count_is_unchanged_for_hash_and_btree(self):
+        # Record-only indexes keep the historical int(n * 1.05) + 8.
+        for index in ("hash", "btree"):
+            store = build_aria(n_keys=2441, platform=scaled_platform(4096),
+                               index=index)
+            assert store.config.initial_counters == 2571
+
     def test_shieldstore_roots_keep_64_of_91_proportion(self):
         platform = scaled_platform(512)
         store = build_shieldstore(n_keys=1000, platform=platform)

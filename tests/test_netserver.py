@@ -19,6 +19,8 @@ from repro.cluster import (
     ClusterClient,
     ClusterConfig,
     FRAME_HEADER,
+    FaultPlan,
+    FaultyBackgroundServer,
 )
 from repro.server import protocol
 from repro.server.protocol import BatchRejectedError
@@ -303,6 +305,30 @@ class TestLifecycle:
                 client.recv_frame()
             stopper.join(5.0)
             assert not stopper.is_alive()
+
+    def test_stop_bounds_the_whole_drain(self, cluster):
+        # Two connections each stuck ~2 s past their read (a delayed
+        # reply): the timeout bounds the drain as a whole, not each join.
+        plan = FaultPlan().delay(at=1, seconds=2.0).delay(at=2, seconds=2.0)
+        background = FaultyBackgroundServer(cluster, plan=plan)
+        host, port = background.start()
+        clients = [ClusterClient(host, port) for _ in range(2)]
+        try:
+            for client in clients:
+                client.send_frame(protocol.encode_batch(
+                    [protocol.get(b"key-001")]))
+            deadline = time.monotonic() + 5.0
+            while (background.server.frames_served < 2
+                   and time.monotonic() < deadline):
+                time.sleep(0.01)
+            assert background.server.frames_served == 2
+            started = time.monotonic()
+            background.server.stop(timeout=0.5)
+            assert time.monotonic() - started < 0.8
+        finally:
+            background.stop()
+            for client in clients:
+                client.close()
 
     def test_stop_is_idempotent(self, cluster):
         background = BackgroundServer(cluster)

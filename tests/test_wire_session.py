@@ -330,7 +330,7 @@ class TestSecureWire:
                     [protocol.put(b"plaintext", b"refused")]))
                 assert read_frame(sock) == protocol.BATCH_REJECTION
                 assert sock.recv(1) == b""
-        assert server.server.plaintext_rejections == 2
+        assert server.server.wire_stats()["plaintext_rejections"] == 2
         # The refused write never reached a shard.
         with ClusterClient.connect(host, port) as reader:
             assert reader.get(b"plaintext").status == \
@@ -344,7 +344,7 @@ class TestSecureWire:
         reply = read_frame(client._sock)
         assert protocol.is_batch_rejection(
             protocol.decode_batch_responses(reply))
-        assert server.server.tamper_alarms == 1
+        assert server.server.wire_stats()["tamper_alarms"] == 1
 
     def test_replayed_inbound_frame_alarms_the_server(self, server, client):
         sealed = client._session.seal(
@@ -355,7 +355,7 @@ class TestSecureWire:
         reply = read_frame(client._sock)
         assert protocol.is_batch_rejection(
             protocol.decode_batch_responses(reply))
-        assert server.server.replay_alarms == 1
+        assert server.server.wire_stats()["replay_alarms"] == 1
 
     def test_secure_client_against_plaintext_only_server(self):
         # A "server" that answers the hello in plaintext, as an on-path
@@ -388,7 +388,7 @@ class TestSecureWire:
             reply = read_frame(attacker)
             assert protocol.is_batch_rejection(
                 protocol.decode_batch_responses(reply))
-        assert server.server.stale_session_alarms == 1
+        assert server.server.wire_stats()["stale_session_alarms"] == 1
 
     def test_session_survives_background_server_restart(self, cluster):
         first = BackgroundServer(cluster)
