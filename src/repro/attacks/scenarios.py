@@ -60,16 +60,11 @@ def corrupt_record_in_place(store: AriaStore, key: bytes) -> None:
     injector uses it to plant corruption that a later, ordinary request
     trips over (surfacing as ``STATUS_INTEGRITY_FAILURE``).
 
-    Accepts a process-backed shard's store proxy as well: the tampering
-    has to happen where the untrusted memory actually lives, so the proxy
-    forwards the call into the worker, which re-enters here with the real
-    store.
+    ``store`` is a local store: a remote enclave's untrusted memory lives
+    in its worker or host, where ``ShardHandle.plant_corruption`` runs.
     """
     from repro.sgx.meter import MeterPause
 
-    remote = getattr(store, "corrupt_record_in_place", None)
-    if remote is not None:
-        return remote(key)
     with MeterPause(store.enclave.meter):
         entry_addr = _entry_addr(store, key)
     attacker = UntrustedAttacker(store.enclave.untrusted)

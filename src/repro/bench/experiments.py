@@ -952,7 +952,6 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
     ``n_shards * R`` enclaves: replication's memory bill is paid inside
     the budget, not waved away.
     """
-    from repro.attacks.scenarios import corrupt_record_in_place
     from repro.cluster import ClusterConfig, build_replicated_cluster
 
     result = ExperimentResult(
@@ -1003,7 +1002,7 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
         clean_read = _replica_cycles(coordinator) - before
         failover_read = 0.0
         if replication >= 2:
-            corrupt_record_in_place(group.replicas[0].shard.store, victim)
+            group.replicas[0].shard.plant_corruption(victim)
             before = _replica_cycles(coordinator)
             coordinator.get(victim)
             failover_read = _replica_cycles(coordinator) - before
@@ -1019,69 +1018,6 @@ def cluster_replication(scale: int = 2048, n_ops: int = 2000,
     result.note(f"scale 1/{scale}: {n_keys} keys, 2 groups x R replicas "
                 "splitting one EPC envelope; cycles are summed across "
                 "replicas (total work, so fan-out shows as amplification)")
-    return result
-
-
-def cluster_process_backend(scale: int = 2048, n_ops: int = 2000,
-                            n_shards: int = 2,
-                            batch_window: int = 32) -> ExperimentResult:
-    """Backend equivalence: inline vs real-OS-process shard workers.
-
-    Runs the *same* seeded RD90 stream through ``ClusterConfig.build``
-    twice — once with every shard enclave inline in this process, once
-    with each one in its own OS worker behind a message pipe — and
-    records, per backend: simulated throughput, total enclave cycles,
-    and a digest of every wire response.  The simulated columns must be
-    *identical* (the pipe carries absolute meter snapshots, so there is no
-    float drift); only ``wall_s`` — real host seconds, reported but never
-    asserted against the simulation — may differ, and the ratio shows
-    what the IPC round-trips cost the host.
-    """
-    import hashlib
-    import time
-
-    from repro.cluster import ClusterConfig
-    from repro.server.protocol import encode_batch_responses
-
-    result = ExperimentResult(
-        exp_id="Cluster 4",
-        title="Shard backend equivalence: inline vs OS-process workers "
-              "(uniform RD90, 16B)",
-        columns=["backend", "throughput ops/s", "cycles_sum",
-                 "responses_sha256", "wall_s"],
-    )
-    n_keys = scaled_keys(scale)
-    workload = YcsbWorkload(n_keys=n_keys, read_ratio=0.9, value_size=16,
-                            distribution="uniform")
-    # One materialized stream for both backends: ``operations()`` advances
-    # the workload RNG, and equivalence demands the *same* requests.
-    requests = _as_requests(workload.operations(n_ops))
-    for backend in ("inline", "process"):
-        coordinator = ClusterConfig(
-            n_shards=n_shards, n_keys=n_keys, scale=scale,
-            batch_window=batch_window, backend=backend).build()
-        try:
-            coordinator.load(workload.load_items())
-            stats = coordinator.stats()
-            digest = hashlib.sha256()
-            started = time.perf_counter()
-            for start in range(0, len(requests), 256):
-                responses = coordinator.execute(requests[start:start + 256])
-                digest.update(encode_batch_responses(responses))
-            wall = time.perf_counter() - started
-            report = stats.report()["cluster"]
-            result.add_row(
-                backend=backend,
-                **{"throughput ops/s": report["aggregate_throughput"]},
-                cycles_sum=round(report["cycles_sum"], 1),
-                responses_sha256=digest.hexdigest()[:16],
-                wall_s=round(wall, 3),
-            )
-        finally:
-            coordinator.close()
-    result.note(f"scale 1/{scale}: {n_keys} keys, {n_shards} shards, "
-                f"batch window {batch_window}; simulated columns must "
-                "match exactly across backends, wall_s is host time")
     return result
 
 
@@ -1845,7 +1781,6 @@ ALL_EXPERIMENTS = {
     "cluster_scaling": cluster_scaling,
     "cluster_rebalance": cluster_rebalance,
     "cluster_replication": cluster_replication,
-    "cluster_process_backend": cluster_process_backend,
     "cluster_shard_workers": cluster_shard_workers,
     "cluster_wire_overhead": cluster_wire_overhead,
     "cluster_socket_backend": cluster_socket_backend,

@@ -666,9 +666,3 @@ class SecureCache:
             "occupancy": self._partition.occupancy(),
             "quota_entries": self._partition.quotas,
         }
-
-    def epc_bytes_in_use(self) -> int:
-        """Bytes of EPC this cache and its pinned levels occupy."""
-        return (
-            len(self._entries) * self._entry_footprint + self._pinned_reserved
-        )

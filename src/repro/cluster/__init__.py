@@ -59,7 +59,6 @@ from repro.cluster.backend import (
     InlineBackend,
     ShardBackend,
     resolve_backend,
-    set_default_backend,
 )
 from repro.cluster.balancer import HotShardBalancer, MigrationReport
 from repro.cluster.config import (
@@ -271,6 +270,5 @@ __all__ = [
     "resolve_backend",
     "ring_hash",
     "run_shard_host",
-    "set_default_backend",
     "verify_quote",
 ]

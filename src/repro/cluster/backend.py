@@ -28,10 +28,9 @@ way, only the transport differs — which is what lets the equivalence
 tests assert byte-identical responses and identical simulated cycles.
 
 Selection order for :func:`resolve_backend`: an explicit argument (name
-or instance) beats the process-wide default set by
-:func:`set_default_backend` (how the test suite parametrizes existing
-cluster tests over both backends), which beats the
-``ARIA_CLUSTER_BACKEND`` environment variable, which beats ``inline``.
+or instance) beats the ``ARIA_CLUSTER_BACKEND`` environment variable
+(how the test suite re-runs the cluster suites on every backend), which
+beats ``inline``.
 """
 
 from __future__ import annotations
@@ -43,7 +42,7 @@ from typing import TYPE_CHECKING, Union
 if TYPE_CHECKING:
     from repro.cluster.shard import EnclaveSpec, ShardHandle
 
-#: Environment override consulted when no explicit/default backend is set.
+#: Environment override consulted when no backend is passed explicitly.
 BACKEND_ENV_VAR = "ARIA_CLUSTER_BACKEND"
 
 BACKEND_NAMES = ("inline", "process", "socket")
@@ -85,33 +84,19 @@ class InlineBackend(ShardBackend):
 
 BackendSpec = Union[None, str, ShardBackend]
 
-_default_backend: BackendSpec = None
-
-
-def set_default_backend(backend: BackendSpec) -> BackendSpec:
-    """Set the process-wide default backend; returns the previous value.
-
-    Accepts a backend name, an instance (shared by every cluster built
-    while it is current — its workers are released by ``backend.close()``),
-    or ``None`` to fall back to the environment/``inline``.
-    """
-    global _default_backend
-    previous = _default_backend
-    if isinstance(backend, str):
-        _check_name(backend)
-    _default_backend = backend
-    return previous
-
 
 def resolve_backend(backend: BackendSpec = None) -> ShardBackend:
     """Turn a backend name/instance/None into a ready :class:`ShardBackend`."""
     if backend is None:
-        backend = _default_backend
-    if backend is None:
         backend = os.environ.get(BACKEND_ENV_VAR) or "inline"
     if isinstance(backend, ShardBackend):
         return backend
-    _check_name(backend)
+    if backend not in BACKEND_NAMES:
+        from repro.errors import UnknownBackendError
+
+        raise UnknownBackendError(
+            f"unknown shard backend {backend!r}; choose from {BACKEND_NAMES}"
+        )
     if backend == "inline":
         return InlineBackend()
     if backend == "socket":
@@ -121,12 +106,3 @@ def resolve_backend(backend: BackendSpec = None) -> ShardBackend:
     from repro.cluster.procbackend import ProcessBackend
 
     return ProcessBackend()
-
-
-def _check_name(name: str) -> None:
-    if name not in BACKEND_NAMES:
-        from repro.errors import UnknownBackendError
-
-        raise UnknownBackendError(
-            f"unknown shard backend {name!r}; choose from {BACKEND_NAMES}"
-        )

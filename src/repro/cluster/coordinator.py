@@ -57,25 +57,26 @@ DEFAULT_BATCH_WINDOW = 32
 
 
 class _Flight:
-    """One dispatched shard flush awaiting collection.
+    """One shard's batch between its submit and its collect.
 
-    Inline (synchronous) servers execute at dispatch and carry their
-    result; process-backed servers carry a ticket, so independent shards'
-    batches run concurrently in their workers and are collected after
-    the whole stream has been dispatched.
+    Every handle answers ``flush_submit``/``flush_collect``: an in-process
+    enclave runs the batch at submit, a remote one runs it in its worker or
+    host while the other shards are dispatched, so independent shards'
+    batches overlap and are collected after the whole stream is out.  A
+    flight the overload layer shed carries its ``flushed`` responses
+    instead of a ticket.
     """
 
-    __slots__ = ("shard_id", "seqs", "flushed", "error", "ticket", "server",
+    __slots__ = ("shard_id", "seqs", "flushed", "error", "ticket",
                  "latency", "sampled")
 
     def __init__(self, shard_id, seqs, *, flushed=None, error=None,
-                 ticket=None, server=None, latency=None, sampled=False):
+                 ticket=None, latency=None, sampled=False):
         self.shard_id = shard_id
         self.seqs = seqs
         self.flushed = flushed
         self.error = error
         self.ticket = ticket
-        self.server = server
         #: Overload bookkeeping: the laps this shard held the coordinator
         #: (see :meth:`_OverloadState.lap`), and whether the flight feeds a
         #: breaker sample (shed and fallback flights never touched the
@@ -111,10 +112,9 @@ class _OverloadState:
         """Seconds since the running call's previous clock read.
 
         A breaker sample is the laps during which *that* shard held the
-        coordinator: an inline flush is one lap; a pipelined flight is the
-        lap its submit closes plus the lap its collect closes, and never
-        the time other shards ran between the two.  Every read is a lap
-        boundary, so a flight costs two reads whichever way it runs — the
+        coordinator: the lap its submit closes plus the lap its collect
+        closes, and never the time other shards ran between the two.
+        Every read is a lap boundary, so a flight costs two reads — the
         count an injected clock shared with the tenant buckets sees.
         """
         now = self.clock()
@@ -444,9 +444,9 @@ class ClusterCoordinator:
         Buffers per shard and flushes a shard the moment its buffer fills,
         so a stream larger than ``batch_window * n_shards`` stays at a
         bounded memory footprint instead of materializing per-shard
-        sub-streams.  Inline shards execute at dispatch; process-backed
-        shards execute in their workers while dispatch continues, and
-        their responses are collected afterwards — either way a shard's
+        sub-streams.  Every flush is submitted at dispatch and collected
+        after the stream is out (inline shards run at the submit, remote
+        ones in their workers while dispatch continues); a shard's
         batches run in dispatch order, preserving per-key ordering.
 
         With the overload layer armed (``overload=`` at construction),
@@ -483,7 +483,7 @@ class ClusterCoordinator:
         route = self.ring.route
         batch_window = self.batch_window
         # Every dispatched flight is settled before an exception leaves:
-        # a pipelined shard's reply left unread would answer the next call.
+        # a remote shard's reply left unread would answer the next call.
         error: Optional[Exception] = None
         try:
             for seq, request in enumerate(requests):
@@ -542,7 +542,7 @@ class ClusterCoordinator:
     def _dispatch(self, shard_id: str, seqs: List[int],
                   requests: List[Request],
                   deadline: Optional[Deadline] = None) -> _Flight:
-        """Hand one shard its batch; pipelined when the server supports it.
+        """Submit one shard its batch.
 
         Overload gates run first: an expired deadline sheds the bucket
         (work that cannot finish in time must not queue behind work that
@@ -561,29 +561,19 @@ class ClusterCoordinator:
                                           breaker, over)
         shard = self.shards[shard_id]
         shard.ops_routed += len(seqs)
-        batch = [requests[s] for s in seqs]
-        server = shard.server
         sampled = over is not None
-        pipelined = shard.pipelined
-        if sampled and not pipelined:
-            over.lap()  # an inline flush is timed from here
         try:
-            if not pipelined:
-                flushed = server.flush_batch(batch)
-                return _Flight(shard_id, seqs, flushed=flushed,
-                               latency=over.lap() if sampled else None,
-                               sampled=sampled)
-            # Timed from the call's previous read: the submit (for a
-            # durable group, the whole apply + stage) and the routing
-            # since, which is the coordinator's own and small.
-            ticket = server.flush_submit(batch)
-            return _Flight(shard_id, seqs, ticket=ticket, server=server,
-                           latency=over.lap() if sampled else None,
-                           sampled=sampled)
+            ticket = shard.flush_submit(list(map(requests.__getitem__, seqs)))
         except AriaError as exc:
             return _Flight(shard_id, seqs, error=exc,
                            latency=over.lap() if sampled else None,
                            sampled=sampled)
+        # Timed from the call's previous read: the submit (an inline
+        # flush; for a durable group, the whole apply + stage) and the
+        # routing since, which is the coordinator's own and small.
+        return _Flight(shard_id, seqs, ticket=ticket,
+                       latency=over.lap() if sampled else None,
+                       sampled=sampled)
 
     def _breaker_shed(self, shard_id: str, seqs: List[int],
                       requests: List[Request], breaker: CircuitBreaker,
@@ -626,21 +616,19 @@ class ClusterCoordinator:
         over = self.overload
         flushed = flight.flushed
         if flight.error is None and flushed is None:
+            timeout = None
+            if over is not None and deadline is not None:
+                # The per-shard RPC deadline: remaining budget plus one
+                # grace period.  Exceeding it treats the shard as hung
+                # (ShardCrashedError), which the breaker then counts.
+                timeout = deadline.remaining() + over.config.rpc_grace
             try:
-                if over is not None and deadline is not None:
-                    # The per-shard RPC deadline: remaining budget plus one
-                    # grace period.  Exceeding it treats the shard as hung
-                    # (ShardCrashedError), which the breaker then counts.
-                    timeout = deadline.remaining() + over.config.rpc_grace
-                    flushed = flight.server.flush_collect(
-                        flight.ticket, timeout=timeout)
-                else:
-                    flushed = flight.server.flush_collect(flight.ticket)
+                flushed = self.shards[flight.shard_id].flush_collect(
+                    flight.ticket, timeout=timeout)
             except AriaError as exc:
                 flight.error = exc
-            if over is not None:
-                flight.latency += over.lap()
-        if over is not None and flight.sampled:
+        if flight.sampled:
+            flight.latency += over.lap()
             over.breaker_for(flight.shard_id).record(
                 flight.error is None, flight.latency)
         if flight.error is not None:

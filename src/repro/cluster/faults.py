@@ -375,46 +375,14 @@ class FaultPlan:
 # -- the backend seam: shard and stage kinds ------------------------------------
 
 
-class _FaultyServer:
-    """The request-path interposer: counts flushes, fires due faults."""
-
-    def __init__(self, owner: "FaultyShard"):
-        self._owner = owner
-
-    def flush_batch(self, requests) -> list:
-        requests = list(requests)
-        owner = self._owner
-        target = owner.shard_id
-        owner.counts["flushed"] += len(requests)
-        for event in owner.plan.pop_due(target, owner.counts["flushed"]):
-            owner.apply(event)
-        if owner.crashed:
-            raise ShardCrashedError(
-                f"shard {target} is down (enclave killed)"
-            )
-        if owner.partitioned:
-            raise ShardUnreachableError(
-                f"shard {target} is unreachable (partitioned)"
-            )
-        # A SLOW stall happens here, in the parent-side request path, so the
-        # failure signature — the flush call takes `seconds` longer, nothing
-        # raises — is identical across inline/process/socket backends, just
-        # like PARTITION black-holing.
-        if owner.stalled:
-            owner.stalls += 1
-            if owner._stall_ops_left is not None:
-                owner._stall_ops_left -= 1
-            time.sleep(owner._stall_seconds)
-        return owner.inner.server.flush_batch(requests)
-
-
 class FaultyShard(ShardHandle):
     """A handle wrapper that injects the plan's faults into its own path.
 
     A :class:`~repro.cluster.shard.ShardHandle` around any other (``inner``),
     so coordinators, replica groups, balancers and stats aggregation all
-    work unchanged.
-    Touching the ``store`` or ``server`` of a crashed shard raises
+    work unchanged.  It is its own ``server``: every flush passes through
+    :meth:`flush_batch`, which counts it and fires the faults due.
+    Touching the ``store`` or flushing a crashed shard raises
     :class:`~repro.errors.ShardCrashedError` — dead enclaves don't answer.
     """
 
@@ -433,7 +401,6 @@ class FaultyShard(ShardHandle):
         self._heal_at = 0.0
         self._stall_seconds = 0.0
         self._stall_ops_left: Optional[int] = None
-        self._server = _FaultyServer(self)
 
     # -- fault application --------------------------------------------------------
 
@@ -470,9 +437,7 @@ class FaultyShard(ShardHandle):
         :func:`repro.attacks.scenarios.plant_corruption`), so inline and
         process shards meter the attacker's walk identically.
         """
-        if self.crashed:
-            return
-        if self.inner.plant_corruption(key):
+        if self.plant_corruption(key):
             self.corruptions += 1
 
     # -- stalls -------------------------------------------------------------------
@@ -578,8 +543,37 @@ class FaultyShard(ShardHandle):
         return self.inner.store
 
     @property
-    def server(self):
-        return self._server
+    def server(self) -> "FaultyShard":
+        return self  # the wrapper interposes on every flush itself
+
+    def flush_batch(self, requests) -> list:
+        """The request path: count, fire the due faults, then flush."""
+        requests = list(requests)
+        target = self.shard_id
+        self.counts["flushed"] += len(requests)
+        for event in self.plan.pop_due(target, self.counts["flushed"]):
+            self.apply(event)
+        if self.crashed:
+            raise ShardCrashedError(
+                f"shard {target} is down (enclave killed)")
+        if self.partitioned:
+            raise ShardUnreachableError(
+                f"shard {target} is unreachable (partitioned)")
+        # A SLOW stall happens here, in the parent-side request path, so
+        # the failure signature — the flush call takes `seconds` longer,
+        # nothing raises — is identical across inline/process/socket
+        # backends, just like PARTITION black-holing.
+        if self.stalled:
+            self.stalls += 1
+            if self._stall_ops_left is not None:
+                self._stall_ops_left -= 1
+            time.sleep(self._stall_seconds)
+        return self.inner.server.flush_batch(requests)
+
+    def plant_corruption(self, key: bytes = b"") -> bool:
+        """Corrupt one record where the inner handle's enclave lives; a
+        killed enclave has nothing left to tamper with."""
+        return not self.crashed and self.inner.plant_corruption(key)
 
     @property
     def epc_bytes(self) -> int:
@@ -784,7 +778,8 @@ class FaultyDoor(ClusterNetServer):
         replies, keep = super()._run_batch(conn, *batch)
         delay = self._delay.pop(conn)
         if delay:
-            time.sleep(delay)
+            # A stop() cuts the stall short: the door is draining.
+            self._stopping.wait(delay)
         return replies, keep
 
     def _replies(self, conn, responses):

@@ -193,6 +193,10 @@ class HealthMonitor:
                replica: Replica) -> Optional[ResyncReport]:
         """Copy the partition's state from a live peer; metered both sides.
 
+        A reconnected replica kept its state and may hold keys the peer
+        has since deleted: when it holds more keys than were copied, each
+        one the peer lacks is deleted too (``len`` is held in the enclave,
+        so a re-sync that missed no delete pays nothing for the check).
         The replica rejoins (UP) only after the full copy lands.  Returns
         None when no live peer exists — there is nothing trustworthy to
         copy, so the replica keeps waiting in RECOVERING.
@@ -204,10 +208,15 @@ class HealthMonitor:
         dst_store = replica.shard.store
         src_before = peer.shard.meter.cycles
         dst_before = replica.shard.meter.cycles
-        copied = 0
-        for key in list(src_store.keys()):
+        keys = list(src_store.keys())
+        for key in keys:
             dst_store.put(key, src_store.get(key))
-            copied += 1
+        copied = len(keys)
+        if len(dst_store) > copied:
+            kept = set(keys)
+            for key in list(dst_store.keys()):
+                if key not in kept:
+                    dst_store.delete(key)
         replica.state = ReplicaState.UP
         return ResyncReport(
             group=group.shard_id,

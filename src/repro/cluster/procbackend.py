@@ -14,8 +14,8 @@ same bytes the socket backend seals into its frames) is the shared
 remote-shard RPC vocabulary of :mod:`repro.cluster.remote`:
 
 * batch requests / responses — ``flush_batch`` ships the whole batch and
-  gets the response list back; the coordinator additionally uses the
-  split ``flush_submit``/``flush_collect`` pair so independent shards'
+  gets the response list back; the coordinator uses the split
+  ``flush_submit``/``flush_collect`` pair so independent shards'
   batches execute concurrently (the pipe is FIFO, preserving the per-key
   ordering contract within a shard);
 * trusted-path traffic — the balancer's key migrations and the health

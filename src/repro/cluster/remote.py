@@ -15,15 +15,16 @@ binary form.  This module holds everything both sides share:
   :func:`dispatch_shard_rpc`, the enclave-side command table), all
   producing encoded reply bytes;
 * :class:`RemoteShardHandle` — the parent-side
-  :class:`~repro.cluster.shard.ShardHandle` (``store``/``server``/``meter``
-  proxies, ``stats`` with a post-mortem cache) on top of two abstract
+  :class:`~repro.cluster.shard.ShardHandle` on top of two abstract
   transport hooks, ``_send`` and ``_recv``, with :meth:`~RemoteShardHandle
-  ._settle` turning reply bytes back into a payload or a raise;
-* the proxies — :class:`RemoteServer` (``flush_batch`` plus the
-  pipelined ``flush_submit``/``flush_collect`` split the coordinator
-  uses, valid because both transports are FIFO per shard),
-  :class:`RemoteStore` (the trusted path: migrations and re-syncs) and
-  :class:`RemoteEnclave`; the handle's ``meter`` is a plain
+  ._settle` turning reply bytes back into a payload or a raise.  The
+  handle is its own flush endpoint (``flush_batch`` plus the
+  ``flush_submit``/``flush_collect`` split the coordinator uses, valid
+  because both transports are FIFO per shard) and keeps ``stats`` with a
+  post-mortem cache;
+* the proxies — :class:`RemoteStore` (the trusted path: migrations and
+  re-syncs) and :class:`RemoteEnclave` (platform constants and the
+  meter); the handle's ``meter`` is a plain
   :class:`~repro.sgx.meter.CycleMeter` that every reply's absolute state
   is loaded into, which keeps metering backend-invariant to the bit and
   makes reading it free.
@@ -57,15 +58,13 @@ DEFAULT_CLOSE_TIMEOUT = 5.0
 
 def ready_reply(shard, cmd: str) -> bytes:
     """The answer to ``spawn``/``attach``: what a handle needs to mirror
-    this enclave."""
-    enclave = shard.store.enclave
+    this enclave.  Its keys are not among it: they never leave the
+    enclave."""
     return rpc.encode_reply(cmd, True, {
         "shard_id": shard.shard_id,
         "epc_bytes": shard.epc_bytes,
         "pid": os.getpid(),
-        "cpu_hz": enclave.platform.cpu_hz,
-        "encryption_key": enclave.keys.encryption_key,
-        "mac_key": enclave.keys.mac_key,
+        "cpu_hz": shard.store.enclave.platform.cpu_hz,
         "config": shard.store.config,
     }, shard.meter)
 
@@ -110,12 +109,6 @@ def _plant_corruption(shard, key):
     return plant_corruption(shard.store, key)
 
 
-def _corrupt_in_place(shard, key):
-    from repro.attacks.scenarios import corrupt_record_in_place
-
-    return corrupt_record_in_place(shard.store, key)
-
-
 #: What each command of :data:`repro.cluster.rpc.COMMANDS` does to the
 #: enclave (``shutdown``/``kill`` belong to the transport, not to it).
 _HANDLERS = {
@@ -126,12 +119,10 @@ _HANDLERS = {
     "load": lambda shard, pairs: shard.store.load(pairs),
     "keys": lambda shard, _: shard.store.keys(),
     "len": lambda shard, _: len(shard.store),
-    "contains": lambda shard, key: key in shard.store,
     "stats": lambda shard, _: shard.stats(),
     "retarget_quotas":
         lambda shard, quotas: shard.store.retarget_tenant_quotas(quotas),
     "plant_corruption": _plant_corruption,
-    "corrupt_in_place": _corrupt_in_place,
 }
 
 
@@ -156,13 +147,11 @@ class RemoteShardHandle(ShardHandle):
     the remote's ``ready`` info dict arrives, :meth:`_attach` wires proxies.
     """
 
-    pipelined = True  # RemoteServer.flush_submit / flush_collect
-
     def __init__(self, shard_id: str):
         self.shard_id = shard_id
         self.closed = False
         self.ops_routed = 0
-        self._pending = 0  # pipelined flushes submitted but not collected
+        self._pending = 0  # flushes submitted but not collected
         self._stats_cache: Optional[dict] = None
         #: Mirror of the remote enclave's meter: every reply carries the
         #: meter's full state and :meth:`_settle` loads it wholesale
@@ -179,7 +168,6 @@ class RemoteShardHandle(ShardHandle):
         self._info = info
         self.epc_bytes = info["epc_bytes"]
         self._store = RemoteStore(self)
-        self._server = RemoteServer(self)
 
     # -- transport hooks (subclass responsibility) --------------------------------
 
@@ -212,8 +200,40 @@ class RemoteShardHandle(ShardHandle):
         return self._store
 
     @property
-    def server(self) -> "RemoteServer":
-        return self._server
+    def server(self) -> "RemoteShardHandle":
+        return self  # the handle is its own flush_batch endpoint
+
+    def flush_batch(self, requests) -> list:
+        return self._call("flush", requests)
+
+    def flush_submit(self, requests) -> int:
+        """Ship a batch without waiting; returns a collection ticket.
+
+        Submissions to one shard are answered in FIFO order (both the
+        pipe and the TCP session preserve ordering), so tickets are just
+        the in-flight depth at submission time.
+        """
+        self._send("flush", requests)
+        self._pending += 1
+        return self._pending
+
+    def flush_collect(self, ticket: int,
+                      timeout: Optional[float] = None) -> list:
+        """Collect one submitted flush, optionally under a tighter deadline.
+
+        ``timeout`` (default :data:`DEFAULT_RPC_TIMEOUT`) lets the
+        coordinator derive a per-shard RPC deadline from a request's
+        remaining budget; exceeding it raises
+        :class:`~repro.errors.ShardCrashedError` (hung => presumed dead),
+        which the overload layer's breaker then counts as a failure.  Note
+        that a timed-out collect desynchronizes the FIFO ticket stream —
+        the shard is treated as lost, never resumed mid-stream.
+        """
+        try:
+            return self._recv(DEFAULT_RPC_TIMEOUT if timeout is None
+                              else timeout)
+        finally:
+            self._pending = max(0, self._pending - 1)
 
     def stats(self) -> dict:
         if self.crashed or self.closed or self.partitioned:
@@ -234,45 +254,6 @@ class RemoteShardHandle(ShardHandle):
     def plant_corruption(self, key: bytes = b"") -> bool:
         """Run the fault injector's corruption plant beside the enclave."""
         return bool(self._call("plant_corruption", key))
-
-
-class RemoteServer:
-    """The handle's ``server``: flush_batch plus the pipelined split pair."""
-
-    def __init__(self, handle: RemoteShardHandle):
-        self._handle = handle
-
-    def flush_batch(self, requests) -> list:
-        return self._handle._call("flush", requests)
-
-    def flush_submit(self, requests) -> int:
-        """Ship a batch without waiting; returns a collection ticket.
-
-        Submissions to one shard are answered in FIFO order (both the
-        pipe and the TCP session preserve ordering), so tickets are just
-        the in-flight depth at submission time.
-        """
-        handle = self._handle
-        handle._send("flush", requests)
-        handle._pending += 1
-        return handle._pending
-
-    def flush_collect(self, ticket: int,
-                      timeout: float = DEFAULT_RPC_TIMEOUT) -> list:
-        """Collect one submitted flush, optionally under a tighter deadline.
-
-        ``timeout`` lets the coordinator derive a per-shard RPC deadline
-        from a request's remaining budget; exceeding it raises
-        :class:`~repro.errors.ShardCrashedError` (hung => presumed dead),
-        which the overload layer's breaker then counts as a failure.  Note
-        that a timed-out collect desynchronizes the FIFO ticket stream —
-        the shard is treated as lost, never resumed mid-stream.
-        """
-        handle = self._handle
-        try:
-            return handle._recv(timeout)
-        finally:
-            handle._pending = max(0, handle._pending - 1)
 
 
 class RemoteStore:
@@ -300,14 +281,6 @@ class RemoteStore:
     def __len__(self) -> int:
         return self._handle._call("len")
 
-    def __contains__(self, key: bytes) -> bool:
-        return bool(self._handle._call("contains", key))
-
-    def corrupt_record_in_place(self, key: bytes) -> None:
-        """Attack-surface hook: tamper a record inside the remote host's
-        untrusted memory (see ``repro.attacks.scenarios``)."""
-        self._handle._call("corrupt_in_place", key)
-
     def retarget_tenant_quotas(self, quotas) -> None:
         """Re-partition the remote enclave's cache quotas live (§16)."""
         self._handle._call("retarget_quotas",
@@ -323,7 +296,7 @@ class RemoteStore:
 
 
 class RemoteEnclave:
-    """Enclave facade: platform constants, key material, the meter mirror."""
+    """Enclave facade: platform constants and the meter mirror."""
 
     def __init__(self, handle: RemoteShardHandle):
         self._handle = handle
@@ -339,14 +312,9 @@ class RemoteEnclave:
         return self._platform
 
     @property
-    def keys(self):
-        from repro.crypto.keys import KeyMaterial
-
-        return KeyMaterial(
-            encryption_key=self._handle._info["encryption_key"],
-            mac_key=self._handle._info["mac_key"],
-        )
-
-    @property
     def meter(self) -> CycleMeter:
         return self._handle.meter
+
+
+#: The name ``perfbench/tracing.py`` times the hop's flush endpoint by.
+RemoteServer = RemoteShardHandle

@@ -132,10 +132,9 @@ class ReplicaGroup(ShardHandle):
         self.ops_routed = 0
         self.unavailable_requests = 0
         #: With a ``durability`` sidecar set (repro.persist), a batch's acked
-        #: writes are group-committed to it before the responses leave, and
-        #: the group answers the pipelined ``flush_submit``/``flush_collect``
-        #: pair: every partition stages its record at dispatch, the first
-        #: collect pays the call's one flush.
+        #: writes are group-committed to it before the responses leave:
+        #: every partition stages its record at ``flush_submit``, the first
+        #: ``flush_collect`` pays the call's one flush.
         self.durability_failures = 0
         self.durability_repairs = 0
         #: Reads served on a secondary while the primary's circuit breaker
@@ -167,10 +166,6 @@ class ReplicaGroup(ShardHandle):
     @property
     def server(self) -> "ReplicaGroup":
         return self  # the group is its own flush_batch endpoint
-
-    @property
-    def pipelined(self) -> bool:
-        return self.durability is not None
 
     def flush_submit(self, requests) -> tuple:
         """Apply on the replicas and stage the WAL record; no ack yet."""
@@ -262,7 +257,7 @@ class ReplicaGroup(ShardHandle):
 
         # 4. Group commit: exactly the writes about to be positively acked
         #    are sealed into one staged log record, flushed before the acks
-        #    leave (here, or at the collect of a pipelined submit).  A write
+        #    leave (here, or at ``flush_collect``).  A write
         #    that cannot be made durable is not acked — its slot becomes
         #    UNAVAILABLE.
         if self.durability is not None:
@@ -543,9 +538,6 @@ class _GroupStore:
         if replica is None:
             return 0
         return len(replica.shard.store)
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._primary_store()
 
     # -- writes -------------------------------------------------------------------
 

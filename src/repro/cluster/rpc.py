@@ -238,13 +238,6 @@ def _checked(plain, kind, what: str):
     return plain
 
 
-def _unhex(text: str) -> bytes:
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise ProtocolError("key material is not hex") from None
-
-
 def _build(cls, plain, what: str):
     """``cls(**plain)`` once every key is a field of the dataclass ``cls``
     holding its declared type (undeclared ones: a mapping or ``None``)."""
@@ -269,16 +262,14 @@ def _spec_from_plain(plain) -> EnclaveSpec:
 
 
 #: The ``ready`` info a handle mirrors an enclave from, and each field's
-#: type on the wire (key material as hex, the store config as a document).
+#: type on the wire (the store config as a document).  No key material:
+#: an enclave's keys never leave it.
 _READY_FIELDS = {"shard_id": str, "epc_bytes": int, "pid": int,
-                 "cpu_hz": (int, float), "encryption_key": str,
-                 "mac_key": str, "config": dict}
+                 "cpu_hz": (int, float), "config": dict}
 
 
 def _ready_to_plain(info: dict) -> dict:
-    return dict(info, encryption_key=info["encryption_key"].hex(),
-                mac_key=info["mac_key"].hex(),
-                config=dataclasses.asdict(info["config"]))
+    return dict(info, config=dataclasses.asdict(info["config"]))
 
 
 def _ready_from_plain(plain) -> dict:
@@ -287,8 +278,6 @@ def _ready_from_plain(plain) -> dict:
     for name, kind in _READY_FIELDS.items():
         _checked(plain[name], kind, f"ready info field {name!r}")
     return dict(plain,
-                encryption_key=_unhex(plain["encryption_key"]),
-                mac_key=_unhex(plain["mac_key"]),
                 config=_build(AriaConfig, plain["config"], "store config"))
 
 
@@ -366,11 +355,9 @@ COMMANDS = {
     "load": (PAIRS, NONE),
     "keys": (NONE, BLOBS),
     "len": (NONE, COUNT),
-    "contains": (BLOB, COUNT),
     "stats": (NONE, ROW),
     "retarget_quotas": (QUOTAS, NONE),
     "plant_corruption": (BLOB, COUNT),
-    "corrupt_in_place": (BLOB, NONE),
     "shutdown": (NONE, NONE),
     "kill": (NONE, NONE),
 }

@@ -126,8 +126,21 @@ class ShardHandle:
     replicas = None      # a ReplicaGroup's Replica list
     durability = None    # a ReplicaGroup's sealed sidecar (repro.persist)
     failovers = 0        # requests a ReplicaGroup re-served on a peer
-    pipelined = False    # server also answers flush_submit / flush_collect
     _load_mark = 0.0
+
+    def flush_submit(self, requests):
+        """Hand the enclave a batch; returns the ticket to collect it by.
+
+        Here the flush runs at once and the ticket is its responses, so an
+        in-process enclave stays synchronous; a remote handle ships the
+        batch and answers later, in submission order.
+        """
+        return self.server.flush_batch(requests)
+
+    def flush_collect(self, ticket, timeout: Optional[float] = None) -> list:
+        """The responses of one submitted batch; ``timeout`` bounds a
+        remote handle's wait for them."""
+        return ticket
 
     def load_since_mark(self) -> float:
         """Cycles consumed since :meth:`mark_load` — the hot-shard signal."""

@@ -19,7 +19,6 @@ verifies) -> MAC check -> decrypt -> plaintext key comparison.
 
 from __future__ import annotations
 
-import random
 from typing import Iterator, Optional
 
 from repro.alloc.heap import HeapAllocator, OcallAllocator
@@ -223,5 +222,3 @@ class AriaStore:
             "epc_by_consumer": self.enclave.epc.usage_report(),
         }
 
-    def seed_rng(self) -> random.Random:
-        return random.Random(self.config.seed)

@@ -136,7 +136,7 @@ class AriaServer:
     def _run(self, requests: list) -> list:
         """Execute a validated batch: the engine when workers > 1."""
         if self.engine is None:
-            return [self._dispatch(request) for request in requests]
+            return list(map(self._dispatch, requests))
         return self.engine.execute(requests, self._dispatch)
 
     def _enter(self, nbytes: int) -> float:

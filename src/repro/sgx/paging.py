@@ -48,10 +48,6 @@ class PagedEnclaveHeap:
     def resident_pages(self) -> int:
         return len(self._resident)
 
-    @property
-    def allocated_pages(self) -> int:
-        return self._total_pages
-
     def alloc(self, size: int) -> int:
         """Allocate ``size`` bytes of enclave-virtual memory; returns address."""
         if size <= 0:

@@ -7,11 +7,11 @@ twice: once with the default ``inline`` backend and once with the
 ``process`` backend (real OS workers, marked ``procs``).  The cluster,
 replication and fault suites additionally run against the ``socket``
 backend (shard-host processes over attested TCP, marked ``dist``).  The
-test bodies are unmodified; only the process-wide default backend changes.
+test bodies are unmodified; only ``ARIA_CLUSTER_BACKEND`` changes.
 
 The ``cluster_backend`` fixture is inserted at the *front* of each test's
 fixture list so it is set up before (and torn down after) the module's own
-``cluster``/``server`` fixtures — the default backend is already switched
+``cluster``/``server`` fixtures — the backend variable is already set
 by the time ``ClusterConfig.build`` runs, and worker reaping happens after
 every other fixture has finished.  Existing tests never close their clusters
 (inline shards have nothing to release), so the teardown *reaps* leaked
@@ -26,11 +26,8 @@ import threading
 
 import pytest
 
-from repro.cluster import (
-    reap_leaked_hosts,
-    reap_leaked_workers,
-    set_default_backend,
-)
+from repro.cluster import reap_leaked_hosts, reap_leaked_workers
+from repro.cluster.backend import BACKEND_ENV_VAR
 
 # The shared chaos oracle asserts on the gauntlets' behalf; let pytest
 # explain its failures the way it explains a test module's own asserts.
@@ -86,14 +83,13 @@ def pytest_generate_tests(metafunc):
 
 
 @pytest.fixture()
-def cluster_backend(request):
-    """Switch the process-wide default backend for one test, then clean up."""
+def cluster_backend(request, monkeypatch):
+    """Switch ``ARIA_CLUSTER_BACKEND`` for one test, then clean up."""
     name = getattr(request, "param", "inline")
-    previous = set_default_backend(name)
+    monkeypatch.setenv(BACKEND_ENV_VAR, name)
     try:
         yield name
     finally:
-        set_default_backend(previous)
         leaked = reap_leaked_workers()
         leaked_hosts = reap_leaked_hosts()
         strays = multiprocessing.active_children()

@@ -2,7 +2,7 @@
 
 Every PR since the one-recipe refactor has claimed "all ``bench cluster_*``
 outputs byte-identical except ``wall_s``" and checked it by hand.  This
-file makes the claim executable for the eight experiments cheap enough for
+file makes the claim executable for the seven experiments cheap enough for
 tier-1: each runs at a reduced ``n_ops`` and key space, its ``wall_s``
 column (host time, the one column allowed to move) is masked, and the
 sha256 of the rendered table — title, header, every simulated column, the
@@ -32,7 +32,6 @@ CASES = {
     "cluster_scaling": dict(n_ops=400, warm_ops=200),
     "cluster_rebalance": dict(n_ops=400, warm_ops=600),
     "cluster_replication": dict(n_ops=400),
-    "cluster_process_backend": dict(n_ops=400),
     "cluster_shard_workers": dict(n_ops=1000),
     "cluster_wire_overhead": dict(n_ops=256),
     "cluster_socket_backend": dict(n_ops=400),
@@ -55,8 +54,6 @@ GOLDEN = {
         "7198246c3423b3c4d22063e2d03ace3eb34179fb66a7a80146c14e70e2dbcd75",
     "cluster_replication":
         "0158a8f096632f9a4e096b54a56e5e7c9932d6ab9202c45eed469238d7f8e427",
-    "cluster_process_backend":
-        "a32472de7239f1ac5beb31baf7a53347132eee48edf9034bd695b6aee487ecb7",
     "cluster_shard_workers":
         "027850da7037e108de92ffa1d12395a6e1aaa90a7adc788d05a231c04ccf8906",
     "cluster_wire_overhead":

@@ -2,8 +2,8 @@
 
 Three claims, in increasing order of violence:
 
-1. Resolution — the explicit-arg > default > env > ``inline`` precedence
-   order, and loud failures for unknown names.
+1. Resolution — the explicit-arg > env > ``inline`` precedence order,
+   and loud failures for unknown names.
 2. Equivalence — the *same* seeded workload through both backends yields
    byte-identical wire responses and identical simulated cycle totals.
    Metering crosses the pipe as absolute snapshots, so there is no float
@@ -30,7 +30,6 @@ from repro.cluster import (
     SocketBackend,
     build_replicated_cluster,
     resolve_backend,
-    set_default_backend,
 )
 from repro.cluster.backend import BACKEND_ENV_VAR
 from repro.errors import ConfigurationError, UnknownBackendError
@@ -83,8 +82,6 @@ class TestResolution:
     def test_unknown_name_is_loud(self):
         with pytest.raises(ValueError, match="backend"):
             resolve_backend("threads")
-        with pytest.raises(ValueError, match="backend"):
-            set_default_backend("threads")
 
     def test_unknown_name_is_a_typed_error(self):
         # Catchable as config misuse or as the historical ValueError.
@@ -92,31 +89,17 @@ class TestResolution:
         assert issubclass(UnknownBackendError, ValueError)
         with pytest.raises(UnknownBackendError):
             resolve_backend("threads")
-        with pytest.raises(UnknownBackendError):
-            set_default_backend("threads")
 
     def test_full_precedence_chain(self, monkeypatch):
-        # explicit arg > set_default_backend > env var > inline.
+        # explicit arg > env var > inline.
         monkeypatch.setenv(BACKEND_ENV_VAR, "process")
         assert resolve_backend(None).name == "process"  # env fills the gap
-        previous = set_default_backend("socket")
-        try:
-            assert resolve_backend(None).name == "socket"  # default beats env
-            # An explicit name or instance beats the default.
-            assert resolve_backend("inline").name == "inline"
-            explicit = InlineBackend()
-            assert resolve_backend(explicit) is explicit
-        finally:
-            set_default_backend(previous)
+        # An explicit name or instance beats the env var.
+        assert resolve_backend("inline").name == "inline"
+        explicit = InlineBackend()
+        assert resolve_backend(explicit) is explicit
         monkeypatch.delenv(BACKEND_ENV_VAR)
         assert resolve_backend(None).name == "inline"  # nothing set: inline
-
-    def test_set_default_returns_previous(self):
-        previous = set_default_backend("inline")
-        try:
-            assert resolve_backend(None).name == "inline"
-        finally:
-            set_default_backend(previous)
 
     def test_env_var_supplies_default(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "inline")

@@ -319,7 +319,6 @@ class TestEnclaveSpec:
             handle = backend.create(spec)
             assert handle.shard_id == local.shard_id
             assert handle.epc_bytes == local.epc_bytes
-            assert handle.store.enclave.keys == local.store.enclave.keys
             assert handle.store.config == local.store.config
             handle.store.put(b"k", b"v")
             local.store.put(b"k", b"v")

@@ -15,7 +15,6 @@ import random
 
 import pytest
 
-from repro.attacks.scenarios import corrupt_record_in_place
 from repro.cluster import netutil
 from repro.cluster import (
     BackgroundServer,
@@ -189,8 +188,7 @@ class TestTamperAgainstRunningCluster:
         coord.load((k, b"val") for k in keys)
         victim_key = keys[0]
         group = coord.shards[coord.ring.route(victim_key)]
-        corrupt_record_in_place(
-            group.replicas[0].shard.store, victim_key)
+        assert group.replicas[0].shard.plant_corruption(victim_key)
         responses = coord.execute([protocol.get(k) for k in keys])
         by_key = dict(zip(keys, responses))
         # Exactly the tampered record alarms; every other request is
@@ -205,7 +203,7 @@ class TestTamperAgainstRunningCluster:
         keys = [b"key-%03d" % i for i in range(16)]
         coord.load((k, b"val") for k in keys)
         group = coord.shards["shard-0"]
-        corrupt_record_in_place(group.replicas[0].shard.store, keys[3])
+        assert group.replicas[0].shard.plant_corruption(keys[3])
         responses = coord.execute([protocol.get(k) for k in keys])
         # The read failed over to the intact replica: the client never
         # sees the alarm, and the rotten replica is quarantined.
@@ -223,7 +221,7 @@ class TestTamperAgainstRunningCluster:
         group = coord.shards["shard-0"]
         group.replicas[1].shard.kill()
         coord.put(b"other", b"x")  # fan-out notices the dead secondary
-        corrupt_record_in_place(group.replicas[0].shard.store, b"k")
+        assert group.replicas[0].shard.plant_corruption(b"k")
         with pytest.raises(IntegrityError):
             coord.get(b"k")
         assert group.replicas[0].state is ReplicaState.UP

@@ -39,10 +39,11 @@ from repro.server.protocol import (
 )
 
 
-def make_group(replication=2):
+def make_group(replication=2, backend=None):
     spec = EnclaveSpec("g0", epc_bytes=256 * 1024, capacity_keys=256,
                        workers=resolve_workers())
-    return build_replica_group(spec, replication, backend=FaultyBackend())
+    return build_replica_group(spec, replication,
+                               backend=FaultyBackend(backend))
 
 
 def enclave_of(replica):
@@ -51,15 +52,17 @@ def enclave_of(replica):
 
 
 class TestReplicaIndependence:
+    # Key material is readable only where the enclave lives, so the two
+    # key checks build their replicas in this process.
     def test_replicas_have_distinct_key_material(self):
-        group = make_group(replication=3)
+        group = make_group(replication=3, backend="inline")
         enc_keys = {enclave_of(r).keys.encryption_key for r in group.replicas}
         mac_keys = {enclave_of(r).keys.mac_key for r in group.replicas}
         assert len(enc_keys) == 3
         assert len(mac_keys) == 3
 
     def test_restart_mints_fresh_keys(self):
-        group = make_group(replication=2)
+        group = make_group(replication=2, backend="inline")
         replica = group.replicas[0]
         old_key = enclave_of(replica).keys.encryption_key
         replica.shard.kill()
@@ -322,6 +325,28 @@ class TestHealthMonitor:
         assert group.replicas[0].state is ReplicaState.RECOVERING
         assert monitor.total_resyncs() == 0
         assert monitor.total_recoveries() == 0
+
+    def test_reconnect_resync_drops_keys_the_peer_deleted(self):
+        # A partitioned replica keeps its state; the delete it missed must
+        # not come back once it is the last copy.
+        coord = build_replicated_cluster(ClusterConfig(
+            n_shards=1, replication=2, n_keys=64, scale=2048,
+            backend=FaultyBackend()))
+        coord.load([(b"k0", b"v0"), (b"k1", b"v1")])
+        group = coord.shards["shard-0"]
+        group.replicas[1].shard.partition()
+        responses = coord.execute([protocol.delete(b"k0"),
+                                   protocol.put(b"k1", b"v2")])
+        assert [r.status for r in responses] == [STATUS_OK, STATUS_OK]
+        assert group.replicas[1].last_reason == "unreachable"
+        group.replicas[1].shard.heal()
+        [report] = HealthMonitor(coord, check_every=1).check()
+        assert report.reconnected and not report.restarted
+        assert report.keys_copied == 1
+        group.replicas[0].shard.kill()
+        with pytest.raises(KeyNotFoundError):
+            coord.get(b"k0")
+        assert coord.get(b"k1") == b"v2"
 
     def test_integrity_quarantine_heals_back_to_up(self):
         plan = FaultPlan().corrupt("shard-0/r0", at=2, key=b"k00")

@@ -119,14 +119,12 @@ specs = st.builds(
 quotas = st.one_of(st.none(), st.dictionaries(
     st.text(min_size=1, max_size=16), st.floats(0.01, 1.0), max_size=4))
 ready = st.builds(
-    lambda shard_id, epc, pid, hz, key, mac, quota_map: {
+    lambda shard_id, epc, pid, hz, quota_map: {
         "shard_id": shard_id, "epc_bytes": epc, "pid": pid, "cpu_hz": hz,
-        "encryption_key": key, "mac_key": mac,
         "config": AriaConfig(secure_cache_bytes=epc,
                              tenant_quotas={"ab": 0.5} if quota_map else None)},
     st.text(max_size=12), st.integers(0, 1 << 40), st.integers(0, 1 << 22),
-    st.floats(1e6, 1e10), st.binary(min_size=16, max_size=16),
-    st.binary(min_size=16, max_size=16), st.booleans())
+    st.floats(1e6, 1e10), st.booleans())
 rows = st.dictionaries(
     st.text(max_size=8),
     st.one_of(plain, st.lists(st.floats(allow_nan=False), max_size=3),
@@ -144,11 +142,9 @@ VALUES = {
     "load": (st.lists(pairs, max_size=6), st.none()),
     "keys": (st.none(), st.lists(blobs, max_size=6)),
     "len": (st.none(), st.integers(-(1 << 63), (1 << 63) - 1)),
-    "contains": (blobs, st.booleans()),
     "stats": (st.none(), rows),
     "retarget_quotas": (quotas, st.none()),
     "plant_corruption": (blobs, st.booleans()),
-    "corrupt_in_place": (blobs, st.none()),
     "shutdown": (st.none(), st.none()),
     "kill": (st.none(), st.none()),
 }
@@ -166,7 +162,7 @@ meters = st.builds(
 
 def test_every_command_has_a_round_trip_strategy_and_a_handler():
     assert set(VALUES) == set(rpc.COMMANDS)
-    assert len(rpc.COMMANDS) == 16
+    assert len(rpc.COMMANDS) == 14
     assert set(remote._HANDLERS) | {"spawn", "attach", "shutdown", "kill"} \
         == set(rpc.COMMANDS)
 
@@ -315,7 +311,6 @@ def _resealed(body: bytes) -> bytes:
 def _sample_messages():
     meter = CycleMeter(9.5, Counter({"ecall": 2, "tenant_evict_denied:ab": 1}))
     info = {"shard_id": "s0", "epc_bytes": EPC, "pid": 7, "cpu_hz": 3.7e9,
-            "encryption_key": b"e" * 16, "mac_key": b"m" * 16,
             "config": AriaConfig(tenant_quotas={"ab": 0.5})}
     batch = [protocol.get(b"key-1"), protocol.put(b"key-2", b"value")]
     calls = [
@@ -327,7 +322,7 @@ def _sample_messages():
     replies = [
         ("spawn", True, info), ("flush", True, [Response(0, b"v"), Response(1)]),
         ("get", True, b"value"), ("keys", True, [b"a", b"bc"]),
-        ("len", True, 12), ("contains", True, True),
+        ("len", True, 12), ("plant_corruption", True, True),
         ("stats", True, {"shard": "s0", "cycles": 1.5}),
         ("get", False, errors.KeyNotFoundError(b"key")),
         ("put", False, errors.OverloadedError("shed", retry_after=2.0)),

@@ -325,6 +325,11 @@ class TestLifecycle:
             started = time.monotonic()
             background.server.stop(timeout=0.5)
             assert time.monotonic() - started < 0.8
+            # The delayed replies were cut short too: no connection
+            # thread outlives the drain by more than a moment.
+            time.sleep(0.2)
+            assert not [t for t in threading.enumerate()
+                        if t.name == "aria-door-conn" and t.is_alive()]
         finally:
             background.stop()
             for client in clients:

@@ -502,7 +502,10 @@ class TestDeadlineEnvelope:
 class TestCollectUnderDeadline:
     """The coordinator's per-shard RPC deadline, against a stub shard."""
 
-    class _Server:
+    class _Shard(ShardHandle):
+        shard_id = "s0"
+        ops_routed = 0
+
         def __init__(self):
             self.collects = []
 
@@ -513,22 +516,16 @@ class TestCollectUnderDeadline:
             self.collects.append(timeout)
             raise TypeError("a bug inside the collect, not its signature")
 
-    class _Shard(ShardHandle):
-        shard_id = "s0"
-        ops_routed = 0
-        pipelined = True  # _Server answers flush_submit / flush_collect
-
     def test_a_typeerror_inside_a_collect_is_never_recollected(self):
         """A second collect would read the *next* reply off a FIFO stream
         (or block for the RPC timeout): the error must surface once."""
         from repro.cluster.coordinator import ClusterCoordinator
 
         shard = self._Shard()
-        shard.server = self._Server()
         coordinator = ClusterCoordinator([shard], overload=OverloadConfig())
         with pytest.raises(TypeError, match="inside the collect"):
             coordinator.execute([protocol.put(b"k", b"v")],
                                 deadline=Deadline(5.0, clock=FakeClock()))
-        [timeout] = shard.server.collects
+        [timeout] = shard.collects
         assert timeout == pytest.approx(
             5.0 + coordinator.overload.config.rpc_grace)

@@ -13,7 +13,6 @@ import os
 
 import pytest
 
-from repro.attacks.scenarios import corrupt_record_in_place
 from repro.cluster import (
     ClusterConfig,
     FaultyShard,
@@ -77,7 +76,7 @@ def test_quarantined_inline_replica_restarts_to_up():
         history = History()
         write_round(coord, history, b"a")
         victim = group.replicas[0]
-        corrupt_record_in_place(victim.shard.store, b"k-000")
+        assert victim.shard.plant_corruption(b"k-000")
         [response] = coord.execute([protocol.get(b"k-000")])
         assert response.status == STATUS_OK  # served by the peer
         assert victim.state is ReplicaState.DOWN

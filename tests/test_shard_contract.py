@@ -24,7 +24,12 @@ injection moved into a backend wrapper, the ``armed`` cluster's replicas
 became bare handles, so its report rows lost the wrapper's ``crashed``,
 ``restarts``, ``partitions``, ``reconnects`` and ``stalls`` keys (every one
 0/False there); ``armed``'s ``report_sha256`` is re-recorded for that,
-nothing else moved.
+nothing else moved.  Another was: the health monitor's re-sync now deletes
+the keys a reconnected replica still holds but its peer deleted, so in
+``group_r2`` the partitioned replica's stale key is deleted on re-sync —
+one more executed operation (``window_ops`` 732 → 733, and the derived
+``aggregate_throughput``) and a new ``report_sha256``; every other
+constant is unchanged.
 """
 
 import hashlib
@@ -252,14 +257,14 @@ PARENT = {'plain': {'responses': 'cbfeec5041e15935d88e6c9193c7c6d72d293b14a70351
                                                 'shard-0/r1': 'up'},
                                     'shard-1': {'shard-1/r0': 'up',
                                                 'shard-1/r1': 'up'}}},
-              'report_sha256': '54ca58ac9c98fc123cc9544c000b06e0196896346409940c84ddd2c4ea5ce922',
+              'report_sha256': 'fb7ca7c1e4bb0fc53dc8068721446def40bd96e6fb55ac4a2133a9ae139387f7',
               'cluster': {'n_shards': 2,
                           'keys': 176,
-                          'window_ops': 732,
+                          'window_ops': 733,
                           'cycles_max': 1218896.0,
                           'cycles_sum': 2201397.5,
                           'parallel_efficiency': 0.9030292576232919,
-                          'aggregate_throughput': 2522282.458880823,
+                          'aggregate_throughput': 2525728.199944868,
                           'ecalls': 118,
                           'cache_hit_ratio': 0.9715017382043244,
                           'replicas': 4,
@@ -376,12 +381,12 @@ def test_health_and_report_match_the_parent_commit(kind, backend):
 
 #: Every optional member :class:`ShardHandle` declares, with its default.
 DEFAULTS = {"crashed": False, "partitioned": False, "replicas": None,
-            "durability": None, "failovers": 0, "pipelined": False}
+            "durability": None, "failovers": 0}
 
 #: What each concrete handle overrides at rest (everything else: DEFAULTS).
 CONCRETE = {"inline": (Shard, {}),
-            "process": (ProcessShard, {"pipelined": True}),
-            "socket": (SocketShard, {"pipelined": True})}
+            "process": (ProcessShard, {}),
+            "socket": (SocketShard, {})}
 
 _GET = [protocol.get(b"key-0001")]
 
@@ -459,7 +464,6 @@ def test_concrete_handle_answers_every_member(backend, make_handle):
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_faulty_wrapper_answers_every_member(backend, make_handle):
     wrapper = FaultyShard(make_handle(backend))
-    # The wrapper's server interposes synchronously: never pipelined.
     _assert_answers(wrapper, {})
     assert wrapper.flush_reads_fallback(_GET) is None
     wrapper.partition()
