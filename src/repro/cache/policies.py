@@ -7,12 +7,17 @@ metadata dominates.  FIFO touches nothing on a hit; LRU pays list surgery in
 EPC on every hit.  Each policy reports its per-hit EPC metadata accesses so
 the enclave can charge them (that is how "+FIFO beats +HeapAlloc/LRU" in
 Fig 12 materializes).
+
+A policy keeps no list of its own: it reads, and may reorder, the Secure
+Cache's one table — an ``OrderedDict`` of the resident nodes, to which the
+cache appends on insert and from which it deletes on removal.  That order is
+the whole state of FIFO and LRU, and CLOCK adds only its reference bits.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
-from typing import AbstractSet, Hashable, Optional
+from collections import OrderedDict
+from typing import AbstractSet, Callable, Hashable, Optional
 
 from repro.errors import AriaError
 
@@ -20,74 +25,40 @@ Key = Hashable
 
 
 class EvictionPolicy:
-    """Interface: track insertions/hits, pick victims, report hit penalty."""
+    """Victim order over the cache's table; reports the hit penalty.
+
+    ``on_hit`` is what a hit calls with the key, or ``None`` when a hit
+    leaves the order alone.  The base order is the table's own: oldest
+    first.
+    """
 
     name = "abstract"
     #: EPC memory operations performed on a cache hit (charged by the cache).
     hit_metadata_ops = 0
 
-    def on_insert(self, key: Key) -> None:
-        raise NotImplementedError
-
-    def on_hit(self, key: Key) -> None:
-        raise NotImplementedError
-
-    def on_remove(self, key: Key) -> None:
-        raise NotImplementedError
+    def __init__(self, table: OrderedDict) -> None:
+        self._table = table
+        self.on_hit: Optional[Callable[[Key], None]] = None
 
     def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
-        """Pick an eviction victim not in ``locked`` (None if impossible).
+        """The first key in table order not in ``locked`` (None if none).
 
         ``locked`` is only tested for membership, never copied: the cache
         builds it once per eviction.
         """
-        raise NotImplementedError
+        for key in self._table:
+            if key not in locked:
+                return key
+        return None
 
-    def __len__(self) -> int:
-        raise NotImplementedError
+    def forget(self, key: Key) -> None:
+        """``key`` left the table other than as a victim (a flush)."""
 
 
 class FifoPolicy(EvictionPolicy):
     """First-in first-out: zero metadata work on hits (Aria's choice)."""
 
     name = "fifo"
-    hit_metadata_ops = 0
-
-    def __init__(self) -> None:
-        self._queue: deque[Key] = deque()
-        self._members: set[Key] = set()
-
-    def on_insert(self, key: Key) -> None:
-        if key in self._members:
-            raise AriaError(f"duplicate insert of {key!r}")
-        self._queue.append(key)
-        self._members.add(key)
-
-    def on_hit(self, key: Key) -> None:
-        pass  # the whole point: hits are free
-
-    def on_remove(self, key: Key) -> None:
-        self._members.discard(key)
-        # Lazy deletion: stale queue entries are skipped during victim scans.
-
-    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
-        skipped = []
-        chosen = None
-        while self._queue:
-            key = self._queue.popleft()
-            if key not in self._members:
-                continue  # lazily-deleted entry
-            if key in locked:
-                skipped.append(key)
-                continue
-            chosen = key
-            break
-        for key in reversed(skipped):
-            self._queue.appendleft(key)
-        return chosen
-
-    def __len__(self) -> int:
-        return len(self._members)
 
 
 class LruPolicy(EvictionPolicy):
@@ -95,33 +66,15 @@ class LruPolicy(EvictionPolicy):
 
     ``hit_metadata_ops = 3`` models the doubly-linked-list unlink/relink
     (predecessor, successor, and head pointer updates), each an EPC access.
+    A hit moves its key to the back of the table.
     """
 
     name = "lru"
     hit_metadata_ops = 3
 
-    def __init__(self) -> None:
-        self._order: OrderedDict[Key, None] = OrderedDict()
-
-    def on_insert(self, key: Key) -> None:
-        if key in self._order:
-            raise AriaError(f"duplicate insert of {key!r}")
-        self._order[key] = None
-
-    def on_hit(self, key: Key) -> None:
-        self._order.move_to_end(key)
-
-    def on_remove(self, key: Key) -> None:
-        self._order.pop(key, None)
-
-    def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
-        for key in self._order:
-            if key not in locked:
-                return key
-        return None
-
-    def __len__(self) -> int:
-        return len(self._order)
+    def __init__(self, table: OrderedDict) -> None:
+        super().__init__(table)
+        self.on_hit = table.move_to_end
 
 
 class ClockPolicy(EvictionPolicy):
@@ -130,50 +83,38 @@ class ClockPolicy(EvictionPolicy):
     The midpoint between FIFO (free hits, no recency) and LRU (full recency,
     three EPC list operations per hit): a hit sets one bit, and the victim
     scan gives referenced entries a second chance.  Included as an extension
-    ablation — the paper compares only FIFO and LRU.
+    ablation — the paper compares only FIFO and LRU.  The table's order is
+    the clock's ring; the scan rotates what it passes over to the back.
     """
 
     name = "clock"
     hit_metadata_ops = 1
 
-    def __init__(self) -> None:
-        self._ring: deque[Key] = deque()
-        self._referenced: dict[Key, bool] = {}
-
-    def on_insert(self, key: Key) -> None:
-        if key in self._referenced:
-            raise AriaError(f"duplicate insert of {key!r}")
-        self._ring.append(key)
-        self._referenced[key] = False
-
-    def on_hit(self, key: Key) -> None:
-        self._referenced[key] = True
-
-    def on_remove(self, key: Key) -> None:
-        self._referenced.pop(key, None)
-        # Stale ring entries are skipped lazily during victim scans.
+    def __init__(self, table: OrderedDict) -> None:
+        super().__init__(table)
+        self._referenced: set = set()
+        self.on_hit = self._referenced.add
 
     def victim(self, locked: AbstractSet[Key]) -> Optional[Key]:
-        # Bound the scan: each live entry is visited at most twice (once to
+        table = self._table
+        referenced = self._referenced
+        # Bound the scan: each entry is visited at most twice (once to
         # clear its bit, once to claim it).
-        for _ in range(2 * len(self._ring) + 1):
-            if not self._ring:
+        for _ in range(2 * len(table) + 1):
+            key = next(iter(table), None)
+            if key is None:
                 return None
-            key = self._ring.popleft()
-            if key not in self._referenced:
-                continue  # lazily removed
             if key in locked:
-                self._ring.append(key)
-                continue
-            if self._referenced[key]:
-                self._referenced[key] = False
-                self._ring.append(key)
-                continue
-            return key
+                table.move_to_end(key)
+            elif key in referenced:
+                referenced.discard(key)
+                table.move_to_end(key)
+            else:
+                return key
         return None
 
-    def __len__(self) -> int:
-        return len(self._referenced)
+    def forget(self, key: Key) -> None:
+        self._referenced.discard(key)
 
 
 class TenantPartition:
@@ -264,9 +205,10 @@ class TenantPartition:
 _POLICIES = {"fifo": FifoPolicy, "lru": LruPolicy, "clock": ClockPolicy}
 
 
-def make_policy(name: str) -> EvictionPolicy:
+def make_policy(name: str, table: OrderedDict) -> EvictionPolicy:
+    """The policy called ``name``, ordering ``table``."""
     try:
-        return _POLICIES[name]()
+        return _POLICIES[name](table)
     except KeyError:
         raise AriaError(
             f"unknown eviction policy {name!r}; choose from {sorted(_POLICIES)}"

@@ -33,9 +33,10 @@ dirty node, a pinned node holding its fresh MAC, or the root.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from typing import TYPE_CHECKING, Optional
 
-from repro.errors import ConfigurationError, ReplayError
+from repro.errors import AriaError, ConfigurationError, ReplayError
 from repro.merkle.layout import COUNTER_SIZE, MAC_SIZE
 from repro.merkle.tree import MerkleTree
 from repro.cache.policies import EvictionPolicy, TenantPartition, make_policy
@@ -52,16 +53,6 @@ if TYPE_CHECKING:
 ENTRY_METADATA_BYTES = 16
 
 NodeKey = tuple  # (level, index)
-
-
-class CacheEntry:
-    """One cached node: its EPC-resident bytes and the dirty bit."""
-
-    __slots__ = ("data", "dirty")
-
-    def __init__(self, data: bytearray, dirty: bool = False):
-        self.data = data
-        self.dirty = dirty
 
 
 class SecureCache:
@@ -93,8 +84,14 @@ class SecureCache:
         self._capacity_bytes = capacity_bytes
         self._entry_footprint = layout.node_size + ENTRY_METADATA_BYTES
         self.max_entries = max(0, capacity_bytes // self._entry_footprint)
-        self._entries: dict[NodeKey, CacheEntry] = {}
-        self._policy: EvictionPolicy = make_policy(config.eviction_policy)
+        # The one table: resident node -> its EPC bytes, in the order the
+        # policy evicts (appended on insert).  Dirty nodes are also in
+        # ``_dirty``.
+        self._table: OrderedDict[NodeKey, bytearray] = OrderedDict()
+        self._dirty: set[NodeKey] = set()
+        self._policy: EvictionPolicy = make_policy(config.eviction_policy,
+                                                   self._table)
+        self._on_hit = self._policy.on_hit
         # Hit penalty: the policy's EPC metadata operations (Section IV-E).
         # Policy and cost model are fixed for the cache's life.
         self._hit_cost = (self._policy.hit_metadata_ops
@@ -129,10 +126,10 @@ class SecureCache:
 
     @property
     def cached_nodes(self) -> int:
-        return len(self._entries)
+        return len(self._table)
 
     def is_cached(self, level: int, index: int) -> bool:
-        return (level, index) in self._entries
+        return (level, index) in self._table
 
     def set_owner(self, owner: Optional[str]) -> None:
         """Attribute subsequent inserts/evictions to a tenant owner token.
@@ -202,11 +199,10 @@ class SecureCache:
         if level in self._pinned:
             self._enclave.epc_touch(MAC_SIZE)
             return self._pinned[level][index]
-        entry = self._entries.get((level, index))
-        if entry is not None:
+        data = self._table.get((level, index))
+        if data is not None:
             self._enclave.epc_touch(MAC_SIZE)
-            return entry.data
-        return None
+        return data
 
     # -- transient verification (Section IV-B caching walkthrough) ----------------------
 
@@ -238,6 +234,7 @@ class SecureCache:
             return node
         arity = self._arity
         pinned = self._pinned
+        table = self._table
         unverified = []  # (level, index, computed MAC, bytes), leaf-most first
         while True:
             unverified.append((level, index, tree.node_mac(node), node))
@@ -247,10 +244,9 @@ class SecureCache:
                 self._enclave.epc_touch(MAC_SIZE)
                 parent = pinned[level][index]
                 break
-            entry = self._entries.get((level, index))
-            if entry is not None:
+            parent = table.get((level, index))
+            if parent is not None:
                 self._enclave.epc_touch(MAC_SIZE)
-                parent = entry.data
                 break
             node = tree.read_node(level, index)
             if level == top_level:
@@ -270,33 +266,37 @@ class SecureCache:
     # -- insertion and eviction -------------------------------------------------------
 
     def _insert(self, key: NodeKey, data: bytearray, dirty: bool,
-                locked: Optional[frozenset] = None) -> Optional[CacheEntry]:
+                locked: Optional[frozenset] = None) -> Optional[bytearray]:
         """Place a verified node into the cache, evicting as needed.
 
         ``locked`` holds the keys of the evictions this insert is nested in
-        (``None`` at the top of an op).  Returns the entry, or None if no
-        victim could be freed (tiny caches).
+        (``None`` at the top of an op).  Returns the resident bytes, or None
+        if no victim could be freed (tiny caches).
         """
-        entries = self._entries
-        if len(entries) >= self.max_entries:
+        table = self._table
+        if key in table:
+            raise AriaError(f"duplicate insert of {key!r}")
+        if len(table) >= self.max_entries:
             # The locked set exists only when an eviction actually happens.
             locked = frozenset((key,)) if locked is None else locked | {key}
-            while len(entries) >= self.max_entries:
+            while True:
                 if not self._evict_one(locked):
                     return None
-                if key in entries:
+                if key in table:
                     # A nested eviction inserted this very node (e.g. two
                     # dirty leaves sharing a parent).  The nested copy is
                     # fresher — it already absorbed the sibling's MAC — so
                     # use it as-is.
-                    return entries[key]
-        entry = CacheEntry(data, dirty)
-        entries[key] = entry
-        self._policy.on_insert(key)
+                    return table[key]
+                if len(table) < self.max_entries:
+                    break
+        table[key] = data
+        if dirty:
+            self._dirty.add(key)
         if self._partition is not None:
             self._partition.on_insert(key)
         self._enclave.epc_touch(self._node_size)
-        return entry
+        return data
 
     def _evict_one(self, locked: frozenset, *, partition: bool = True) -> bool:
         """Evict one victim; returns False if everything is locked.
@@ -325,30 +325,31 @@ class SecureCache:
             victim = self._policy.victim(locked)
         if victim is None:
             return False
-        entry = self._entries.pop(victim)
-        self._policy.on_remove(victim)
+        data = self._table.pop(victim)
         if self._partition is not None:
             self._partition.on_remove(victim)
         self.stats.evictions += 1
         if meter.enabled:
             meter.events["cache_evict"] += 1
-        if entry.dirty:
-            self._writeback(victim, entry, locked)
+        dirty = self._dirty
+        if victim in dirty:
+            dirty.remove(victim)
+            self._writeback(victim, data, locked)
         else:
             # Clean discard: no write-back at all.  SGX's EWB cannot do this
             # (Section IV-C); the ablation flag restores EWB-like behaviour.
             self.stats.clean_discards += 1
             if self._writeback_clean:
-                self._write_node_out(victim[0], victim[1], bytes(entry.data))
+                self._write_node_out(victim[0], victim[1], bytes(data))
         return True
 
-    def _writeback(self, key: NodeKey, entry: CacheEntry,
+    def _writeback(self, key: NodeKey, data: bytearray,
                    locked: frozenset) -> None:
         """Propagate a dirty victim's MAC to its parent, then write it out."""
         level, index = key
         tree = self._tree
         enclave = self._enclave
-        body = bytes(entry.data)  # the one copy: MAC input and write-out
+        body = bytes(data)  # the one copy: MAC input and write-out
         new_mac = tree.node_mac(body)
         if level == self._top_level:
             tree.set_root(new_mac)
@@ -356,26 +357,24 @@ class SecureCache:
             parent_level = level + 1
             parent_index = index // self._arity
             offset = index % self._arity * MAC_SIZE
-            parent = parent_entry = None
             if parent_level in self._pinned:
                 enclave.epc_touch(MAC_SIZE)
                 parent = self._pinned[parent_level][parent_index]
             else:
                 parent_key = (parent_level, parent_index)
-                parent_entry = self._entries.get(parent_key)
-                if parent_entry is not None:
+                parent = self._table.get(parent_key)
+                if parent is not None:
                     enclave.epc_touch(MAC_SIZE)
                 elif self.swapping:
                     # Paper path: swap the parent in, then update the cached
                     # copy (None when the cache is too small to host it).
-                    parent_entry = self._insert(
+                    parent = self._insert(
                         parent_key,
                         bytearray(self._verified_node_bytes(parent_level,
                                                             parent_index)),
                         False, locked | {key})
-                if parent_entry is not None:
-                    parent = parent_entry.data
-                    parent_entry.dirty = True
+                if parent is not None:
+                    self._dirty.add(parent_key)
             if parent is not None:
                 parent[offset : offset + MAC_SIZE] = new_mac
                 enclave.epc_touch(MAC_SIZE)
@@ -415,9 +414,8 @@ class SecureCache:
             resident = self._trusted_node_view(level, index)
             if resident is not None:
                 resident[slot_offset : slot_offset + MAC_SIZE] = child_mac
-                entry = self._entries.get((level, index))
-                if entry is not None:
-                    entry.dirty = True
+                if (level, index) in self._table:
+                    self._dirty.add((level, index))
                 self._enclave.epc_touch(MAC_SIZE)
                 return
             node = bytearray(self._verified_node_bytes(level, index))
@@ -437,8 +435,10 @@ class SecureCache:
     # ``read_counter`` runs once per Get and twice per Put; its branches
     # (and ``write_counter``'s) are therefore written flat: slot arithmetic
     # with ``MerkleLayout.counter_slot``'s range check inline, and the
-    # bookkeeping — stats, ``cache_hit``/``cache_miss`` event, hit penalty,
-    # policy, EPC touch, in that order — without helper calls.
+    # bookkeeping — ``CacheStats.record_hit``/``record_miss`` done in place,
+    # ``cache_hit``/``cache_miss`` event, hit penalty, the policy's hit
+    # hook (FIFO has none), EPC touch, in that order — without helper
+    # calls.  A miss ends with the stop-swap test, spelled inline.
 
     def read_counter(self, counter_id: int) -> bytes:
         """Return the verified 16-byte counter for ``counter_id``."""
@@ -452,25 +452,34 @@ class SecureCache:
             node = self._pinned[0][leaf_index]
         else:
             key = (0, leaf_index)
-            entry = self._entries.get(key)
+            node = self._table.get(key)
             meter = enclave.meter
-            if entry is not None:
-                self.stats.record_hit()
+            stats = self.stats
+            if node is not None:
+                stats.hits += 1
+                stats.window_left -= 1
+                if not stats.window_left:
+                    stats.close_window()
                 if meter.enabled:
                     meter.events["cache_hit"] += 1
                     if self._hit_cost:
                         meter.cycles += self._hit_cost
-                self._policy.on_hit(key)
+                if self._on_hit is not None:
+                    self._on_hit(key)
                 enclave.epc_touch(COUNTER_SIZE)
-                node = entry.data
             else:
-                self.stats.record_miss()
+                stats.misses += 1
+                stats.window_left -= 1
+                if not stats.window_left:
+                    stats.close_window()
                 if meter.enabled:
                     meter.events["cache_miss"] += 1
                 node = self._verified_node_bytes(0, leaf_index)
                 if self.swapping:
                     self._insert(key, bytearray(node), False)
-                self._maybe_stop_swap()
+                if (stats.stop_swap_recommended and self.swapping
+                        and self._stop_swap_enabled):
+                    self.stop_swapping()
         return bytes(node[offset : offset + COUNTER_SIZE])
 
     def write_counter(self, counter_id: int, value: bytes) -> None:
@@ -488,40 +497,48 @@ class SecureCache:
             enclave.epc_touch(COUNTER_SIZE)
             return
         key = (0, leaf_index)
-        entry = self._entries.get(key)
+        node = self._table.get(key)
         meter = enclave.meter
-        if entry is not None:
-            self.stats.record_hit()
+        stats = self.stats
+        if node is not None:
+            stats.hits += 1
+            stats.window_left -= 1
+            if not stats.window_left:
+                stats.close_window()
             if meter.enabled:
                 meter.events["cache_hit"] += 1
                 if self._hit_cost:
                     meter.cycles += self._hit_cost
-            self._policy.on_hit(key)
-            entry.data[offset : offset + COUNTER_SIZE] = value
-            entry.dirty = True
+            if self._on_hit is not None:
+                self._on_hit(key)
+            node[offset : offset + COUNTER_SIZE] = value
+            self._dirty.add(key)
             enclave.epc_touch(COUNTER_SIZE)
             return
-        self.stats.record_miss()
+        stats.misses += 1
+        stats.window_left -= 1
+        if not stats.window_left:
+            stats.close_window()
         if meter.enabled:
             meter.events["cache_miss"] += 1
         node = bytearray(self._verified_node_bytes(0, leaf_index))
         node[offset : offset + COUNTER_SIZE] = value
-        if self.swapping:
-            if self._insert(key, node, True) is not None:
-                self._maybe_stop_swap()
-                return
-        # Not cacheable: write through untrusted memory and propagate the MAC.
-        tree = self._tree
-        body = bytes(node)
-        tree.write_node(0, leaf_index, body)
-        new_mac = tree.node_mac(body)
-        if self._top_level == 0:
-            tree.set_root(new_mac)
-        else:
-            self._propagate_mac_untrusted(
-                1, leaf_index // self._arity,
-                leaf_index % self._arity * MAC_SIZE, new_mac)
-        self._maybe_stop_swap()
+        if not (self.swapping and self._insert(key, node, True) is not None):
+            # Not cacheable: write through untrusted memory and propagate
+            # the MAC.
+            tree = self._tree
+            body = bytes(node)
+            tree.write_node(0, leaf_index, body)
+            new_mac = tree.node_mac(body)
+            if self._top_level == 0:
+                tree.set_root(new_mac)
+            else:
+                self._propagate_mac_untrusted(
+                    1, leaf_index // self._arity,
+                    leaf_index % self._arity * MAC_SIZE, new_mac)
+        if (stats.stop_swap_recommended and self.swapping
+                and self._stop_swap_enabled):
+            self.stop_swapping()
 
     def increment_counter(self, counter_id: int) -> bytes:
         """Verify, increment, and store a counter; returns the new value.
@@ -535,8 +552,8 @@ class SecureCache:
         if not 0 <= counter_id < self._n_counters:
             raise IndexError(f"counter id {counter_id} out of range")
         key = (0, counter_id // self._arity)
-        entry = self._entries.get(key)
-        if entry is None:  # leaf level pinned, or a miss
+        data = self._table.get(key)
+        if data is None:  # leaf level pinned, or a miss
             current = self.read_counter(counter_id)
             new_value = ((int.from_bytes(current, "little") + 1)
                          % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
@@ -547,25 +564,32 @@ class SecureCache:
         enclave = self._enclave
         meter = enclave.meter
         stats = self.stats
-        policy = self._policy
-        data = entry.data
-        stats.record_hit()  # the read
+        on_hit = self._on_hit
+        stats.hits += 1  # the read
+        stats.window_left -= 1
+        if not stats.window_left:
+            stats.close_window()
         if meter.enabled:
             meter.events["cache_hit"] += 1
             if self._hit_cost:
                 meter.cycles += self._hit_cost
-        policy.on_hit(key)
+        if on_hit is not None:
+            on_hit(key)
         enclave.epc_touch(COUNTER_SIZE)
         new_value = ((int.from_bytes(data[offset:end], "little") + 1)
                      % (1 << 128)).to_bytes(COUNTER_SIZE, "little")
-        stats.record_hit()  # the write
+        stats.hits += 1  # the write
+        stats.window_left -= 1
+        if not stats.window_left:
+            stats.close_window()
         if meter.enabled:
             meter.events["cache_hit"] += 1
             if self._hit_cost:
                 meter.cycles += self._hit_cost
-        policy.on_hit(key)
+        if on_hit is not None:
+            on_hit(key)
         data[offset:end] = new_value
-        entry.dirty = True
+        self._dirty.add(key)
         enclave.epc_touch(COUNTER_SIZE)
         return new_value
 
@@ -577,9 +601,9 @@ class SecureCache:
         rebuilt so the untrusted state verifies against the refreshed root
         alone.  The cache keeps operating afterwards (entries become clean).
         """
-        for (level, index), entry in self._entries.items():
-            self._tree.write_node(level, index, bytes(entry.data))
-            entry.dirty = False
+        for (level, index), data in self._table.items():
+            self._tree.write_node(level, index, bytes(data))
+        self._dirty.clear()
         for level, nodes in self._pinned.items():
             for index, node in enumerate(nodes):
                 self._tree.write_node(level, index, bytes(node))
@@ -592,9 +616,9 @@ class SecureCache:
                     for index in range(self._tree.layout.nodes_at_level(level))
                 ]
         # Cached inner nodes may now hold stale MAC slots; drop them (clean).
-        for key in [k for k in self._entries if k[0] > 0]:
-            self._entries.pop(key)
-            self._policy.on_remove(key)
+        for key in [k for k in self._table if k[0] > 0]:
+            del self._table[key]
+            self._policy.forget(key)
             if self._partition is not None:
                 self._partition.on_remove(key)
 
@@ -604,25 +628,17 @@ class SecureCache:
         EPC-resident copies (cached or pinned) are authoritative by
         construction; everything else is verified along the Merkle path.
         """
-        if 0 in self._pinned or (0, leaf_index) in self._entries:
+        if 0 in self._pinned or (0, leaf_index) in self._table:
             return
         self._verified_node_bytes(0, leaf_index)
 
     # -- stop-swap (Section IV-E) ----------------------------------------------------------
 
-    def _maybe_stop_swap(self) -> None:
-        if (
-            self.swapping
-            and self._stop_swap_enabled
-            and self.stats.stop_swap_recommended
-        ):
-            self.stop_swapping()
-
     def stop_swapping(self) -> None:
         """Flush the cache and repurpose its EPC space for level pinning."""
         if not self.swapping:
             return
-        while self._entries:
+        while self._table:
             # A stop-swap flush empties the whole cache; tenant protection
             # does not apply (this is repurposing, not cross-tenant
             # pressure).

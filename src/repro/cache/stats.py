@@ -18,6 +18,11 @@ class CacheStats:
     ``patience`` adds hysteresis: swapping stops only after that many
     *consecutive* windows below the threshold, so a workload hovering near
     the threshold doesn't flap into pinning-only mode on one bad window.
+
+    ``record_hit``/``record_miss`` are the definition of one access.  The
+    Secure Cache does the same in place on its per-op path: bump ``hits``
+    or ``misses``, count ``window_left`` down, and call ``close_window``
+    when it reaches zero.
     """
 
     window: int = 4096
@@ -30,10 +35,16 @@ class CacheStats:
     writebacks: int = 0
     clean_discards: int = 0
 
-    _window_hits: int = field(default=0, repr=False)
-    _window_accesses: int = field(default=0, repr=False)
+    #: Accesses left before the current window closes.
+    window_left: int = field(default=0, init=False, repr=False)
+    #: True once ``patience`` consecutive windows measured a hit ratio
+    #: below the threshold; it latches.
+    stop_swap_recommended: bool = field(default=False, init=False, repr=False)
+    _window_start_hits: int = field(default=0, repr=False)
     _low_streak: int = field(default=0, repr=False)
-    _stop_recommended: bool = field(default=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.window_left = self.window
 
     @property
     def accesses(self) -> int:
@@ -45,27 +56,26 @@ class CacheStats:
 
     def record_hit(self) -> None:
         self.hits += 1
-        self._window_hits += 1
-        self._window_accesses += 1
-        if self._window_accesses >= self.window:
-            self._close_window()
+        self.window_left -= 1
+        if not self.window_left:
+            self.close_window()
 
     def record_miss(self) -> None:
         self.misses += 1
-        self._window_accesses += 1
-        if self._window_accesses >= self.window:
-            self._close_window()
+        self.window_left -= 1
+        if not self.window_left:
+            self.close_window()
 
-    def _close_window(self) -> None:
-        ratio = self._window_hits / self._window_accesses
+    def close_window(self) -> None:
+        ratio = (self.hits - self._window_start_hits) / self.window
         if ratio < self.threshold:
             self._low_streak += 1
             if self._low_streak >= self.patience:
-                self._stop_recommended = True
+                self.stop_swap_recommended = True
         else:
             self._low_streak = 0
-        self._window_hits = 0
-        self._window_accesses = 0
+        self._window_start_hits = self.hits
+        self.window_left = self.window
 
     def reset_counts(self) -> None:
         """Zero the counters (but keep the stop-swap decision state).
@@ -78,13 +88,8 @@ class CacheStats:
         self.evictions = 0
         self.writebacks = 0
         self.clean_discards = 0
-        self._window_hits = 0
-        self._window_accesses = 0
-
-    @property
-    def stop_swap_recommended(self) -> bool:
-        """True once a full window measured a hit ratio below the threshold."""
-        return self._stop_recommended
+        self._window_start_hits = 0
+        self.window_left = self.window
 
     def as_dict(self) -> dict:
         return {

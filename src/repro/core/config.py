@@ -87,6 +87,8 @@ class AriaConfig:
             raise ConfigurationError("initial_counters must be positive")
         if not 0.0 <= self.stop_swap_threshold <= 1.0:
             raise ConfigurationError("stop_swap_threshold must be in [0, 1]")
+        if self.stop_swap_window < 1:
+            raise ConfigurationError("stop_swap_window must be positive")
         if self.tenant_quotas is not None:
             if not self.tenant_quotas:
                 raise ConfigurationError(

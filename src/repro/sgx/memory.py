@@ -13,12 +13,26 @@ OS/hypervisor with full control of regular DRAM.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import mmap
+from typing import Iterator
 
 from repro.errors import AriaError
 
 #: Address 0 is reserved as the null pointer.
 NULL = 0
+
+#: Addresses are indexed in granules of ``1 << GRANULE_BITS`` bytes — the
+#: size of the guard gap after every region, so no granule holds two
+#: region starts.
+GRANULE_BITS = 6
+_GUARD = 1 << GRANULE_BITS
+_INITIAL_ARENA = 1 << 16
+
+
+def _anonymous_map(length: int) -> mmap.mmap:
+    # Private: a shared anonymous map is a fixed-size shmem object, which
+    # ``resize`` cannot grow, and a forked worker must not share it.
+    return mmap.mmap(-1, length, flags=mmap.MAP_PRIVATE)
 
 
 class UntrustedMemory:
@@ -28,76 +42,115 @@ class UntrustedMemory:
     region boundaries only if the caller allocated them contiguously, which
     the bump allocator guarantees never happens — each region is isolated,
     and out-of-range accesses raise, catching address-arithmetic bugs early.
+
+    All regions live in one anonymous ``mmap`` arena at their own
+    addresses, guard gaps included, grown in place by doubling.  ``_owner``
+    maps each granule to the last region starting at or before the
+    granule's end; it is an index built at ``alloc``, and nothing is
+    remembered from one access to the next.
     """
 
-    __slots__ = ("_bases", "_regions", "_views", "_next")
+    __slots__ = ("_arena", "_starts", "_ends", "_owner", "_next")
 
     def __init__(self) -> None:
-        self._bases: list[int] = []
-        self._regions: list[bytearray] = []
-        #: One ``memoryview`` per region (regions are never resized): a read
-        #: slices the view and copies once, where slicing the ``bytearray``
-        #: and converting would copy twice.
-        self._views: list[memoryview] = []
-        self._next = 64  # small guard gap so that address 0 stays invalid
+        self._arena = _anonymous_map(_INITIAL_ARENA)
+        self._starts: list[int] = []
+        self._ends: list[int] = []
+        # Granule 0 holds no region; 0 there sends every lookup in it to
+        # region 0's bounds check, which it fails.
+        self._owner: list[int] = [0]
+        self._next = _GUARD  # small guard gap so that address 0 stays invalid
 
-    # A ``memoryview`` can be neither copied nor pickled, and the views are
-    # derived state: a copy (the rollback attacker's snapshot of all
-    # untrusted memory) carries the regions and rebuilds them.
+    # An ``mmap`` can be neither copied nor pickled, and the granule table
+    # is derived state: a copy (the rollback attacker's snapshot of all
+    # untrusted memory) carries the bytes and the bounds and rebuilds both.
 
     def __getstate__(self) -> tuple:
-        return self._bases, self._regions, self._next
+        return self._arena[:self._next], self._starts, self._ends, self._next
 
     def __setstate__(self, state: tuple) -> None:
-        self._bases, self._regions, self._next = state
-        self._views = [memoryview(region) for region in self._regions]
+        contents, starts, ends, self._next = state
+        self._arena = _anonymous_map(max(_INITIAL_ARENA, len(contents)))
+        self._arena[:len(contents)] = contents
+        self._starts, self._ends, self._owner = [], [], [0]
+        for base, end in zip(starts, ends):
+            self._add_region(base, end)
 
     @property
     def allocated_bytes(self) -> int:
-        return sum(len(r) for r in self._regions)
+        return sum(self._ends) - sum(self._starts)
+
+    def regions(self) -> Iterator[tuple[int, bytes]]:
+        """Every region as ``(base address, its bytes)``, in address order."""
+        for base, end in zip(self._starts, self._ends):
+            yield base, self._arena[base:end]
 
     def alloc(self, size: int) -> int:
         """Allocate ``size`` zeroed bytes; returns the base address."""
         if size <= 0:
             raise AriaError(f"allocation size must be positive, got {size}")
         base = self._next
-        self._bases.append(base)
-        region = bytearray(size)
-        self._regions.append(region)
-        self._views.append(memoryview(region))
-        self._next = base + size + 64  # guard gap between regions
+        self._next = base + size + _GUARD  # guard gap between regions
+        if self._next > len(self._arena):
+            length = len(self._arena)
+            while length < self._next:
+                length *= 2
+            self._arena.resize(length)  # Linux mremap: no copy
+        self._add_region(base, base + size)
         return base
 
+    def _add_region(self, base: int, end: int) -> None:
+        """Record region ``[base, end)`` and claim its granules, from the
+        one its base falls in through its trailing guard gap."""
+        index = len(self._starts)
+        self._starts.append(base)
+        self._ends.append(end)
+        first = base >> GRANULE_BITS
+        last = (end + _GUARD - 1) >> GRANULE_BITS
+        self._owner[first:] = [index] * (last + 1 - first)
+
+    def _refusal(self, addr: int, size: int) -> AriaError:
+        """The error for an access no region contains: ``addr`` lies below
+        every region, or the access runs past the end of the last region
+        starting at or before ``addr``."""
+        starts = self._starts
+        if addr < 0 or not starts:
+            return AriaError(f"invalid untrusted address {addr:#x}")
+        granule = addr >> GRANULE_BITS
+        index = (self._owner[granule] if granule < len(self._owner)
+                 else len(starts) - 1)
+        if starts[index] > addr:
+            index -= 1  # the granule's own region starts after addr
+        if index < 0:
+            return AriaError(f"invalid untrusted address {addr:#x}")
+        return AriaError(
+            f"untrusted access [{addr:#x}, +{size}) crosses region bounds")
+
     # ``read`` and ``write`` run several times per simulated op, so each
-    # locates its region inline (one bisect, both bounds checks) instead of
-    # through a shared helper: one Python call per access.
+    # does its lookup inline: one table index, one bounds check, one slice.
+    # An ``IndexError`` means the address is off the table (or no region
+    # exists yet); both fall through to the refusal.
 
     def read(self, addr: int, size: int) -> bytes:
-        idx = bisect_right(self._bases, addr) - 1
-        if idx < 0:
-            raise AriaError(f"invalid untrusted address {addr:#x}")
-        view = self._views[idx]
-        offset = addr - self._bases[idx]
-        end = offset + size
-        if end > len(view):
-            raise AriaError(
-                f"untrusted access [{addr:#x}, +{size}) crosses region bounds"
-            )
-        return view[offset:end].tobytes()
+        try:
+            index = self._owner[addr >> GRANULE_BITS]
+            end = addr + size
+            if self._starts[index] <= addr and end <= self._ends[index]:
+                return self._arena[addr:end]
+        except IndexError:
+            pass
+        raise self._refusal(addr, size)
 
     def write(self, addr: int, data: bytes) -> None:
-        idx = bisect_right(self._bases, addr) - 1
-        if idx < 0:
-            raise AriaError(f"invalid untrusted address {addr:#x}")
-        region = self._regions[idx]
-        offset = addr - self._bases[idx]
-        end = offset + len(data)
-        if end > len(region):
-            raise AriaError(
-                f"untrusted access [{addr:#x}, +{len(data)}) crosses region "
-                "bounds"
-            )
-        region[offset:end] = data
+        end = addr + len(data)
+        try:
+            index = self._owner[addr >> GRANULE_BITS]
+            if self._starts[index] <= addr and end <= self._ends[index]:
+                self._arena[addr:end] = data
+                return
+        except IndexError:
+            pass
+        raise self._refusal(addr, len(data))
 
     # -- attacker interface -------------------------------------------------
 

@@ -23,6 +23,7 @@ class TestValidation:
             ("initial_counters", 0),
             ("stop_swap_threshold", 1.5),
             ("stop_swap_threshold", -0.1),
+            ("stop_swap_window", 0),
         ],
     )
     def test_invalid_values_rejected(self, field, value):

@@ -141,7 +141,7 @@ def observe(variant: str) -> dict:
 
     memory = hashlib.sha256()
     untrusted = store.enclave.untrusted
-    for base, region in zip(untrusted._bases, untrusted._regions):
+    for base, region in untrusted.regions():
         memory.update(base.to_bytes(8, "little")
                       + len(region).to_bytes(8, "little") + bytes(region))
     meter = store.enclave.meter

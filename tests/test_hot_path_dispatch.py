@@ -19,13 +19,14 @@ them — the tools every earlier pass of §18 was flattened with show a
 checked is which function sits in the slot, and that is what these tests do.
 """
 
+import mmap
 import types
-from collections import Counter
+from collections import Counter, OrderedDict
 
 import pytest
 
 from repro.cache.policies import ClockPolicy, FifoPolicy, LruPolicy
-from repro.cache.secure_cache import CacheEntry, SecureCache
+from repro.cache.secure_cache import SecureCache
 from repro.cache.stats import CacheStats
 from repro.core.counters import CounterManager
 from repro.core.record import RecordCodec
@@ -42,10 +43,10 @@ IMPLICIT = ("__getattr__", "__getattribute__", "__setattr__",
             "__getitem__", "__setitem__", "__delitem__")
 
 #: Every type an operation's primitives read an attribute of or index into.
-PER_PRIMITIVE = (CycleMeter, Enclave, UntrustedMemory, CacheEntry, CacheStats,
-                 FifoPolicy, LruPolicy, ClockPolicy, SecureCache, MerkleTree,
-                 RecordCodec, CounterManager, AriaHashIndex, AriaStore,
-                 Request, Response)
+PER_PRIMITIVE = (CycleMeter, Enclave, UntrustedMemory, mmap.mmap, CacheStats,
+                 OrderedDict, FifoPolicy, LruPolicy, ClockPolicy, SecureCache,
+                 MerkleTree, RecordCodec, CounterManager, AriaHashIndex,
+                 AriaStore, Request, Response)
 
 #: How a method implemented in C appears in a class ``__dict__``.
 C_LEVEL = (types.WrapperDescriptorType, types.MethodDescriptorType)

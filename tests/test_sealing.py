@@ -145,3 +145,60 @@ class TestRestoreRejections:
         store.put(b"balance", b"0")  # the legitimate newer state
         revived = restore_store(old_blob, old_memory, platform=PLATFORM)
         assert revived.get(b"balance") == b"1000"  # stale, undetected
+
+
+def watch_fifo_order(cache):
+    """Check each of ``cache``'s evictions against a FIFO model of its
+    inserts; returns the model (resident keys, oldest first)."""
+    order = []
+    insert, evict_one = cache._insert, cache._evict_one
+
+    def spy_insert(key, data, dirty, locked=None):
+        resident = insert(key, data, dirty, locked)
+        if resident is not None and key not in order:
+            order.append(key)
+        return resident
+
+    def spy_evict(locked, *, partition=True):
+        expected = next(key for key in order if key not in locked)
+        if not evict_one(locked, partition=partition):
+            return False
+        assert not cache.is_cached(*expected), (
+            f"FIFO kept its oldest unlocked node {expected}")
+        order.remove(expected)
+        return True
+
+    cache._insert, cache._evict_one = spy_insert, spy_evict
+    return order
+
+
+def test_fifo_order_holds_across_seals():
+    """Sealing flushes the Secure Cache, which drops its cached inner
+    nodes; the store keeps operating after it, and an inner node swapped
+    in again must be evicted as the newest entry, not at its old place."""
+    import random
+
+    # 512 counters at arity 8: 64 leaves under 8 inner nodes under the
+    # pinned root, and a 12-entry FIFO cache holding both levels.
+    store = AriaStore(
+        AriaConfig(n_buckets=64, initial_counters=512,
+                   secure_cache_bytes=12 * (8 * 16 + 16), pin_levels=1,
+                   stop_swap_enabled=False, seed=5),
+        platform=PLATFORM)
+    cache = store.counters.primary_cache()
+    order = watch_fifo_order(cache)
+    rng = random.Random(8)
+    values = {}
+    for step in range(1, 1501):
+        key = b"k%d" % rng.randrange(300)
+        if key in values and rng.random() < 0.3:
+            assert store.get(key) == values[key]
+        else:
+            values[key] = b"v%d" % step
+            store.put(key, values[key])
+        if step % 100 == 0:
+            seal_store(store)
+            order[:] = [node for node in order if cache.is_cached(*node)]
+    assert cache.stats.evictions > 500
+    for key, value in values.items():
+        assert store.get(key) == value

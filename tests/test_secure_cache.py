@@ -1,6 +1,7 @@
 """Secure Cache behaviour tests: hits, misses, eviction, pinning, stop-swap."""
 
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -224,6 +225,17 @@ class TestStopSwap:
         assert not cache.swapping
         assert cache.cached_nodes == 0
 
+    def test_write_misses_alone_trigger_stop_swap(self):
+        """The stop-swap test ends a write miss too: a window of nothing
+        but write misses stops swapping before any read."""
+        cache, _, _ = make_cache(n_counters=4096, arity=4, cache_nodes=8,
+                                 stop_swap_window=32)
+        for leaf in range(32):
+            assert cache.swapping
+            cache.write_counter(4 * leaf, counter_value(leaf))
+        assert cache.stats.misses == 32 and not cache.swapping
+        assert cache.read_counter(4 * 31) == counter_value(31)
+
     def test_stop_swap_repurposes_epc_for_pinning(self):
         cache, tree, _ = make_cache(
             n_counters=4096,
@@ -262,48 +274,64 @@ class TestStopSwap:
         assert cache.swapping
 
 
+def hit(policy, key):
+    """What the cache does with a policy on a hit."""
+    if policy.on_hit is not None:
+        policy.on_hit(key)
+
+
 class TestPolicies:
     def test_fifo_victim_order(self):
-        policy = FifoPolicy()
-        for key in ("a", "b", "c"):
-            policy.on_insert(key)
-        policy.on_hit("a")  # FIFO ignores hits
+        policy = FifoPolicy(OrderedDict.fromkeys("abc"))
+        hit(policy, "a")  # FIFO ignores hits
+        assert policy.on_hit is None
         assert policy.victim(set()) == "a"
 
     def test_lru_victim_order(self):
-        policy = LruPolicy()
-        for key in ("a", "b", "c"):
-            policy.on_insert(key)
-        policy.on_hit("a")
+        policy = LruPolicy(OrderedDict.fromkeys("abc"))
+        hit(policy, "a")
         assert policy.victim(set()) == "b"
 
     def test_locked_keys_skipped(self):
-        for policy in (FifoPolicy(), LruPolicy()):
-            for key in ("a", "b"):
-                policy.on_insert(key)
+        for cls in (FifoPolicy, LruPolicy):
+            policy = cls(OrderedDict.fromkeys("ab"))
             assert policy.victim({"a"}) == "b"
             assert policy.victim({"a", "b"}) is None
 
     def test_fifo_lazy_removal(self):
-        policy = FifoPolicy()
-        for key in ("a", "b"):
-            policy.on_insert(key)
-        policy.on_remove("a")
+        table = OrderedDict.fromkeys("ab")
+        policy = FifoPolicy(table)
+        del table["a"]
         assert policy.victim(set()) == "b"
-        assert len(policy) == 1
+        assert len(table) == 1
+
+    @pytest.mark.parametrize("name", ["fifo", "lru", "clock"])
+    def test_a_dropped_key_reinserted_is_the_newest(self, name):
+        """A key dropped outside ``victim`` (the cache's flush does this to
+        inner nodes) and inserted again goes to the back, not back to its
+        old place in the order."""
+        table = OrderedDict.fromkeys("abc")
+        policy = make_policy(name, table)
+        del table["a"]
+        policy.forget("a")
+        table["d"] = None
+        table["a"] = None
+        assert policy.victim(set()) == "b"
 
     def test_duplicate_insert_rejected(self):
-        for policy in (FifoPolicy(), LruPolicy()):
-            policy.on_insert("a")
-            with pytest.raises(AriaError):
-                policy.on_insert("a")
+        for name in ("fifo", "lru"):
+            cache, tree, _ = make_cache(policy=name)
+            node = bytearray(tree.read_node(0, 3))
+            cache._insert((0, 3), node, False)
+            with pytest.raises(AriaError, match="duplicate insert"):
+                cache._insert((0, 3), bytearray(node), False)
 
     def test_make_policy(self):
-        assert make_policy("fifo").name == "fifo"
-        assert make_policy("lru").name == "lru"
-        assert make_policy("clock").name == "clock"
+        assert make_policy("fifo", OrderedDict()).name == "fifo"
+        assert make_policy("lru", OrderedDict()).name == "lru"
+        assert make_policy("clock", OrderedDict()).name == "clock"
         with pytest.raises(AriaError):
-            make_policy("arc")
+            make_policy("arc", OrderedDict())
 
     def test_lru_hits_cost_more_than_fifo_hits(self):
         fifo, _, enclave_f = make_cache(policy="fifo", stop_swap_enabled=False)
@@ -314,3 +342,71 @@ class TestPolicies:
             for _ in range(100):
                 cache.read_counter(0)
         assert enclave_l.meter.cycles > enclave_f.meter.cycles
+
+
+class TestVictimOrderInCache:
+    """Each policy's order, seen through the cache's counter API.
+
+    512 counters at arity 4 with four levels pinned leave only the 128
+    leaves to a three-entry cache.  Leaves 0, 1 and 2 are cached in that
+    order, leaf 1 and then leaf 0 are hit, and leaves 3 and 4 miss, each
+    evicting one leaf.  The three policies keep three different sets.
+    """
+
+    HITS = {
+        "read": lambda cache, leaf: cache.read_counter(4 * leaf),
+        "write": lambda cache, leaf: cache.write_counter(4 * leaf, bytes(16)),
+        "increment": lambda cache, leaf: cache.increment_counter(4 * leaf),
+    }
+
+    def resident_after(self, policy, how):
+        cache, _, _ = make_cache(n_counters=512, arity=4, cache_nodes=3,
+                                 pin_levels=4, policy=policy,
+                                 stop_swap_enabled=False)
+        for leaf in (0, 1, 2):
+            cache.read_counter(4 * leaf)
+        misses = cache.stats.misses
+        for leaf in (1, 0):
+            self.HITS[how](cache, leaf)
+        assert cache.stats.misses == misses           # both were hits
+        for leaf in (3, 4):
+            cache.read_counter(4 * leaf)
+        return {leaf for leaf in range(5) if cache.is_cached(0, leaf)}
+
+    @pytest.mark.parametrize("how", sorted(HITS))
+    def test_fifo_evicts_the_oldest_leaf_despite_hits(self, how):
+        assert self.resident_after("fifo", how) == {2, 3, 4}
+
+    @pytest.mark.parametrize("how", sorted(HITS))
+    def test_lru_evicts_the_least_recently_hit_leaf(self, how):
+        # The hits leave the order 2, 1, 0: leaf 2 goes, then leaf 1.
+        assert self.resident_after("lru", how) == {0, 3, 4}
+
+    @pytest.mark.parametrize("how", sorted(HITS))
+    def test_clock_gives_a_hit_leaf_a_second_chance(self, how):
+        # Leaves 0 and 1 lose their bits while leaf 2 goes; leaf 0 is then
+        # the oldest leaf without one.
+        assert self.resident_after("clock", how) == {1, 3, 4}
+
+
+def test_an_inner_node_dropped_by_a_flush_returns_as_the_newest():
+    """``flush_to_untrusted`` drops cached inner nodes; one that is swapped
+    in again later is the newest entry, not evicted at its old place."""
+    # 512 counters at arity 4, three levels pinned: levels 0 and 1 cache.
+    cache, _, _ = make_cache(n_counters=512, arity=4, cache_nodes=6,
+                             pin_levels=3, stop_swap_enabled=False)
+    cache.write_counter(4 * 4, counter_value(1))     # leaf 4: dirty
+    for leaf in (8, 5, 12, 20, 24):
+        cache.read_counter(4 * leaf)
+    cache.read_counter(4 * 16)       # evicts leaf 4 (swaps (1, 1) in), then 8
+    assert cache.is_cached(1, 1) and not cache.is_cached(0, 8)
+    cache.flush_to_untrusted()
+    assert not cache.is_cached(1, 1)
+    cache.write_counter(4 * 5, counter_value(2))     # leaf 5 (under (1, 1))
+    for leaf in (28, 32):            # 32 evicts leaf 5: (1, 1) is back
+        cache.read_counter(4 * leaf)
+    assert cache.is_cached(1, 1) and not cache.is_cached(0, 5)
+    for leaf in (36, 40, 44):        # evict leaves 20, 24, 16 — not (1, 1)
+        cache.read_counter(4 * leaf)
+    assert cache.is_cached(1, 1)
+    assert not any(cache.is_cached(0, leaf) for leaf in (12, 16, 20, 24))

@@ -1,8 +1,12 @@
 """Untrusted memory region tests."""
 
 import copy
+import pickle
+from bisect import bisect_right
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import AriaError
 from repro.sgx.memory import NULL, UntrustedMemory
@@ -98,3 +102,106 @@ def test_allocated_bytes_accounting():
     mem.alloc(100)
     mem.alloc(200)
     assert mem.allocated_bytes == 300
+
+
+# -- the granule table against the bisect lookup it replaced -----------------
+
+
+class BisectMemory:
+    """The reference: one ``bytearray`` per region, found by bisecting the
+    sorted region bases, exactly as untrusted memory worked before its
+    regions moved into one arena."""
+
+    def __init__(self):
+        self.bases, self.regions, self.next = [], [], 64
+
+    def alloc(self, size):
+        base = self.next
+        self.bases.append(base)
+        self.regions.append(bytearray(size))
+        self.next = base + size + 64
+        return base
+
+    def _locate(self, addr, size):
+        idx = bisect_right(self.bases, addr) - 1
+        if idx < 0:
+            raise AriaError(f"invalid untrusted address {addr:#x}")
+        offset = addr - self.bases[idx]
+        if offset + size > len(self.regions[idx]):
+            raise AriaError(
+                f"untrusted access [{addr:#x}, +{size}) crosses region bounds")
+        return self.regions[idx], offset
+
+    def read(self, addr, size):
+        region, offset = self._locate(addr, size)
+        return bytes(region[offset : offset + size])
+
+    def write(self, addr, data):
+        region, offset = self._locate(addr, len(data))
+        region[offset : offset + len(data)] = data
+
+
+def outcome(access, *args):
+    try:
+        return "ok", access(*args)
+    except AriaError as error:
+        return "refused", str(error)
+
+
+def probes(bases, sizes, end_of_space):
+    """Addresses at every edge: below the space, in and around each region
+    and its guard gap, and far past the last region."""
+    edges = [-(1 << 40), -65, -64, -1, 0, 1, 63, end_of_space,
+             end_of_space + 64, end_of_space + (1 << 40)]
+    for base, size in zip(bases, sizes):
+        end = base + size
+        edges += [base - 64, base - 1, base, base + 1, end - 1, end,
+                  end + 1, end + 31, end + 63]
+    return edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.integers(1, 40_000), min_size=1, max_size=8),
+       extra=st.lists(st.integers(-100, 400_000), max_size=16))
+@example(sizes=[40_000] * 4 + [64, 1], extra=[])     # grows the arena twice
+def test_granule_lookup_matches_bisect(sizes, extra):
+    arena, reference = UntrustedMemory(), BisectMemory()
+    bases = []
+    for i, size in enumerate(sizes):
+        base = arena.alloc(size)
+        assert base == reference.alloc(size)
+        bases.append(base)
+        fill = bytes([i + 1]) * min(size, 100)
+        arena.write(base + size - len(fill), fill)
+        reference.write(base + size - len(fill), fill)
+    for addr in probes(bases, sizes, reference.next) + extra:
+        for size in (0, 1, 8, 100):
+            assert (outcome(arena.read, addr, size)
+                    == outcome(reference.read, addr, size)), (addr, size)
+            data = bytes([addr & 0xFF]) * size
+            assert (outcome(arena.write, addr, data)
+                    == outcome(reference.write, addr, data)), (addr, size)
+    assert list(arena.regions()) == [
+        (base, bytes(region))
+        for base, region in zip(reference.bases, reference.regions)]
+
+
+def test_snapshots_after_growth_are_independent():
+    """Deep copy and pickle of an arena that has grown past its first map."""
+    mem = UntrustedMemory()
+    addrs = [mem.alloc(30_000) for _ in range(10)]      # ~300 KiB: grown
+    for i, addr in enumerate(addrs):
+        mem.write(addr + 29_990, b"region %02d!" % i)
+    deep = copy.deepcopy(mem)
+    pickled = pickle.loads(pickle.dumps(mem))
+    mem.write(addrs[7] + 29_990, b"rewritten!")
+    for snapshot in (deep, pickled):
+        assert snapshot.read(addrs[7] + 29_990, 10) == b"region 07!"
+        assert list(snapshot.regions())[:7] == list(mem.regions())[:7]
+        snapshot.write(addrs[2], b"forked")
+        assert mem.read(addrs[2], 6) == bytes(6)
+        with pytest.raises(AriaError, match="crosses region bounds"):
+            snapshot.read(addrs[9] + 29_999, 2)
+    tail = addrs[7] + 29_990
+    assert deep.read(tail, 10) == pickled.read(tail, 10)
+    assert deep.alloc(8) == pickled.alloc(8) == mem.alloc(8)
