@@ -143,7 +143,8 @@ def test_shard_worker_speedup(run_experiment):
     assert proc4["speedup"] == four["speedup"]
 
     # Wall-clock is host-dependent and never asserted; surface the ratio
-    # so EXPERIMENTS.md can record what the prefetch overlap buys.
+    # so EXPERIMENTS.md can record what four simulated workers cost or
+    # save in host time.
     (proc1,) = result.where(backend="process", workers=1)
     ratio = proc1["wall_s"] / proc4["wall_s"]
     result.note(f"wall-clock process w1/w4 ratio: {ratio:.2f}x "

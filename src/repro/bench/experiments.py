@@ -850,6 +850,7 @@ def cluster_scaling(scale: int = 2048, n_ops: int = 3000,
                 parallel_efficiency=round(
                     report["cluster"]["parallel_efficiency"], 3),
             )
+            coordinator.close()
     result.note(f"scale 1/{scale}: {n_keys} keys, EPC split per shard, "
                 f"batch window {batch_window}")
     return result
@@ -922,6 +923,7 @@ def cluster_rebalance(scale: int = 2048, n_ops: int = 3000,
             keys_moved=(balancer.total_keys_moved() if balancer else 0),
             rounds=(len(balancer.history) if balancer else 0),
         )
+        coordinator.close()
     result.note(f"scale 1/{scale}: {n_keys} keys; skewed ring gives "
                 "shard-0 ~91% of vnodes; measurement window starts after "
                 "warm/convergence")
@@ -1042,9 +1044,8 @@ def cluster_shard_workers(scale: int = 2048, n_ops: int = 4000,
       of :func:`ClusterStats.report` show where the residue goes.
 
     ``wall_s`` is real host time, reported but never asserted: real
-    threads cannot speed up a pure-Python simulation (the GIL), but the
-    process backend's prefetch thread overlaps pipe reads with execution,
-    which is the only wall-clock effect worth recording.
+    threads cannot speed up a pure-Python simulation (the GIL), and a
+    process worker reads its pipe on one thread at any worker count.
     """
     import hashlib
     import time

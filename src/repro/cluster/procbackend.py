@@ -52,9 +52,6 @@ anything a test forgot (:func:`reap_leaked_workers`).
 from __future__ import annotations
 
 import multiprocessing
-import os
-import queue
-import threading
 import weakref
 from typing import List, Optional
 
@@ -64,16 +61,12 @@ from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
     RemoteShardHandle,
+    RemoteStore,
     rpc_reply,
     spawn_reply,
 )
 from repro.cluster.shard import EnclaveSpec
 from repro.errors import ProtocolError, ShardCrashedError
-
-#: Environment override for the multiprocessing start method.  ``fork``
-#: (where available) keeps worker startup cheap; ``spawn`` re-imports the
-#: world per worker but works everywhere.
-START_METHOD_ENV_VAR = "ARIA_MP_START"
 
 #: Every live ProcessShard, whatever backend instance built it — the leak
 #: check fixture's view of the world.
@@ -81,9 +74,8 @@ _LIVE_HANDLES: "weakref.WeakSet[ProcessShard]" = weakref.WeakSet()
 
 
 def default_start_method() -> str:
-    chosen = os.environ.get(START_METHOD_ENV_VAR)
-    if chosen:
-        return chosen
+    """``fork`` where available (cheap worker startup), else the
+    platform's default."""
     if "fork" in multiprocessing.get_all_start_methods():
         return "fork"
     return multiprocessing.get_start_method(allow_none=False)
@@ -122,10 +114,10 @@ def _worker_main(conn, spec: EnclaveSpec) -> None:
     shard, reply = spawn_reply(spec)  # build failures reach the parent
     _send(conn, reply)
     if shard is not None:
-        recv = _make_receiver(conn, spec.workers)
         while True:
-            message = recv()
-            if message is None:
+            try:
+                message = conn.recv_bytes()
+            except (EOFError, OSError):
                 break  # parent vanished; daemon exit
             try:
                 cmd, arg = rpc.decode_call(message)
@@ -137,43 +129,6 @@ def _worker_main(conn, spec: EnclaveSpec) -> None:
             if cmd == "shutdown":
                 break
     conn.close()
-
-
-def _make_receiver(conn, workers: int):
-    """The worker's RPC intake; a real prefetch thread when ``workers > 1``.
-
-    With one worker the intake is a plain blocking ``recv_bytes``.  With N > 1
-    the untrusted side gets a genuine OS thread that pulls the next RPCs
-    off the pipe (the blocking read releases the GIL) while the main
-    thread is still executing the current batch inside the simulated
-    enclave — the HotCalls shape: boundary traffic overlaps execution.
-    The queue is bounded so a slow enclave backpressures the pipe instead
-    of buffering unbounded messages.  Returns a callable yielding the next
-    undecoded RPC or ``None`` once the parent is gone.
-    """
-    if workers <= 1:
-        def recv_inline():
-            try:
-                return conn.recv_bytes()
-            except (EOFError, OSError):
-                return None
-
-        return recv_inline
-    inbox: "queue.Queue" = queue.Queue(maxsize=max(2, workers))
-
-    def pump():
-        while True:
-            try:
-                item = conn.recv_bytes()
-            except (EOFError, OSError):
-                inbox.put(None)
-                return
-            inbox.put(item)
-
-    thread = threading.Thread(target=pump, daemon=True,
-                              name="aria-rpc-prefetch")
-    thread.start()
-    return inbox.get
 
 
 def _send(conn, reply: bytes) -> None:
@@ -192,7 +147,7 @@ class ProcessShard(RemoteShardHandle):
     """The handle for an enclave living in a worker process."""
 
     def __init__(self, spec: EnclaveSpec, ctx):
-        super().__init__(spec.shard_id)
+        super().__init__(spec)
         parent_conn, child_conn = ctx.Pipe()
         self._conn = parent_conn
         self._proc = ctx.Process(
@@ -203,7 +158,8 @@ class ProcessShard(RemoteShardHandle):
         )
         self._proc.start()
         child_conn.close()
-        self._attach(self._recv())  # the "ready" message (or a build error)
+        # The "ready" config, or the build error raised.
+        self.store = RemoteStore(self, self._recv())
         _LIVE_HANDLES.add(self)
 
     # -- RPC plumbing -------------------------------------------------------------

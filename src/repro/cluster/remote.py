@@ -36,7 +36,6 @@ or how cycles are accounted.
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Tuple
 
 from repro.cluster import rpc
@@ -57,16 +56,10 @@ DEFAULT_CLOSE_TIMEOUT = 5.0
 
 
 def ready_reply(shard, cmd: str) -> bytes:
-    """The answer to ``spawn``/``attach``: what a handle needs to mirror
-    this enclave.  Its keys are not among it: they never leave the
-    enclave."""
-    return rpc.encode_reply(cmd, True, {
-        "shard_id": shard.shard_id,
-        "epc_bytes": shard.epc_bytes,
-        "pid": os.getpid(),
-        "cpu_hz": shard.store.enclave.platform.cpu_hz,
-        "config": shard.store.config,
-    }, shard.meter)
+    """The answer to ``spawn``/``attach``: the store config, all a handle
+    cannot derive from the spec it sent.  The enclave's keys are not in
+    it: they never leave the enclave."""
+    return rpc.encode_reply(cmd, True, shard.store.config, shard.meter)
 
 
 def spawn_reply(spec) -> Tuple[Optional[object], bytes]:
@@ -143,12 +136,14 @@ class RemoteShardHandle(ShardHandle):
     ``_recv(timeout)`` (which must pass every reply's bytes through
     :meth:`_settle` and raise :class:`~repro.errors.ShardCrashedError`
     once the far side is gone), plus the lifecycle overrides (``close``,
-    ``kill``; ``partition``/``reconnect`` where the link is modelled).  After
-    the remote's ``ready`` info dict arrives, :meth:`_attach` wires proxies.
+    ``kill``; ``partition``/``reconnect`` where the link is modelled).  Once
+    the remote's ``ready`` config arrives, they set ``store`` to a
+    :class:`RemoteStore` over it.
     """
 
-    def __init__(self, shard_id: str):
-        self.shard_id = shard_id
+    def __init__(self, spec):
+        self.shard_id = spec.shard_id
+        self.epc_bytes = spec.floored_epc_bytes
         self.closed = False
         self.ops_routed = 0
         self._pending = 0  # flushes submitted but not collected
@@ -160,14 +155,6 @@ class RemoteShardHandle(ShardHandle):
         #: mirror is current between calls; after a kill or behind a
         #: partition it is the last state the remote reported.
         self.meter = CycleMeter()
-        self._info: dict = {}
-        self.epc_bytes = 0
-
-    def _attach(self, info: dict) -> None:
-        """Record the remote's ``ready`` info and build the proxies."""
-        self._info = info
-        self.epc_bytes = info["epc_bytes"]
-        self._store = RemoteStore(self)
 
     # -- transport hooks (subclass responsibility) --------------------------------
 
@@ -194,10 +181,6 @@ class RemoteShardHandle(ShardHandle):
         return self._recv()
 
     # -- the ShardHandle members ---------------------------------------------------
-
-    @property
-    def store(self) -> "RemoteStore":
-        return self._store
 
     @property
     def server(self) -> "RemoteShardHandle":
@@ -259,9 +242,10 @@ class RemoteShardHandle(ShardHandle):
 class RemoteStore:
     """Store proxy: the trusted path (migration, re-sync) over the RPC."""
 
-    def __init__(self, handle: RemoteShardHandle):
+    def __init__(self, handle: RemoteShardHandle, config):
         self._handle = handle
-        self._enclave = RemoteEnclave(handle)
+        self.config = config
+        self.enclave = RemoteEnclave(handle)
 
     def get(self, key: bytes) -> bytes:
         return self._handle._call("get", key)
@@ -286,30 +270,14 @@ class RemoteStore:
         self._handle._call("retarget_quotas",
                            dict(quotas) if quotas else None)
 
-    @property
-    def config(self):
-        return self._handle._info["config"]
-
-    @property
-    def enclave(self) -> "RemoteEnclave":
-        return self._enclave
-
 
 class RemoteEnclave:
     """Enclave facade: platform constants and the meter mirror."""
 
     def __init__(self, handle: RemoteShardHandle):
         self._handle = handle
-        self._platform: Optional[SgxPlatform] = None
-
-    @property
-    def platform(self) -> SgxPlatform:
-        if self._platform is None:
-            self._platform = SgxPlatform(
-                epc_bytes=self._handle.epc_bytes,
-                cpu_hz=self._handle._info["cpu_hz"],
-            )
-        return self._platform
+        #: Built as :class:`~repro.cluster.shard.Shard` builds its own.
+        self.platform = SgxPlatform(epc_bytes=handle.epc_bytes)
 
     @property
     def meter(self) -> CycleMeter:

@@ -11,13 +11,14 @@ bytes* — is one of the commands in :data:`COMMANDS` and its reply::
 ``cmd`` is the command's position in :data:`COMMANDS`, which also names
 the layout of its argument and of its result (the reply repeats ``cmd``,
 so a reply decodes on its own).  ``meter`` is the enclave meter's binary
-form (:meth:`repro.sgx.meter.CycleMeter.to_bytes`), written from the live
-meter and loaded into the handle's mirror in place.  A failed reply's
-payload is an error document: the class's index in :data:`ERROR_TABLE`,
-its ``args`` and the attributes in :data:`ERROR_ATTRS` — rebuilt on the
-far side as ``cls(*args)``, then the attributes, so the class and
-``str()`` survive; a class outside the table arrives as
-``AriaError("<Class>: <message>")``.  Little-endian layouts::
+form (:meth:`repro.sgx.meter.CycleMeter.to_bytes`), read from the live
+meter once the payload is encoded and loaded into the handle's mirror in
+place.  A failed reply's payload is an error document: the class's index
+in :data:`ERROR_TABLE`, its ``args`` and the attributes in
+:data:`ERROR_ATTRS` — rebuilt on the far side as ``cls(*args)``, then
+the attributes, so the class and ``str()`` survive; a class outside the
+table arrives as ``AriaError("<Class>: <message>")``.  Little-endian
+layouts::
 
     blob      := len (4) | bytes
     blobs     := count (4) | blob*
@@ -253,34 +254,6 @@ def _build(cls, plain, what: str):
         raise ProtocolError(f"unusable {what}: {exc}") from None
 
 
-def _spec_to_plain(spec: EnclaveSpec) -> dict:
-    return dataclasses.asdict(spec)
-
-
-def _spec_from_plain(plain) -> EnclaveSpec:
-    return _build(EnclaveSpec, plain, "enclave spec")
-
-
-#: The ``ready`` info a handle mirrors an enclave from, and each field's
-#: type on the wire (the store config as a document).  No key material:
-#: an enclave's keys never leave it.
-_READY_FIELDS = {"shard_id": str, "epc_bytes": int, "pid": int,
-                 "cpu_hz": (int, float), "config": dict}
-
-
-def _ready_to_plain(info: dict) -> dict:
-    return dict(info, config=dataclasses.asdict(info["config"]))
-
-
-def _ready_from_plain(plain) -> dict:
-    if _checked(plain, dict, "ready info").keys() != _READY_FIELDS.keys():
-        raise ProtocolError(f"ready info with fields {sorted(plain)}")
-    for name, kind in _READY_FIELDS.items():
-        _checked(plain[name], kind, f"ready info field {name!r}")
-    return dict(plain,
-                config=_build(AriaConfig, plain["config"], "store config"))
-
-
 def _quotas_from_plain(plain):
     if plain is not None:
         for owner, fraction in _checked(plain, dict, "quota map").items():
@@ -336,8 +309,13 @@ PAIRS = (_encode_pairs, _decode_pairs)
 REQUESTS = (_encode_requests, _decode_requests)
 RESPONSES = (_encode_responses, _decode_responses)
 COUNT = (_encode_count, _decode_count)
-SPEC = _document(_spec_to_plain, _spec_from_plain)
-READY = _document(_ready_to_plain, _ready_from_plain)
+SPEC = _document(dataclasses.asdict, lambda plain: _build(
+    EnclaveSpec, plain, "enclave spec"))
+#: The ``ready`` reply: the store config, the one thing about an enclave
+#: its handle cannot derive from the spec.  No key material: an enclave's
+#: keys never leave it.
+READY = _document(dataclasses.asdict, lambda plain: _build(
+    AriaConfig, plain, "store config"))
 NAME = _document(_plain, lambda plain: _checked(plain, str, "shard id"))
 ROW = _document(_plain, lambda plain: _checked(plain, dict, "stats row"))
 QUOTAS = _document(_plain, _quotas_from_plain)
@@ -421,10 +399,11 @@ def encode_reply(cmd: str, ok: bool, payload,
                  meter: Optional[CycleMeter] = None) -> bytes:
     """The answer to ``cmd``: its result (``ok``) or the exception raised,
     behind the enclave meter's state when there is an enclave."""
-    layout = COMMANDS[cmd][1] if ok else ERROR
+    body = (COMMANDS[cmd][1] if ok else ERROR)[0](payload)
+    # The meter is read after the payload is encoded: encoding a lazy
+    # result (``keys``) is enclave work this reply must carry.
     return _sealed(_REPLY.pack(ok, _POSITION[cmd], meter is not None),
-                   b"" if meter is None else meter.to_bytes(),
-                   layout[0](payload))
+                   b"" if meter is None else meter.to_bytes(), body)
 
 
 def decode_reply(data: bytes, mirror: CycleMeter) -> tuple:

@@ -85,7 +85,7 @@ class EnclaveSpec:
 
     shard_id: str
     #: This enclave's carve of the cluster EPC envelope (floored at
-    #: :data:`MIN_SHARD_EPC_BYTES` when built).
+    #: :data:`MIN_SHARD_EPC_BYTES` when built: :attr:`floored_epc_bytes`).
     epc_bytes: int
     #: Keys to provision for — the worst-case ownership, not the expected
     #: 1/N share: ring imbalance and balancer migrations can concentrate
@@ -103,6 +103,11 @@ class EnclaveSpec:
     #: ``build_aria``/``AriaConfig`` overrides (``value_hint``,
     #: ``crypto_backend``, ``tenant_quotas``, ...).
     config_overrides: Mapping[str, object] = field(default_factory=dict)
+
+    @property
+    def floored_epc_bytes(self) -> int:
+        """The EPC the enclave is built with, wherever it lives."""
+        return max(MIN_SHARD_EPC_BYTES, self.epc_bytes)
 
     def build(self) -> "Shard":
         return Shard(self)
@@ -181,7 +186,7 @@ class Shard(ShardHandle):
 
     def __init__(self, spec: EnclaveSpec):
         self.shard_id = spec.shard_id
-        self.epc_bytes = max(MIN_SHARD_EPC_BYTES, spec.epc_bytes)
+        self.epc_bytes = spec.floored_epc_bytes
         self.store = build_aria(
             n_keys=max(64, spec.capacity_keys),
             platform=SgxPlatform(epc_bytes=self.epc_bytes),

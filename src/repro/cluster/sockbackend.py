@@ -78,6 +78,7 @@ from repro.cluster.remote import (
     DEFAULT_CLOSE_TIMEOUT,
     DEFAULT_RPC_TIMEOUT,
     RemoteShardHandle,
+    RemoteStore,
     ready_reply,
     rpc_reply,
     spawn_reply,
@@ -390,6 +391,11 @@ class SocketShard(RemoteShardHandle):
     re-dials, re-handshakes, and re-attaches after a heal.
     """
 
+    #: The pid of the shard-host process its backend spawned for it
+    #: (shared by the host's other enclaves); None for a host given by
+    #: address.
+    pid: Optional[int] = None
+
     def __init__(
         self,
         spec: EnclaveSpec,
@@ -400,7 +406,7 @@ class SocketShard(RemoteShardHandle):
         rpc_timeout: float = DEFAULT_RPC_TIMEOUT,
         connect_timeout: float = DEFAULT_CONNECT_TIMEOUT,
     ):
-        super().__init__(spec.shard_id)
+        super().__init__(spec)
         self.endpoint = tuple(endpoint)
         self._expected = expected_measurements or None
         self._crypto = crypto
@@ -417,7 +423,7 @@ class SocketShard(RemoteShardHandle):
         self._sock: Optional[socket.socket] = None
         self._session = None
         self._dial()
-        self._attach(self._call("spawn", spec))
+        self.store = RemoteStore(self, self._call("spawn", spec))
         _LIVE_HANDLES.add(self)
 
     # -- the attested hop ---------------------------------------------------------
@@ -552,23 +558,18 @@ class SocketShard(RemoteShardHandle):
             # Straight onto the fresh link: _send's crashed guard is what
             # this very call is about to lift.
             self._transmit("attach", self.shard_id)
-            info = self._recv()
+            config = self._recv()
         except (ShardCrashedError, ClusterConnectionError,
                 ClusterTimeoutError, HandshakeError, ProtocolError):
             self._mark_crashed()
             return False
-        self._info = info
+        self.store.config = config
         self.crashed = False
         self._pending = 0
         self.reconnects += 1
         return True
 
     # -- lifecycle ----------------------------------------------------------------
-
-    @property
-    def pid(self) -> Optional[int]:
-        """The shard-host process's pid (shared by its other enclaves)."""
-        return self._info.get("pid")
 
     def kill(self) -> None:
         """Kill the enclave (not the host): it vanishes from the registry.
@@ -732,11 +733,12 @@ class SocketBackend(ShardBackend):
         return list(self._spawned)
 
     def _pick(self, index: int):
-        """Endpoint + measurement list for the ``index``-th placement,
-        respawning a dead spawned host on the way."""
+        """Endpoint, measurement list and host pid (None for a static
+        host) for the ``index``-th placement, respawning a dead spawned
+        host on the way."""
         if self._static_hosts is not None:
             endpoint = self._static_hosts[index % len(self._static_hosts)]
-            return endpoint, self._pinned
+            return endpoint, self._pinned, None
         self._ensure_hosts()
         slot = index % len(self._spawned)
         host = self._spawned[slot]
@@ -744,7 +746,8 @@ class SocketBackend(ShardBackend):
             host.stop()
             host = SpawnedHost(self._ctx, seed=host.seed, crypto=self._crypto)
             self._spawned[slot] = host
-        return (host.host, host.port), [h.measurement for h in self._spawned]
+        return ((host.host, host.port),
+                [h.measurement for h in self._spawned], host.pid)
 
     # -- the factory --------------------------------------------------------------
 
@@ -754,7 +757,7 @@ class SocketBackend(ShardBackend):
         for _ in range(attempts):
             placement = self._next
             self._next += 1
-            endpoint, expected = self._pick(placement)
+            endpoint, expected, pid = self._pick(placement)
             try:
                 handle = SocketShard(
                     spec, endpoint,
@@ -766,6 +769,7 @@ class SocketBackend(ShardBackend):
             except (ClusterConnectionError, ClusterTimeoutError) as exc:
                 last_error = exc  # host down: try the next one
                 continue
+            handle.pid = pid
             self._handles.add(handle)
             return handle
         raise ClusterConnectionError(

@@ -15,21 +15,29 @@ by-hand check.
 
 Each digest was produced at the parent commit of the change that added it,
 by running this file as a script (``PYTHONPATH=src python
-tests/test_bench_golden.py``).  Every experiment names its backends and
-worker counts itself, so the ``ARIA_CLUSTER_BACKEND``/``ARIA_SHARD_WORKERS``
-CI matrices cannot move them.  Regenerate only for a change that *means*
-to move a simulated column, and say so in the PR.  ``cluster_wire_overhead``
-was re-pinned once, when its v1 rows and ``wire`` column were removed with
-the v1 door; its v2 rows held to the last digit.
+tests/test_bench_golden.py``).  Four experiments name their backends
+themselves; the other three (:data:`DEFAULT_BACKEND`) take
+``ARIA_CLUSTER_BACKEND``, and their full-precision rows are checked under
+``process`` and ``socket`` too: simulated cycles depend on the seed, never
+on where an enclave runs.  Every experiment names its worker counts, so
+the ``ARIA_SHARD_WORKERS`` CI matrix cannot move them.  Regenerate only
+for a change that *means* to move a simulated column, and say so in
+CHANGES.md.  ``cluster_wire_overhead`` was re-pinned once, when its v1
+rows and ``wire`` column were removed with the v1 door; its v2 rows held
+to the last digit.  ``cluster_socket_backend``'s row digest was re-pinned once,
+when the shard host's pid left the sealed ``ready`` reply
+(``hop_handshake_cycles`` had depended on the pid's digit count).
 """
 
 import copy
 import functools
 import hashlib
+import multiprocessing
 
 import pytest
 
 from repro.bench.experiments import ALL_EXPERIMENTS
+from repro.cluster.backend import BACKEND_ENV_VAR
 
 #: Reduced sizes (1,220 keys, a few hundred ops): the whole file runs in
 #: well under ten seconds.
@@ -45,14 +53,21 @@ CASES = {
 }
 
 
-@functools.lru_cache(maxsize=None)
-def masked_result(name: str):
-    """The experiment's result with ``wall_s`` masked (run once per name)."""
+#: The experiments that run on ``ARIA_CLUSTER_BACKEND`` (inline here).
+DEFAULT_BACKEND = ("cluster_elastic", "cluster_rebalance", "cluster_scaling")
+
+
+def run_masked(name: str):
+    """The experiment's result with ``wall_s`` masked."""
     result = ALL_EXPERIMENTS[name](scale=SCALE, **CASES[name])
     for row in result.rows:
         if "wall_s" in row:
             row["wall_s"] = "-"
     return result
+
+
+#: One inline run per name, shared by the tests below.
+masked_result = functools.lru_cache(maxsize=None)(run_masked)
 
 
 def digest(text: str) -> str:
@@ -82,7 +97,7 @@ GOLDEN = {
         "d6300ca129972ecb305c061d219f1ace87149751038edaa2f8a8e4ae71fe9ea7"),
     "cluster_socket_backend": (
         "f7c9dfb40aec1bb04d453486658ca09b8434d8dadf43398eaa4077218ac22536",
-        "9fb8e7fef55ea2e8f78e896679136719fb6d9d647ff2158ddd235880f9d56580"),
+        "fcd23de48f372a71cfb5d4f4fcb656d807c21ba56f412ef81ee33b4704d5d25a"),
     "cluster_elastic": (
         "8900fee9fb8fd27cc34c8be7fffa64db74446dd2092e3ced5b446f0c6d526552",
         "9238fbcd95e1fb7d51a2c9168adfe35d33fdf3fcddee36ef72625bf3cfc3bc13"),
@@ -98,6 +113,18 @@ def test_rendered_table_matches_the_parent_commit(name):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_full_precision_rows_match_the_parent_commit(name):
     result = masked_result(name)
+    assert digests(result)[1] == GOLDEN[name][1], repr(result.rows)
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("process", marks=pytest.mark.procs),
+    pytest.param("socket", marks=pytest.mark.dist)])
+@pytest.mark.parametrize("name", DEFAULT_BACKEND)
+def test_full_precision_rows_hold_on_every_backend(name, backend,
+                                                   monkeypatch):
+    monkeypatch.setenv(BACKEND_ENV_VAR, backend)
+    result = run_masked(name)
+    assert not multiprocessing.active_children()   # the run closed its own
     assert digests(result)[1] == GOLDEN[name][1], repr(result.rows)
 
 

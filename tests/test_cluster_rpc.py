@@ -17,11 +17,14 @@ Bottom-up:
    through inline, process and socket: equal responses, cycles, events.
 6. No ``Connection.send``/``recv`` — a process cluster runs with both
    made to raise.
+7. Only the seed decides — no reply carries a byte from the host, and
+   every reply carries the enclave work its own answer did.
 """
 
 import dataclasses
 import multiprocessing
 import multiprocessing.connection
+import os
 import pickle
 import struct
 import threading
@@ -119,12 +122,10 @@ specs = st.builds(
 quotas = st.one_of(st.none(), st.dictionaries(
     st.text(min_size=1, max_size=16), st.floats(0.01, 1.0), max_size=4))
 ready = st.builds(
-    lambda shard_id, epc, pid, hz, quota_map: {
-        "shard_id": shard_id, "epc_bytes": epc, "pid": pid, "cpu_hz": hz,
-        "config": AriaConfig(secure_cache_bytes=epc,
-                             tenant_quotas={"ab": 0.5} if quota_map else None)},
-    st.text(max_size=12), st.integers(0, 1 << 40), st.integers(0, 1 << 22),
-    st.floats(1e6, 1e10), st.booleans())
+    lambda epc, quota_map: AriaConfig(
+        secure_cache_bytes=epc,
+        tenant_quotas={"ab": 0.5} if quota_map else None),
+    st.integers(0, 1 << 40), st.booleans())
 rows = st.dictionaries(
     st.text(max_size=8),
     st.one_of(plain, st.lists(st.floats(allow_nan=False), max_size=3),
@@ -310,8 +311,7 @@ def _resealed(body: bytes) -> bytes:
 
 def _sample_messages():
     meter = CycleMeter(9.5, Counter({"ecall": 2, "tenant_evict_denied:ab": 1}))
-    info = {"shard_id": "s0", "epc_bytes": EPC, "pid": 7, "cpu_hz": 3.7e9,
-            "config": AriaConfig(tenant_quotas={"ab": 0.5})}
+    config = AriaConfig(tenant_quotas={"ab": 0.5})
     batch = [protocol.get(b"key-1"), protocol.put(b"key-2", b"value")]
     calls = [
         ("spawn", _spec(tenant_quotas={"ab": 0.5})), ("attach", "s0"),
@@ -320,7 +320,7 @@ def _sample_messages():
         ("retarget_quotas", {"ab": 0.25}), ("shutdown", None),
     ]
     replies = [
-        ("spawn", True, info), ("flush", True, [Response(0, b"v"), Response(1)]),
+        ("spawn", True, config), ("flush", True, [Response(0, b"v"), Response(1)]),
         ("get", True, b"value"), ("keys", True, [b"a", b"bc"]),
         ("len", True, 12), ("plant_corruption", True, True),
         ("stats", True, {"shard": "s0", "cycles": 1.5}),
@@ -712,3 +712,34 @@ def test_process_cluster_never_pickles_through_the_pipe(monkeypatch):
     finally:
         cluster.close()                                            # close
     assert not multiprocessing.active_children()
+
+
+# ---------------------------------------------------------------------------
+# 7. Only the seed decides what crosses
+# ---------------------------------------------------------------------------
+
+
+def test_the_ready_reply_is_the_same_bytes_whatever_the_pid(monkeypatch):
+    """Metered hop bytes are charged per byte: a host's pid in them would
+    make simulated cycles depend on the pid's digit count."""
+    replies = []
+    for pid in (1234, 123456):
+        monkeypatch.setattr(os, "getpid", lambda pid=pid: pid)
+        shard, reply = remote.spawn_reply(_spec("pid"))
+        assert shard is not None
+        replies.append((reply, remote.ready_reply(shard, "attach")))
+    assert replies[0] == replies[1]
+
+
+def test_a_keys_reply_carries_the_walk_that_answered_it():
+    """``AriaStore.keys()`` is lazy: the index walk is charged while the
+    reply encodes it, and that reply (not the next) must carry it."""
+    shard = _spec("walk").build()
+    shard.store.load([(b"key-%02d" % i, b"v") for i in range(40)])
+    before = shard.meter.cycles
+    reply = remote.rpc_reply(shard, "keys", None)
+    assert shard.meter.cycles > before           # the walk costs cycles
+    mirror = CycleMeter()
+    ok, keys = rpc.decode_reply(reply, mirror)
+    assert ok and len(keys) == 40
+    assert mirror.snapshot() == shard.meter.snapshot()
