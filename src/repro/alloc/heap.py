@@ -22,6 +22,7 @@ used by the AriaBase configuration in the Fig 12 ablation.
 
 from __future__ import annotations
 
+import struct
 from bisect import bisect_right
 from dataclasses import dataclass, field
 
@@ -36,10 +37,7 @@ _NULL = 0
 
 def _size_class(size: int) -> int:
     """Round a request up to the next power-of-two block size (>= 32 B)."""
-    block = _MIN_BLOCK
-    while block < size:
-        block <<= 1
-    return block
+    return max(_MIN_BLOCK, 1 << (size - 1).bit_length())
 
 
 @dataclass
@@ -54,22 +52,6 @@ class _Chunk:
     def __post_init__(self) -> None:
         if not self.bitmap:
             self.bitmap = bytearray((self.n_blocks + 7) // 8)
-
-    def block_index(self, addr: int) -> int:
-        offset = addr - self.base
-        index, remainder = divmod(offset, self.block_size)
-        if remainder or not 0 <= index < self.n_blocks:
-            raise AllocationError(f"address {addr:#x} is not a block boundary")
-        return index
-
-    def test_bit(self, index: int) -> bool:
-        return bool(self.bitmap[index >> 3] & (1 << (index & 7)))
-
-    def set_bit(self, index: int) -> None:
-        self.bitmap[index >> 3] |= 1 << (index & 7)
-
-    def clear_bit(self, index: int) -> None:
-        self.bitmap[index >> 3] &= ~(1 << (index & 7))
 
 
 class Allocator:
@@ -121,27 +103,35 @@ class HeapAllocator(Allocator):
         index = bisect_right(self._chunk_bases, base)
         self._chunk_bases.insert(index, base)
         self._chunks.insert(index, chunk)
-        # Thread all blocks onto the class free list (last block points at the
-        # previous head).  This is a bulk write; charge it as one stream.
-        head = self._free_heads.get(block_size, _NULL)
-        for i in range(n_blocks - 1, -1, -1):
-            addr = base + i * block_size
-            self._enclave.untrusted.write(addr, head.to_bytes(_PTR_SIZE, "little"))
-            head = addr
+        # Thread all blocks onto the class free list (each block's first 8
+        # bytes name the next block, the last block's the previous head) in
+        # one write of the whole zeroed chunk, charged as one stream.
+        links = struct.pack(
+            f"<{n_blocks}Q",
+            *range(base + block_size, base + n_blocks * block_size, block_size),
+            self._free_heads.get(block_size, _NULL))
+        blocks = bytearray(n_blocks * block_size)
+        memoryview(blocks).cast("Q")[::block_size // _PTR_SIZE] = (
+            memoryview(links).cast("Q"))
+        self._enclave.untrusted.write(base, blocks)
         self._enclave.meter.charge_event(
             "untrusted_access",
             self._enclave.costs.access_cost(n_blocks * _PTR_SIZE, in_epc=False),
         )
-        self._free_heads[block_size] = head
+        self._free_heads[block_size] = base
 
-    def _chunk_for(self, addr: int) -> _Chunk:
+    def _chunk_for(self, addr: int) -> tuple[_Chunk, int]:
+        """The chunk owning ``addr`` and the index of the block it starts."""
         index = bisect_right(self._chunk_bases, addr) - 1
         if index < 0:
             raise AllocationError(f"address {addr:#x} not owned by the allocator")
         chunk = self._chunks[index]
         if addr >= chunk.base + chunk.n_blocks * chunk.block_size:
             raise AllocationError(f"address {addr:#x} not owned by the allocator")
-        return chunk
+        block, remainder = divmod(addr - chunk.base, chunk.block_size)
+        if remainder:
+            raise AllocationError(f"address {addr:#x} is not a block boundary")
+        return chunk, block
 
     # -- public API -------------------------------------------------------------
 
@@ -161,14 +151,13 @@ class HeapAllocator(Allocator):
             self._enclave.read_untrusted(head, _PTR_SIZE), "little"
         )
         # Cross-check with the trusted bitmap before handing the block out.
-        chunk = self._chunk_for(head)
-        index = chunk.block_index(head)
+        chunk, index = self._chunk_for(head)
         self._enclave.epc_touch(1)  # bitmap bit test+set
-        if chunk.test_bit(index):
+        if chunk.bitmap[index >> 3] & (1 << (index & 7)):
             raise IntegrityError(
                 "heap free list returned an in-use block: allocator under attack"
             )
-        chunk.set_bit(index)
+        chunk.bitmap[index >> 3] |= 1 << (index & 7)
         self._free_heads[block_size] = next_ptr
         self._enclave.meter.count("heap_alloc")
         return head
@@ -178,20 +167,19 @@ class HeapAllocator(Allocator):
         if size > self._chunk_size:
             # Dedicated regions are not recycled in this reproduction.
             return
-        chunk = self._chunk_for(addr)
-        index = chunk.block_index(addr)
+        chunk, index = self._chunk_for(addr)
         self._enclave.epc_touch(1)
-        if not chunk.test_bit(index):
+        if not chunk.bitmap[index >> 3] & (1 << (index & 7)):
             raise IntegrityError(f"double free of block {addr:#x}")
-        chunk.clear_bit(index)
+        chunk.bitmap[index >> 3] &= ~(1 << (index & 7))
         head = self._free_heads.get(chunk.block_size, _NULL)
         self._enclave.write_untrusted(addr, head.to_bytes(_PTR_SIZE, "little"))
         self._free_heads[chunk.block_size] = addr
         self._enclave.meter.count("heap_free")
 
-    def block_size_of(self, size: int) -> int:
-        """The size class a request of ``size`` bytes lands in (for tests)."""
-        return _size_class(size)
+    #: The size class a request lands in: a Put that overwrites asks
+    #: whether its new entry still fits the old one's block.
+    block_size_of = staticmethod(_size_class)
 
     # -- state capture / restore (enclave restart, repro.core.persistence) ----
 

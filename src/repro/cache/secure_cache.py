@@ -340,7 +340,12 @@ class SecureCache:
             # (Section IV-C); the ablation flag restores EWB-like behaviour.
             self.stats.clean_discards += 1
             if self._writeback_clean:
-                self._write_node_out(victim[0], victim[1], bytes(data))
+                body = bytes(data)
+                if self._swap_encrypt:  # charged as in ``_writeback``
+                    meter.charge_event("enc_bytes",
+                                       self._enclave.costs.enc_cost(len(body)),
+                                       len(body))
+                self._tree.write_node(victim[0], victim[1], body)
         return True
 
     def _writeback(self, key: NodeKey, data: bytearray,
@@ -365,40 +370,28 @@ class SecureCache:
                 parent = self._table.get(parent_key)
                 if parent is not None:
                     enclave.epc_touch(MAC_SIZE)
-                elif self.swapping:
+                else:
                     # Paper path: swap the parent in, then update the cached
-                    # copy (None when the cache is too small to host it).
+                    # copy.  The victim has just left the table, so the
+                    # parent takes its slot without an eviction: no lock
+                    # and no tenant quota can refuse it.
                     parent = self._insert(
                         parent_key,
                         bytearray(self._verified_node_bytes(parent_level,
                                                             parent_index)),
                         False, locked | {key})
-                if parent is not None:
-                    self._dirty.add(parent_key)
-            if parent is not None:
-                parent[offset : offset + MAC_SIZE] = new_mac
-                enclave.epc_touch(MAC_SIZE)
-            else:
-                # Propagate through untrusted memory instead (same machinery
-                # as stop-swap writes).
-                self._propagate_mac_untrusted(parent_level, parent_index,
-                                              offset, new_mac)
-        self._write_node_out(level, index, body)
-        self.stats.writebacks += 1
+                self._dirty.add(parent_key)
+            parent[offset : offset + MAC_SIZE] = new_mac
+            enclave.epc_touch(MAC_SIZE)
         meter = enclave.meter
-        if meter.enabled:
-            meter.events["cache_writeback"] += 1
-
-    def _write_node_out(self, level: int, index: int, body: bytes) -> None:
-        """Write a node body back to untrusted memory (plaintext by default)."""
         if self._swap_encrypt:
             # Ablation: charge the encryption SGX paging would have forced.
-            self._enclave.meter.charge_event(
-                "enc_bytes",
-                self._enclave.costs.enc_cost(len(body)),
-                len(body),
-            )
-        self._tree.write_node(level, index, body)
+            meter.charge_event("enc_bytes", enclave.costs.enc_cost(len(body)),
+                               len(body))
+        tree.write_node(level, index, body)  # plaintext by default
+        self.stats.writebacks += 1
+        if meter.enabled:
+            meter.events["cache_writeback"] += 1
 
     def _propagate_mac_untrusted(self, level: int, index: int,
                                  slot_offset: int, child_mac: bytes) -> None:

@@ -266,9 +266,12 @@ class RemoteStore:
         return self._handle._call("len")
 
     def retarget_tenant_quotas(self, quotas) -> None:
-        """Re-partition the remote enclave's cache quotas live (§16)."""
-        self._handle._call("retarget_quotas",
-                           dict(quotas) if quotas else None)
+        """Re-partition the remote enclave's cache quotas live (§16); once
+        it has, this handle's config carries the new map, as
+        ``AriaStore.retarget_tenant_quotas`` leaves its own."""
+        quotas = dict(quotas) if quotas else None
+        self._handle._call("retarget_quotas", quotas)
+        self.config.tenant_quotas = quotas
 
 
 class RemoteEnclave:

@@ -169,13 +169,12 @@ class CounterManager:
             raise CounterReuseError(
                 f"free ring returned invalid counter id {local_id}"
             )
-        byte_index, bit = divmod(local_id, 8)
         self._enclave.epc_touch(1)  # bitmap check
-        if area.bitmap[byte_index] & (1 << bit):
+        if area.bitmap[local_id >> 3] & (1 << (local_id & 7)):
             raise CounterReuseError(
                 f"free ring returned in-use counter {local_id}: attack detected"
             )
-        area.bitmap[byte_index] |= 1 << bit
+        area.bitmap[local_id >> 3] |= 1 << (local_id & 7)
         area.tail = (area.tail + 1) % area.capacity
         area.n_free -= 1
         return area_index * _AREA_STRIDE + local_id
@@ -223,8 +222,10 @@ class CounterManager:
         for area in self._areas:
             area.cache.retarget_quotas(self._config.tenant_quotas)
 
+    # ``read_counter`` and ``increment_counter`` spell ``_split`` inline
+    # (same two checks): every Get and every Put passes through one of them.
+
     def read_counter(self, red_ptr: int) -> bytes:
-        # ``_split`` spelled inline (same two checks): every Get passes here.
         area_index = red_ptr // _AREA_STRIDE
         if area_index >= len(self._areas):
             raise IntegrityError(f"RedPtr {red_ptr:#x} names a nonexistent area")
@@ -235,7 +236,13 @@ class CounterManager:
         return area.cache.read_counter(local_id)
 
     def increment_counter(self, red_ptr: int) -> bytes:
-        area, local_id = self._split(red_ptr)
+        area_index = red_ptr // _AREA_STRIDE
+        if area_index >= len(self._areas):
+            raise IntegrityError(f"RedPtr {red_ptr:#x} names a nonexistent area")
+        area = self._areas[area_index]
+        local_id = red_ptr % _AREA_STRIDE
+        if local_id >= area.capacity:
+            raise IntegrityError(f"RedPtr {red_ptr:#x} out of area range")
         return area.cache.increment_counter(local_id)
 
     # -- reporting ----------------------------------------------------------------------

@@ -114,9 +114,6 @@ class AriaHashIndex(SecureIndex):
     def _read_ptr(self, slot_addr: int) -> int:
         return int.from_bytes(self._enclave.read_untrusted(slot_addr, 8), "little")
 
-    def _write_ptr(self, slot_addr: int, value: int) -> None:
-        self._enclave.write_untrusted(slot_addr, value.to_bytes(8, "little"))
-
     def _read_entry(self, entry_addr: int) -> tuple[int, int, bytes]:
         """Read one entry; returns (next_ptr, hint, record blob)."""
         read = self._enclave.read_untrusted
@@ -125,9 +122,6 @@ class AriaHashIndex(SecureIndex):
         )
         blob = read(entry_addr + _ENTRY_PREFIX.size, record_size(k_len, v_len))
         return next_ptr, hint, blob
-
-    def _entry_bytes(self, next_ptr: int, hint: int, blob: bytes) -> bytes:
-        return _ENTRY_PREFIX.pack(next_ptr, hint) + blob
 
     # -- chain walk ---------------------------------------------------------------------
 
@@ -165,10 +159,11 @@ class AriaHashIndex(SecureIndex):
         slot_addr = self._bucket_base + bucket * 8
         entry_addr = int.from_bytes(read(slot_addr, 8), "little")
         recorded = self._counts[bucket]
-        unopened = []
-        hint_matches = 0  # entries already opened against their own slot
-        for _ in range(recorded):
+        unopened = []  # filled only for a miss that verifies the chain
+        walked = recorded
+        for hops in range(recorded):
             if entry_addr == _NULL:
+                walked = hops
                 break
             next_ptr, hint, _, k_len, v_len = _ENTRY_HEAD.unpack(
                 read(entry_addr, _ENTRY_HEAD.size)
@@ -180,15 +175,13 @@ class AriaHashIndex(SecureIndex):
                 if enclave.compare(opened.key, key):
                     return (bucket, want_hint, slot_addr, entry_addr,
                             next_ptr, blob, opened)
-                hint_matches += 1
-            else:
+            elif verify_miss:
                 unopened.append((slot_addr, entry_addr, size))
             slot_addr = entry_addr  # next field sits at offset 0
             entry_addr = next_ptr
         if entry_addr != _NULL:
             raise self._too_long(bucket)
         enclave.epc_touch(_COUNT_BYTES)
-        walked = len(unopened) + hint_matches
         if walked != recorded:
             raise DeletionError(
                 f"bucket {bucket} has {walked} entries but the enclave "
@@ -242,15 +235,22 @@ class AriaHashIndex(SecureIndex):
     def put(self, key: bytes, value: bytes) -> None:
         bucket, hint, slot_addr, entry_addr, next_ptr, blob, opened = (
             self._walk(key, False))
-        if entry_addr != _NULL:
+        if entry_addr == _NULL:
+            # The miss ended at the chain's tail slot: the new entry goes there.
+            self._append(slot_addr, key, value, self._fetch_counter(), hint)
+            self._enclave.epc_touch(_COUNT_BYTES)
+            self._counts[bucket] += 1
+            self._n_entries += 1
+        elif (_ENTRY_PREFIX.size + _EMPTY_RECORD_SIZE + len(key) + len(value)
+              <= self._allocator.block_size_of(_ENTRY_PREFIX.size + len(blob))):
+            # Re-seal under the key's own counter (Section V-D step 2) in
+            # its block: the AdField, ``slot_addr``, is unchanged.
+            self._enclave.write_untrusted(entry_addr, _ENTRY_PREFIX.pack(
+                next_ptr, hint) + self._codec.seal(
+                    key, value, opened.red_ptr, ad_field=slot_addr))
+        else:
             self._update_existing(bucket, key, value, hint, slot_addr,
                                   entry_addr, next_ptr, blob, opened.red_ptr)
-            return
-        # The miss ended at the chain's tail slot: the new entry goes there.
-        self._append(slot_addr, key, value, self._fetch_counter(), hint)
-        self._enclave.epc_touch(_COUNT_BYTES)
-        self._counts[bucket] += 1
-        self._n_entries += 1
 
     def delete(self, key: bytes) -> None:
         bucket, _, slot_addr, entry_addr, next_ptr, blob, opened = (
@@ -266,27 +266,19 @@ class AriaHashIndex(SecureIndex):
     def _append(self, tail_slot: int, key: bytes, value: bytes, red_ptr: int,
                 hint: int) -> None:
         """Seal a record bound to ``tail_slot`` and link its entry there."""
-        blob = self._codec.seal(key, value, red_ptr, ad_field=tail_slot)
-        entry = self._entry_bytes(_NULL, hint, blob)
+        entry = _ENTRY_PREFIX.pack(_NULL, hint) + self._codec.seal(
+            key, value, red_ptr, ad_field=tail_slot)
         entry_addr = self._allocator.alloc(len(entry))
         self._enclave.write_untrusted(entry_addr, entry)
-        self._write_ptr(tail_slot, entry_addr)
+        self._enclave.write_untrusted(tail_slot, entry_addr.to_bytes(8, "little"))
 
     def _update_existing(self, bucket: int, key: bytes, value: bytes,
                          hint: int, slot_addr: int, entry_addr: int,
                          next_ptr: int, old_blob: bytes, red_ptr: int) -> None:
-        """Re-seal an existing key, reusing its counter (Section V-D step 2)."""
-        old_block = self._allocator.block_size_of(_ENTRY_PREFIX.size + len(old_blob))
-        new_entry_size = _ENTRY_PREFIX.size + record_size(len(key), len(value))
-        if new_entry_size <= old_block:
-            # Same block: rewrite in place; AdField (slot_addr) is unchanged.
-            new_blob = self._codec.seal(key, value, red_ptr, ad_field=slot_addr)
-            self._enclave.write_untrusted(
-                entry_addr, self._entry_bytes(next_ptr, hint, new_blob)
-            )
-            return
-        # Larger value: splice the old entry out, then re-insert at the tail,
-        # walking on from the slot that now points past the old entry.
+        """Re-seal a key whose grown value outgrew its block, reusing its
+        counter (Section V-D step 2): splice the old entry out, then
+        re-insert at the tail, walking on from the slot that now points past
+        the old entry."""
         self._splice_out(key, slot_addr, entry_addr, next_ptr, old_blob)
         tail_slot, entry_addr = slot_addr, next_ptr
         for _ in range(self._counts[bucket]):
@@ -300,15 +292,14 @@ class AriaHashIndex(SecureIndex):
     def _splice_out(self, key: bytes, slot_addr: int, entry_addr: int,
                     next_ptr: int, blob: bytes) -> None:
         """Unlink an entry; re-bind the successor to its new pointer slot."""
-        self._write_ptr(slot_addr, next_ptr)
+        self._enclave.write_untrusted(slot_addr, next_ptr.to_bytes(8, "little"))
         if next_ptr != _NULL:
             succ_next, succ_hint, succ_blob = self._read_entry(next_ptr)
             rebound = self._codec.reseal_ad_field(
                 succ_blob, old_ad=entry_addr, new_ad=slot_addr
             )
             self._enclave.write_untrusted(
-                next_ptr, self._entry_bytes(succ_next, succ_hint, rebound)
-            )
+                next_ptr, _ENTRY_PREFIX.pack(succ_next, succ_hint) + rebound)
         self._allocator.free(entry_addr, _ENTRY_PREFIX.size + len(blob))
 
     # -- iteration / audit ---------------------------------------------------------------------

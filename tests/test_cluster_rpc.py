@@ -677,6 +677,29 @@ def test_backends_agree_on_responses_cycles_and_every_event(thread_host):
         assert results[name][3] == results["inline"][3]
 
 
+@procs
+@dist
+def test_retargeted_quotas_reach_every_handles_config(thread_host):
+    """A handle's config says what its enclave runs: after a live quota
+    retarget a remote handle carries the new map, as an inline one does."""
+    spec = _spec("q0")
+    process = ProcessBackend()
+    shards = {"inline": InlineBackend().create(spec),
+              "process": process.create(spec),
+              "socket": _socket_shard(thread_host, spec)}
+    quotas = {tenant_token(MINNOW): 0.5}
+    try:
+        for name, shard in shards.items():
+            assert shard.store.config.tenant_quotas is None, name
+            shard.store.retarget_tenant_quotas(quotas)
+            assert shard.store.config.tenant_quotas == quotas, name
+            shard.store.retarget_tenant_quotas(None)
+            assert shard.store.config.tenant_quotas is None, name
+    finally:
+        shards["socket"].close()
+        process.close()
+
+
 # ---------------------------------------------------------------------------
 # 6. The pipe carries bytes: no Connection.send / Connection.recv
 # ---------------------------------------------------------------------------

@@ -231,6 +231,41 @@ class TestStoreCachePartition:
             assert store.get(mk(WHALE, i)) == b"whale-%d" % i
         assert store.get(mk(MINNOW, 7)) == b"m" * 16
 
+    def test_write_back_always_finds_room_for_the_parent(self):
+        """A dirty victim's fresh MAC lands in its parent in the EPC.  A
+        parent neither pinned nor cached is swapped in, into the slot the
+        victim has just left, so no lock and no quota can refuse it — also
+        after the partition has been denying another tenant's evictions —
+        and it stays dirty until its own write-back carries the MAC up."""
+        store = make_store(tenant_quotas={MINNOW_TOKEN: 1.0})
+        cache = store.counters.primary_cache()
+        write_back = cache._writeback
+        swapped_in = []
+
+        def checked(key, data, locked):
+            parent = (key[0] + 1, key[1] // cache._tree.layout.arity)
+            absent = (parent[0] not in cache.pinned_levels
+                      and not cache.is_cached(*parent))
+            write_back(key, data, locked)
+            if absent:
+                assert cache.is_cached(*parent) and parent in cache._dirty
+                swapped_in.append(parent)
+
+        cache._writeback = checked
+        for i in range(300):
+            store.put(mk(MINNOW, i), b"m" * 16)
+        for i in range(50):
+            store.put(mk(WHALE, i), b"w" * 16)
+        assert store.cache_stats()["tenant_evict_denials"] > 0
+        swapped_in.clear()
+        for i in range(300):                  # the minnow churns its slice
+            store.put(mk(MINNOW, i), b"n" * 16)
+        assert swapped_in
+        for i in range(300):
+            assert store.get(mk(MINNOW, i)) == b"n" * 16
+        for i in range(50):
+            assert store.get(mk(WHALE, i)) == b"w" * 16
+
     def test_armed_but_anonymous_store_is_cycle_identical(self):
         """Quotas configured + zero tenant traffic == unarmed, bit for bit."""
         def drive(quotas):
