@@ -12,11 +12,12 @@ This module incorporates it on the substrate of :mod:`repro.index.tree`
   instead of full KV records (the "encrypting key and value respectively"
   idea), and all data sits at one uniform depth.
 * **Leaf chaining**: each leaf carries a next-leaf pointer, so range scans
-  walk the leaf level without re-descending.  The chain pointer is
-  untrusted; scans defend it by verifying every returned record against its
-  containing leaf (AdField) and enforcing ascending key order across hops —
-  a redirected pointer fails a MAC, breaks the order or revisits a leaf,
-  and the audit also stops a chain longer than the tree's leaf level.
+  walk the leaf level without re-descending: the chain is this tree's
+  ``_in_order`` walk.  The chain pointer is untrusted; every walk verifies
+  each record against its containing leaf (AdField) and the substrate's
+  ascending check spans the hops — a redirected pointer fails a MAC,
+  breaks the order or revisits a leaf, and the audit also matches the
+  chain against the tree's leaf level.
 
 Separator records use the same counter + CMAC machinery as KV records (a
 separator owns its own RedPtr), so the Merkle tree/Secure Cache protect them
@@ -52,24 +53,12 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
 
     # -- search -------------------------------------------------------------------------
 
-    def _child_index(self, node: _Node, key: bytes) -> int:
-        """Binary search over separators: index of the child to descend."""
-        lo, hi = 0, node.n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            separator = self._key_of(node.entries[mid], node.addr)
-            if key < separator:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
-
     def _path_to_leaf(self, key: bytes) -> list:
         """Nodes from the root to the leaf responsible for ``key``."""
         path = [self._read_node(self._root)]
         while not path[-1].is_leaf:
-            path.append(self._child(path[-1], self._child_index(path[-1], key),
-                                    len(path)))
+            index, found = self._find(path[-1], key)
+            path.append(self._child(path[-1], index + found, len(path)))
         return path
 
     def get(self, key: bytes) -> bytes:
@@ -172,7 +161,7 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
                 self._free_subtree(self._child(node, i, depth), depth + 1)
         self._free_node(node)
 
-    # -- the leaf chain: range scan, iteration, audit ---------------------------------
+    # -- the leaf chain: the walk and the audit ------------------------------------
 
     def _chain(self, leaf: _Node, limit: Optional[int] = None
                ) -> Iterator[_Node]:
@@ -193,36 +182,14 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
                 return
             leaf = self._read_node(leaf.next_leaf)
 
-    def _ascending(self, leaves: Iterator[_Node]) -> Iterator:
-        """Every record of ``leaves``, opened against its leaf; keys must
-        ascend across the whole walk, so a redirected next-leaf pointer
-        either fails a MAC or breaks the order and raises."""
-        previous_key: Optional[bytes] = None
-        for leaf in leaves:
+    def _in_order(self, lo: Optional[bytes] = None) -> Iterator:
+        """The leaf chain's records, from the leftmost leaf or from the
+        leaf a descent for ``lo`` reaches."""
+        start = (self._leftmost_leaf() if lo is None
+                 else self._path_to_leaf(lo)[-1])
+        for leaf in self._chain(start):
             for record_addr in leaf.entries:
-                opened = self._open(record_addr, leaf.addr)
-                if previous_key is not None and opened.key <= previous_key:
-                    raise DeletionError(
-                        "leaf chain out of order: next-leaf pointer attacked")
-                previous_key = opened.key
-                yield opened
-
-    def range_scan(self, lo: bytes, hi: bytes) -> list:
-        """All (key, value) with lo <= key < hi, in order: the leaf chain
-        from the leaf a descent for ``lo`` reaches, which the scan reads a
-        second time."""
-        results: list = []
-        start = self._read_node(self._path_to_leaf(lo)[-1].addr)
-        for opened in self._ascending(self._chain(start)):
-            if opened.key >= hi:
-                break
-            if opened.key >= lo:
-                results.append((opened.key, opened.value))
-        return results
-
-    def keys(self) -> Iterator[bytes]:
-        for opened in self._ascending(self._chain(self._leftmost_leaf())):
-            yield opened.key
+                yield self._open(record_addr, leaf.addr)
 
     def _leftmost_leaf(self) -> _Node:
         node, depth = self._read_node(self._root), 1
@@ -232,22 +199,21 @@ class AriaBPlusTreeIndex(SealedTreeIndex):
         return node
 
     def audit(self) -> None:
-        """Verified structural audit: depth, order, counts, chain coverage."""
+        """Depth, separator order and chain coverage, then the shared
+        order-and-count walk."""
         leaves: list = []
         self._audit_node(self._read_node(self._root), 1, leaves)
         # The leaf chain must visit exactly the audited leaves, in order.
-        chained = [leaf.addr for leaf in
-                   self._chain(self._leftmost_leaf(), limit=len(leaves))]
-        if chained != leaves:
+        chained = self._chain(leaves[0], limit=len(leaves))
+        if [leaf.addr for leaf in chained] != [leaf.addr for leaf in leaves]:
             raise DeletionError("leaf chain does not match the tree structure")
-        records = self._ascending(self._read_node(addr) for addr in leaves)
-        self._check_count(sum(1 for _ in records))
+        super().audit()
 
     def _audit_node(self, node: _Node, depth: int, leaves: list) -> None:
         if node.is_leaf:
             if depth != self._height:
                 raise DeletionError("leaf at wrong depth")
-            leaves.append(node.addr)
+            leaves.append(node)
             return
         separators = [self._key_of(s, node.addr) for s in node.entries]
         if separators != sorted(separators):

@@ -167,8 +167,10 @@ class AriaBTreeIndex(SealedTreeIndex):
 
     def _fortify_child(self, parent: _Node, index: int, child: _Node,
                        depth: int) -> tuple[_Node, int]:
-        """Ensure ``child`` has >= t keys by borrowing or merging (CLRS)."""
+        """Ensure ``child`` has >= t keys by borrowing or merging (CLRS);
+        each sibling is read at most once."""
         t = self._t
+        left = None
         if index > 0:
             left = self._child(parent, index - 1, depth)
             if left.n >= t:
@@ -179,13 +181,10 @@ class AriaBTreeIndex(SealedTreeIndex):
             if right.n >= t:
                 self._borrow(parent, index, child, right, from_left=False)
                 return child, index
-        if index > 0:
-            left = self._child(parent, index - 1, depth)
-            merged = self._merge_children(parent, index - 1, left, child)
-            return merged, index - 1
-        right = self._child(parent, index + 1, depth)
-        merged = self._merge_children(parent, index, child, right)
-        return merged, index
+        if left is not None:
+            index -= 1
+            return self._merge_children(parent, index, left, child), index
+        return self._merge_children(parent, index, child, right), index
 
     def _borrow(self, parent: _Node, index: int, child: _Node,
                 sibling: _Node, *, from_left: bool) -> None:
@@ -222,64 +221,21 @@ class AriaBTreeIndex(SealedTreeIndex):
         self._free_node(right)
         return left
 
-    # -- iteration / audit -------------------------------------------------------------
+    # -- the walk ---------------------------------------------------------------------
 
-    def keys(self) -> Iterator[bytes]:
-        yield from self._iterate(self._read_node(self._root), 1)
+    def _in_order(self, lo: Optional[bytes] = None) -> Iterator:
+        yield from self._walk(self._read_node(self._root), 1, lo)
 
-    def _iterate(self, node: _Node, depth: int) -> Iterator[bytes]:
-        for i, record_addr in enumerate(node.entries):
-            if not node.is_leaf:
-                yield from self._iterate(self._child(node, i, depth),
-                                         depth + 1)
-            yield self._key_of(record_addr, node.addr)
-        if not node.is_leaf:
-            yield from self._iterate(self._child(node, -1, depth), depth + 1)
-
-    def range_scan(self, lo: bytes, hi: bytes) -> list[tuple[bytes, bytes]]:
-        """All (key, value) pairs with lo <= key < hi, in order.
-
-        Range queries are what the tree index exists for (Section III); the hash
-        index cannot serve them.
-        """
-        results: list[tuple[bytes, bytes]] = []
-        self._scan_into(self._read_node(self._root), 1, lo, hi, results)
-        return results
-
-    def _scan_into(self, node: _Node, depth: int, lo: bytes, hi: bytes,
-                   out: list) -> None:
-        for i, record_addr in enumerate(node.entries):
-            opened = self._open(record_addr, node.addr)
-            # Child i holds keys smaller than entry i: visit it only if the
-            # range can reach below this entry.
-            if not node.is_leaf and opened.key > lo:
-                self._scan_into(self._child(node, i, depth), depth + 1,
-                                lo, hi, out)
-            if lo <= opened.key < hi:
-                out.append((opened.key, opened.value))
-            if opened.key >= hi:
-                return  # everything to the right is out of range
-        if not node.is_leaf:
-            self._scan_into(self._child(node, -1, depth), depth + 1,
-                            lo, hi, out)
-
-    def audit(self) -> None:
-        """Verified full traversal; checks order, depth uniformity, count."""
-        self._check_count(
-            self._audit_node(self._read_node(self._root), 1, None, None))
-
-    def _audit_node(self, node: _Node, depth: int, lo: Optional[bytes],
-                    hi: Optional[bytes]) -> int:
+    def _walk(self, node: _Node, depth: int, lo: Optional[bytes]) -> Iterator:
         if node.is_leaf and depth != self._height:
             raise DeletionError("leaf at wrong depth: height invariant broken")
-        keys = [self._key_of(addr, node.addr) for addr in node.entries]
-        bounds = [lo] + keys + [hi]
-        known = [k for k in bounds if k is not None]
-        if any(a >= b for a, b in zip(known, known[1:])):
-            raise DeletionError("entries out of order or outside their "
-                                "subtree bounds")
-        count = len(keys)
-        for i in range(len(node.children)):
-            count += self._audit_node(self._child(node, i, depth), depth + 1,
-                                      bounds[i], bounds[i + 1])
-        return count
+        for i, record_addr in enumerate(node.entries):
+            opened = self._open(record_addr, node.addr)
+            # Child i holds keys below entry i: enter it only if it can
+            # hold a key at or above lo.
+            if not node.is_leaf and (lo is None or opened.key > lo):
+                yield from self._walk(self._child(node, i, depth), depth + 1,
+                                      lo)
+            yield opened
+        if not node.is_leaf:
+            yield from self._walk(self._child(node, -1, depth), depth + 1, lo)

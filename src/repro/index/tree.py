@@ -17,8 +17,16 @@ between nodes relocates both records under foreign anchors, so both MACs
 fail (the Fig 7 attack for trees).  The paper binds to the parent's
 child-slot address instead; the node address detects the same cross-node
 swaps and forgeries without resealing whole subtrees whenever a child-slot
-array shifts.  In-node reordering is undetected in both designs; record
+array shifts.  Neither binding sees an in-node reordering: every walk
+catches it (below), a Get or Delete does not (ROADMAP item 4).  Record
 replay is caught by the counter freshness the Merkle tree guarantees.
+
+**One walk.**  Each tree yields its opened records in key order through
+``_in_order`` (Aria-T: an in-order recursion; the B+-tree: its leaf
+chain).  ``keys()``, ``range_scan()`` and the order-and-count part of
+``audit()`` are written once here over that walk, which refuses a key not
+above its predecessor: a swapped entry or a redirected pointer raises
+:class:`DeletionError` instead of returning data out of order.
 
 **Unauthorized-deletion detection.**  The enclave records the height (the
 paper's "number of tree nodes from the root to each leaf"); a miss whose
@@ -32,6 +40,7 @@ instead of looping.
 from __future__ import annotations
 
 import struct
+from typing import Iterator, Optional
 
 from repro.alloc.heap import Allocator
 from repro.core.record import RecordCodec, record_size
@@ -189,7 +198,9 @@ class SealedTreeIndex(SecureIndex):
 
     def _find(self, node: _Node, key: bytes) -> tuple[int, bool]:
         """Binary search; returns (index, found) — if not found, where the
-        key would go (Aria-T: the child to descend).  Each probe decrypts."""
+        key would go.  The child to descend is ``index`` in Aria-T and
+        ``index + found`` in the B+-tree, whose equal separator's key sits
+        at the right child's start.  Each probe decrypts."""
         lo, hi = 0, node.n
         while lo < hi:
             mid = (lo + hi) // 2
@@ -242,7 +253,44 @@ class SealedTreeIndex(SecureIndex):
             )
         raise KeyNotFoundError(key)
 
-    def _check_count(self, count: int) -> None:
+    # -- walks ----------------------------------------------------------------------
+
+    def _in_order(self, lo: Optional[bytes] = None) -> Iterator:
+        """Opened records in key order; with ``lo``, the walk may skip
+        records below it."""
+        raise NotImplementedError
+
+    def _ascending(self, lo: Optional[bytes] = None) -> Iterator:
+        """``_in_order``, raising on a key not above its predecessor."""
+        previous: Optional[bytes] = None
+        for opened in self._in_order(lo):
+            if previous is not None and opened.key <= previous:
+                raise DeletionError(
+                    f"{self.name} walk out of order: index attacked")
+            previous = opened.key
+            yield opened
+
+    def keys(self) -> Iterator[bytes]:
+        for opened in self._ascending():
+            yield opened.key
+
+    def range_scan(self, lo: bytes, hi: bytes) -> list[tuple[bytes, bytes]]:
+        """All (key, value) pairs with lo <= key < hi, in order.
+
+        Range queries are what a tree index exists for (Section III); the
+        hash index cannot serve them.
+        """
+        results = []
+        for opened in self._ascending(lo):
+            if opened.key >= hi:
+                break
+            if opened.key >= lo:
+                results.append((opened.key, opened.value))
+        return results
+
+    def audit(self) -> None:
+        """Verified full walk: keys ascend and number the enclave's count."""
+        count = sum(1 for _ in self._ascending())
         if count != self._n_entries:
             raise DeletionError(
                 f"tree holds {count} entries but the enclave recorded "

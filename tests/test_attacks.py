@@ -175,3 +175,28 @@ class TestBTreeAttacks:
             index._root + 1, (index._max_keys + 1).to_bytes(2, "little"))
         with pytest.raises(DeletionError, match="corrupted"):
             tree_store.get(b"key-0000")
+
+    @TREES
+    @pytest.mark.parametrize("walk", ["keys", "range_scan", "audit"])
+    def test_in_leaf_swap_breaks_every_walk(self, kind, order, walk):
+        # Swap the first two entry pointers of the first leaf: both records
+        # stay bound to their node, so every MAC verifies; only the walk's
+        # key order can tell.
+        from repro.attacks.primitives import UntrustedAttacker
+        from repro.errors import DeletionError
+
+        tree_store = _tree_store(kind, order, range(60))
+        index = tree_store.index
+        leaf = index._read_node(index._root)
+        while not leaf.is_leaf:
+            leaf = index._read_node(leaf.children[0])
+        slot = leaf.addr + index.HEADER
+        UntrustedAttacker(tree_store.enclave.untrusted).swap(slot, slot + 8, 8)
+        walks = {
+            "keys": lambda: list(tree_store.keys()),
+            "range_scan": lambda: tree_store.range_scan(b"key-0000",
+                                                        b"key-0010"),
+            "audit": index.audit,
+        }
+        with pytest.raises(DeletionError, match="out of order"):
+            walks[walk]()

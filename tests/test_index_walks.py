@@ -15,7 +15,11 @@ charge on honest data after a seeded put/delete stream: every migration,
 re-sync and durability repair runs ``keys()``.  The constants in
 :data:`CHARGES` were produced by running this file as a script
 (``PYTHONPATH=src python tests/test_index_walks.py``) before the walks were
-bounded; bounding them must not move a cycle.
+bounded; bounding them must not move a cycle.  Two B+-tree constants were
+re-pinned once since, when both trees came to share one walk: ``audit``
+starts its chain check at the leftmost leaf its structural pass already
+read, and ``range_scan`` stops reading its first leaf twice (one node
+read fewer each).
 """
 
 import contextlib
@@ -247,13 +251,13 @@ CHARGES = {
             "cache_hit": 95, "enc_bytes": 2693, "epc_access": 95,
             "mac_bytes": 6113, "mac_ops": 95, "untrusted_access": 235,
         }),
-        "audit": (None, 286612.5, {
+        "audit": (None, 286500.5, {
             "cache_hit": 136, "enc_bytes": 3021, "epc_access": 136,
-            "mac_bytes": 7917, "mac_ops": 136, "untrusted_access": 416,
+            "mac_bytes": 7917, "mac_ops": 136, "untrusted_access": 415,
         }),
-        "range_scan": (38, 94988.5, {
+        "range_scan": (38, 94876.5, {
             "cache_hit": 46, "enc_bytes": 1146, "epc_access": 46,
-            "mac_bytes": 2802, "mac_ops": 46, "untrusted_access": 116,
+            "mac_bytes": 2802, "mac_ops": 46, "untrusted_access": 115,
         }),
     },
 }

@@ -128,6 +128,20 @@ class TestRestoreRejections:
                                 platform=PLATFORM)
         assert revived.get(b"k") == b"v"
 
+    def test_tampered_top_merkle_node(self):
+        # Pinning the top level checks it against the sealed root MAC, so
+        # the restore itself refuses, before any request reads a counter.
+        from repro.attacks.primitives import UntrustedAttacker
+
+        store = make_store()
+        store.put(b"k", b"v")
+        blob = seal_store(store)
+        tree = store.counters.areas[0].tree
+        UntrustedAttacker(store.enclave.untrusted).flip_bit(
+            tree.node_addr(tree.layout.top_level, 0))
+        with pytest.raises(ReplayError):
+            restore_store(blob, store.enclave.untrusted, platform=PLATFORM)
+
     def test_rollback_limitation_documented(self):
         """Sealing alone cannot stop a full-state rollback (by design).
 
