@@ -2,78 +2,104 @@
 """Scenario: the enclave restarts — recover the store, catch the saboteur.
 
 Enclave memory is volatile: a crash, upgrade, or host reboot wipes Aria's
-trust anchors (Merkle roots, bitmaps, counts) while the encrypted KV data in
-regular DRAM (or persisted untrusted storage) survives.  This example:
+trust anchors (Merkle roots, bitmaps, counts).  ``repro.persist`` keeps a
+store across that: every acked write lands in a sealed, chained WAL on the
+untrusted disk, next to a sealed snapshot, and both are bound to a
+monotonic counter the host cannot rewind.  This example runs a 1-shard
+durable cluster and:
 
-1. runs a store and seals its trusted state (SGX-style sealing),
-2. "restarts": rebuilds the enclave from the sealed blob + surviving
-   untrusted memory, and proves the data is intact and writable,
-3. repeats with an attacker who tampered with the data during the
-   downtime — and shows the restore-time audit catching it.
+1. "restarts" it — a new coordinator and enclave over the same data
+   directory — and proves the 500 accounts are intact and writable,
+2. flips one byte of the sealed snapshot while the store is down, and
+   shows the restart refusing it,
+3. copies an old snapshot/log pair back over the current counter — the
+   full-state rollback that sealing alone cannot see — and shows the
+   restart refusing that too.
 
 Run:  python examples/restart_recovery.py
 """
 
-from repro import AriaConfig, AriaStore, IntegrityError, ReplayError
-from repro.core.persistence import restore_store, seal_store
-from repro.sgx.costs import SgxPlatform
+import shutil
+import tempfile
+from pathlib import Path
 
-PLATFORM = SgxPlatform(epc_bytes=4 << 20)
+from repro.cluster import ClusterConfig, DurabilityConfig
+from repro.errors import IntegrityError, RollbackDetectedError
+
+N_ACCOUNTS = 500
+STALE_FILES = ("shard-0.snap", "shard-0.log")
 
 
-def build_and_fill() -> AriaStore:
-    store = AriaStore(
-        AriaConfig(index="hash", n_buckets=128, initial_counters=4096,
-                   secure_cache_bytes=128 * 1024, pin_levels=2,
-                   stop_swap_enabled=False),
-        platform=PLATFORM,
-    )
-    for i in range(500):
-        store.put(f"account-{i:04d}".encode(), f"balance={i * 10}".encode())
-    return store
+def build(data_dir: Path):
+    """Build the store, restoring whatever ``data_dir`` holds.
+
+    ``epoch_every=1`` binds the counter on every acked batch, so any older
+    snapshot/log pair is stale; a larger value batches the binding and
+    leaves that many batches inside one epoch.
+    """
+    return ClusterConfig(
+        n_shards=1, n_keys=4 * N_ACCOUNTS, scale=2048,
+        durability=DurabilityConfig(data_dir=str(data_dir),
+                                    epoch_every=1)).build()
+
+
+def refused(data_dir: Path, expected: type) -> str:
+    try:
+        build(data_dir).close()
+    except expected as exc:
+        return f"{type(exc).__name__}: {exc}"
+    raise SystemExit("the restart was not refused — this is a bug")
 
 
 def main() -> None:
-    # -- clean restart ---------------------------------------------------------
-    store = build_and_fill()
-    sealed = seal_store(store)
-    print(f"sealed trusted state: {len(sealed):,} bytes "
-          f"(vs {store.enclave.untrusted.allocated_bytes:,} bytes of "
-          "untrusted data that survives on its own)")
+    with tempfile.TemporaryDirectory() as tmp:
+        data_dir = Path(tmp) / "data"
 
-    revived = restore_store(sealed, store.enclave.untrusted,
-                            platform=PLATFORM)
-    assert revived.get(b"account-0042") == b"balance=420"
-    revived.put(b"account-0042", b"balance=999")
-    revived.audit()
-    print("clean restart: 500 accounts recovered, writable, audit passed")
+        # -- clean restart -----------------------------------------------------
+        store = build(data_dir)
+        store.load([(f"account-{i:04d}".encode(),
+                     f"balance={i * 10}".encode()) for i in range(N_ACCOUNTS)])
+        store.close()
+        on_disk = sum(p.stat().st_size for p in data_dir.iterdir())
+        print(f"sealed snapshot + WAL + counter: {on_disk:,} bytes on disk")
 
-    # -- restart after downtime tampering ---------------------------------------
-    store = build_and_fill()
-    sealed = seal_store(store)
-    area = store.counters.areas[0]
-    addr = area.tree.node_addr(0, 7)
-    byte = store.enclave.untrusted.snoop(addr, 1)[0]
-    store.enclave.untrusted.tamper(addr, bytes([byte ^ 0x80]))
-    print("\nattacker flipped a Merkle-leaf bit while the enclave was down...")
+        revived = build(data_dir)
+        restored = revived.durability_restored["shard-0"]
+        assert len(restored.pairs) == N_ACCOUNTS
+        assert revived.get(b"account-0042") == b"balance=420"
+        revived.put(b"account-0042", b"balance=999")
+        assert revived.get(b"account-0042") == b"balance=999"
+        revived.close()
+        print(f"clean restart: {N_ACCOUNTS} accounts recovered and writable "
+              f"(epoch {restored.epoch}, {restored.batches_replayed} WAL "
+              "batch(es) replayed)")
 
-    revived = restore_store(sealed, store.enclave.untrusted,
-                            platform=PLATFORM)
-    try:
-        revived.audit()
-    except (IntegrityError, ReplayError) as exc:
-        print(f"restore-time audit caught it: {type(exc).__name__}: {exc}")
-    else:
-        raise SystemExit("tampering went undetected — this is a bug")
+        # The attacker keeps today's files for later.
+        stale = Path(tmp) / "stale"
+        stale.mkdir()
+        for name in STALE_FILES:
+            shutil.copy(data_dir / name, stale / name)
+        store = build(data_dir)
+        store.put(b"account-0042", b"balance=0")  # the newer, real state
+        store.close()
 
-    # -- tampered blob -----------------------------------------------------------
-    corrupted = bytearray(sealed)
-    corrupted[50] ^= 0x01
-    try:
-        restore_store(bytes(corrupted), store.enclave.untrusted,
-                      platform=PLATFORM)
-    except IntegrityError:
-        print("tampered sealed blob rejected before any state was trusted")
+        # -- a flipped byte of the sealed snapshot ------------------------------
+        snap = data_dir / "shard-0.snap"
+        good = snap.read_bytes()
+        flipped = bytearray(good)
+        flipped[40] ^= 0x01
+        snap.write_bytes(bytes(flipped))
+        print("\nattacker flipped one snapshot byte while the store was "
+              "down...")
+        print(f"restart refused: {refused(data_dir, IntegrityError)}")
+        snap.write_bytes(good)
+
+        # -- rollback: an old, validly sealed pair put back ---------------------
+        for name in STALE_FILES:
+            shutil.copy(stale / name, data_dir / name)
+        print("\nattacker put back yesterday's snapshot and log "
+              "(balance=999, not 0)...")
+        print(f"restart refused: {refused(data_dir, RollbackDetectedError)}")
 
 
 if __name__ == "__main__":

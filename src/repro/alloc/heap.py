@@ -67,13 +67,6 @@ class Allocator:
         """Usable bytes of the block a request of ``size`` receives."""
         return size
 
-    def capture_state(self) -> dict:
-        """Trusted state for sealing (stateless allocators return {})."""
-        return {}
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt sealed state (no-op for stateless allocators)."""
-
 
 class HeapAllocator(Allocator):
     """Aria's OCALL-free user-space allocator over untrusted memory."""
@@ -180,42 +173,6 @@ class HeapAllocator(Allocator):
     #: The size class a request lands in: a Put that overwrites asks
     #: whether its new entry still fits the old one's block.
     block_size_of = staticmethod(_size_class)
-
-    # -- state capture / restore (enclave restart, repro.core.persistence) ----
-
-    def capture_state(self) -> dict:
-        """Trusted allocator state for sealing: chunks, bitmaps, free heads."""
-        return {
-            "chunk_size": self._chunk_size,
-            "free_heads": {str(k): v for k, v in self._free_heads.items()},
-            "chunks": [
-                {
-                    "base": chunk.base,
-                    "block_size": chunk.block_size,
-                    "n_blocks": chunk.n_blocks,
-                    "bitmap": chunk.bitmap.hex(),
-                }
-                for chunk in self._chunks
-            ],
-        }
-
-    def restore_state(self, state: dict) -> None:
-        """Adopt sealed allocator state over surviving untrusted memory."""
-        self._chunk_size = state["chunk_size"]
-        self._free_heads = {int(k): v for k, v in state["free_heads"].items()}
-        self._chunk_bases = []
-        self._chunks = []
-        for entry in state["chunks"]:
-            chunk = _Chunk(
-                base=entry["base"],
-                block_size=entry["block_size"],
-                n_blocks=entry["n_blocks"],
-                bitmap=bytearray.fromhex(entry["bitmap"]),
-            )
-            self._enclave.epc.reserve(self.EPC_CONSUMER, len(chunk.bitmap))
-            index = bisect_right(self._chunk_bases, chunk.base)
-            self._chunk_bases.insert(index, chunk.base)
-            self._chunks.insert(index, chunk)
 
 
 class OcallAllocator(Allocator):

@@ -51,9 +51,6 @@ class EvictionPolicy:
                 return key
         return None
 
-    def forget(self, key: Key) -> None:
-        """``key`` left the table other than as a victim (a flush)."""
-
 
 class FifoPolicy(EvictionPolicy):
     """First-in first-out: zero metadata work on hits (Aria's choice)."""
@@ -112,9 +109,6 @@ class ClockPolicy(EvictionPolicy):
             else:
                 return key
         return None
-
-    def forget(self, key: Key) -> None:
-        self._referenced.discard(key)
 
 
 class TenantPartition:

@@ -586,35 +586,6 @@ class SecureCache:
         enclave.epc_touch(COUNTER_SIZE)
         return new_value
 
-    def flush_to_untrusted(self) -> None:
-        """Write every EPC-resident node back so untrusted memory is whole.
-
-        Used before sealing for an enclave shutdown: cached entries and
-        pinned levels are written out, then the tree above the leaves is
-        rebuilt so the untrusted state verifies against the refreshed root
-        alone.  The cache keeps operating afterwards (entries become clean).
-        """
-        for (level, index), data in self._table.items():
-            self._tree.write_node(level, index, bytes(data))
-        self._dirty.clear()
-        for level, nodes in self._pinned.items():
-            for index, node in enumerate(nodes):
-                self._tree.write_node(level, index, bytes(node))
-        self._tree.rebuild_above_leaves()
-        # Pinned copies of rebuilt levels must mirror the fresh MACs.
-        for level in list(self._pinned):
-            if level > 0:
-                self._pinned[level] = [
-                    bytearray(self._tree.read_node(level, index))
-                    for index in range(self._tree.layout.nodes_at_level(level))
-                ]
-        # Cached inner nodes may now hold stale MAC slots; drop them (clean).
-        for key in [k for k in self._table if k[0] > 0]:
-            del self._table[key]
-            self._policy.forget(key)
-            if self._partition is not None:
-                self._partition.on_remove(key)
-
     def verify_leaf(self, leaf_index: int) -> None:
         """Audit helper: check one leaf node's integrity without caching it.
 

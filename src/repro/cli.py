@@ -250,6 +250,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         ConfigurationError,
         DurabilityError,
         HandshakeError,
+        IntegrityError,
     )
 
     tenancy = None
@@ -289,9 +290,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     try:
         coordinator = config.build()
     except (HandshakeError, ClusterConnectionError,
-            ClusterTimeoutError, DurabilityError) as exc:
-        # A shard host that is down/mis-attested, or a rollback detection
-        # on startup, is a refusal to serve — not a crash: surface it.
+            ClusterTimeoutError, DurabilityError, IntegrityError) as exc:
+        # A shard host that is down/mis-attested, or a data dir that is
+        # tampered, foreign or rolled back, is a refusal to serve — not a
+        # crash: surface it.
         print(f"refusing to serve: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return 3

@@ -2,11 +2,6 @@
 
 from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
-from repro.core.persistence import (
-    capture_store_state,
-    restore_store,
-    seal_store,
-)
 from repro.core.record import OpenedRecord, RecordCodec, record_size
 from repro.core.store import AriaStore
 
@@ -16,8 +11,5 @@ __all__ = [
     "CounterManager",
     "OpenedRecord",
     "RecordCodec",
-    "capture_store_state",
     "record_size",
-    "restore_store",
-    "seal_store",
 ]

@@ -55,9 +55,8 @@ class CounterManager:
 
     EPC_CONSUMER = "counter_bitmap"
 
-    def __init__(self, enclave: Enclave, config: AriaConfig,
-                 sealed: Optional[dict] = None):
-        """Build the first counter area, or every area ``sealed`` records.
+    def __init__(self, enclave: Enclave, config: AriaConfig):
+        """Build the first counter area.
 
         ``config`` is the store's own object: each area's Secure Cache,
         expansion areas included, reads its knobs from it when built.
@@ -66,33 +65,7 @@ class CounterManager:
         self._config = config
         self._rng = random.Random(config.seed)
         self._areas: list[_CounterArea] = []
-        if sealed is None:
-            self._add_area(config.initial_counters, config.secure_cache_bytes)
-            return
-        # Rebuilding the areas re-pins levels, verified against the sealed
-        # roots: downtime tampering is caught right here.
-        for state, cache_bytes in zip(sealed["areas"],
-                                      sealed["area_cache_bytes"]):
-            layout = MerkleLayout(n_counters=state["capacity"],
-                                  arity=state["arity"])
-            tree = MerkleTree(
-                enclave, layout,
-                level_bases=state["level_bases"],
-                root_mac=bytes.fromhex(state["root"]),
-            )
-            self._areas.append(_CounterArea(
-                tree=tree,
-                cache=SecureCache(enclave, tree, capacity_bytes=cache_bytes,
-                                  config=config),
-                capacity=state["capacity"],
-                ring_addr=state["ring_addr"],
-                bitmap=bytearray.fromhex(state["bitmap"]),
-                head=state["head"],
-                tail=state["tail"],
-                n_free=state["n_free"],
-            ))
-            enclave.epc.reserve(self.EPC_CONSUMER,
-                                (state["capacity"] + 7) // 8)
+        self._add_area(config.initial_counters, config.secure_cache_bytes)
 
     # -- area management ---------------------------------------------------------
 
@@ -276,30 +249,6 @@ class CounterManager:
                 row["denials"] for row in tenant_rows)
             totals["tenant_occupancy"] = occupancy
         return totals
-
-    # -- state capture / restore (enclave restart) -----------------------------
-
-    def capture_state(self) -> list:
-        """Trusted per-area state for sealing.
-
-        Callers must flush the Secure Caches first
-        (:meth:`repro.cache.secure_cache.SecureCache.flush_to_untrusted`)
-        so the captured roots cover the current untrusted tree contents.
-        """
-        return [
-            {
-                "capacity": area.capacity,
-                "arity": area.tree.layout.arity,
-                "ring_addr": area.ring_addr,
-                "bitmap": bytes(area.bitmap).hex(),
-                "head": area.head,
-                "tail": area.tail,
-                "n_free": area.n_free,
-                "level_bases": area.tree.level_bases,
-                "root": area.tree.root_mac.hex(),
-            }
-            for area in self._areas
-        ]
 
     def reset_stats(self) -> None:
         """Zero every area's cache counters (between load and run phases)."""

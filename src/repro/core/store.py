@@ -26,7 +26,6 @@ from repro.core.config import AriaConfig
 from repro.core.counters import CounterManager
 from repro.core.record import RecordCodec
 from repro.crypto.keys import KeyMaterial
-from repro.errors import IntegrityError
 from repro.index import SealedTreeIndex, make_index
 from repro.sgx.costs import SgxPlatform
 from repro.sgx.enclave import Enclave
@@ -42,13 +41,7 @@ class AriaStore:
         *,
         platform: Optional[SgxPlatform] = None,
         enclave: Optional[Enclave] = None,
-        sealed: Optional[dict] = None,
     ):
-        """Build a fresh store, or restore one from unsealed trusted state.
-
-        ``sealed`` is the dict :func:`repro.core.persistence.restore_store`
-        unseals; ``enclave`` must then wrap the surviving untrusted memory.
-        """
         config = self.config = config or AriaConfig()
         self.enclave = enclave or Enclave(
             platform or SgxPlatform(),
@@ -58,24 +51,18 @@ class AriaStore:
         # Setup (tree initialization, pinning) is excluded from metering,
         # matching the paper's steady-state measurements.
         with MeterPause(self.enclave.meter):
-            self.counters = CounterManager(self.enclave, config, sealed)
+            self.counters = CounterManager(self.enclave, config)
             self.codec = RecordCodec(self.enclave, self.counters)
             if config.allocator == "heap":
                 self.allocator = HeapAllocator(
                     self.enclave, chunk_size=config.heap_chunk_bytes)
             else:
                 self.allocator = OcallAllocator(self.enclave)
-            if sealed is not None:
-                self.allocator.restore_state(sealed["allocator"])
             self.index = make_index(
                 config.index, self.enclave, self.codec, self.allocator,
                 self.counters, n_buckets=config.n_buckets,
                 order=config.btree_order,
                 dummy_bucket_reads=config.dummy_bucket_reads)
-            if sealed is not None:
-                if sealed["index"]["kind"] != self.index.name:
-                    raise IntegrityError("sealed index kind mismatch")
-                self.index.restore_state(sealed["index"])
         # Armed only when the config carries cache quotas; the unarmed op
         # path is untouched (no owner parsing, no extra calls).
         self._tenant_armed = config.tenant_quotas is not None
@@ -97,8 +84,8 @@ class AriaStore:
         """Adopt a new tenant quota map live (§16's follow-on).
 
         Re-partitions every Secure Cache in place — cached entries and
-        their ownership survive — and updates the config so sealed
-        snapshots and spawn-spec rebuilds carry the new roster forward.
+        their ownership survive — and updates the config so spawn-spec
+        rebuilds carry the new roster forward.
         ``None`` disarms partitioning entirely.
         """
         self.config.tenant_quotas = dict(quotas) if quotas else None

@@ -111,10 +111,6 @@ class InvalidWorkersError(ConfigurationError, ValueError):
     """
 
 
-class EnclaveViolationError(AriaError):
-    """Simulator misuse: untrusted code touched trusted state directly."""
-
-
 class ShardCrashedError(AriaError):
     """The target enclave has been killed (fault injection / host crash).
 

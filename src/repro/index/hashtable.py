@@ -85,21 +85,6 @@ class AriaHashIndex(SecureIndex):
         enclave.epc.reserve(self.EPC_CONSUMER, n_buckets * _COUNT_BYTES + 8)
         self._n_entries = 0
 
-    # -- state capture / restore (enclave restart) -------------------------------
-
-    def capture_state(self) -> dict:
-        return {
-            "kind": self.name,
-            "bucket_base": self._bucket_base,
-            "counts": list(self._counts),
-            "n_entries": self._n_entries,
-        }
-
-    def restore_state(self, state: dict) -> None:
-        self._bucket_base = state["bucket_base"]
-        self._counts = list(state["counts"])
-        self._n_entries = state["n_entries"]
-
     # -- helpers -------------------------------------------------------------------
 
     def _bucket_slot(self, key: bytes) -> tuple[int, int, int]:

@@ -305,15 +305,6 @@ class SealedTreeIndex(SecureIndex):
     def epc_bytes(self) -> int:
         return 8 + 4 + 8  # root pointer, height, entry count
 
-    def capture_state(self) -> dict:
-        return {"kind": self.name, "root": self._root,
-                "height": self._height, "n_entries": self._n_entries}
-
-    def restore_state(self, state: dict) -> None:
-        self._root = state["root"]
-        self._height = state["height"]
-        self._n_entries = state["n_entries"]
-
     @property
     def height(self) -> int:
         return self._height

@@ -35,25 +35,12 @@ class MerkleTree:
         layout: MerkleLayout,
         *,
         rng: Optional[random.Random] = None,
-        level_bases: Optional[list] = None,
-        root_mac: Optional[bytes] = None,
     ):
         self._enclave = enclave
         self.layout = layout
         # ``read_node``/``write_node`` run on every Secure Cache miss and
         # do their own address arithmetic from these two constants.
         self._node_size = layout.node_size
-        if level_bases is not None:
-            # Restore path (enclave restart): adopt existing untrusted
-            # regions and a sealed root — no re-initialization.  Every
-            # subsequent access verifies against this root, so any tampering
-            # during the downtime is caught.
-            if root_mac is None or len(root_mac) != MAC_SIZE:
-                raise ValueError("restoring a tree requires its root MAC")
-            self._bases = tuple(level_bases)
-            enclave.epc.reserve(self.EPC_CONSUMER, MAC_SIZE)
-            self.root_mac = root_mac
-            return
         # One continuous region per level; address arithmetic only.
         self._bases = tuple(
             enclave.untrusted.alloc(count * layout.node_size)
@@ -63,17 +50,12 @@ class MerkleTree:
         self.root_mac = b"\x00" * MAC_SIZE
         self._initialize(rng or random.Random(0))
 
-    @property
-    def level_bases(self) -> list:
-        """Untrusted base addresses per level (a copy, for state capture)."""
-        return list(self._bases)
-
     def rebuild_above_leaves(self) -> None:
         """Recompute every level above L0 from the untrusted leaf contents.
 
-        Used when flushing for sealing: after all EPC-resident copies are
-        written back, this makes the untrusted tree self-consistent and
-        refreshes the root.  Runs inside the enclave.
+        The second half of the secure initialization: every parent slot
+        gets its child's MAC, bottom-up, and the root is refreshed.  Runs
+        inside the enclave.
         """
         layout = self.layout
         for level in range(1, layout.n_levels):

@@ -71,10 +71,9 @@ class PartitionDurability:
     """Sealed snapshot + chained WAL + counter binding for one partition.
 
     The sealing key is derived from the partition id and the operator's
-    seed — the same "identity supplied out of band" fiction
-    :mod:`repro.core.persistence` uses — so a successor enclave built for
-    the same partition can unseal what its predecessors wrote, while a
-    different partition (or operator) cannot.
+    seed — the enclave identity, supplied out of band — so a successor
+    enclave built for the same partition can unseal what its predecessors
+    wrote, while a different partition (or operator) cannot.
     """
 
     def __init__(

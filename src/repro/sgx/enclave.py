@@ -42,14 +42,13 @@ class Enclave:
         *,
         keys: Optional[KeyMaterial] = None,
         crypto_backend: str = "fast",
-        untrusted: Optional[UntrustedMemory] = None,
         paged_heap_pages: Optional[int] = None,
     ):
         self.platform = platform or SgxPlatform()
         self.costs: CostModel = self.platform.costs
         self.meter = CycleMeter()
         self.epc = EpcBudget(capacity=self.platform.epc_bytes)
-        self.untrusted = untrusted or UntrustedMemory()
+        self.untrusted = UntrustedMemory()
         self.keys = keys or KeyMaterial.from_seed(0)
         self.crypto: CryptoBackend = get_backend(crypto_backend)
         # The enclave owns its two keys for life: their schedules are

@@ -11,9 +11,9 @@ the enclave's session keys (our stand-in for platform+identity), and sealed
 blobs are AES-CTR-encrypted with a random nonce and CMAC-authenticated.
 
 Sealing alone gives confidentiality and integrity but **not freshness**: an
-attacker who snapshots both the sealed blob and untrusted memory can restore
-the pair wholesale (``tests/test_sealing.py`` demonstrates the raw replay).
-Rollback protection is layered on top, exactly as real deployments do it:
+attacker who keeps an old sealed blob can hand it back later, and it still
+unseals.  Rollback protection is layered on top, exactly as real deployments
+do it:
 :mod:`repro.persist` binds every sealed snapshot and log epoch to a
 non-volatile monotonic counter (:mod:`repro.sgx.monotonic`), so replaying a
 stale-but-validly-sealed copy fails recovery with a typed

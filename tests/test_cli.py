@@ -99,6 +99,28 @@ def test_serve_process_backend_full_lifecycle(capsys):
     assert multiprocessing.active_children() == []
 
 
+def test_serve_durable_refuses_a_foreign_or_tampered_data_dir(tmp_path,
+                                                              capsys):
+    def serve(*extra):
+        return main(["serve", "--shards", "1", "--port", "0", "--keys",
+                     "500", "--scale", "2048", "--max-requests", "0",
+                     "--durable", "--data-dir", str(tmp_path), *extra])
+
+    assert serve() == 0
+    capsys.readouterr()
+    # Another seed is another enclave identity: its key cannot unseal.
+    assert serve("--seed", "7") == 3
+    assert "refusing to serve: IntegrityError: sealed blob failed " \
+        "authentication" in capsys.readouterr().err
+    assert serve() == 0
+    snap = tmp_path / "shard-0.snap"
+    data = bytearray(snap.read_bytes())
+    data[40] ^= 0x01
+    snap.write_bytes(bytes(data))
+    assert serve() == 3
+    assert "refusing to serve: IntegrityError:" in capsys.readouterr().err
+
+
 def test_serve_rejects_unknown_backend():
     with pytest.raises(SystemExit):
         main(["serve", "--backend", "threads"])

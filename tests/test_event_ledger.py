@@ -43,7 +43,6 @@ from repro.cluster import (
 from repro.cluster.remote import RemoteShardHandle
 from repro.cluster.replication import ReplicaState
 from repro.cluster.sockbackend import ShardHost
-from repro.core import restore_store, seal_store
 from repro.server import protocol
 from repro.sgx.meter import EVENT_TABLE, CycleMeter, EventCounts, MeterSnapshot
 
@@ -295,21 +294,10 @@ def test_every_live_meter_of_an_armed_cluster_holds_the_ledger(backend):
             found["door gateway"] = door.server.sessions.meter
             found["client wire"] = client.wire_meter
             found["client session"] = client._session.meter
-            if backend == "inline":
-                # Sealed trusted state restored over surviving untrusted
-                # memory: the rebuilt enclave's meter is a live one too.
-                store = coordinator.shard_list()[1].replicas[0] \
-                    .shard.inner.store
-                revived = restore_store(
-                    seal_store(store), store.enclave.untrusted,
-                    seed=store.config.seed, platform=store.enclave.platform)
-                assert revived.get(next(iter(revived))) \
-                    == store.get(next(iter(store)))
-                found["restored enclave"] = revived.enclave.meter
 
             # 4 replicas, 2 sidecars, door + client wire + client session;
             # an enclave in reach brings itself, 2 lanes and their merge.
-            expected = {"inline": 4 * 4 + 2 + 3 + 1,      # + the restored one
+            expected = {"inline": 4 * 4 + 2 + 3,
                         "process": 4 + 2 + 3,             # mirrors only
                         "socket": 4 * (1 + 2 + 4) + 2 + 3 + 2}[backend]
             assert len(found) == expected, sorted(found)

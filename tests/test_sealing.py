@@ -1,27 +1,32 @@
-"""Enclave restart recovery tests: sealing, restore, downtime attacks."""
+"""Restart recovery: sealing primitives, and a store that survives a
+restart through ``repro.persist`` (sealed snapshot + WAL bound to a
+monotonic counter), with downtime tampering and rollback refused."""
+
+import shutil
 
 import pytest
 
-from repro.core.config import AriaConfig
-from repro.core.persistence import restore_store, seal_store
-from repro.core.store import AriaStore
+from repro.cluster import ClusterConfig, DurabilityConfig
 from repro.crypto.backend import FastCryptoBackend
 from repro.crypto.keys import KeyMaterial
-from repro.errors import IntegrityError, ReplayError
-from repro.sgx.costs import SgxPlatform
+from repro.errors import IntegrityError, KeyNotFoundError, RollbackDetectedError
 from repro.sgx.sealing import derive_sealing_key, seal, unseal
 
-PLATFORM = SgxPlatform(epc_bytes=8 << 20)
+
+def build(data_dir, index="hash", seed=0, epoch_every=32):
+    """A 1-shard durable cluster over ``data_dir``: built fresh, or
+    restored from what an earlier one left there."""
+    return ClusterConfig(
+        n_shards=1, n_keys=256, scale=2048, index=index, seed=seed,
+        durability=DurabilityConfig(data_dir=str(data_dir),
+                                    epoch_every=epoch_every)).build()
 
 
-def make_store(index="hash", seed=0):
-    return AriaStore(
-        AriaConfig(index=index, n_buckets=64, btree_order=6,
-                   initial_counters=2048, secure_cache_bytes=1 << 16,
-                   pin_levels=1, stop_swap_enabled=False, seed=seed),
-        platform=PLATFORM,
-    )
-
+def flip_byte(path, offset):
+    """The host flips one byte of a sealed file while the store is down."""
+    data = bytearray(path.read_bytes())
+    data[offset] ^= 0x01
+    path.write_bytes(bytes(data))
 
 class TestSealingPrimitives:
     BACKEND = FastCryptoBackend()
@@ -59,160 +64,95 @@ class TestSealingPrimitives:
 
 @pytest.mark.parametrize("index", ["hash", "btree", "bplustree"])
 class TestRestartRecovery:
-    def test_data_survives_restart(self, index):
-        store = make_store(index)
+    def test_data_survives_restart(self, index, tmp_path):
+        store = build(tmp_path, index)
         for i in range(150):
             store.put(f"key-{i:03d}".encode(), f"value-{i}".encode())
         store.delete(b"key-010")
-        blob = seal_store(store)
+        store.close()
 
-        revived = restore_store(blob, store.enclave.untrusted,
-                                platform=PLATFORM)
-        assert len(revived) == 149
+        revived = build(tmp_path, index)
+        assert len(revived.durability_restored["shard-0"].pairs) == 149
         for i in range(150):
             key = f"key-{i:03d}".encode()
             if i == 10:
-                assert key not in revived
+                with pytest.raises(KeyNotFoundError):
+                    revived.get(key)
             else:
                 assert revived.get(key) == f"value-{i}".encode()
-        revived.index.audit()
+        revived.close()
 
-    def test_revived_store_accepts_writes(self, index):
-        store = make_store(index)
+    def test_revived_store_accepts_writes(self, index, tmp_path):
+        store = build(tmp_path, index)
         for i in range(60):
             store.put(f"key-{i:03d}".encode(), b"v")
-        revived = restore_store(seal_store(store), store.enclave.untrusted,
-                                platform=PLATFORM)
+        store.close()
+        revived = build(tmp_path, index)
         revived.put(b"key-012", b"updated after restart")
         revived.put(b"brand-new", b"inserted after restart")
         assert revived.get(b"key-012") == b"updated after restart"
         assert revived.get(b"brand-new") == b"inserted after restart"
-        revived.index.audit()
-        revived.audit()
+        revived.close()
+        # The writes after the restart are durable too.
+        again = build(tmp_path, index)
+        assert again.get(b"brand-new") == b"inserted after restart"
+        assert len(again.durability_restored["shard-0"].pairs) == 61
+        again.close()
 
-    def test_downtime_tampering_detected(self, index):
-        store = make_store(index)
+    def test_downtime_tampering_detected(self, index, tmp_path):
+        store = build(tmp_path, index)
         for i in range(60):
             store.put(f"key-{i:03d}".encode(), b"v")
-        blob = seal_store(store)
-        # The attacker modifies a Merkle leaf while the enclave is down.
-        area = store.counters.areas[0]
-        addr = area.tree.node_addr(0, 2)
-        byte = store.enclave.untrusted.snoop(addr, 1)[0]
-        store.enclave.untrusted.tamper(addr, bytes([byte ^ 1]))
-        revived = restore_store(blob, store.enclave.untrusted,
-                                platform=PLATFORM)
-        with pytest.raises((IntegrityError, ReplayError)):
-            revived.audit()
+        store.close()
+        # The host modifies a sealed WAL record while the enclave is down.
+        flip_byte(tmp_path / "shard-0.log", 20)
+        with pytest.raises(IntegrityError, match="failed authentication"):
+            build(tmp_path, index)
 
 
 class TestRestoreRejections:
-    def test_tampered_blob(self):
-        store = make_store()
+    def test_tampered_blob(self, tmp_path):
+        store = build(tmp_path)
         store.put(b"k", b"v")
-        blob = bytearray(seal_store(store))
-        blob[40] ^= 0x01
-        with pytest.raises(IntegrityError):
-            restore_store(bytes(blob), store.enclave.untrusted,
-                          platform=PLATFORM)
+        store.close()
+        flip_byte(tmp_path / "shard-0.snap", 40)
+        with pytest.raises(IntegrityError, match="failed authentication"):
+            build(tmp_path)
 
-    def test_wrong_identity(self):
-        store = make_store(seed=5)
+    def test_wrong_identity(self, tmp_path):
+        store = build(tmp_path, seed=5)
         store.put(b"k", b"v")
-        blob = seal_store(store)
-        with pytest.raises(IntegrityError):
-            restore_store(blob, store.enclave.untrusted, seed=0,
-                          platform=PLATFORM)
+        store.close()
+        with pytest.raises(IntegrityError, match="failed authentication"):
+            build(tmp_path, seed=0)
         # The right identity succeeds.
-        revived = restore_store(blob, store.enclave.untrusted, seed=5,
-                                platform=PLATFORM)
+        revived = build(tmp_path, seed=5)
         assert revived.get(b"k") == b"v"
+        revived.close()
 
-    def test_tampered_top_merkle_node(self):
-        # Pinning the top level checks it against the sealed root MAC, so
-        # the restore itself refuses, before any request reads a counter.
-        from repro.attacks.primitives import UntrustedAttacker
+    def test_rollback_limitation_documented(self, tmp_path):
+        """Sealing alone cannot stop a full-state rollback; the monotonic
+        counter does.
 
-        store = make_store()
-        store.put(b"k", b"v")
-        blob = seal_store(store)
-        tree = store.counters.areas[0].tree
-        UntrustedAttacker(store.enclave.untrusted).flip_bit(
-            tree.node_addr(tree.layout.top_level, 0))
-        with pytest.raises(ReplayError):
-            restore_store(blob, store.enclave.untrusted, platform=PLATFORM)
-
-    def test_rollback_limitation_documented(self):
-        """Sealing alone cannot stop a full-state rollback (by design).
-
-        The attacker snapshots the sealed blob and ALL of untrusted memory,
-        lets the enclave run on, then restores the consistent old pair.
-        The restore succeeds and serves stale data — which is why real
-        deployments pair sealing with a monotonic counter.
+        The attacker keeps a copy of the sealed snapshot and log, lets the
+        store run on, then puts the consistent old pair back.  The counter
+        has moved past the old pair's epoch, so the restart refuses it.
+        With ``epoch_every=1`` every acked batch binds the counter; a
+        larger value leaves that many batches inside one epoch, where an
+        offline rollback goes unnoticed (``DurabilityConfig.epoch_every``).
         """
-        import copy
-
-        store = make_store()
+        store = build(tmp_path, epoch_every=1)
         store.put(b"balance", b"1000")
-        old_blob = seal_store(store)
-        old_memory = copy.deepcopy(store.enclave.untrusted)
+        store.close()
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for name in ("shard-0.snap", "shard-0.log"):
+            shutil.copy(tmp_path / name, stale / name)
+
+        store = build(tmp_path, epoch_every=1)
         store.put(b"balance", b"0")  # the legitimate newer state
-        revived = restore_store(old_blob, old_memory, platform=PLATFORM)
-        assert revived.get(b"balance") == b"1000"  # stale, undetected
-
-
-def watch_fifo_order(cache):
-    """Check each of ``cache``'s evictions against a FIFO model of its
-    inserts; returns the model (resident keys, oldest first)."""
-    order = []
-    insert, evict_one = cache._insert, cache._evict_one
-
-    def spy_insert(key, data, dirty, locked=None):
-        resident = insert(key, data, dirty, locked)
-        if resident is not None and key not in order:
-            order.append(key)
-        return resident
-
-    def spy_evict(locked, *, partition=True):
-        expected = next(key for key in order if key not in locked)
-        if not evict_one(locked, partition=partition):
-            return False
-        assert not cache.is_cached(*expected), (
-            f"FIFO kept its oldest unlocked node {expected}")
-        order.remove(expected)
-        return True
-
-    cache._insert, cache._evict_one = spy_insert, spy_evict
-    return order
-
-
-def test_fifo_order_holds_across_seals():
-    """Sealing flushes the Secure Cache, which drops its cached inner
-    nodes; the store keeps operating after it, and an inner node swapped
-    in again must be evicted as the newest entry, not at its old place."""
-    import random
-
-    # 512 counters at arity 8: 64 leaves under 8 inner nodes under the
-    # pinned root, and a 12-entry FIFO cache holding both levels.
-    store = AriaStore(
-        AriaConfig(n_buckets=64, initial_counters=512,
-                   secure_cache_bytes=12 * (8 * 16 + 16), pin_levels=1,
-                   stop_swap_enabled=False, seed=5),
-        platform=PLATFORM)
-    cache = store.counters.primary_cache()
-    order = watch_fifo_order(cache)
-    rng = random.Random(8)
-    values = {}
-    for step in range(1, 1501):
-        key = b"k%d" % rng.randrange(300)
-        if key in values and rng.random() < 0.3:
-            assert store.get(key) == values[key]
-        else:
-            values[key] = b"v%d" % step
-            store.put(key, values[key])
-        if step % 100 == 0:
-            seal_store(store)
-            order[:] = [node for node in order if cache.is_cached(*node)]
-    assert cache.stats.evictions > 500
-    for key, value in values.items():
-        assert store.get(key) == value
+        store.close()
+        for name in ("shard-0.snap", "shard-0.log"):
+            shutil.copy(stale / name, tmp_path / name)
+        with pytest.raises(RollbackDetectedError, match="stale"):
+            build(tmp_path, epoch_every=1)

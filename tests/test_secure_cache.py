@@ -265,6 +265,20 @@ class TestStopSwap:
         cache.write_counter(101, counter_value(1))
         assert cache.read_counter(100) == counter_value(31337)
 
+    def test_tampered_top_merkle_node(self):
+        """Pinning at stop-swap checks the top level against the EPC root,
+        so a top node tampered in untrusted memory never gets pinned."""
+        from repro.attacks.primitives import UntrustedAttacker
+
+        cache, tree, enclave = make_cache(n_counters=4096, arity=4,
+                                          cache_nodes=64, pin_levels=0)
+        assert cache.cached_nodes == 0
+        UntrustedAttacker(enclave.untrusted).flip_bit(
+            tree.node_addr(tree.layout.top_level, 0))
+        # The root check, not a pinned child's check against its parent.
+        with pytest.raises(ReplayError, match="root"):
+            cache.stop_swapping()
+
     def test_skewed_access_keeps_swapping(self):
         cache, _, _ = make_cache(
             n_counters=4096, arity=4, cache_nodes=32, stop_swap_window=256
@@ -307,13 +321,11 @@ class TestPolicies:
 
     @pytest.mark.parametrize("name", ["fifo", "lru", "clock"])
     def test_a_dropped_key_reinserted_is_the_newest(self, name):
-        """A key dropped outside ``victim`` (the cache's flush does this to
-        inner nodes) and inserted again goes to the back, not back to its
-        old place in the order."""
+        """A key dropped from the table outside ``victim`` and inserted
+        again goes to the back, not back to its old place in the order."""
         table = OrderedDict.fromkeys("abc")
         policy = make_policy(name, table)
         del table["a"]
-        policy.forget("a")
         table["d"] = None
         table["a"] = None
         assert policy.victim(set()) == "b"
@@ -388,25 +400,3 @@ class TestVictimOrderInCache:
         # the oldest leaf without one.
         assert self.resident_after("clock", how) == {1, 3, 4}
 
-
-def test_an_inner_node_dropped_by_a_flush_returns_as_the_newest():
-    """``flush_to_untrusted`` drops cached inner nodes; one that is swapped
-    in again later is the newest entry, not evicted at its old place."""
-    # 512 counters at arity 4, three levels pinned: levels 0 and 1 cache.
-    cache, _, _ = make_cache(n_counters=512, arity=4, cache_nodes=6,
-                             pin_levels=3, stop_swap_enabled=False)
-    cache.write_counter(4 * 4, counter_value(1))     # leaf 4: dirty
-    for leaf in (8, 5, 12, 20, 24):
-        cache.read_counter(4 * leaf)
-    cache.read_counter(4 * 16)       # evicts leaf 4 (swaps (1, 1) in), then 8
-    assert cache.is_cached(1, 1) and not cache.is_cached(0, 8)
-    cache.flush_to_untrusted()
-    assert not cache.is_cached(1, 1)
-    cache.write_counter(4 * 5, counter_value(2))     # leaf 5 (under (1, 1))
-    for leaf in (28, 32):            # 32 evicts leaf 5: (1, 1) is back
-        cache.read_counter(4 * leaf)
-    assert cache.is_cached(1, 1) and not cache.is_cached(0, 5)
-    for leaf in (36, 40, 44):        # evict leaves 20, 24, 16 — not (1, 1)
-        cache.read_counter(4 * leaf)
-    assert cache.is_cached(1, 1)
-    assert not any(cache.is_cached(0, leaf) for leaf in (12, 16, 20, 24))
