@@ -15,8 +15,9 @@ remote-shard RPC vocabulary of :mod:`repro.cluster.remote`:
 
 * batch requests / responses — ``flush_batch`` ships the whole batch and
   gets the response list back; the coordinator uses the split
-  ``flush_submit``/``flush_collect`` pair so independent shards'
-  batches execute concurrently (the pipe is FIFO, preserving the per-key
+  ``flush_submit``/``flush_send``/``flush_collect`` so a call's windows
+  for one shard share one message and independent shards' batches
+  execute concurrently (the pipe is FIFO, preserving the per-key
   ordering contract within a shard);
 * trusted-path traffic — the balancer's key migrations and the health
   monitor's re-syncs run ``get``/``put``/``delete`` through the store
@@ -164,12 +165,11 @@ class ProcessShard(RemoteShardHandle):
 
     # -- RPC plumbing -------------------------------------------------------------
 
-    def _send(self, cmd: str, arg=None) -> None:
+    def _send(self, message: bytes) -> None:
         if self.crashed or self.closed:
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (worker process dead)"
             )
-        message = rpc.encode_call(cmd, arg)
         try:
             self._conn.send_bytes(message)
         except (OSError, ValueError):
@@ -196,7 +196,6 @@ class ProcessShard(RemoteShardHandle):
 
     def _mark_crashed(self) -> None:
         self.crashed = True
-        self._pending = 0
         if self._proc.is_alive():  # a hung worker counts as dead
             self._proc.kill()
         self._proc.join(DEFAULT_CLOSE_TIMEOUT)
@@ -231,14 +230,14 @@ class ProcessShard(RemoteShardHandle):
         if not self.crashed and self._proc.is_alive():
             try:
                 self._conn.send_bytes(rpc.encode_call("shutdown"))
-                for _ in range(self._pending + 1):
+                for _ in range(self._unread() + 1):
                     if not self._conn.poll(timeout):
                         break
                     rpc.decode_reply(self._conn.recv_bytes(),
                                      self.meter)
             except (ProtocolError, EOFError, OSError):
                 pass
-        self._pending = 0
+        self._forget_flights()
         self._proc.join(timeout)
         if self._proc.is_alive():  # pragma: no cover - stuck worker
             self._proc.terminate()

@@ -131,14 +131,18 @@ class ShardHandle:
     replicas = None      # a ReplicaGroup's Replica list
     durability = None    # a ReplicaGroup's sealed sidecar (repro.persist)
     failovers = 0        # requests a ReplicaGroup re-served on a peer
+    #: Ships what ``flush_submit`` queued, on a handle that queues (a remote
+    #: one); None where the submit already ran the batch, so the
+    #: coordinator's per-call send costs an in-process shard nothing.
+    flush_send = None
     _load_mark = 0.0
 
     def flush_submit(self, requests):
         """Hand the enclave a batch; returns the ticket to collect it by.
 
         Here the flush runs at once and the ticket is its responses, so an
-        in-process enclave stays synchronous; a remote handle ships the
-        batch and answers later, in submission order.
+        in-process enclave stays synchronous; a remote handle queues the
+        batch for ``flush_send`` and answers later, in submission order.
         """
         return self.server.flush_batch(requests)
 

@@ -451,7 +451,7 @@ class SocketShard(RemoteShardHandle):
 
     # -- RPC plumbing -------------------------------------------------------------
 
-    def _send(self, cmd: str, arg=None) -> None:
+    def _send(self, message: bytes) -> None:
         if self.crashed or self.closed:
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection dead)")
@@ -460,15 +460,14 @@ class SocketShard(RemoteShardHandle):
                 f"shard {self.shard_id} is unreachable "
                 f"(partition: frames black-holed)")
         try:
-            self._transmit(cmd, arg)
+            self._transmit(message)
         except (ClusterConnectionError, ClusterTimeoutError, AttributeError):
             self._mark_crashed()
             raise ShardCrashedError(
                 f"shard {self.shard_id} is down (host connection lost)")
 
-    def _transmit(self, cmd: str, arg=None) -> None:
-        write_frame(self._sock,
-                    self._session.seal(rpc.encode_call(cmd, arg)))
+    def _transmit(self, message: bytes) -> None:
+        write_frame(self._sock, self._session.seal(message))
 
     def _recv(self, timeout: float = DEFAULT_RPC_TIMEOUT):
         if self.partitioned:
@@ -515,7 +514,6 @@ class SocketShard(RemoteShardHandle):
 
     def _mark_crashed(self) -> None:
         self.crashed = True
-        self._pending = 0
         self._sever()
 
     # -- partition / heal / reconnect ----------------------------------------------
@@ -530,7 +528,6 @@ class SocketShard(RemoteShardHandle):
         """
         self.partitioned = True
         self._heal_at = time.monotonic() + duration
-        self._pending = 0
         self._sever()
 
     def heal(self) -> None:
@@ -557,7 +554,7 @@ class SocketShard(RemoteShardHandle):
             self._dial()
             # Straight onto the fresh link: _send's crashed guard is what
             # this very call is about to lift.
-            self._transmit("attach", self.shard_id)
+            self._transmit(rpc.encode_call("attach", self.shard_id))
             config = self._recv()
         except (ShardCrashedError, ClusterConnectionError,
                 ClusterTimeoutError, HandshakeError, ProtocolError):
@@ -565,7 +562,7 @@ class SocketShard(RemoteShardHandle):
             return False
         self.store.config = config
         self.crashed = False
-        self._pending = 0
+        self._forget_flights()
         self.reconnects += 1
         return True
 
@@ -580,12 +577,11 @@ class SocketShard(RemoteShardHandle):
         if (not self.crashed and not self.closed and not self.partitioned
                 and self._session is not None):
             try:
-                self._send("kill")
+                self._send(rpc.encode_call("kill"))
                 self._recv()
             except (AriaError, OSError):
                 pass
         self.crashed = True
-        self._pending = 0
         self._sever()
 
     def close(self, timeout: float = DEFAULT_CLOSE_TIMEOUT) -> None:
@@ -596,14 +592,14 @@ class SocketShard(RemoteShardHandle):
                 and self._session is not None):
             try:
                 self._sock.settimeout(timeout)
-                for _ in range(self._pending):
+                for _ in range(self._unread()):
                     self._recv()
-                self._send("shutdown")
+                self._send(rpc.encode_call("shutdown"))
                 self._recv()
             except (AriaError, OSError):
                 pass
         self.closed = True
-        self._pending = 0
+        self._forget_flights()
         self._sever()
         _LIVE_HANDLES.discard(self)
 

@@ -257,8 +257,10 @@ class PartitionDurability:
 
         The full freshness check described in the module docstring; on
         success the writer chain resumes where the log ends (after trimming
-        a torn tail on disk), so commits can continue immediately.  It
-        opens by reading the snapshot.
+        a torn tail on disk) and binds a new epoch, durable before this
+        returns, so commits can continue immediately and no copy of the
+        state taken before this restart can pass the next one.  It opens by
+        reading the snapshot.
         """
         snap_blob = self.disk.read_blob(self._snap_name)
         log_blob = self.disk.read_blob(self._log_name) or b""
@@ -315,6 +317,10 @@ class PartitionDurability:
         self._ready = True
         self.recoveries += 1
         self.meter.count("dur_recover")
+        # Bind a fresh epoch before serving: a copy of the pair taken from
+        # here on is older than the counter at the next recovery.
+        self._advance_epoch()
+        self.sync()
         return RecoveredState(
             pairs=pairs,
             epoch=replayed.last_epoch,

@@ -1,15 +1,7 @@
-"""Workload generators: YCSB (uniform / zipfian), Facebook ETC, traces."""
+"""Workload generators: YCSB (uniform / zipfian), Facebook ETC, hotset drift."""
 
 from repro.workloads.etc import EtcWorkload
-from repro.workloads.trace import (
-    DriftingWorkload,
-    TraceFormatError,
-    TraceWorkload,
-    read_trace,
-    record_to_bytes,
-    replay_from_bytes,
-    write_trace,
-)
+from repro.workloads.trace import DriftingWorkload
 from repro.workloads.ycsb import KEY_SIZE, Operation, YcsbWorkload, make_key
 from repro.workloads.zipf import (
     ScrambledZipfianGenerator,
@@ -24,12 +16,6 @@ __all__ = [
     "DriftingWorkload",
     "EtcWorkload",
     "Operation",
-    "TraceFormatError",
-    "TraceWorkload",
-    "read_trace",
-    "record_to_bytes",
-    "replay_from_bytes",
-    "write_trace",
     "ScrambledZipfianGenerator",
     "UniformGenerator",
     "YcsbWorkload",

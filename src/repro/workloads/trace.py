@@ -1,116 +1,20 @@
-"""Trace recording, replay, and hotset-drift generation (extension).
+"""Hotset-drift generation (extension).
 
-Two pieces of realistic KV-store tooling beyond the paper's generators:
-
-* **Trace files** — any operation stream can be recorded to a compact
-  binary format and replayed later, so an experiment can be pinned to an
-  exact byte-identical request sequence (or an externally produced trace
-  can be imported).
-
-* **Hotset drift** — the paper cites Bodik et al.'s workload-spike study
-  [42] but evaluates stationary distributions only.  `DriftingWorkload`
-  moves the zipfian hot set across the keyspace at a configurable period,
-  which stresses exactly what a FIFO'd Secure Cache must handle: the cached
-  hot nodes turning cold in place.
-
-Trace frame format (little-endian)::
-
-    header := magic "ATRC" | version (1) | reserved (3)
-    op     := kind (1: 0=get, 1=put) | k_len (2) | v_len (4) | key | value
+The paper cites Bodik et al.'s workload-spike study [42] but evaluates
+stationary distributions only.  `DriftingWorkload` moves the zipfian hot
+set across the keyspace at a configurable period, which stresses exactly
+what a FIFO'd Secure Cache must handle: the cached hot nodes turning cold
+in place.
 """
 
 from __future__ import annotations
 
-import io
 import random
-import struct
 from dataclasses import dataclass, field
-from typing import BinaryIO, Iterable, Iterator
+from typing import Iterator
 
 from repro.workloads.ycsb import Operation, make_key
 from repro.workloads.zipf import ZipfianGenerator
-
-_MAGIC = b"ATRC"
-_VERSION = 1
-_HEADER = struct.Struct("<4sB3x")
-_OP = struct.Struct("<BHI")
-
-_KIND_TO_CODE = {"get": 0, "put": 1}
-_CODE_TO_KIND = {0: "get", 1: "put"}
-
-
-class TraceFormatError(ValueError):
-    """A malformed trace file."""
-
-
-def write_trace(stream: BinaryIO, operations: Iterable[Operation]) -> int:
-    """Serialize an operation stream; returns the number of ops written."""
-    stream.write(_HEADER.pack(_MAGIC, _VERSION))
-    count = 0
-    for op in operations:
-        if op.kind not in _KIND_TO_CODE:
-            raise TraceFormatError(f"cannot record op kind {op.kind!r}")
-        stream.write(_OP.pack(_KIND_TO_CODE[op.kind], len(op.key),
-                              len(op.value)))
-        stream.write(op.key)
-        stream.write(op.value)
-        count += 1
-    return count
-
-
-def read_trace(stream: BinaryIO) -> Iterator[Operation]:
-    """Stream operations back from a trace file."""
-    header = stream.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise TraceFormatError("truncated trace header")
-    magic, version = _HEADER.unpack(header)
-    if magic != _MAGIC:
-        raise TraceFormatError("not a trace file (bad magic)")
-    if version != _VERSION:
-        raise TraceFormatError(f"unsupported trace version {version}")
-    while True:
-        raw = stream.read(_OP.size)
-        if not raw:
-            return
-        if len(raw) != _OP.size:
-            raise TraceFormatError("truncated op header")
-        code, k_len, v_len = _OP.unpack(raw)
-        if code not in _CODE_TO_KIND:
-            raise TraceFormatError(f"unknown op code {code}")
-        body = stream.read(k_len + v_len)
-        if len(body) != k_len + v_len:
-            raise TraceFormatError("truncated op body")
-        yield Operation(_CODE_TO_KIND[code], body[:k_len], body[k_len:])
-
-
-def record_to_bytes(operations: Iterable[Operation]) -> bytes:
-    buffer = io.BytesIO()
-    write_trace(buffer, operations)
-    return buffer.getvalue()
-
-
-def replay_from_bytes(data: bytes) -> list:
-    return list(read_trace(io.BytesIO(data)))
-
-
-@dataclass
-class TraceWorkload:
-    """A workload backed by a recorded trace (load items + op stream)."""
-
-    trace: bytes
-    n_keys: int
-    value_size: int = 16
-    seed: int = 0  # kept for harness API parity (warmup re-seeding)
-
-    def load_items(self) -> Iterator[tuple[bytes, bytes]]:
-        for i in range(self.n_keys):
-            yield make_key(i), b"\x00" * self.value_size
-
-    def operations(self, n_ops: int) -> Iterator[Operation]:
-        for i, op in enumerate(replay_from_bytes(self.trace)):
-            if i >= n_ops:
-                return
-            yield op
 
 
 @dataclass

@@ -26,7 +26,11 @@ CHANGES.md.  ``cluster_wire_overhead`` was re-pinned once, when its v1
 rows and ``wire`` column were removed with the v1 door; its v2 rows held
 to the last digit.  ``cluster_socket_backend``'s row digest was re-pinned once,
 when the shard host's pid left the sealed ``ready`` reply
-(``hop_handshake_cycles`` had depended on the pid's digit count).
+(``hop_handshake_cycles`` had depended on the pid's digit count).  Both
+its digests were re-pinned once more when a call's batch windows for one
+shard began to share one sealed message: the socket row's
+``hop_cycles_per_op`` fell 495.6 → 379.7 (fewer, longer frames); every
+other column held.
 """
 
 import copy
@@ -96,8 +100,8 @@ GOLDEN = {
         "f778cd390e47ee25f70707bb61b58c0ae9afe9b7b7ec2b650630485037f5b181",
         "d6300ca129972ecb305c061d219f1ace87149751038edaa2f8a8e4ae71fe9ea7"),
     "cluster_socket_backend": (
-        "f7c9dfb40aec1bb04d453486658ca09b8434d8dadf43398eaa4077218ac22536",
-        "fcd23de48f372a71cfb5d4f4fcb656d807c21ba56f412ef81ee33b4704d5d25a"),
+        "11a39f47a89871b1bde499598db3a20bb382aaefc574f773c3e469a97ace0bd1",
+        "6746e13fa2152909e0f291219a2a7b8611ed50385715ca4e7c639e86b250f4c7"),
     "cluster_elastic": (
         "8900fee9fb8fd27cc34c8be7fffa64db74446dd2092e3ced5b446f0c6d526552",
         "9238fbcd95e1fb7d51a2c9168adfe35d33fdf3fcddee36ef72625bf3cfc3bc13"),

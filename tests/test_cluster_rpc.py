@@ -136,7 +136,8 @@ rows = st.dictionaries(
 VALUES = {
     "spawn": (specs, ready),
     "attach": (st.text(max_size=20), ready),
-    "flush": (requests, responses),
+    "flush": (st.lists(requests, max_size=3),
+              st.lists(responses, max_size=3)),
     "get": (blobs, blobs),
     "put": (st.lists(pairs, min_size=1, max_size=1), st.none()),
     "delete": (blobs, st.none()),
@@ -189,25 +190,25 @@ def test_call_and_reply_round_trip(cmd, data):
 
 def test_flush_round_trip_restores_enum_members():
     batch = [protocol.get(b"k"), protocol.put(b"k", b"v"), Request(99, b"k")]
-    _, back = rpc.decode_call(rpc.encode_call("flush", batch))
+    _, [back] = rpc.decode_call(rpc.encode_call("flush", [batch]))
     assert [type(r.opcode) for r in back] \
         == [protocol.OpCode, protocol.OpCode, int]
-    reply = rpc.encode_reply("flush", True, [Response(protocol.STATUS_OK)])
-    _, [response] = rpc.decode_reply(reply, CycleMeter())
+    reply = rpc.encode_reply("flush", True, [[Response(protocol.STATUS_OK)]])
+    _, [[response]] = rpc.decode_reply(reply, CycleMeter())
     assert response.status is protocol.Status.OK
 
 
 def test_flush_carries_a_generator():
     batch = [protocol.get(b"a"), protocol.get(b"b")]
-    wire = rpc.encode_call("flush", (request for request in batch))
-    assert wire == rpc.encode_call("flush", batch)
+    wire = rpc.encode_call("flush", [(request for request in batch)])
+    assert wire == rpc.encode_call("flush", [batch])
 
 
 def test_unencodable_arguments_are_typed():
     with pytest.raises(ProtocolError, match="unknown command"):
         rpc.encode_call("eval", b"1+1")
     with pytest.raises(ProtocolError, match="unencodable"):
-        rpc.encode_call("flush", [Request(1 << 40, b"k")])
+        rpc.encode_call("flush", [[Request(1 << 40, b"k")]])
     with pytest.raises(ProtocolError, match="unencodable"):
         rpc.encode_call("spawn", _spec(hook=object()))
 
@@ -315,12 +316,13 @@ def _sample_messages():
     batch = [protocol.get(b"key-1"), protocol.put(b"key-2", b"value")]
     calls = [
         ("spawn", _spec(tenant_quotas={"ab": 0.5})), ("attach", "s0"),
-        ("flush", batch), ("get", b"key"), ("put", [(b"key", b"value")]),
+        ("flush", [batch]), ("get", b"key"), ("put", [(b"key", b"value")]),
         ("load", [(b"a", b"1"), (b"b", b"2")]), ("keys", None),
         ("retarget_quotas", {"ab": 0.25}), ("shutdown", None),
     ]
     replies = [
-        ("spawn", True, config), ("flush", True, [Response(0, b"v"), Response(1)]),
+        ("spawn", True, config),
+        ("flush", True, [[Response(0, b"v"), Response(1)]]),
         ("get", True, b"value"), ("keys", True, [b"a", b"bc"]),
         ("len", True, 12), ("plant_corruption", True, True),
         ("stats", True, {"shard": "s0", "cycles": 1.5}),
@@ -332,6 +334,12 @@ def _sample_messages():
     messages += [(decode_reply, rpc.encode_reply(*reply, meter))
                  for reply in replies]
     messages.append((decode_reply, rpc.encode_reply("shutdown", True, None)))
+    # A call's windows for one shard, and one outcome per window.
+    messages.append((rpc.decode_call, rpc.encode_call(
+        "flush", [batch, [protocol.delete(b"key-1")], []])))
+    messages.append((decode_reply, rpc.encode_reply("flush", True, [
+        [Response(0, b"v")], errors.OverloadedError("shed", retry_after=2.0),
+        []], meter)))
     return messages
 
 
@@ -381,7 +389,7 @@ class TestMutation:
 
 def test_a_count_that_overruns_the_buffer_is_refused():
     batch = [protocol.get(b"k")]
-    for cmd, arg in (("flush", batch), ("load", [(b"k", b"v")])):
+    for cmd, arg in (("flush", [batch]), ("load", [(b"k", b"v")])):
         body = bytearray(rpc.encode_call(cmd, arg)[:-4])
         for claimed in (2, 1 << 16, (1 << 32) - 1):
             body[1:5] = struct.pack("<I", claimed)
@@ -395,6 +403,38 @@ def test_a_count_that_overruns_the_buffer_is_refused():
     reply[3:7] = struct.pack("<I", 1 << 20)
     with pytest.raises(ProtocolError, match="truncated"):
         rpc.decode_reply(_resealed(bytes(reply)), CycleMeter())
+
+
+def test_the_flush_layouts_refuse_counts_and_flags_they_cannot_hold():
+    """Windows and outcomes at the trust boundary: a truncated count, a
+    count past the bytes (of windows, of one window's requests, of
+    outcomes) and an outcome flag that is neither 0 nor 1 are each a
+    ``ProtocolError`` and nothing else."""
+    call = rpc.encode_call("flush", [[protocol.get(b"k")],
+                                     [protocol.put(b"k", b"v")]])[:-4]
+    reply = rpc.encode_reply("flush", True, [
+        [Response(0, b"v")], errors.KeyNotFoundError(b"k")])[:-4]
+    calls, replies = [], []
+    for body, start, into in ((call, 1, calls), (reply, 3, replies)):
+        into += [body[:start + cut] for cut in range(4)]
+        into += [body[:start] + struct.pack("<I", claimed) + body[start + 4:]
+                 for claimed in (3, 1 << 16, (1 << 32) - 1)]
+    calls.append(call[:5] + struct.pack("<I", 2) + call[9:])
+    second_flag = 3 + 4 + 1 + 4 + 6       # header, count, flag, one response
+    for position in (7, second_flag):
+        for flag in (2, 0x80, 0xFF):
+            bad = bytearray(reply)
+            bad[position] = flag
+            replies.append(bytes(bad))
+    for body in calls:
+        with pytest.raises(ProtocolError):
+            rpc.decode_call(_resealed(body))
+    for body in replies:
+        with pytest.raises(ProtocolError):
+            rpc.decode_reply(_resealed(body), CycleMeter())
+    ok, [[answer], refused] = rpc.decode_reply(_resealed(reply), CycleMeter())
+    assert ok and answer == Response(0, b"v")
+    assert type(refused) is errors.KeyNotFoundError
 
 
 def test_unknown_command_class_index_and_field_are_refused():

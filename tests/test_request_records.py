@@ -100,7 +100,7 @@ class TestDecodersBuildRecords:
         wire = protocol.encode_batch(batch)
         decoded = {"decode_batch": protocol.decode_batch(wire),
                    "decode_call": rpc.decode_call(
-                       rpc.encode_call("flush", batch))[1],
+                       rpc.encode_call("flush", [batch]))[1][0],
                    "decode_request": []}
         offset = 2
         for _ in batch:
@@ -117,8 +117,8 @@ class TestDecodersBuildRecords:
         batch = [protocol.Response(*f) for f in fields]
         references = [Response(*f) for f in fields]
         wire = protocol.encode_batch_responses(batch)
-        ok, reply = rpc.decode_reply(rpc.encode_reply("flush", True, batch),
-                                     CycleMeter())
+        ok, [reply] = rpc.decode_reply(
+            rpc.encode_reply("flush", True, [batch]), CycleMeter())
         assert ok
         decoded = {"decode_batch_responses": protocol.decode_batch_responses(
                        wire, expected=len(batch)),

@@ -156,3 +156,27 @@ class TestRestoreRejections:
             shutil.copy(stale / name, tmp_path / name)
         with pytest.raises(RollbackDetectedError, match="stale"):
             build(tmp_path, epoch_every=1)
+
+    def test_a_pair_copied_after_a_restart_is_stale_at_the_next(
+            self, tmp_path):
+        """Recovery binds a fresh epoch before the store serves.
+
+        At the default ``epoch_every`` the writes after a restart stay
+        inside one epoch; if recovery resumed the epoch it found, a pair
+        copied right after the restart would still match the counter once
+        the store had moved on, and the old balance would be served."""
+        store = build(tmp_path)
+        store.put(b"balance", b"1000")
+        store.close()
+        store = build(tmp_path)
+        stale = tmp_path / "stale"
+        stale.mkdir()
+        for name in ("shard-0.snap", "shard-0.log"):
+            shutil.copy(tmp_path / name, stale / name)
+        store.put(b"balance", b"0")
+        store.close()
+        build(tmp_path).close()
+        for name in ("shard-0.snap", "shard-0.log"):
+            shutil.copy(stale / name, tmp_path / name)
+        with pytest.raises(RollbackDetectedError, match="stale"):
+            build(tmp_path)

@@ -1,108 +1,10 @@
-"""Trace record/replay and hotset-drift workload tests."""
+"""Hotset-drift workload tests."""
 
-import io
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.workloads.trace import (
-    DriftingWorkload,
-    TraceFormatError,
-    TraceWorkload,
-    read_trace,
-    record_to_bytes,
-    replay_from_bytes,
-    write_trace,
-)
-from repro.workloads.ycsb import Operation, YcsbWorkload
-
-
-class TestTraceFormat:
-    def test_roundtrip(self):
-        ops = [Operation("get", b"alpha"), Operation("put", b"beta", b"v1"),
-               Operation("get", b"gamma")]
-        assert replay_from_bytes(record_to_bytes(ops)) == ops
-
-    def test_empty_trace(self):
-        assert replay_from_bytes(record_to_bytes([])) == []
-
-    def test_binary_keys_and_values(self):
-        ops = [Operation("put", bytes(range(256)), b"\x00\xff" * 100)]
-        assert replay_from_bytes(record_to_bytes(ops)) == ops
-
-    def test_bad_magic_rejected(self):
-        with pytest.raises(TraceFormatError):
-            replay_from_bytes(b"NOPE\x01\x00\x00\x00")
-
-    def test_truncated_header_rejected(self):
-        with pytest.raises(TraceFormatError):
-            replay_from_bytes(b"AT")
-
-    def test_truncated_body_rejected(self):
-        blob = record_to_bytes([Operation("put", b"key", b"value")])
-        with pytest.raises(TraceFormatError):
-            replay_from_bytes(blob[:-2])
-
-    def test_unsupported_version_rejected(self):
-        blob = bytearray(record_to_bytes([]))
-        blob[4] = 99
-        with pytest.raises(TraceFormatError):
-            replay_from_bytes(bytes(blob))
-
-    def test_delete_ops_not_recordable(self):
-        with pytest.raises(TraceFormatError):
-            record_to_bytes([Operation("delete", b"k")])
-
-    def test_streaming_read(self):
-        ops = [Operation("get", b"key-%d" % i) for i in range(100)]
-        stream = io.BytesIO()
-        assert write_trace(stream, ops) == 100
-        stream.seek(0)
-        assert sum(1 for _ in read_trace(stream)) == 100
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(
-        st.tuples(st.sampled_from(["get", "put"]),
-                  st.binary(min_size=1, max_size=32),
-                  st.binary(max_size=64)),
-        max_size=40,
-    ))
-    def test_roundtrip_property(self, raw):
-        ops = [Operation(kind, key, value if kind == "put" else b"")
-               for kind, key, value in raw]
-        assert replay_from_bytes(record_to_bytes(ops)) == ops
-
-
-class TestTraceWorkload:
-    def test_ycsb_trace_replays_identically(self):
-        source = YcsbWorkload(n_keys=200, read_ratio=0.9, seed=5)
-        recorded = record_to_bytes(source.operations(300))
-        workload = TraceWorkload(trace=recorded, n_keys=200)
-        replayed = list(workload.operations(300))
-        assert replayed == list(
-            YcsbWorkload(n_keys=200, read_ratio=0.9, seed=5).operations(300)
-        )
-
-    def test_op_limit_respected(self):
-        source = YcsbWorkload(n_keys=50, seed=1)
-        workload = TraceWorkload(trace=record_to_bytes(source.operations(100)),
-                                 n_keys=50)
-        assert sum(1 for _ in workload.operations(10)) == 10
-
-    def test_runs_through_the_harness(self):
-        from repro.bench.harness import build_aria, load_and_run, \
-            scaled_platform
-
-        source = YcsbWorkload(n_keys=2000, read_ratio=0.95, seed=2)
-        workload = TraceWorkload(
-            trace=record_to_bytes(source.operations(4000)), n_keys=2000,
-        )
-        store = build_aria(n_keys=2000, platform=scaled_platform(2048))
-        run = load_and_run(store, workload, 1000, scheme="aria",
-                           warmup_ops=0)
-        assert run.throughput > 0
+from repro.workloads.trace import DriftingWorkload
 
 
 class TestDriftingWorkload:
