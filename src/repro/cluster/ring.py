@@ -52,6 +52,10 @@ VnodeSpec = Union[int, Mapping[str, int]]
 
 DEFAULT_VNODES = 128
 
+#: Keys :meth:`HashRing.route` remembers between ring changes; past it the
+#: memo starts over, so it never holds more than this many keys.
+ROUTE_MEMO_KEYS = 1 << 14
+
 
 class HashRing:
     """Consistent-hash ring mapping keys to shard ids."""
@@ -146,11 +150,19 @@ class HashRing:
     # -- routing ----------------------------------------------------------------
 
     def route(self, key: bytes) -> str:
-        """The shard id serving ``key``."""
-        index = bisect.bisect_right(self._points, ring_hash(key))
-        if index == len(self._points):
-            index = 0  # wrap: the first point owns the top arc
-        return self._owners[index]
+        """The shard id serving ``key``.
+
+        A key routed since the ring last changed is one dict read: the
+        hash and the search run once per key, not once per request.
+        """
+        shard_id = self._routes.get(key)
+        if shard_id is None:
+            if len(self._routes) >= ROUTE_MEMO_KEYS:
+                self._routes.clear()
+            # Past the last point wraps to the first: it owns the top arc.
+            shard_id = self._routes[key] = self._owners[bisect.bisect_right(
+                self._points, ring_hash(key)) % len(self._points)]
+        return shard_id
 
     # -- introspection ----------------------------------------------------------
 
@@ -168,5 +180,8 @@ class HashRing:
         return len(self._points)
 
     def _rebuild(self) -> None:
+        """Every change of ownership ends here, so the route memo is
+        dropped here too."""
         self._points = sorted(self._owner)
         self._owners = [self._owner[p] for p in self._points]
+        self._routes: Dict[bytes, str] = {}

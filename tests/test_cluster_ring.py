@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster import ring as ring_module
 from repro.cluster.ring import DEFAULT_VNODES, HashRing, ring_hash
 
 settings.register_profile("ring", deadline=None, max_examples=25)
@@ -111,6 +112,33 @@ class TestMinimalRemap:
             assert after != victim
             if before[key] != victim:
                 assert after == before[key]  # survivors keep their keys
+
+
+class TestRouteMemo:
+    """``route`` remembers each key's shard until the ring next changes."""
+
+    @pytest.mark.parametrize("change", [
+        lambda ring: ring.add_shard("d", vnodes=64),
+        lambda ring: ring.remove_shard("a"),
+        lambda ring: ring.move_vnodes("a", "b", 48),
+    ], ids=["add", "remove", "move"])
+    def test_a_change_of_ownership_forgets_every_route(self, change):
+        ring = HashRing(["a", "b", "c"], vnodes=64)
+        keys = sample_keys(2000)
+        before = [ring.route(key) for key in keys]
+        change(ring)
+        after = [ring.route(key) for key in keys]
+        assert after == [ring.copy().route(key) for key in keys]
+        assert after != before
+
+    def test_the_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(ring_module, "ROUTE_MEMO_KEYS", 100)
+        ring = HashRing(["a", "b"], vnodes=16)
+        fresh = HashRing(["a", "b"], vnodes=16)
+        keys = sample_keys(1000)
+        assert [ring.route(key) for key in keys * 2] \
+            == [fresh.route(key) for key in keys * 2]
+        assert len(ring._routes) <= 100
 
 
 class TestVnodeMoves:
